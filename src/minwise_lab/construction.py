@@ -232,25 +232,63 @@ def _allocation_family(params: ConstructionParams) -> SeededFamily:
     return TWiseFamily(params.allocation_independence, params.N, params.ell)
 
 
-def _check_common(params: ConstructionParams, prg1: RectanglePRG,
-                  prg2: RectanglePRG, extractor: LeftoverHash) -> None:
-    if prg1.dimension != params.ell:
-        raise ParamViolation(
-            f"per-bucket seed PRG dimension {prg1.dimension} != ell {params.ell}"
-        )
-    if prg1.alphabet != 1 << extractor.d:
-        raise ParamViolation(
-            f"per-bucket seed PRG alphabet {prg1.alphabet} does not cover the "
-            f"{extractor.d}-bit extractor seed"
-        )
-    if prg2.dimension != params.N or prg2.alphabet != params.M:
-        raise ParamViolation(
-            f"inner PRG shape ({prg2.dimension}, {prg2.alphabet}) != "
-            f"(N={params.N}, M={params.M})"
-        )
+class _BucketedFamily(SeededFamily):
+    """The shared skeleton: allocation g, per-bucket extractor seeds from
+    PRG1, and one source word w extracted at x's bucket.
+
+    Seed layout (low bits first): g-seed | prg1-seed | w, followed by
+    the subclass's ``extra_fields``.
+    """
+
+    def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
+                 prg2: RectanglePRG, extractor: LeftoverHash,
+                 extra_fields: tuple[tuple[str, int], ...] = ()) -> None:
+        if prg1.dimension != params.ell:
+            raise ParamViolation(
+                f"per-bucket seed PRG dimension {prg1.dimension} != ell {params.ell}"
+            )
+        if prg1.alphabet != 1 << extractor.d:
+            raise ParamViolation(
+                f"per-bucket seed PRG alphabet {prg1.alphabet} does not cover the "
+                f"{extractor.d}-bit extractor seed"
+            )
+        if prg2.dimension != params.N or prg2.alphabet != params.M:
+            raise ParamViolation(
+                f"inner PRG shape ({prg2.dimension}, {prg2.alphabet}) != "
+                f"(N={params.N}, M={params.M})"
+            )
+        self.params = params
+        self.g = _allocation_family(params)
+        self.prg1 = prg1
+        self.prg2 = prg2
+        self.extractor = extractor
+        self.layout = SeedLayout.build([
+            ("g-seed", self.g.seed_bits),
+            ("prg1-seed", prg1.seed_bits),
+            ("w", extractor.n),
+            *extra_fields,
+        ])
+        self.domain_size = params.N
+        self.range_size = params.M
+        self.seed_bits = self.layout.total_bits
+
+    def _bucket_output(self, parts: dict, x: int) -> int:
+        """Extractor output for x's bucket: Ext(w, PRG1(prg1-seed)_{g(x)} - 1)."""
+        bucket = self.g.eval(parts["g-seed"], x)
+        s = self.prg1.coord_eval(parts["prg1-seed"], bucket) - 1
+        return self.extractor.extract(parts["w"], s)
+
+    def _bucket_output_block(self, parts: dict, x: int) -> np.ndarray:
+        """Vectorized _bucket_output over unpacked seed columns."""
+        bucket = self.g.eval_block(parts["g-seed"], x)
+        s = self.prg1.coord_block(parts["prg1-seed"], bucket) - np.uint64(1)
+        return self.extractor.extract_block(parts["w"], s)
+
+    def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self.layout.draw_block(rng, count)
 
 
-class BucketedMinwiseFamily(SeededFamily):
+class BucketedMinwiseFamily(_BucketedFamily):
     """h(x) = sigma_{g(x)}(x): per-bucket functions from the direct sum
     of a t'-wise inner family and a rectangle PRG, indexed by extracting
     the shared source w at the bucket's PRG1-provided seed.
@@ -262,27 +300,14 @@ class BucketedMinwiseFamily(SeededFamily):
                  prg2: RectanglePRG, extractor: LeftoverHash) -> None:
         if params.k != 1:
             raise ParamViolation(f"min-wise construction requires k = 1, got {params.k}")
-        _check_common(params, prg1, prg2, extractor)
+        super().__init__(params, prg1, prg2, extractor)
         inner = TWiseFamily(params.inner_independence, params.N, params.M)
         if extractor.m != inner.seed_bits + prg2.seed_bits:
             raise ParamViolation(
                 f"extractor output {extractor.m} bits != inner seed "
                 f"{inner.seed_bits} + PRG2 seed {prg2.seed_bits}"
             )
-        self.params = params
-        self.g = _allocation_family(params)
-        self.prg1 = prg1
-        self.prg2 = prg2
-        self.extractor = extractor
         self.inner = inner
-        self.layout = SeedLayout.build([
-            ("g-seed", self.g.seed_bits),
-            ("prg1-seed", prg1.seed_bits),
-            ("w", extractor.n),
-        ])
-        self.domain_size = params.N
-        self.range_size = params.M
-        self.seed_bits = self.layout.total_bits
 
     @property
     def family_id(self) -> str:
@@ -293,39 +318,26 @@ class BucketedMinwiseFamily(SeededFamily):
             f"inner={self.inner.family_id},prg2={self.prg2.prg_id})"
         )
 
-    def _sigma_seed(self, parts: dict, bucket: int) -> tuple[int, int]:
-        """(inner seed, PRG2 seed) for one bucket: split of Ext(w, s_bucket)."""
-        s = self.prg1.coord_eval(parts["prg1-seed"], bucket) - 1
-        z = self.extractor.extract(parts["w"], s)
-        return z & (self.inner.seed_space - 1), z >> self.inner.seed_bits
-
     def eval(self, seed: int, x: int) -> int:
         self._check_seed(seed)
         self._check_x(x)
-        parts = self.layout.unpack(seed)
-        bucket = self.g.eval(parts["g-seed"], x)
-        z_lo, z_hi = self._sigma_seed(parts, bucket)
+        z = self._bucket_output(self.layout.unpack(seed), x)
+        z_lo, z_hi = z & (self.inner.seed_space - 1), z >> self.inner.seed_bits
         return dsum_values(
             self.inner.eval(z_lo, x), self.prg2.coord_eval(z_hi, x), self.range_size
         )
 
     def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
         self._check_x(x)
-        parts = self.layout.unpack_block(seeds)
-        bucket = self.g.eval_block(parts["g-seed"], x)
-        s = self.prg1.coord_block(parts["prg1-seed"], bucket) - np.uint64(1)
-        z = self.extractor.extract_block(parts["w"], s)
+        z = self._bucket_output_block(self.layout.unpack_block(seeds), x)
         z_lo = z & np.uint64(self.inner.seed_space - 1)
         z_hi = z >> np.uint64(self.inner.seed_bits)
         u = self.inner.eval_block(z_lo, x)
         v = self.prg2.coord_block(z_hi, x)
         return dsum_values(u, v, np.uint64(self.range_size))
 
-    def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.layout.draw_block(rng, count)
 
-
-class BucketedKMinwiseFamily(SeededFamily):
+class BucketedKMinwiseFamily(_BucketedFamily):
     """h = overlay (+) phi where phi(x) = PRG2(Ext(w, s_{g(x)}))(x).
 
     The overlay is a global (C_e+1)k-wise family combined by the direct
@@ -337,26 +349,14 @@ class BucketedKMinwiseFamily(SeededFamily):
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
                  prg2: RectanglePRG, extractor: LeftoverHash) -> None:
-        _check_common(params, prg1, prg2, extractor)
+        overlay = TWiseFamily(params.overlay_independence, params.N, params.M)
+        super().__init__(params, prg1, prg2, extractor,
+                         (("h0-seed", overlay.seed_bits),))
         if extractor.m != prg2.seed_bits:
             raise ParamViolation(
                 f"extractor output {extractor.m} bits != PRG2 seed {prg2.seed_bits}"
             )
-        self.params = params
-        self.g = _allocation_family(params)
-        self.prg1 = prg1
-        self.prg2 = prg2
-        self.extractor = extractor
-        self.overlay = TWiseFamily(params.overlay_independence, params.N, params.M)
-        self.layout = SeedLayout.build([
-            ("g-seed", self.g.seed_bits),
-            ("prg1-seed", prg1.seed_bits),
-            ("w", extractor.n),
-            ("h0-seed", self.overlay.seed_bits),
-        ])
-        self.domain_size = params.N
-        self.range_size = params.M
-        self.seed_bits = self.layout.total_bits
+        self.overlay = overlay
 
     @property
     def family_id(self) -> str:
@@ -372,10 +372,7 @@ class BucketedKMinwiseFamily(SeededFamily):
         """The bucketed half alone (no overlay)."""
         self._check_seed(seed)
         self._check_x(x)
-        parts = self.layout.unpack(seed)
-        bucket = self.g.eval(parts["g-seed"], x)
-        s = self.prg1.coord_eval(parts["prg1-seed"], bucket) - 1
-        z = self.extractor.extract(parts["w"], s)
+        z = self._bucket_output(self.layout.unpack(seed), x)
         return self.prg2.coord_eval(z, x)
 
     def eval(self, seed: int, x: int) -> int:
@@ -387,15 +384,10 @@ class BucketedKMinwiseFamily(SeededFamily):
     def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
         self._check_x(x)
         parts = self.layout.unpack_block(seeds)
-        bucket = self.g.eval_block(parts["g-seed"], x)
-        s = self.prg1.coord_block(parts["prg1-seed"], bucket) - np.uint64(1)
-        z = self.extractor.extract_block(parts["w"], s)
+        z = self._bucket_output_block(parts, x)
         u = self.overlay.eval_block(parts["h0-seed"], x)
         v = self.prg2.coord_block(z, x)
         return dsum_values(u, v, np.uint64(self.range_size))
-
-    def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.layout.draw_block(rng, count)
 
 
 def build_minwise(params: ConstructionParams, prg1: RectanglePRG,

@@ -44,10 +44,6 @@ class DomainMismatch(MinwiseLabError):
     """Two explicit distributions are not over the same finite set."""
 
 
-class TooLargeForExhaustive(MinwiseLabError):
-    """Exhaustive enumeration requested beyond the seed-bit budget."""
-
-
 class ConditionNeverHolds(MinwiseLabError):
     """Conditioning event has probability zero under the generator."""
 
@@ -57,7 +53,11 @@ class ParamViolation(MinwiseLabError):
 
 
 class SeedSpaceTooLarge(MinwiseLabError):
-    """Exhaustive measurement requested for a family with > 24 seed bits."""
+    """Exhaustive enumeration requested for a seed space over the 24-bit budget."""
+
+
+# the name rectangle oracles used to raise; callers still import it
+TooLargeForExhaustive = SeedSpaceTooLarge
 
 
 class EmptyQuery(MinwiseLabError):

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainMismatch, NotFullRank, TooManyRows, WidthError, WidthMismatch
 from .gf2 import (
     BitMatrix,
+    EchelonBasis,
     FieldContext,
     complement_basis,
     find_irreducible,
@@ -113,33 +114,12 @@ def surjectify(m: BitMatrix) -> BitMatrix:
     """
     if m.nrows > m.cols:
         raise TooManyRows(f"{m.nrows} rows cannot be independent in {m.cols} columns")
-    # elimination basis: unique lowest set bits, kept in ascending order so
-    # a single pass of reduce_against() is a full reduction
-    basis: list[int] = []
-
-    def reduce_against(v: int) -> int:
-        for b in basis:
-            if v & (b & -b):
-                v ^= b
-        return v
-
-    def insert(v: int) -> None:
-        basis.append(v)
-        basis.sort(key=lambda b: b & -b)
-
-    dependent: list[int] = []
-    for i, r in enumerate(m.rows):
-        red = reduce_against(r)
-        if red:
-            insert(red)
-        else:
-            dependent.append(i)
+    basis = EchelonBasis()
+    dependent = [i for i, r in enumerate(m.rows) if not basis.add(r)]
     out = list(m.rows)
     for i in dependent:
         for j in range(m.cols):
-            red = reduce_against(1 << j)
-            if red:
-                insert(red)
+            if basis.add(1 << j):
                 out[i] = 1 << j
                 break
         else:  # pragma: no cover - impossible while nrows <= cols

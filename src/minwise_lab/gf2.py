@@ -301,20 +301,36 @@ def rank(m: BitMatrix) -> int:
     return len(rref(m)[1])
 
 
+class EchelonBasis:
+    """Incremental GF(2) elimination basis for int-bitmask vectors.
+
+    Every stored vector has a distinct lowest set bit, and the vectors
+    are kept sorted by it, so one ascending pass clears each stored
+    lowest bit in turn: the remainder is zero iff the vector lies in the
+    span, and otherwise its lowest bit is new.
+    """
+
+    def __init__(self) -> None:
+        self.vectors: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def add(self, v: int) -> bool:
+        """Insert v if it is independent of the span; report whether it was."""
+        for b in self.vectors:
+            if v & (b & -b):
+                v ^= b
+        if v:
+            self.vectors.append(v)
+            self.vectors.sort(key=lambda b: b & -b)
+        return bool(v)
+
+
 def row_basis(m: BitMatrix) -> BitMatrix:
     """Maximal independent subset of rows, scanning top to bottom."""
-    basis: list[int] = []  # elimination basis, one leading column each
-    kept: list[int] = []
-    for r in m.rows:
-        cur = r
-        for b in basis:
-            low = b & -b
-            if cur & low:
-                cur ^= b
-        if cur:
-            basis.append(cur)
-            kept.append(r)
-    return BitMatrix(tuple(kept), m.cols)
+    basis = EchelonBasis()
+    return BitMatrix(tuple(r for r in m.rows if basis.add(r)), m.cols)
 
 
 def complement_basis(m: BitMatrix) -> BitMatrix:
@@ -327,29 +343,14 @@ def complement_basis(m: BitMatrix) -> BitMatrix:
     the "dual coordinates" used by the composition combinator: for
     full-row-rank m, (m·x, complement_basis(m)·x) is a bijection of x.
     """
-    basis: list[int] = []
-
-    def reduce_against(v: int) -> int:
-        for b in basis:
-            if v & (b & -b):
-                v ^= b
-        return v
-
-    def insert(v: int) -> None:
-        basis.append(v)
-        basis.sort(key=lambda b: b & -b)
-
+    basis = EchelonBasis()
     for r in m.rows:
-        red = reduce_against(r)
-        if red:
-            insert(red)
+        basis.add(r)
     picked = []
     for j in range(m.cols):
         if len(basis) == m.cols:
             break
-        red = reduce_against(1 << j)
-        if red:
-            insert(red)
+        if basis.add(1 << j):
             picked.append(1 << j)
     return BitMatrix(tuple(picked), m.cols)
 

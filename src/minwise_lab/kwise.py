@@ -13,8 +13,10 @@ import abc
 
 import numpy as np
 
-from .errors import BadSeedLength, DomainOverflow, RangeMismatch
+from .errors import BadSeedLength, DomainOverflow, RangeMismatch, SeedSpaceTooLarge
 from .gf2 import FieldContext, find_irreducible, mul_block
+
+EXHAUSTIVE_SEED_BITS = 24
 
 
 def dsum_values(u, v, range_size: int):
@@ -24,6 +26,27 @@ def dsum_values(u, v, range_size: int):
     bijection of [M], which is what preserves marginal uniformity.
     """
     return (u + v - 1) % range_size + 1
+
+
+def seed_blocks(seed_bits: int, chunk_bits: int = 20):
+    """Consecutive uint64 blocks of <= 2^chunk_bits seeds covering [0, 2^seed_bits).
+
+    This is the one exhaustive enumeration behind every exact oracle.
+    The budget is checked here, at call time rather than on the first
+    block, so an oversized space raises SeedSpaceTooLarge before any
+    work is done.
+    """
+    if seed_bits > EXHAUSTIVE_SEED_BITS:
+        raise SeedSpaceTooLarge(
+            f"{seed_bits} seed bits exceed the {EXHAUSTIVE_SEED_BITS}-bit "
+            "exhaustive budget"
+        )
+    total = 1 << seed_bits
+    step = 1 << chunk_bits
+    return (
+        np.arange(lo, min(lo + step, total), dtype=np.uint64)
+        for lo in range(0, total, step)
+    )
 
 
 class SeededFamily(abc.ABC):

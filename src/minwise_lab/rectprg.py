@@ -19,16 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    BadSeedLength,
-    ConditionNeverHolds,
-    DomainOverflow,
-    TooLargeForExhaustive,
-)
+from .errors import BadSeedLength, ConditionNeverHolds, DomainOverflow
 from .gf2 import find_irreducible, mul_block
-from .kwise import SeededFamily, TWiseFamily, dsum_values
-
-EXHAUSTIVE_SEED_BITS = 24
+from .kwise import SeededFamily, TWiseFamily, seed_blocks
 
 
 @dataclass(frozen=True)
@@ -151,11 +144,6 @@ class RectanglePRG(abc.ABC):
     def _check_coord(self, coord: int) -> None:
         if not 1 <= coord <= self.dimension:
             raise DomainOverflow(f"coordinate {coord} outside [1, {self.dimension}]")
-
-
-def expand(prg: RectanglePRG, seed: int) -> tuple[int, ...]:
-    """Deterministic expansion of a seed into the output vector."""
-    return prg.expand(seed)
 
 
 class FullIndependencePRG(RectanglePRG):
@@ -317,18 +305,11 @@ def _check_shape(prg: RectanglePRG, rect: Rectangle) -> None:
 def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle, chunk_bits: int = 20) -> tuple[int, int]:
     """Exact (#seeds accepted by the rectangle, #seeds), by enumeration."""
     _check_shape(prg, rect)
-    if prg.seed_bits > EXHAUSTIVE_SEED_BITS:
-        raise TooLargeForExhaustive(
-            f"{prg.seed_bits} seed bits exceed the {EXHAUSTIVE_SEED_BITS}-bit "
-            "exhaustive budget; use monte-carlo mode"
-        )
+    blocks = seed_blocks(prg.seed_bits, chunk_bits)
     active = rect.active_coords()
     tables = {i: rect.member_table(i) for i in active}
-    total = prg.seed_space
     count = 0
-    step = 1 << chunk_bits
-    for lo in range(0, total, step):
-        seeds = np.arange(lo, min(lo + step, total), dtype=np.uint64)
+    for seeds in blocks:
         acc = np.ones(len(seeds), dtype=bool)
         for i in active:
             vals = prg.coord_block(seeds, i)
@@ -336,7 +317,7 @@ def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle, chunk_bits: int = 2
             if not acc.any():
                 break
         count += int(acc.sum())
-    return count, total
+    return count, prg.seed_space
 
 
 def rectangle_error(
@@ -349,7 +330,7 @@ def rectangle_error(
     """|E_seed[f(G(seed))] - E_U[f]|, exact in exhaustive mode.
 
     Exhaustive mode needs seed_bits <= 24 and signals
-    TooLargeForExhaustive otherwise; monte-carlo mode is an explicit
+    SeedSpaceTooLarge otherwise; monte-carlo mode is an explicit
     opt-in with a declared sample count, using the counter-based Philox
     generator keyed by run_seed.
     """

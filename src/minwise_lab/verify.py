@@ -19,15 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    EmptyQuery,
-    RegimeMismatch,
-    SeedSpaceTooLarge,
-)
-from .kwise import SeededFamily, TWiseFamily
+from .errors import EmptyQuery, RegimeMismatch
+from .kwise import SeededFamily, TWiseFamily, seed_blocks
 from .rectprg import PRGHashFamily, Rectangle, RectanglePRG, rectangle_hits_exact
 
-EXHAUSTIVE_SEED_BITS = 24
 CSV_SCHEMA = "# minwise-lab schema v1"
 CSV_COLUMNS = [
     "family_id", "N", "M", "k", "|X|", "mode", "samples",
@@ -149,16 +144,9 @@ def measure_minwise(
     fair = Fraction(1, math.comb(len(xs), k))
 
     if mode == "exhaustive":
-        if family.seed_bits > EXHAUSTIVE_SEED_BITS:
-            raise SeedSpaceTooLarge(
-                f"{family.seed_bits} seed bits exceed the exhaustive budget "
-                f"({EXHAUSTIVE_SEED_BITS})"
-            )
         total = family.seed_space
         hits = ties = 0
-        step = 1 << chunk_bits
-        for lo in range(0, total, step):
-            seeds = np.arange(lo, min(lo + step, total), dtype=np.uint64)
+        for seeds in seed_blocks(family.seed_bits, chunk_bits):
             h, t = _count_hits(family, seeds, xs, ys)
             hits += h
             ties += t
@@ -322,16 +310,10 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int, bad_of_counts,
     ``bad_of_counts`` maps a (chunk, ell) load matrix to a boolean
     per-seed bad indicator.  Returns (bad, max_load, bj_bad, total).
     """
-    if g_family.seed_bits > EXHAUSTIVE_SEED_BITS:
-        raise SeedSpaceTooLarge(
-            f"{g_family.seed_bits}-bit g-seed space too large to enumerate"
-        )
+    blocks = seed_blocks(g_family.seed_bits, chunk_bits)
     rest = [x for x in xs if x not in ys]
-    total = g_family.seed_space
-    step = 1 << chunk_bits
     bad = bj_bad = max_seen = 0
-    for lo in range(0, total, step):
-        seeds = np.arange(lo, min(lo + step, total), dtype=np.uint64)
+    for seeds in blocks:
         counts = np.zeros((len(seeds), ell), dtype=np.int32)
         for x in rest:
             vals = g_family.eval_block(seeds, x)
@@ -347,7 +329,7 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int, bad_of_counts,
                     in_j[:, i - 1] |= vals == i
             bj = (counts * in_j).sum(axis=1)
             bj_bad += int((bj >= bj_threshold).sum())
-    return bad, max_seen, bj_bad, total
+    return bad, max_seen, bj_bad, g_family.seed_space
 
 
 def check_load_lemma(
@@ -553,7 +535,8 @@ class TailReport:
         }
 
 
-def check_twise_tail(t: int, b: int, theta: int, M: int) -> TailReport:
+def check_twise_tail(t: int, b: int, theta: int, M: int,
+                     chunk_bits: int = 20) -> TailReport:
     """Exact Pr[min of b t-wise values > theta] vs the truncation bound.
 
     Asserts the two-sided inclusion-exclusion estimate
@@ -565,13 +548,13 @@ def check_twise_tail(t: int, b: int, theta: int, M: int) -> TailReport:
     if not 0 <= theta <= M:
         raise ValueError(f"theta {theta} outside [0, {M}]")
     family = TWiseFamily(t, b, M)
-    if family.seed_bits > EXHAUSTIVE_SEED_BITS:
-        raise SeedSpaceTooLarge(f"{family.seed_bits}-bit family seed space")
-    seeds = np.arange(family.seed_space, dtype=np.uint64)
-    above = np.ones(len(seeds), dtype=bool)
-    for x in range(1, b + 1):
-        above &= family.eval_block(seeds, x) > theta
-    exact = Fraction(int(above.sum()), family.seed_space)
+    count = 0
+    for seeds in seed_blocks(family.seed_bits, chunk_bits):
+        above = np.ones(len(seeds), dtype=bool)
+        for x in range(1, b + 1):
+            above &= family.eval_block(seeds, x) > theta
+        count += int(above.sum())
+    exact = Fraction(count, family.seed_space)
     reference = (1 - Fraction(theta, M)) ** b
     tolerance = Fraction(b * theta, M) ** t / math.factorial(t)
     within = abs(exact - reference) <= tolerance

@@ -236,6 +236,19 @@ def test_reduction_test_smoke(tmp_path):
     assert report["rectangles_checked"] == 8
 
 
+def test_reduction_test_is_exact_only(tmp_path, capsys):
+    cfg = _write(tmp_path, "r.json", {
+        "prg": {"kind": "twise", "t": 5}, "dimension": 32, "alphabet": 32,
+        "X": [1, 2, 3], "Y": [1],
+    })
+    assert main(["reduction-test", "--config", cfg, "--threads", "2"]) == 2
+    assert "25 seed bits exceed" in capsys.readouterr().err
+    for flag in ("--mode", "--samples", "--run-seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduction-test", "--config", cfg, flag, "1"])
+        assert exc.value.code == 2
+
+
 def test_run_component_tests_kwise_table(tmp_path, capsys):
     rc = run_component_tests("kwise", {"t": 2, "b": 3, "M": 8},
                              out_dir=tmp_path / "out")

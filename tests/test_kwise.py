@@ -9,9 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minwise_lab.errors import BadSeedLength, DomainOverflow, RangeMismatch
+from minwise_lab.errors import (
+    BadSeedLength,
+    DomainOverflow,
+    RangeMismatch,
+    SeedSpaceTooLarge,
+)
 from minwise_lab.gf2 import find_irreducible
-from minwise_lab.kwise import TWiseFamily, direct_sum, dsum_values
+from minwise_lab.kwise import TWiseFamily, direct_sum, dsum_values, seed_blocks
 
 
 def test_constant_family_t1():
@@ -155,3 +160,18 @@ def test_eval_pure_and_in_range(seed, x):
     v = fam.eval(seed, x)
     assert 1 <= v <= 4
     assert fam.eval(seed, x) == v
+
+
+def test_seed_blocks_cover_the_space_in_order():
+    blocks = list(seed_blocks(5, chunk_bits=2))
+    assert [len(b) for b in blocks] == [4] * 8
+    assert all(b.dtype == np.uint64 for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), np.arange(32))
+    assert [b.tolist() for b in seed_blocks(3)] == [list(range(8))]
+    assert [b.tolist() for b in seed_blocks(0)] == [[0]]
+
+
+def test_seed_blocks_checks_the_budget_when_called():
+    seed_blocks(24)  # at the budget: accepted, no block drawn yet
+    with pytest.raises(SeedSpaceTooLarge):
+        seed_blocks(25)  # over it: refused before the first next()

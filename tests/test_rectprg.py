@@ -21,7 +21,6 @@ from minwise_lab.rectprg import (
     RecursiveMixPRG,
     TWisePRG,
     conditional_rectangle_check,
-    expand,
     rectangle_error,
     rectangle_hits_exact,
 )
@@ -47,7 +46,7 @@ def test_full_independence_expand_is_identity_chunking():
     prg = FullIndependencePRG(4, 8)
     assert prg.seed_bits == 12
     seed = 0b101_000_111_010
-    assert expand(prg, seed) == (0b010 + 1, 0b111 + 1, 0b000 + 1, 0b101 + 1)
+    assert prg.expand(seed) == (0b010 + 1, 0b111 + 1, 0b000 + 1, 0b101 + 1)
 
 
 def test_full_independence_rectangle_error_zero():
@@ -67,7 +66,7 @@ def test_empty_accept_set_gives_zero_error():
 def test_twise_prg_coordinates_match_family():
     prg = TWisePRG(2, 3, 4)
     for seed in range(prg.seed_space):
-        vec = expand(prg, seed)
+        vec = prg.expand(seed)
         for i in range(1, 4):
             assert vec[i - 1] == prg.family.eval(seed, i)
 
@@ -122,7 +121,7 @@ def test_recursive_mix_matches_straightline_reference():
         return tuple((c & 3) + 1 for c in cells)
 
     for seed in range(prg.seed_space):
-        assert expand(prg, seed) == reference(seed)
+        assert prg.expand(seed) == reference(seed)
 
 
 def test_recursive_mix_block_matches_scalar():
@@ -137,7 +136,7 @@ def test_recursive_mix_block_matches_scalar():
 def test_expand_checks_seed_length():
     prg = FullIndependencePRG(2, 4)
     with pytest.raises(BadSeedLength):
-        expand(prg, 1 << prg.seed_bits)
+        prg.expand(1 << prg.seed_bits)
 
 
 def test_exhaustive_budget_enforced():

@@ -20,7 +20,13 @@ from minwise_lab.errors import (
 )
 from minwise_lab.gf2 import find_irreducible
 from minwise_lab.kwise import TWiseFamily
-from minwise_lab.rectprg import FullIndependencePRG, PRGHashFamily, TWisePRG
+from minwise_lab.rectprg import (
+    FullIndependencePRG,
+    PRGHashFamily,
+    Rectangle,
+    TWisePRG,
+    rectangle_hits_exact,
+)
 from minwise_lab.verify import (
     CSV_COLUMNS,
     CSV_SCHEMA,
@@ -468,3 +474,58 @@ def test_bound_check_tags():
     assert BoundCheck.make("x", 0.5, 0.5).tag == "holds"
     assert BoundCheck.make("x", 0.6, 0.5).tag == "fails"
     assert BoundCheck.make("x", Fraction(1, 3), Fraction(1, 3)).ok
+
+
+# ---------------------------------------------------------------------------
+# one exhaustive scan behind every exact oracle
+# ---------------------------------------------------------------------------
+
+# each oracle on a 25-bit seed space, one bit over the exhaustive budget
+WIDE_ORACLES = {
+    "measure_minwise": lambda: measure_minwise(
+        TWiseFamily(5, 8, 32), [1, 2, 3], [1]),
+    "scan_loads": lambda: _scan_loads(
+        TWiseFamily(5, 8, 32), [1, 2, 3], [1], 32,
+        lambda c: (c >= 2).any(axis=1), None),
+    "check_twise_tail": lambda: check_twise_tail(5, 3, 1, 32),
+    "rectangle_hits_exact": lambda: rectangle_hits_exact(
+        TWisePRG(5, 32, 32), Rectangle.threshold(32, 32, 1)),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(WIDE_ORACLES))
+def test_oracle_refuses_seed_space_over_budget(oracle):
+    with pytest.raises(SeedSpaceTooLarge, match="25 seed bits"):
+        WIDE_ORACLES[oracle]()
+
+
+class _CountingPRG(FullIndependencePRG):
+    """Full-independence PRG that counts its coordinate-block calls."""
+
+    calls = 0
+
+    def coord_block(self, seeds, coords):
+        self.calls += 1
+        return super().coord_block(seeds, coords)
+
+
+def _rectangle_early_exit(chunk_bits):
+    # coordinate 2 is seed bits 2-3, constant on every 4-seed block, so
+    # at chunk_bits=2 three blocks in four are empty after it and skip
+    # coordinate 3
+    prg = _CountingPRG(4, 4)
+    rect = Rectangle.build(4, 4, {2: {1}, 3: {1, 2}})
+    hits, total = rectangle_hits_exact(prg, rect, chunk_bits=chunk_bits)
+    if chunk_bits == 2:
+        assert prg.calls == 64 + 16
+    return hits, total
+
+
+def _tail(chunk_bits):
+    return check_twise_tail(2, 4, 3, 16, chunk_bits=chunk_bits).exact_p
+
+
+@pytest.mark.parametrize("oracle", [_rectangle_early_exit, _tail],
+                         ids=["rectangle_hits_exact", "check_twise_tail"])
+def test_oracle_chunking_is_invisible(oracle):
+    assert oracle(2) == oracle(20)
