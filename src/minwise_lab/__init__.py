@@ -33,6 +33,7 @@ from .verify import (
     check_load_lemma,
     check_reduction,
     check_twise_tail,
+    measure_corpus,
     measure_minwise,
     uniform_minwise_probability,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "check_reduction",
     "check_twise_tail",
     "family_from_config",
+    "measure_corpus",
     "measure_minwise",
     "seed_layout",
     "uniform_minwise_probability",

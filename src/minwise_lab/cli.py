@@ -170,13 +170,12 @@ def _cmd_measure(args) -> int:
     samples = int(samples) if samples is not None else None
     run_seed = args.run_seed if args.run_seed is not None else int(cfg.get("run_seed", 0))
 
-    reports = []
-    for X, Y in _corpus_queries(cfg, family.domain_size, k):
-        try:
-            reports.append(verify.measure_minwise(
-                family, X, Y, mode=mode, samples=samples, run_seed=run_seed))
-        except SeedSpaceTooLarge as exc:
-            raise _CliError(f"{exc}; rerun with --mode mc --samples <n>")
+    queries = _corpus_queries(cfg, family.domain_size, k)
+    try:
+        reports = verify.measure_corpus(family, queries, mode=mode, samples=samples,
+                                        run_seed=run_seed, threads=args.threads)
+    except SeedSpaceTooLarge as exc:
+        raise _CliError(f"{exc}; rerun with --mode mc --samples <n>")
 
     out = _out_dir(args)
     if out is None:
@@ -437,8 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="counter-based RNG key for monte-carlo runs")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker budget (runs are sequential and "
-                                "deterministic at any value)")
+                           help="worker processes: measure splits exhaustive seed "
+                                "blocks across this many, with byte-identical "
+                                "output; prg-test and reduction-test run "
+                                "sequentially at any value")
         p.set_defaults(handler=handler)
         return p
 

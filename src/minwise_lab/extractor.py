@@ -90,11 +90,20 @@ class LeftoverHash:
         return BitMatrix.from_images(images, self.m)
 
     def extract_table(self) -> np.ndarray:
-        """Full (2^n, 2^d) uint16 table of outputs; cached per instance."""
+        """Full (2^n, 2^d) uint16 table of outputs; cached per instance.
+
+        Filled a block of about 2^18 cells at a time, so the uint64
+        products never exist for the whole grid at once.
+        """
         if self._table is None:
-            xs = np.arange(1 << self.n, dtype=np.uint64)[:, None]
-            ss = np.arange(1 << self.d, dtype=np.uint64)[None, :]
-            self._table = self.extract_block(xs, ss).astype(np.uint16)
+            rows, cols = 1 << self.n, 1 << self.d
+            table = np.empty((rows, cols), dtype=np.uint16)
+            ss = np.arange(cols, dtype=np.uint64)
+            step = max(1, (1 << 18) // cols)
+            for lo in range(0, rows, step):
+                xs = np.arange(lo, min(lo + step, rows), dtype=np.uint64)[:, None]
+                table[lo:lo + step] = self.extract_block(xs, ss)
+            self._table = table
         return self._table
 
 

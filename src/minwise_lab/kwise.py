@@ -10,6 +10,7 @@ Horner evaluation order is fixed so outputs are bit-exact everywhere.
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -28,8 +29,29 @@ def dsum_values(u, v, range_size: int):
     return (u + v - 1) % range_size + 1
 
 
-def seed_blocks(seed_bits: int, chunk_bits: int = 20):
+class SeedBlocks(Sequence):
     """Consecutive uint64 blocks of <= 2^chunk_bits seeds covering [0, 2^seed_bits).
+
+    Block i is built only when it is read, so a worker process handed an
+    index builds its own block and nothing seed-sized is held in between.
+    """
+
+    def __init__(self, seed_bits: int, chunk_bits: int) -> None:
+        self.total = 1 << seed_bits
+        self.step = 1 << chunk_bits
+
+    def __len__(self) -> int:
+        return -(-self.total // self.step)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if not 0 <= i < len(self):
+            raise IndexError(f"seed block {i} outside [0, {len(self)})")
+        lo = i * self.step
+        return np.arange(lo, min(lo + self.step, self.total), dtype=np.uint64)
+
+
+def seed_blocks(seed_bits: int, chunk_bits: int = 20) -> SeedBlocks:
+    """The seed blocks of [0, 2^seed_bits), in order.
 
     This is the one exhaustive enumeration behind every exact oracle.
     The budget is checked here, at call time rather than on the first
@@ -41,12 +63,7 @@ def seed_blocks(seed_bits: int, chunk_bits: int = 20):
             f"{seed_bits} seed bits exceed the {EXHAUSTIVE_SEED_BITS}-bit "
             "exhaustive budget"
         )
-    total = 1 << seed_bits
-    step = 1 << chunk_bits
-    return (
-        np.arange(lo, min(lo + step, total), dtype=np.uint64)
-        for lo in range(0, total, step)
-    )
+    return SeedBlocks(seed_bits, chunk_bits)
 
 
 class SeededFamily(abc.ABC):

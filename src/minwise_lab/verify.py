@@ -106,19 +106,140 @@ def _query_sets(family: SeededFamily, X, Y) -> tuple[list[int], list[int]]:
     return xs, ys
 
 
-def _count_hits(family: SeededFamily, seeds: np.ndarray,
-                xs: list[int], ys: list[int]) -> tuple[int, int]:
-    """(#seeds with max h(Y) < min h(X\\Y), #seeds with equality)."""
-    rest = [x for x in xs if x not in ys]
-    max_y = None
-    for y in ys:
-        vals = family.eval_block(seeds, y)
-        max_y = vals if max_y is None else np.maximum(max_y, vals)
-    min_rest = None
-    for x in rest:
-        vals = family.eval_block(seeds, x)
-        min_rest = vals if min_rest is None else np.minimum(min_rest, vals)
-    return int((max_y < min_rest).sum()), int((max_y == min_rest).sum())
+def _block_counts(family: SeededFamily, seeds: np.ndarray, points: list[int],
+                  plan: list[tuple[list[int], list[int]]]) -> np.ndarray:
+    """(queries, 2) int64 counts of (max h(Y) < min h(X\\Y), equality) on one block.
+
+    Each distinct point is evaluated once into a (points, seeds) value
+    matrix in the narrowest dtype that holds [1, M]; every query then
+    reads its rows by index from that matrix.
+    """
+    vals = np.empty((len(points), len(seeds)),
+                    dtype=np.min_scalar_type(family.range_size))
+    for i, x in enumerate(points):
+        vals[i] = family.eval_block(seeds, x)
+    counts = np.empty((len(plan), 2), dtype=np.int64)
+    for q, (y_rows, rest_rows) in enumerate(plan):
+        max_y = vals[y_rows].max(axis=0)
+        min_rest = vals[rest_rows].min(axis=0)
+        counts[q] = (np.count_nonzero(max_y < min_rest),
+                     np.count_nonzero(max_y == min_rest))
+    return counts
+
+
+# what a forked scan worker scans; set by _start_worker in each worker
+# process and never in the process that owns the pool
+_worker_scan = None
+
+
+def _start_worker(blocks, family, points, plan) -> None:
+    global _worker_scan
+    _worker_scan = (blocks, family, points, plan)
+
+
+def _worker_counts(i: int) -> np.ndarray:
+    blocks, family, points, plan = _worker_scan
+    return _block_counts(family, blocks[i], points, plan)
+
+
+def _scan_counts(family: SeededFamily, points, plan, chunk_bits: int,
+                 threads: int) -> np.ndarray:
+    """Counts summed over the whole seed space, split across processes.
+
+    Workers are forked so they share the built family without pickling
+    or re-importing it; only block indices go to them and (queries, 2)
+    count arrays come back.  Integer sums do not depend on the order
+    the blocks finish in, so the result is the same at any ``threads``.
+    """
+    blocks = seed_blocks(family.seed_bits, chunk_bits)
+    workers = min(threads, len(blocks))
+    if workers <= 1:
+        return sum(_block_counts(family, seeds, points, plan) for seeds in blocks)
+    # imported here so that sequential runs do not pay for the pool at start-up
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, _start_worker, (blocks, family, points, plan)) as pool:
+        return sum(pool.imap_unordered(_worker_counts, range(len(blocks))))
+
+
+def measure_corpus(
+    family: SeededFamily,
+    queries,
+    mode: str = "exhaustive",
+    samples: int | None = None,
+    run_seed: int = 0,
+    chunk_bits: int = 20,
+    threads: int = 1,
+) -> list[ErrorReport]:
+    """Measure Pr[max h(Y) < min h(X\\Y)] for every (X, Y) in ``queries``.
+
+    Strict inequalities throughout.  Exhaustive mode (seed_bits <= 24)
+    counts the whole seed space and is exact; with ``threads`` > 1 its
+    seed blocks are split across that many forked processes, with the
+    same result.  Monte-Carlo mode draws ``samples`` seeds once, with
+    Philox keyed by run_seed, and attaches a 99% normal-approximation
+    confidence half-width.  Ties (max h(Y) == min h(X\\Y)) are reported
+    separately: they are exactly the mass the strict convention loses
+    at finite M.  Each distinct point of the corpus is evaluated once
+    per seed block, whatever the number of queries that contain it.
+    """
+    if mode not in ("exhaustive", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    sets = [_query_sets(family, X, Y) for X, Y in queries]
+    if not sets:
+        return []
+    points = list(dict.fromkeys(x for xs, _ in sets for x in xs))
+    row = {x: i for i, x in enumerate(points)}
+    plan = [([row[y] for y in ys], [row[x] for x in xs if x not in ys])
+            for xs, ys in sets]
+
+    if mode == "exhaustive":
+        counts = _scan_counts(family, points, plan, chunk_bits, threads)
+        total = family.seed_space
+    else:
+        if not samples or samples < 1:
+            raise ValueError("monte-carlo mode needs a positive sample count")
+        rng = np.random.Generator(np.random.Philox(key=run_seed))
+        seeds = family.draw_seed_block(rng, samples)
+        counts = _block_counts(family, seeds, points, plan)
+        total = samples
+    return [_error_report(family, xs, ys, mode, int(hits), int(ties), total)
+            for (xs, ys), (hits, ties) in zip(sets, counts)]
+
+
+def _error_report(family: SeededFamily, xs: list[int], ys: list[int], mode: str,
+                  hits: int, ties: int, total: int) -> ErrorReport:
+    k = len(ys)
+    uniform = uniform_minwise_probability(len(xs), family.range_size, k)
+    fair = Fraction(1, math.comb(len(xs), k))
+    measured = Fraction(hits, total)
+    tie_mass = Fraction(ties, total)
+    exact = mode == "exhaustive"
+    if exact:
+        ci = 0.0
+    else:
+        p = float(measured)
+        ci = 2.576 * math.sqrt(max(p * (1.0 - p), 0.0) / total)
+    return ErrorReport(
+        family_id=family.family_id,
+        N=family.domain_size,
+        M=family.range_size,
+        k=k,
+        sizeX=len(xs),
+        mode=mode,
+        samples=total,
+        measured_p=float(measured),
+        uniform_ref=float(uniform),
+        fair_p=float(fair),
+        mult_err_uniform=float(abs(measured - uniform) / uniform),
+        mult_err_fair=float(abs(measured - fair) / fair),
+        tie_mass=float(tie_mass),
+        ci_halfwidth=ci,
+        exact_measured=measured if exact else None,
+        exact_uniform=uniform,
+        exact_tie=tie_mass if exact else None,
+    )
 
 
 def measure_minwise(
@@ -130,63 +251,8 @@ def measure_minwise(
     run_seed: int = 0,
     chunk_bits: int = 20,
 ) -> ErrorReport:
-    """Measure Pr[max h(Y) < min h(X\\Y)] with strict inequalities.
-
-    Exhaustive mode (seed_bits <= 24) counts the whole seed space and is
-    exact; Monte-Carlo mode samples with Philox keyed by run_seed and
-    attaches a 99% normal-approximation confidence half-width.  Ties
-    (max h(Y) == min h(X\\Y)) are reported separately: they are exactly
-    the mass the strict convention loses at finite M.
-    """
-    xs, ys = _query_sets(family, X, Y)
-    k = len(ys)
-    uniform = uniform_minwise_probability(len(xs), family.range_size, k)
-    fair = Fraction(1, math.comb(len(xs), k))
-
-    if mode == "exhaustive":
-        total = family.seed_space
-        hits = ties = 0
-        for seeds in seed_blocks(family.seed_bits, chunk_bits):
-            h, t = _count_hits(family, seeds, xs, ys)
-            hits += h
-            ties += t
-        measured = Fraction(hits, total)
-        tie_mass = Fraction(ties, total)
-        ci = 0.0
-        n_reported = total
-    elif mode == "mc":
-        if not samples or samples < 1:
-            raise ValueError("monte-carlo mode needs a positive sample count")
-        rng = np.random.Generator(np.random.Philox(key=run_seed))
-        seeds = family.draw_seed_block(rng, samples)
-        h, t = _count_hits(family, seeds, xs, ys)
-        measured = Fraction(h, samples)
-        tie_mass = Fraction(t, samples)
-        p = float(measured)
-        ci = 2.576 * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-        n_reported = samples
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    return ErrorReport(
-        family_id=family.family_id,
-        N=family.domain_size,
-        M=family.range_size,
-        k=k,
-        sizeX=len(xs),
-        mode=mode,
-        samples=n_reported,
-        measured_p=float(measured),
-        uniform_ref=float(uniform),
-        fair_p=float(fair),
-        mult_err_uniform=float(abs(measured - uniform) / uniform),
-        mult_err_fair=float(abs(measured - fair) / fair),
-        tie_mass=float(tie_mass),
-        ci_halfwidth=ci,
-        exact_measured=measured if mode == "exhaustive" else None,
-        exact_uniform=uniform,
-        exact_tie=tie_mass if mode == "exhaustive" else None,
-    )
+    """Measure one query: measure_corpus on the corpus [(X, Y)]."""
+    return measure_corpus(family, [(X, Y)], mode, samples, run_seed, chunk_bits)[0]
 
 
 # ---------------------------------------------------------------------------

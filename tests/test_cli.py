@@ -108,15 +108,22 @@ def test_measure_mc_keyed_by_run_seed(measure_config, tmp_path):
 
 
 def test_measure_empty_corpus(tmp_path, capsys):
-    cfg = _write(tmp_path, "empty.json", {
-        "construction": MINWISE_CONSTRUCTION,
-        "corpus": {"queries": []},
-        "thresholds": {"max_mult_err_uniform": 0.2},
-    })
-    out = tmp_path / "out"
-    assert main(["measure", "--config", cfg, "--out-dir", str(out)]) == 0
-    lines = (out / "measure.csv").read_text().splitlines()
-    assert len(lines) == 2  # schema comment + column header only
+    # the 35-bit k = 2 family is past the exhaustive budget, but an empty
+    # corpus scans nothing, so it never asks for a seed block
+    wide = json.loads((CONFIG_DIR / "kminwise_desk.json").read_text())["construction"]
+    for name, construction in (("small", MINWISE_CONSTRUCTION),
+                               ("wide", {**wide, "k": 2})):
+        cfg = _write(tmp_path, f"{name}.json", {
+            "construction": construction,
+            "corpus": {"queries": []},
+            "thresholds": {"max_mult_err_uniform": 0.2},
+        })
+        out = tmp_path / name
+        assert main(["measure", "--config", cfg, "--out-dir", str(out)]) == 0
+        lines = (out / "measure.csv").read_text().splitlines()
+        assert len(lines) == 2  # schema comment + column header only
+    assert main(["construct", "--config", cfg]) == 0
+    assert "seed_bits = 35" in capsys.readouterr().out
 
 
 def test_measure_threshold_failure_exits_one(tmp_path):
@@ -281,6 +288,18 @@ def test_threads_flag_accepted_and_validated(measure_config, tmp_path):
                  "--threads", "4"]) == 0
     assert main(["measure", "--config", measure_config, "--out-dir", str(out),
                  "--threads", "0"]) == 2
+
+
+def test_measure_bytes_do_not_depend_on_threads(tmp_path):
+    # 21 seed bits: two 2^20-seed blocks, one per worker at --threads 2
+    cfg = str(CONFIG_DIR / "kminwise_desk.json")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["measure", "--config", cfg, "--out-dir", str(out),
+                     "--threads", threads]) == 0
+        outs.append([(out / name).read_bytes() for name in ("measure.csv", "summary.json")])
+    assert outs[0] == outs[1]
 
 
 def test_pinned_desk_configs_parse(capsys):

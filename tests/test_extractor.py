@@ -83,6 +83,19 @@ def test_extract_block_matches_scalar():
         assert int(block[i]) == ext.extract(i, i)
 
 
+@pytest.mark.parametrize("n", [3, 10, 11])
+def test_extract_table_matches_the_whole_grid(n):
+    # n = 10 and 11 fill the table in 2 and 8 row blocks
+    ext = LeftoverHash(n, n - 2)
+    xs = np.arange(1 << n, dtype=np.uint64)[:, None]
+    ss = np.arange(1 << (n - 1), dtype=np.uint64)[None, :]
+    table = ext.extract_table()
+    assert table.dtype == np.uint16
+    assert np.array_equal(table, ext.extract_block(xs, ss))
+    for x, s in [(0, 0), (1, 0), ((1 << n) - 1, (1 << (n - 1)) - 1), (5, 3)]:
+        assert int(table[x, s]) == ext.extract(x, s)
+
+
 def test_leftover_bound_example_n10():
     # n=10, m=4, flat source of entropy 8: distance <= 2*2^((4-8)/2) = 1/2
     ext = LeftoverHash(10, 4)

@@ -169,6 +169,11 @@ def test_seed_blocks_cover_the_space_in_order():
     assert np.array_equal(np.concatenate(blocks), np.arange(32))
     assert [b.tolist() for b in seed_blocks(3)] == [list(range(8))]
     assert [b.tolist() for b in seed_blocks(0)] == [[0]]
+    # blocks are also read by index, as scan workers do
+    blocks = seed_blocks(5, chunk_bits=2)
+    assert len(blocks) == 8 and blocks[7].tolist() == [28, 29, 30, 31]
+    with pytest.raises(IndexError):
+        blocks[8]
 
 
 def test_seed_blocks_checks_the_budget_when_called():

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minwise_lab.construction import ConstructionParams, build_kminwise, build_minwise
 from minwise_lab.errors import (
     DomainOverflow,
     EmptyQuery,
     RegimeMismatch,
     SeedSpaceTooLarge,
 )
+from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
 from minwise_lab.kwise import TWiseFamily
 from minwise_lab.rectprg import (
@@ -38,6 +40,7 @@ from minwise_lab.verify import (
     check_load_lemma,
     check_reduction,
     check_twise_tail,
+    measure_corpus,
     measure_minwise,
     summarize_reports,
     uniform_minwise_probability,
@@ -185,6 +188,89 @@ def test_query_validation():
         measure_minwise(fam, [1, 2, 3], [1], mode="guess")
     with pytest.raises(ValueError):
         measure_minwise(fam, [1, 2, 3], [1], mode="mc")
+
+
+# ---------------------------------------------------------------------------
+# the corpus engine against a per-query reference
+# ---------------------------------------------------------------------------
+
+
+def _small_bucketed(kind: str, N: int, M: int, ell: int):
+    """The smallest bucketed family of each kind at (N, M, ell)."""
+    params = ConstructionParams(N=N, M=M, k=1, ell=ell, t=2)
+    prg2 = TWisePRG(1, N, M)
+    if kind == "minwise":
+        m = TWiseFamily(params.inner_independence, N, M).seed_bits + prg2.seed_bits
+        ext = LeftoverHash(m + 1, m)
+        return build_minwise(params, TWisePRG(1, ell, 1 << ext.d), prg2, ext)
+    ext = LeftoverHash(prg2.seed_bits + 1, prg2.seed_bits)
+    return build_kminwise(params, TWisePRG(1, ell, 1 << ext.d), prg2, ext)
+
+
+# 9 and 10 seed bits at N = 2; 13 and 15 at N = 4
+SMALL_FAMILIES = [_small_bucketed(kind, N, M, ell)
+                  for kind in ("minwise", "kminwise")
+                  for N, M, ell in ((2, 2, 2), (4, 4, 1))]
+
+
+@st.composite
+def _family_and_corpus(draw):
+    fam = draw(st.sampled_from(SMALL_FAMILIES))
+    corpus = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        X = draw(st.lists(st.integers(1, fam.domain_size), min_size=2,
+                          max_size=fam.domain_size, unique=True))
+        Y = draw(st.lists(st.sampled_from(X), min_size=1, max_size=len(X) - 1,
+                          unique=True))
+        corpus.append((X, Y))
+    return fam, corpus
+
+
+def _reference_counts(fam, seeds, X, Y):
+    """(hits, ties) from this query's own points, evaluated on their own."""
+    max_y = np.max([fam.eval_block(seeds, y) for y in Y], axis=0)
+    min_rest = np.min([fam.eval_block(seeds, x) for x in X if x not in Y], axis=0)
+    return int((max_y < min_rest).sum()), int((max_y == min_rest).sum())
+
+
+@given(_family_and_corpus(), st.sampled_from([2, 3, 20]), st.sampled_from([1, 2]))
+@settings(max_examples=25, deadline=None)
+def test_exhaustive_corpus_matches_per_query_reference(fam_corpus, chunk_bits, threads):
+    fam, corpus = fam_corpus
+    # at most 2^8 blocks, so the 13- and 15-bit families stay quick
+    chunk_bits = max(chunk_bits, fam.seed_bits - 8)
+    reports = measure_corpus(fam, corpus, chunk_bits=chunk_bits, threads=threads)
+    seeds = np.arange(fam.seed_space, dtype=np.uint64)
+    assert len(reports) == len(corpus)
+    for rep, (X, Y) in zip(reports, corpus):
+        hits, ties = _reference_counts(fam, seeds, X, Y)
+        assert (rep.sizeX, rep.k, rep.samples) == (len(X), len(Y), fam.seed_space)
+        assert rep.exact_measured == Fraction(hits, fam.seed_space)
+        assert rep.exact_tie == Fraction(ties, fam.seed_space)
+
+
+@given(_family_and_corpus(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_mc_corpus_matches_per_query_draws(fam_corpus, run_seed):
+    fam, corpus = fam_corpus
+    samples = 3000
+    reports = measure_corpus(fam, corpus, mode="mc", samples=samples,
+                             run_seed=run_seed)
+    for rep, (X, Y) in zip(reports, corpus):
+        rng = np.random.Generator(np.random.Philox(key=run_seed))
+        hits, ties = _reference_counts(fam, fam.draw_seed_block(rng, samples), X, Y)
+        assert rep.measured_p == hits / samples
+        assert rep.tie_mass == ties / samples
+        assert rep.samples == samples
+
+
+def test_corpus_checks_every_query_before_scanning():
+    fam = TWiseFamily(5, 8, 32)  # 25 seed bits: a scan would refuse
+    with pytest.raises(EmptyQuery):
+        measure_corpus(fam, [([1, 2, 3], [1]), ([1, 2], [])])
+    assert measure_corpus(fam, []) == []
+    with pytest.raises(SeedSpaceTooLarge):
+        measure_corpus(fam, [([1, 2, 3], [1])])
 
 
 # ---------------------------------------------------------------------------
