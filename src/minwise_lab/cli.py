@@ -142,14 +142,21 @@ def _corpus_queries(cfg: dict, N: int, k: int) -> list:
     return queries
 
 
-def _apply_thresholds(summary: dict, thresholds: dict) -> list[dict]:
-    checks = []
+def _threshold_limits(thresholds: dict) -> dict:
+    """The config's threshold limits by name, checked before any scan."""
+    limits = {}
     for name in sorted(thresholds):
         if name not in SUMMARY_THRESHOLD_KEYS:
             raise _CliError(
                 f"unknown threshold {name!r}; known: {', '.join(SUMMARY_THRESHOLD_KEYS)}"
             )
-        limit = float(thresholds[name])
+        limits[name] = float(thresholds[name])
+    return limits
+
+
+def _apply_thresholds(summary: dict, limits: dict) -> list[dict]:
+    checks = []
+    for name, limit in limits.items():
         value = summary.get(name)
         ok = value is None or value <= limit
         checks.append({"name": name, "limit": limit, "value": value, "ok": ok})
@@ -171,18 +178,19 @@ def _cmd_measure(args) -> int:
     run_seed = args.run_seed if args.run_seed is not None else int(cfg.get("run_seed", 0))
 
     queries = _corpus_queries(cfg, family.domain_size, k)
+    limits = _threshold_limits(cfg.get("thresholds", {}))
+    out = _out_dir(args)
+    if out is None:
+        raise _CliError("measure needs --out-dir for its CSV/JSON artifacts")
     try:
         reports = verify.measure_corpus(family, queries, mode=mode, samples=samples,
                                         run_seed=run_seed, threads=args.threads)
     except SeedSpaceTooLarge as exc:
         raise _CliError(f"{exc}; rerun with --mode mc --samples <n>")
 
-    out = _out_dir(args)
-    if out is None:
-        raise _CliError("measure needs --out-dir for its CSV/JSON artifacts")
     verify.write_reports_csv(out / "measure.csv", reports)
     summary = verify.summarize_reports(reports)
-    checks = _apply_thresholds(summary, cfg.get("thresholds", {}))
+    checks = _apply_thresholds(summary, limits)
     verify.write_json(out / "summary.json", {
         "family_id": family.family_id,
         "k": k,

@@ -56,10 +56,6 @@ class SeedSpaceTooLarge(MinwiseLabError):
     """Exhaustive enumeration requested for a seed space over the 24-bit budget."""
 
 
-# the name rectangle oracles used to raise; callers still import it
-TooLargeForExhaustive = SeedSpaceTooLarge
-
-
 class EmptyQuery(MinwiseLabError):
     """A min-wise query needs a nonempty Y that is a proper subset of X."""
 

@@ -235,10 +235,6 @@ class BitMatrix:
         return len(self.rows)
 
     @staticmethod
-    def identity(k: int) -> "BitMatrix":
-        return BitMatrix(tuple(1 << j for j in range(k)), k)
-
-    @staticmethod
     def from_images(images: "list[int] | tuple[int, ...]", out_bits: int) -> "BitMatrix":
         """Matrix of the linear map sending basis vector e_j to images[j].
 
@@ -252,14 +248,6 @@ class BitMatrix:
                 r |= ((img >> i) & 1) << j
             rows.append(r)
         return BitMatrix(tuple(rows), len(images))
-
-    def to_array(self) -> np.ndarray:
-        """(nrows, cols) uint8 view, for numpy-side checks."""
-        out = np.zeros((self.nrows, self.cols), dtype=np.uint8)
-        for i, r in enumerate(self.rows):
-            for j in range(self.cols):
-                out[i, j] = (r >> j) & 1
-        return out
 
 
 def mat_vec(m: BitMatrix, v: int) -> int:

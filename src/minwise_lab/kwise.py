@@ -10,7 +10,6 @@ Horner evaluation order is fixed so outputs are bit-exact everywhere.
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -29,41 +28,55 @@ def dsum_values(u, v, range_size: int):
     return (u + v - 1) % range_size + 1
 
 
-class SeedBlocks(Sequence):
-    """Consecutive uint64 blocks of <= 2^chunk_bits seeds covering [0, 2^seed_bits).
-
-    Block i is built only when it is read, so a worker process handed an
-    index builds its own block and nothing seed-sized is held in between.
-    """
-
-    def __init__(self, seed_bits: int, chunk_bits: int) -> None:
-        self.total = 1 << seed_bits
-        self.step = 1 << chunk_bits
-
-    def __len__(self) -> int:
-        return -(-self.total // self.step)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        if not 0 <= i < len(self):
-            raise IndexError(f"seed block {i} outside [0, {len(self)})")
-        lo = i * self.step
-        return np.arange(lo, min(lo + self.step, self.total), dtype=np.uint64)
+# what a forked scan worker applies to a block index; set by _start_worker
+# in each worker process and never in the process that owns the pool
+_worker_count = None
 
 
-def seed_blocks(seed_bits: int, chunk_bits: int = 20) -> SeedBlocks:
-    """The seed blocks of [0, 2^seed_bits), in order.
+def _start_worker(count_block) -> None:
+    global _worker_count
+    _worker_count = count_block
+
+
+def _count_in_worker(i: int):
+    return _worker_count(i)
+
+
+def scan_seeds(seed_bits: int, count, chunk_bits: int = 20, threads: int = 1):
+    """Sum of ``count(seeds)`` over the uint64 seed blocks of [0, 2^seed_bits).
 
     This is the one exhaustive enumeration behind every exact oracle.
-    The budget is checked here, at call time rather than on the first
-    block, so an oversized space raises SeedSpaceTooLarge before any
-    work is done.
+    Blocks are consecutive and hold <= 2^chunk_bits seeds; ``count``
+    returns an int or a fixed-shape int64 array.  The budget is checked
+    before any block is built, so an oversized space raises
+    SeedSpaceTooLarge before any work is done.
+
+    With ``threads`` > 1 and more than one block, block indices go to
+    min(threads, blocks) forked workers, each building its own blocks.
+    Fork hands them ``count`` unpickled, so closures work.  Integer sums
+    do not depend on the order blocks finish in, so the result is the
+    same at any ``threads``.
     """
     if seed_bits > EXHAUSTIVE_SEED_BITS:
         raise SeedSpaceTooLarge(
             f"{seed_bits} seed bits exceed the {EXHAUSTIVE_SEED_BITS}-bit "
             "exhaustive budget"
         )
-    return SeedBlocks(seed_bits, chunk_bits)
+    step, total = 1 << chunk_bits, 1 << seed_bits
+
+    def count_block(i: int):
+        return count(np.arange(i * step, min((i + 1) * step, total), dtype=np.uint64))
+
+    blocks = -(-total // step)
+    workers = min(threads, blocks)
+    if workers <= 1:
+        return sum(map(count_block, range(blocks)))
+    # imported here so that sequential runs do not pay for the pool at start-up
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, _start_worker, (count_block,)) as pool:
+        return sum(pool.imap_unordered(_count_in_worker, range(blocks)))
 
 
 class SeededFamily(abc.ABC):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadSeedLength, ConditionNeverHolds, DomainOverflow
 from .gf2 import find_irreducible, mul_block
-from .kwise import SeededFamily, TWiseFamily, seed_blocks
+from .kwise import SeededFamily, TWiseFamily, scan_seeds
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,6 @@ class Rectangle:
             for v in s:
                 table[v] = True
         return table
-
-    def contains(self, vector) -> bool:
-        if len(vector) != self.dimension:
-            raise ValueError("vector length does not match dimension")
-        for v, s in zip(vector, self.accept_sets):
-            if s is not None and v not in s:
-                return False
-        return True
 
 
 class RectanglePRG(abc.ABC):
@@ -302,22 +294,31 @@ def _check_shape(prg: RectanglePRG, rect: Rectangle) -> None:
         raise ValueError("rectangle shape does not match the generator")
 
 
-def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle, chunk_bits: int = 20) -> tuple[int, int]:
-    """Exact (#seeds accepted by the rectangle, #seeds), by enumeration."""
-    _check_shape(prg, rect)
-    blocks = seed_blocks(prg.seed_bits, chunk_bits)
+def _accepted(prg: RectanglePRG, rect: Rectangle):
+    """Counter of the seeds in a block whose output the rectangle accepts.
+
+    Coordinates are tested in order and a block stops being read once
+    no seed in it is left.
+    """
     active = rect.active_coords()
     tables = {i: rect.member_table(i) for i in active}
-    count = 0
-    for seeds in blocks:
+
+    def count(seeds: np.ndarray) -> int:
         acc = np.ones(len(seeds), dtype=bool)
         for i in active:
             vals = prg.coord_block(seeds, i)
             acc &= tables[i][vals.astype(np.int64)]
             if not acc.any():
                 break
-        count += int(acc.sum())
-    return count, prg.seed_space
+        return int(acc.sum())
+
+    return count
+
+
+def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle, chunk_bits: int = 20) -> tuple[int, int]:
+    """Exact (#seeds accepted by the rectangle, #seeds), by enumeration."""
+    _check_shape(prg, rect)
+    return scan_seeds(prg.seed_bits, _accepted(prg, rect), chunk_bits), prg.seed_space
 
 
 def rectangle_error(
@@ -345,11 +346,7 @@ def rectangle_error(
     _check_shape(prg, rect)
     rng = np.random.Generator(np.random.Philox(key=run_seed))
     seeds = rng.integers(0, prg.seed_space, size=samples, dtype=np.uint64)
-    acc = np.ones(samples, dtype=bool)
-    for i in rect.active_coords():
-        vals = prg.coord_block(seeds, i)
-        acc &= rect.member_table(i)[vals.astype(np.int64)]
-    return abs(float(acc.mean()) - float(uniform))
+    return abs(_accepted(prg, rect)(seeds) / samples - float(uniform))
 
 
 def conditional_rectangle_check(

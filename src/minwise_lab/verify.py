@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyQuery, RegimeMismatch
-from .kwise import SeededFamily, TWiseFamily, seed_blocks
+from .kwise import SeededFamily, TWiseFamily, scan_seeds
 from .rectprg import PRGHashFamily, Rectangle, RectanglePRG, rectangle_hits_exact
 
 CSV_SCHEMA = "# minwise-lab schema v1"
@@ -127,42 +127,6 @@ def _block_counts(family: SeededFamily, seeds: np.ndarray, points: list[int],
     return counts
 
 
-# what a forked scan worker scans; set by _start_worker in each worker
-# process and never in the process that owns the pool
-_worker_scan = None
-
-
-def _start_worker(blocks, family, points, plan) -> None:
-    global _worker_scan
-    _worker_scan = (blocks, family, points, plan)
-
-
-def _worker_counts(i: int) -> np.ndarray:
-    blocks, family, points, plan = _worker_scan
-    return _block_counts(family, blocks[i], points, plan)
-
-
-def _scan_counts(family: SeededFamily, points, plan, chunk_bits: int,
-                 threads: int) -> np.ndarray:
-    """Counts summed over the whole seed space, split across processes.
-
-    Workers are forked so they share the built family without pickling
-    or re-importing it; only block indices go to them and (queries, 2)
-    count arrays come back.  Integer sums do not depend on the order
-    the blocks finish in, so the result is the same at any ``threads``.
-    """
-    blocks = seed_blocks(family.seed_bits, chunk_bits)
-    workers = min(threads, len(blocks))
-    if workers <= 1:
-        return sum(_block_counts(family, seeds, points, plan) for seeds in blocks)
-    # imported here so that sequential runs do not pay for the pool at start-up
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, _start_worker, (blocks, family, points, plan)) as pool:
-        return sum(pool.imap_unordered(_worker_counts, range(len(blocks))))
-
-
 def measure_corpus(
     family: SeededFamily,
     queries,
@@ -195,7 +159,9 @@ def measure_corpus(
             for xs, ys in sets]
 
     if mode == "exhaustive":
-        counts = _scan_counts(family, points, plan, chunk_bits, threads)
+        counts = scan_seeds(family.seed_bits,
+                            lambda seeds: _block_counts(family, seeds, points, plan),
+                            chunk_bits, threads)
         total = family.seed_space
     else:
         if not samples or samples < 1:
@@ -376,17 +342,15 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int, bad_of_counts,
     ``bad_of_counts`` maps a (chunk, ell) load matrix to a boolean
     per-seed bad indicator.  Returns (bad, max_load, bj_bad, total).
     """
-    blocks = seed_blocks(g_family.seed_bits, chunk_bits)
     rest = [x for x in xs if x not in ys]
-    bad = bj_bad = max_seen = 0
-    for seeds in blocks:
+
+    def count(seeds):
         counts = np.zeros((len(seeds), ell), dtype=np.int32)
         for x in rest:
             vals = g_family.eval_block(seeds, x)
             for i in range(1, ell + 1):
                 counts[:, i - 1] += vals == i
-        bad += int(bad_of_counts(counts).sum())
-        max_seen = max(max_seen, int(counts.max()) if counts.size else 0)
+        bj_bad = 0
         if bj_threshold is not None:
             in_j = np.zeros((len(seeds), ell), dtype=bool)
             for y in ys:
@@ -394,8 +358,15 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int, bad_of_counts,
                 for i in range(1, ell + 1):
                     in_j[:, i - 1] |= vals == i
             bj = (counts * in_j).sum(axis=1)
-            bj_bad += int((bj >= bj_threshold).sum())
-    return bad, max_seen, bj_bad, g_family.seed_space
+            bj_bad = np.count_nonzero(bj >= bj_threshold)
+        # the histogram of per-seed maximum loads sums like the counts do
+        # and still carries the largest load seen
+        max_loads = np.bincount(counts.max(axis=1), minlength=len(rest) + 1)
+        return np.concatenate(([np.count_nonzero(bad_of_counts(counts)), bj_bad],
+                               max_loads), dtype=np.int64)
+
+    bad, bj_bad, *max_loads = scan_seeds(g_family.seed_bits, count, chunk_bits)
+    return int(bad), int(np.flatnonzero(max_loads)[-1]), int(bj_bad), g_family.seed_space
 
 
 def check_load_lemma(
@@ -614,13 +585,14 @@ def check_twise_tail(t: int, b: int, theta: int, M: int,
     if not 0 <= theta <= M:
         raise ValueError(f"theta {theta} outside [0, {M}]")
     family = TWiseFamily(t, b, M)
-    count = 0
-    for seeds in seed_blocks(family.seed_bits, chunk_bits):
-        above = np.ones(len(seeds), dtype=bool)
+
+    def above(seeds):
+        acc = np.ones(len(seeds), dtype=bool)
         for x in range(1, b + 1):
-            above &= family.eval_block(seeds, x) > theta
-        count += int(above.sum())
-    exact = Fraction(count, family.seed_space)
+            acc &= family.eval_block(seeds, x) > theta
+        return int(acc.sum())
+
+    exact = Fraction(scan_seeds(family.seed_bits, above, chunk_bits), family.seed_space)
     reference = (1 - Fraction(theta, M)) ** b
     tolerance = Fraction(b * theta, M) ** t / math.factorial(t)
     within = abs(exact - reference) <= tolerance

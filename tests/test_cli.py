@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from minwise_lab import verify
 from minwise_lab.cli import main, run_component_tests
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -156,6 +157,21 @@ def test_measure_config_errors_exit_two(tmp_path, capsys):
         "corpus": {"queries": [{"kind": "stripes"}]},
     })
     assert main(["measure", "--config", bad_corpus, "--out-dir", str(tmp_path)]) == 2
+
+
+def test_measure_checks_its_outputs_before_scanning(measure_config, tmp_path,
+                                                   monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("measure scanned before checking its outputs")
+
+    monkeypatch.setattr(verify, "measure_corpus", scan)
+    assert main(["measure", "--config", measure_config]) == 2
+    bad_thresh = _write(tmp_path, "bt.json", {
+        "construction": MINWISE_CONSTRUCTION,
+        "corpus": SMALL_CORPUS,
+        "thresholds": {"max_sharpness": 1.0},
+    })
+    assert main(["measure", "--config", bad_thresh, "--out-dir", str(tmp_path)]) == 2
 
 
 def test_measure_too_large_seed_space_suggests_mc(tmp_path, capsys):

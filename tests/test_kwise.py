@@ -16,7 +16,7 @@ from minwise_lab.errors import (
     SeedSpaceTooLarge,
 )
 from minwise_lab.gf2 import find_irreducible
-from minwise_lab.kwise import TWiseFamily, direct_sum, dsum_values, seed_blocks
+from minwise_lab.kwise import TWiseFamily, direct_sum, dsum_values, scan_seeds
 
 
 def test_constant_family_t1():
@@ -162,21 +162,26 @@ def test_eval_pure_and_in_range(seed, x):
     assert fam.eval(seed, x) == v
 
 
-def test_seed_blocks_cover_the_space_in_order():
-    blocks = list(seed_blocks(5, chunk_bits=2))
-    assert [len(b) for b in blocks] == [4] * 8
-    assert all(b.dtype == np.uint64 for b in blocks)
-    assert np.array_equal(np.concatenate(blocks), np.arange(32))
-    assert [b.tolist() for b in seed_blocks(3)] == [list(range(8))]
-    assert [b.tolist() for b in seed_blocks(0)] == [[0]]
-    # blocks are also read by index, as scan workers do
-    blocks = seed_blocks(5, chunk_bits=2)
-    assert len(blocks) == 8 and blocks[7].tolist() == [28, 29, 30, 31]
-    with pytest.raises(IndexError):
-        blocks[8]
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("seed_bits,chunk_bits", [(5, 2), (3, 20), (0, 20)])
+def test_scan_seeds_counts_every_seed_once(seed_bits, chunk_bits, threads):
+    def count(seeds):
+        assert seeds.dtype == np.uint64 and len(seeds) <= 1 << chunk_bits
+        return np.bincount(seeds.astype(np.int64), minlength=1 << seed_bits)
+
+    hist = scan_seeds(seed_bits, count, chunk_bits, threads)
+    assert hist.tolist() == [1] * (1 << seed_bits)
 
 
-def test_seed_blocks_checks_the_budget_when_called():
-    seed_blocks(24)  # at the budget: accepted, no block drawn yet
+def test_scan_seeds_checks_the_budget_before_the_first_block():
+    calls = []
+
+    def count(seeds):
+        calls.append(len(seeds))
+        return 0
+
+    assert scan_seeds(24, count) == 0  # at the budget: every block reaches count
+    assert calls == [1 << 20] * 16
     with pytest.raises(SeedSpaceTooLarge):
-        seed_blocks(25)  # over it: refused before the first next()
+        scan_seeds(25, count)  # over it: refused before the first count
+    assert len(calls) == 16

@@ -11,7 +11,7 @@ import pytest
 from minwise_lab.errors import (
     BadSeedLength,
     ConditionNeverHolds,
-    TooLargeForExhaustive,
+    SeedSpaceTooLarge,
 )
 from minwise_lab.gf2 import find_irreducible
 from minwise_lab.rectprg import (
@@ -141,7 +141,7 @@ def test_expand_checks_seed_length():
 
 def test_exhaustive_budget_enforced():
     prg = FullIndependencePRG(13, 4)  # 26 seed bits
-    with pytest.raises(TooLargeForExhaustive):
+    with pytest.raises(SeedSpaceTooLarge):
         rectangle_error(prg, Rectangle.full(13, 4))
     # monte-carlo opt-in still works
     err = rectangle_error(

@@ -21,7 +21,7 @@ from minwise_lab.errors import (
 )
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
-from minwise_lab.kwise import TWiseFamily
+from minwise_lab.kwise import SeededFamily, TWiseFamily
 from minwise_lab.rectprg import (
     FullIndependencePRG,
     PRGHashFamily,
@@ -386,6 +386,33 @@ def test_scan_loads_chunking_is_invisible():
     coarse = _scan_loads(fam, xs, ys, 16, lambda c: (c >= 2).any(axis=1), 1,
                          chunk_bits=18)
     assert fine == coarse
+
+
+class _LastSeedPiles(SeededFamily):
+    """3-bit allocation onto 2 buckets: seed 7 puts every point in bucket 1
+    and every other seed alternates buckets, so the largest load occurs
+    only in the last seed block (in TWiseFamily seeds 0-3 are constants,
+    whose loads are already maximal in block 0)."""
+
+    domain_size, range_size, seed_bits = 4, 2, 3
+    family_id = "last_seed_piles"
+
+    def eval(self, seed, x):
+        return 1 if seed == 7 else (seed + x) % 2 + 1
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 18])
+def test_scan_loads_finds_the_max_load_in_the_last_block(chunk_bits):
+    fam = _LastSeedPiles()
+    xs, ys = [1, 2, 3, 4], [1]
+    loads = [[sum(fam.eval(s, x) == b for x in xs[1:]) for b in (1, 2)]
+             for s in range(8)]
+    y_bucket = [fam.eval(s, 1) for s in range(8)]
+    want = (sum(max(ls) >= 3 for ls in loads), max(map(max, loads)),
+            sum(ls[b - 1] >= 2 for ls, b in zip(loads, y_bucket)), 8)
+    assert want == (1, 3, 1, 8)
+    assert _scan_loads(fam, xs, ys, 2, lambda c: (c >= 3).any(axis=1), 2,
+                       chunk_bits=chunk_bits) == want
 
 
 def test_load_lemma_validation():
