@@ -124,8 +124,8 @@ def _corpus_queries(cfg: dict, N: int, k: int) -> list:
         elif kind == "intervals":
             for size in spec.get("sizes", []):
                 size = int(size)
-                if size <= k:
-                    raise _CliError(f"interval size {size} needs to exceed k={k}")
+                if size <= k or size > N:
+                    raise _CliError(f"interval size {size} outside (k, N]")
                 for lo in range(1, N - size + 2):
                     X = list(range(lo, lo + size))
                     queries += [(X, list(Y)) for Y in itertools.combinations(X, k)]
@@ -472,9 +472,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _CliError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (MinwiseLabError, ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,10 @@ tag, since desk-scale constants rarely satisfy their hypotheses.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -72,22 +73,8 @@ class ErrorReport:
     exact_tie: Fraction | None = field(default=None, repr=False)
 
     def csv_row(self) -> list[str]:
-        return [
-            self.family_id, str(self.N), str(self.M), str(self.k),
-            str(self.sizeX), self.mode, str(self.samples),
-            repr(self.measured_p), repr(self.uniform_ref), repr(self.fair_p),
-            repr(self.mult_err_uniform), repr(self.mult_err_fair),
-            repr(self.tie_mass), repr(self.ci_halfwidth),
-        ]
-
-    def to_json(self) -> dict:
-        return {col: val for col, val in zip(
-            CSV_COLUMNS,
-            [self.family_id, self.N, self.M, self.k, self.sizeX, self.mode,
-             self.samples, self.measured_p, self.uniform_ref, self.fair_p,
-             self.mult_err_uniform, self.mult_err_fair, self.tie_mass,
-             self.ci_halfwidth],
-        )}
+        values = [getattr(self, f.name) for f in fields(self)[:len(CSV_COLUMNS)]]
+        return [v if isinstance(v, str) else repr(v) for v in values]
 
 
 def _query_sets(family: SeededFamily, X, Y) -> tuple[list[int], list[int]]:
@@ -335,38 +322,37 @@ def _bounded_count_poly(r: int, lo: int, hi: int, ell: int) -> Fraction:
     return poly[r] * math.factorial(r) / Fraction(ell) ** r
 
 
-def _scan_loads(g_family: SeededFamily, xs, ys, ell: int, bad_of_counts,
+def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
                 bj_threshold: int | None, chunk_bits: int = 18):
-    """Exhaustive chunked scan of g-seeds: bad-event count, max load, B_J tail.
+    """Exhaustive chunked scan of g-seeds: (min, max) load histogram, B_J tail.
 
-    ``bad_of_counts`` maps a (chunk, ell) load matrix to a boolean
-    per-seed bad indicator.  Returns (bad, max_load, bj_bad, total).
+    Returns (hist, bj_bad).  hist[a, b] counts the seeds whose least
+    bucket load of X\\Y is a and whose largest is b, so any band of
+    allowed loads [lo, hi] is counted by hist[lo:, :hi + 1].  bj_bad
+    counts the seeds where the buckets holding Y receive at least
+    ``bj_threshold`` points of X\\Y (0 when it is None).
     """
     rest = [x for x in xs if x not in ys]
+    side = len(rest) + 1
 
     def count(seeds):
-        counts = np.zeros((len(seeds), ell), dtype=np.int32)
+        # each row gets exactly one bucket index per point, so a fancy
+        # index add counts every point
+        rows = np.arange(len(seeds))
+        counts = np.zeros((len(seeds), ell), dtype=np.min_scalar_type(len(rest)))
         for x in rest:
-            vals = g_family.eval_block(seeds, x)
-            for i in range(1, ell + 1):
-                counts[:, i - 1] += vals == i
+            counts[rows, g_family.eval_block(seeds, x) - 1] += 1
         bj_bad = 0
         if bj_threshold is not None:
             in_j = np.zeros((len(seeds), ell), dtype=bool)
             for y in ys:
-                vals = g_family.eval_block(seeds, y)
-                for i in range(1, ell + 1):
-                    in_j[:, i - 1] |= vals == i
-            bj = (counts * in_j).sum(axis=1)
-            bj_bad = np.count_nonzero(bj >= bj_threshold)
-        # the histogram of per-seed maximum loads sums like the counts do
-        # and still carries the largest load seen
-        max_loads = np.bincount(counts.max(axis=1), minlength=len(rest) + 1)
-        return np.concatenate(([np.count_nonzero(bad_of_counts(counts)), bj_bad],
-                               max_loads), dtype=np.int64)
+                in_j[rows, g_family.eval_block(seeds, y) - 1] = True
+            bj_bad = np.count_nonzero((counts * in_j).sum(axis=1) >= bj_threshold)
+        cells = counts.min(axis=1).astype(np.int64) * side + counts.max(axis=1)
+        return np.append(np.bincount(cells, minlength=side * side), bj_bad)
 
-    bad, bj_bad, *max_loads = scan_seeds(g_family.seed_bits, count, chunk_bits)
-    return int(bad), int(np.flatnonzero(max_loads)[-1]), int(bj_bad), g_family.seed_space
+    total = scan_seeds(g_family.seed_bits, count, chunk_bits)
+    return total[:-1].reshape(side, side), int(total[-1])
 
 
 def check_load_lemma(
@@ -384,7 +370,9 @@ def check_load_lemma(
 
     ``g_family`` is a SeededFamily onto [ell] (exhaustively enumerated)
     or the string "uniform" for the exact multinomial computation — the
-    two coincide whenever the family's independence covers |X|.
+    two coincide whenever the family's independence covers |X|.  Each
+    regime fixes one integer band [lo, hi] of allowed loads of X\\Y, and
+    both paths report the frequency of some load leaving it.
 
     The asserted inequality per regime is the instantiated proof-chain
     bound (a finite-scale theorem): the union-over-subsets bound in the
@@ -429,36 +417,52 @@ def check_load_lemma(
 
     p1 = Fraction(1, ell)
     mean = r * p1
-
+    bj_thr = None
     if regime == "small":
         if k == 1:
-            threshold = float(C_g)
+            u = float(C_g)
         else:
-            threshold = C_g + 10 * k * math.log2(max(2, len(xs))) / t
-        u_eff = min(max(1, math.ceil(threshold)), indep)
-        bj_thr = None
-        if k > 1:
+            u = C_g + 10 * k * math.log2(max(2, len(xs))) / t
             bj_thr = min(max(1, (C_g - 1) * k), max(1, indep - k))
-        if uniform_g:
-            freq = 1 - _bounded_count_poly(r, 0, u_eff - 1, ell)
-            max_seen = r
-            if bj_thr is not None:
-                bj_freq = Fraction(0)
-                for alloc in _y_allocations(ell, k):
-                    kp = len(set(alloc))
-                    bj_freq += binomial_tail_at_least(r, Fraction(kp, ell), bj_thr)
-                bj_freq /= ell ** k
+        u_eff = min(max(1, math.ceil(u)), indep)
+        threshold, lo, hi = float(u_eff), 0, u_eff - 1
+    else:
+        # mid and large regimes share the even-moment machinery, which
+        # needs at least pairwise independence to be a theorem
+        if indep < 2:
+            raise ValueError("mid/large regime chains need >= pairwise independence")
+        e = min(indep if indep % 2 == 0 else indep - 1, 12)
+        mu = binomial_central_moment(r, p1, e)
+        # a load is bad at load - mean >= a (mid) or |load - mean| >= a
+        # (large); the band holds the integer loads left, with 1e-12 slack
+        # so a float edge that should be an integer stays bad
+        if regime == "mid":
+            a = ell ** 0.1
+            threshold = float(mean) + a
+            lo = 0
         else:
-            bad, max_seen, bj_bad, total = _scan_loads(
-                g_family, xs, ys, ell,
-                lambda c: (c >= u_eff).any(axis=1), bj_thr)
-            freq = Fraction(bad, total)
-            if bj_thr is not None:
-                bj_freq = Fraction(bj_bad, total)
-        chain_val = min(Fraction(1), ell * math.comb(r, u_eff) * p1 ** u_eff)
+            a = threshold = 0.1 * float(mean)
+            lo = max(0, math.floor(float(mean) - a + 1e-12) + 1)
+        hi = max(0, math.ceil(float(mean) + a - 1e-12) - 1)
+
+    if uniform_g:
+        freq = 1 - _bounded_count_poly(r, lo, hi, ell)
+        max_seen = r
+        if bj_thr is not None:
+            bj_freq = sum(
+                binomial_tail_at_least(r, Fraction(len(set(alloc)), ell), bj_thr)
+                for alloc in itertools.product(range(ell), repeat=k)
+            ) / ell ** k
+    else:
+        hist, bj_bad = _scan_loads(g_family, xs, ys, ell, bj_thr)
+        freq = 1 - Fraction(int(hist[lo:, :hi + 1].sum()), g_family.seed_space)
+        max_seen = int(np.flatnonzero(hist.any(axis=0))[-1])
+        bj_freq = Fraction(bj_bad, g_family.seed_space)
+
+    if regime == "small":
         chain = BoundCheck.make(
             f"Pr[any load >= {u_eff}] <= ell*C(r,{u_eff})/ell^{u_eff}",
-            freq, chain_val,
+            freq, min(Fraction(1), ell * math.comb(r, u_eff) * p1 ** u_eff),
         )
         if k == 1:
             closed = BoundCheck.make(
@@ -467,40 +471,7 @@ def check_load_lemma(
             closed = BoundCheck.make(
                 "1/(ell^(3C)*|X|^k)", freq,
                 Fraction(1, ell ** (3 * C) * len(xs) ** k))
-        report = LoadReport(
-            regime, ell, len(xs), k, r, float(u_eff), float(freq),
-            max_seen, chain, closed,
-        )
-        if bj_thr is not None:
-            bj_chain_val = min(
-                Fraction(1), math.comb(r, bj_thr) * Fraction(k, ell) ** bj_thr)
-            report.bj_threshold = bj_thr
-            report.bj_frequency = float(bj_freq)
-            report.bj_chain = BoundCheck.make(
-                f"Pr[|B_J| >= {bj_thr}] <= C(r,{bj_thr})*(k/ell)^{bj_thr}",
-                bj_freq, bj_chain_val,
-            )
-        return report
-
-    # mid and large regimes share the even-moment machinery, which needs
-    # at least pairwise independence to be a theorem
-    if indep < 2:
-        raise ValueError("mid/large regime chains need >= pairwise independence")
-    e = indep if indep % 2 == 0 else indep - 1
-    e = min(e, 12)
-    mu = binomial_central_moment(r, p1, e)
-    if regime == "mid":
-        a = ell ** 0.1
-        threshold = float(mean) + a
-        if uniform_g:
-            cap = math.ceil(threshold - 1e-12) - 1
-            freq = 1 - _bounded_count_poly(r, 0, max(0, cap), ell)
-            max_seen = r
-        else:
-            bad, max_seen, _, total = _scan_loads(
-                g_family, xs, ys, ell,
-                lambda c: (c - float(mean) >= a - 1e-12).any(axis=1), None)
-            freq = Fraction(bad, total)
+    elif regime == "mid":
         chain = BoundCheck.make(
             f"Pr[any load - mean >= ell^0.1] <= ell*mu_{e}/ell^(0.1*{e})",
             freq, ell * float(mu) / a ** e,
@@ -508,42 +479,25 @@ def check_load_lemma(
         closed = BoundCheck.make(
             "1/ell^(3C*k)" if k > 1 else "1/ell^(3C)",
             freq, Fraction(1, ell ** (3 * C * k)))
-        return LoadReport(
-            regime, ell, len(xs), k, r, threshold, float(freq),
-            max_seen, chain, closed,
-        )
-
-    a = 0.1 * float(mean)
-    if uniform_g:
-        lo = math.floor(float(mean) - a + 1e-12) + 1
-        hi = math.ceil(float(mean) + a - 1e-12) - 1
-        freq = 1 - _bounded_count_poly(r, max(0, lo), max(0, hi), ell)
-        max_seen = r
     else:
-        bad, max_seen, _, total = _scan_loads(
-            g_family, xs, ys, ell,
-            lambda c: (np.abs(c - float(mean)) >= a - 1e-12).any(axis=1), None)
-        freq = Fraction(bad, total)
-    chain = BoundCheck.make(
-        f"Pr[any |load - mean| >= 0.1*mean] <= ell*mu_{e}/(0.1*mean)^{e}",
-        freq, ell * float(mu) / a ** e,
+        chain = BoundCheck.make(
+            f"Pr[any |load - mean| >= 0.1*mean] <= ell*mu_{e}/(0.1*mean)^{e}",
+            freq, ell * float(mu) / a ** e,
+        )
+        closed = BoundCheck.make(
+            "1/|X|^(3C*k)" if k > 1 else "1/|X|^(3C)",
+            freq, Fraction(1, len(xs) ** (3 * C * k)))
+    report = LoadReport(
+        regime, ell, len(xs), k, r, threshold, float(freq), max_seen, chain, closed,
     )
-    closed = BoundCheck.make(
-        "1/|X|^(3C*k)" if k > 1 else "1/|X|^(3C)",
-        freq, Fraction(1, len(xs) ** (3 * C * k)))
-    return LoadReport(
-        regime, ell, len(xs), k, r, a, float(freq), max_seen, chain, closed,
-    )
-
-
-def _y_allocations(ell: int, k: int):
-    """All ell^k ways to place the k query points into buckets."""
-    if k == 0:
-        yield ()
-        return
-    for rest in _y_allocations(ell, k - 1):
-        for b in range(1, ell + 1):
-            yield rest + (b,)
+    if bj_thr is not None:
+        report.bj_threshold = bj_thr
+        report.bj_frequency = float(bj_freq)
+        report.bj_chain = BoundCheck.make(
+            f"Pr[|B_J| >= {bj_thr}] <= C(r,{bj_thr})*(k/ell)^{bj_thr}",
+            bj_freq, min(Fraction(1), math.comb(r, bj_thr) * Fraction(k, ell) ** bj_thr),
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +518,7 @@ class TailReport:
     implied_constant: float | None
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t, "b": self.b, "theta": self.theta, "M": self.M,
-            "exact_p": self.exact_p, "reference": self.reference,
-            "tolerance": self.tolerance, "within": self.within,
-            "implied_constant": self.implied_constant,
-        }
+        return asdict(self)
 
 
 def check_twise_tail(t: int, b: int, theta: int, M: int,
@@ -632,17 +581,7 @@ class ReductionReport:
         return self.additive_ok and (not self.precondition_ok or self.mult_ok)
 
     def to_json(self) -> dict:
-        return {
-            "N": self.N, "M": self.M, "k": self.k, "sizeX": self.sizeX,
-            "delta": self.delta,
-            "rectangles_checked": self.rectangles_checked,
-            "measured_p": self.measured_p, "uniform_p": self.uniform_p,
-            "additive_error": self.additive_error,
-            "additive_bound": self.additive_bound,
-            "mult_error": self.mult_error, "mult_bound": self.mult_bound,
-            "precondition_ok": self.precondition_ok,
-            "additive_ok": self.additive_ok, "mult_ok": self.mult_ok,
-        }
+        return asdict(self)
 
 
 def _reduction_rectangles(N: int, M: int, xs: list[int], ys: list[int]):

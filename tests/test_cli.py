@@ -159,6 +159,18 @@ def test_measure_config_errors_exit_two(tmp_path, capsys):
     assert main(["measure", "--config", bad_corpus, "--out-dir", str(tmp_path)]) == 2
 
 
+def test_measure_rejects_intervals_larger_than_the_domain(tmp_path, capsys):
+    # an interval wider than N = 4 has no position, so it would yield no
+    # query and pass even a zero error limit
+    cfg = _write(tmp_path, "wide.json", {
+        "construction": MINWISE_CONSTRUCTION,
+        "corpus": {"queries": [{"kind": "intervals", "sizes": [5]}]},
+        "thresholds": {"max_mult_err_uniform": 0.0},
+    })
+    assert main(["measure", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "interval size 5 outside (k, N]" in capsys.readouterr().err
+
+
 def test_measure_checks_its_outputs_before_scanning(measure_config, tmp_path,
                                                    monkeypatch):
     def scan(*args, **kwargs):

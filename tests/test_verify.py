@@ -381,11 +381,10 @@ def test_large_regime_family_scan_matches_direct_recount():
 def test_scan_loads_chunking_is_invisible():
     fam = TWiseFamily(2, 8, 16)
     xs, ys = [1, 2, 3, 4, 5, 6], [1]
-    fine = _scan_loads(fam, xs, ys, 16, lambda c: (c >= 2).any(axis=1), 1,
-                       chunk_bits=2)
-    coarse = _scan_loads(fam, xs, ys, 16, lambda c: (c >= 2).any(axis=1), 1,
-                         chunk_bits=18)
-    assert fine == coarse
+    fine_hist, fine_bj = _scan_loads(fam, xs, ys, 16, 1, chunk_bits=2)
+    coarse_hist, coarse_bj = _scan_loads(fam, xs, ys, 16, 1, chunk_bits=18)
+    assert np.array_equal(fine_hist, coarse_hist) and fine_bj == coarse_bj
+    assert fine_hist.sum() == fam.seed_space
 
 
 class _LastSeedPiles(SeededFamily):
@@ -411,8 +410,51 @@ def test_scan_loads_finds_the_max_load_in_the_last_block(chunk_bits):
     want = (sum(max(ls) >= 3 for ls in loads), max(map(max, loads)),
             sum(ls[b - 1] >= 2 for ls, b in zip(loads, y_bucket)), 8)
     assert want == (1, 3, 1, 8)
-    assert _scan_loads(fam, xs, ys, 2, lambda c: (c >= 3).any(axis=1), 2,
-                       chunk_bits=chunk_bits) == want
+    want_hist = np.zeros((4, 4), dtype=np.int64)
+    for ls in loads:
+        want_hist[min(ls), max(ls)] += 1
+    hist, bj_bad = _scan_loads(fam, xs, ys, 2, 2, chunk_bits=chunk_bits)
+    assert np.array_equal(hist, want_hist)
+    assert (hist[:, 3:].sum(), np.flatnonzero(hist.any(axis=0))[-1], bj_bad,
+            hist.sum()) == want
+
+
+@pytest.mark.parametrize("ell, n, regime", [(4, 4, "mid"), (2, 6, "large")])
+def test_scan_and_uniform_agree_when_independence_covers_x(ell, n, regime):
+    # a |X|-wise family allocates X exactly like uniformly random buckets,
+    # so both paths must count the same band with the same frequency
+    X, Y = list(range(1, n + 1)), [n]
+    uni = check_load_lemma("uniform", X, Y, ell, regime)
+    fam = check_load_lemma(TWiseFamily(n, n, ell), X, Y, ell, regime)
+    assert fam.to_json() == uni.to_json()
+
+
+class _WideLoads(SeededFamily):
+    """2-bit allocation of 300 points onto 2 buckets: seeds 0 and 1 put
+    every point in one bucket, seed 2 alternates, seed 3 splits at 200."""
+
+    domain_size, range_size, seed_bits = 300, 2, 2
+    family_id = "wide_loads"
+
+    def eval(self, seed, x):
+        if seed < 2:
+            return seed + 1
+        if seed == 2:
+            return x % 2 + 1
+        return 1 if x <= 200 else 2
+
+
+def test_scan_counts_loads_above_255():
+    fam = _WideLoads()
+    X, Y = list(range(1, 301)), [300]
+    rep = check_load_lemma(fam, X, Y, 2, "large", independence=2)
+    loads = [[sum(fam.eval(s, x) == b for x in X[:-1]) for b in (1, 2)]
+             for s in range(4)]
+    mean = 299 / 2
+    bad = sum(any(abs(c - mean) >= 0.1 * mean for c in ls) for ls in loads)
+    assert (bad, max(map(max, loads))) == (3, 299)
+    assert rep.bad_frequency == bad / 4
+    assert rep.max_load_seen == 299
 
 
 def test_load_lemma_validation():
@@ -598,8 +640,7 @@ WIDE_ORACLES = {
     "measure_minwise": lambda: measure_minwise(
         TWiseFamily(5, 8, 32), [1, 2, 3], [1]),
     "scan_loads": lambda: _scan_loads(
-        TWiseFamily(5, 8, 32), [1, 2, 3], [1], 32,
-        lambda c: (c >= 2).any(axis=1), None),
+        TWiseFamily(5, 8, 32), [1, 2, 3], [1], 32, None),
     "check_twise_tail": lambda: check_twise_tail(5, 3, 1, 32),
     "rectangle_hits_exact": lambda: rectangle_hits_exact(
         TWisePRG(5, 32, 32), Rectangle.threshold(32, 32, 1)),
