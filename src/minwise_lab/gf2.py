@@ -167,16 +167,57 @@ def find_irreducible(degree: int) -> FieldContext:
 # vectorized field multiplication (uint64 blocks)
 # ---------------------------------------------------------------------------
 
+# mul_block looks products up in log/antilog tables up to this degree; the
+# tables of a wider field outgrow the cache, so it multiplies bit-serially
+TABLE_MAX_DEGREE = 16
+
+
+@lru_cache(maxsize=None)
+def log_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (log, exp) tables of GF(2^n) for n <= TABLE_MAX_DEGREE.
+
+    With q = 2^n - 1 and g the smallest element of multiplicative order
+    q (the smallest modulus is not always primitive, so x need not
+    generate), ``exp`` is a uint64 array of 4q + 1 entries holding
+    g^(i mod q) for i < 2q and 0 from 2q on, and ``log`` is an intp
+    array of 2^n entries with exp[log[v]] = v for every nonzero v and
+    log[0] = 2q.  A sum of two logs is then below 2q exactly when both
+    factors are nonzero, so exp[log[a] + log[b]] is the product a·b
+    with no branch on zero.  Built on first use and cached per field.
+    """
+    if ctx.degree > TABLE_MAX_DEGREE:
+        raise ValueError(f"log tables cover field degrees up to {TABLE_MAX_DEGREE}")
+    q = ctx.size - 1
+    for g in range(1, ctx.size):
+        powers = [1]
+        while len(powers) < q and (v := ctx.mul(powers[-1], g)) != 1:
+            powers.append(v)
+        if len(powers) == q:  # no power of g below the q-th is 1
+            break
+    exp = np.zeros(4 * q + 1, dtype=np.uint64)
+    exp[:q] = powers
+    exp[q:2 * q] = powers
+    log = np.full(ctx.size, 2 * q, dtype=np.intp)
+    log[powers] = np.arange(q)
+    log.flags.writeable = exp.flags.writeable = False
+    return log, exp
+
 
 def mul_block(ctx: FieldContext, a: np.ndarray, b: "np.ndarray | int") -> np.ndarray:
     """Elementwise field product of a uint64 block with a scalar or block.
+
+    Up to degree TABLE_MAX_DEGREE the product is a gather from the
+    field's log_tables: exp[log[a] + log[b]] for a block b, and for a
+    scalar b one 2^n-entry row exp[log + log[b]] gathered at a.  Wider
+    fields multiply bit-serially: n shifted XORs, then n - 1 reduction
+    passes by the modulus.
 
     Parameters
     ----------
     ctx : FieldContext
         Field of degree n <= 32 (products must fit in 64 bits).
     a : np.ndarray
-        uint64 array of field elements.
+        uint64 array of field elements, each below 2^n.
     b : np.ndarray | int
         Either a single element or an array broadcastable against ``a``.
 
@@ -189,8 +230,18 @@ def mul_block(ctx: FieldContext, a: np.ndarray, b: "np.ndarray | int") -> np.nda
     if n > 32:
         raise ValueError("mul_block supports field degrees up to 32")
     a = a.astype(np.uint64, copy=False)
+    scalar = isinstance(b, (int, np.integer))
+    if not scalar:
+        b = b.astype(np.uint64, copy=False)
+    if n <= TABLE_MAX_DEGREE:
+        # take() on int64 views of the uint64 operands, with intp logs,
+        # skips the cast of each index array to intp that indexing makes
+        log, exp = log_tables(ctx)
+        if scalar:
+            return exp.take(log + log[b]).take(a.view(np.int64))
+        return exp.take(log.take(a.view(np.int64)) + log.take(b.view(np.int64)))
     acc = np.zeros(np.broadcast(a, b).shape, dtype=np.uint64)
-    if isinstance(b, (int, np.integer)):
+    if scalar:
         bb = int(b)
         i = 0
         while bb:
@@ -199,7 +250,6 @@ def mul_block(ctx: FieldContext, a: np.ndarray, b: "np.ndarray | int") -> np.nda
             bb >>= 1
             i += 1
     else:
-        b = b.astype(np.uint64, copy=False)
         for i in range(n):
             bit = (b >> np.uint64(i)) & np.uint64(1)
             acc ^= (a * bit) << np.uint64(i)

@@ -247,14 +247,20 @@ class RecursiveMixPRG(RectanglePRG):
         b = np.uint64(self.cell_bits)
         mask = np.uint64((1 << self.cell_bits) - 1)
         x = seeds & mask
-        path = np.asarray(coords, dtype=np.uint64) - np.uint64(1)
+        scalar = isinstance(coords, (int, np.integer))
+        path = int(coords) - 1 if scalar else np.asarray(coords, dtype=np.uint64) - np.uint64(1)
         for level in range(self.levels):
+            if scalar and not (path >> level) & 1:
+                continue
             off = np.uint64(self.cell_bits + level * 2 * self.cell_bits)
             a = (seeds >> off) & mask
             c = (seeds >> (off + b)) & mask
             hashed = mul_block(self.ctx, a, x) ^ c
-            take = ((path >> np.uint64(level)) & np.uint64(1)).astype(bool)
-            x = np.where(take, hashed, x)
+            if scalar:
+                x = hashed
+            else:
+                take = ((path >> np.uint64(level)) & np.uint64(1)).astype(bool)
+                x = np.where(take, hashed, x)
         return (x & np.uint64(self.alphabet - 1)) + np.uint64(1)
 
 

@@ -385,6 +385,8 @@ def check_load_lemma(
     ys = list(dict.fromkeys(int(v) for v in Y))
     if not set(ys) <= set(xs) or not ys:
         raise ValueError("need nonempty Y, a subset of X")
+    if len(ys) == len(xs):
+        raise EmptyQuery("need a nonempty Y strictly inside X")
     k = len(ys)
     r = len(xs) - k
     if t is None:

@@ -259,6 +259,15 @@ def test_loads_test_smoke(tmp_path, capsys):
     assert main(["loads-test", "--config", wrong_regime]) == 2
 
 
+def test_loads_test_rejects_y_equal_to_x(tmp_path, capsys):
+    cfg = _write(tmp_path, "yx.json", {
+        "allocation": "uniform", "ell": 2,
+        "X": [1, 2, 3], "Y": [1, 2, 3], "regime": "large",
+    })
+    assert main(["loads-test", "--config", cfg]) == 2
+    assert "strictly inside X" in capsys.readouterr().err
+
+
 def test_reduction_test_smoke(tmp_path):
     cfg = _write(tmp_path, "r.json", {
         "prg": {"kind": "twise", "t": 2}, "dimension": 4, "alphabet": 8,

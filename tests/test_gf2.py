@@ -16,6 +16,7 @@ from minwise_lab.gf2 import (
     find_irreducible,
     is_irreducible,
     kernel_basis,
+    log_tables,
     mat_vec,
     mul_block,
     poly_mod,
@@ -132,18 +133,77 @@ def test_field_axioms_exhaustive_small(degree):
         assert 1 in {mul(a, b) for b in range(1, size)}
 
 
-@pytest.mark.parametrize("degree", [2, 3, 7, 8, 12])
+def _mul_reference(ctx: FieldContext, a, b) -> np.ndarray:
+    """Elementwise ctx.mul (clmul + poly_mod) over broadcast operands."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
+    out = [ctx.mul(int(x), int(y)) for x, y in zip(a.ravel(), b.ravel())]
+    return np.array(out, dtype=np.uint64).reshape(a.shape)
+
+
+def _order(ctx: FieldContext, g: int) -> int:
+    k, v = 1, g
+    while v != 1:
+        v, k = ctx.mul(v, g), k + 1
+    return k
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_mul_block_every_pair(degree):
+    ctx = find_irreducible(degree)
+    e = np.arange(ctx.size, dtype=np.uint64)
+    # a column times a row, as extract_table and criterion 1 broadcast it
+    table = mul_block(ctx, e[:, None], e[None, :])
+    assert table.dtype == np.uint64 and table.shape == (ctx.size, ctx.size)
+    assert np.array_equal(table, _mul_reference(ctx, e[:, None], e[None, :]))
+    a, b = np.repeat(e, ctx.size), np.tile(e, ctx.size)
+    assert np.array_equal(mul_block(ctx, a, b), table.ravel())
+    for s in (0, 1, np.uint64(ctx.size - 1), int(e[-1] // 2)):
+        assert np.array_equal(mul_block(ctx, e, s), table[:, int(s)])
+
+
+@pytest.mark.parametrize("degree", [2, 3, 7, 8, *range(9, 17)])
 def test_mul_block_matches_scalar(degree):
     ctx = find_irreducible(degree)
     rng = np.random.Generator(np.random.Philox(key=degree))
-    a = rng.integers(0, ctx.size, size=500, dtype=np.uint64)
-    b = rng.integers(0, ctx.size, size=500, dtype=np.uint64)
-    s = int(rng.integers(0, ctx.size))
-    got_scalar = mul_block(ctx, a, s)
-    got_pair = mul_block(ctx, a, b)
-    for i in range(len(a)):
-        assert int(got_scalar[i]) == ctx.mul(int(a[i]), s)
-        assert int(got_pair[i]) == ctx.mul(int(a[i]), int(b[i]))
+    a = rng.integers(0, ctx.size, size=1 << 16, dtype=np.uint64)
+    b = rng.integers(0, ctx.size, size=1 << 16, dtype=np.uint64)
+    a[:3], b[3:6] = 0, 0
+    assert np.array_equal(mul_block(ctx, a, b), _mul_reference(ctx, a, b))
+    col, row = a[:64, None], b[None, :64]
+    assert np.array_equal(mul_block(ctx, col, row), _mul_reference(ctx, col, row))
+    for s in (0, 1, int(b[7]), np.uint64(b[8])):
+        assert np.array_equal(mul_block(ctx, a[:4096], s), _mul_reference(ctx, a[:4096], s))
+
+
+@pytest.mark.parametrize("degree", [17, 24, 32])
+def test_mul_block_bit_serial_degrees(degree):
+    ctx = find_irreducible(degree)
+    rng = np.random.Generator(np.random.Philox(key=degree))
+    a = rng.integers(0, ctx.size, size=2000, dtype=np.uint64)
+    b = rng.integers(0, ctx.size, size=2000, dtype=np.uint64)
+    assert np.array_equal(mul_block(ctx, a, b), _mul_reference(ctx, a, b))
+    col, row = a[:40, None], b[None, :40]
+    assert np.array_equal(mul_block(ctx, col, row), _mul_reference(ctx, col, row))
+    for s in (0, 1, np.uint64(b[0])):
+        assert np.array_equal(mul_block(ctx, a, s), _mul_reference(ctx, a, s))
+    with pytest.raises(ValueError):
+        log_tables(ctx)
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_log_tables_invert_and_generate(degree):
+    ctx = find_irreducible(degree)
+    log, exp = log_tables(ctx)
+    q = ctx.size - 1
+    v = np.arange(1, ctx.size)
+    assert np.array_equal(exp[log[v]], v)
+    assert log[0] == 2 * q and len(exp) == 4 * q + 1
+    assert np.array_equal(exp[q:2 * q], exp[:q]) and not exp[2 * q:].any()
+    # g = exp[1] is the smallest element of order q; x is not always one
+    # (0x11B, the smallest degree-8 modulus, is not primitive)
+    g = int(exp[1])
+    assert _order(ctx, g) == q
+    assert all(_order(ctx, c) < q for c in range(1, g))
 
 
 def test_clmul_known_value():

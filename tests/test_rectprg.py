@@ -125,12 +125,17 @@ def test_recursive_mix_matches_straightline_reference():
 
 
 def test_recursive_mix_block_matches_scalar():
-    prg = RecursiveMixPRG(8, 4)
-    seeds = np.arange(prg.seed_space, dtype=np.uint64)
-    for coord in range(1, 9):
-        block = prg.coord_block(seeds, coord)
-        for s in range(0, prg.seed_space, 97):
-            assert int(block[s]) == prg.coord_eval(s, coord)
+    for dimension in (8, 16):
+        prg = RecursiveMixPRG(dimension, 4)
+        seeds = np.arange(prg.seed_space, dtype=np.uint64)
+        for coord in range(1, dimension + 1):
+            # a scalar coordinate hashes only at its path's set bits; an
+            # array of coordinates selects per seed
+            block = prg.coord_block(seeds, coord)
+            per_seed = prg.coord_block(seeds, np.full(len(seeds), coord, dtype=np.uint64))
+            assert np.array_equal(block, per_seed)
+            for s in range(0, prg.seed_space, 97):
+                assert int(block[s]) == prg.coord_eval(s, coord)
 
 
 def test_expand_checks_seed_length():

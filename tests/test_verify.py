@@ -478,6 +478,18 @@ def test_load_lemma_validation():
         check_load_lemma(TWiseFamily(7, 8, 16), [1, 2, 3], [1], 16, "small")
 
 
+@pytest.mark.parametrize("xs,ell,regime", [
+    ([1, 2, 3], 16, "small"),
+    ([1, 2, 3, 4], 4, "mid"),
+    ([1, 2, 3], 2, "large"),
+])
+def test_load_lemma_rejects_y_equal_to_x(xs, ell, regime):
+    # X \ Y is empty, so r = 0: the large regime's band half-width is 0
+    for g in ("uniform", TWiseFamily(len(xs), 4, ell)):
+        with pytest.raises(EmptyQuery):
+            check_load_lemma(g, xs, list(reversed(xs)), ell, regime)
+
+
 def test_load_lemma_independence_override():
     fam = PRGHashFamily(TWisePRG(2, 3, 4))
     rep = check_load_lemma(fam, [1, 2, 3], [1], 4, "small", independence=2)
