@@ -187,6 +187,9 @@ def log_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
     """
     if ctx.degree > TABLE_MAX_DEGREE:
         raise ValueError(f"log tables cover field degrees up to {TABLE_MAX_DEGREE}")
+    if not is_irreducible(ctx.modulus):
+        # a reducible modulus has zero divisors and no element of order q
+        raise ValueError(f"modulus {ctx.modulus:#x} is not irreducible")
     q = ctx.size - 1
     for g in range(1, ctx.size):
         powers = [1]

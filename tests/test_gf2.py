@@ -206,6 +206,12 @@ def test_log_tables_invert_and_generate(degree):
     assert all(_order(ctx, c) < q for c in range(1, g))
 
 
+def test_mul_block_refuses_a_reducible_modulus():
+    ctx = FieldContext(2, 0b101)  # x^2 + 1 = (x + 1)^2 has no generator
+    with pytest.raises(ValueError):
+        mul_block(ctx, np.arange(4, dtype=np.uint64), 3)
+
+
 def test_clmul_known_value():
     # (x^2 + x) * (x + 1) = x^3 + x
     assert clmul(0b110, 0b11) == 0b1010
