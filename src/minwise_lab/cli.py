@@ -22,7 +22,7 @@ from .errors import MinwiseLabError, SeedSpaceTooLarge
 from .extractor import FlatSource, LeftoverHash, strong_extractor_distance
 from .gf2 import rank
 from .kwise import TWiseFamily
-from .rectprg import Rectangle, rectangle_error
+from .rectprg import threshold_errors
 
 SUMMARY_THRESHOLD_KEYS = (
     "max_mult_err_uniform",
@@ -254,7 +254,7 @@ def _component_extractor(cfg: dict, out: Path | None) -> int:
     return 0 if ok else 1
 
 
-def _component_prg(cfg: dict, out: Path | None) -> int:
+def _component_prg(cfg: dict, out: Path | None, threads: int = 1) -> int:
     for key in ("prg", "dimension", "alphabet"):
         if key not in cfg:
             raise _CliError(f"prg-test config needs {key!r}")
@@ -263,17 +263,12 @@ def _component_prg(cfg: dict, out: Path | None) -> int:
     mode = cfg.get("mode", "exhaustive")
     samples = int(cfg["samples"]) if cfg.get("samples") is not None else None
     run_seed = int(cfg.get("run_seed", 0))
-    thetas = cfg.get("thresholds", list(range(0, alpha + 1)))
-
-    rows = []
-    for theta in thetas:
-        rect = Rectangle.threshold(dim, alpha, int(theta))
-        try:
-            err = rectangle_error(prg, rect, mode=mode, samples=samples,
-                                  run_seed=run_seed)
-        except SeedSpaceTooLarge as exc:
-            raise _CliError(f"{exc}; rerun with --mode mc --samples <n>")
-        rows.append({"theta": int(theta), "error": float(err)})
+    thetas = [int(t) for t in cfg.get("thresholds", range(0, alpha + 1))]
+    try:
+        errors = threshold_errors(prg, thetas, mode, samples, run_seed, threads)
+    except SeedSpaceTooLarge as exc:
+        raise _CliError(f"{exc}; rerun with --mode mc --samples <n>")
+    rows = [{"theta": t, "error": err} for t, err in zip(thetas, errors)]
     max_err = max((r["error"] for r in rows), default=0.0)
     claimed = getattr(prg, "claimed_error", None)
     ok = claimed is None or max_err <= claimed + 1e-12
@@ -344,12 +339,12 @@ def _component_loads(cfg: dict, out: Path | None) -> int:
     return 0 if ok else 1
 
 
-def _component_reduction(cfg: dict, out: Path | None) -> int:
+def _component_reduction(cfg: dict, out: Path | None, threads: int = 1) -> int:
     for key in ("prg", "dimension", "alphabet", "X", "Y"):
         if key not in cfg:
             raise _CliError(f"reduction-test config needs {key!r}")
     prg = prg_from_config(cfg["prg"], int(cfg["dimension"]), int(cfg["alphabet"]))
-    rep = verify.check_reduction(prg, cfg["X"], cfg["Y"])
+    rep = verify.check_reduction(prg, cfg["X"], cfg["Y"], threads)
     ok = rep.asserted_ok()
     if out is not None:
         verify.write_json(out / "reduction_report.json",
@@ -406,7 +401,7 @@ def _cmd_prg_test(args) -> int:
         cfg["samples"] = args.samples
     if args.run_seed is not None:
         cfg["run_seed"] = args.run_seed
-    return _component_prg(cfg, _out_dir(args))
+    return _component_prg(cfg, _out_dir(args), args.threads)
 
 
 def _cmd_loads_test(args) -> int:
@@ -415,7 +410,7 @@ def _cmd_loads_test(args) -> int:
 
 def _cmd_reduction_test(args) -> int:
     _check_threads(args)
-    return _component_reduction(_read_json(args.config), _out_dir(args))
+    return _component_reduction(_read_json(args.config), _out_dir(args), args.threads)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="counter-based RNG key for monte-carlo runs")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker processes: measure splits exhaustive seed "
-                                "blocks across this many, with byte-identical "
-                                "output; prg-test and reduction-test run "
-                                "sequentially at any value")
+                           help="worker processes: exhaustive scans split their "
+                                "seed blocks across this many, with "
+                                "byte-identical output")
         p.set_defaults(handler=handler)
         return p
 

@@ -12,6 +12,7 @@ statistical-distance oracles used by the desk-scale verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log2
 from typing import Mapping, Sequence
 
@@ -159,22 +160,32 @@ def compose_extract(stages: Sequence, w: int, seeds: Sequence[int]) -> int:
     if not stages:
         raise WidthMismatch("need at least one stage")
     width = stages[0].n
-    x = w
-    out = 0
-    shift = 0
+    maps = []
     for stage, seed in zip(stages, seeds):
         if stage.n != width:
             raise WidthMismatch(
                 f"stage expects {stage.n} source bits, running width is {width}"
             )
-        mat = stage.matrix_of(seed)
-        if rank(mat) != mat.nrows:
-            raise NotFullRank("composition stage is not surjective for this seed")
+        maps.append(_stage_map(stage, seed))
+        width = maps[-1][2].nrows
+    return _apply_stages(maps, w)
+
+
+def _stage_map(stage, seed: int) -> tuple[int, BitMatrix, BitMatrix]:
+    """(m, M_seed, complement_basis(M_seed)) for one stage seed."""
+    mat = stage.matrix_of(seed)
+    if rank(mat) != mat.nrows:
+        raise NotFullRank("composition stage is not surjective for this seed")
+    return stage.m, mat, complement_basis(mat)
+
+
+def _apply_stages(maps, x: int) -> int:
+    """Concatenated stage outputs of x, each stage reading the last one's dual."""
+    out = shift = 0
+    for m, mat, dual in maps:
         out |= mat_vec(mat, x) << shift
-        shift += stage.m
-        dual = complement_basis(mat)
+        shift += m
         x = mat_vec(dual, x)
-        width = dual.nrows
     return out
 
 
@@ -182,7 +193,8 @@ class ComposedExtractor:
     """Several full-rank stages packaged as one map with concatenated seeds.
 
     Seed layout: stage 1's seed in the low bits.  Output layout matches
-    compose_extract (stage 1's output in the low bits).
+    compose_extract (stage 1's output in the low bits).  Each stage's
+    matrix and dual are built once per stage seed and kept.
     """
 
     def __init__(self, stages: Sequence):
@@ -199,13 +211,14 @@ class ComposedExtractor:
                     f"stage expects {st.n} source bits, running width is {width}"
                 )
             width -= st.m
+        self._stage_map = lru_cache(maxsize=None)(_stage_map)
 
     def extract(self, x: int, s: int) -> int:
-        seeds = []
+        maps = []
         for st in self.stages:
-            seeds.append(s & ((1 << st.d) - 1))
+            maps.append(self._stage_map(st, s & ((1 << st.d) - 1)))
             s >>= st.d
-        return compose_extract(self.stages, x, seeds)
+        return _apply_stages(maps, x)
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,7 @@ class TWiseFamily(SeededFamily):
         else:
             seeds = seeds.astype(np.uint64, copy=False)
             coeff = lambda i: (seeds >> np.uint64(i * n)) & mask
-        acc = coeff(self.t - 1).astype(np.uint64, copy=True)
+        acc = coeff(self.t - 1)
         for i in range(self.t - 2, -1, -1):
             acc = mul_block(self.ctx, acc, chi) ^ coeff(i)
         return acc

@@ -321,6 +321,74 @@ def _accepted(prg: RectanglePRG, rect: Rectangle):
     return count
 
 
+def _order_pairs(prg: RectanglePRG, low: list[int], high: list[int]):
+    """Counter of the (max over ``low``, min over ``high``) output pairs in a block.
+
+    Each coordinate is evaluated once.  Cell a * (M+1) + b counts pair
+    (a, b); a is 0 and only that row is kept when ``low`` is empty.
+    """
+    side = prg.alphabet + 1
+
+    def extreme(seeds, coords, reduce):
+        acc = prg.coord_block(seeds, coords[0])
+        for i in coords[1:]:
+            reduce(acc, prg.coord_block(seeds, i), out=acc)
+        return acc.astype(np.intp)
+
+    def count(seeds: np.ndarray) -> np.ndarray:
+        pair = extreme(seeds, high, np.minimum)
+        if low:
+            pair += extreme(seeds, low, np.maximum) * side
+        return np.bincount(pair, minlength=side * side if low else side)
+
+    return count
+
+
+def order_statistic_tails(prg: RectanglePRG, low, high, mode: str = "exhaustive",
+                          samples: int | None = None, run_seed: int = 0,
+                          threads: int = 1, chunk_bits: int = 20) -> tuple[np.ndarray, int]:
+    """(tails, seeds counted): tails[a, theta], theta = 0..M, counts the seeds
+    whose output has maximum a over the coordinates ``low`` and minimum
+    above theta over ``high``.
+
+    As suffix sums of one (max, min) histogram, it answers every rectangle
+    [max over low <= top] and [min over high > theta] from one pass:
+    column theta summed over rows 0..top.  Exhaustive mode scans through
+    scan_seeds on ``threads`` workers; monte-carlo mode counts the draw
+    that rectangle_error makes for the same run_seed.
+    """
+    low, high = [int(i) for i in low], [int(i) for i in high]
+    if not high:
+        raise ValueError("need at least one coordinate to take the minimum over")
+    for i in low + high:
+        prg._check_coord(i)
+    count = _order_pairs(prg, low, high)
+    if mode == "exhaustive":
+        flat, total = scan_seeds(prg.seed_bits, count, chunk_bits, threads), prg.seed_space
+    elif mode != "mc":
+        raise ValueError(f"unknown mode {mode!r}")
+    elif not samples or samples < 1:
+        raise ValueError("monte-carlo mode needs a positive sample count")
+    else:
+        flat, total = count(_draw_seeds(prg, samples, run_seed)), samples
+    hist = flat.reshape(-1, prg.alphabet + 1)
+    tails = np.zeros_like(hist)
+    tails[:, :-1] = hist[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    return tails, total
+
+
+def _draw_seeds(prg: RectanglePRG, samples: int, run_seed: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=run_seed))
+    return rng.integers(0, prg.seed_space, size=samples, dtype=np.uint64)
+
+
+def _additive_error(hits: int, total: int, uniform: Fraction, mode: str) -> float:
+    """|hits/total - uniform|: exact in exhaustive mode, a float difference in mc."""
+    if mode == "exhaustive":
+        return abs(float(Fraction(hits, total) - uniform))
+    return abs(hits / total - float(uniform))
+
+
 def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle, chunk_bits: int = 20) -> tuple[int, int]:
     """Exact (#seeds accepted by the rectangle, #seeds), by enumeration."""
     _check_shape(prg, rect)
@@ -344,15 +412,28 @@ def rectangle_error(
     uniform = rect.uniform_expectation()
     if mode == "exhaustive":
         count, total = rectangle_hits_exact(prg, rect)
-        return abs(float(Fraction(count, total) - uniform))
-    if mode != "mc":
+    elif mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-    if not samples or samples < 1:
+    elif not samples or samples < 1:
         raise ValueError("monte-carlo mode needs a positive sample count")
-    _check_shape(prg, rect)
-    rng = np.random.Generator(np.random.Philox(key=run_seed))
-    seeds = rng.integers(0, prg.seed_space, size=samples, dtype=np.uint64)
-    return abs(_accepted(prg, rect)(seeds) / samples - float(uniform))
+    else:
+        _check_shape(prg, rect)
+        count, total = _accepted(prg, rect)(_draw_seeds(prg, samples, run_seed)), samples
+    return _additive_error(count, total, uniform, mode)
+
+
+def threshold_errors(prg: RectanglePRG, thetas, mode: str = "exhaustive",
+                     samples: int | None = None, run_seed: int = 0,
+                     threads: int = 1) -> list[float]:
+    """rectangle_error of Rectangle.threshold(N, M, theta) for every theta,
+    all read off one order_statistic_tails pass over every coordinate."""
+    thetas = [int(t) for t in thetas]
+    rects = [Rectangle.threshold(prg.dimension, prg.alphabet, t) for t in thetas]
+    tails, total = order_statistic_tails(prg, [], range(1, prg.dimension + 1),
+                                         mode, samples, run_seed, threads)
+    return [_additive_error(int(tails[0, min(t, prg.alphabet)]), total,
+                            rect.uniform_expectation(), mode)
+            for t, rect in zip(thetas, rects)]
 
 
 def conditional_rectangle_check(

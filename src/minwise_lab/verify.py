@@ -21,8 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyQuery, RegimeMismatch
-from .kwise import SeededFamily, TWiseFamily, scan_seeds
-from .rectprg import PRGHashFamily, Rectangle, RectanglePRG, rectangle_hits_exact
+from .kwise import SeededFamily, scan_seeds
+from .rectprg import PRGHashFamily, RectanglePRG, TWisePRG, order_statistic_tails
+# bound here only so that perfbench/trace_cli.py finds it under this name
+from .rectprg import rectangle_hits_exact  # noqa: F401
 
 CSV_SCHEMA = "# minwise-lab schema v1"
 CSV_COLUMNS = [
@@ -535,15 +537,9 @@ def check_twise_tail(t: int, b: int, theta: int, M: int,
     """
     if not 0 <= theta <= M:
         raise ValueError(f"theta {theta} outside [0, {M}]")
-    family = TWiseFamily(t, b, M)
-
-    def above(seeds):
-        acc = np.ones(len(seeds), dtype=bool)
-        for x in range(1, b + 1):
-            acc &= family.eval_block(seeds, x) > theta
-        return int(acc.sum())
-
-    exact = Fraction(scan_seeds(family.seed_bits, above, chunk_bits), family.seed_space)
+    tails, total = order_statistic_tails(TWisePRG(t, b, M), [], range(1, b + 1),
+                                         chunk_bits=chunk_bits)
+    exact = Fraction(int(tails[0, theta]), total)
     reference = (1 - Fraction(theta, M)) ** b
     tolerance = Fraction(b * theta, M) ** t / math.factorial(t)
     within = abs(exact - reference) <= tolerance
@@ -586,27 +582,26 @@ class ReductionReport:
         return asdict(self)
 
 
-def _reduction_rectangles(N: int, M: int, xs: list[int], ys: list[int]):
-    """The rectangle predicates whose errors drive the reduction bound."""
-    rest = [x for x in xs if x not in ys]
-    above = lambda theta: frozenset(range(theta + 1, M + 1))
-    if len(ys) == 1:
-        y = ys[0]
+def _reduction_counts(tails: np.ndarray, k: int):
+    """(choices, theta, seeds) for each rectangle behind the reduction bound.
+
+    ``tails`` is order_statistic_tails over (Y, X\\Y).  Each rectangle asks
+    every point of X\\Y for a value above theta and every y in Y for one
+    of ``choices`` values: h(y) = theta when k = 1, and h(y) <= top for
+    top in (theta, theta - 1) when k >= 2.
+    """
+    M = tails.shape[1] - 1
+    if k == 1:
         for theta in range(1, M + 1):
-            sets = {x: above(theta) for x in rest}
-            sets[y] = {theta}
-            yield Rectangle.build(N, M, sets)
+            yield 1, theta, int(tails[theta, theta])
         return
+    at_most = tails.cumsum(axis=0)
     for theta in range(1, M + 1):
         for top in (theta, theta - 1):
-            sets = {x: above(theta) for x in rest}
-            at_most = frozenset(range(1, top + 1))
-            for y in ys:
-                sets[y] = at_most
-            yield Rectangle.build(N, M, sets)
+            yield top, theta, int(at_most[top, theta])
 
 
-def check_reduction(prg: RectanglePRG, X, Y) -> ReductionReport:
+def check_reduction(prg: RectanglePRG, X, Y, threads: int = 1) -> ReductionReport:
     """Exact audit: min-wise error of the PRG-as-family vs its rectangle error.
 
     delta is the maximum additive rectangle error over the reduction's
@@ -614,22 +609,24 @@ def check_reduction(prg: RectanglePRG, X, Y) -> ReductionReport:
     |measured - uniform| <= M*delta (2M*delta for k >= 2) and, when the
     uniform probability clears the reduction's floor 0.5*k!/N^k, the
     multiplicative form with bound 2NM*delta (k = 1) or
-    (N^k/k!)*4M*delta.  Both sides are exact rationals.
+    (N^k/k!)*4M*delta.  Both sides are exact rationals, counted in one
+    scan of the seed space (split over ``threads`` forked workers).
     """
-    family = PRGHashFamily(prg)
-    xs, ys = _query_sets(family, X, Y)
+    xs, ys = _query_sets(PRGHashFamily(prg), X, Y)
     k = len(ys)
     N, M = prg.dimension, prg.alphabet
-    report = measure_minwise(family, xs, ys, mode="exhaustive")
-    measured, uniform = report.exact_measured, report.exact_uniform
+    rest = [x for x in xs if x not in ys]
+    tails, total = order_statistic_tails(prg, ys, rest, threads=threads)
+    # tails[a, a] counts the seeds with max h(Y) = a < min h(X\Y)
+    measured = Fraction(int(tails.trace()), total)
+    uniform = uniform_minwise_probability(len(xs), M, k)
 
-    delta = Fraction(0)
-    n_rects = 0
-    for rect in _reduction_rectangles(N, M, xs, ys):
-        hits, total = rectangle_hits_exact(prg, rect)
-        err = abs(Fraction(hits, total) - rect.uniform_expectation())
-        delta = max(delta, err)
-        n_rects += 1
+    errors = [
+        abs(Fraction(hits, total)
+            - Fraction(choices, M) ** k * Fraction(M - theta, M) ** len(rest))
+        for choices, theta, hits in _reduction_counts(tails, k)
+    ]
+    delta = max(errors)
 
     additive = abs(measured - uniform)
     additive_bound = (M if k == 1 else 2 * M) * delta
@@ -643,7 +640,7 @@ def check_reduction(prg: RectanglePRG, X, Y) -> ReductionReport:
     return ReductionReport(
         N=N, M=M, k=k, sizeX=len(xs),
         delta=float(delta),
-        rectangles_checked=n_rects,
+        rectangles_checked=len(errors),
         measured_p=float(measured),
         uniform_p=float(uniform),
         additive_error=float(additive),

@@ -339,6 +339,23 @@ def test_measure_bytes_do_not_depend_on_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_prg_and_reduction_bytes_do_not_depend_on_threads(tmp_path):
+    # recursive_mix N = M = 8 has 21 seed bits: two 2^20-seed blocks
+    base = {"prg": {"kind": "recursive_mix"}, "dimension": 8, "alphabet": 8}
+    runs = {"prg-test": ("prg_report.json", base),
+            "reduction-test": ("reduction_report.json",
+                               {**base, "X": [1, 2, 3, 4], "Y": [1, 2]})}
+    for command, (report, params) in runs.items():
+        cfg = _write(tmp_path, f"{command}.json", params)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / command / threads
+            assert main([command, "--config", cfg, "--out-dir", str(out),
+                         "--threads", threads]) == 0
+            outs.append((out / report).read_bytes())
+        assert outs[0] == outs[1]
+
+
 def test_pinned_desk_configs_parse(capsys):
     # the shipped configs stay loadable and pinned at the documented widths;
     # the full measurement runs live in the acceptance suite

@@ -10,6 +10,7 @@ import pytest
 
 from minwise_lab.errors import (
     DomainMismatch,
+    NotFullRank,
     TooManyRows,
     WidthError,
     WidthMismatch,
@@ -185,6 +186,38 @@ def test_two_stage_flat_source_bound():
     p = counts.ravel() / (len(support) * n_seeds)
     dist = float(np.abs(p - 1.0 / p.size).sum()) / 2.0
     assert dist <= bound
+
+
+def test_composed_extractor_matches_compose_extract():
+    first = LeftoverHash(6, 2)
+    second = LeftoverHash(4, 1)
+    comp = ComposedExtractor([first, second])
+    for s in range(1 << comp.d):
+        seeds = [s & ((1 << first.d) - 1), s >> first.d]
+        for x in range(64):
+            assert comp.extract(x, s) == compose_extract([first, second], x, seeds)
+
+
+class _DeficientAtOddSeeds(LeftoverHash):
+    """Leftover hash whose matrix loses its rank at every odd seed."""
+
+    def matrix_of(self, seed):
+        mat = super().matrix_of(seed)
+        if seed % 2:
+            return BitMatrix((mat.rows[0],) * mat.nrows, mat.cols)
+        return mat
+
+
+def test_rank_deficient_stage_refused_on_every_call():
+    first = _DeficientAtOddSeeds(6, 2)
+    second = LeftoverHash(4, 2)
+    comp = ComposedExtractor([first, second])
+    for _ in range(2):
+        with pytest.raises(NotFullRank):
+            compose_extract([first, second], 5, [1, 0])
+        with pytest.raises(NotFullRank):
+            comp.extract(5, 1)
+    assert comp.extract(5, 2) == compose_extract([first, second], 5, [2, 0])
 
 
 def test_width_mismatch_detected():

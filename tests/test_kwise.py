@@ -86,6 +86,28 @@ def test_coefficient_block_form_matches_packed():
     assert np.array_equal(fam.eval_block(packed, 5), fam.eval_block(coeffs, 5))
 
 
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_block_forms_leave_their_seeds_alone(t):
+    # Horner returns its top coefficient as is when t = 1; for a 2-D
+    # seed array that is a column view, which callers must not hand out
+    fam = TWiseFamily(t, domain_size=8, range_size=8)
+    n = fam.ctx.degree
+    packed = np.arange(fam.seed_space, dtype=np.uint64)
+    coeffs = np.stack(
+        [(packed >> np.uint64(i * n)) & np.uint64(fam.ctx.size - 1) for i in range(t)],
+        axis=1,
+    )
+    kept = packed.copy(), coeffs.copy()
+    scalar = np.array([[fam.eval(int(s), x) for s in packed] for x in range(1, 9)])
+    for seeds in (packed, coeffs):
+        for x in range(1, 9):
+            out = fam.eval_block(seeds, x)
+            assert np.array_equal(out, scalar[x - 1])
+            assert not np.shares_memory(out, seeds)
+            out[:] = 0
+    assert np.array_equal(packed, kept[0]) and np.array_equal(coeffs, kept[1])
+
+
 def test_seed_and_domain_validation():
     fam = TWiseFamily(2, domain_size=4, range_size=4)
     with pytest.raises(BadSeedLength):

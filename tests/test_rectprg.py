@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from minwise_lab.cli import run_component_tests
 from minwise_lab.errors import (
     BadSeedLength,
     ConditionNeverHolds,
@@ -21,8 +23,10 @@ from minwise_lab.rectprg import (
     RecursiveMixPRG,
     TWisePRG,
     conditional_rectangle_check,
+    order_statistic_tails,
     rectangle_error,
     rectangle_hits_exact,
+    threshold_errors,
 )
 
 
@@ -161,6 +165,69 @@ def test_mc_mode_reproducible():
     a = rectangle_error(prg, rect, mode="mc", samples=5000, run_seed=11)
     b = rectangle_error(prg, rect, mode="mc", samples=5000, run_seed=11)
     assert a == b
+
+
+# --- one (max, min) histogram per seed space ------------------------------
+
+SMALL_PRGS = {
+    "fullind": lambda: FullIndependencePRG(3, 4),
+    "twise": lambda: TWisePRG(2, 4, 8),
+    "recmix": lambda: RecursiveMixPRG(4, 4),
+}
+
+
+@pytest.mark.parametrize("groups", [((), (1, 2, 3)), ((2,), (1, 3)), ((1, 3), (2,))],
+                         ids=["min-only", "k1", "k2"])
+@pytest.mark.parametrize("kind", sorted(SMALL_PRGS))
+def test_order_statistic_tails_count_every_pair(kind, groups):
+    prg = SMALL_PRGS[kind]()
+    low, high = groups
+    M = prg.alphabet
+    outs = np.array([prg.expand(s) for s in range(prg.seed_space)])
+    a = outs[:, [i - 1 for i in low]].max(axis=1) if low else np.zeros(len(outs), int)
+    b = outs[:, [i - 1 for i in high]].min(axis=1)
+    want = np.array([[np.count_nonzero((a == row) & (b > theta)) for theta in range(M + 1)]
+                     for row in range(M + 1 if low else 1)])
+    for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
+        tails, total = order_statistic_tails(prg, low, high, chunk_bits=chunk_bits,
+                                             threads=threads)
+        assert total == prg.seed_space
+        assert np.array_equal(tails, want)
+
+
+THRESHOLD_PRGS = {
+    **SMALL_PRGS,
+    "twise3": lambda: TWisePRG(3, 8, 8),
+    "recmix-wide": lambda: RecursiveMixPRG(8, 4),
+}
+SAMPLING = {"exhaustive": {}, "mc": {"samples": 3000, "run_seed": 17}}
+
+
+@pytest.mark.parametrize("mode", sorted(SAMPLING))
+@pytest.mark.parametrize("kind", sorted(THRESHOLD_PRGS))
+def test_threshold_errors_match_rectangle_error(kind, mode):
+    prg = THRESHOLD_PRGS[kind]()
+    M = prg.alphabet
+    thetas = list(range(M + 1)) + [M + 3]
+    want = [rectangle_error(prg, Rectangle.threshold(prg.dimension, M, t), mode=mode,
+                            **SAMPLING[mode])
+            for t in thetas]
+    assert threshold_errors(prg, thetas, mode, **SAMPLING[mode]) == want
+    assert any(want) == (kind != "fullind" or mode == "mc")
+
+
+@pytest.mark.parametrize("mode", sorted(SAMPLING))
+def test_prg_test_rows_match_rectangle_error(mode, tmp_path):
+    prg = RecursiveMixPRG(8, 4)
+    params = {"prg": {"kind": "recursive_mix"}, "dimension": 8, "alphabet": 4,
+              "mode": mode, "thresholds": [0, 1, 2, 3, 4], **SAMPLING[mode]}
+    run_component_tests("prg", params, out_dir=tmp_path)
+    rows = json.loads((tmp_path / "prg_report.json").read_text())["thresholds"]
+    assert rows == [
+        {"theta": t, "error": rectangle_error(prg, Rectangle.threshold(8, 4, t),
+                                              mode=mode, **SAMPLING[mode])}
+        for t in range(5)
+    ]
 
 
 # --- conditional checks ------------------------------------------------------

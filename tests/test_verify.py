@@ -26,7 +26,9 @@ from minwise_lab.rectprg import (
     FullIndependencePRG,
     PRGHashFamily,
     Rectangle,
+    RecursiveMixPRG,
     TWisePRG,
+    order_statistic_tails,
     rectangle_hits_exact,
 )
 from minwise_lab.verify import (
@@ -34,6 +36,7 @@ from minwise_lab.verify import (
     CSV_SCHEMA,
     BoundCheck,
     _bounded_count_poly,
+    _reduction_counts,
     _scan_loads,
     binomial_central_moment,
     binomial_tail_at_least,
@@ -594,6 +597,63 @@ def test_reduction_four_wise_prg_has_zero_delta_at_n4():
     rep = check_reduction(TWisePRG(4, 4, 4), [1, 2, 3, 4], [2])
     assert rep.delta == 0.0
     assert rep.additive_error == 0.0
+
+
+# (prg, X, Y) over every PRG kind at k = 1 and k >= 2; all but the
+# full-independence cases have delta > 0
+REDUCTION_CASES = {
+    "fullind-k1": (lambda: FullIndependencePRG(3, 4), [1, 2, 3], [2]),
+    "fullind-k2": (lambda: FullIndependencePRG(3, 4), [1, 2, 3], [3, 1]),
+    "twise-k1": (lambda: TWisePRG(2, 4, 8), [1, 2, 3, 4], [1]),
+    "twise-k2": (lambda: TWisePRG(2, 4, 8), [4, 2, 1], [4, 1]),
+    "twise3-k2": (lambda: TWisePRG(3, 8, 8), [1, 2, 3, 4], [1, 2]),
+    "recmix-k1": (lambda: RecursiveMixPRG(8, 4), [3, 4, 5], [3]),
+    "recmix-k2": (lambda: RecursiveMixPRG(8, 4), [1, 2, 5, 8], [2, 5]),
+    "recmix-k3": (lambda: RecursiveMixPRG(4, 4), [1, 2, 3, 4], [1, 2, 4]),
+}
+
+
+def _reference_reduction_rectangles(N, M, xs, ys):
+    """The reduction's rectangles, built one by one."""
+    rest = [x for x in xs if x not in ys]
+    for theta in range(1, M + 1):
+        tops = [None] if len(ys) == 1 else [theta, theta - 1]
+        for top in tops:
+            sets = {x: range(theta + 1, M + 1) for x in rest}
+            low = {theta} if top is None else range(1, top + 1)
+            sets.update({y: low for y in ys})
+            yield Rectangle.build(N, M, sets)
+
+
+@pytest.mark.parametrize("case", sorted(REDUCTION_CASES))
+def test_reduction_counts_match_rectangle_hits_exact(case):
+    make, X, Y = REDUCTION_CASES[case]
+    prg = make()
+    N, M = prg.dimension, prg.alphabet
+    rest = [x for x in X if x not in Y]
+    tails, total = order_statistic_tails(prg, Y, rest)
+    got = [hits for _, _, hits in _reduction_counts(tails, len(Y))]
+    rects = list(_reference_reduction_rectangles(N, M, X, Y))
+    want = [rectangle_hits_exact(prg, rect)[0] for rect in rects]
+    assert got == want
+    delta = max(abs(Fraction(hits, total) - rect.uniform_expectation())
+                for hits, rect in zip(want, rects))
+
+    rep = check_reduction(prg, X, Y)
+    assert rep.rectangles_checked == len(rects) == (M if len(Y) == 1 else 2 * M)
+    assert rep.delta == float(delta)
+    assert (rep.delta > 0) == (not case.startswith("fullind"))
+    ref = measure_minwise(PRGHashFamily(prg), X, Y)
+    assert (rep.measured_p, rep.uniform_p) == (ref.measured_p, ref.uniform_ref)
+
+
+def test_reduction_report_does_not_depend_on_threads():
+    # 21 seed bits: two 2^20-seed blocks, one per worker
+    prg = RecursiveMixPRG(8, 8)
+    reports = [check_reduction(prg, [1, 2, 3, 4], [1, 2], threads=n).to_json()
+               for n in (1, 2)]
+    assert reports[0] == reports[1]
+    assert reports[0]["delta"] > 0
 
 
 # ---------------------------------------------------------------------------
