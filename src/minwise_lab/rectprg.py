@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadSeedLength, ConditionNeverHolds, DomainOverflow
 from .gf2 import find_irreducible, mul_block
-from .kwise import SeededFamily, TWiseFamily, scan_seeds
+from .kwise import SCAN_CHUNK_BITS, SeededFamily, TWiseFamily, scan_seeds
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,8 @@ def _order_pairs(prg: RectanglePRG, low: list[int], high: list[int]):
 
 def order_statistic_tails(prg: RectanglePRG, low, high, mode: str = "exhaustive",
                           samples: int | None = None, run_seed: int = 0,
-                          threads: int = 1, chunk_bits: int = 20) -> tuple[np.ndarray, int]:
+                          threads: int = 1,
+                          chunk_bits: int = SCAN_CHUNK_BITS) -> tuple[np.ndarray, int]:
     """(tails, seeds counted): tails[a, theta], theta = 0..M, counts the seeds
     whose output has maximum a over the coordinates ``low`` and minimum
     above theta over ``high``.
@@ -389,7 +390,8 @@ def _additive_error(hits: int, total: int, uniform: Fraction, mode: str) -> floa
     return abs(hits / total - float(uniform))
 
 
-def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle, chunk_bits: int = 20) -> tuple[int, int]:
+def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle,
+                         chunk_bits: int = SCAN_CHUNK_BITS) -> tuple[int, int]:
     """Exact (#seeds accepted by the rectangle, #seeds), by enumeration."""
     _check_shape(prg, rect)
     return scan_seeds(prg.seed_bits, _accepted(prg, rect), chunk_bits), prg.seed_space

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyQuery, RegimeMismatch
-from .kwise import SeededFamily, scan_seeds
+from .kwise import SCAN_CHUNK_BITS, SeededFamily, scan_seeds
 from .rectprg import PRGHashFamily, RectanglePRG, TWisePRG, order_statistic_tails
 # bound here only so that perfbench/trace_cli.py finds it under this name
 from .rectprg import rectangle_hits_exact  # noqa: F401
@@ -122,7 +122,7 @@ def measure_corpus(
     mode: str = "exhaustive",
     samples: int | None = None,
     run_seed: int = 0,
-    chunk_bits: int = 20,
+    chunk_bits: int = SCAN_CHUNK_BITS,
     threads: int = 1,
 ) -> list[ErrorReport]:
     """Measure Pr[max h(Y) < min h(X\\Y)] for every (X, Y) in ``queries``.
@@ -204,7 +204,7 @@ def measure_minwise(
     mode: str = "exhaustive",
     samples: int | None = None,
     run_seed: int = 0,
-    chunk_bits: int = 20,
+    chunk_bits: int = SCAN_CHUNK_BITS,
 ) -> ErrorReport:
     """Measure one query: measure_corpus on the corpus [(X, Y)]."""
     return measure_corpus(family, [(X, Y)], mode, samples, run_seed, chunk_bits)[0]
@@ -325,7 +325,7 @@ def _bounded_count_poly(r: int, lo: int, hi: int, ell: int) -> Fraction:
 
 
 def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
-                bj_threshold: int | None, chunk_bits: int = 18):
+                bj_threshold: int | None, chunk_bits: int = SCAN_CHUNK_BITS):
     """Exhaustive chunked scan of g-seeds: (min, max) load histogram, B_J tail.
 
     Returns (hist, bj_bad).  hist[a, b] counts the seeds whose least
@@ -525,9 +525,10 @@ class TailReport:
         return asdict(self)
 
 
-def check_twise_tail(t: int, b: int, theta: int, M: int,
-                     chunk_bits: int = 20) -> TailReport:
-    """Exact Pr[min of b t-wise values > theta] vs the truncation bound.
+def check_twise_tails(t: int, b: int, thetas, M: int,
+                      chunk_bits: int = SCAN_CHUNK_BITS) -> list[TailReport]:
+    """Exact Pr[min of b t-wise values > theta] vs the truncation bound,
+    one report per theta in ``thetas``, all from one seed scan.
 
     Asserts the two-sided inclusion-exclusion estimate
     |Pr - (1 - theta/M)^b| <= (b*theta/M)^t / t!, a theorem for any
@@ -535,21 +536,32 @@ def check_twise_tail(t: int, b: int, theta: int, M: int,
     unspecified universal constant, so the implied constant is reported
     instead of asserted.
     """
-    if not 0 <= theta <= M:
-        raise ValueError(f"theta {theta} outside [0, {M}]")
+    thetas = [int(theta) for theta in thetas]
+    for theta in thetas:
+        if not 0 <= theta <= M:
+            raise ValueError(f"theta {theta} outside [0, {M}]")
     tails, total = order_statistic_tails(TWisePRG(t, b, M), [], range(1, b + 1),
                                          chunk_bits=chunk_bits)
-    exact = Fraction(int(tails[0, theta]), total)
-    reference = (1 - Fraction(theta, M)) ** b
-    tolerance = Fraction(b * theta, M) ** t / math.factorial(t)
-    within = abs(exact - reference) <= tolerance
-    implied = None
-    if theta > 0 and exact > 0:
-        implied = float(exact) ** (2.0 / t) * (b * theta / M) / t
-    return TailReport(
-        t, b, theta, M, float(exact), float(reference), float(tolerance),
-        within, implied,
-    )
+    reports = []
+    for theta in thetas:
+        exact = Fraction(int(tails[0, theta]), total)
+        reference = (1 - Fraction(theta, M)) ** b
+        tolerance = Fraction(b * theta, M) ** t / math.factorial(t)
+        within = abs(exact - reference) <= tolerance
+        implied = None
+        if theta > 0 and exact > 0:
+            implied = float(exact) ** (2.0 / t) * (b * theta / M) / t
+        reports.append(TailReport(
+            t, b, theta, M, float(exact), float(reference), float(tolerance),
+            within, implied,
+        ))
+    return reports
+
+
+def check_twise_tail(t: int, b: int, theta: int, M: int,
+                     chunk_bits: int = SCAN_CHUNK_BITS) -> TailReport:
+    """One theta: check_twise_tails on [theta]."""
+    return check_twise_tails(t, b, [theta], M, chunk_bits)[0]
 
 
 # ---------------------------------------------------------------------------

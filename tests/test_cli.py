@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import minwise_lab
 from minwise_lab import verify
-from minwise_lab.cli import main, run_component_tests
+from minwise_lab.cli import _bound_allocator, main, run_component_tests
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -293,12 +299,21 @@ def test_reduction_test_is_exact_only(tmp_path, capsys):
         assert exc.value.code == 2
 
 
-def test_run_component_tests_kwise_table(tmp_path, capsys):
+def test_run_component_tests_kwise_table(tmp_path, capsys, monkeypatch):
+    per_theta = [verify.check_twise_tail(2, 3, theta, 8).to_json() for theta in range(9)]
+    scans, order_statistic_tails = [], verify.order_statistic_tails
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return order_statistic_tails(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "order_statistic_tails", counting)
     rc = run_component_tests("kwise", {"t": 2, "b": 3, "M": 8},
                              out_dir=tmp_path / "out")
     assert rc == 0
+    assert len(scans) == 1  # one table answers every theta
     report = json.loads((tmp_path / "out" / "kwise_report.json").read_text())
-    assert len(report["rows"]) == 9  # theta 0..M
+    assert report["rows"] == per_theta  # theta 0..M
     assert all(row["within"] for row in report["rows"])
     assert "PASS" in capsys.readouterr().out
 
@@ -328,19 +343,54 @@ def test_threads_flag_accepted_and_validated(measure_config, tmp_path):
 
 
 def test_measure_bytes_do_not_depend_on_threads(tmp_path):
-    # 21 seed bits: two 2^20-seed blocks, one per worker at --threads 2
+    # 21 seed bits: 32 seed blocks shared by the workers at --threads 2.
+    # The last run is a fresh CLI process, as the benchmark starts one: it
+    # sets the allocator policy, then forks its workers.
     cfg = str(CONFIG_DIR / "kminwise_desk.json")
+    src = str(Path(minwise_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        assert main(["measure", "--config", cfg, "--out-dir", str(out),
-                     "--threads", threads]) == 0
+    for threads, fresh in (("1", False), ("2", False), ("2", True)):
+        out = tmp_path / f"t{threads}{'-fresh' if fresh else ''}"
+        argv = ["measure", "--config", cfg, "--out-dir", str(out), "--threads", threads]
+        if fresh:
+            subprocess.run([sys.executable, "-m", "minwise_lab.cli", *argv],
+                           env=env, check=True, capture_output=True, timeout=300)
+        else:
+            assert main(argv) == 0
         outs.append([(out / name).read_bytes() for name in ("measure.csv", "summary.json")])
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
+
+
+def _fake_libc(monkeypatch, **symbols):
+    libc = types.SimpleNamespace(**symbols)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    return libc
+
+
+def test_allocator_policy_sets_both_malloc_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    _fake_libc(monkeypatch, mallopt=mallopt)
+    _bound_allocator()
+    # M_MMAP_THRESHOLD at glibc's 64-bit maximum, M_TRIM_THRESHOLD at 8 MiB
+    assert calls == [(-3, 32 << 20), (-1, 8 << 20)]
+
+
+def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch, capsys):
+    libc = _fake_libc(monkeypatch)
+    _bound_allocator()
+    assert vars(libc) == {}
+    assert capsys.readouterr() == ("", "")
 
 
 def test_prg_and_reduction_bytes_do_not_depend_on_threads(tmp_path):
-    # recursive_mix N = M = 8 has 21 seed bits: two 2^20-seed blocks
+    # recursive_mix N = M = 8 has 21 seed bits: 32 seed blocks
     base = {"prg": {"kind": "recursive_mix"}, "dimension": 8, "alphabet": 8}
     runs = {"prg-test": ("prg_report.json", base),
             "reduction-test": ("reduction_report.json",

@@ -16,7 +16,13 @@ from minwise_lab.errors import (
     SeedSpaceTooLarge,
 )
 from minwise_lab.gf2 import find_irreducible
-from minwise_lab.kwise import TWiseFamily, direct_sum, dsum_values, scan_seeds
+from minwise_lab.kwise import (
+    SCAN_CHUNK_BITS,
+    TWiseFamily,
+    direct_sum,
+    dsum_values,
+    scan_seeds,
+)
 
 
 def test_constant_family_t1():
@@ -203,7 +209,7 @@ def test_scan_seeds_checks_the_budget_before_the_first_block():
         return 0
 
     assert scan_seeds(24, count) == 0  # at the budget: every block reaches count
-    assert calls == [1 << 20] * 16
+    assert calls == [1 << SCAN_CHUNK_BITS] * (1 << (24 - SCAN_CHUNK_BITS))
     with pytest.raises(SeedSpaceTooLarge):
         scan_seeds(25, count)  # over it: refused before the first count
-    assert len(calls) == 16
+    assert len(calls) == 1 << (24 - SCAN_CHUNK_BITS)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minwise_lab import verify
 from minwise_lab.construction import ConstructionParams, build_kminwise, build_minwise
 from minwise_lab.errors import (
     DomainOverflow,
@@ -21,7 +23,7 @@ from minwise_lab.errors import (
 )
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
-from minwise_lab.kwise import SeededFamily, TWiseFamily
+from minwise_lab.kwise import SCAN_CHUNK_BITS, SeededFamily, TWiseFamily, scan_seeds
 from minwise_lab.rectprg import (
     FullIndependencePRG,
     PRGHashFamily,
@@ -43,6 +45,7 @@ from minwise_lab.verify import (
     check_load_lemma,
     check_reduction,
     check_twise_tail,
+    check_twise_tails,
     measure_corpus,
     measure_minwise,
     summarize_reports,
@@ -555,6 +558,23 @@ def test_tail_rejects_untestable_seed_space():
         check_twise_tail(8, 8, 1, 1024)
 
 
+@pytest.mark.parametrize("t,b,M", [(1, 3, 8), (2, 4, 16), (3, 4, 8)])
+def test_tail_table_is_one_scan(monkeypatch, t, b, M):
+    per_theta = [check_twise_tail(t, b, theta, M) for theta in range(M + 1)]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return order_statistic_tails(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "order_statistic_tails", counting)
+    assert check_twise_tails(t, b, range(M + 1), M) == per_theta
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        check_twise_tails(t, b, [0, M + 1], M)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # reduction: rectangle error controls min-wise error
 # ---------------------------------------------------------------------------
@@ -648,7 +668,7 @@ def test_reduction_counts_match_rectangle_hits_exact(case):
 
 
 def test_reduction_report_does_not_depend_on_threads():
-    # 21 seed bits: two 2^20-seed blocks, one per worker
+    # 21 seed bits: 32 seed blocks shared by the two workers
     prg = RecursiveMixPRG(8, 8)
     reports = [check_reduction(prg, [1, 2, 3, 4], [1, 2], threads=n).to_json()
                for n in (1, 2)]
@@ -755,3 +775,11 @@ def _tail(chunk_bits):
                          ids=["rectangle_hits_exact", "check_twise_tail"])
 def test_oracle_chunking_is_invisible(oracle):
     assert oracle(2) == oracle(20)
+
+
+def test_every_exact_scan_defaults_to_one_block_size():
+    scans = (scan_seeds, measure_corpus, measure_minwise, order_statistic_tails,
+             rectangle_hits_exact, check_twise_tails, check_twise_tail, _scan_loads)
+    for scan in scans:
+        default = inspect.signature(scan).parameters["chunk_bits"].default
+        assert default == SCAN_CHUNK_BITS, scan.__name__
