@@ -438,9 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="counter-based RNG key for monte-carlo runs")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker processes: exhaustive scans split their "
-                                "seed blocks across this many, with "
-                                "byte-identical output")
+                           help="worker processes: exhaustive and monte-carlo "
+                                "scans split their seed blocks across this "
+                                "many, with byte-identical output")
         p.set_defaults(handler=handler)
         return p
 

@@ -281,15 +281,18 @@ class _BucketedFamily(SeededFamily):
         s = self.prg1.coord_eval(parts["prg1-seed"], bucket) - 1
         return self.extractor.extract(parts["w"], s)
 
-    def _bucket_output_block(self, parts: dict, x: int) -> np.ndarray:
-        """Vectorized _bucket_output over unpacked seed columns."""
-        bucket = self.g.eval_block(parts["g-seed"], x)
-        s = self.prg1.coord_block(parts["prg1-seed"], bucket) - np.uint64(1)
-        return self.extractor.extract_block(parts["w"], s)
-
     @abc.abstractmethod
     def _split(self, parts: dict, z):
         """(t-wise family, its seed, PRG2 seed) from the seed fields and z."""
+
+    def _half_evaluator(self, parts: dict):
+        """(z, x) -> (t-wise values, PRG2 seeds) on one block, given the seed
+        columns the shared skeleton left in ``parts``.  By default the
+        t-wise seed comes from z and is split off it at every point."""
+        def half(z, x):
+            family, f_seed, prg2_seed = self._split(parts, z)
+            return family.eval_block(f_seed, x), prg2_seed
+        return half
 
     def eval(self, seed: int, x: int) -> int:
         self._check_seed(seed)
@@ -300,17 +303,27 @@ class _BucketedFamily(SeededFamily):
             family.eval(f_seed, x), self.prg2.coord_eval(prg2_seed, x), self.range_size
         )
 
-    def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
-        self._check_x(x)
+    def block_evaluator(self, seeds: np.ndarray):
+        # the layout unpack, g's and PRG1's coefficients and the subclass's
+        # per-block seeds are bound once; only what depends on z, the
+        # extractor output at x's bucket, is evaluated at every point
         parts = self.layout.unpack_block(seeds)
-        z = self._bucket_output_block(parts, x)
-        family, f_seed, prg2_seed = self._split(parts, z)
-        # free the seed columns _split did not take before both evaluations
-        # allocate: holding them cost the desk scan ~40% more page faults
-        del parts
-        u = family.eval_block(f_seed, x)
-        v = self.prg2.coord_block(prg2_seed, x)
-        return dsum_values(u, v, np.uint64(self.range_size))
+        bucket_of = self.g.block_evaluator(parts.pop("g-seed"))
+        prg1_at = self.prg1.block_evaluator(parts.pop("prg1-seed"))
+        w = parts.pop("w")
+        half = self._half_evaluator(parts)
+        one = np.uint64(1)
+
+        def evaluate(x: int) -> np.ndarray:
+            self._check_x(x)
+            z = self.extractor.extract_block(w, prg1_at(bucket_of(x)) - one)
+            u, prg2_seed = half(z, x)
+            return dsum_values(u, self.prg2.coord_block(prg2_seed, x), self.range_size)
+
+        return evaluate
+
+    def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
+        return self.block_evaluator(seeds)(x)
 
     def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.layout.draw_block(rng, count)
@@ -385,6 +398,12 @@ class BucketedKMinwiseFamily(_BucketedFamily):
 
     def _split(self, parts: dict, z):
         return self.overlay, parts["h0-seed"], z
+
+    def _half_evaluator(self, parts: dict):
+        # the overlay seed is a layout field: its coefficients are unpacked
+        # once per block
+        overlay = self.overlay.block_evaluator(parts.pop("h0-seed"))
+        return lambda z, x: (overlay(x), z)
 
 
 def build_minwise(params: ConstructionParams, prg1: RectanglePRG,

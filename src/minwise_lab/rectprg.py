@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadSeedLength, ConditionNeverHolds, DomainOverflow
 from .gf2 import find_irreducible, mul_block
-from .kwise import SCAN_CHUNK_BITS, SeededFamily, TWiseFamily, scan_seeds
+from .kwise import SCAN_CHUNK_BITS, SeededFamily, TWiseFamily, scan_drawn, scan_seeds
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,15 @@ class RectanglePRG(abc.ABC):
     def coord_block(self, seeds: np.ndarray, coords) -> np.ndarray:
         """Vectorized coord_eval; ``coords`` is an int or an array."""
 
+    def block_evaluator(self, seeds: np.ndarray):
+        """coords -> coord_block(seeds, coords), with the work that depends
+        only on the seed block done once, when it is bound.
+
+        The default binds nothing; a generator that overrides it writes
+        coord_block as ``block_evaluator(seeds)(coords)``.
+        """
+        return lambda coords: self.coord_block(seeds, coords)
+
     def expand(self, seed: int) -> tuple[int, ...]:
         """The full output vector for one seed."""
         self._check_seed(seed)
@@ -186,12 +195,11 @@ class TWisePRG(RectanglePRG):
     def coord_eval(self, seed: int, coord: int) -> int:
         return self.family.eval(seed, coord)
 
+    def block_evaluator(self, seeds: np.ndarray):
+        return self.family.block_evaluator(seeds)
+
     def coord_block(self, seeds: np.ndarray, coords) -> np.ndarray:
-        if isinstance(coords, (int, np.integer)):
-            return self.family.eval_block(seeds, int(coords))
-        chi = coords.astype(np.uint64) - np.uint64(1)
-        acc = self.family._horner_block(seeds.astype(np.uint64, copy=False), chi)
-        return (acc & np.uint64(self.alphabet - 1)) + np.uint64(1)
+        return self.block_evaluator(seeds)(coords)
 
 
 class RecursiveMixPRG(RectanglePRG):
@@ -285,9 +293,17 @@ class PRGHashFamily(SeededFamily):
         self._check_x(x)
         return self.prg.coord_eval(seed, x)
 
+    def block_evaluator(self, seeds: np.ndarray):
+        read = self.prg.block_evaluator(seeds)
+
+        def evaluate(x: int) -> np.ndarray:
+            self._check_x(x)
+            return read(x)
+
+        return evaluate
+
     def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
-        self._check_x(x)
-        return self.prg.coord_block(seeds, x)
+        return self.block_evaluator(seeds)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +371,9 @@ def order_statistic_tails(prg: RectanglePRG, low, high, mode: str = "exhaustive"
     As suffix sums of one (max, min) histogram, it answers every rectangle
     [max over low <= top] and [min over high > theta] from one pass:
     column theta summed over rows 0..top.  Exhaustive mode scans through
-    scan_seeds on ``threads`` workers; monte-carlo mode counts the draw
-    that rectangle_error makes for the same run_seed.
+    scan_seeds; monte-carlo mode counts the draw that rectangle_error
+    makes for the same run_seed, in blocks through scan_drawn.  Both
+    split their blocks over ``threads`` workers, with the same result.
     """
     low, high = [int(i) for i in low], [int(i) for i in high]
     if not high:
@@ -371,7 +388,8 @@ def order_statistic_tails(prg: RectanglePRG, low, high, mode: str = "exhaustive"
     elif not samples or samples < 1:
         raise ValueError("monte-carlo mode needs a positive sample count")
     else:
-        flat, total = count(_draw_seeds(prg, samples, run_seed)), samples
+        seeds = _draw_seeds(prg, samples, run_seed)
+        flat, total = scan_drawn(seeds, count, chunk_bits, threads), samples
     hist = flat.reshape(-1, prg.alphabet + 1)
     tails = np.zeros_like(hist)
     tails[:, :-1] = hist[:, :0:-1].cumsum(axis=1)[:, ::-1]

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyQuery, RegimeMismatch
-from .kwise import SCAN_CHUNK_BITS, SeededFamily, scan_seeds
+from .kwise import SCAN_CHUNK_BITS, SeededFamily, scan_drawn, scan_seeds
 from .rectprg import PRGHashFamily, RectanglePRG, TWisePRG, order_statistic_tails
 # bound here only so that perfbench/trace_cli.py finds it under this name
 from .rectprg import rectangle_hits_exact  # noqa: F401
@@ -99,14 +99,17 @@ def _block_counts(family: SeededFamily, seeds: np.ndarray, points: list[int],
                   plan: list[tuple[list[int], list[int]]]) -> np.ndarray:
     """(queries, 2) int64 counts of (max h(Y) < min h(X\\Y), equality) on one block.
 
-    Each distinct point is evaluated once into a (points, seeds) value
-    matrix in the narrowest dtype that holds [1, M]; every query then
-    reads its rows by index from that matrix.
+    The family's block evaluator is bound once, and each distinct point
+    is evaluated by it into a (points, seeds) value matrix in the
+    narrowest dtype that holds [1, M]; every query then reads its rows
+    by index from that matrix.
     """
     vals = np.empty((len(points), len(seeds)),
                     dtype=np.min_scalar_type(family.range_size))
+    evaluate = family.block_evaluator(seeds)
     for i, x in enumerate(points):
-        vals[i] = family.eval_block(seeds, x)
+        vals[i] = evaluate(x)
+    del evaluate  # the block's unpacked seeds go before the queries allocate
     counts = np.empty((len(plan), 2), dtype=np.int64)
     for q, (y_rows, rest_rows) in enumerate(plan):
         max_y = vals[y_rows].max(axis=0)
@@ -128,14 +131,15 @@ def measure_corpus(
     """Measure Pr[max h(Y) < min h(X\\Y)] for every (X, Y) in ``queries``.
 
     Strict inequalities throughout.  Exhaustive mode (seed_bits <= 24)
-    counts the whole seed space and is exact; with ``threads`` > 1 its
-    seed blocks are split across that many forked processes, with the
-    same result.  Monte-Carlo mode draws ``samples`` seeds once, with
-    Philox keyed by run_seed, and attaches a 99% normal-approximation
-    confidence half-width.  Ties (max h(Y) == min h(X\\Y)) are reported
-    separately: they are exactly the mass the strict convention loses
-    at finite M.  Each distinct point of the corpus is evaluated once
-    per seed block, whatever the number of queries that contain it.
+    counts the whole seed space and is exact.  Monte-Carlo mode draws
+    ``samples`` seeds once, with Philox keyed by run_seed, and attaches a
+    99% normal-approximation confidence half-width.  Both modes count in
+    blocks of <= 2^chunk_bits seeds; with ``threads`` > 1 the blocks are
+    split across that many forked processes, with the same result.
+    Ties (max h(Y) == min h(X\\Y)) are reported separately: they are
+    exactly the mass the strict convention loses at finite M.  Each
+    distinct point of the corpus is evaluated once per seed block,
+    whatever the number of queries that contain it.
     """
     if mode not in ("exhaustive", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -147,17 +151,18 @@ def measure_corpus(
     plan = [([row[y] for y in ys], [row[x] for x in xs if x not in ys])
             for xs, ys in sets]
 
+    def count(seeds):
+        return _block_counts(family, seeds, points, plan)
+
     if mode == "exhaustive":
-        counts = scan_seeds(family.seed_bits,
-                            lambda seeds: _block_counts(family, seeds, points, plan),
-                            chunk_bits, threads)
+        counts = scan_seeds(family.seed_bits, count, chunk_bits, threads)
         total = family.seed_space
     else:
         if not samples or samples < 1:
             raise ValueError("monte-carlo mode needs a positive sample count")
         rng = np.random.Generator(np.random.Philox(key=run_seed))
         seeds = family.draw_seed_block(rng, samples)
-        counts = _block_counts(family, seeds, points, plan)
+        counts = scan_drawn(seeds, count, chunk_bits, threads)
         total = samples
     return [_error_report(family, xs, ys, mode, int(hits), int(ties), total)
             for (xs, ys), (hits, ties) in zip(sets, counts)]

@@ -342,25 +342,44 @@ def test_threads_flag_accepted_and_validated(measure_config, tmp_path):
                  "--threads", "0"]) == 2
 
 
-def test_measure_bytes_do_not_depend_on_threads(tmp_path):
-    # 21 seed bits: 32 seed blocks shared by the workers at --threads 2.
-    # The last run is a fresh CLI process, as the benchmark starts one: it
-    # sets the allocator policy, then forks its workers.
-    cfg = str(CONFIG_DIR / "kminwise_desk.json")
+def _measure_bytes(tmp_path, config: str, *extra: str, status: int = 0) -> list:
+    """measure.csv and summary.json of in-process --threads 1 and 2 runs and of
+    a fresh CLI process at --threads 2, as the benchmark starts one: it sets
+    the allocator policy, then forks its workers.  Every run must exit with
+    ``status``."""
+    cfg = str(CONFIG_DIR / config)
     src = str(Path(minwise_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     outs = []
     for threads, fresh in (("1", False), ("2", False), ("2", True)):
         out = tmp_path / f"t{threads}{'-fresh' if fresh else ''}"
-        argv = ["measure", "--config", cfg, "--out-dir", str(out), "--threads", threads]
+        argv = ["measure", "--config", cfg, "--out-dir", str(out), "--threads", threads,
+                *extra]
         if fresh:
-            subprocess.run([sys.executable, "-m", "minwise_lab.cli", *argv],
-                           env=env, check=True, capture_output=True, timeout=300)
+            proc = subprocess.run([sys.executable, "-m", "minwise_lab.cli", *argv],
+                                  env=env, capture_output=True, timeout=300)
+            assert proc.returncode == status, proc.stderr
         else:
-            assert main(argv) == 0
+            assert main(argv) == status
         outs.append([(out / name).read_bytes() for name in ("measure.csv", "summary.json")])
+    return outs
+
+
+def test_measure_bytes_do_not_depend_on_threads(tmp_path):
+    # 21 seed bits: 32 seed blocks shared by the workers at --threads 2
+    outs = _measure_bytes(tmp_path, "kminwise_desk.json")
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_mc_measure_bytes_do_not_depend_on_threads(tmp_path):
+    # 2^17 samples: one draw, counted in two blocks of 2^16 rows.  The
+    # config's thresholds are the exact answer's 0.0, which sampling error
+    # misses, so every run exits 1 after writing its reports.
+    outs = _measure_bytes(tmp_path, "kminwise_desk.json", "--mode", "mc",
+                          "--samples", str(1 << 17), "--run-seed", "9", status=1)
+    assert outs[0] == outs[1] == outs[2]
+    assert b'"mode": "mc"' in outs[0][1]
 
 
 def _fake_libc(monkeypatch, **symbols):
@@ -390,18 +409,21 @@ def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch, capsys):
 
 
 def test_prg_and_reduction_bytes_do_not_depend_on_threads(tmp_path):
-    # recursive_mix N = M = 8 has 21 seed bits: 32 seed blocks
+    # recursive_mix N = M = 8 has 21 seed bits: 32 seed blocks; the
+    # Monte-Carlo prg-test draws 2^17 + 7 seeds, counted in three blocks
     base = {"prg": {"kind": "recursive_mix"}, "dimension": 8, "alphabet": 8}
-    runs = {"prg-test": ("prg_report.json", base),
-            "reduction-test": ("reduction_report.json",
-                               {**base, "X": [1, 2, 3, 4], "Y": [1, 2]})}
-    for command, (report, params) in runs.items():
-        cfg = _write(tmp_path, f"{command}.json", params)
+    mc = ["--mode", "mc", "--samples", str((1 << 17) + 7), "--run-seed", "3"]
+    runs = {"prg-test": ("prg-test", "prg_report.json", base, []),
+            "prg-test-mc": ("prg-test", "prg_report.json", base, mc),
+            "reduction-test": ("reduction-test", "reduction_report.json",
+                               {**base, "X": [1, 2, 3, 4], "Y": [1, 2]}, [])}
+    for name, (command, report, params, extra) in runs.items():
+        cfg = _write(tmp_path, f"{name}.json", params)
         outs = []
         for threads in ("1", "2"):
-            out = tmp_path / command / threads
+            out = tmp_path / name / threads
             assert main([command, "--config", cfg, "--out-dir", str(out),
-                         "--threads", threads]) == 0
+                         "--threads", threads, *extra]) == 0
             outs.append((out / report).read_bytes())
         assert outs[0] == outs[1]
 

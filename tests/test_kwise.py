@@ -157,6 +157,24 @@ def test_direct_sum_is_bijection_per_fixed_other_value():
         assert images == set(range(1, 9))
 
 
+@pytest.mark.parametrize("M", [2, 4, 64, 1 << 16])
+def test_dsum_values_equals_the_modular_formula(M):
+    # the full grid for small M, a random sample of pairs for M = 2^16
+    if M <= 64:
+        u, v = (a.ravel() for a in np.meshgrid(np.arange(1, M + 1), np.arange(1, M + 1)))
+    else:
+        rng = np.random.Generator(np.random.Philox(key=M))
+        u, v = rng.integers(1, M + 1, size=(2, 1 << 14))
+        u[:4], v[:4] = (1, 1, M, M), (1, M, 1, M)
+    want = (u + v - 1) % M + 1
+    for a, b in zip(u.tolist(), v.tolist()):
+        assert dsum_values(a, b, M) == (a + b - 1) % M + 1
+    for m in (M, np.uint64(M)):
+        got = dsum_values(u.astype(np.uint64), v.astype(np.uint64), m)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+
 def test_direct_sum_rejects_range_mismatch():
     f = TWiseFamily(1, domain_size=4, range_size=4)
     g = TWiseFamily(1, domain_size=4, range_size=8)

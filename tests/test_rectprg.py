@@ -22,6 +22,7 @@ from minwise_lab.rectprg import (
     Rectangle,
     RecursiveMixPRG,
     TWisePRG,
+    _draw_seeds,
     conditional_rectangle_check,
     order_statistic_tails,
     rectangle_error,
@@ -192,6 +193,22 @@ def test_order_statistic_tails_count_every_pair(kind, groups):
         tails, total = order_statistic_tails(prg, low, high, chunk_bits=chunk_bits,
                                              threads=threads)
         assert total == prg.seed_space
+        assert np.array_equal(tails, want)
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_PRGS))
+def test_mc_order_statistic_tails_do_not_depend_on_the_block_split(kind):
+    prg = SMALL_PRGS[kind]()
+    samples, run_seed = 3001, 5
+    outs = np.array([prg.expand(int(s)) for s in _draw_seeds(prg, samples, run_seed)])
+    a, b = outs[:, 0], outs[:, 1:].min(axis=1)
+    want = np.array([[np.count_nonzero((a == row) & (b > theta))
+                      for theta in range(prg.alphabet + 1)]
+                     for row in range(prg.alphabet + 1)])
+    for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
+        tails, total = order_statistic_tails(prg, [1], range(2, prg.dimension + 1), "mc",
+                                             samples, run_seed, threads, chunk_bits)
+        assert total == samples
         assert np.array_equal(tails, want)
 
 

@@ -23,7 +23,13 @@ from minwise_lab.errors import (
 )
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
-from minwise_lab.kwise import SCAN_CHUNK_BITS, SeededFamily, TWiseFamily, scan_seeds
+from minwise_lab.kwise import (
+    SCAN_CHUNK_BITS,
+    SeededFamily,
+    TWiseFamily,
+    direct_sum,
+    scan_seeds,
+)
 from minwise_lab.rectprg import (
     FullIndependencePRG,
     PRGHashFamily,
@@ -255,19 +261,78 @@ def test_exhaustive_corpus_matches_per_query_reference(fam_corpus, chunk_bits, t
         assert rep.exact_tie == Fraction(ties, fam.seed_space)
 
 
-@given(_family_and_corpus(), st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_mc_corpus_matches_per_query_draws(fam_corpus, run_seed):
-    fam, corpus = fam_corpus
+def _check_mc_against_per_query_draws(fam, corpus, run_seed, **scan):
     samples = 3000
     reports = measure_corpus(fam, corpus, mode="mc", samples=samples,
-                             run_seed=run_seed)
+                             run_seed=run_seed, **scan)
     for rep, (X, Y) in zip(reports, corpus):
         rng = np.random.Generator(np.random.Philox(key=run_seed))
         hits, ties = _reference_counts(fam, fam.draw_seed_block(rng, samples), X, Y)
         assert rep.measured_p == hits / samples
         assert rep.tie_mass == ties / samples
         assert rep.samples == samples
+
+
+@given(_family_and_corpus(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_mc_corpus_matches_per_query_draws(fam_corpus, run_seed):
+    _check_mc_against_per_query_draws(*fam_corpus, run_seed)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk_bits", [2, 16])
+@given(_family_and_corpus(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_mc_corpus_does_not_depend_on_the_block_split(chunk_bits, threads, fam_corpus,
+                                                      run_seed):
+    # the one draw is counted in 750 row blocks at chunk_bits = 2, and
+    # whole at 16
+    _check_mc_against_per_query_draws(*fam_corpus, run_seed, chunk_bits=chunk_bits,
+                                      threads=threads)
+
+
+def _wide_kminwise():
+    """95 packed seed bits: its seeds come as a 2-D block of layout fields."""
+    params = ConstructionParams(N=12, M=64, k=2, ell=4, t=2)
+    return build_kminwise(params, TWisePRG(2, 4, 64), TWisePRG(1, 12, 64),
+                          LeftoverHash(7, 6))
+
+
+EVALUATOR_FAMILIES = [
+    *SMALL_FAMILIES,
+    _wide_kminwise(),
+    PRGHashFamily(TWisePRG(3, 8, 8)),
+    PRGHashFamily(RecursiveMixPRG(8, 8)),
+    direct_sum(TWiseFamily(2, 6, 8), TWiseFamily(1, 6, 8)),
+    TWiseFamily(3, 300, 512),  # 9-bit coefficients: uint16 columns
+]
+
+
+def _scalar_seeds(fam, seeds) -> list[int]:
+    if seeds.ndim == 1:
+        return [int(s) for s in seeds]
+    names = fam.layout.names()
+    return [fam.layout.pack(dict(zip(names, map(int, row)))) for row in seeds]
+
+
+@given(st.sampled_from(EVALUATOR_FAMILIES), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_block_evaluator_equals_eval_block_and_scalar_eval(fam, key, count):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    seeds = fam.draw_seed_block(rng, count)
+    kept = seeds.copy()
+    evaluate = fam.block_evaluator(seeds)
+    points = range(1, fam.domain_size + 1)
+    # points in both orders: a bound evaluator must not change with use
+    first = {x: evaluate(x) for x in points}
+    for x in reversed(points):
+        assert np.array_equal(evaluate(x), first[x])
+    scalar = _scalar_seeds(fam, seeds)
+    for x in points:
+        assert np.array_equal(first[x], fam.eval_block(seeds, x))
+        assert first[x].tolist() == [fam.eval(s, x) for s in scalar]
+    assert np.array_equal(seeds, kept)
 
 
 def test_corpus_checks_every_query_before_scanning():
