@@ -19,9 +19,9 @@ import numpy as np
 from . import verify
 from .construction import family_from_config, prg_from_config
 from .errors import MinwiseLabError, SeedSpaceTooLarge
-from .extractor import FlatSource, LeftoverHash, strong_extractor_distance
-from .gf2 import rank
-from .kwise import TWiseFamily
+from .extractor import FlatSource, LeftoverHash, spans_full_rank, strong_extractor_distance
+from .gf2 import rank  # noqa: F401  (perfbench/trace_cli.py wraps cli.rank by name)
+from .kwise import EXHAUSTIVE_SEED_BITS, TWiseFamily
 from .rectprg import threshold_errors
 
 SUMMARY_THRESHOLD_KEYS = (
@@ -217,12 +217,16 @@ def _cmd_measure(args) -> int:
 def _component_extractor(cfg: dict, out: Path | None) -> int:
     if "n" not in cfg or "m" not in cfg:
         raise _CliError("extractor-test config needs source width n and output m")
-    ext = LeftoverHash(int(cfg["n"]), int(cfg["m"]),
-                       claimed_entropy_k=cfg.get("claimed_entropy_k"))
-    if ext.d > 16:
-        raise _CliError(f"{ext.d}-bit seed space too large to enumerate")
+    n, m = int(cfg["n"]), int(cfg["m"])
+    # the span table and each flat source's counts have 2^(d+m) cells
+    if n - 1 + m > EXHAUSTIVE_SEED_BITS:
+        raise _CliError(
+            f"{n - 1}-bit seeds x {m}-bit outputs: 2^{n - 1 + m} (seed, output) "
+            f"cells exceed the 2^{EXHAUSTIVE_SEED_BITS} exhaustive budget"
+        )
+    ext = LeftoverHash(n, m, claimed_entropy_k=cfg.get("claimed_entropy_k"))
     n_seeds = 1 << ext.d
-    full_rank = all(rank(ext.matrix_of(s)) == ext.m for s in range(n_seeds))
+    full_rank = bool(spans_full_rank(ext.span_table()).all())
 
     levels = []
     fs = cfg.get("flat_sources")
@@ -465,9 +469,12 @@ def _build_parser() -> argparse.ArgumentParser:
 # below MMAP_THRESHOLD come from the heap, so a seed block's freed
 # temporaries serve the next block instead of being unmapped and faulted
 # in again; 32 MiB is the largest threshold glibc accepts on 64-bit.  The
-# trim threshold stays a few MiB so that a large freed top of the heap
-# still goes back to the OS: at 64 MiB the benchmark's oracle suite kept
-# the tables extractor-test had freed and peaked at 152 MB, not 124 MB.
+# trim threshold sits above what one 2^16-seed block frees at the top of
+# the heap (2^17-seed blocks outgrew it: 522k minor faults on the desk
+# measure, against 6.4k at 2^16), and a few MiB is enough for that: larger
+# freed tops, up to the mmap threshold, still go back to the OS.  No
+# oracle command keeps a large table any more, so 8 and 64 MiB give the
+# same peak RSS (31-39 MB) on every benchmark command.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 8 << 20

@@ -312,11 +312,11 @@ class _BucketedFamily(SeededFamily):
         prg1_at = self.prg1.block_evaluator(parts.pop("prg1-seed"))
         w = parts.pop("w")
         half = self._half_evaluator(parts)
-        one = np.uint64(1)
 
         def evaluate(x: int) -> np.ndarray:
             self._check_x(x)
-            z = self.extractor.extract_block(w, prg1_at(bucket_of(x)) - one)
+            # PRG1's value v in [1, 2^d] is the multiplier y_s of seed v - 1
+            z = self.extractor.extract_block(w, ys=prg1_at(bucket_of(x)))
             u, prg2_seed = half(z, x)
             return dsum_values(u, self.prg2.coord_block(prg2_seed, x), self.range_size)
 

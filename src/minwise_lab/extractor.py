@@ -71,6 +71,7 @@ class LeftoverHash:
             None if claimed_entropy_k is None else leftover_bound(m, claimed_entropy_k)
         )
         self._table: np.ndarray | None = None
+        self._span: np.ndarray | None = None
 
     @property
     def map_id(self) -> str:
@@ -79,9 +80,14 @@ class LeftoverHash:
     def extract(self, x: int, s: int) -> int:
         return leftover_extract(self.ctx, x, s, self.m)
 
-    def extract_block(self, xs: np.ndarray, ss) -> np.ndarray:
-        """Vectorized extract; ``ss`` is a scalar seed or a seed array."""
-        ys = ss + 1 if isinstance(ss, (int, np.integer)) else ss.astype(np.uint64) + np.uint64(1)
+    def extract_block(self, xs: np.ndarray, ss=None, *, ys=None) -> np.ndarray:
+        """Vectorized extract at seeds ``ss``, a scalar or an array.
+
+        A caller that already holds the multipliers y_s = s + 1 passes them
+        as ``ys`` instead of ``ss``, which skips a copy and an add per block.
+        """
+        if ys is None:
+            ys = ss + 1 if isinstance(ss, (int, np.integer)) else ss.astype(np.uint64) + np.uint64(1)
         prod = mul_block(self.ctx, xs.astype(np.uint64, copy=False), ys)
         return prod & np.uint64((1 << self.m) - 1)
 
@@ -90,11 +96,31 @@ class LeftoverHash:
         images = [self.extract(1 << j, seed) for j in range(self.n)]
         return BitMatrix.from_images(images, self.m)
 
+    def span_table(self) -> np.ndarray:
+        """(2^d, 2^m) int64 row spans of every seed matrix; cached per instance.
+
+        Row i of seed s's matrix, r_{s,i}, is the n-bit vector whose bit j
+        is bit i of E(2^j, s).  Entry [s, a] is the XOR of the rows r_{s,i}
+        with bit i of a set, so that a . E(x, s) = parity(x & span[s, a]).
+        Built from n column products, not from a 2^n x 2^d output grid.
+        """
+        if self._span is None:
+            ys = np.arange(1, (1 << self.d) + 1, dtype=np.uint64)
+            bits = np.arange(self.m, dtype=np.uint64)
+            rows = np.zeros((1 << self.d, self.m), dtype=np.uint64)
+            for j in range(self.n):
+                column = mul_block(self.ctx, ys, 1 << j)
+                rows |= ((column[:, None] >> bits) & np.uint64(1)) << np.uint64(j)
+            self._span = row_spans(rows.view(np.int64))
+        return self._span
+
     def extract_table(self) -> np.ndarray:
         """Full (2^n, 2^d) uint16 table of outputs; cached per instance.
 
-        Filled a block of about 2^18 cells at a time, so the uint64
-        products never exist for the whole grid at once.
+        No oracle reads it any more (they use span_table): it stays as the
+        brute-force reference of the tests and a target of the per-layer
+        tracer.  Filled a block of about 2^18 cells at a time, so the
+        uint64 products never exist for the whole grid at once.
         """
         if self._table is None:
             rows, cols = 1 << self.n, 1 << self.d
@@ -106,6 +132,27 @@ class LeftoverHash:
                 table[lo:lo + step] = self.extract_block(xs, ss)
             self._table = table
         return self._table
+
+
+def row_spans(rows: np.ndarray) -> np.ndarray:
+    """(count, 2^m) XOR spans of a (count, m) stack of m rows each.
+
+    Entry [c, a] is the XOR of rows[c, i] over the bits i set in a; the
+    span of a + 2^i is that of a XOR row i, so the table doubles m times.
+    """
+    count, m = rows.shape
+    span = np.zeros((count, 1 << m), dtype=rows.dtype)
+    for i in range(m):
+        span[:, 1 << i:2 << i] = span[:, :1 << i] ^ rows[:, i, None]
+    return span
+
+
+def spans_full_rank(span: np.ndarray) -> np.ndarray:
+    """Per row of a row_spans table: do its m rows have rank m?
+
+    They do exactly when no nonzero combination a cancels to 0.
+    """
+    return np.all(span[:, 1:] != 0, axis=1)
 
 
 def leftover_bound(m: int, k: float) -> float:
@@ -267,19 +314,51 @@ def exact_statistical_distance(dist_a, dist_b) -> float:
     return float(np.abs(pa - pb).sum()) / 2.0
 
 
-def strong_extractor_distance(ext: LeftoverHash, source: FlatSource) -> float:
-    """Exact distance of (seed, Ext(X, seed)) from uniform, X flat.
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform along the last axis.
 
-    Enumerates the full support x seed grid through the cached output
-    table, so the result carries no sampling error.
+    The last axis has length 2^k, and entry u of the result is the sum
+    over v of (-1)^popcount(u & v) a[v]; integer arrays stay exact.  Each
+    of the k passes butterflies the lowest index bit and rotates it to the
+    top, writing both halves contiguously, so no pass works on short
+    strided runs.  ``a`` is overwritten as one of the two buffers.
+    """
+    half = a.shape[-1] >> 1
+    out = np.empty_like(a)
+    for _ in range(a.shape[-1].bit_length() - 1):
+        even, odd = a[..., 0::2], a[..., 1::2]
+        np.add(even, odd, out=out[..., :half])
+        np.subtract(even, odd, out=out[..., half:])
+        a, out = out, a
+    return a
+
+
+def seed_output_counts(ext: LeftoverHash, source: FlatSource) -> np.ndarray:
+    """(2^d, 2^m) int64 counts #{x in support : E(x, s) = y}, exactly.
+
+    With f the support's indicator and f^ its Walsh-Hadamard transform,
+    count_s(y) = 2^-m sum_a (-1)^(a . y) f^(span[s, a]), because
+    a . E(x, s) = parity(x & span[s, a]).  So one transform of length
+    2^n, a gather at the span table and a transform of length 2^m per
+    seed give every count, with no 2^n x 2^d output table.
     """
     if source.n != ext.n:
         raise DomainMismatch(f"source has {source.n} bits, extractor expects {ext.n}")
-    table = ext.extract_table()
-    sub = table[np.array(source.support, dtype=np.int64), :]
+    f = np.zeros(1 << ext.n, dtype=np.int64)
+    f[np.array(source.support, dtype=np.int64)] = 1
+    counts = _walsh_hadamard(_walsh_hadamard(f).take(ext.span_table()))
+    counts >>= ext.m
+    return counts
+
+
+def strong_extractor_distance(ext: LeftoverHash, source: FlatSource) -> float:
+    """Exact distance of (seed, Ext(X, seed)) from uniform, X flat.
+
+    Reduces the exact (seed, output) counts of seed_output_counts, flat
+    in seed-major order, so the result carries no sampling error.
+    """
+    counts = seed_output_counts(ext, source).ravel()
     n_seeds = 1 << ext.d
     n_out = 1 << ext.m
-    flat = sub.astype(np.int64) + (np.arange(n_seeds, dtype=np.int64)[None, :] << ext.m)
-    counts = np.bincount(flat.ravel(), minlength=n_seeds * n_out)
     p = counts / (len(source.support) * n_seeds)
     return float(np.abs(p - 1.0 / (n_seeds * n_out)).sum()) / 2.0

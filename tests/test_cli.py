@@ -16,7 +16,8 @@ import minwise_lab
 from minwise_lab import verify
 from minwise_lab.cli import _bound_allocator, main, run_component_tests
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 # Degree-0 outer PRG keeps the seed space at 17 bits so exhaustive
 # measurement stays cheap; quality is not the point of these tests.
@@ -221,6 +222,24 @@ def test_extractor_test_smoke(tmp_path, capsys):
     assert len(report["levels"]) == 3
     assert all(lv["ok"] for lv in report["levels"])
     assert "PASS" in capsys.readouterr().out
+
+
+def test_extractor_test_refuses_histograms_beyond_the_seed_budget(tmp_path, capsys):
+    # n = 17, m = 16: 2^16 seeds x 2^16 outputs is 2^32 cells, past 2^24
+    cfg = _write(tmp_path, "e.json", {"n": 17, "m": 16})
+    assert main(["extractor-test", "--config", cfg]) == 2
+    assert "2^32 (seed, output) cells exceed the 2^24" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flat_seed", [0, 1, 37, 63])
+def test_extractor_test_matches_the_captured_oracle_reference(flat_seed, tmp_path):
+    reference = json.loads((ROOT / "perfbench" / "reference" / "oracle_suite.json")
+                           .read_text())
+    cfg = reference["configs"]["extractor.json"]
+    cfg["flat_sources"]["rng_seed"] = flat_seed
+    assert run_component_tests("extractor", cfg, tmp_path) == reference["exit_code"]
+    report = json.loads((tmp_path / "extractor_report.json").read_text())
+    assert report == reference["reports"]["extractor_report.json"][str(flat_seed)]
 
 
 def test_prg_test_full_independence_has_zero_error(tmp_path, capsys):

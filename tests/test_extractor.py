@@ -23,6 +23,9 @@ from minwise_lab.extractor import (
     exact_statistical_distance,
     leftover_bound,
     leftover_extract,
+    row_spans,
+    seed_output_counts,
+    spans_full_rank,
     strong_extractor_distance,
     surjectify,
 )
@@ -82,6 +85,8 @@ def test_extract_block_matches_scalar():
     block = ext.extract_block(xs[:64], ss)
     for i in range(64):
         assert int(block[i]) == ext.extract(i, i)
+    # the multiplier form reads y_s = s + 1 straight
+    assert np.array_equal(ext.extract_block(xs[:64], ys=ss + np.uint64(1)), block)
 
 
 @pytest.mark.parametrize("n", [3, 10, 11])
@@ -112,6 +117,67 @@ def test_distance_zero_for_full_support():
     ext = LeftoverHash(6, 3)
     src = FlatSource(6, tuple(range(64)))
     assert strong_extractor_distance(ext, src) == 0.0
+
+
+def _table_bincount(table: np.ndarray, m: int, support) -> tuple[np.ndarray, float]:
+    """Brute-force (seed, output) counts and distance from an output table."""
+    sub = table[np.array(support, dtype=np.int64), :].astype(np.int64) & ((1 << m) - 1)
+    n_seeds = table.shape[1]
+    flat = sub + (np.arange(n_seeds, dtype=np.int64)[None, :] << m)
+    counts = np.bincount(flat.ravel(), minlength=n_seeds << m)
+    p = counts / (len(support) * n_seeds)
+    return counts, float(np.abs(p - 1.0 / (n_seeds << m)).sum()) / 2.0
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_transform_counts_match_table_bincount(n):
+    # one (2^n, 2^d) table of (n-1)-bit outputs; its low m bits are E at m
+    table = LeftoverHash(n, n - 1).extract_table()
+    rng = random.Random(n)
+    for m in range(1, n):
+        ext = LeftoverHash(n, m)
+        for size in (1, 1 << m, rng.randrange(2, 1 << n), 1 << n):
+            support = tuple(rng.sample(range(1 << n), size))
+            src = FlatSource(n, support)
+            counts, dist = _table_bincount(table, m, support)
+            assert np.array_equal(seed_output_counts(ext, src).ravel(), counts)
+            assert strong_extractor_distance(ext, src) == dist
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_span_table_rank_matches_matrix_rank(n):
+    rng = random.Random(n)
+    for m in range(1, n):
+        ext = LeftoverHash(n, m)
+        span = ext.span_table()
+        assert span.shape == (1 << ext.d, 1 << m)
+        for s in range(1 << ext.d):
+            rows = ext.matrix_of(s).rows
+            assert [int(span[s, 1 << i]) for i in range(m)] == list(rows)
+        full = spans_full_rank(span)
+        assert full.tolist() == [rank(ext.matrix_of(s)) == m
+                                 for s in range(1 << ext.d)]
+        # a combination of rows that cancels is a rank deficiency
+        broken = span.copy()
+        s, a = rng.randrange(1 << ext.d), rng.randrange(1, 1 << m)
+        broken[s, a] = 0
+        assert spans_full_rank(broken).tolist() == [t != s for t in range(1 << ext.d)]
+
+
+def test_spans_full_rank_on_deficient_matrices():
+    # leftover-hash matrices all have full rank; random ones often do not
+    rng = np.random.Generator(np.random.Philox(key=17))
+    for cols, m in ((2, 2), (3, 2), (4, 3), (6, 4)):
+        rows = rng.integers(0, 1 << cols, size=(400, m), dtype=np.int64)
+        want = [rank(BitMatrix(tuple(int(r) for r in rs), cols)) == m for rs in rows]
+        assert 0 < sum(want) < len(want)
+        assert spans_full_rank(row_spans(rows)).tolist() == want
+
+
+def test_span_table_is_built_lazily():
+    ext = LeftoverHash(8, 3)
+    assert ext._span is None
+    assert ext.span_table() is ext.span_table()
 
 
 # --- surjectify -------------------------------------------------------------
