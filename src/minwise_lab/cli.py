@@ -9,6 +9,7 @@ failed, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -50,11 +51,28 @@ def _read_json(path: str) -> dict:
     return cfg
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Turns a malformed config value read inside the block (a string
+    where a number goes, a missing key, a value of the wrong type) into
+    a _CliError.  Library errors pass through as they are; only the
+    parse phase runs inside, so a fault in a scan keeps its traceback."""
+    try:
+        yield
+    except (MinwiseLabError, _CliError):
+        raise
+    except (ValueError, TypeError, KeyError) as exc:
+        raise _CliError(f"malformed config value: {type(exc).__name__}: {exc}") from exc
+
+
 def _out_dir(args) -> Path | None:
     if not getattr(args, "out_dir", None):
         return None
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CliError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -70,7 +88,8 @@ def _check_threads(args) -> None:
 
 def _cmd_construct(args) -> int:
     cfg = _read_json(args.config)
-    family = family_from_config(cfg.get("construction", cfg))
+    with _config_values():
+        family = family_from_config(cfg.get("construction", cfg))
     if args.eval is not None and args.seed is None:
         raise _CliError("--eval requires --seed")
     if args.seed is not None:
@@ -168,17 +187,17 @@ def _cmd_measure(args) -> int:
     cfg = _read_json(args.config)
     if "construction" not in cfg:
         raise _CliError("measure config needs a 'construction' object")
-    family = family_from_config(cfg["construction"])
-    k = int(cfg["construction"].get("k", 1))
-    mode = args.mode or cfg.get("mode", "exhaustive")
-    if mode not in ("exhaustive", "mc"):
-        raise _CliError(f"unknown mode {mode!r}")
-    samples = args.samples if args.samples is not None else cfg.get("samples")
-    samples = int(samples) if samples is not None else None
-    run_seed = args.run_seed if args.run_seed is not None else int(cfg.get("run_seed", 0))
-
-    queries = _corpus_queries(cfg, family.domain_size, k)
-    limits = _threshold_limits(cfg.get("thresholds", {}))
+    with _config_values():
+        family = family_from_config(cfg["construction"])
+        k = int(cfg["construction"].get("k", 1))
+        mode = args.mode or cfg.get("mode", "exhaustive")
+        if mode not in ("exhaustive", "mc"):
+            raise _CliError(f"unknown mode {mode!r}")
+        samples = args.samples if args.samples is not None else cfg.get("samples")
+        samples = int(samples) if samples is not None else None
+        run_seed = args.run_seed if args.run_seed is not None else int(cfg.get("run_seed", 0))
+        queries = _corpus_queries(cfg, family.domain_size, k)
+        limits = _threshold_limits(cfg.get("thresholds", {}))
     out = _out_dir(args)
     if out is None:
         raise _CliError("measure needs --out-dir for its CSV/JSON artifacts")
@@ -217,7 +236,12 @@ def _cmd_measure(args) -> int:
 def _component_extractor(cfg: dict, out: Path | None) -> int:
     if "n" not in cfg or "m" not in cfg:
         raise _CliError("extractor-test config needs source width n and output m")
-    n, m = int(cfg["n"]), int(cfg["m"])
+    with _config_values():
+        n, m = int(cfg["n"]), int(cfg["m"])
+        fs = cfg.get("flat_sources")
+        if fs:
+            rng = np.random.Generator(np.random.Philox(key=int(fs.get("rng_seed", 0))))
+            per = int(fs.get("per_level", 50))
     # the span table and each flat source's counts have 2^(d+m) cells
     if n - 1 + m > EXHAUSTIVE_SEED_BITS:
         raise _CliError(
@@ -229,10 +253,7 @@ def _component_extractor(cfg: dict, out: Path | None) -> int:
     full_rank = bool(spans_full_rank(ext.span_table()).all())
 
     levels = []
-    fs = cfg.get("flat_sources")
     if fs:
-        rng = np.random.Generator(np.random.Philox(key=int(fs.get("rng_seed", 0))))
-        per = int(fs.get("per_level", 50))
         for entropy in range(ext.m + 1, ext.n):
             worst = 0.0
             for _ in range(per):
@@ -262,12 +283,13 @@ def _component_prg(cfg: dict, out: Path | None, threads: int = 1) -> int:
     for key in ("prg", "dimension", "alphabet"):
         if key not in cfg:
             raise _CliError(f"prg-test config needs {key!r}")
-    dim, alpha = int(cfg["dimension"]), int(cfg["alphabet"])
-    prg = prg_from_config(cfg["prg"], dim, alpha)
-    mode = cfg.get("mode", "exhaustive")
-    samples = int(cfg["samples"]) if cfg.get("samples") is not None else None
-    run_seed = int(cfg.get("run_seed", 0))
-    thetas = [int(t) for t in cfg.get("thresholds", range(0, alpha + 1))]
+    with _config_values():
+        dim, alpha = int(cfg["dimension"]), int(cfg["alphabet"])
+        prg = prg_from_config(cfg["prg"], dim, alpha)
+        mode = cfg.get("mode", "exhaustive")
+        samples = int(cfg["samples"]) if cfg.get("samples") is not None else None
+        run_seed = int(cfg.get("run_seed", 0))
+        thetas = [int(t) for t in cfg.get("thresholds", range(0, alpha + 1))]
     try:
         errors = threshold_errors(prg, thetas, mode, samples, run_seed, threads)
     except SeedSpaceTooLarge as exc:
@@ -296,7 +318,8 @@ def _component_kwise(cfg: dict, out: Path | None) -> int:
     for key in ("t", "b", "M"):
         if key not in cfg:
             raise _CliError(f"kwise test config needs {key!r}")
-    t, b, M = int(cfg["t"]), int(cfg["b"]), int(cfg["M"])
+    with _config_values():
+        t, b, M = int(cfg["t"]), int(cfg["b"]), int(cfg["M"])
     thetas = cfg.get("thetas", range(0, M + 1))
     rows = [r.to_json() for r in verify.check_twise_tails(t, b, thetas, M)]
     ok = all(r["within"] for r in rows)
@@ -314,22 +337,23 @@ def _component_loads(cfg: dict, out: Path | None) -> int:
     for key in ("ell", "X", "Y", "regime"):
         if key not in cfg:
             raise _CliError(f"loads-test config needs {key!r}")
-    ell = int(cfg["ell"])
-    alloc = cfg.get("allocation", "uniform")
-    if alloc == "uniform":
-        g = "uniform"
-    elif isinstance(alloc, dict) and alloc.get("kind") == "twise":
-        if "N" not in cfg:
-            raise _CliError("loads-test with a twise allocation needs the domain N")
-        g = TWiseFamily(int(alloc["t"]), int(cfg["N"]), ell)
-    else:
-        raise _CliError(f"unknown allocation {alloc!r}")
-    rep = verify.check_load_lemma(
-        g, cfg["X"], cfg["Y"], ell, cfg["regime"],
-        C=int(cfg.get("C", 1)), C_g=int(cfg.get("C_g", 2)),
-        t=int(cfg["t"]) if "t" in cfg else None,
-        independence=int(cfg["independence"]) if "independence" in cfg else None,
-    )
+    with _config_values():
+        ell = int(cfg["ell"])
+        alloc = cfg.get("allocation", "uniform")
+        if alloc == "uniform":
+            g = "uniform"
+        elif isinstance(alloc, dict) and alloc.get("kind") == "twise":
+            if "N" not in cfg:
+                raise _CliError("loads-test with a twise allocation needs the domain N")
+            g = TWiseFamily(int(alloc["t"]), int(cfg["N"]), ell)
+        else:
+            raise _CliError(f"unknown allocation {alloc!r}")
+        constants = {
+            "C": int(cfg.get("C", 1)), "C_g": int(cfg.get("C_g", 2)),
+            "t": int(cfg["t"]) if "t" in cfg else None,
+            "independence": int(cfg["independence"]) if "independence" in cfg else None,
+        }
+    rep = verify.check_load_lemma(g, cfg["X"], cfg["Y"], ell, cfg["regime"], **constants)
     ok = rep.asserted_ok()
     if out is not None:
         verify.write_json(out / "loads_report.json",
@@ -346,7 +370,8 @@ def _component_reduction(cfg: dict, out: Path | None, threads: int = 1) -> int:
     for key in ("prg", "dimension", "alphabet", "X", "Y"):
         if key not in cfg:
             raise _CliError(f"reduction-test config needs {key!r}")
-    prg = prg_from_config(cfg["prg"], int(cfg["dimension"]), int(cfg["alphabet"]))
+    with _config_values():
+        prg = prg_from_config(cfg["prg"], int(cfg["dimension"]), int(cfg["alphabet"]))
     rep = verify.check_reduction(prg, cfg["X"], cfg["Y"], threads)
     ok = rep.asserted_ok()
     if out is not None:
@@ -501,9 +526,12 @@ def _bound_allocator() -> None:
 def main(argv=None) -> int:
     _bound_allocator()
     args = _build_parser().parse_args(argv)
+    # a contract violation or a bad config exits 2 (_read_json, _out_dir
+    # and _config_values turn read and parse failures into _CliError);
+    # anything else is a bug and propagates with its traceback
     try:
         return args.handler(args)
-    except (MinwiseLabError, ValueError, KeyError, OSError) as exc:
+    except (MinwiseLabError, _CliError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,15 +15,16 @@ overlays one global (C_e+1)k-wise family via the direct sum.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParamViolation
+from .errors import InvalidArgument, ParamViolation
 from .extractor import LeftoverHash
-from .kwise import SeededFamily, TWiseFamily, dsum_values
+from .kwise import SCAN_CHUNK_BITS, SeededFamily, TWiseFamily, dsum_values
 from .rectprg import (
     FullIndependencePRG,
     RectanglePRG,
@@ -116,7 +117,7 @@ class ConstructionParams:
                 "output_bits": math.ceil(self.C_e * logn),
                 "per_bucket_seed_bits": self.C_e * self.t,
             }
-        raise ValueError(f"unknown construction kind {kind!r}")
+        raise InvalidArgument(f"unknown construction kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -175,21 +176,20 @@ class SeedLayout:
         draw_seed_block emits when the packed seed would overflow 63
         bits.
         """
+        return {f.name: self.column(seeds, f.name) for f in self.fields}
+
+    def column(self, seeds: np.ndarray, name: str) -> np.ndarray:
+        """One field's uint64 column of a 1-D packed or 2-D unpacked block."""
+        f = self.field(name)
         if seeds.ndim == 2:
             if seeds.shape[1] != len(self.fields):
                 raise ParamViolation(
                     f"unpacked seed block has {seeds.shape[1]} columns, "
                     f"layout has {len(self.fields)} fields"
                 )
-            return {
-                f.name: seeds[:, i].astype(np.uint64, copy=False)
-                for i, f in enumerate(self.fields)
-            }
+            return seeds[:, self.fields.index(f)].astype(np.uint64, copy=False)
         seeds = seeds.astype(np.uint64, copy=False)
-        return {
-            f.name: (seeds >> np.uint64(f.offset)) & np.uint64((1 << f.width) - 1)
-            for f in self.fields
-        }
+        return (seeds >> np.uint64(f.offset)) & np.uint64((1 << f.width) - 1)
 
     def draw_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform seeds for sampling: packed when they fit, else 2-D."""
@@ -233,6 +233,12 @@ def _allocation_family(params: ConstructionParams) -> SeededFamily:
     return TWiseFamily(params.allocation_independence, params.N, params.ell)
 
 
+# Bytes of per-point tables one bucketed family may hold, summed over its
+# points.  Tables are built on first use and never evicted; a point whose
+# tables would pass the budget keeps the layered path.
+POINT_TABLE_BYTES = 16 << 20
+
+
 class _BucketedFamily(SeededFamily):
     """The shared skeleton: allocation g, per-bucket extractor seeds from
     PRG1, and one source word w extracted at x's bucket.  h(x) is the
@@ -240,7 +246,20 @@ class _BucketedFamily(SeededFamily):
     each subclass's ``_split`` takes from the extractor output.
 
     Seed layout (low bits first): g-seed | prg1-seed | w, followed by
-    the subclass's ``extra_fields``.
+    the subclass's ``extra_fields``.  The low L = g-seed + prg1-seed
+    bits reach z = Ext(w, s_{g(x)}) only through PRG1's multiplier at
+    g(x)'s bucket, and z reaches h(x) only through what ``_after_z``
+    computes from it.  So on a packed run of consecutive seeds cut at
+    multiples of 2^L, such as a scan block, the block evaluator serves
+    each point x from two tables, built on first use from the same block
+    paths and kept for the family's life: Y_x, the multiplier for each of
+    the 2^L low values, and T_x, the after-z value for each of the 2^m
+    outputs.  Each point then costs one gather of Y_x through one
+    composed row T_x[low_m(w * y)] per source word w.  This needs
+    m < n <= L <= SCAN_CHUNK_BITS.  Every other block, and every point
+    whose tables would pass POINT_TABLE_BYTES (summed over all points),
+    goes through the layers, with equal values.  The scalar ``eval`` is
+    the reference for both paths.
     """
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
@@ -274,6 +293,13 @@ class _BucketedFamily(SeededFamily):
         self.domain_size = params.N
         self.range_size = params.M
         self.seed_bits = self.layout.total_bits
+        self.low_bits = self.layout.field("w").offset
+        # the per-point tables (x -> (Y_x, T_x), or None past the budget)
+        # and the counting run that contiguous blocks are checked against;
+        # both are filled on first use
+        self._tables: dict = {}
+        self._table_bytes = 0
+        self._counting = np.arange(0, dtype=np.uint64)
 
     def _bucket_output(self, parts: dict, x: int) -> int:
         """Extractor output for x's bucket: Ext(w, PRG1(prg1-seed)_{g(x)} - 1)."""
@@ -285,14 +311,16 @@ class _BucketedFamily(SeededFamily):
     def _split(self, parts: dict, z):
         """(t-wise family, its seed, PRG2 seed) from the seed fields and z."""
 
-    def _half_evaluator(self, parts: dict):
-        """(z, x) -> (t-wise values, PRG2 seeds) on one block, given the seed
-        columns the shared skeleton left in ``parts``.  By default the
-        t-wise seed comes from z and is split off it at every point."""
-        def half(z, x):
-            family, f_seed, prg2_seed = self._split(parts, z)
-            return family.eval_block(f_seed, x), prg2_seed
-        return half
+    @abc.abstractmethod
+    def _after_z(self, z: np.ndarray, x: int) -> np.ndarray:
+        """Values at x of what depends on the seed only through z, for a
+        uint64 block of extractor outputs."""
+
+    def _combiner(self, column):
+        """(x, after-z values) -> h's values on the block whose field
+        columns ``column(name)`` reads.  For the min-wise family h is its
+        after-z half."""
+        return lambda x, after: after
 
     def eval(self, seed: int, x: int) -> int:
         self._check_seed(seed)
@@ -303,22 +331,90 @@ class _BucketedFamily(SeededFamily):
             family.eval(f_seed, x), self.prg2.coord_eval(prg2_seed, x), self.range_size
         )
 
-    def block_evaluator(self, seeds: np.ndarray):
-        # the layout unpack, g's and PRG1's coefficients and the subclass's
+    def _point_tables(self, x: int):
+        """(Y_x, T_x), built on first use if both fit what is left of
+        POINT_TABLE_BYTES, else None."""
+        if x not in self._tables:
+            nbytes = 8 * ((1 << self.low_bits) + (1 << self.extractor.m))
+            fits = self._table_bytes + nbytes <= POINT_TABLE_BYTES
+            self._tables[x] = (self._low_table(x), self._z_table(x)) if fits else None
+            self._table_bytes += nbytes if fits else 0
+        return self._tables[x]
+
+    def _low_table(self, x: int) -> np.ndarray:
+        """Y_x: PRG1's value at g(x)'s bucket, which is the extractor
+        multiplier y_s = s + 1, for every low value g-seed | prg1-seed."""
+        low = np.arange(1 << self.low_bits, dtype=np.uint64)
+        bucket = self.g.block_evaluator(self.layout.column(low, "g-seed"))(x)
+        return self.prg1.block_evaluator(self.layout.column(low, "prg1-seed"))(bucket)
+
+    def _z_table(self, x: int) -> np.ndarray:
+        """T_x: the after-z value at x for every extractor output z."""
+        return self._after_z(np.arange(1 << self.extractor.m, dtype=np.uint64), x)
+
+    def _sub_block_sources(self, seeds: np.ndarray):
+        """w of each 2^L-seed sub-block when ``seeds`` is a packed run of
+        consecutive seeds cut at multiples of 2^L, else None.
+
+        Only then is a per-w row of T_x worth composing: the row has 2^n
+        entries, at most one sub-block's worth.
+        """
+        count, n = len(seeds), self.extractor.n
+        if (seeds.ndim != 1 or not count or self.low_bits > SCAN_CHUNK_BITS
+                or n > self.low_bits or count % (1 << self.low_bits)):
+            return None
+        seeds = seeds.astype(np.uint64, copy=False)
+        first = int(seeds[0])
+        if first % (1 << self.low_bits) or int(seeds[-1]) - first != count - 1:
+            return None
+        if len(self._counting) < count:
+            self._counting = np.arange(count, dtype=np.uint64)
+        if not np.array_equal(seeds - np.uint64(first), self._counting[:count]):
+            return None
+        high = np.arange(count >> self.low_bits, dtype=np.uint64)
+        high += np.uint64(first >> self.low_bits)
+        return high & np.uint64((1 << n) - 1)
+
+    def _layered_evaluator(self, seeds: np.ndarray):
+        # the layout unpack, g's and PRG1's coefficients and the combiner's
         # per-block seeds are bound once; only what depends on z, the
         # extractor output at x's bucket, is evaluated at every point
         parts = self.layout.unpack_block(seeds)
         bucket_of = self.g.block_evaluator(parts.pop("g-seed"))
         prg1_at = self.prg1.block_evaluator(parts.pop("prg1-seed"))
         w = parts.pop("w")
-        half = self._half_evaluator(parts)
+        combine = self._combiner(parts.__getitem__)
 
         def evaluate(x: int) -> np.ndarray:
             self._check_x(x)
             # PRG1's value v in [1, 2^d] is the multiplier y_s of seed v - 1
             z = self.extractor.extract_block(w, ys=prg1_at(bucket_of(x)))
-            u, prg2_seed = half(z, x)
-            return dsum_values(u, self.prg2.coord_block(prg2_seed, x), self.range_size)
+            return combine(x, self._after_z(z, x))
+
+        return evaluate
+
+    def block_evaluator(self, seeds: np.ndarray):
+        sources = self._sub_block_sources(seeds)
+        if sources is None:
+            return self._layered_evaluator(seeds)
+        n = self.extractor.n
+        # z for every (sub-block's w, multiplier y) pair, row-major
+        row_z = self.extractor.extract_block(
+            sources[:, None], ys=np.arange(1 << n, dtype=np.uint64)).view(np.int64)
+        row_of = (np.arange(len(sources), dtype=np.int64) << n)[:, None]
+        combine = self._combiner(lambda name: self.layout.column(seeds, name))
+        # bound only if some point of the block has no tables
+        layered = functools.cache(lambda: self._layered_evaluator(seeds))
+
+        def evaluate(x: int) -> np.ndarray:
+            self._check_x(x)
+            tables = self._point_tables(x)
+            if tables is None:
+                return layered()(x)
+            ys, after = tables
+            # one gather of Y_x through the rows T_x[low_m(w * y)]
+            index = ys.view(np.int64) if len(sources) == 1 else row_of + ys.view(np.int64)
+            return combine(x, after.take(row_z).take(index).reshape(-1))
 
         return evaluate
 
@@ -364,6 +460,11 @@ class BucketedMinwiseFamily(_BucketedFamily):
         # numpy 1.x value-based casting and NEP 50
         return self.inner, z & (self.inner.seed_space - 1), z >> self.inner.seed_bits
 
+    def _after_z(self, z: np.ndarray, x: int) -> np.ndarray:
+        inner = self.inner.eval_block(z & (self.inner.seed_space - 1), x)
+        return dsum_values(inner, self.prg2.coord_block(z >> self.inner.seed_bits, x),
+                           self.range_size)
+
 
 class BucketedKMinwiseFamily(_BucketedFamily):
     """h = overlay (+) phi where phi(x) = PRG2(Ext(w, s_{g(x)}))(x).
@@ -399,11 +500,14 @@ class BucketedKMinwiseFamily(_BucketedFamily):
     def _split(self, parts: dict, z):
         return self.overlay, parts["h0-seed"], z
 
-    def _half_evaluator(self, parts: dict):
+    def _after_z(self, z: np.ndarray, x: int) -> np.ndarray:
+        return self.prg2.coord_block(z, x)
+
+    def _combiner(self, column):
         # the overlay seed is a layout field: its coefficients are unpacked
         # once per block
-        overlay = self.overlay.block_evaluator(parts.pop("h0-seed"))
-        return lambda z, x: (overlay(x), z)
+        overlay = self.overlay.block_evaluator(column("h0-seed"))
+        return lambda x, after: dsum_values(overlay(x), after, self.range_size)
 
 
 def build_minwise(params: ConstructionParams, prg1: RectanglePRG,
@@ -426,7 +530,7 @@ def seed_layout(params: ConstructionParams, prg1: RectanglePRG,
         return build_minwise(params, prg1, prg2, extractor).layout
     if kind == "kminwise":
         return build_kminwise(params, prg1, prg2, extractor).layout
-    raise ValueError(f"unknown construction kind {kind!r}")
+    raise InvalidArgument(f"unknown construction kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ class MinwiseLabError(Exception):
     """Base class for all library-level errors."""
 
 
+class InvalidArgument(MinwiseLabError, ValueError):
+    """An argument is outside what the called routine accepts.
+
+    It is also a ValueError, the type such checks raised before, so
+    callers that catch ValueError keep working.
+    """
+
+
 class NotFullRank(MinwiseLabError):
     """A matrix required to have full row rank does not."""
 

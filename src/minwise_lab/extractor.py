@@ -18,7 +18,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatch, NotFullRank, TooManyRows, WidthError, WidthMismatch
+from .errors import (
+    DomainMismatch,
+    InvalidArgument,
+    NotFullRank,
+    TooManyRows,
+    WidthError,
+    WidthMismatch,
+)
 from .gf2 import (
     BitMatrix,
     EchelonBasis,
@@ -277,11 +284,11 @@ class FlatSource:
 
     def __post_init__(self) -> None:
         if not self.support:
-            raise ValueError("support must be nonempty")
+            raise InvalidArgument("support must be nonempty")
         if len(set(self.support)) != len(self.support):
-            raise ValueError("support values must be distinct")
+            raise InvalidArgument("support values must be distinct")
         if any(v < 0 or v >> self.n for v in self.support):
-            raise ValueError("support value outside n bits")
+            raise InvalidArgument("support value outside n bits")
 
     @property
     def min_entropy(self) -> float:
@@ -310,7 +317,7 @@ def exact_statistical_distance(dist_a, dist_b) -> float:
             raise DomainMismatch("distributions cover different outcome sets")
     for p in (pa, pb):
         if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("distribution does not sum to 1")
+            raise InvalidArgument("distribution does not sum to 1")
     return float(np.abs(pa - pb).sum()) / 2.0
 
 
@@ -334,17 +341,24 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
 
 
 def seed_output_counts(ext: LeftoverHash, source: FlatSource) -> np.ndarray:
-    """(2^d, 2^m) int64 counts #{x in support : E(x, s) = y}, exactly.
+    """(2^d, 2^m) integer counts #{x in support : E(x, s) = y}, exactly.
 
     With f the support's indicator and f^ its Walsh-Hadamard transform,
     count_s(y) = 2^-m sum_a (-1)^(a . y) f^(span[s, a]), because
     a . E(x, s) = parity(x & span[s, a]).  So one transform of length
     2^n, a gather at the span table and a transform of length 2^m per
-    seed give every count, with no 2^n x 2^d output table.
+    seed give every count, with no 2^n x 2^d output table.  Every
+    intermediate is at most 2^(n+m) in magnitude, so the cells are int32
+    up to n + m = 30 and int64 beyond.
     """
     if source.n != ext.n:
         raise DomainMismatch(f"source has {source.n} bits, extractor expects {ext.n}")
-    f = np.zeros(1 << ext.n, dtype=np.int64)
+    return _transform_counts(ext, source, np.int32 if ext.n + ext.m <= 30 else np.int64)
+
+
+def _transform_counts(ext: LeftoverHash, source: FlatSource, dtype) -> np.ndarray:
+    """seed_output_counts with its cells in ``dtype``."""
+    f = np.zeros(1 << ext.n, dtype=dtype)
     f[np.array(source.support, dtype=np.int64)] = 1
     counts = _walsh_hadamard(_walsh_hadamard(f).take(ext.span_table()))
     counts >>= ext.m

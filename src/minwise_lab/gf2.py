@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotFullRank
+from .errors import InvalidArgument, NotFullRank
 
 # ---------------------------------------------------------------------------
 # polynomial arithmetic on int bitmasks
@@ -125,11 +125,11 @@ class FieldContext:
     def __post_init__(self) -> None:
         n = self.degree
         if n < 1:
-            raise ValueError("field degree must be >= 1")
+            raise InvalidArgument("field degree must be >= 1")
         if self.modulus.bit_length() - 1 != n:
-            raise ValueError("modulus degree does not match field degree")
+            raise InvalidArgument("modulus degree does not match field degree")
         if not (self.modulus & 1):
-            raise ValueError("modulus must have its constant bit set")
+            raise InvalidArgument("modulus must have its constant bit set")
 
     @property
     def size(self) -> int:
@@ -156,7 +156,7 @@ def find_irreducible(degree: int) -> FieldContext:
     Results are cached per degree.
     """
     if not 1 <= degree <= 64:
-        raise ValueError("supported field degrees are 1..64")
+        raise InvalidArgument("supported field degrees are 1..64")
     for cand in range((1 << degree) | 1, 1 << (degree + 1), 2):
         if is_irreducible(cand):
             return FieldContext(degree, cand)
@@ -186,10 +186,10 @@ def log_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
     with no branch on zero.  Built on first use and cached per field.
     """
     if ctx.degree > TABLE_MAX_DEGREE:
-        raise ValueError(f"log tables cover field degrees up to {TABLE_MAX_DEGREE}")
+        raise InvalidArgument(f"log tables cover field degrees up to {TABLE_MAX_DEGREE}")
     if not is_irreducible(ctx.modulus):
         # a reducible modulus has zero divisors and no element of order q
-        raise ValueError(f"modulus {ctx.modulus:#x} is not irreducible")
+        raise InvalidArgument(f"modulus {ctx.modulus:#x} is not irreducible")
     q = ctx.size - 1
     for g in range(1, ctx.size):
         powers = [1]
@@ -231,7 +231,7 @@ def mul_block(ctx: FieldContext, a: np.ndarray, b: "np.ndarray | int") -> np.nda
     """
     n = ctx.degree
     if n > 32:
-        raise ValueError("mul_block supports field degrees up to 32")
+        raise InvalidArgument("mul_block supports field degrees up to 32")
     a = a.astype(np.uint64, copy=False)
     scalar = isinstance(b, (int, np.integer))
     if not scalar:
@@ -278,10 +278,10 @@ class BitMatrix:
 
     def __post_init__(self) -> None:
         if self.cols < 0:
-            raise ValueError("cols must be nonnegative")
+            raise InvalidArgument("cols must be nonnegative")
         for r in self.rows:
             if r < 0 or r >> self.cols:
-                raise ValueError("row value exceeds column count")
+                raise InvalidArgument("row value exceeds column count")
 
     @property
     def nrows(self) -> int:

@@ -13,7 +13,13 @@ import abc
 
 import numpy as np
 
-from .errors import BadSeedLength, DomainOverflow, RangeMismatch, SeedSpaceTooLarge
+from .errors import (
+    BadSeedLength,
+    DomainOverflow,
+    InvalidArgument,
+    RangeMismatch,
+    SeedSpaceTooLarge,
+)
 from .gf2 import FieldContext, find_irreducible, mul_block
 
 EXHAUSTIVE_SEED_BITS = 24
@@ -158,7 +164,12 @@ class SeededFamily(abc.ABC):
 
         The default binds nothing.  A family that overrides it writes
         eval_block as ``block_evaluator(seeds)(x)``, so it keeps one block
-        implementation.
+        implementation.  Work that depends only on the point may also be
+        kept across blocks: the bucketed families of ``construction``
+        build per-point tables on a point's first aligned scan block,
+        within a byte budget per family, and evaluate every other block,
+        and every point past that budget, through their layers, with the
+        same values.
         """
         return lambda x: self.eval_block(seeds, x)
 
@@ -203,16 +214,16 @@ class TWiseFamily(SeededFamily):
         ctx: FieldContext | None = None,
     ) -> None:
         if t < 1:
-            raise ValueError("independence degree t must be >= 1")
+            raise InvalidArgument("independence degree t must be >= 1")
         if domain_size < 1:
-            raise ValueError("domain_size must be >= 1")
+            raise InvalidArgument("domain_size must be >= 1")
         if range_size < 2 or range_size & (range_size - 1):
-            raise ValueError("range_size must be a power of two >= 2")
+            raise InvalidArgument("range_size must be a power of two >= 2")
         need = max(domain_size, range_size)
         if ctx is None:
             ctx = find_irreducible(max(1, (need - 1).bit_length()))
         if ctx.size < need:
-            raise ValueError(
+            raise InvalidArgument(
                 f"field of size {ctx.size} too small for max(N, M) = {need}"
             )
         self.t = t

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadSeedLength, ConditionNeverHolds, DomainOverflow
+from .errors import BadSeedLength, ConditionNeverHolds, DomainOverflow, InvalidArgument
 from .gf2 import find_irreducible, mul_block
 from .kwise import SCAN_CHUNK_BITS, SeededFamily, TWiseFamily, scan_drawn, scan_seeds
 
@@ -34,12 +34,12 @@ class Rectangle:
 
     def __post_init__(self) -> None:
         if len(self.accept_sets) != self.dimension:
-            raise ValueError("one accept set per coordinate required")
+            raise InvalidArgument("one accept set per coordinate required")
         for s in self.accept_sets:
             if s is None:
                 continue
             if not all(1 <= v <= self.alphabet for v in s):
-                raise ValueError("accept set member outside [1, M]")
+                raise InvalidArgument("accept set member outside [1, M]")
 
     @classmethod
     def full(cls, dimension: int, alphabet: int) -> "Rectangle":
@@ -51,7 +51,7 @@ class Rectangle:
         acc: list = [None] * dimension
         for coord, vals in sets.items():
             if not 1 <= coord <= dimension:
-                raise ValueError(f"coordinate {coord} outside [1, {dimension}]")
+                raise InvalidArgument(f"coordinate {coord} outside [1, {dimension}]")
             acc[coord - 1] = frozenset(vals)
         return cls(dimension, alphabet, tuple(acc))
 
@@ -155,7 +155,7 @@ class FullIndependencePRG(RectanglePRG):
 
     def __init__(self, dimension: int, alphabet: int):
         if alphabet < 2 or alphabet & (alphabet - 1):
-            raise ValueError("alphabet must be a power of two >= 2")
+            raise InvalidArgument("alphabet must be a power of two >= 2")
         self.dimension = dimension
         self.alphabet = alphabet
         self.value_bits = alphabet.bit_length() - 1
@@ -218,9 +218,9 @@ class RecursiveMixPRG(RectanglePRG):
 
     def __init__(self, dimension: int, alphabet: int, claimed_error: float | None = None):
         if dimension < 1 or dimension & (dimension - 1):
-            raise ValueError("dimension must be a power of two >= 1")
+            raise InvalidArgument("dimension must be a power of two >= 1")
         if alphabet < 2 or alphabet & (alphabet - 1):
-            raise ValueError("alphabet must be a power of two >= 2")
+            raise InvalidArgument("alphabet must be a power of two >= 2")
         self.dimension = dimension
         self.alphabet = alphabet
         self.levels = dimension.bit_length() - 1
@@ -313,7 +313,7 @@ class PRGHashFamily(SeededFamily):
 
 def _check_shape(prg: RectanglePRG, rect: Rectangle) -> None:
     if rect.dimension != prg.dimension or rect.alphabet != prg.alphabet:
-        raise ValueError("rectangle shape does not match the generator")
+        raise InvalidArgument("rectangle shape does not match the generator")
 
 
 def _accepted(prg: RectanglePRG, rect: Rectangle):
@@ -377,16 +377,16 @@ def order_statistic_tails(prg: RectanglePRG, low, high, mode: str = "exhaustive"
     """
     low, high = [int(i) for i in low], [int(i) for i in high]
     if not high:
-        raise ValueError("need at least one coordinate to take the minimum over")
+        raise InvalidArgument("need at least one coordinate to take the minimum over")
     for i in low + high:
         prg._check_coord(i)
     count = _order_pairs(prg, low, high)
     if mode == "exhaustive":
         flat, total = scan_seeds(prg.seed_bits, count, chunk_bits, threads), prg.seed_space
     elif mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     elif not samples or samples < 1:
-        raise ValueError("monte-carlo mode needs a positive sample count")
+        raise InvalidArgument("monte-carlo mode needs a positive sample count")
     else:
         seeds = _draw_seeds(prg, samples, run_seed)
         flat, total = scan_drawn(seeds, count, chunk_bits, threads), samples
@@ -433,9 +433,9 @@ def rectangle_error(
     if mode == "exhaustive":
         count, total = rectangle_hits_exact(prg, rect)
     elif mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     elif not samples or samples < 1:
-        raise ValueError("monte-carlo mode needs a positive sample count")
+        raise InvalidArgument("monte-carlo mode needs a positive sample count")
     else:
         _check_shape(prg, rect)
         count, total = _accepted(prg, rect)(_draw_seeds(prg, samples, run_seed)), samples
@@ -467,7 +467,7 @@ def conditional_rectangle_check(
     """
     _check_shape(prg, rect)
     if rect.accept_sets[j - 1] is not None:
-        raise ValueError(f"rectangle must not constrain coordinate {j}")
+        raise InvalidArgument(f"rectangle must not constrain coordinate {j}")
     if not 1 <= alpha <= prg.alphabet:
         raise DomainOverflow(f"alpha {alpha} outside [1, {prg.alphabet}]")
     point = rect.restricted_to(j, {alpha})

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyQuery, RegimeMismatch
+from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
 from .kwise import SCAN_CHUNK_BITS, SeededFamily, scan_drawn, scan_seeds
 from .rectprg import PRGHashFamily, RectanglePRG, TWisePRG, order_statistic_tails
 # bound here only so that perfbench/trace_cli.py finds it under this name
@@ -41,9 +41,9 @@ def uniform_minwise_probability(sizeX: int, M: int, k: int = 1) -> Fraction:
     sum_theta [(theta/M)^k - ((theta-1)/M)^k] * ((M-theta)/M)^(|X|-k).
     """
     if M < 2:
-        raise ValueError("alphabet M must be >= 2")
+        raise InvalidArgument("alphabet M must be >= 2")
     if not 1 <= k <= sizeX:
-        raise ValueError(f"need 1 <= k <= |X|, got k={k}, |X|={sizeX}")
+        raise InvalidArgument(f"need 1 <= k <= |X|, got k={k}, |X|={sizeX}")
     total = Fraction(0)
     rest = sizeX - k
     for theta in range(1, M + 1):
@@ -85,9 +85,9 @@ def _query_sets(family: SeededFamily, X, Y) -> tuple[list[int], list[int]]:
     xs = list(dict.fromkeys(x_raw))
     ys = list(dict.fromkeys(y_raw))
     if len(xs) != len(x_raw) or len(ys) != len(y_raw):
-        raise ValueError("X and Y must not contain duplicates")
+        raise InvalidArgument("X and Y must not contain duplicates")
     if not set(ys) <= set(xs):
-        raise ValueError("Y must be a subset of X")
+        raise InvalidArgument("Y must be a subset of X")
     if not ys or set(ys) == set(xs):
         raise EmptyQuery("need a nonempty Y strictly inside X")
     for v in xs:
@@ -142,7 +142,7 @@ def measure_corpus(
     whatever the number of queries that contain it.
     """
     if mode not in ("exhaustive", "mc"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     sets = [_query_sets(family, X, Y) for X, Y in queries]
     if not sets:
         return []
@@ -159,7 +159,7 @@ def measure_corpus(
         total = family.seed_space
     else:
         if not samples or samples < 1:
-            raise ValueError("monte-carlo mode needs a positive sample count")
+            raise InvalidArgument("monte-carlo mode needs a positive sample count")
         rng = np.random.Generator(np.random.Philox(key=run_seed))
         seeds = family.draw_seed_block(rng, samples)
         counts = scan_drawn(seeds, count, chunk_bits, threads)
@@ -391,7 +391,7 @@ def check_load_lemma(
     xs = list(dict.fromkeys(int(v) for v in X))
     ys = list(dict.fromkeys(int(v) for v in Y))
     if not set(ys) <= set(xs) or not ys:
-        raise ValueError("need nonempty Y, a subset of X")
+        raise InvalidArgument("need nonempty Y, a subset of X")
     if len(ys) == len(xs):
         raise EmptyQuery("need a nonempty Y strictly inside X")
     k = len(ys)
@@ -410,16 +410,16 @@ def check_load_lemma(
     uniform_g = isinstance(g_family, str)
     if uniform_g:
         if g_family != "uniform":
-            raise ValueError(f"unknown allocation sentinel {g_family!r}")
+            raise InvalidArgument(f"unknown allocation sentinel {g_family!r}")
         indep = r + k
     else:
         if g_family.range_size != ell:
-            raise ValueError(
+            raise InvalidArgument(
                 f"allocation family range {g_family.range_size} != ell {ell}"
             )
         indep = independence if independence is not None else getattr(g_family, "t", None)
         if indep is None:
-            raise ValueError(
+            raise InvalidArgument(
                 "pass independence= for allocation families without a "
                 "declared degree"
             )
@@ -439,7 +439,7 @@ def check_load_lemma(
         # mid and large regimes share the even-moment machinery, which
         # needs at least pairwise independence to be a theorem
         if indep < 2:
-            raise ValueError("mid/large regime chains need >= pairwise independence")
+            raise InvalidArgument("mid/large regime chains need >= pairwise independence")
         e = min(indep if indep % 2 == 0 else indep - 1, 12)
         mu = binomial_central_moment(r, p1, e)
         # a load is bad at load - mean >= a (mid) or |load - mean| >= a
@@ -544,7 +544,7 @@ def check_twise_tails(t: int, b: int, thetas, M: int,
     thetas = [int(theta) for theta in thetas]
     for theta in thetas:
         if not 0 <= theta <= M:
-            raise ValueError(f"theta {theta} outside [0, {M}]")
+            raise InvalidArgument(f"theta {theta} outside [0, {M}]")
     tails, total = order_statistic_tails(TWisePRG(t, b, M), [], range(1, b + 1),
                                          chunk_bits=chunk_bits)
     reports = []

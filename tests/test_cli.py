@@ -166,6 +166,50 @@ def test_measure_config_errors_exit_two(tmp_path, capsys):
     assert main(["measure", "--config", bad_corpus, "--out-dir", str(tmp_path)]) == 2
 
 
+def test_library_bugs_propagate_instead_of_reading_as_config_errors(
+        measure_config, tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(verify, "measure_corpus", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["measure", "--config", measure_config, "--out-dir", str(tmp_path)])
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_library_argument_checks_still_exit_two(measure_config, tmp_path, capsys):
+    # the library's own argument checks raise MinwiseLabError subclasses
+    assert main(["measure", "--config", measure_config, "--out-dir", str(tmp_path),
+                 "--mode", "mc"]) == 2
+    assert "positive sample count" in capsys.readouterr().err
+
+
+def test_malformed_config_values_exit_two(tmp_path, capsys):
+    # values that fail int() or float(), a missing key and an output
+    # directory that is a file are config errors, not failed checks
+    cases = [
+        ("measure", {"construction": {**MINWISE_CONSTRUCTION, "t": "two"},
+                     "corpus": SMALL_CORPUS}, "two"),
+        ("measure", {"construction": MINWISE_CONSTRUCTION, "corpus": SMALL_CORPUS,
+                     "thresholds": {"max_mult_err_uniform": "tight"}}, "tight"),
+        ("construct", {**MINWISE_CONSTRUCTION, "N": [4]}, "TypeError"),
+        ("loads-test", {"allocation": {"kind": "twise"}, "N": 8, "ell": 16,
+                        "X": [1, 2, 3], "Y": [1], "regime": "small"}, "KeyError"),
+        ("extractor-test", {"n": "seven", "m": 6}, "seven"),
+    ]
+    for i, (command, cfg, diagnostic) in enumerate(cases):
+        path = _write(tmp_path, f"bad{i}.json", cfg)
+        assert main([command, "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and diagnostic in err
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    cfg = _write(tmp_path, "good.json", {"construction": MINWISE_CONSTRUCTION,
+                                         "corpus": SMALL_CORPUS})
+    assert main(["measure", "--config", cfg, "--out-dir", str(blocked)]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
 def test_measure_rejects_intervals_larger_than_the_domain(tmp_path, capsys):
     # an interval wider than N = 4 has no position, so it would yield no
     # query and pass even a zero error limit

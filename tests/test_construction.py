@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minwise_lab import construction
 from minwise_lab.construction import (
     BucketedKMinwiseFamily,
     BucketedMinwiseFamily,
@@ -21,8 +22,9 @@ from minwise_lab.construction import (
 )
 from minwise_lab.errors import ParamViolation
 from minwise_lab.extractor import LeftoverHash
-from minwise_lab.kwise import TWiseFamily, dsum_values
+from minwise_lab.kwise import SCAN_CHUNK_BITS, TWiseFamily, dsum_values, scan_seeds
 from minwise_lab.rectprg import FullIndependencePRG, RecursiveMixPRG, TWisePRG
+from minwise_lab.verify import measure_corpus
 
 
 def desk_minwise(prg1=None) -> BucketedMinwiseFamily:
@@ -302,3 +304,125 @@ def test_target_error_and_derived_degrees():
     assert params.allocation_independence == 4
     assert params.overlay_independence == 10
     assert params.inner_independence == 2
+
+
+# ---------------------------------------------------------------------------
+# per-point tables: the block path against the layered path and scalar eval
+# ---------------------------------------------------------------------------
+
+
+def _minwise(N, M, ell, prg1, prg2, ext):
+    return build_minwise(ConstructionParams(N=N, M=M, k=1, ell=ell, t=2), prg1, prg2, ext)
+
+
+def _kminwise(N, M, ell, prg1, prg2, ext):
+    return build_kminwise(ConstructionParams(N=N, M=M, k=1, ell=ell, t=2), prg1, prg2, ext)
+
+
+# name -> builder.  L = g-seed + prg1-seed bits against the block size
+# c = SCAN_CHUNK_BITS = 16; "tiny" seed spaces are smaller than one block.
+TABLE_FAMILIES = {
+    "minwise L<c": lambda: _minwise(4, 4, 4, TWisePRG(1, 4, 64), TWisePRG(1, 4, 4),
+                                    LeftoverHash(7, 6)),
+    "minwise L=c": desk_minwise,
+    "minwise L>c": lambda: desk_minwise(prg1=FullIndependencePRG(4, 64)),
+    "minwise tiny": lambda: _minwise(2, 2, 2, TWisePRG(2, 2, 8), TWisePRG(1, 2, 2),
+                                     LeftoverHash(4, 3)),
+    "kminwise L<c": desk_kminwise,
+    "kminwise L=c": lambda: _kminwise(4, 4, 4, TWisePRG(2, 4, 64), TWisePRG(3, 4, 4),
+                                      LeftoverHash(7, 6)),
+    "kminwise L>c": lambda: _kminwise(4, 4, 4, FullIndependencePRG(4, 64),
+                                      TWisePRG(3, 4, 4), LeftoverHash(7, 6)),
+    "kminwise tiny": lambda: _kminwise(2, 2, 2, TWisePRG(1, 2, 2), TWisePRG(1, 2, 2),
+                                       LeftoverHash(2, 1)),
+}
+
+
+def _block_mismatches(fam, seeds, rng) -> int:
+    """Points x and seeds where ``fam`` on the block differs from its
+    layered path on the packed block, plus scalar eval at eight positions
+    per point."""
+    packed = seeds if seeds.ndim == 1 else np.asarray(
+        [fam.layout.pack(dict(zip(fam.layout.names(), map(int, row)))) for row in seeds],
+        dtype=np.uint64)
+    evaluate, reference = fam.block_evaluator(seeds), fam._layered_evaluator(packed)
+    bad = 0
+    for x in range(1, fam.domain_size + 1):
+        got = evaluate(x)
+        bad += int(np.count_nonzero(got != reference(x)))
+        for i in rng.integers(0, len(packed), size=8):
+            bad += int(got[i]) != fam.eval(int(packed[i]), x)
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FAMILIES))
+def test_table_path_equals_layered_path_and_scalar_eval(name):
+    fam = TABLE_FAMILIES[name]()
+    rng = np.random.Generator(np.random.Philox(key=len(name)))
+    step = 1 << SCAN_CHUNK_BITS
+    if fam.seed_bits <= 24:
+        # every block of the exhaustive scan, in scan order
+        assert scan_seeds(fam.seed_bits, lambda seeds: _block_mismatches(fam, seeds, rng)) == 0
+        block = np.arange(min(step, fam.seed_space), dtype=np.uint64)
+    else:
+        # aligned scan-shaped blocks at the start, the end and in between
+        for i in (0, 1, 0x5A5, (fam.seed_space >> SCAN_CHUNK_BITS) - 1):
+            block = np.arange(i * step, (i + 1) * step, dtype=np.uint64)
+            assert _block_mismatches(fam, block, rng) == 0
+    # the tables serve exactly the aligned blocks of layouts with
+    # n <= L <= SCAN_CHUNK_BITS, and were built for every point there
+    aligned = fam.extractor.n <= fam.low_bits <= SCAN_CHUNK_BITS
+    assert (fam._sub_block_sources(block) is not None) == aligned
+    assert sorted(fam._tables) == (list(range(1, fam.domain_size + 1)) if aligned else [])
+    # a block shuffled between its ends passes every check on them but is
+    # not contiguous, and a 2-D draw has no packed low bits: both go
+    # through the layers
+    shuffled = block.copy()
+    shuffled[1:-1] = rng.permutation(block[1:-1])
+    columns = np.stack([fam.layout.column(block, f) for f in fam.layout.names()], axis=1)
+    for other in (shuffled, columns):
+        assert fam._sub_block_sources(other) is None
+        assert _block_mismatches(fam, other, rng) == 0
+
+
+def test_points_past_the_table_budget_keep_equal_values(monkeypatch):
+    make = TABLE_FAMILIES["minwise L<c"]
+    queries = [([1, 2, 3, 4], [y]) for y in range(1, 5)] + [([2, 3], [3]), ([1, 3, 4], [1])]
+    want = measure_corpus(make(), queries)
+    # room for the tables of two points, each Y_x (2^10 entries) and T_x
+    # (2^6 entries): points 1 and 2 are served from them, 3 and 4 layered
+    fam, layered = make(), make()
+    with monkeypatch.context() as patch:
+        patch.setattr(construction, "POINT_TABLE_BYTES", 8 * 2 * ((1 << 10) + (1 << 6)))
+        got = measure_corpus(fam, queries)
+        patch.setattr(construction, "POINT_TABLE_BYTES", 0)
+        none = measure_corpus(layered, queries)
+    assert [x for x in range(1, 5) if fam._tables[x] is not None] == [1, 2]
+    assert not any(layered._tables.values())
+    for reports in (got, none):
+        assert [r.exact_measured for r in reports] == [r.exact_measured for r in want]
+        assert [r.exact_tie for r in reports] == [r.exact_tie for r in want]
+
+
+def test_desk_scan_builds_each_point_table_once(monkeypatch):
+    fam = desk_minwise()
+    built, blocks = [], []
+
+    def counted(name, bind):
+        def wrapper(seeds):
+            blocks.append(len(seeds)) if name == "block" else None
+            evaluate = bind(seeds)
+            if name == "block":
+                return evaluate
+            return lambda x: built.append((name, x)) or evaluate(x)
+        return wrapper
+
+    after_z = fam._after_z
+    monkeypatch.setattr(fam, "_after_z", lambda z, x: built.append(("T", x)) or after_z(z, x))
+    # g's block evaluator is bound once per Y_x and never on the table path
+    monkeypatch.setattr(fam.g, "block_evaluator", counted("Y", fam.g.block_evaluator))
+    monkeypatch.setattr(fam, "block_evaluator", counted("block", fam.block_evaluator))
+    measure_corpus(fam, [([1, 2, 3, 4], [1]), ([2, 4], [4])], threads=1)
+    assert blocks == [1 << SCAN_CHUNK_BITS] * 128
+    assert sorted(built) == sorted([("T", x) for x in range(1, 5)] +
+                                   [("Y", x) for x in range(1, 5)])

@@ -19,6 +19,7 @@ from minwise_lab.extractor import (
     ComposedExtractor,
     FlatSource,
     LeftoverHash,
+    _transform_counts,
     compose_extract,
     exact_statistical_distance,
     leftover_bound,
@@ -142,6 +143,17 @@ def test_transform_counts_match_table_bincount(n):
             counts, dist = _table_bincount(table, m, support)
             assert np.array_equal(seed_output_counts(ext, src).ravel(), counts)
             assert strong_extractor_distance(ext, src) == dist
+
+
+def test_int32_counts_equal_the_int64_path_at_the_widest_budget():
+    # n = 12, m = 11: 2^22 cells whose intermediates reach 2^23 in magnitude
+    ext = LeftoverHash(12, 11)
+    rng = random.Random(1211)
+    for size in (1, 2048, 3001, 4096):
+        src = FlatSource(12, tuple(rng.sample(range(1 << 12), size)))
+        counts = seed_output_counts(ext, src)
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, _transform_counts(ext, src, np.int64))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
