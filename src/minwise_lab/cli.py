@@ -22,7 +22,7 @@ from .construction import family_from_config, prg_from_config
 from .errors import MinwiseLabError, SeedSpaceTooLarge
 from .extractor import FlatSource, LeftoverHash, spans_full_rank, strong_extractor_distance
 from .gf2 import rank  # noqa: F401  (perfbench/trace_cli.py wraps cli.rank by name)
-from .kwise import EXHAUSTIVE_SEED_BITS, TWiseFamily
+from .kwise import EXHAUSTIVE_SEED_BITS, TWiseFamily, check_mode
 from .rectprg import threshold_errors
 
 SUMMARY_THRESHOLD_KEYS = (
@@ -191,8 +191,7 @@ def _cmd_measure(args) -> int:
         family = family_from_config(cfg["construction"])
         k = int(cfg["construction"].get("k", 1))
         mode = args.mode or cfg.get("mode", "exhaustive")
-        if mode not in ("exhaustive", "mc"):
-            raise _CliError(f"unknown mode {mode!r}")
+        check_mode(mode)
         samples = args.samples if args.samples is not None else cfg.get("samples")
         samples = int(samples) if samples is not None else None
         run_seed = args.run_seed if args.run_seed is not None else int(cfg.get("run_seed", 0))

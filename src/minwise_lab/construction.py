@@ -222,9 +222,12 @@ class _SingleBucket(SeededFamily):
         self._check_x(x)
         return 1
 
-    def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
-        self._check_x(x)
-        return np.ones(len(seeds), dtype=np.uint64)
+    def block_evaluator(self, seeds: np.ndarray):
+        def evaluate(x: int) -> np.ndarray:
+            self._check_x(x)
+            return np.ones(len(seeds), dtype=np.uint64)
+
+        return evaluate
 
 
 def _allocation_family(params: ConstructionParams) -> SeededFamily:
@@ -417,9 +420,6 @@ class _BucketedFamily(SeededFamily):
             return combine(x, after.take(row_z).take(index).reshape(-1))
 
         return evaluate
-
-    def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
-        return self.block_evaluator(seeds)(x)
 
     def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.layout.draw_block(rng, count)

@@ -24,7 +24,7 @@ from .gf2 import FieldContext, find_irreducible, mul_block
 
 EXHAUSTIVE_SEED_BITS = 24
 
-# log2 of the seeds in one scan block, the default of every exact scan.
+# log2 of the seeds in one scan block, read by every scan when it starts.
 # Chosen by measurement: a block's uint64 temporaries (512 KiB each) stay
 # in cache, and under the CLI's allocator policy they reuse freed memory
 # instead of faulting in fresh pages.
@@ -89,22 +89,21 @@ def scan_blocks(blocks: int, block_of, count, threads: int = 1):
         return sum(pool.imap_unordered(_count_in_worker, range(blocks)))
 
 
-def scan_seeds(seed_bits: int, count, chunk_bits: int = SCAN_CHUNK_BITS,
-               threads: int = 1):
+def scan_seeds(seed_bits: int, count, threads: int = 1):
     """Sum of ``count(seeds)`` over the uint64 seed blocks of [0, 2^seed_bits).
 
     This is the one exhaustive enumeration behind every exact oracle.
-    Blocks are consecutive, hold <= 2^chunk_bits seeds and are summed by
-    scan_blocks on ``threads`` workers.  The budget is checked before
-    any block is built, so an oversized space raises SeedSpaceTooLarge
-    before any work is done.
+    Blocks are consecutive, hold <= 2^SCAN_CHUNK_BITS seeds and are
+    summed by scan_blocks on ``threads`` workers.  The budget is checked
+    before any block is built, so an oversized space raises
+    SeedSpaceTooLarge before any work is done.
     """
     if seed_bits > EXHAUSTIVE_SEED_BITS:
         raise SeedSpaceTooLarge(
             f"{seed_bits} seed bits exceed the {EXHAUSTIVE_SEED_BITS}-bit "
             "exhaustive budget"
         )
-    step, total = 1 << chunk_bits, 1 << seed_bits
+    step, total = 1 << SCAN_CHUNK_BITS, 1 << seed_bits
 
     def block_of(i: int):
         return np.arange(i * step, min((i + 1) * step, total), dtype=np.uint64)
@@ -112,20 +111,37 @@ def scan_seeds(seed_bits: int, count, chunk_bits: int = SCAN_CHUNK_BITS,
     return scan_blocks(-(-total // step), block_of, count, threads)
 
 
-def scan_drawn(seeds: np.ndarray, count, chunk_bits: int = SCAN_CHUNK_BITS,
-               threads: int = 1):
-    """Sum of ``count`` over row slices of <= 2^chunk_bits drawn seeds.
+def check_mode(mode: str) -> None:
+    """Refuse any mode but "exhaustive" and "mc" (Monte-Carlo)."""
+    if mode not in ("exhaustive", "mc"):
+        raise InvalidArgument(f"unknown mode {mode!r}")
 
-    The Monte-Carlo counterpart of scan_seeds: ``seeds`` is one draw (1-D
-    packed or 2-D unpacked), and its blocks go through scan_blocks, so
-    the sum is the same at any ``chunk_bits`` and ``threads``.
+
+def scan(family: SeededFamily, count, mode: str = "exhaustive",
+         samples: int | None = None, run_seed: int = 0, threads: int = 1):
+    """(sum of ``count`` over the family's seed blocks, seeds counted).
+
+    The one seed source of every oracle.  Exhaustive mode enumerates
+    [0, 2^seed_bits) through scan_seeds, under its 24-bit budget.
+    Monte-Carlo mode ("mc") draws ``samples`` seeds once, by the
+    family's draw_seed_block from Philox keyed by ``run_seed``, and
+    counts the rows of that draw in blocks of <= 2^SCAN_CHUNK_BITS.
+    Either way the blocks go through scan_blocks on ``threads``
+    workers, so the sum is the same at any block size and ``threads``.
     """
-    step = 1 << chunk_bits
+    check_mode(mode)
+    if mode == "exhaustive":
+        return scan_seeds(family.seed_bits, count, threads), family.seed_space
+    if not samples or samples < 1:
+        raise InvalidArgument("monte-carlo mode needs a positive sample count")
+    seeds = family.draw_seed_block(np.random.Generator(np.random.Philox(key=run_seed)),
+                                   samples)
+    step = 1 << SCAN_CHUNK_BITS
 
     def block_of(i: int):
         return seeds[i * step:(i + 1) * step]
 
-    return scan_blocks(-(-len(seeds) // step), block_of, count, threads)
+    return scan_blocks(-(-samples // step), block_of, count, threads), samples
 
 
 class SeededFamily(abc.ABC):
@@ -154,28 +170,29 @@ class SeededFamily(abc.ABC):
         """h_seed(x), with seed and x validated."""
 
     def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
-        """Vectorized eval over a seed block; default is the scalar loop."""
-        self._check_x(x)
-        return np.array([self.eval(int(s), x) for s in seeds], dtype=np.uint64)
+        """Vectorized eval over a seed block: ``block_evaluator(seeds)(x)``."""
+        return self.block_evaluator(seeds)(x)
 
     def block_evaluator(self, seeds: np.ndarray):
-        """x -> eval_block(seeds, x), with the work that depends only on
-        the seed block done once, when it is bound.
+        """x -> the values of the block's members at x, with the work that
+        depends only on the seed block done once, when it is bound.
 
-        The default binds nothing.  A family that overrides it writes
-        eval_block as ``block_evaluator(seeds)(x)``, so it keeps one block
-        implementation.  Work that depends only on the point may also be
-        kept across blocks: the bucketed families of ``construction``
-        build per-point tables on a point's first aligned scan block,
-        within a byte budget per family, and evaluate every other block,
-        and every point past that budget, through their layers, with the
-        same values.
+        The default is the scalar loop over ``eval``.  Work that depends
+        only on the point may also be kept across blocks: the bucketed
+        families of ``construction`` build per-point tables on a point's
+        first aligned scan block, within a byte budget per family, and
+        evaluate every other block, and every point past that budget,
+        through their layers, with the same values.
         """
-        return lambda x: self.eval_block(seeds, x)
+        def evaluate(x: int) -> np.ndarray:
+            self._check_x(x)
+            return np.array([self.eval(int(s), x) for s in seeds], dtype=np.uint64)
+
+        return evaluate
 
     def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Sample seeds for Monte-Carlo oracles; packed uint64 by default."""
-        if self.seed_bits > 63:
+        if self.seed_bits > 64:
             raise BadSeedLength(
                 f"{self.seed_bits}-bit seeds do not fit the packed uint64 "
                 "sampling path and this family provides no unpacked form"
@@ -300,9 +317,6 @@ class TWiseFamily(SeededFamily):
 
         return evaluate
 
-    def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
-        return self.block_evaluator(seeds)(x)
-
     def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.seed_bits <= 63:
             return super().draw_seed_block(rng, count)
@@ -351,9 +365,6 @@ class DirectSumFamily(SeededFamily):
         f = self.f.block_evaluator(seeds & np.uint64(self.f.seed_space - 1))
         g = self.g.block_evaluator(seeds >> np.uint64(self.f.seed_bits))
         return lambda x: dsum_values(f(x), g(x), self.range_size)
-
-    def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
-        return self.block_evaluator(seeds)(x)
 
 
 def direct_sum(f: SeededFamily, g: SeededFamily) -> DirectSumFamily:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadSeedLength, ConditionNeverHolds, DomainOverflow, InvalidArgument
 from .gf2 import find_irreducible, mul_block
-from .kwise import SCAN_CHUNK_BITS, SeededFamily, TWiseFamily, scan_drawn, scan_seeds
+from .kwise import SeededFamily, TWiseFamily, scan
 
 
 @dataclass(frozen=True)
@@ -302,9 +302,6 @@ class PRGHashFamily(SeededFamily):
 
         return evaluate
 
-    def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
-        return self.block_evaluator(seeds)(x)
-
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -319,16 +316,18 @@ def _check_shape(prg: RectanglePRG, rect: Rectangle) -> None:
 def _accepted(prg: RectanglePRG, rect: Rectangle):
     """Counter of the seeds in a block whose output the rectangle accepts.
 
-    Coordinates are tested in order and a block stops being read once
-    no seed in it is left.
+    Coordinates are tested in order, through the generator's evaluator
+    bound once per block, and a block stops being read once no seed in
+    it is left.
     """
     active = rect.active_coords()
     tables = {i: rect.member_table(i) for i in active}
 
     def count(seeds: np.ndarray) -> int:
+        read = prg.block_evaluator(seeds)
         acc = np.ones(len(seeds), dtype=bool)
         for i in active:
-            vals = prg.coord_block(seeds, i)
+            vals = read(i)
             acc &= tables[i][vals.astype(np.int64)]
             if not acc.any():
                 break
@@ -340,21 +339,23 @@ def _accepted(prg: RectanglePRG, rect: Rectangle):
 def _order_pairs(prg: RectanglePRG, low: list[int], high: list[int]):
     """Counter of the (max over ``low``, min over ``high``) output pairs in a block.
 
-    Each coordinate is evaluated once.  Cell a * (M+1) + b counts pair
-    (a, b); a is 0 and only that row is kept when ``low`` is empty.
+    Each coordinate is evaluated once, through the generator's evaluator
+    bound once per block.  Cell a * (M+1) + b counts pair (a, b); a is 0
+    and only that row is kept when ``low`` is empty.
     """
     side = prg.alphabet + 1
 
-    def extreme(seeds, coords, reduce):
-        acc = prg.coord_block(seeds, coords[0])
+    def extreme(read, coords, reduce):
+        acc = read(coords[0])
         for i in coords[1:]:
-            reduce(acc, prg.coord_block(seeds, i), out=acc)
+            reduce(acc, read(i), out=acc)
         return acc.astype(np.intp)
 
     def count(seeds: np.ndarray) -> np.ndarray:
-        pair = extreme(seeds, high, np.minimum)
+        read = prg.block_evaluator(seeds)
+        pair = extreme(read, high, np.minimum)
         if low:
-            pair += extreme(seeds, low, np.maximum) * side
+            pair += extreme(read, low, np.maximum) * side
         return np.bincount(pair, minlength=side * side if low else side)
 
     return count
@@ -362,43 +363,29 @@ def _order_pairs(prg: RectanglePRG, low: list[int], high: list[int]):
 
 def order_statistic_tails(prg: RectanglePRG, low, high, mode: str = "exhaustive",
                           samples: int | None = None, run_seed: int = 0,
-                          threads: int = 1,
-                          chunk_bits: int = SCAN_CHUNK_BITS) -> tuple[np.ndarray, int]:
+                          threads: int = 1) -> tuple[np.ndarray, int]:
     """(tails, seeds counted): tails[a, theta], theta = 0..M, counts the seeds
     whose output has maximum a over the coordinates ``low`` and minimum
     above theta over ``high``.
 
     As suffix sums of one (max, min) histogram, it answers every rectangle
     [max over low <= top] and [min over high > theta] from one pass:
-    column theta summed over rows 0..top.  Exhaustive mode scans through
-    scan_seeds; monte-carlo mode counts the draw that rectangle_error
-    makes for the same run_seed, in blocks through scan_drawn.  Both
-    split their blocks over ``threads`` workers, with the same result.
+    column theta summed over rows 0..top.  Both modes count the seeds of
+    kwise.scan on PRGHashFamily(prg), so monte-carlo mode counts the draw
+    that rectangle_error makes for the same run_seed; the blocks are split
+    over ``threads`` workers, with the same result.
     """
     low, high = [int(i) for i in low], [int(i) for i in high]
     if not high:
         raise InvalidArgument("need at least one coordinate to take the minimum over")
     for i in low + high:
         prg._check_coord(i)
-    count = _order_pairs(prg, low, high)
-    if mode == "exhaustive":
-        flat, total = scan_seeds(prg.seed_bits, count, chunk_bits, threads), prg.seed_space
-    elif mode != "mc":
-        raise InvalidArgument(f"unknown mode {mode!r}")
-    elif not samples or samples < 1:
-        raise InvalidArgument("monte-carlo mode needs a positive sample count")
-    else:
-        seeds = _draw_seeds(prg, samples, run_seed)
-        flat, total = scan_drawn(seeds, count, chunk_bits, threads), samples
+    flat, total = scan(PRGHashFamily(prg), _order_pairs(prg, low, high), mode,
+                       samples, run_seed, threads)
     hist = flat.reshape(-1, prg.alphabet + 1)
     tails = np.zeros_like(hist)
     tails[:, :-1] = hist[:, :0:-1].cumsum(axis=1)[:, ::-1]
     return tails, total
-
-
-def _draw_seeds(prg: RectanglePRG, samples: int, run_seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=run_seed))
-    return rng.integers(0, prg.seed_space, size=samples, dtype=np.uint64)
 
 
 def _additive_error(hits: int, total: int, uniform: Fraction, mode: str) -> float:
@@ -408,11 +395,10 @@ def _additive_error(hits: int, total: int, uniform: Fraction, mode: str) -> floa
     return abs(hits / total - float(uniform))
 
 
-def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle,
-                         chunk_bits: int = SCAN_CHUNK_BITS) -> tuple[int, int]:
+def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle) -> tuple[int, int]:
     """Exact (#seeds accepted by the rectangle, #seeds), by enumeration."""
     _check_shape(prg, rect)
-    return scan_seeds(prg.seed_bits, _accepted(prg, rect), chunk_bits), prg.seed_space
+    return scan(PRGHashFamily(prg), _accepted(prg, rect))
 
 
 def rectangle_error(
@@ -427,19 +413,11 @@ def rectangle_error(
     Exhaustive mode needs seed_bits <= 24 and signals
     SeedSpaceTooLarge otherwise; monte-carlo mode is an explicit
     opt-in with a declared sample count, using the counter-based Philox
-    generator keyed by run_seed.
+    generator keyed by run_seed.  Both modes count through kwise.scan.
     """
-    uniform = rect.uniform_expectation()
-    if mode == "exhaustive":
-        count, total = rectangle_hits_exact(prg, rect)
-    elif mode != "mc":
-        raise InvalidArgument(f"unknown mode {mode!r}")
-    elif not samples or samples < 1:
-        raise InvalidArgument("monte-carlo mode needs a positive sample count")
-    else:
-        _check_shape(prg, rect)
-        count, total = _accepted(prg, rect)(_draw_seeds(prg, samples, run_seed)), samples
-    return _additive_error(count, total, uniform, mode)
+    _check_shape(prg, rect)
+    count, total = scan(PRGHashFamily(prg), _accepted(prg, rect), mode, samples, run_seed)
+    return _additive_error(count, total, rect.uniform_expectation(), mode)
 
 
 def threshold_errors(prg: RectanglePRG, thetas, mode: str = "exhaustive",

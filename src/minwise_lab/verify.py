@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
-from .kwise import SCAN_CHUNK_BITS, SeededFamily, scan_drawn, scan_seeds
+from .kwise import SeededFamily, check_mode, scan, scan_seeds
 from .rectprg import PRGHashFamily, RectanglePRG, TWisePRG, order_statistic_tails
 # bound here only so that perfbench/trace_cli.py finds it under this name
 from .rectprg import rectangle_hits_exact  # noqa: F401
@@ -125,24 +125,22 @@ def measure_corpus(
     mode: str = "exhaustive",
     samples: int | None = None,
     run_seed: int = 0,
-    chunk_bits: int = SCAN_CHUNK_BITS,
     threads: int = 1,
 ) -> list[ErrorReport]:
     """Measure Pr[max h(Y) < min h(X\\Y)] for every (X, Y) in ``queries``.
 
     Strict inequalities throughout.  Exhaustive mode (seed_bits <= 24)
     counts the whole seed space and is exact.  Monte-Carlo mode draws
-    ``samples`` seeds once, with Philox keyed by run_seed, and attaches a
-    99% normal-approximation confidence half-width.  Both modes count in
-    blocks of <= 2^chunk_bits seeds; with ``threads`` > 1 the blocks are
-    split across that many forked processes, with the same result.
+    ``samples`` seeds once, with Philox keyed by run_seed, and attaches the
+    half-width of a 99% Wilson score interval.  Both modes count through
+    kwise.scan, in seed blocks; with ``threads`` > 1 the blocks are split
+    across that many forked processes, with the same result.
     Ties (max h(Y) == min h(X\\Y)) are reported separately: they are
     exactly the mass the strict convention loses at finite M.  Each
     distinct point of the corpus is evaluated once per seed block,
     whatever the number of queries that contain it.
     """
-    if mode not in ("exhaustive", "mc"):
-        raise InvalidArgument(f"unknown mode {mode!r}")
+    check_mode(mode)
     sets = [_query_sets(family, X, Y) for X, Y in queries]
     if not sets:
         return []
@@ -154,18 +152,20 @@ def measure_corpus(
     def count(seeds):
         return _block_counts(family, seeds, points, plan)
 
-    if mode == "exhaustive":
-        counts = scan_seeds(family.seed_bits, count, chunk_bits, threads)
-        total = family.seed_space
-    else:
-        if not samples or samples < 1:
-            raise InvalidArgument("monte-carlo mode needs a positive sample count")
-        rng = np.random.Generator(np.random.Philox(key=run_seed))
-        seeds = family.draw_seed_block(rng, samples)
-        counts = scan_drawn(seeds, count, chunk_bits, threads)
-        total = samples
+    counts, total = scan(family, count, mode, samples, run_seed, threads)
     return [_error_report(family, xs, ys, mode, int(hits), int(ties), total)
             for (xs, ys), (hits, ties) in zip(sets, counts)]
+
+
+def _wilson_halfwidth(hits: int, total: int) -> float:
+    """Half the width of the 99% Wilson score interval for hits/total.
+
+    Unlike the normal approximation it stays positive at 0 and total
+    hits, where a finite sample still leaves the proportion uncertain.
+    """
+    z = 2.576
+    p, zz = hits / total, z * z / total
+    return z / (1.0 + zz) * math.sqrt(p * (1.0 - p) / total + zz / (4.0 * total))
 
 
 def _error_report(family: SeededFamily, xs: list[int], ys: list[int], mode: str,
@@ -176,11 +176,7 @@ def _error_report(family: SeededFamily, xs: list[int], ys: list[int], mode: str,
     measured = Fraction(hits, total)
     tie_mass = Fraction(ties, total)
     exact = mode == "exhaustive"
-    if exact:
-        ci = 0.0
-    else:
-        p = float(measured)
-        ci = 2.576 * math.sqrt(max(p * (1.0 - p), 0.0) / total)
+    ci = 0.0 if exact else _wilson_halfwidth(hits, total)
     return ErrorReport(
         family_id=family.family_id,
         N=family.domain_size,
@@ -209,10 +205,9 @@ def measure_minwise(
     mode: str = "exhaustive",
     samples: int | None = None,
     run_seed: int = 0,
-    chunk_bits: int = SCAN_CHUNK_BITS,
 ) -> ErrorReport:
     """Measure one query: measure_corpus on the corpus [(X, Y)]."""
-    return measure_corpus(family, [(X, Y)], mode, samples, run_seed, chunk_bits)[0]
+    return measure_corpus(family, [(X, Y)], mode, samples, run_seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +325,7 @@ def _bounded_count_poly(r: int, lo: int, hi: int, ell: int) -> Fraction:
 
 
 def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
-                bj_threshold: int | None, chunk_bits: int = SCAN_CHUNK_BITS):
+                bj_threshold: int | None):
     """Exhaustive chunked scan of g-seeds: (min, max) load histogram, B_J tail.
 
     Returns (hist, bj_bad).  hist[a, b] counts the seeds whose least
@@ -358,7 +353,7 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
         cells = counts.min(axis=1).astype(np.int64) * side + counts.max(axis=1)
         return np.append(np.bincount(cells, minlength=side * side), bj_bad)
 
-    total = scan_seeds(g_family.seed_bits, count, chunk_bits)
+    total = scan_seeds(g_family.seed_bits, count)
     return total[:-1].reshape(side, side), int(total[-1])
 
 
@@ -530,8 +525,7 @@ class TailReport:
         return asdict(self)
 
 
-def check_twise_tails(t: int, b: int, thetas, M: int,
-                      chunk_bits: int = SCAN_CHUNK_BITS) -> list[TailReport]:
+def check_twise_tails(t: int, b: int, thetas, M: int) -> list[TailReport]:
     """Exact Pr[min of b t-wise values > theta] vs the truncation bound,
     one report per theta in ``thetas``, all from one seed scan.
 
@@ -545,8 +539,7 @@ def check_twise_tails(t: int, b: int, thetas, M: int,
     for theta in thetas:
         if not 0 <= theta <= M:
             raise InvalidArgument(f"theta {theta} outside [0, {M}]")
-    tails, total = order_statistic_tails(TWisePRG(t, b, M), [], range(1, b + 1),
-                                         chunk_bits=chunk_bits)
+    tails, total = order_statistic_tails(TWisePRG(t, b, M), [], range(1, b + 1))
     reports = []
     for theta in thetas:
         exact = Fraction(int(tails[0, theta]), total)
@@ -563,10 +556,9 @@ def check_twise_tails(t: int, b: int, thetas, M: int,
     return reports
 
 
-def check_twise_tail(t: int, b: int, theta: int, M: int,
-                     chunk_bits: int = SCAN_CHUNK_BITS) -> TailReport:
+def check_twise_tail(t: int, b: int, theta: int, M: int) -> TailReport:
     """One theta: check_twise_tails on [theta]."""
-    return check_twise_tails(t, b, [theta], M, chunk_bits)[0]
+    return check_twise_tails(t, b, [theta], M)[0]
 
 
 # ---------------------------------------------------------------------------

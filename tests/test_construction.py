@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minwise_lab import construction
@@ -383,6 +383,74 @@ def test_table_path_equals_layered_path_and_scalar_eval(name):
     for other in (shuffled, columns):
         assert fam._sub_block_sources(other) is None
         assert _block_mismatches(fam, other, rng) == 0
+
+
+# t is used by the twise kind only
+PRG_KINDS = {
+    "twise": lambda t, dim, alpha: TWisePRG(t, dim, alpha),
+    "recursive_mix": lambda t, dim, alpha: RecursiveMixPRG(dim, alpha),
+    "full_independence": lambda t, dim, alpha: FullIndependencePRG(dim, alpha),
+}
+
+
+@st.composite
+def _random_bucketed(draw):
+    """A small bucketed family of either kind, with PRG1 and PRG2 of any
+    kind, ell in {1, 2, 4} and the smallest or next extractor source."""
+    def prg(dim, alpha):
+        kind = draw(st.sampled_from(sorted(PRG_KINDS)))
+        return PRG_KINDS[kind](draw(st.integers(1, 3)), dim, alpha)
+
+    minwise = draw(st.booleans())
+    N, M, ell = (draw(st.sampled_from(v)) for v in ([2, 4], [2, 4], [1, 2, 4]))
+    prg2 = prg(N, M)
+    m = prg2.seed_bits
+    if minwise:
+        m += TWiseFamily(ConstructionParams(N=N, M=M).inner_independence, N, M).seed_bits
+    ext = LeftoverHash(m + draw(st.integers(1, 2)), m)
+    prg1 = prg(ell, 1 << ext.d)
+    # SeedLayout.draw_block cannot yet draw a field past 63 bits
+    assume(prg1.seed_bits <= 63)
+    build = _minwise if minwise else _kminwise
+    return build(N, M, ell, prg1, prg2, ext)
+
+
+def _scalar_mismatches(fam, seeds, positions, got) -> int:
+    """Entries of ``got`` (point x -> block values) that differ from
+    scalar ``eval`` at the given positions of the block."""
+    names = fam.layout.names()
+    bad = 0
+    for i in positions:
+        row = seeds[i]
+        seed = (int(row) if seeds.ndim == 1
+                else fam.layout.pack(dict(zip(names, map(int, row)))))
+        bad += sum(int(vals[i]) != fam.eval(seed, x) for x, vals in got.items())
+    return bad
+
+
+@given(_random_bucketed(), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=40))
+@settings(max_examples=50, deadline=None)
+def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, count):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    points = range(1, fam.domain_size + 1)
+    if fam.seed_bits <= 63:
+        # the first, a middle and the last block of scan_seeds' split,
+        # served from the per-point tables when n <= L <= SCAN_CHUNK_BITS
+        step = min(1 << SCAN_CHUNK_BITS, fam.seed_space)
+        blocks = fam.seed_space // step
+        for i in sorted({0, blocks // 2, blocks - 1}):
+            block = np.arange(i * step, (i + 1) * step, dtype=np.uint64)
+            tables = fam.extractor.n <= fam.low_bits <= SCAN_CHUNK_BITS
+            assert (fam._sub_block_sources(block) is not None) == tables
+            evaluate, layered = fam.block_evaluator(block), fam._layered_evaluator(block)
+            got = {x: evaluate(x) for x in points}
+            assert all(np.array_equal(got[x], layered(x)) for x in points)
+            assert _scalar_mismatches(fam, block, rng.integers(0, step, size=8), got) == 0
+    # a Monte-Carlo draw (2-D past 63 bits) goes through the layers
+    drawn = fam.draw_seed_block(rng, count)
+    evaluate = fam.block_evaluator(drawn)
+    assert _scalar_mismatches(fam, drawn, range(count), {x: evaluate(x) for x in points}) == 0
 
 
 def test_points_past_the_table_budget_keep_equal_values(monkeypatch):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksize import scan_chunk_bits
 from minwise_lab.errors import (
     BadSeedLength,
     DomainOverflow,
+    InvalidArgument,
     RangeMismatch,
     SeedSpaceTooLarge,
 )
@@ -21,6 +23,7 @@ from minwise_lab.kwise import (
     TWiseFamily,
     direct_sum,
     dsum_values,
+    scan,
     scan_seeds,
 )
 
@@ -215,7 +218,8 @@ def test_scan_seeds_counts_every_seed_once(seed_bits, chunk_bits, threads):
         assert seeds.dtype == np.uint64 and len(seeds) <= 1 << chunk_bits
         return np.bincount(seeds.astype(np.int64), minlength=1 << seed_bits)
 
-    hist = scan_seeds(seed_bits, count, chunk_bits, threads)
+    with scan_chunk_bits(chunk_bits):
+        hist = scan_seeds(seed_bits, count, threads)
     assert hist.tolist() == [1] * (1 << seed_bits)
 
 
@@ -231,3 +235,24 @@ def test_scan_seeds_checks_the_budget_before_the_first_block():
     with pytest.raises(SeedSpaceTooLarge):
         scan_seeds(25, count)  # over it: refused before the first count
     assert len(calls) == 1 << (24 - SCAN_CHUNK_BITS)
+
+
+def test_scan_is_the_one_seed_source_of_both_modes():
+    fam = TWiseFamily(2, 4, 8)  # 6 seed bits
+
+    def seen(seeds):
+        return np.bincount(seeds.astype(np.int64), minlength=fam.seed_space)
+
+    hist, total = scan(fam, seen)
+    assert total == fam.seed_space and hist.tolist() == [1] * fam.seed_space
+    # monte-carlo mode counts the rows of one Philox draw keyed by the run
+    # seed, here in 126 blocks of 8 rows split over two workers
+    drawn = fam.draw_seed_block(np.random.Generator(np.random.Philox(key=5)), 1001)
+    with scan_chunk_bits(3):
+        hist, total = scan(fam, seen, "mc", 1001, run_seed=5, threads=2)
+    assert total == 1001 and np.array_equal(hist, seen(drawn))
+    with pytest.raises(InvalidArgument, match="unknown mode"):
+        scan(fam, seen, "guess")
+    for samples in (None, 0):
+        with pytest.raises(InvalidArgument, match="positive sample count"):
+            scan(fam, seen, "mc", samples)

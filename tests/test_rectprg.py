@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minwise_lab.cli import run_component_tests
+from blocksize import scan_chunk_bits
+from minwise_lab.cli import main, run_component_tests
 from minwise_lab.errors import (
     BadSeedLength,
     ConditionNeverHolds,
@@ -22,7 +23,6 @@ from minwise_lab.rectprg import (
     Rectangle,
     RecursiveMixPRG,
     TWisePRG,
-    _draw_seeds,
     conditional_rectangle_check,
     order_statistic_tails,
     rectangle_error,
@@ -190,24 +190,31 @@ def test_order_statistic_tails_count_every_pair(kind, groups):
     want = np.array([[np.count_nonzero((a == row) & (b > theta)) for theta in range(M + 1)]
                      for row in range(M + 1 if low else 1)])
     for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
-        tails, total = order_statistic_tails(prg, low, high, chunk_bits=chunk_bits,
-                                             threads=threads)
+        with scan_chunk_bits(chunk_bits):
+            tails, total = order_statistic_tails(prg, low, high, threads=threads)
         assert total == prg.seed_space
         assert np.array_equal(tails, want)
+
+
+def _drawn(prg, samples, run_seed):
+    """The packed seeds monte-carlo mode draws: one Philox integers call."""
+    rng = np.random.Generator(np.random.Philox(key=run_seed))
+    return rng.integers(0, 1 << prg.seed_bits, size=samples, dtype=np.uint64)
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_PRGS))
 def test_mc_order_statistic_tails_do_not_depend_on_the_block_split(kind):
     prg = SMALL_PRGS[kind]()
     samples, run_seed = 3001, 5
-    outs = np.array([prg.expand(int(s)) for s in _draw_seeds(prg, samples, run_seed)])
+    outs = np.array([prg.expand(int(s)) for s in _drawn(prg, samples, run_seed)])
     a, b = outs[:, 0], outs[:, 1:].min(axis=1)
     want = np.array([[np.count_nonzero((a == row) & (b > theta))
                       for theta in range(prg.alphabet + 1)]
                      for row in range(prg.alphabet + 1)])
     for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
-        tails, total = order_statistic_tails(prg, [1], range(2, prg.dimension + 1), "mc",
-                                             samples, run_seed, threads, chunk_bits)
+        with scan_chunk_bits(chunk_bits):
+            tails, total = order_statistic_tails(prg, [1], range(2, prg.dimension + 1),
+                                                 "mc", samples, run_seed, threads)
         assert total == samples
         assert np.array_equal(tails, want)
 
@@ -333,3 +340,27 @@ def test_prg_hash_family_adapter():
     for x in range(1, 5):
         assert np.array_equal(fam.eval_block(seeds, x), prg.coord_block(seeds, x))
         assert fam.eval(5, x) == prg.coord_eval(5, x)
+
+
+def test_mc_draws_packed_seeds_up_to_64_bits():
+    # 64 seed bits (t = 8 over GF(2^8)) still fit one packed uint64 draw:
+    # one Philox integers call over [0, 2^64)
+    prg = TWisePRG(8, 8, 256)
+    assert prg.seed_bits == 64
+    seeds = _drawn(prg, 500, 3)
+    mins = np.min([prg.coord_block(seeds, i) for i in range(1, 9)], axis=0)
+    tails, total = order_statistic_tails(prg, [], range(1, 9), "mc", 500, 3)
+    assert total == 500
+    assert tails[0].tolist() == [int(np.count_nonzero(mins > theta))
+                                 for theta in range(257)]
+    # 72 bits do not: the packed draw is refused before any sampling
+    with pytest.raises(BadSeedLength, match="72-bit seeds"):
+        threshold_errors(TWisePRG(9, 8, 256), [1], "mc", 500, 3)
+
+
+def test_prg_test_mc_on_a_72_bit_prg_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"prg": {"kind": "twise", "t": 9}, "dimension": 256,
+                               "alphabet": 256, "mode": "mc", "samples": 1000}))
+    assert main(["prg-test", "--config", str(cfg)]) == 2
+    assert "72-bit seeds" in capsys.readouterr().err

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksize import scan_chunk_bits
 from minwise_lab import verify
 from minwise_lab.construction import ConstructionParams, build_kminwise, build_minwise
 from minwise_lab.errors import (
@@ -23,13 +23,7 @@ from minwise_lab.errors import (
 )
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
-from minwise_lab.kwise import (
-    SCAN_CHUNK_BITS,
-    SeededFamily,
-    TWiseFamily,
-    direct_sum,
-    scan_seeds,
-)
+from minwise_lab.kwise import SeededFamily, TWiseFamily, direct_sum, scan_seeds
 from minwise_lab.rectprg import (
     FullIndependencePRG,
     PRGHashFamily,
@@ -37,6 +31,7 @@ from minwise_lab.rectprg import (
     RecursiveMixPRG,
     TWisePRG,
     order_statistic_tails,
+    rectangle_error,
     rectangle_hits_exact,
 )
 from minwise_lab.verify import (
@@ -46,6 +41,7 @@ from minwise_lab.verify import (
     _bounded_count_poly,
     _reduction_counts,
     _scan_loads,
+    _wilson_halfwidth,
     binomial_central_moment,
     binomial_tail_at_least,
     check_load_lemma,
@@ -152,8 +148,10 @@ def test_singleton_hits_plus_tie_mass_cover_the_seed_space():
 
 def test_exhaustive_chunking_is_invisible():
     fam = TWiseFamily(2, 8, 16)
-    a = measure_minwise(fam, [1, 2, 3, 4, 5], [3], chunk_bits=2)
-    b = measure_minwise(fam, [1, 2, 3, 4, 5], [3], chunk_bits=20)
+    with scan_chunk_bits(2):
+        a = measure_minwise(fam, [1, 2, 3, 4, 5], [3])
+    with scan_chunk_bits(20):
+        b = measure_minwise(fam, [1, 2, 3, 4, 5], [3])
     assert a.exact_measured == b.exact_measured
     assert a.tie_mass == b.tie_mass
 
@@ -166,11 +164,26 @@ def test_mc_mode_is_reproducible_and_close():
     mc2 = measure_minwise(fam, [1, 2, 3, 4, 5], [3], mode="mc",
                           samples=20000, run_seed=7)
     assert mc1.measured_p == mc2.measured_p
-    assert mc1.ci_halfwidth > 0
+    assert mc1.ci_halfwidth == _wilson_halfwidth(round(mc1.measured_p * 20000), 20000)
     assert abs(mc1.measured_p - exact.measured_p) < 0.02
     mc3 = measure_minwise(fam, [1, 2, 3, 4, 5], [3], mode="mc",
                           samples=20000, run_seed=8)
     assert mc3.measured_p != mc1.measured_p
+
+
+def test_wilson_halfwidth_stays_positive_at_the_ends():
+    n = 20000
+    # the normal approximation gives 0 at hits 0 and n; Wilson's does not
+    assert _wilson_halfwidth(0, n) > 0 and _wilson_halfwidth(n, n) > 0
+    assert _wilson_halfwidth(0, n) == _wilson_halfwidth(n, n)
+    # half the distance between the interval's ends, the proportions q with
+    # (p - q)^2 = z^2 q (1 - q) / n
+    z, p = 2.576, 0.3
+    lower, upper = sorted(np.roots([1 + z * z / n, -(2 * p + z * z / n), p * p]))
+    assert _wilson_halfwidth(6000, n) == pytest.approx((upper - lower) / 2, rel=1e-9)
+    # at p = 1/2 it is within 0.1% of the old 2.576 * sqrt(p(1-p)/n)
+    normal = 2.576 * math.sqrt(0.25 / n)
+    assert _wilson_halfwidth(n // 2, n) == pytest.approx(normal, rel=1e-3)
 
 
 def test_mc_mode_on_a_seed_space_too_large_to_enumerate():
@@ -250,8 +263,8 @@ def _reference_counts(fam, seeds, X, Y):
 def test_exhaustive_corpus_matches_per_query_reference(fam_corpus, chunk_bits, threads):
     fam, corpus = fam_corpus
     # at most 2^8 blocks, so the 13- and 15-bit families stay quick
-    chunk_bits = max(chunk_bits, fam.seed_bits - 8)
-    reports = measure_corpus(fam, corpus, chunk_bits=chunk_bits, threads=threads)
+    with scan_chunk_bits(max(chunk_bits, fam.seed_bits - 8)):
+        reports = measure_corpus(fam, corpus, threads=threads)
     seeds = np.arange(fam.seed_space, dtype=np.uint64)
     assert len(reports) == len(corpus)
     for rep, (X, Y) in zip(reports, corpus):
@@ -261,10 +274,10 @@ def test_exhaustive_corpus_matches_per_query_reference(fam_corpus, chunk_bits, t
         assert rep.exact_tie == Fraction(ties, fam.seed_space)
 
 
-def _check_mc_against_per_query_draws(fam, corpus, run_seed, **scan):
+def _check_mc_against_per_query_draws(fam, corpus, run_seed, threads=1):
     samples = 3000
     reports = measure_corpus(fam, corpus, mode="mc", samples=samples,
-                             run_seed=run_seed, **scan)
+                             run_seed=run_seed, threads=threads)
     for rep, (X, Y) in zip(reports, corpus):
         rng = np.random.Generator(np.random.Philox(key=run_seed))
         hits, ties = _reference_counts(fam, fam.draw_seed_block(rng, samples), X, Y)
@@ -287,8 +300,8 @@ def test_mc_corpus_does_not_depend_on_the_block_split(chunk_bits, threads, fam_c
                                                       run_seed):
     # the one draw is counted in 750 row blocks at chunk_bits = 2, and
     # whole at 16
-    _check_mc_against_per_query_draws(*fam_corpus, run_seed, chunk_bits=chunk_bits,
-                                      threads=threads)
+    with scan_chunk_bits(chunk_bits):
+        _check_mc_against_per_query_draws(*fam_corpus, run_seed, threads=threads)
 
 
 def _wide_kminwise():
@@ -452,8 +465,10 @@ def test_large_regime_family_scan_matches_direct_recount():
 def test_scan_loads_chunking_is_invisible():
     fam = TWiseFamily(2, 8, 16)
     xs, ys = [1, 2, 3, 4, 5, 6], [1]
-    fine_hist, fine_bj = _scan_loads(fam, xs, ys, 16, 1, chunk_bits=2)
-    coarse_hist, coarse_bj = _scan_loads(fam, xs, ys, 16, 1, chunk_bits=18)
+    with scan_chunk_bits(2):
+        fine_hist, fine_bj = _scan_loads(fam, xs, ys, 16, 1)
+    with scan_chunk_bits(18):
+        coarse_hist, coarse_bj = _scan_loads(fam, xs, ys, 16, 1)
     assert np.array_equal(fine_hist, coarse_hist) and fine_bj == coarse_bj
     assert fine_hist.sum() == fam.seed_space
 
@@ -484,7 +499,8 @@ def test_scan_loads_finds_the_max_load_in_the_last_block(chunk_bits):
     want_hist = np.zeros((4, 4), dtype=np.int64)
     for ls in loads:
         want_hist[min(ls), max(ls)] += 1
-    hist, bj_bad = _scan_loads(fam, xs, ys, 2, 2, chunk_bits=chunk_bits)
+    with scan_chunk_bits(chunk_bits):
+        hist, bj_bad = _scan_loads(fam, xs, ys, 2, 2)
     assert np.array_equal(hist, want_hist)
     assert (hist[:, 3:].sum(), np.flatnonzero(hist.any(axis=0))[-1], bj_bad,
             hist.sum()) == want
@@ -826,25 +842,29 @@ def _rectangle_early_exit(chunk_bits):
     # coordinate 3
     prg = _CountingPRG(4, 4)
     rect = Rectangle.build(4, 4, {2: {1}, 3: {1, 2}})
-    hits, total = rectangle_hits_exact(prg, rect, chunk_bits=chunk_bits)
+    with scan_chunk_bits(chunk_bits):
+        hits, total = rectangle_hits_exact(prg, rect)
     if chunk_bits == 2:
         assert prg.calls == 64 + 16
     return hits, total
 
 
 def _tail(chunk_bits):
-    return check_twise_tail(2, 4, 3, 16, chunk_bits=chunk_bits).exact_p
+    with scan_chunk_bits(chunk_bits):
+        return check_twise_tail(2, 4, 3, 16).exact_p
 
 
-@pytest.mark.parametrize("oracle", [_rectangle_early_exit, _tail],
-                         ids=["rectangle_hits_exact", "check_twise_tail"])
+def _mc_rectangle_error(chunk_bits):
+    # 3001 samples: 751 row blocks at chunk_bits = 2, the last one short,
+    # and one block at 20
+    prg = TWisePRG(2, 8, 8)
+    rect = Rectangle.build(8, 8, {1: {1, 2, 3}, 4: {2, 5, 8}, 7: range(4, 9)})
+    with scan_chunk_bits(chunk_bits):
+        return rectangle_error(prg, rect, mode="mc", samples=3001, run_seed=9)
+
+
+@pytest.mark.parametrize("oracle", [_rectangle_early_exit, _tail, _mc_rectangle_error],
+                         ids=["rectangle_hits_exact", "check_twise_tail",
+                              "mc_rectangle_error"])
 def test_oracle_chunking_is_invisible(oracle):
     assert oracle(2) == oracle(20)
-
-
-def test_every_exact_scan_defaults_to_one_block_size():
-    scans = (scan_seeds, measure_corpus, measure_minwise, order_statistic_tails,
-             rectangle_hits_exact, check_twise_tails, check_twise_tail, _scan_loads)
-    for scan in scans:
-        default = inspect.signature(scan).parameters["chunk_bits"].default
-        assert default == SCAN_CHUNK_BITS, scan.__name__
