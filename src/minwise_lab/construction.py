@@ -192,17 +192,21 @@ class SeedLayout:
         return (seeds >> np.uint64(f.offset)) & np.uint64((1 << f.width) - 1)
 
     def draw_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Uniform seeds for sampling: packed when they fit, else 2-D."""
+        """Uniform seeds for sampling: packed when they fit, else 2-D.
+
+        A 2-D block is filled in place, one field column at a time in
+        layout order, so the draw holds its rows once; zero-width fields
+        stay zero.
+        """
         if self.total_bits <= 63:
             return rng.integers(0, 1 << self.total_bits, size=count, dtype=np.uint64)
         if any(f.width > 63 for f in self.fields):
             raise ParamViolation("a single layout field exceeds 63 bits")
-        cols = [
-            rng.integers(0, 1 << f.width, size=count, dtype=np.uint64)
-            if f.width else np.zeros(count, dtype=np.uint64)
-            for f in self.fields
-        ]
-        return np.stack(cols, axis=1)
+        block = np.zeros((count, len(self.fields)), dtype=np.uint64)
+        for i, f in enumerate(self.fields):
+            if f.width:
+                block[:, i] = rng.integers(0, 1 << f.width, size=count, dtype=np.uint64)
+        return block
 
 
 class _SingleBucket(SeededFamily):

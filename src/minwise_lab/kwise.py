@@ -30,6 +30,12 @@ EXHAUSTIVE_SEED_BITS = 24
 # instead of faulting in fresh pages.
 SCAN_CHUNK_BITS = 16
 
+# log2 of the rows in one Monte-Carlo draw chunk.  Chunk j of a sample
+# is the family's draw_seed_block on Philox keyed by the run seed and
+# jumped j times, so this constant defines the sample itself: it is not
+# a tuning knob, and it is independent of SCAN_CHUNK_BITS.
+MC_DRAW_BITS = 16
+
 
 def dsum_values(u, v, range_size: int):
     """Direct-sum combination of two values in [M]: ((u+v-1) mod M) + 1.
@@ -123,23 +129,39 @@ def scan(family: SeededFamily, count, mode: str = "exhaustive",
 
     The one seed source of every oracle.  Exhaustive mode enumerates
     [0, 2^seed_bits) through scan_seeds, under its 24-bit budget.
-    Monte-Carlo mode ("mc") draws ``samples`` seeds once, by the
-    family's draw_seed_block from Philox keyed by ``run_seed``, and
-    counts the rows of that draw in blocks of <= 2^SCAN_CHUNK_BITS.
-    Either way the blocks go through scan_blocks on ``threads``
-    workers, so the sum is the same at any block size and ``threads``.
+    Monte-Carlo mode ("mc") counts ``samples`` seeds drawn in chunks of
+    <= 2^MC_DRAW_BITS rows: chunk j is the family's draw_seed_block on
+    Philox keyed by ``run_seed`` and jumped j times, so a run of at most
+    2^16 samples is one draw off the unjumped stream.  Each block of
+    <= 2^SCAN_CHUNK_BITS rows draws the chunks it covers where it is
+    counted, so no process holds the whole sample.  Either way the
+    blocks go through scan_blocks on ``threads`` workers, so the sum is
+    the same at any block size and ``threads``.
     """
     check_mode(mode)
     if mode == "exhaustive":
         return scan_seeds(family.seed_bits, count, threads), family.seed_space
     if not samples or samples < 1:
         raise InvalidArgument("monte-carlo mode needs a positive sample count")
-    seeds = family.draw_seed_block(np.random.Generator(np.random.Philox(key=run_seed)),
-                                   samples)
-    step = 1 << SCAN_CHUNK_BITS
+    step, width = 1 << SCAN_CHUNK_BITS, 1 << MC_DRAW_BITS
+    # blocks smaller than a chunk share it: each process keeps its last one
+    memo = {}
+
+    def chunk(j: int):
+        if j not in memo:
+            rng = np.random.Generator(np.random.Philox(key=run_seed).jumped(j))
+            seeds = family.draw_seed_block(rng, min(width, samples - j * width))
+            if step >= width:
+                return seeds
+            memo.clear()
+            memo[j] = seeds
+        return memo[j]
 
     def block_of(i: int):
-        return seeds[i * step:(i + 1) * step]
+        lo, hi = i * step, min((i + 1) * step, samples)
+        parts = [chunk(j)[max(lo - j * width, 0):hi - j * width]
+                 for j in range(lo // width, -(-hi // width))]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     return scan_blocks(-(-samples // step), block_of, count, threads), samples
 

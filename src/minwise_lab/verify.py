@@ -130,11 +130,13 @@ def measure_corpus(
     """Measure Pr[max h(Y) < min h(X\\Y)] for every (X, Y) in ``queries``.
 
     Strict inequalities throughout.  Exhaustive mode (seed_bits <= 24)
-    counts the whole seed space and is exact.  Monte-Carlo mode draws
-    ``samples`` seeds once, with Philox keyed by run_seed, and attaches the
-    half-width of a 99% Wilson score interval.  Both modes count through
-    kwise.scan, in seed blocks; with ``threads`` > 1 the blocks are split
-    across that many forked processes, with the same result.
+    counts the whole seed space and is exact.  Monte-Carlo mode counts
+    ``samples`` seeds drawn by kwise.scan in chunks of 2^16 off Philox
+    keyed by run_seed (a run of at most 2^16 samples is one draw), and
+    attaches the half-width of a 99% Wilson score interval.  Both modes
+    count through kwise.scan, in seed blocks; with ``threads`` > 1 the
+    blocks are split across that many forked processes, with the same
+    result.
     Ties (max h(Y) == min h(X\\Y)) are reported separately: they are
     exactly the mass the strict convention loses at finite M.  Each
     distinct point of the corpus is evaluated once per seed block,

@@ -436,13 +436,42 @@ def test_measure_bytes_do_not_depend_on_threads(tmp_path):
 
 
 def test_mc_measure_bytes_do_not_depend_on_threads(tmp_path):
-    # 2^17 samples: one draw, counted in two blocks of 2^16 rows.  The
+    # 2^17 samples: two draw chunks of 2^16 rows, one per block.  The
     # config's thresholds are the exact answer's 0.0, which sampling error
     # misses, so every run exits 1 after writing its reports.
     outs = _measure_bytes(tmp_path, "kminwise_desk.json", "--mode", "mc",
                           "--samples", str(1 << 17), "--run-seed", "9", status=1)
     assert outs[0] == outs[1] == outs[2]
     assert b'"mode": "mc"' in outs[0][1]
+
+
+def test_mc_measure_peak_memory_does_not_grow_with_samples(tmp_path):
+    # the benchmark's 84-bit k-min-wise family, one query; each run is a
+    # fresh CLI process, so its peak is its own and not pytest's
+    cfg = _write(tmp_path, "wide.json", {
+        "construction": {
+            "family": "kminwise", "N": 16, "M": 16, "k": 2, "ell": 4, "t": 2,
+            "C": 1, "C_g": 2, "C_s": 3, "C_e": 4,
+            "prg1": {"kind": "twise", "t": 2}, "prg2": {"kind": "twise", "t": 2},
+            "extractor": {"kind": "leftover_hash", "n": 10, "m": 8},
+        },
+        "corpus": {"seed": 1, "queries": [{"kind": "random_subsets", "count": 1, "size": 3}]},
+    })
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    peak_kib = {}
+    for samples in (1 << 16, 1 << 20):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "minwise_lab.cli", "measure", "--config", cfg,
+             "--out-dir", str(tmp_path / str(samples)), "--mode", "mc",
+             "--samples", str(samples), "--threads", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        peak_kib[samples] = usage.ru_maxrss  # KiB on Linux
+    # 16 times the samples, drawn and counted in 2^16-row chunks
+    assert peak_kib[1 << 20] - peak_kib[1 << 16] < 8 << 10, peak_kib
 
 
 def _fake_libc(monkeypatch, **symbols):

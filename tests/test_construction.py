@@ -199,6 +199,23 @@ def test_wide_seed_blocks_agree_with_scalar_path():
             assert fam.eval(packed, x) == got
 
 
+@pytest.mark.parametrize("gap", [False, True])
+def test_wide_layout_draw_equals_stacked_columns(gap):
+    # the 95-bit layout above, with a zero-width field between w and
+    # h0-seed in the second case: the in-place fill must give the bytes
+    # of one rng.integers column per field, stacked
+    widths = [("g-seed", 16), ("prg1-seed", 12), ("w", 7), ("h0-seed", 60)]
+    if gap:
+        widths.insert(3, ("empty", 0))
+    layout = SeedLayout.build(widths)
+    rng = np.random.Generator(np.random.Philox(key=4))
+    want = np.stack([rng.integers(0, 1 << w, size=1000, dtype=np.uint64) if w
+                     else np.zeros(1000, dtype=np.uint64) for _, w in widths], axis=1)
+    got = layout.draw_block(np.random.Generator(np.random.Philox(key=4)), 1000)
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
 def test_param_validation():
     with pytest.raises(ParamViolation):
         ConstructionParams(N=4, M=3)            # alphabet not a power of two

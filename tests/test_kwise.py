@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksize import scan_chunk_bits
+from minwise_lab.construction import ConstructionParams, build_kminwise
 from minwise_lab.errors import (
     BadSeedLength,
     DomainOverflow,
@@ -17,8 +18,10 @@ from minwise_lab.errors import (
     RangeMismatch,
     SeedSpaceTooLarge,
 )
+from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
 from minwise_lab.kwise import (
+    MC_DRAW_BITS,
     SCAN_CHUNK_BITS,
     TWiseFamily,
     direct_sum,
@@ -26,6 +29,7 @@ from minwise_lab.kwise import (
     scan,
     scan_seeds,
 )
+from minwise_lab.rectprg import TWisePRG
 
 
 def test_constant_family_t1():
@@ -256,3 +260,62 @@ def test_scan_is_the_one_seed_source_of_both_modes():
     for samples in (None, 0):
         with pytest.raises(InvalidArgument, match="positive sample count"):
             scan(fam, seen, "mc", samples)
+
+
+def _chunked_draw(fam, samples: int, run_seed: int) -> np.ndarray:
+    """The Monte-Carlo sample as scan defines it, drawn here independently:
+    chunk j is 2^MC_DRAW_BITS rows (fewer for the last) off Philox keyed by
+    the run seed and jumped j times."""
+    width = 1 << MC_DRAW_BITS
+    return np.concatenate([
+        fam.draw_seed_block(np.random.Generator(np.random.Philox(key=run_seed).jumped(j)),
+                            min(width, samples - lo))
+        for j, lo in enumerate(range(0, samples, width))])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk_bits", [10, 16, 20])
+def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
+    # three draw chunks, the last one short; blocks of 2^10 rows cut each
+    # chunk in 64, blocks of 2^20 join all three
+    fam = TWiseFamily(2, 4, 8)
+    samples = (1 << 17) + 1001
+
+    def seen(seeds):
+        return np.bincount(seeds.astype(np.int64), minlength=fam.seed_space)
+
+    def seen_in_block(seeds):
+        assert len(seeds) <= 1 << chunk_bits
+        return seen(seeds)
+
+    # each chunk is drawn once, by the process that counts it: never by
+    # the parent of forked workers, which a single block does not start
+    drawn, draw = [], fam.draw_seed_block
+    fam.draw_seed_block = lambda rng, count: drawn.append(count) or draw(rng, count)
+    with scan_chunk_bits(chunk_bits):
+        hist, total = scan(fam, seen_in_block, "mc", samples, run_seed=12,
+                           threads=threads)
+    del fam.draw_seed_block
+    assert total == samples
+    in_process = threads == 1 or samples <= 1 << chunk_bits
+    assert drawn == ([1 << 16, 1 << 16, 1001] if in_process else [])
+    assert np.array_equal(hist, seen(_chunked_draw(fam, samples, 12)))
+
+
+def test_mc_scan_counts_the_chunked_draw_of_a_2d_layout():
+    # 95 packed seed bits: each chunk is a 2-D block of layout fields;
+    # the count is a histogram of each field's low byte
+    fam = build_kminwise(ConstructionParams(N=12, M=64, k=2, ell=4, t=2),
+                         TWisePRG(2, 4, 64), TWisePRG(1, 12, 64), LeftoverHash(7, 6))
+    assert fam.seed_bits == 95
+    samples = (1 << 17) + 1001
+
+    def low_bytes(seeds):
+        assert seeds.shape[1:] == (4,)
+        return np.concatenate([np.bincount((col & np.uint64(255)).astype(np.int64),
+                                           minlength=256) for col in seeds.T])
+
+    with scan_chunk_bits(15):
+        hist, total = scan(fam, low_bytes, "mc", samples, run_seed=3, threads=2)
+    assert total == samples
+    assert np.array_equal(hist, low_bytes(_chunked_draw(fam, samples, 3)))
