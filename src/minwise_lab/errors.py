@@ -64,6 +64,10 @@ class SeedSpaceTooLarge(MinwiseLabError):
     """Exhaustive enumeration requested for a seed space over the 24-bit budget."""
 
 
+class ScanWorkerFailed(MinwiseLabError):
+    """A forked scan worker ended without sending its sum."""
+
+
 class EmptyQuery(MinwiseLabError):
     """A min-wise query needs a nonempty Y that is a proper subset of X."""
 

@@ -10,6 +10,9 @@ Horner evaluation order is fixed so outputs are bit-exact everywhere.
 from __future__ import annotations
 
 import abc
+import os
+import pickle
+from typing import NoReturn
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from .errors import (
     DomainOverflow,
     InvalidArgument,
     RangeMismatch,
+    ScanWorkerFailed,
     SeedSpaceTooLarge,
 )
 from .gf2 import FieldContext, find_irreducible, mul_block
@@ -55,30 +59,22 @@ def dsum_values(u, v, range_size: int):
     return s
 
 
-# what a forked scan worker applies to a block index; set by _start_worker
-# in each worker process and never in the process that owns the pool
-_worker_count = None
-
-
-def _start_worker(count_block) -> None:
-    global _worker_count
-    _worker_count = count_block
-
-
-def _count_in_worker(i: int):
-    return _worker_count(i)
-
-
 def scan_blocks(blocks: int, block_of, count, threads: int = 1):
     """Sum of ``count(block_of(i))`` over the block indices i < ``blocks``.
 
     This is the one block loop behind every oracle; ``count`` returns an
     int or a fixed-shape int64 array.  With ``threads`` > 1 and more
-    than one block, block indices go to min(threads, blocks) forked
-    workers, each building its own blocks.  Fork hands them
-    ``block_of`` and ``count`` unpickled, so closures work and arrays
-    they read are shared, not copied.  Integer sums do not depend on
-    the order blocks finish in, so the result is the same at any
+    than one block, min(threads, blocks) workers are forked once each.
+    Worker w counts the w-th of that many contiguous ranges of block
+    indices, so a Monte-Carlo draw chunk split into several blocks stays
+    in one process, and sends its one sum back through its own pipe.
+    Fork hands the workers ``block_of`` and ``count`` unpickled, so
+    closures work and arrays they read are shared, not copied.  The
+    parent counts nothing: it only reads the pipes, reaps the workers
+    and adds their sums.  A worker's exception is raised again in the
+    parent, a worker that ends without a sum raises ScanWorkerFailed,
+    and on any failure the workers still running are killed.  Integer
+    sums do not depend on the split, so the result is the same at any
     ``threads``.
     """
     def count_block(i: int):
@@ -87,12 +83,102 @@ def scan_blocks(blocks: int, block_of, count, threads: int = 1):
     workers = min(threads, blocks)
     if workers <= 1:
         return sum(map(count_block, range(blocks)))
-    # imported here so that sequential runs do not pay for the pool at start-up
-    import multiprocessing
+    return _forked_sum(count_block, blocks, workers)
 
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, _start_worker, (count_block,)) as pool:
-        return sum(pool.imap_unordered(_count_in_worker, range(blocks)))
+
+def _forked_sum(count_block, blocks: int, workers: int):
+    """The sum of ``count_block`` over the blocks, counted by ``workers``
+    forked processes on contiguous ranges.  Every worker is reaped on
+    every path."""
+    # imported here so that start-up and sequential scans do not pay for them
+    import select
+    import signal
+
+    parent = os.getpid()
+    children = {}  # read end of a worker's pipe -> its pid, 0 once reaped
+    sums = {}
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            children[read] = 0
+            try:
+                if (pid := os.fork()) == 0:
+                    # only the parent holds read ends, so a worker whose
+                    # parent has gone gets EPIPE, not a pipe that never drains
+                    for fd in children:
+                        os.close(fd)
+                    _work(write, parent, count_block,
+                          range(blocks * w // workers, blocks * (w + 1) // workers))
+            finally:
+                os.close(write)
+            children[read] = pid
+        # every pipe is drained as it fills and each worker is reaped only
+        # at its end of file, so a large sum can never block its sender
+        pending = dict.fromkeys(children, b"")
+        while pending:
+            for fd in select.select(list(pending), [], [])[0]:
+                if chunk := os.read(fd, 1 << 16):
+                    pending[fd] += chunk
+                    continue
+                pid = children[fd]
+                status = os.waitpid(pid, 0)[1]
+                children[fd] = 0
+                sums[fd] = _reply(pending.pop(fd), pid, status)
+    except BaseException:
+        for pid in children.values():
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd, pid in children.items():
+            os.close(fd)
+            if pid:
+                os.waitpid(pid, 0)
+    return sum(sums.values())
+
+
+def _work(write: int, parent: int, count_block, indices: range) -> NoReturn:
+    """A forked worker: count the blocks of ``indices``, send the pickled
+    sum (or the exception that stopped it) and exit without returning.
+    It also exits at its next block once ``parent`` is gone."""
+    code = 1
+    try:
+        try:
+            total = 0
+            for i in indices:
+                if os.getppid() != parent:
+                    os._exit(1)
+                total = total + count_block(i)
+            reply = ("sum", total)
+        except BaseException as exc:
+            reply = ("raised", _portable(exc))
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives pickling, else a ScanWorkerFailed with its
+    type and message."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return ScanWorkerFailed(f"{type(exc).__name__}: {exc}")
+
+
+def _reply(data: bytes, pid: int, status: int):
+    """A worker's sum, or the exception it sent, raised here."""
+    try:
+        kind, value = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        raise ScanWorkerFailed(
+            f"scan worker {pid} ended without a result (exit code "
+            f"{os.waitstatus_to_exitcode(status)})") from None
+    if kind == "raised":
+        raise value
+    return value
 
 
 def scan_seeds(seed_bits: int, count, threads: int = 1):

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kwise
 from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
 from .kwise import SeededFamily, check_mode, scan, scan_seeds
 from .rectprg import PRGHashFamily, RectanglePRG, TWisePRG, order_statistic_tails
@@ -95,14 +96,31 @@ def _query_sets(family: SeededFamily, X, Y) -> tuple[list[int], list[int]]:
     return xs, ys
 
 
+def _query_counts(vals: np.ndarray, plan: list[tuple[list[int], list[int]]],
+                  weights: np.ndarray | None = None) -> np.ndarray:
+    """(queries, 2) int64 counts of (max h(Y) < min h(X\\Y), equality).
+
+    Column j of ``vals`` holds the values at the corpus points of one
+    seed, or of ``weights[j]`` seeds when weights are given; each query
+    reads its rows by index.
+    """
+    counts = np.empty((len(plan), 2), dtype=np.int64)
+    for q, (y_rows, rest_rows) in enumerate(plan):
+        max_y = vals[y_rows].max(axis=0)
+        min_rest = vals[rest_rows].min(axis=0)
+        below, tied = max_y < min_rest, max_y == min_rest
+        counts[q] = ((np.count_nonzero(below), np.count_nonzero(tied)) if weights is None
+                     else (weights[below].sum(), weights[tied].sum()))
+    return counts
+
+
 def _block_counts(family: SeededFamily, seeds: np.ndarray, points: list[int],
                   plan: list[tuple[list[int], list[int]]]) -> np.ndarray:
-    """(queries, 2) int64 counts of (max h(Y) < min h(X\\Y), equality) on one block.
+    """_query_counts on one block.
 
     The family's block evaluator is bound once, and each distinct point
     is evaluated by it into a (points, seeds) value matrix in the
-    narrowest dtype that holds [1, M]; every query then reads its rows
-    by index from that matrix.
+    narrowest dtype that holds [1, M].
     """
     vals = np.empty((len(points), len(seeds)),
                     dtype=np.min_scalar_type(family.range_size))
@@ -110,13 +128,26 @@ def _block_counts(family: SeededFamily, seeds: np.ndarray, points: list[int],
     for i, x in enumerate(points):
         vals[i] = evaluate(x)
     del evaluate  # the block's unpacked seeds go before the queries allocate
-    counts = np.empty((len(plan), 2), dtype=np.int64)
-    for q, (y_rows, rest_rows) in enumerate(plan):
-        max_y = vals[y_rows].max(axis=0)
-        min_rest = vals[rest_rows].min(axis=0)
-        counts[q] = (np.count_nonzero(max_y < min_rest),
-                     np.count_nonzero(max_y == min_rest))
-    return counts
+    return _query_counts(vals, plan)
+
+
+def _joint_law(family: SeededFamily, seeds: np.ndarray, points: list[int]) -> np.ndarray:
+    """The block's histogram of h on ``points``, over M^P cells.
+
+    A seed with values v_1..v_P at the points, in their order, counts in
+    cell sum_i (v_i - 1) * M^(P-i).  The caller keeps M^P within one
+    block, so the codes fit in int64 with room to spare.
+    """
+    M = family.range_size
+    evaluate = family.block_evaluator(seeds)
+    # a copy: the evaluator's arrays are read, never written
+    code = evaluate(points[0]).astype(np.uint64)
+    for x in points[1:]:
+        code *= np.uint64(M)
+        code += evaluate(x)
+    # every v_i - 1 at once: the code of all ones
+    code -= np.uint64(sum(M ** i for i in range(len(points))))
+    return np.bincount(code.view(np.int64), minlength=M ** len(points))
 
 
 def measure_corpus(
@@ -139,8 +170,12 @@ def measure_corpus(
     result.
     Ties (max h(Y) == min h(X\\Y)) are reported separately: they are
     exactly the mass the strict convention loses at finite M.  Each
-    distinct point of the corpus is evaluated once per seed block,
-    whatever the number of queries that contain it.
+    distinct point of the corpus is evaluated once per seed block, in
+    corpus order, whatever the number of queries that contain it.  When
+    the P distinct points have M^P <= 2^SCAN_CHUNK_BITS value vectors,
+    no more cells than a block has seeds, the scan counts only the joint
+    law of h on them, and every query is read off that histogram once
+    the scan is done.  Larger corpora count every query on every block.
     """
     check_mode(mode)
     sets = [_query_sets(family, X, Y) for X, Y in queries]
@@ -150,11 +185,22 @@ def measure_corpus(
     row = {x: i for i, x in enumerate(points)}
     plan = [([row[y] for y in ys], [row[x] for x in xs if x not in ys])
             for xs, ys in sets]
+    M, P = family.range_size, len(points)
 
-    def count(seeds):
-        return _block_counts(family, seeds, points, plan)
+    if M ** P <= 1 << kwise.SCAN_CHUNK_BITS:
+        def count(seeds):
+            return _joint_law(family, seeds, points)
 
-    counts, total = scan(family, count, mode, samples, run_seed, threads)
+        law, total = scan(family, count, mode, samples, run_seed, threads)
+        seen = np.flatnonzero(law)
+        # row i of the seen cells' value vectors is digit P-1-i in base M
+        place = M ** np.arange(P - 1, -1, -1, dtype=np.int64)
+        counts = _query_counts(seen // place[:, None] % M, plan, law[seen])
+    else:
+        def count(seeds):
+            return _block_counts(family, seeds, points, plan)
+
+        counts, total = scan(family, count, mode, samples, run_seed, threads)
     return [_error_report(family, xs, ys, mode, int(hits), int(ties), total)
             for (xs, ys), (hits, ties) in zip(sets, counts)]
 

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import pickle
+import signal
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from minwise_lab.errors import (
     DomainOverflow,
     InvalidArgument,
     RangeMismatch,
+    ScanWorkerFailed,
     SeedSpaceTooLarge,
 )
 from minwise_lab.extractor import LeftoverHash
@@ -27,6 +34,7 @@ from minwise_lab.kwise import (
     direct_sum,
     dsum_values,
     scan,
+    scan_blocks,
     scan_seeds,
 )
 from minwise_lab.rectprg import TWisePRG
@@ -319,3 +327,147 @@ def test_mc_scan_counts_the_chunked_draw_of_a_2d_layout():
         hist, total = scan(fam, low_bytes, "mc", samples, run_seed=3, threads=2)
     assert total == samples
     assert np.array_equal(hist, low_bytes(_chunked_draw(fam, samples, 3)))
+
+
+# --- forked scan workers ------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so a
+    scan that waits on a lost worker fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, saved)
+
+
+@pytest.mark.parametrize("threads,blocks,forks", [
+    (1, 5, 0), (2, 1, 0), (2, 2, 2), (2, 7, 2), (3, 2, 2), (4, 9, 4)])
+def test_scan_forks_one_worker_per_contiguous_range(monkeypatch, threads, blocks, forks):
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    parent = os.getpid()
+
+    def pid_at(i: int):
+        # the pid that counted block i, in cell i
+        cells = np.zeros(blocks, dtype=np.int64)
+        cells[i] = os.getpid()
+        return cells
+
+    pids = scan_blocks(blocks, lambda i: i, pid_at, threads).tolist()
+    assert len(forked) == forks
+    if forks:
+        # the parent counts nothing; worker w counts the w-th range
+        assert parent not in pids
+        assert pids == sorted(pids, key=pids.index)
+        assert [len(list(run)) for _, run in itertools.groupby(pids)] == [
+            blocks * (w + 1) // forks - blocks * w // forks for w in range(forks)]
+    else:
+        assert pids == [parent] * blocks
+
+
+def test_a_large_sum_comes_back_whole():
+    # 1 MiB from each worker: more than a pipe holds before it is read
+    with _within(20):
+        total = scan_blocks(4, lambda i: i, lambda i: np.full(1 << 17, i, dtype=np.int64), 2)
+    assert total.tolist() == [6] * (1 << 17)
+
+
+@pytest.mark.parametrize("bad_block", [0, 3])
+def test_a_worker_exception_is_raised_again_with_its_type(bad_block):
+    def count(seeds):
+        if seeds[0] == bad_block << 2:
+            raise InvalidArgument(f"bad block at seed {seeds[0]}")
+        return 1
+
+    with _within(20), scan_chunk_bits(2), pytest.raises(
+            InvalidArgument, match=f"bad block at seed {bad_block * 4}"):
+        scan_seeds(4, count, threads=2)
+
+
+def test_a_failed_scan_kills_the_workers_still_counting():
+    # block 0 fails at once; the other worker would count for minutes
+    def count(i):
+        if i == 0:
+            raise InvalidArgument("block 0 failed")
+        time.sleep(60)
+        return 1
+
+    with _within(20), pytest.raises(InvalidArgument, match="block 0 failed"):
+        scan_blocks(4, lambda i: i, count, threads=2)
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise pickle.PicklingError("not this one")
+
+
+def test_an_exception_that_cannot_be_sent_keeps_its_name_and_message():
+    def count(seeds):
+        raise _Unpicklable("lost in transit")
+
+    with _within(20), scan_chunk_bits(2), pytest.raises(
+            ScanWorkerFailed, match="_Unpicklable: lost in transit"):
+        scan_seeds(4, count, threads=2)
+
+
+def test_a_worker_that_dies_without_a_result_raises_instead_of_hanging():
+    parent = os.getpid()
+
+    def count(seeds):
+        if os.getpid() != parent and seeds[0] == 0:
+            os._exit(1)
+        return 1
+
+    with _within(20), scan_chunk_bits(2), pytest.raises(ScanWorkerFailed, match="exit code 1"):
+        scan_seeds(4, count, threads=2)
+
+
+def _state(pid: int) -> str | None:
+    """The process state letter of ``pid`` from /proc, None once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_of_a_killed_scan_stop_at_their_next_block():
+    # a scan in a child of the test, killed while its workers count slow
+    # blocks: each worker finds its parent gone and exits
+    read, write = os.pipe()
+    if (scanner := os.fork()) == 0:
+        try:
+            os.close(read)
+
+            def count(i):
+                if i in (0, 1000):  # the first block of each worker
+                    os.write(write, os.getpid().to_bytes(4, "little"))
+                time.sleep(0.05)
+                return 1
+
+            scan_blocks(2000, lambda i: i, count, threads=2)
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        workers = set()
+        while len(workers) < 2:
+            pid = os.read(read, 4)
+            assert len(pid) == 4, "the scan ended before both workers counted"
+            workers.add(int.from_bytes(pid, "little"))
+    finally:
+        os.kill(scanner, signal.SIGKILL)
+        os.waitpid(scanner, 0)
+        os.close(read)
+    deadline = time.monotonic() + 10
+    while any(_state(pid) not in (None, "Z") for pid in workers):
+        assert time.monotonic() < deadline, "a worker outlived its parent's scan"
+        time.sleep(0.02)

@@ -357,6 +357,72 @@ def test_corpus_checks_every_query_before_scanning():
         measure_corpus(fam, [([1, 2, 3], [1])])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("mode", ["exhaustive", "mc"])
+@pytest.mark.parametrize("points", [16, 17])
+def test_joint_law_and_per_query_counts_give_equal_reports(monkeypatch, points, mode,
+                                                           threads):
+    # M = 2: the corpus has 2^points value vectors, within a default
+    # block of 2^16 seeds at 16 points and just past it at 17.  Each
+    # corpus is also measured at the block size that flips its path.
+    fam = TWiseFamily(4, 17, 2)  # 20 seed bits: 16 blocks or more
+    corpus = [(list(range(i, i + 3)), [i + 2]) for i in range(1, points - 1)]
+    samples = (1 << 17) + 1001 if mode == "mc" else None
+    paths = []
+
+    def spy(name):
+        count = getattr(verify, name)
+        return lambda *args: paths.append(name) or count(*args)
+
+    for name in ("_joint_law", "_block_counts"):
+        monkeypatch.setattr(verify, name, spy(name))
+    reports = {}
+    for chunk_bits in (16, 15 if points == 16 else 17):
+        paths.clear()
+        with scan_chunk_bits(chunk_bits):
+            reports[chunk_bits] = measure_corpus(fam, corpus, mode, samples, 7, threads)
+        joint = points <= chunk_bits
+        if threads == 1:  # forked workers record nowhere the test can see
+            assert set(paths) == {"_joint_law" if joint else "_block_counts"}
+    first, second = reports.values()
+    assert first == second
+    assert [r.samples for r in first] == [samples or fam.seed_space] * len(corpus)
+
+
+def _few_points(fam) -> list[int]:
+    """The first points of fam, as many as keep M^P within 2^16 cells."""
+    points = [1]
+    while len(points) < fam.domain_size and fam.range_size ** (len(points) + 1) <= 1 << 16:
+        points.append(len(points) + 1)
+    return points
+
+
+@pytest.mark.parametrize("fam", [f for f in EVALUATOR_FAMILIES if f.seed_bits <= 24])
+def test_counting_a_scan_block_leaves_the_evaluated_values_alone(monkeypatch, fam):
+    # the first scan block, on the per-point tables where the family has them
+    block = np.arange(min(fam.seed_space, 1 << 16), dtype=np.uint64)
+    points = _few_points(fam)
+    bind, handed = fam.block_evaluator, []
+
+    def recording(seeds):
+        evaluate = bind(seeds)
+
+        def recorded(x):
+            out = evaluate(x)
+            handed.append((out, out.copy()))
+            return out
+        return recorded
+
+    monkeypatch.setattr(fam, "block_evaluator", recording)
+    law = verify._joint_law(fam, block, points)
+    assert law.sum() == len(block) and len(handed) == len(points)
+    assert all(np.array_equal(out, kept) for out, kept in handed)
+    # one point evaluated twice in a block gives equal arrays
+    evaluate = bind(block)
+    for x in points:
+        assert np.array_equal(evaluate(x), evaluate(x))
+
+
 # ---------------------------------------------------------------------------
 # allocation loads
 # ---------------------------------------------------------------------------
