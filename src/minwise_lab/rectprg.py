@@ -336,6 +336,15 @@ def _accepted(prg: RectanglePRG, rect: Rectangle):
     return count
 
 
+def _extreme(read, coords: list[int], reduce) -> np.ndarray:
+    """``reduce`` (np.minimum or np.maximum) over the block's values at
+    ``coords``, each read once, as intp."""
+    acc = read(coords[0])
+    for i in coords[1:]:
+        reduce(acc, read(i), out=acc)
+    return acc.astype(np.intp)
+
+
 def _order_pairs(prg: RectanglePRG, low: list[int], high: list[int]):
     """Counter of the (max over ``low``, min over ``high``) output pairs in a block.
 
@@ -345,17 +354,11 @@ def _order_pairs(prg: RectanglePRG, low: list[int], high: list[int]):
     """
     side = prg.alphabet + 1
 
-    def extreme(read, coords, reduce):
-        acc = read(coords[0])
-        for i in coords[1:]:
-            reduce(acc, read(i), out=acc)
-        return acc.astype(np.intp)
-
     def count(seeds: np.ndarray) -> np.ndarray:
         read = prg.block_evaluator(seeds)
-        pair = extreme(read, high, np.minimum)
+        pair = _extreme(read, high, np.minimum)
         if low:
-            pair += extreme(read, low, np.maximum) * side
+            pair += _extreme(read, low, np.maximum) * side
         return np.bincount(pair, minlength=side * side if low else side)
 
     return count
@@ -386,6 +389,41 @@ def order_statistic_tails(prg: RectanglePRG, low, high, mode: str = "exhaustive"
     tails = np.zeros_like(hist)
     tails[:, :-1] = hist[:, :0:-1].cumsum(axis=1)[:, ::-1]
     return tails, total
+
+
+def strict_order_margins(prg: RectanglePRG, low, high,
+                         threads: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
+    """(at_max, at_min, seeds counted) over the seeds whose output has
+    a = max over ``low`` below b = min over ``high``: at_max[v] counts
+    those with a = v and at_min[v] those with b = v, for v = 0..M.
+
+    The two margins of the a < b part of the (a, b) histogram behind
+    order_statistic_tails, in O(M) cells instead of (M+1)^2: every rectangle
+    [max over low <= top] and [min over high > theta] with top <= theta
+    holds only such seeds, and counts #{a <= top} - #{b <= theta} of
+    them.  One exhaustive scan, split over ``threads`` workers.
+    """
+    low, high = [int(i) for i in low], [int(i) for i in high]
+    if not low or not high:
+        raise InvalidArgument("need coordinates on both sides of the order")
+    for i in low + high:
+        prg._check_coord(i)
+    side = prg.alphabet + 1
+
+    def count(seeds: np.ndarray) -> np.ndarray:
+        read = prg.block_evaluator(seeds)
+        a = _extreme(read, low, np.maximum)
+        b = _extreme(read, high, np.minimum)
+        # outputs lie in [1, M], so cell 0 collects the seeds with a >= b
+        below = a < b
+        a *= below
+        b *= below
+        return np.concatenate((np.bincount(a, minlength=side),
+                               np.bincount(b, minlength=side)))
+
+    both, total = scan(PRGHashFamily(prg), count, threads=threads)
+    both[[0, side]] = 0
+    return both[:side], both[side:], total
 
 
 def _additive_error(hits: int, total: int, uniform: Fraction, mode: str) -> float:

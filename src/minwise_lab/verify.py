@@ -23,7 +23,13 @@ import numpy as np
 from . import kwise
 from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
 from .kwise import SeededFamily, check_mode, scan, scan_seeds
-from .rectprg import PRGHashFamily, RectanglePRG, TWisePRG, order_statistic_tails
+from .rectprg import (
+    PRGHashFamily,
+    RectanglePRG,
+    TWisePRG,
+    order_statistic_tails,
+    strict_order_margins,
+)
 # bound here only so that perfbench/trace_cli.py finds it under this name
 from .rectprg import rectangle_hits_exact  # noqa: F401
 
@@ -372,6 +378,44 @@ def _bounded_count_poly(r: int, lo: int, hi: int, ell: int) -> Fraction:
     return poly[r] * math.factorial(r) / Fraction(ell) ** r
 
 
+# A per-point scatter-add into a block's (ell, block) load matrix costs
+# about as much as this many elementwise compare-and-add passes over the
+# block's bucket indices.  On 2^16 seeds (2 vCPUs, numpy 2.4) one pass
+# takes 20-30 us and one scatter 0.7 ms at ell = 32 and 3-4 ms at
+# ell = 512, where the matrix leaves the cache.
+_SCATTER_PASSES = 100
+
+
+def _loads_by_points(r: int, ell: int) -> bool:
+    """Whether _scan_loads counts r points into ell buckets by points.
+
+    By points, a block costs the r(r-1)/2 compare-and-add passes between
+    pairs of points; bucket-major, r scatter-adds of _SCATTER_PASSES
+    passes each.  So points win up to r = 2 * _SCATTER_PASSES + 1: at
+    r = 300, ell = 512 their 44,850 passes take 1.6 s a block against
+    1.1 s for the bucket pass.  Only r < ell guarantees an empty bucket.
+    """
+    return 0 < r < ell and r * (r - 1) // 2 <= _SCATTER_PASSES * r
+
+
+def _largest_multiplicity(cols: list[np.ndarray], dtype) -> np.ndarray:
+    """Per seed, the largest number of equal values among ``cols``.
+
+    A column's value occurs at least once more for each later column
+    equal to it, and exactly that often from its first occurrence on,
+    so the largest such count is the largest multiplicity.
+    """
+    top = np.ones(len(cols[0]), dtype=dtype)
+    seen = np.empty_like(top)
+    equal = np.empty(len(top), dtype=bool)
+    for i, col in enumerate(cols[:-1]):
+        seen.fill(1)
+        for later in cols[i + 1:]:
+            seen += np.equal(col, later, out=equal)
+        np.maximum(top, seen, out=top)
+    return top
+
+
 def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
                 bj_threshold: int | None):
     """Exhaustive chunked scan of g-seeds: (min, max) load histogram, B_J tail.
@@ -380,25 +424,53 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
     bucket load of X\\Y is a and whose largest is b, so any band of
     allowed loads [lo, hi] is counted by hist[lo:, :hi + 1].  bj_bad
     counts the seeds where the buckets holding Y receive at least
-    ``bj_threshold`` points of X\\Y (0 when it is None).
+    ``bj_threshold`` points of X\\Y (0 when it is None), by r * |Y|
+    compares of bucket indices.
+
+    g is bound once per block, and each point's bucket is evaluated
+    once.  When _loads_by_points(r, ell) holds, with r = |X\\Y| < ell,
+    the least load is 0 and the largest is the largest multiplicity
+    among the r bucket indices, so no load is stored.  Otherwise the
+    points are added into an (ell, block) matrix, which is reduced
+    elementwise over its ell contiguous rows.
     """
     rest = [x for x in xs if x not in ys]
-    side = len(rest) + 1
+    r = len(rest)
+    side = r + 1
+    by_points = _loads_by_points(r, ell)
+    bucket, load = np.min_scalar_type(ell), np.min_scalar_type(r)
 
     def count(seeds):
-        # each row gets exactly one bucket index per point, so a fancy
-        # index add counts every point
-        rows = np.arange(len(seeds))
-        counts = np.zeros((len(seeds), ell), dtype=np.min_scalar_type(len(rest)))
-        for x in rest:
-            counts[rows, g_family.eval_block(seeds, x) - 1] += 1
-        bj_bad = 0
+        n = len(seeds)
+        evaluate = g_family.block_evaluator(seeds)
         if bj_threshold is not None:
-            in_j = np.zeros((len(seeds), ell), dtype=bool)
-            for y in ys:
-                in_j[rows, g_family.eval_block(seeds, y) - 1] = True
-            bj_bad = np.count_nonzero((counts * in_j).sum(axis=1) >= bj_threshold)
-        cells = counts.min(axis=1).astype(np.int64) * side + counts.max(axis=1)
+            j_buckets = [evaluate(y).astype(bucket) for y in ys]
+            in_j = np.zeros(n, dtype=load)
+        if by_points:
+            cols = []
+        else:
+            loads = np.zeros((ell, n), dtype=load)
+            # (b - 1) * n + j is the cell of bucket b at seed j
+            cell = np.arange(-n, 0)
+        for x in rest:
+            col = evaluate(x).astype(bucket)
+            if bj_threshold is not None:
+                hit = col == j_buckets[0]
+                for b in j_buckets[1:]:
+                    hit |= col == b
+                in_j += hit
+            if by_points:
+                cols.append(col)
+            else:
+                index = col.astype(np.intp)
+                index *= n
+                index += cell
+                loads.reshape(-1)[index] += 1
+        if by_points:
+            cells = _largest_multiplicity(cols, load)
+        else:
+            cells = loads.min(axis=0).astype(np.intp) * side + loads.max(axis=0)
+        bj_bad = 0 if bj_threshold is None else np.count_nonzero(in_j >= bj_threshold)
         return np.append(np.bincount(cells, minlength=side * side), bj_bad)
 
     total = scan_seeds(g_family.seed_bits, count)
@@ -639,23 +711,27 @@ class ReductionReport:
         return asdict(self)
 
 
-def _reduction_counts(tails: np.ndarray, k: int):
+def _reduction_counts(at_max: np.ndarray, at_min: np.ndarray, k: int):
     """(choices, theta, seeds) for each rectangle behind the reduction bound.
 
-    ``tails`` is order_statistic_tails over (Y, X\\Y).  Each rectangle asks
-    every point of X\\Y for a value above theta and every y in Y for one
-    of ``choices`` values: h(y) = theta when k = 1, and h(y) <= top for
-    top in (theta, theta - 1) when k >= 2.
+    ``at_max`` and ``at_min`` are strict_order_margins over (Y, X\\Y): the
+    seeds with a = max h(Y) below b = min h(X\\Y), by a and by b.  Each
+    rectangle asks every point of X\\Y for a value above theta and every
+    y in Y for one of ``choices`` values: h(y) = theta when k = 1, read
+    straight off at_max, and h(y) <= top for top in (theta, theta - 1)
+    when k >= 2.  Those two count #{a <= theta < b} and #{a < theta < b}:
+    each seed adds 1 from a (from a + 1 for the second) and takes it
+    away again at b, so both are prefix sums, #{a <= top} - #{b <= theta}.
     """
-    M = tails.shape[1] - 1
+    M = len(at_max) - 1
     if k == 1:
         for theta in range(1, M + 1):
-            yield 1, theta, int(tails[theta, theta])
+            yield 1, theta, int(at_max[theta])
         return
-    at_most = tails.cumsum(axis=0)
+    a_at_most, b_at_most = at_max.cumsum(), at_min.cumsum()
     for theta in range(1, M + 1):
         for top in (theta, theta - 1):
-            yield top, theta, int(at_most[top, theta])
+            yield top, theta, int(a_at_most[top] - b_at_most[theta])
 
 
 def check_reduction(prg: RectanglePRG, X, Y, threads: int = 1) -> ReductionReport:
@@ -667,21 +743,21 @@ def check_reduction(prg: RectanglePRG, X, Y, threads: int = 1) -> ReductionRepor
     uniform probability clears the reduction's floor 0.5*k!/N^k, the
     multiplicative form with bound 2NM*delta (k = 1) or
     (N^k/k!)*4M*delta.  Both sides are exact rationals, counted in one
-    scan of the seed space (split over ``threads`` forked workers).
+    scan of the seed space (split over ``threads`` forked workers) that
+    keeps O(M) counts: strict_order_margins.
     """
     xs, ys = _query_sets(PRGHashFamily(prg), X, Y)
     k = len(ys)
     N, M = prg.dimension, prg.alphabet
     rest = [x for x in xs if x not in ys]
-    tails, total = order_statistic_tails(prg, ys, rest, threads=threads)
-    # tails[a, a] counts the seeds with max h(Y) = a < min h(X\Y)
-    measured = Fraction(int(tails.trace()), total)
+    at_max, at_min, total = strict_order_margins(prg, ys, rest, threads=threads)
+    measured = Fraction(int(at_max.sum()), total)
     uniform = uniform_minwise_probability(len(xs), M, k)
 
     errors = [
         abs(Fraction(hits, total)
             - Fraction(choices, M) ** k * Fraction(M - theta, M) ** len(rest))
-        for choices, theta, hits in _reduction_counts(tails, k)
+        for choices, theta, hits in _reduction_counts(at_max, at_min, k)
     ]
     delta = max(errors)
 

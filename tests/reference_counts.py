@@ -1,0 +1,70 @@
+"""Reference counters for the load and reduction oracles.
+
+These are the direct forms the library's counters are tested against:
+a (seeds, ell) bucket-load matrix reduced row by row for the load
+histogram, and the reduction's per-theta counts read off the full
+(M+1)^2 order_statistic_tails table.  They keep every cell the library
+no longer stores, so they are slower and larger, and they are meant to
+be obviously right.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from minwise_lab.kwise import SeededFamily, scan_seeds
+from minwise_lab.rectprg import RectanglePRG, order_statistic_tails
+
+
+def scan_loads(g_family: SeededFamily, xs, ys, ell: int, bj_threshold: int | None):
+    """verify._scan_loads's (hist, bj_bad), from a (block, ell) load matrix
+    filled by one eval_block per point and reduced over its rows."""
+    rest = [x for x in xs if x not in ys]
+    side = len(rest) + 1
+
+    def count(seeds):
+        # each row gets exactly one bucket index per point, so a fancy
+        # index add counts every point
+        rows = np.arange(len(seeds))
+        counts = np.zeros((len(seeds), ell), dtype=np.min_scalar_type(len(rest)))
+        for x in rest:
+            counts[rows, g_family.eval_block(seeds, x) - 1] += 1
+        bj_bad = 0
+        if bj_threshold is not None:
+            in_j = np.zeros((len(seeds), ell), dtype=bool)
+            for y in ys:
+                in_j[rows, g_family.eval_block(seeds, y) - 1] = True
+            bj_bad = np.count_nonzero((counts * in_j).sum(axis=1) >= bj_threshold)
+        cells = counts.min(axis=1).astype(np.int64) * side + counts.max(axis=1)
+        return np.append(np.bincount(cells, minlength=side * side), bj_bad)
+
+    total = scan_seeds(g_family.seed_bits, count)
+    return total[:-1].reshape(side, side), int(total[-1])
+
+
+def reduction_counts_from_tails(tails: np.ndarray, k: int):
+    """(choices, theta, seeds) for each rectangle behind the reduction bound.
+
+    ``tails`` is order_statistic_tails over (Y, X\\Y).  Each rectangle asks
+    every point of X\\Y for a value above theta and every y in Y for one
+    of ``choices`` values: h(y) = theta when k = 1, and h(y) <= top for
+    top in (theta, theta - 1) when k >= 2.
+    """
+    M = tails.shape[1] - 1
+    if k == 1:
+        for theta in range(1, M + 1):
+            yield 1, theta, int(tails[theta, theta])
+        return
+    at_most = tails.cumsum(axis=0)
+    for theta in range(1, M + 1):
+        for top in (theta, theta - 1):
+            yield top, theta, int(at_most[top, theta])
+
+
+def reduction_counts(prg: RectanglePRG, ys, rest):
+    """(per-rectangle counts, seeds with max h(Y) < min h(X\\Y), seeds):
+    the reduction's counts from one order_statistic_tails table, whose
+    diagonal tails[a, a] counts the seeds with max h(Y) = a < min h(X\\Y)."""
+    tails, total = order_statistic_tails(prg, ys, rest)
+    return (list(reduction_counts_from_tails(tails, len(ys))),
+            int(tails.trace()), total)

@@ -11,6 +11,7 @@ import types
 from pathlib import Path
 
 import pytest
+import reference_counts
 
 import minwise_lab
 from minwise_lab import verify
@@ -326,6 +327,35 @@ def test_loads_test_smoke(tmp_path, capsys):
         "X": list(range(1, 14)), "Y": [1], "regime": "small",
     })
     assert main(["loads-test", "--config", wrong_regime]) == 2
+
+
+# loads-test configs on both sides of the load counter's dispatch:
+# r = |X\\Y| = 4 < ell with a B_J tail, r = ell - 1, and r = 13 > ell = 2
+# with the band [6, 7] of allowed loads
+LOADS_PARITY_CONFIGS = {
+    "small": {"allocation": {"kind": "twise", "t": 3}, "N": 32, "ell": 32,
+              "X": list(range(1, 7)), "Y": [1, 2], "regime": "small"},
+    "mid": {"allocation": {"kind": "twise", "t": 4}, "N": 16, "ell": 16,
+            "X": list(range(1, 17)), "Y": [16], "regime": "mid"},
+    "large": {"allocation": {"kind": "twise", "t": 4}, "N": 16, "ell": 2,
+              "X": list(range(1, 15)), "Y": [14], "regime": "large"},
+}
+
+
+@pytest.mark.parametrize("size", sorted(LOADS_PARITY_CONFIGS))
+def test_loads_report_matches_the_reference_counter(size, tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "l.json", LOADS_PARITY_CONFIGS[size])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minwise_lab.cli", "loads-test", "--config", cfg,
+         "--out-dir", str(tmp_path / "fresh")],
+        env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(verify, "_scan_loads", reference_counts.scan_loads)
+    assert main(["loads-test", "--config", cfg, "--out-dir", str(tmp_path / "ref")]) == 0
+    assert ((tmp_path / "fresh" / "loads_report.json").read_bytes()
+            == (tmp_path / "ref" / "loads_report.json").read_bytes())
 
 
 def test_loads_test_rejects_y_equal_to_x(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksize import scan_chunk_bits
+import reference_counts
 from minwise_lab import verify
 from minwise_lab.construction import ConstructionParams, build_kminwise, build_minwise
 from minwise_lab.errors import (
@@ -33,6 +34,7 @@ from minwise_lab.rectprg import (
     order_statistic_tails,
     rectangle_error,
     rectangle_hits_exact,
+    strict_order_margins,
 )
 from minwise_lab.verify import (
     CSV_COLUMNS,
@@ -610,6 +612,69 @@ def test_scan_counts_loads_above_255():
     assert rep.max_load_seen == 299
 
 
+@pytest.mark.parametrize("chunk_bits", [1, 4, 16])
+@pytest.mark.parametrize("bj_threshold", [None, 2])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("r", [4, 7, 8, 12])
+def test_scan_loads_matches_the_bucket_matrix(r, k, bj_threshold, chunk_bits, monkeypatch):
+    # ell = 8: r below ell, at ell - 1, at ell and above it
+    fam = TWiseFamily(2, 16, 8)
+    xs = list(range(1, r + k + 1))
+    ys = xs[::3][:k]
+    by_points = verify._loads_by_points(r, 8)
+    assert by_points == (r < 8)
+    with scan_chunk_bits(chunk_bits):
+        want = reference_counts.scan_loads(fam, xs, ys, 8, bj_threshold)
+        got = [_scan_loads(fam, xs, ys, 8, bj_threshold)]
+        if by_points:
+            # the bucket-major pass on the same input
+            monkeypatch.setattr(verify, "_SCATTER_PASSES", 0)
+            got.append(_scan_loads(fam, xs, ys, 8, bj_threshold))
+    for hist, bj_bad in got:
+        assert np.array_equal(hist, want[0]) and bj_bad == want[1]
+    assert want[0].sum() == fam.seed_space
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 4, 16])
+@pytest.mark.parametrize("bj_threshold", [None, 1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+def test_scan_loads_matches_the_bucket_matrix_on_scalar_evaluators(k, bj_threshold,
+                                                                   chunk_bits):
+    fam = _LastSeedPiles()
+    xs, ys = [1, 2, 3, 4], [1, 3][:k]
+    with scan_chunk_bits(chunk_bits):
+        want = reference_counts.scan_loads(fam, xs, ys, 2, bj_threshold)
+        hist, bj_bad = _scan_loads(fam, xs, ys, 2, bj_threshold)
+    assert np.array_equal(hist, want[0]) and bj_bad == want[1]
+
+
+class _WideBuckets(SeededFamily):
+    """2-bit allocation of 300 points onto 512 buckets: seed 0 puts every
+    point in bucket 1, seed 1 uses three buckets, seed 2 one bucket per
+    point, and seed 3 piles the first 200 points into bucket 1."""
+
+    domain_size, range_size, seed_bits = 300, 512, 2
+    family_id = "wide_buckets"
+
+    def eval(self, seed, x):
+        return [1, x % 3 + 1, x, 1 if x <= 200 else x][seed]
+
+
+def test_points_count_loads_above_255(monkeypatch):
+    # r = 299 < ell = 512 stays bucket-major under the default rule
+    # (r(r-1)/2 compares lose there), so the points pass is forced here
+    fam = _WideBuckets()
+    xs, ys = list(range(1, 301)), [300]
+    assert not verify._loads_by_points(299, 512)
+    want = reference_counts.scan_loads(fam, xs, ys, 512, 99)
+    monkeypatch.setattr(verify, "_SCATTER_PASSES", 1000)
+    assert verify._loads_by_points(299, 512)
+    hist, bj_bad = _scan_loads(fam, xs, ys, 512, 99)
+    assert np.array_equal(hist, want[0]) and bj_bad == want[1]
+    assert np.flatnonzero(hist[0])[[0, -1]].tolist() == [1, 299]
+    assert bj_bad == 2  # seeds 0 and 1: 300 shares bucket 1 with 299 and 99 points
+
+
 def test_load_lemma_validation():
     with pytest.raises(RegimeMismatch):
         check_load_lemma("uniform", list(range(1, 14)), [1], 16, "small")
@@ -799,10 +864,13 @@ def test_reduction_counts_match_rectangle_hits_exact(case):
     N, M = prg.dimension, prg.alphabet
     rest = [x for x in X if x not in Y]
     tails, total = order_statistic_tails(prg, Y, rest)
-    got = [hits for _, _, hits in _reduction_counts(tails, len(Y))]
+    reference = [hits for _, _, hits
+                 in reference_counts.reduction_counts_from_tails(tails, len(Y))]
+    at_max, at_min, _ = strict_order_margins(prg, Y, rest)
+    got = [hits for _, _, hits in _reduction_counts(at_max, at_min, len(Y))]
     rects = list(_reference_reduction_rectangles(N, M, X, Y))
     want = [rectangle_hits_exact(prg, rect)[0] for rect in rects]
-    assert got == want
+    assert got == reference == want
     delta = max(abs(Fraction(hits, total) - rect.uniform_expectation())
                 for hits, rect in zip(want, rects))
 
@@ -821,6 +889,20 @@ def test_reduction_report_does_not_depend_on_threads():
                for n in (1, 2)]
     assert reports[0] == reports[1]
     assert reports[0]["delta"] > 0
+
+
+@pytest.mark.parametrize("M", [4, 16, 64])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reduction_margins_match_the_order_statistic_table(k, M):
+    prg = TWisePRG(2, 6, M)
+    xs = [2, 5, 1, 6, 3]
+    ys, rest = xs[:k], xs[k:]
+    want_counts, want_measured, want_total = reference_counts.reduction_counts(prg, ys, rest)
+    at_max, at_min, total = strict_order_margins(prg, ys, rest)
+    assert list(_reduction_counts(at_max, at_min, k)) == want_counts
+    assert (int(at_max.sum()), total) == (want_measured, want_total)
+    assert len(at_max) == len(at_min) == M + 1
+    assert at_max.sum() == at_min.sum() and at_max[0] == at_min[0] == 0
 
 
 # ---------------------------------------------------------------------------
