@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument, ParamViolation
 from .extractor import LeftoverHash
-from .kwise import SCAN_CHUNK_BITS, SeededFamily, TWiseFamily, dsum_values
+from .kwise import SCAN_CHUNK_BITS, SeededFamily, SeedLayout, TWiseFamily, dsum_values
 from .rectprg import (
     FullIndependencePRG,
     RectanglePRG,
@@ -120,95 +120,6 @@ class ConstructionParams:
         raise InvalidArgument(f"unknown construction kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class SeedField:
-    name: str
-    offset: int
-    width: int
-
-
-@dataclass(frozen=True)
-class SeedLayout:
-    """Ordered bit-fields of a packed seed, low offsets first."""
-
-    fields: tuple[SeedField, ...]
-
-    @classmethod
-    def build(cls, widths: list[tuple[str, int]]) -> "SeedLayout":
-        off = 0
-        out = []
-        for name, width in widths:
-            out.append(SeedField(name, off, width))
-            off += width
-        return cls(tuple(out))
-
-    @property
-    def total_bits(self) -> int:
-        return sum(f.width for f in self.fields)
-
-    def names(self) -> list[str]:
-        return [f.name for f in self.fields]
-
-    def field(self, name: str) -> SeedField:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
-    def unpack(self, seed: int) -> dict:
-        return {f.name: (seed >> f.offset) & ((1 << f.width) - 1) for f in self.fields}
-
-    def pack(self, values: dict) -> int:
-        seed = 0
-        for f in self.fields:
-            v = values[f.name]
-            if v < 0 or v >> f.width:
-                raise ParamViolation(
-                    f"field {f.name} value {v:#x} wider than {f.width} bits"
-                )
-            seed |= v << f.offset
-        return seed
-
-    def unpack_block(self, seeds: np.ndarray) -> dict:
-        """Field columns from packed 1-D seeds or an unpacked 2-D block.
-
-        The 2-D form (one column per field, layout order) is what
-        draw_seed_block emits when the packed seed would overflow 63
-        bits.
-        """
-        return {f.name: self.column(seeds, f.name) for f in self.fields}
-
-    def column(self, seeds: np.ndarray, name: str) -> np.ndarray:
-        """One field's uint64 column of a 1-D packed or 2-D unpacked block."""
-        f = self.field(name)
-        if seeds.ndim == 2:
-            if seeds.shape[1] != len(self.fields):
-                raise ParamViolation(
-                    f"unpacked seed block has {seeds.shape[1]} columns, "
-                    f"layout has {len(self.fields)} fields"
-                )
-            return seeds[:, self.fields.index(f)].astype(np.uint64, copy=False)
-        seeds = seeds.astype(np.uint64, copy=False)
-        return (seeds >> np.uint64(f.offset)) & np.uint64((1 << f.width) - 1)
-
-    def draw_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Uniform seeds for sampling: packed when they fit, else 2-D.
-
-        A 2-D block is filled in place, one field column at a time in
-        layout order, so the draw holds its rows once; zero-width fields
-        stay zero.
-        """
-        if self.total_bits <= 63:
-            return rng.integers(0, 1 << self.total_bits, size=count, dtype=np.uint64)
-        if any(f.width > 63 for f in self.fields):
-            raise ParamViolation("a single layout field exceeds 63 bits")
-        block = np.zeros((count, len(self.fields)), dtype=np.uint64)
-        for i, f in enumerate(self.fields):
-            if f.width:
-                block[:, i] = rng.integers(0, 1 << f.width, size=count, dtype=np.uint64)
-        return block
-
-
 class _SingleBucket(SeededFamily):
     """The ell = 1 allocation: everything lands in bucket 1, zero seed bits."""
 
@@ -253,8 +164,9 @@ class _BucketedFamily(SeededFamily):
     each subclass's ``_split`` takes from the extractor output.
 
     Seed layout (low bits first): g-seed | prg1-seed | w, followed by
-    the subclass's ``extra_fields``.  The low L = g-seed + prg1-seed
-    bits reach z = Ext(w, s_{g(x)}) only through PRG1's multiplier at
+    the subclass's ``extra_fields``, each with the words of what reads it
+    (w is one word).  The low L = g-seed + prg1-seed bits reach
+    z = Ext(w, s_{g(x)}) only through PRG1's multiplier at
     g(x)'s bucket, and z reaches h(x) only through what ``_after_z``
     computes from it.  So on a packed run of consecutive seeds cut at
     multiples of 2^L, such as a scan block, the block evaluator serves
@@ -271,7 +183,7 @@ class _BucketedFamily(SeededFamily):
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
                  prg2: RectanglePRG, extractor: LeftoverHash,
-                 extra_fields: tuple[tuple[str, int], ...] = ()) -> None:
+                 extra_fields: tuple[tuple[str, tuple[int, ...]], ...] = ()) -> None:
         if prg1.dimension != params.ell:
             raise ParamViolation(
                 f"per-bucket seed PRG dimension {prg1.dimension} != ell {params.ell}"
@@ -292,9 +204,9 @@ class _BucketedFamily(SeededFamily):
         self.prg2 = prg2
         self.extractor = extractor
         self.layout = SeedLayout.build([
-            ("g-seed", self.g.seed_bits),
-            ("prg1-seed", prg1.seed_bits),
-            ("w", extractor.n),
+            ("g-seed", self.g.seed_columns()),
+            ("prg1-seed", prg1.seed_columns()),
+            ("w", (extractor.n,)),
             *extra_fields,
         ])
         self.domain_size = params.N
@@ -307,6 +219,9 @@ class _BucketedFamily(SeededFamily):
         self._tables: dict = {}
         self._table_bytes = 0
         self._counting = np.arange(0, dtype=np.uint64)
+
+    def seed_columns(self) -> tuple[int, ...]:
+        return self.layout.words
 
     def _bucket_output(self, parts: dict, x: int) -> int:
         """Extractor output for x's bucket: Ext(w, PRG1(prg1-seed)_{g(x)} - 1)."""
@@ -351,9 +266,9 @@ class _BucketedFamily(SeededFamily):
     def _low_table(self, x: int) -> np.ndarray:
         """Y_x: PRG1's value at g(x)'s bucket, which is the extractor
         multiplier y_s = s + 1, for every low value g-seed | prg1-seed."""
-        low = np.arange(1 << self.low_bits, dtype=np.uint64)
-        bucket = self.g.block_evaluator(self.layout.column(low, "g-seed"))(x)
-        return self.prg1.block_evaluator(self.layout.column(low, "prg1-seed"))(bucket)
+        parts = self.layout.unpack_block(np.arange(1 << self.low_bits, dtype=np.uint64))
+        bucket = self.g.block_evaluator(parts["g-seed"])(x)
+        return self.prg1.block_evaluator(parts["prg1-seed"])(bucket)
 
     def _z_table(self, x: int) -> np.ndarray:
         """T_x: the after-z value at x for every extractor output z."""
@@ -389,7 +304,7 @@ class _BucketedFamily(SeededFamily):
         parts = self.layout.unpack_block(seeds)
         bucket_of = self.g.block_evaluator(parts.pop("g-seed"))
         prg1_at = self.prg1.block_evaluator(parts.pop("prg1-seed"))
-        w = parts.pop("w")
+        w = parts.pop("w")[:, 0].astype(np.uint64)
         combine = self._combiner(parts.__getitem__)
 
         def evaluate(x: int) -> np.ndarray:
@@ -409,7 +324,7 @@ class _BucketedFamily(SeededFamily):
         row_z = self.extractor.extract_block(
             sources[:, None], ys=np.arange(1 << n, dtype=np.uint64)).view(np.int64)
         row_of = (np.arange(len(sources), dtype=np.int64) << n)[:, None]
-        combine = self._combiner(lambda name: self.layout.column(seeds, name))
+        combine = self._combiner(lambda name: self.layout.unpack_block(seeds)[name])
         # bound only if some point of the block has no tables
         layered = functools.cache(lambda: self._layered_evaluator(seeds))
 
@@ -424,9 +339,6 @@ class _BucketedFamily(SeededFamily):
             return combine(x, after.take(row_z).take(index).reshape(-1))
 
         return evaluate
-
-    def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.layout.draw_block(rng, count)
 
 
 class BucketedMinwiseFamily(_BucketedFamily):
@@ -484,7 +396,7 @@ class BucketedKMinwiseFamily(_BucketedFamily):
                  prg2: RectanglePRG, extractor: LeftoverHash) -> None:
         overlay = TWiseFamily(params.overlay_independence, params.N, params.M)
         super().__init__(params, prg1, prg2, extractor,
-                         (("h0-seed", overlay.seed_bits),))
+                         (("h0-seed", overlay.seed_columns()),))
         if extractor.m != prg2.seed_bits:
             raise ParamViolation(
                 f"extractor output {extractor.m} bits != PRG2 seed {prg2.seed_bits}"
@@ -508,8 +420,7 @@ class BucketedKMinwiseFamily(_BucketedFamily):
         return self.prg2.coord_block(z, x)
 
     def _combiner(self, column):
-        # the overlay seed is a layout field: its coefficients are unpacked
-        # once per block
+        # the overlay seed is a layout field: its words are its coefficients
         overlay = self.overlay.block_evaluator(column("h0-seed"))
         return lambda x, after: dsum_values(overlay(x), after, self.range_size)
 

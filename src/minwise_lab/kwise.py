@@ -10,8 +10,10 @@ Horner evaluation order is fixed so outputs are bit-exact everywhere.
 from __future__ import annotations
 
 import abc
+import functools
 import os
 import pickle
+from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     BadSeedLength,
     DomainOverflow,
     InvalidArgument,
+    ParamViolation,
     RangeMismatch,
     ScanWorkerFailed,
     SeedSpaceTooLarge,
@@ -252,12 +255,111 @@ def scan(family: SeededFamily, count, mode: str = "exhaustive",
     return scan_blocks(-(-samples // step), block_of, count, threads), samples
 
 
+def seed_words(seeds: np.ndarray, widths) -> np.ndarray:
+    """(count, words) columns of a seed block's words of the given
+    widths, low bits first: the one converter between the two forms.  A
+    2-D block is its word columns already; a packed block is cut by shift
+    and mask into a column-major block of the narrowest unsigned dtype
+    that holds the widest word."""
+    if seeds.ndim == 2:
+        if seeds.shape[1] != len(widths):
+            raise BadSeedLength(f"{seeds.shape[1]} word columns, expected {len(widths)}")
+        return seeds
+    seeds = seeds.astype(np.uint64, copy=False)
+    dtype = np.min_scalar_type((1 << max(widths, default=1)) - 1)
+    words = np.empty((len(seeds), len(widths)), dtype=dtype, order="F")
+    offset = 0
+    for i, width in enumerate(widths):
+        words[:, i] = (seeds >> np.uint64(offset)) & np.uint64((1 << width) - 1)
+        offset += width
+    return words
+
+
+@dataclass(frozen=True)
+class SeedField:
+    name: str
+    offset: int
+    width: int
+    words: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SeedLayout:
+    """Ordered bit-fields of a seed, low offsets first, each a run of the
+    words of the family that reads it."""
+
+    fields: tuple[SeedField, ...]
+
+    @classmethod
+    def build(cls, fields) -> "SeedLayout":
+        """Layout of (name, word widths) pairs, low bits first."""
+        off = 0
+        out = []
+        for name, words in fields:
+            out.append(SeedField(name, off, sum(words), tuple(words)))
+            off += sum(words)
+        return cls(tuple(out))
+
+    @property
+    def total_bits(self) -> int:
+        return sum(f.width for f in self.fields)
+
+    @property
+    def words(self) -> tuple[int, ...]:
+        """Every field's word widths, in layout order."""
+        return tuple(w for f in self.fields for w in f.words)
+
+    def names(self) -> list[str]:
+        return [f.name for f in self.fields]
+
+    def field(self, name: str) -> SeedField:
+        for f in self.fields:
+            if f.name == name:
+                return f
+        raise KeyError(name)
+
+    def unpack(self, seed: int) -> dict:
+        return {f.name: (seed >> f.offset) & ((1 << f.width) - 1) for f in self.fields}
+
+    def pack(self, values: dict) -> int:
+        seed = 0
+        for f in self.fields:
+            v = values[f.name]
+            if v < 0 or v >> f.width:
+                raise ParamViolation(
+                    f"field {f.name} value {v:#x} wider than {f.width} bits"
+                )
+            seed |= v << f.offset
+        return seed
+
+    def unpack_block(self, seeds: np.ndarray) -> dict:
+        """Each field's word columns of a packed or a 2-D block, as views."""
+        cuts = np.cumsum([len(f.words) for f in self.fields])[:-1]
+        return dict(zip(self.names(), np.split(seed_words(seeds, self.words), cuts, axis=1)))
+
+    def draw_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Uniform seeds for sampling: packed uint64 up to 64 bits, else
+        word columns as seed_words makes them.  In layout order, a field
+        of at most 63 bits is one integer per row, cut into its words, and
+        each word of a wider field is drawn on its own."""
+        if self.total_bits <= 64:
+            return rng.integers(0, 1 << self.total_bits, size=count, dtype=np.uint64)
+        parts = []
+        for f in self.fields:
+            for run in [f.words] if f.width <= 63 else [(w,) for w in f.words]:
+                if run:
+                    value = rng.integers(0, 1 << sum(run), size=count, dtype=np.uint64)
+                    parts.append(seed_words(value, run))
+        return np.concatenate(parts, axis=1)
+
+
 class SeededFamily(abc.ABC):
     """A finite hash family {h_seed : [1..N] -> [1..M]} indexed by seeds.
 
-    Seeds are integers in [0, 2^seed_bits); evaluation is pure.  Block
-    evaluation takes a uint64 seed array (or a family-specific unpacked
-    form produced by draw_seed_block) and returns a uint64 value array.
+    Seeds are integers in [0, 2^seed_bits) made of the coefficient words
+    of seed_columns(); evaluation is pure.  Block evaluation reads a
+    packed uint64 block or a 2-D (count, words) block of word columns
+    through seed_words and returns a uint64 value array.
     """
 
     domain_size: int
@@ -277,6 +379,16 @@ class SeededFamily(abc.ABC):
     def eval(self, seed: int, x: int) -> int:
         """h_seed(x), with seed and x validated."""
 
+    def seed_columns(self) -> tuple[int, ...]:
+        """Widths of the seed's words, low bits first, summing to seed_bits;
+        by default words of at most 32 bits."""
+        return tuple(min(32, self.seed_bits - low) for low in range(0, self.seed_bits, 32))
+
+    @functools.cached_property
+    def layout(self) -> SeedLayout:
+        """The seed's fields: by default one, "seed", of all its words."""
+        return SeedLayout.build([("seed", self.seed_columns())])
+
     def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
         """Vectorized eval over a seed block: ``block_evaluator(seeds)(x)``."""
         return self.block_evaluator(seeds)(x)
@@ -285,27 +397,27 @@ class SeededFamily(abc.ABC):
         """x -> the values of the block's members at x, with the work that
         depends only on the seed block done once, when it is bound.
 
-        The default is the scalar loop over ``eval``.  Work that depends
-        only on the point may also be kept across blocks: the bucketed
-        families of ``construction`` build per-point tables on a point's
-        first aligned scan block, within a byte budget per family, and
-        evaluate every other block, and every point past that budget,
-        through their layers, with the same values.
+        The default is the scalar loop over ``eval`` on the block's seeds.
+        Work that depends only on the point may also be kept across
+        blocks: the bucketed families of ``construction`` build per-point
+        tables on a point's first aligned scan block, within a byte budget
+        per family, and evaluate every other block, and every point past
+        that budget, through their layers, with the same values.
         """
+        widths = self.seed_columns()
+        offsets = np.cumsum((0, *widths)).tolist()
+        ints = [sum(v << o for v, o in zip(row, offsets))
+                for row in seed_words(seeds, widths).tolist()]
+
         def evaluate(x: int) -> np.ndarray:
             self._check_x(x)
-            return np.array([self.eval(int(s), x) for s in seeds], dtype=np.uint64)
+            return np.array([self.eval(s, x) for s in ints], dtype=np.uint64)
 
         return evaluate
 
     def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Sample seeds for Monte-Carlo oracles; packed uint64 by default."""
-        if self.seed_bits > 64:
-            raise BadSeedLength(
-                f"{self.seed_bits}-bit seeds do not fit the packed uint64 "
-                "sampling path and this family provides no unpacked form"
-            )
-        return rng.integers(0, 1 << self.seed_bits, size=count, dtype=np.uint64)
+        """Sample seeds for Monte-Carlo oracles: the layout's draw_block."""
+        return self.layout.draw_block(rng, count)
 
     def _check_seed(self, seed: int) -> None:
         if seed < 0 or seed >> self.seed_bits:
@@ -357,6 +469,9 @@ class TWiseFamily(SeededFamily):
         self.range_size = range_size
         self.seed_bits = t * ctx.degree
 
+    def seed_columns(self) -> tuple[int, ...]:
+        return (self.ctx.degree,) * self.t
+
     @property
     def family_id(self) -> str:
         return (
@@ -386,25 +501,15 @@ class TWiseFamily(SeededFamily):
     def block_evaluator(self, seeds: np.ndarray):
         """x -> values of the block's members at x, by Horner.
 
-        ``seeds`` is either a 1-D packed uint64 array or a 2-D (count, t)
-        coefficient array from draw_seed_block; the coefficient columns
-        are unpacked once, here.  x is a checked point or, for TWisePRG,
-        an unchecked uint64 array of points, one per seed.
+        The coefficients are the block's word columns.  All but the top
+        one are only XORed in, so they stay narrow: as uint64 columns they
+        lifted loads-test's per-block peak past the CLI's malloc trim
+        threshold (51k minor faults instead of 13k).  x is a checked point
+        or, for TWisePRG, an unchecked uint64 array of points, one per seed.
         """
-        if seeds.ndim == 2:
-            coeffs = [seeds[:, i] for i in range(self.t)]
-        else:
-            seeds = seeds.astype(np.uint64, copy=False)
-            n, mask = self.ctx.degree, self.ctx.size - 1
-            # all but the top coefficient are only XORed in, so they are
-            # held in the narrowest dtype.  As uint64 columns they lifted
-            # loads-test's per-block peak past the CLI's malloc trim
-            # threshold: 51k minor faults instead of 13k.
-            narrow = np.min_scalar_type(mask)
-            coeffs = [(seeds >> np.uint64(i * n)).astype(narrow) & narrow.type(mask)
-                      for i in range(self.t - 1)]
-            coeffs.append((seeds >> np.uint64((self.t - 1) * n)) & np.uint64(mask))
-        top, rest = coeffs[-1], coeffs[-2::-1]
+        coeffs = seed_words(seeds, self.seed_columns())
+        top = coeffs[:, -1].astype(np.uint64)
+        rest = [coeffs[:, i] for i in range(self.t - 2, -1, -1)]
         out_mask = np.uint64(self.range_size - 1)
 
         def evaluate(x) -> np.ndarray:
@@ -425,20 +530,14 @@ class TWiseFamily(SeededFamily):
 
         return evaluate
 
-    def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.seed_bits <= 63:
-            return super().draw_seed_block(rng, count)
-        # wide seeds: sample the coefficients unpacked, one column each
-        return rng.integers(0, self.ctx.size, size=(count, self.t), dtype=np.uint64)
-
 
 class DirectSumFamily(SeededFamily):
     """Pointwise direct sum of two families on the same domain and range.
 
     The combined seed is the concatenation with the first family's seed
-    in the low bits.  For any fixed second seed the map is a cyclic
-    bijection of each output, so exact t-wise marginal uniformity of
-    either component survives in the sum.
+    (and words) in the low bits.  For any fixed second seed the map is a
+    cyclic bijection of each output, so exact t-wise marginal uniformity
+    of either component survives in the sum.
     """
 
     def __init__(self, f: SeededFamily, g: SeededFamily) -> None:
@@ -460,6 +559,9 @@ class DirectSumFamily(SeededFamily):
     def family_id(self) -> str:
         return f"dsum({self.f.family_id},{self.g.family_id})"
 
+    def seed_columns(self) -> tuple[int, ...]:
+        return self.f.seed_columns() + self.g.seed_columns()
+
     def split_seed(self, seed: int) -> tuple[int, int]:
         return seed & (self.f.seed_space - 1), seed >> self.f.seed_bits
 
@@ -469,9 +571,10 @@ class DirectSumFamily(SeededFamily):
         return dsum_values(self.f.eval(sf, x), self.g.eval(sg, x), self.range_size)
 
     def block_evaluator(self, seeds: np.ndarray):
-        seeds = seeds.astype(np.uint64, copy=False)
-        f = self.f.block_evaluator(seeds & np.uint64(self.f.seed_space - 1))
-        g = self.g.block_evaluator(seeds >> np.uint64(self.f.seed_bits))
+        words = seed_words(seeds, self.seed_columns())
+        cut = len(self.f.seed_columns())
+        f = self.f.block_evaluator(words[:, :cut])
+        g = self.g.block_evaluator(words[:, cut:])
         return lambda x: dsum_values(f(x), g(x), self.range_size)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadSeedLength, ConditionNeverHolds, DomainOverflow, InvalidArgument
 from .gf2 import find_irreducible, mul_block
-from .kwise import SeededFamily, TWiseFamily, scan
+from .kwise import SeededFamily, TWiseFamily, scan, seed_words
 
 
 @dataclass(frozen=True)
@@ -117,21 +117,26 @@ class RectanglePRG(abc.ABC):
         """Stable identifier for configs and reports."""
 
     @abc.abstractmethod
+    def seed_columns(self) -> tuple[int, ...]:
+        """Widths of the seed's words, low bits first; they sum to seed_bits."""
+
+    @abc.abstractmethod
     def coord_eval(self, seed: int, coord: int) -> int:
         """Value of the 1-indexed coordinate, in [M]."""
 
     @abc.abstractmethod
     def coord_block(self, seeds: np.ndarray, coords) -> np.ndarray:
-        """Vectorized coord_eval; ``coords`` is an int or an array."""
+        """Vectorized coord_eval on any seed block; ``coords`` is an int or an array."""
 
     def block_evaluator(self, seeds: np.ndarray):
         """coords -> coord_block(seeds, coords), with the work that depends
         only on the seed block done once, when it is bound.
 
-        The default binds nothing; a generator that overrides it writes
-        coord_block as ``block_evaluator(seeds)(coords)``.
+        The default binds the block's word columns; a generator that
+        overrides it writes coord_block as ``block_evaluator(seeds)(coords)``.
         """
-        return lambda coords: self.coord_block(seeds, coords)
+        words = seed_words(seeds, self.seed_columns())
+        return lambda coords: self.coord_block(words, coords)
 
     def expand(self, seed: int) -> tuple[int, ...]:
         """The full output vector for one seed."""
@@ -166,15 +171,18 @@ class FullIndependencePRG(RectanglePRG):
     def prg_id(self) -> str:
         return f"fullind(N={self.dimension},M={self.alphabet})"
 
+    def seed_columns(self) -> tuple[int, ...]:
+        return (self.value_bits,) * self.dimension
+
     def coord_eval(self, seed: int, coord: int) -> int:
         self._check_seed(seed)
         self._check_coord(coord)
         return ((seed >> ((coord - 1) * self.value_bits)) & (self.alphabet - 1)) + 1
 
     def coord_block(self, seeds: np.ndarray, coords) -> np.ndarray:
-        seeds = seeds.astype(np.uint64, copy=False)
-        shift = (np.asarray(coords, dtype=np.uint64) - np.uint64(1)) * np.uint64(self.value_bits)
-        return ((seeds >> shift) & np.uint64(self.alphabet - 1)) + np.uint64(1)
+        words = seed_words(seeds, self.seed_columns())
+        column = np.asarray(coords, dtype=np.intp) - 1
+        return words[np.arange(len(words)), column].astype(np.uint64) + np.uint64(1)
 
 
 class TWisePRG(RectanglePRG):
@@ -191,6 +199,9 @@ class TWisePRG(RectanglePRG):
     @property
     def prg_id(self) -> str:
         return f"twise_prg(t={self.t},N={self.dimension},M={self.alphabet})"
+
+    def seed_columns(self) -> tuple[int, ...]:
+        return self.family.seed_columns()
 
     def coord_eval(self, seed: int, coord: int) -> int:
         return self.family.eval(seed, coord)
@@ -213,7 +224,7 @@ class RecursiveMixPRG(RectanglePRG):
     cell.  Structural scaffolding: its rectangle error is measured by
     the oracle, never assumed.
 
-    Seed layout, low bits first: x (b bits), then (a_i, b_i) per level.
+    Seed words, low bits first, each b bits: x, then (a_i, b_i) per level.
     """
 
     def __init__(self, dimension: int, alphabet: int, claimed_error: float | None = None):
@@ -234,36 +245,30 @@ class RecursiveMixPRG(RectanglePRG):
     def prg_id(self) -> str:
         return f"recmix(N={self.dimension},M={self.alphabet})"
 
-    def _level_key(self, seed: int, level: int) -> tuple[int, int]:
-        b = self.cell_bits
-        chunk = seed >> (b + level * 2 * b)
-        return chunk & ((1 << b) - 1), (chunk >> b) & ((1 << b) - 1)
+    def seed_columns(self) -> tuple[int, ...]:
+        return (self.cell_bits,) * (1 + 2 * self.levels)
 
     def coord_eval(self, seed: int, coord: int) -> int:
         self._check_seed(seed)
         self._check_coord(coord)
-        x = seed & ((1 << self.cell_bits) - 1)
-        path = coord - 1
+        b = self.cell_bits
+        words = [(seed >> (i * b)) & ((1 << b) - 1) for i in range(1 + 2 * self.levels)]
+        x, path = words[0], coord - 1
         for level in range(self.levels):
             if (path >> level) & 1:
-                a, c = self._level_key(seed, level)
-                x = self.ctx.mul(a, x) ^ c
+                x = self.ctx.mul(words[1 + 2 * level], x) ^ words[2 + 2 * level]
         return (x & (self.alphabet - 1)) + 1
 
     def coord_block(self, seeds: np.ndarray, coords) -> np.ndarray:
-        seeds = seeds.astype(np.uint64, copy=False)
-        b = np.uint64(self.cell_bits)
-        mask = np.uint64((1 << self.cell_bits) - 1)
-        x = seeds & mask
+        words = seed_words(seeds, self.seed_columns())
+        x = words[:, 0].astype(np.uint64)
         scalar = isinstance(coords, (int, np.integer))
         path = int(coords) - 1 if scalar else np.asarray(coords, dtype=np.uint64) - np.uint64(1)
         for level in range(self.levels):
             if scalar and not (path >> level) & 1:
                 continue
-            off = np.uint64(self.cell_bits + level * 2 * self.cell_bits)
-            a = (seeds >> off) & mask
-            c = (seeds >> (off + b)) & mask
-            hashed = mul_block(self.ctx, a, x) ^ c
+            a, c = words[:, 1 + 2 * level], words[:, 2 + 2 * level]
+            hashed = mul_block(self.ctx, x, a) ^ c
             if scalar:
                 x = hashed
             else:
@@ -284,6 +289,9 @@ class PRGHashFamily(SeededFamily):
         self.domain_size = prg.dimension
         self.range_size = prg.alphabet
         self.seed_bits = prg.seed_bits
+
+    def seed_columns(self) -> tuple[int, ...]:
+        return self.prg.seed_columns()
 
     @property
     def family_id(self) -> str:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import ctypes
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +74,37 @@ def test_construct_evaluates_a_point(capsys, tmp_path):
     assert main(["construct", "--config", cfg, "--seed", str(0x1A2B),
                  "--eval", "3"]) == 0
     assert int(capsys.readouterr().out.strip()) == value
+
+
+# Two k-min-wise constructions wider than a packed seed: the benchmark's
+# Monte-Carlo family (84 bits) and one with a 70-bit overlay seed (132 bits).
+WIDE_CONSTRUCTIONS = {
+    "bench_mc_84": {"family": "kminwise", "N": 16, "M": 16, "k": 2, "ell": 4, "t": 2,
+                    "C": 1, "C_g": 2, "C_s": 3, "C_e": 4,
+                    "prg1": {"kind": "twise", "t": 2}, "prg2": {"kind": "twise", "t": 2},
+                    "extractor": {"kind": "leftover_hash", "n": 10, "m": 8}},
+    "kminwise_132": {"family": "kminwise", "N": 128, "M": 128, "k": 2, "ell": 4, "t": 2,
+                     "prg1": {"kind": "twise", "t": 2}, "prg2": {"kind": "twise", "t": 1},
+                     "extractor": {"kind": "leftover_hash", "n": 12, "m": 7}},
+}
+
+
+def test_construct_bytes_are_pinned(capsys, tmp_path):
+    # field names, offsets and widths are part of the output format: stdout,
+    # stderr, the exit status and construct.json of every configs/ file and
+    # of the two wide constructions are pinned in tests/data
+    pins = json.loads((ROOT / "tests" / "data" / "construct_pins.json").read_text())
+    cases = {p.name: str(p) for p in sorted(CONFIG_DIR.glob("*.json"))}
+    for name, construction in WIDE_CONSTRUCTIONS.items():
+        cases[name] = _write(tmp_path, f"{name}.json", {"construction": construction})
+    assert sorted(cases) == sorted(pins)
+    for name, cfg in cases.items():
+        out = tmp_path / f"out-{name}"
+        status = main(["construct", "--config", cfg, "--out-dir", str(out)])
+        written = out / "construct.json"
+        got = {"status": status, **dict(zip(("stdout", "stderr"), capsys.readouterr())),
+               "construct.json": written.read_text() if written.exists() else None}
+        assert got == pins[name], name
 
 
 def test_construct_usage_errors(capsys, tmp_path):
@@ -473,6 +506,32 @@ def test_mc_measure_bytes_do_not_depend_on_threads(tmp_path):
                           "--samples", str(1 << 17), "--run-seed", "9", status=1)
     assert outs[0] == outs[1] == outs[2]
     assert b'"mode": "mc"' in outs[0][1]
+
+
+def test_mc_measure_on_a_132_bit_family(tmp_path):
+    # the overlay seed is 70 bits, so each of its ten 7-bit words is drawn
+    # on its own.  The overlay is 10-wise uniform, so h is uniform on any
+    # 4-subset and every query lands near the uniform value.
+    samples = 20000
+    cfg = _write(tmp_path, "wide.json", {
+        "construction": WIDE_CONSTRUCTIONS["kminwise_132"],
+        "corpus": {"seed": 5, "queries": [{"kind": "random_subsets", "count": 2, "size": 4}]},
+        "mode": "mc", "samples": samples, "run_seed": 17,
+    })
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["measure", "--config", cfg, "--out-dir", str(out),
+                     "--threads", threads]) == 0
+        outs.append((out / "measure.csv").read_bytes())
+    assert outs[0] == outs[1]
+    p = float(verify.uniform_minwise_probability(4, 128, 2))
+    sigma = math.sqrt(p * (1 - p) / samples)
+    rows = list(csv.DictReader(outs[0].decode().splitlines()[1:]))
+    assert len(rows) == 2
+    for row in rows:
+        assert (row["|X|"], row["k"], row["mode"], row["samples"]) == ("4", "2", "mc", "20000")
+        assert abs(float(row["measured_p"]) - p) <= 5 * sigma
 
 
 def test_mc_measure_peak_memory_does_not_grow_with_samples(tmp_path):

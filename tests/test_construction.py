@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seed_rows import seed_ints, split_words
 from minwise_lab import construction
 from minwise_lab.construction import (
     BucketedKMinwiseFamily,
@@ -167,12 +168,12 @@ def test_single_bucket_collapse():
 @given(st.integers(min_value=0, max_value=(1 << 23) - 1))
 @settings(max_examples=80, deadline=None)
 def test_layout_pack_unpack_round_trip(seed):
-    layout = SeedLayout.build([("g-seed", 4), ("prg1-seed", 12), ("w", 7)])
+    layout = SeedLayout.build([("g-seed", (4,)), ("prg1-seed", (6, 6)), ("w", (7,))])
     assert layout.pack(layout.unpack(seed)) == seed
 
 
 def test_layout_rejects_overwide_values():
-    layout = SeedLayout.build([("a", 3), ("b", 5)])
+    layout = SeedLayout.build([("a", (3,)), ("b", (5,))])
     assert layout.pack({"a": 7, "b": 31}) == 7 | (31 << 3)
     with pytest.raises(ParamViolation):
         layout.pack({"a": 8, "b": 0})
@@ -181,39 +182,58 @@ def test_layout_rejects_overwide_values():
 
 
 def test_wide_seed_blocks_agree_with_scalar_path():
-    # 95 packed bits: draw_seed_block switches to one column per field
+    # 95 packed bits: draw_seed_block fills one column per coefficient word
     params = ConstructionParams(N=12, M=64, k=2, ell=4, t=2)
     fam = build_kminwise(
         params, TWisePRG(2, 4, 64), TWisePRG(1, 12, 64), LeftoverHash(7, 6)
     )
     assert fam.seed_bits == 95
+    assert fam.seed_columns() == (4,) * 4 + (6, 6) + (7,) + (6,) * 10
     rng = np.random.Generator(np.random.Philox(key=21))
     block = fam.draw_seed_block(rng, 40)
-    assert block.shape == (40, 4)
+    assert block.shape == (40, 17) and block.dtype == np.uint8
+    seeds = seed_ints(block, fam.seed_columns())
     for x in (1, 7, 12):
         vals = fam.eval_block(block, x)
-        for row, got in zip(block, vals):
-            packed = fam.layout.pack(
-                {f.name: int(v) for f, v in zip(fam.layout.fields, row)}
-            )
-            assert fam.eval(packed, x) == got
+        for seed, got in zip(seeds, vals):
+            assert fam.eval(seed, x) == got
+
+
+WIDE_LAYOUTS = {
+    # the 95-bit layout above
+    95: [("g-seed", (4,) * 4), ("prg1-seed", (6, 6)), ("w", (7,)), ("h0-seed", (6,) * 10)],
+    # the benchmark's Monte-Carlo family: N = M = 16, k = 2, PRG1 over GF(2^9)
+    84: [("g-seed", (4,) * 4), ("prg1-seed", (9, 9)), ("w", (10,)), ("h0-seed", (4,) * 10)],
+    # N = M = 128, k = 2: a 70-bit overlay seed, past one draw of 63 bits
+    132: [("g-seed", (7,) * 4), ("prg1-seed", (11, 11)), ("w", (12,)),
+          ("h0-seed", (7,) * 10)],
+}
 
 
 @pytest.mark.parametrize("gap", [False, True])
 def test_wide_layout_draw_equals_stacked_columns(gap):
-    # the 95-bit layout above, with a zero-width field between w and
-    # h0-seed in the second case: the in-place fill must give the bytes
-    # of one rng.integers column per field, stacked
-    widths = [("g-seed", 16), ("prg1-seed", 12), ("w", 7), ("h0-seed", 60)]
-    if gap:
-        widths.insert(3, ("empty", 0))
-    layout = SeedLayout.build(widths)
-    rng = np.random.Generator(np.random.Philox(key=4))
-    want = np.stack([rng.integers(0, 1 << w, size=1000, dtype=np.uint64) if w
-                     else np.zeros(1000, dtype=np.uint64) for _, w in widths], axis=1)
-    got = layout.draw_block(np.random.Generator(np.random.Philox(key=4)), 1000)
-    assert got.dtype == np.uint64 and got.flags.c_contiguous
-    assert np.array_equal(got, want)
+    # with a zero-width field between w and h0-seed in the second case:
+    # the in-place fill must give the values of one rng.integers column per
+    # field, split into its words, and of one per word past 63 bits
+    for bits, fields in WIDE_LAYOUTS.items():
+        if gap:
+            fields = [*fields[:3], ("empty", ()), fields[3]]
+        layout = SeedLayout.build(fields)
+        assert layout.total_bits == bits
+        rng = np.random.Generator(np.random.Philox(key=4))
+        want = []
+        for _, words in fields:
+            width = sum(words)
+            if width > 63:
+                want += [rng.integers(0, 1 << w, size=1000, dtype=np.uint64)[:, None]
+                         for w in words]
+            elif width:
+                want.append(split_words(
+                    rng.integers(0, 1 << width, size=1000, dtype=np.uint64), words))
+        got = layout.draw_block(np.random.Generator(np.random.Philox(key=4)), 1000)
+        assert got.dtype == np.min_scalar_type((1 << max(layout.words)) - 1)
+        assert got.shape == (1000, len(layout.words))
+        assert np.array_equal(got, np.concatenate(want, axis=1))
 
 
 def test_param_validation():
@@ -359,9 +379,8 @@ def _block_mismatches(fam, seeds, rng) -> int:
     """Points x and seeds where ``fam`` on the block differs from its
     layered path on the packed block, plus scalar eval at eight positions
     per point."""
-    packed = seeds if seeds.ndim == 1 else np.asarray(
-        [fam.layout.pack(dict(zip(fam.layout.names(), map(int, row)))) for row in seeds],
-        dtype=np.uint64)
+    packed = seeds if seeds.ndim == 1 else np.asarray(seed_ints(seeds, fam.seed_columns()),
+                                                      dtype=np.uint64)
     evaluate, reference = fam.block_evaluator(seeds), fam._layered_evaluator(packed)
     bad = 0
     for x in range(1, fam.domain_size + 1):
@@ -396,7 +415,7 @@ def test_table_path_equals_layered_path_and_scalar_eval(name):
     # through the layers
     shuffled = block.copy()
     shuffled[1:-1] = rng.permutation(block[1:-1])
-    columns = np.stack([fam.layout.column(block, f) for f in fam.layout.names()], axis=1)
+    columns = split_words(block, fam.seed_columns())
     for other in (shuffled, columns):
         assert fam._sub_block_sources(other) is None
         assert _block_mismatches(fam, other, rng) == 0
@@ -413,10 +432,12 @@ PRG_KINDS = {
 @st.composite
 def _random_bucketed(draw):
     """A small bucketed family of either kind, with PRG1 and PRG2 of any
-    kind, ell in {1, 2, 4} and the smallest or next extractor source."""
+    kind, ell in {1, 2, 4} and the smallest or next extractor source.  A
+    t-wise PRG1 over GF(2^d), d >= 9, takes t up to 8, so that its seed
+    field can pass 63 bits."""
     def prg(dim, alpha):
         kind = draw(st.sampled_from(sorted(PRG_KINDS)))
-        return PRG_KINDS[kind](draw(st.integers(1, 3)), dim, alpha)
+        return PRG_KINDS[kind](draw(st.integers(1, 8 if alpha >= 1 << 9 else 3)), dim, alpha)
 
     minwise = draw(st.booleans())
     N, M, ell = (draw(st.sampled_from(v)) for v in ([2, 4], [2, 4], [1, 2, 4]))
@@ -426,8 +447,6 @@ def _random_bucketed(draw):
         m += TWiseFamily(ConstructionParams(N=N, M=M).inner_independence, N, M).seed_bits
     ext = LeftoverHash(m + draw(st.integers(1, 2)), m)
     prg1 = prg(ell, 1 << ext.d)
-    # SeedLayout.draw_block cannot yet draw a field past 63 bits
-    assume(prg1.seed_bits <= 63)
     build = _minwise if minwise else _kminwise
     return build(N, M, ell, prg1, prg2, ext)
 
@@ -435,18 +454,18 @@ def _random_bucketed(draw):
 def _scalar_mismatches(fam, seeds, positions, got) -> int:
     """Entries of ``got`` (point x -> block values) that differ from
     scalar ``eval`` at the given positions of the block."""
-    names = fam.layout.names()
+    positions = list(positions)
     bad = 0
-    for i in positions:
-        row = seeds[i]
-        seed = (int(row) if seeds.ndim == 1
-                else fam.layout.pack(dict(zip(names, map(int, row)))))
+    for i, seed in zip(positions, seed_ints(seeds[positions], fam.seed_columns())):
         bad += sum(int(vals[i]) != fam.eval(seed, x) for x, vals in got.items())
     return bad
 
 
 @given(_random_bucketed(), st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=1, max_value=40))
+# a 72-bit PRG1 field: its words are drawn one at a time
+@example(_kminwise(4, 4, 4, TWisePRG(8, 4, 512), FullIndependencePRG(4, 4),
+                   LeftoverHash(10, 8)), 5, 40)
 @settings(max_examples=50, deadline=None)
 def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, count):
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -464,7 +483,7 @@ def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, cou
             got = {x: evaluate(x) for x in points}
             assert all(np.array_equal(got[x], layered(x)) for x in points)
             assert _scalar_mismatches(fam, block, rng.integers(0, step, size=8), got) == 0
-    # a Monte-Carlo draw (2-D past 63 bits) goes through the layers
+    # a Monte-Carlo draw (word columns past 64 bits) goes through the layers
     drawn = fam.draw_seed_block(rng, count)
     evaluate = fam.block_evaluator(drawn)
     assert _scalar_mismatches(fam, drawn, range(count), {x: evaluate(x) for x in points}) == 0

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksize import scan_chunk_bits
+from seed_rows import split_words
 from minwise_lab.construction import ConstructionParams, build_kminwise
 from minwise_lab.errors import (
     BadSeedLength,
@@ -36,6 +37,7 @@ from minwise_lab.kwise import (
     scan,
     scan_blocks,
     scan_seeds,
+    seed_words,
 )
 from minwise_lab.rectprg import TWisePRG
 
@@ -249,6 +251,22 @@ def test_scan_seeds_checks_the_budget_before_the_first_block():
     assert len(calls) == 1 << (24 - SCAN_CHUNK_BITS)
 
 
+@pytest.mark.parametrize("widths, dtype", [((3, 5), np.uint8), ((9, 4, 7), np.uint16),
+                                           ((32, 32), np.uint32), ((), np.uint8)])
+def test_seed_words_cuts_packed_blocks_and_passes_word_blocks(widths, dtype):
+    rng = np.random.Generator(np.random.Philox(key=len(widths)))
+    packed = rng.integers(0, 1 << sum(widths), size=500, dtype=np.uint64)
+    words = seed_words(packed, widths)
+    # one contiguous column per word, low bits first, in the narrowest dtype
+    assert words.shape == (500, len(widths)) and words.dtype == dtype
+    assert words.flags.f_contiguous
+    assert np.array_equal(words, split_words(packed, widths))
+    # a block of word columns is already in the one form
+    assert seed_words(words, widths) is words
+    with pytest.raises(BadSeedLength, match="word columns"):
+        seed_words(words, widths + (1,))
+
+
 def test_scan_is_the_one_seed_source_of_both_modes():
     fam = TWiseFamily(2, 4, 8)  # 6 seed bits
 
@@ -311,22 +329,22 @@ def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
 
 
 def test_mc_scan_counts_the_chunked_draw_of_a_2d_layout():
-    # 95 packed seed bits: each chunk is a 2-D block of layout fields;
-    # the count is a histogram of each field's low byte
+    # 95 packed seed bits: each chunk is a 2-D block of 17 word columns of
+    # at most 7 bits; the count is a histogram of each word
     fam = build_kminwise(ConstructionParams(N=12, M=64, k=2, ell=4, t=2),
                          TWisePRG(2, 4, 64), TWisePRG(1, 12, 64), LeftoverHash(7, 6))
     assert fam.seed_bits == 95
     samples = (1 << 17) + 1001
 
-    def low_bytes(seeds):
-        assert seeds.shape[1:] == (4,)
-        return np.concatenate([np.bincount((col & np.uint64(255)).astype(np.int64),
-                                           minlength=256) for col in seeds.T])
+    def word_counts(seeds):
+        assert seeds.shape[1:] == (17,)
+        return np.concatenate([np.bincount(col.astype(np.int64), minlength=128)
+                               for col in seeds.T])
 
     with scan_chunk_bits(15):
-        hist, total = scan(fam, low_bytes, "mc", samples, run_seed=3, threads=2)
+        hist, total = scan(fam, word_counts, "mc", samples, run_seed=3, threads=2)
     assert total == samples
-    assert np.array_equal(hist, low_bytes(_chunked_draw(fam, samples, 3)))
+    assert np.array_equal(hist, word_counts(_chunked_draw(fam, samples, 3)))
 
 
 # --- forked scan workers ------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from blocksize import scan_chunk_bits
+from seed_rows import seed_ints
 from minwise_lab.cli import main, run_component_tests
 from minwise_lab.errors import (
     BadSeedLength,
@@ -353,14 +354,25 @@ def test_mc_draws_packed_seeds_up_to_64_bits():
     assert total == 500
     assert tails[0].tolist() == [int(np.count_nonzero(mins > theta))
                                  for theta in range(257)]
-    # 72 bits do not: the packed draw is refused before any sampling
-    with pytest.raises(BadSeedLength, match="72-bit seeds"):
-        threshold_errors(TWisePRG(9, 8, 256), [1], "mc", 500, 3)
+    # 72 bits are drawn as nine 8-bit word columns, one Philox integers
+    # call per word, and counted from the scalar coordinates of each row
+    wide = TWisePRG(9, 8, 256)
+    rng = np.random.Generator(np.random.Philox(key=3))
+    words = np.stack([rng.integers(0, 256, size=500, dtype=np.uint64) for _ in range(9)],
+                     axis=1)
+    wide_mins = [min(wide.coord_eval(seed, i) for i in range(1, 9))
+                 for seed in seed_ints(words, (8,) * 9)]
+    above = sum(m > 1 for m in wide_mins)
+    uniform = float(Fraction(255, 256) ** 8)
+    assert threshold_errors(wide, [1], "mc", 500, 3) == [abs(above / 500 - uniform)]
+    # the whole law of the minimum, not only its tail above 1
+    tails, total = order_statistic_tails(wide, [], range(1, 9), "mc", 500, 3)
+    assert tails[0].tolist() == [sum(m > theta for m in wide_mins) for theta in range(257)]
 
 
-def test_prg_test_mc_on_a_72_bit_prg_exits_two(tmp_path, capsys):
+def test_prg_test_mc_on_a_72_bit_prg_exits_zero(tmp_path, capsys):
     cfg = tmp_path / "wide.json"
     cfg.write_text(json.dumps({"prg": {"kind": "twise", "t": 9}, "dimension": 256,
                                "alphabet": 256, "mode": "mc", "samples": 1000}))
-    assert main(["prg-test", "--config", str(cfg)]) == 2
-    assert "72-bit seeds" in capsys.readouterr().err
+    assert main(["prg-test", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from blocksize import scan_chunk_bits
 import reference_counts
+from seed_rows import seed_ints
 from minwise_lab import verify
 from minwise_lab.construction import ConstructionParams, build_kminwise, build_minwise
 from minwise_lab.errors import (
@@ -307,7 +308,7 @@ def test_mc_corpus_does_not_depend_on_the_block_split(chunk_bits, threads, fam_c
 
 
 def _wide_kminwise():
-    """95 packed seed bits: its seeds come as a 2-D block of layout fields."""
+    """95 packed seed bits: its seeds come as a 2-D block of word columns."""
     params = ConstructionParams(N=12, M=64, k=2, ell=4, t=2)
     return build_kminwise(params, TWisePRG(2, 4, 64), TWisePRG(1, 12, 64),
                           LeftoverHash(7, 6))
@@ -320,14 +321,12 @@ EVALUATOR_FAMILIES = [
     PRGHashFamily(RecursiveMixPRG(8, 8)),
     direct_sum(TWiseFamily(2, 6, 8), TWiseFamily(1, 6, 8)),
     TWiseFamily(3, 300, 512),  # 9-bit coefficients: uint16 columns
+    # wider than 64 bits, so drawn as word columns
+    PRGHashFamily(FullIndependencePRG(32, 8)),  # 96 bits
+    PRGHashFamily(RecursiveMixPRG(1024, 256)),  # 168 bits
+    PRGHashFamily(TWisePRG(9, 8, 256)),  # 72 bits
+    direct_sum(TWiseFamily(5, 8, 256), TWiseFamily(5, 8, 256)),  # 80 bits
 ]
-
-
-def _scalar_seeds(fam, seeds) -> list[int]:
-    if seeds.ndim == 1:
-        return [int(s) for s in seeds]
-    names = fam.layout.names()
-    return [fam.layout.pack(dict(zip(names, map(int, row)))) for row in seeds]
 
 
 @given(st.sampled_from(EVALUATOR_FAMILIES), st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -343,7 +342,7 @@ def test_block_evaluator_equals_eval_block_and_scalar_eval(fam, key, count):
     first = {x: evaluate(x) for x in points}
     for x in reversed(points):
         assert np.array_equal(evaluate(x), first[x])
-    scalar = _scalar_seeds(fam, seeds)
+    scalar = seed_ints(seeds, fam.seed_columns())
     for x in points:
         assert np.array_equal(first[x], fam.eval_block(seeds, x))
         assert first[x].tolist() == [fam.eval(s, x) for s in scalar]
