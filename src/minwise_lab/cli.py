@@ -352,7 +352,8 @@ def _component_loads(cfg: dict, out: Path | None) -> int:
             "t": int(cfg["t"]) if "t" in cfg else None,
             "independence": int(cfg["independence"]) if "independence" in cfg else None,
         }
-    rep = verify.check_load_lemma(g, cfg["X"], cfg["Y"], ell, cfg["regime"], **constants)
+        X, Y = [int(v) for v in cfg["X"]], [int(v) for v in cfg["Y"]]
+    rep = verify.check_load_lemma(g, X, Y, ell, cfg["regime"], **constants)
     ok = rep.asserted_ok()
     if out is not None:
         verify.write_json(out / "loads_report.json",
@@ -371,7 +372,8 @@ def _component_reduction(cfg: dict, out: Path | None, threads: int = 1) -> int:
             raise _CliError(f"reduction-test config needs {key!r}")
     with _config_values():
         prg = prg_from_config(cfg["prg"], int(cfg["dimension"]), int(cfg["alphabet"]))
-    rep = verify.check_reduction(prg, cfg["X"], cfg["Y"], threads)
+        X, Y = [int(v) for v in cfg["X"]], [int(v) for v in cfg["Y"]]
+    rep = verify.check_reduction(prg, X, Y, threads)
     ok = rep.asserted_ok()
     if out is not None:
         verify.write_json(out / "reduction_report.json",

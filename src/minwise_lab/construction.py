@@ -168,17 +168,18 @@ class _BucketedFamily(SeededFamily):
     (w is one word).  The low L = g-seed + prg1-seed bits reach
     z = Ext(w, s_{g(x)}) only through PRG1's multiplier at
     g(x)'s bucket, and z reaches h(x) only through what ``_after_z``
-    computes from it.  So on a packed run of consecutive seeds cut at
-    multiples of 2^L, such as a scan block, the block evaluator serves
-    each point x from two tables, built on first use from the same block
-    paths and kept for the family's life: Y_x, the multiplier for each of
-    the 2^L low values, and T_x, the after-z value for each of the 2^m
-    outputs.  Each point then costs one gather of Y_x through one
-    composed row T_x[low_m(w * y)] per source word w.  This needs
-    m < n <= L <= SCAN_CHUNK_BITS.  Every other block, and every point
-    whose tables would pass POINT_TABLE_BYTES (summed over all points),
-    goes through the layers, with equal values.  The scalar ``eval`` is
-    the reference for both paths.
+    computes from it.  So on a ``range`` of consecutive seeds cut at
+    multiples of 2^L, such as an exhaustive scan block, the block
+    evaluator serves each point x from two tables, built on first use
+    from the same block paths and kept for the family's life: Y_x, the
+    multiplier for each of the 2^L low values, and T_x, the after-z value
+    for each of the 2^m outputs.  Each point then costs one gather of Y_x
+    through one composed row T_x[low_m(w * y)] per source word w.  This
+    needs m < n <= L <= SCAN_CHUNK_BITS.  Every other block (an array,
+    even of consecutive seeds), and every point whose tables would pass
+    POINT_TABLE_BYTES (summed over all points), goes through the layers,
+    with equal values.  The scalar ``eval`` is the reference for both
+    paths.
     """
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
@@ -213,12 +214,10 @@ class _BucketedFamily(SeededFamily):
         self.range_size = params.M
         self.seed_bits = self.layout.total_bits
         self.low_bits = self.layout.field("w").offset
-        # the per-point tables (x -> (Y_x, T_x), or None past the budget)
-        # and the counting run that contiguous blocks are checked against;
-        # both are filled on first use
+        # the per-point tables (x -> (Y_x, T_x), or None past the budget),
+        # filled on first use
         self._tables: dict = {}
         self._table_bytes = 0
-        self._counting = np.arange(0, dtype=np.uint64)
 
     def seed_columns(self) -> tuple[int, ...]:
         return self.layout.words
@@ -274,27 +273,19 @@ class _BucketedFamily(SeededFamily):
         """T_x: the after-z value at x for every extractor output z."""
         return self._after_z(np.arange(1 << self.extractor.m, dtype=np.uint64), x)
 
-    def _sub_block_sources(self, seeds: np.ndarray):
-        """w of each 2^L-seed sub-block when ``seeds`` is a packed run of
-        consecutive seeds cut at multiples of 2^L, else None.
+    def _sub_block_sources(self, seeds: np.ndarray | range):
+        """w of each 2^L-seed sub-block when ``seeds`` is a step-1
+        ``range`` cut at multiples of 2^L, else None.
 
         Only then is a per-w row of T_x worth composing: the row has 2^n
         entries, at most one sub-block's worth.
         """
-        count, n = len(seeds), self.extractor.n
-        if (seeds.ndim != 1 or not count or self.low_bits > SCAN_CHUNK_BITS
-                or n > self.low_bits or count % (1 << self.low_bits)):
+        L, n = self.low_bits, self.extractor.n
+        if (not isinstance(seeds, range) or seeds.step != 1 or not seeds
+                or L > SCAN_CHUNK_BITS or n > L
+                or seeds.start % (1 << L) or len(seeds) % (1 << L)):
             return None
-        seeds = seeds.astype(np.uint64, copy=False)
-        first = int(seeds[0])
-        if first % (1 << self.low_bits) or int(seeds[-1]) - first != count - 1:
-            return None
-        if len(self._counting) < count:
-            self._counting = np.arange(count, dtype=np.uint64)
-        if not np.array_equal(seeds - np.uint64(first), self._counting[:count]):
-            return None
-        high = np.arange(count >> self.low_bits, dtype=np.uint64)
-        high += np.uint64(first >> self.low_bits)
+        high = np.arange(seeds.start >> L, seeds.stop >> L, dtype=np.uint64)
         return high & np.uint64((1 << n) - 1)
 
     def _layered_evaluator(self, seeds: np.ndarray):

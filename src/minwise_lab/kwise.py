@@ -31,16 +31,16 @@ from .gf2 import FieldContext, find_irreducible, mul_block
 
 EXHAUSTIVE_SEED_BITS = 24
 
-# log2 of the seeds in one scan block, read by every scan when it starts.
-# Chosen by measurement: a block's uint64 temporaries (512 KiB each) stay
-# in cache, and under the CLI's allocator policy they reuse freed memory
-# instead of faulting in fresh pages.
+# log2 of the seeds in one exhaustive scan block, read by every scan
+# when it starts.  Chosen by measurement: a block's uint64 temporaries
+# (512 KiB each) stay in cache, and under the CLI's allocator policy they
+# reuse freed memory instead of faulting in fresh pages.
 SCAN_CHUNK_BITS = 16
 
-# log2 of the rows in one Monte-Carlo draw chunk.  Chunk j of a sample
-# is the family's draw_seed_block on Philox keyed by the run seed and
-# jumped j times, so this constant defines the sample itself: it is not
-# a tuning knob, and it is independent of SCAN_CHUNK_BITS.
+# log2 of the rows in one Monte-Carlo draw chunk, which is also one
+# Monte-Carlo scan block.  Chunk j of a sample is the family's
+# draw_seed_block on Philox keyed by the run seed and jumped j times, so
+# this constant defines the sample itself: it is not a tuning knob.
 MC_DRAW_BITS = 16
 
 
@@ -69,8 +69,7 @@ def scan_blocks(blocks: int, block_of, count, threads: int = 1):
     int or a fixed-shape int64 array.  With ``threads`` > 1 and more
     than one block, min(threads, blocks) workers are forked once each.
     Worker w counts the w-th of that many contiguous ranges of block
-    indices, so a Monte-Carlo draw chunk split into several blocks stays
-    in one process, and sends its one sum back through its own pipe.
+    indices and sends its one sum back through its own pipe.
     Fork hands the workers ``block_of`` and ``count`` unpickled, so
     closures work and arrays they read are shared, not copied.  The
     parent counts nothing: it only reads the pipes, reaps the workers
@@ -185,13 +184,14 @@ def _reply(data: bytes, pid: int, status: int):
 
 
 def scan_seeds(seed_bits: int, count, threads: int = 1):
-    """Sum of ``count(seeds)`` over the uint64 seed blocks of [0, 2^seed_bits).
+    """Sum of ``count(seeds)`` over the seed blocks of [0, 2^seed_bits).
 
     This is the one exhaustive enumeration behind every exact oracle.
-    Blocks are consecutive, hold <= 2^SCAN_CHUNK_BITS seeds and are
-    summed by scan_blocks on ``threads`` workers.  The budget is checked
-    before any block is built, so an oversized space raises
-    SeedSpaceTooLarge before any work is done.
+    Each block is a ``range`` of <= 2^SCAN_CHUNK_BITS consecutive seeds,
+    turned into an array only by seed_words, and the blocks are summed
+    by scan_blocks on ``threads`` workers.  The budget is checked before
+    any block is built, so an oversized space raises SeedSpaceTooLarge
+    before any work is done.
     """
     if seed_bits > EXHAUSTIVE_SEED_BITS:
         raise SeedSpaceTooLarge(
@@ -201,7 +201,7 @@ def scan_seeds(seed_bits: int, count, threads: int = 1):
     step, total = 1 << SCAN_CHUNK_BITS, 1 << seed_bits
 
     def block_of(i: int):
-        return np.arange(i * step, min((i + 1) * step, total), dtype=np.uint64)
+        return range(i * step, min((i + 1) * step, total))
 
     return scan_blocks(-(-total // step), block_of, count, threads)
 
@@ -218,49 +218,37 @@ def scan(family: SeededFamily, count, mode: str = "exhaustive",
 
     The one seed source of every oracle.  Exhaustive mode enumerates
     [0, 2^seed_bits) through scan_seeds, under its 24-bit budget.
-    Monte-Carlo mode ("mc") counts ``samples`` seeds drawn in chunks of
-    <= 2^MC_DRAW_BITS rows: chunk j is the family's draw_seed_block on
+    Monte-Carlo mode ("mc") counts ``samples`` seeds in blocks of
+    <= 2^MC_DRAW_BITS rows: block j is the family's draw_seed_block on
     Philox keyed by ``run_seed`` and jumped j times, so a run of at most
-    2^16 samples is one draw off the unjumped stream.  Each block of
-    <= 2^SCAN_CHUNK_BITS rows draws the chunks it covers where it is
-    counted, so no process holds the whole sample.  Either way the
-    blocks go through scan_blocks on ``threads`` workers, so the sum is
-    the same at any block size and ``threads``.
+    2^16 samples is one draw off the unjumped stream.  Each block is
+    drawn where it is counted, so no process holds the whole sample.
+    Either way the blocks go through scan_blocks on ``threads`` workers,
+    so the sum is the same at any ``threads``.
     """
     check_mode(mode)
     if mode == "exhaustive":
         return scan_seeds(family.seed_bits, count, threads), family.seed_space
     if not samples or samples < 1:
         raise InvalidArgument("monte-carlo mode needs a positive sample count")
-    step, width = 1 << SCAN_CHUNK_BITS, 1 << MC_DRAW_BITS
-    # blocks smaller than a chunk share it: each process keeps its last one
-    memo = {}
+    width = 1 << MC_DRAW_BITS
 
-    def chunk(j: int):
-        if j not in memo:
-            rng = np.random.Generator(np.random.Philox(key=run_seed).jumped(j))
-            seeds = family.draw_seed_block(rng, min(width, samples - j * width))
-            if step >= width:
-                return seeds
-            memo.clear()
-            memo[j] = seeds
-        return memo[j]
+    def block_of(j: int):
+        rng = np.random.Generator(np.random.Philox(key=run_seed).jumped(j))
+        return family.draw_seed_block(rng, min(width, samples - j * width))
 
-    def block_of(i: int):
-        lo, hi = i * step, min((i + 1) * step, samples)
-        parts = [chunk(j)[max(lo - j * width, 0):hi - j * width]
-                 for j in range(lo // width, -(-hi // width))]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    return scan_blocks(-(-samples // step), block_of, count, threads), samples
+    return scan_blocks(-(-samples // width), block_of, count, threads), samples
 
 
-def seed_words(seeds: np.ndarray, widths) -> np.ndarray:
+def seed_words(seeds: np.ndarray | range, widths) -> np.ndarray:
     """(count, words) columns of a seed block's words of the given
-    widths, low bits first: the one converter between the two forms.  A
-    2-D block is its word columns already; a packed block is cut by shift
-    and mask into a column-major block of the narrowest unsigned dtype
-    that holds the widest word."""
+    widths, low bits first: the one converter between the block forms.
+    A 2-D block is its word columns already; a ``range`` of seeds (an
+    exhaustive scan block) becomes their packed uint64 array, and a
+    packed block is cut by shift and mask into a column-major block of
+    the narrowest unsigned dtype that holds the widest word."""
+    if isinstance(seeds, range):
+        seeds = np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.uint64)
     if seeds.ndim == 2:
         if seeds.shape[1] != len(widths):
             raise BadSeedLength(f"{seeds.shape[1]} word columns, expected {len(widths)}")
@@ -358,8 +346,9 @@ class SeededFamily(abc.ABC):
 
     Seeds are integers in [0, 2^seed_bits) made of the coefficient words
     of seed_columns(); evaluation is pure.  Block evaluation reads a
-    packed uint64 block or a 2-D (count, words) block of word columns
-    through seed_words and returns a uint64 value array.
+    ``range`` of seeds, a packed uint64 block or a 2-D (count, words)
+    block of word columns through seed_words and returns a uint64 value
+    array.
     """
 
     domain_size: int

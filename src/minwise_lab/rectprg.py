@@ -353,35 +353,19 @@ def _extreme(read, coords: list[int], reduce) -> np.ndarray:
     return acc.astype(np.intp)
 
 
-def _order_pairs(prg: RectanglePRG, low: list[int], high: list[int]):
-    """Counter of the (max over ``low``, min over ``high``) output pairs in a block.
+def strict_order_margins(prg: RectanglePRG, low, high, mode: str = "exhaustive",
+                         samples: int | None = None, run_seed: int = 0,
+                         threads: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
+    """(at_max, at_min, seeds counted) over the seeds whose output has
+    a = max over ``low`` below b = min over ``high``: at_max[v] counts
+    those with a = v and at_min[v] those with b = v, for v = 0..M.
 
-    Each coordinate is evaluated once, through the generator's evaluator
-    bound once per block.  Cell a * (M+1) + b counts pair (a, b); a is 0
-    and only that row is kept when ``low`` is empty.
-    """
-    side = prg.alphabet + 1
-
-    def count(seeds: np.ndarray) -> np.ndarray:
-        read = prg.block_evaluator(seeds)
-        pair = _extreme(read, high, np.minimum)
-        if low:
-            pair += _extreme(read, low, np.maximum) * side
-        return np.bincount(pair, minlength=side * side if low else side)
-
-    return count
-
-
-def order_statistic_tails(prg: RectanglePRG, low, high, mode: str = "exhaustive",
-                          samples: int | None = None, run_seed: int = 0,
-                          threads: int = 1) -> tuple[np.ndarray, int]:
-    """(tails, seeds counted): tails[a, theta], theta = 0..M, counts the seeds
-    whose output has maximum a over the coordinates ``low`` and minimum
-    above theta over ``high``.
-
-    As suffix sums of one (max, min) histogram, it answers every rectangle
-    [max over low <= top] and [min over high > theta] from one pass:
-    column theta summed over rows 0..top.  Both modes count the seeds of
+    Every rectangle [max over low <= top] and [min over high > theta]
+    with top <= theta holds only such seeds, and counts
+    #{a <= top} - #{b <= theta} of them, in O(M) cells.  The max over an
+    empty ``low`` is 0, below every output, so then at_min is the law of
+    the minimum over ``high`` and #{min > theta} is
+    total - at_min.cumsum()[theta].  Both modes count the seeds of
     kwise.scan on PRGHashFamily(prg), so monte-carlo mode counts the draw
     that rectangle_error makes for the same run_seed; the blocks are split
     over ``threads`` workers, with the same result.
@@ -391,46 +375,24 @@ def order_statistic_tails(prg: RectanglePRG, low, high, mode: str = "exhaustive"
         raise InvalidArgument("need at least one coordinate to take the minimum over")
     for i in low + high:
         prg._check_coord(i)
-    flat, total = scan(PRGHashFamily(prg), _order_pairs(prg, low, high), mode,
-                       samples, run_seed, threads)
-    hist = flat.reshape(-1, prg.alphabet + 1)
-    tails = np.zeros_like(hist)
-    tails[:, :-1] = hist[:, :0:-1].cumsum(axis=1)[:, ::-1]
-    return tails, total
-
-
-def strict_order_margins(prg: RectanglePRG, low, high,
-                         threads: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
-    """(at_max, at_min, seeds counted) over the seeds whose output has
-    a = max over ``low`` below b = min over ``high``: at_max[v] counts
-    those with a = v and at_min[v] those with b = v, for v = 0..M.
-
-    The two margins of the a < b part of the (a, b) histogram behind
-    order_statistic_tails, in O(M) cells instead of (M+1)^2: every rectangle
-    [max over low <= top] and [min over high > theta] with top <= theta
-    holds only such seeds, and counts #{a <= top} - #{b <= theta} of
-    them.  One exhaustive scan, split over ``threads`` workers.
-    """
-    low, high = [int(i) for i in low], [int(i) for i in high]
-    if not low or not high:
-        raise InvalidArgument("need coordinates on both sides of the order")
-    for i in low + high:
-        prg._check_coord(i)
     side = prg.alphabet + 1
 
     def count(seeds: np.ndarray) -> np.ndarray:
         read = prg.block_evaluator(seeds)
-        a = _extreme(read, low, np.maximum)
         b = _extreme(read, high, np.minimum)
-        # outputs lie in [1, M], so cell 0 collects the seeds with a >= b
+        a = _extreme(read, low, np.maximum) if low else np.zeros_like(b)
+        # outputs lie in [1, M], so cell 0 of b's margin collects exactly
+        # the seeds with a >= b, and so does cell 0 of a's, on top of the
+        # seeds with a = 0 < b
         below = a < b
         a *= below
         b *= below
         return np.concatenate((np.bincount(a, minlength=side),
                                np.bincount(b, minlength=side)))
 
-    both, total = scan(PRGHashFamily(prg), count, threads=threads)
-    both[[0, side]] = 0
+    both, total = scan(PRGHashFamily(prg), count, mode, samples, run_seed, threads)
+    both[0] -= both[side]
+    both[side] = 0
     return both[:side], both[side:], total
 
 
@@ -470,12 +432,14 @@ def threshold_errors(prg: RectanglePRG, thetas, mode: str = "exhaustive",
                      samples: int | None = None, run_seed: int = 0,
                      threads: int = 1) -> list[float]:
     """rectangle_error of Rectangle.threshold(N, M, theta) for every theta,
-    all read off one order_statistic_tails pass over every coordinate."""
+    all read off one pass of strict_order_margins with an empty ``low``:
+    #{min over every coordinate > theta} is total - at_min.cumsum()[theta]."""
     thetas = [int(t) for t in thetas]
     rects = [Rectangle.threshold(prg.dimension, prg.alphabet, t) for t in thetas]
-    tails, total = order_statistic_tails(prg, [], range(1, prg.dimension + 1),
-                                         mode, samples, run_seed, threads)
-    return [_additive_error(int(tails[0, min(t, prg.alphabet)]), total,
+    _, at_min, total = strict_order_margins(prg, [], range(1, prg.dimension + 1),
+                                            mode, samples, run_seed, threads)
+    at_most = at_min.cumsum()
+    return [_additive_error(total - int(at_most[min(t, prg.alphabet)]), total,
                             rect.uniform_expectation(), mode)
             for t, rect in zip(thetas, rects)]
 

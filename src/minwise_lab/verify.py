@@ -27,7 +27,6 @@ from .rectprg import (
     PRGHashFamily,
     RectanglePRG,
     TWisePRG,
-    order_statistic_tails,
     strict_order_margins,
 )
 # bound here only so that perfbench/trace_cli.py finds it under this name
@@ -659,10 +658,11 @@ def check_twise_tails(t: int, b: int, thetas, M: int) -> list[TailReport]:
     for theta in thetas:
         if not 0 <= theta <= M:
             raise InvalidArgument(f"theta {theta} outside [0, {M}]")
-    tails, total = order_statistic_tails(TWisePRG(t, b, M), [], range(1, b + 1))
+    _, at_min, total = strict_order_margins(TWisePRG(t, b, M), [], range(1, b + 1))
+    at_most = at_min.cumsum()
     reports = []
     for theta in thetas:
-        exact = Fraction(int(tails[0, theta]), total)
+        exact = Fraction(total - int(at_most[theta]), total)
         reference = (1 - Fraction(theta, M)) ** b
         tolerance = Fraction(b * theta, M) ** t / math.factorial(t)
         within = abs(exact - reference) <= tolerance

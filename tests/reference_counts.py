@@ -1,19 +1,19 @@
-"""Reference counters for the load and reduction oracles.
+"""Reference counters for the load and order-statistic oracles.
 
 These are the direct forms the library's counters are tested against:
 a (seeds, ell) bucket-load matrix reduced row by row for the load
-histogram, and the reduction's per-theta counts read off the full
-(M+1)^2 order_statistic_tails table.  They keep every cell the library
-no longer stores, so they are slower and larger, and they are meant to
-be obviously right.
+histogram, and the full (M+1)^2 table of (max over Y, min over X\\Y)
+pairs for the order-statistic margins and the reduction's per-theta
+counts.  They keep every cell the library no longer stores, so they are
+slower and larger, and they are meant to be obviously right.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from minwise_lab.kwise import SeededFamily, scan_seeds
-from minwise_lab.rectprg import RectanglePRG, order_statistic_tails
+from minwise_lab.kwise import SeededFamily, scan, scan_seeds
+from minwise_lab.rectprg import PRGHashFamily, RectanglePRG
 
 
 def scan_loads(g_family: SeededFamily, xs, ys, ell: int, bj_threshold: int | None):
@@ -40,6 +40,26 @@ def scan_loads(g_family: SeededFamily, xs, ys, ell: int, bj_threshold: int | Non
 
     total = scan_seeds(g_family.seed_bits, count)
     return total[:-1].reshape(side, side), int(total[-1])
+
+
+def order_statistic_tails(prg: RectanglePRG, low, high) -> tuple[np.ndarray, int]:
+    """(tails, seeds): tails[a, theta], theta = 0..M, counts the seeds whose
+    output has maximum a over the coordinates ``low`` and minimum above
+    theta over ``high``.  Suffix sums of one (max, min) histogram over
+    the whole seed space, each block's values stacked and reduced here."""
+    family, side = PRGHashFamily(prg), prg.alphabet + 1
+
+    def count(seeds):
+        evaluate = family.block_evaluator(seeds)
+        a = np.stack([evaluate(i) for i in low]).max(axis=0).astype(np.int64)
+        b = np.stack([evaluate(i) for i in high]).min(axis=0).astype(np.int64)
+        return np.bincount(a * side + b, minlength=side * side)
+
+    flat, total = scan(family, count)
+    hist = flat.reshape(-1, side)
+    tails = np.zeros_like(hist)
+    tails[:, :-1] = hist[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    return tails, total
 
 
 def reduction_counts_from_tails(tails: np.ndarray, k: int):

@@ -1,9 +1,10 @@
 """Seed blocks as integers and back, written apart from the library.
 
-A seed block is packed 1-D uint64 or a 2-D (count, words) array of word
-columns, low words first.  These helpers turn either form into Python
-integer seeds for scalar ``eval``, and integers into word rows, with no
-use of the library's own converter, so that tests can check it.
+A seed block is a ``range`` of seeds, packed 1-D uint64 or a 2-D
+(count, words) array of word columns, low words first.  These helpers
+turn any form into Python integer seeds for scalar ``eval``, and
+integers into word rows, with no use of the library's own converter, so
+that tests can check it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import numpy as np
 
 
 def seed_ints(seeds: np.ndarray, widths) -> list[int]:
-    """The integer seed of every row of a packed or a word block."""
-    if seeds.ndim == 1:
+    """The integer seed of every row of a range, a packed or a word block."""
+    if isinstance(seeds, range) or seeds.ndim == 1:
         return [int(s) for s in seeds]
     assert seeds.shape[1] == len(widths)
     ints = []

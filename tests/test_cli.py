@@ -230,6 +230,10 @@ def test_malformed_config_values_exit_two(tmp_path, capsys):
         ("loads-test", {"allocation": {"kind": "twise"}, "N": 8, "ell": 16,
                         "X": [1, 2, 3], "Y": [1], "regime": "small"}, "KeyError"),
         ("extractor-test", {"n": "seven", "m": 6}, "seven"),
+        ("loads-test", {"ell": 4, "X": ["a", 2, 3], "Y": [2], "regime": "small"},
+         "ValueError"),
+        ("reduction-test", {"prg": {"kind": "twise", "t": 2}, "dimension": 4,
+                            "alphabet": 8, "X": 5, "Y": [1]}, "TypeError"),
     ]
     for i, (command, cfg, diagnostic) in enumerate(cases):
         path = _write(tmp_path, f"bad{i}.json", cfg)
@@ -427,13 +431,13 @@ def test_reduction_test_is_exact_only(tmp_path, capsys):
 
 def test_run_component_tests_kwise_table(tmp_path, capsys, monkeypatch):
     per_theta = [verify.check_twise_tail(2, 3, theta, 8).to_json() for theta in range(9)]
-    scans, order_statistic_tails = [], verify.order_statistic_tails
+    scans, strict_order_margins = [], verify.strict_order_margins
 
     def counting(*args, **kwargs):
         scans.append(args)
-        return order_statistic_tails(*args, **kwargs)
+        return strict_order_margins(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "order_statistic_tails", counting)
+    monkeypatch.setattr(verify, "strict_order_margins", counting)
     rc = run_component_tests("kwise", {"t": 2, "b": 3, "M": 8},
                              out_dir=tmp_path / "out")
     assert rc == 0

@@ -376,11 +376,15 @@ TABLE_FAMILIES = {
 
 
 def _block_mismatches(fam, seeds, rng) -> int:
-    """Points x and seeds where ``fam`` on the block differs from its
-    layered path on the packed block, plus scalar eval at eight positions
-    per point."""
-    packed = seeds if seeds.ndim == 1 else np.asarray(seed_ints(seeds, fam.seed_columns()),
-                                                      dtype=np.uint64)
+    """Points x and seeds where ``fam`` on the block (a range or an
+    array) differs from its layered path on the packed block, plus scalar
+    eval at eight positions per point."""
+    if isinstance(seeds, range):
+        packed = np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.uint64)
+    elif seeds.ndim == 1:
+        packed = seeds
+    else:
+        packed = np.asarray(seed_ints(seeds, fam.seed_columns()), dtype=np.uint64)
     evaluate, reference = fam.block_evaluator(seeds), fam._layered_evaluator(packed)
     bad = 0
     for x in range(1, fam.domain_size + 1):
@@ -399,24 +403,24 @@ def test_table_path_equals_layered_path_and_scalar_eval(name):
     if fam.seed_bits <= 24:
         # every block of the exhaustive scan, in scan order
         assert scan_seeds(fam.seed_bits, lambda seeds: _block_mismatches(fam, seeds, rng)) == 0
-        block = np.arange(min(step, fam.seed_space), dtype=np.uint64)
+        block = range(min(step, fam.seed_space))
     else:
-        # aligned scan-shaped blocks at the start, the end and in between
+        # aligned scan-shaped range blocks at the start, the end and in between
         for i in (0, 1, 0x5A5, (fam.seed_space >> SCAN_CHUNK_BITS) - 1):
-            block = np.arange(i * step, (i + 1) * step, dtype=np.uint64)
+            block = range(i * step, (i + 1) * step)
             assert _block_mismatches(fam, block, rng) == 0
-    # the tables serve exactly the aligned blocks of layouts with
+    # the tables serve exactly the aligned range blocks of layouts with
     # n <= L <= SCAN_CHUNK_BITS, and were built for every point there
     aligned = fam.extractor.n <= fam.low_bits <= SCAN_CHUNK_BITS
     assert (fam._sub_block_sources(block) is not None) == aligned
     assert sorted(fam._tables) == (list(range(1, fam.domain_size + 1)) if aligned else [])
-    # a block shuffled between its ends passes every check on them but is
-    # not contiguous, and a 2-D draw has no packed low bits: both go
-    # through the layers
-    shuffled = block.copy()
-    shuffled[1:-1] = rng.permutation(block[1:-1])
-    columns = split_words(block, fam.seed_columns())
-    for other in (shuffled, columns):
+    # an array goes through the layers, even when it holds the range's own
+    # seeds: packed in order, shuffled between its ends, or as word columns
+    packed = np.arange(block.start, block.stop, dtype=np.uint64)
+    shuffled = packed.copy()
+    shuffled[1:-1] = rng.permutation(packed[1:-1])
+    columns = split_words(packed, fam.seed_columns())
+    for other in (packed, shuffled, columns):
         assert fam._sub_block_sources(other) is None
         assert _block_mismatches(fam, other, rng) == 0
 
@@ -476,13 +480,16 @@ def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, cou
         step = min(1 << SCAN_CHUNK_BITS, fam.seed_space)
         blocks = fam.seed_space // step
         for i in sorted({0, blocks // 2, blocks - 1}):
-            block = np.arange(i * step, (i + 1) * step, dtype=np.uint64)
+            block = range(i * step, (i + 1) * step)
+            packed = np.arange(block.start, block.stop, dtype=np.uint64)
             tables = fam.extractor.n <= fam.low_bits <= SCAN_CHUNK_BITS
             assert (fam._sub_block_sources(block) is not None) == tables
-            evaluate, layered = fam.block_evaluator(block), fam._layered_evaluator(block)
+            # the range's packed array takes the layers, with equal values
+            assert fam._sub_block_sources(packed) is None
+            evaluate, layered = fam.block_evaluator(block), fam.block_evaluator(packed)
             got = {x: evaluate(x) for x in points}
             assert all(np.array_equal(got[x], layered(x)) for x in points)
-            assert _scalar_mismatches(fam, block, rng.integers(0, step, size=8), got) == 0
+            assert _scalar_mismatches(fam, packed, rng.integers(0, step, size=8), got) == 0
     # a Monte-Carlo draw (word columns past 64 bits) goes through the layers
     drawn = fam.draw_seed_block(rng, count)
     evaluate = fam.block_evaluator(drawn)

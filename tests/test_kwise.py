@@ -229,8 +229,10 @@ def test_eval_pure_and_in_range(seed, x):
 @pytest.mark.parametrize("seed_bits,chunk_bits", [(5, 2), (3, 20), (0, 20)])
 def test_scan_seeds_counts_every_seed_once(seed_bits, chunk_bits, threads):
     def count(seeds):
-        assert seeds.dtype == np.uint64 and len(seeds) <= 1 << chunk_bits
-        return np.bincount(seeds.astype(np.int64), minlength=1 << seed_bits)
+        # a block is the range of its consecutive seeds, never an array
+        assert isinstance(seeds, range) and seeds.step == 1
+        assert 0 < len(seeds) <= 1 << chunk_bits
+        return np.bincount(seeds, minlength=1 << seed_bits)
 
     with scan_chunk_bits(chunk_bits):
         hist = scan_seeds(seed_bits, count, threads)
@@ -261,6 +263,13 @@ def test_seed_words_cuts_packed_blocks_and_passes_word_blocks(widths, dtype):
     assert words.shape == (500, len(widths)) and words.dtype == dtype
     assert words.flags.f_contiguous
     assert np.array_equal(words, split_words(packed, widths))
+    # a range of seeds is cut as its packed array
+    stop = min(1500, 1 << sum(widths))
+    span = range(max(0, stop - 500), stop)
+    from_range = seed_words(span, widths)
+    assert from_range.dtype == dtype and from_range.flags.f_contiguous
+    assert np.array_equal(from_range, seed_words(np.arange(span.start, span.stop,
+                                                           dtype=np.uint64), widths))
     # a block of word columns is already in the one form
     assert seed_words(words, widths) is words
     with pytest.raises(BadSeedLength, match="word columns"):
@@ -271,12 +280,13 @@ def test_scan_is_the_one_seed_source_of_both_modes():
     fam = TWiseFamily(2, 4, 8)  # 6 seed bits
 
     def seen(seeds):
-        return np.bincount(seeds.astype(np.int64), minlength=fam.seed_space)
+        # an exhaustive block is a range, a Monte-Carlo block an array
+        return np.bincount(np.asarray(seeds, dtype=np.int64), minlength=fam.seed_space)
 
     hist, total = scan(fam, seen)
     assert total == fam.seed_space and hist.tolist() == [1] * fam.seed_space
     # monte-carlo mode counts the rows of one Philox draw keyed by the run
-    # seed, here in 126 blocks of 8 rows split over two workers
+    # seed, here one block, the whole draw chunk, whatever the block size
     drawn = fam.draw_seed_block(np.random.Generator(np.random.Philox(key=5)), 1001)
     with scan_chunk_bits(3):
         hist, total = scan(fam, seen, "mc", 1001, run_seed=5, threads=2)
@@ -302,30 +312,30 @@ def _chunked_draw(fam, samples: int, run_seed: int) -> np.ndarray:
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("chunk_bits", [10, 16, 20])
 def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
-    # three draw chunks, the last one short; blocks of 2^10 rows cut each
-    # chunk in 64, blocks of 2^20 join all three
+    # three draw chunks, the last one short: every Monte-Carlo block is
+    # one whole chunk, whatever the exhaustive block size
     fam = TWiseFamily(2, 4, 8)
     samples = (1 << 17) + 1001
 
     def seen(seeds):
         return np.bincount(seeds.astype(np.int64), minlength=fam.seed_space)
 
-    def seen_in_block(seeds):
-        assert len(seeds) <= 1 << chunk_bits
-        return seen(seeds)
+    def seen_and_sized(seeds):
+        # the counts, then how many blocks had each length
+        return np.append(seen(seeds), [len(seeds) == 1 << 16, len(seeds) == 1001])
 
     # each chunk is drawn once, by the process that counts it: never by
-    # the parent of forked workers, which a single block does not start
+    # the parent of the forked workers
     drawn, draw = [], fam.draw_seed_block
     fam.draw_seed_block = lambda rng, count: drawn.append(count) or draw(rng, count)
     with scan_chunk_bits(chunk_bits):
-        hist, total = scan(fam, seen_in_block, "mc", samples, run_seed=12,
+        hist, total = scan(fam, seen_and_sized, "mc", samples, run_seed=12,
                            threads=threads)
     del fam.draw_seed_block
     assert total == samples
-    in_process = threads == 1 or samples <= 1 << chunk_bits
-    assert drawn == ([1 << 16, 1 << 16, 1001] if in_process else [])
-    assert np.array_equal(hist, seen(_chunked_draw(fam, samples, 12)))
+    assert hist[-2:].tolist() == [2, 1]
+    assert drawn == ([1 << 16, 1 << 16, 1001] if threads == 1 else [])
+    assert np.array_equal(hist[:-2], seen(_chunked_draw(fam, samples, 12)))
 
 
 def test_mc_scan_counts_the_chunked_draw_of_a_2d_layout():

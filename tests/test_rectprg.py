@@ -25,9 +25,9 @@ from minwise_lab.rectprg import (
     RecursiveMixPRG,
     TWisePRG,
     conditional_rectangle_check,
-    order_statistic_tails,
     rectangle_error,
     rectangle_hits_exact,
+    strict_order_margins,
     threshold_errors,
 )
 
@@ -169,7 +169,7 @@ def test_mc_mode_reproducible():
     assert a == b
 
 
-# --- one (max, min) histogram per seed space ------------------------------
+# --- the margins of one (max, min) histogram per seed space ---------------
 
 SMALL_PRGS = {
     "fullind": lambda: FullIndependencePRG(3, 4),
@@ -182,19 +182,25 @@ SMALL_PRGS = {
                          ids=["min-only", "k1", "k2"])
 @pytest.mark.parametrize("kind", sorted(SMALL_PRGS))
 def test_order_statistic_tails_count_every_pair(kind, groups):
+    # strict_order_margins against the expanded outputs of every seed; the
+    # max over no coordinates is 0, so min-only counts the law of the min
     prg = SMALL_PRGS[kind]()
     low, high = groups
-    M = prg.alphabet
     outs = np.array([prg.expand(s) for s in range(prg.seed_space)])
     a = outs[:, [i - 1 for i in low]].max(axis=1) if low else np.zeros(len(outs), int)
     b = outs[:, [i - 1 for i in high]].min(axis=1)
-    want = np.array([[np.count_nonzero((a == row) & (b > theta)) for theta in range(M + 1)]
-                     for row in range(M + 1 if low else 1)])
+    want = _margins(a, b, prg.alphabet)
     for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
         with scan_chunk_bits(chunk_bits):
-            tails, total = order_statistic_tails(prg, low, high, threads=threads)
-        assert total == prg.seed_space
-        assert np.array_equal(tails, want)
+            got = strict_order_margins(prg, low, high, threads=threads)
+        assert got[2] == prg.seed_space
+        assert [m.tolist() for m in got[:2]] == want
+
+
+def _margins(a, b, M: int) -> list[list[int]]:
+    """[at_max, at_min] of the seeds with a < b, counted one value at a time."""
+    return [[int(np.count_nonzero((a < b) & (margin == v))) for v in range(M + 1)]
+            for margin in (a, b)]
 
 
 def _drawn(prg, samples, run_seed):
@@ -208,16 +214,13 @@ def test_mc_order_statistic_tails_do_not_depend_on_the_block_split(kind):
     prg = SMALL_PRGS[kind]()
     samples, run_seed = 3001, 5
     outs = np.array([prg.expand(int(s)) for s in _drawn(prg, samples, run_seed)])
-    a, b = outs[:, 0], outs[:, 1:].min(axis=1)
-    want = np.array([[np.count_nonzero((a == row) & (b > theta))
-                      for theta in range(prg.alphabet + 1)]
-                     for row in range(prg.alphabet + 1)])
+    want = _margins(outs[:, 0], outs[:, 1:].min(axis=1), prg.alphabet)
     for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
         with scan_chunk_bits(chunk_bits):
-            tails, total = order_statistic_tails(prg, [1], range(2, prg.dimension + 1),
-                                                 "mc", samples, run_seed, threads)
-        assert total == samples
-        assert np.array_equal(tails, want)
+            got = strict_order_margins(prg, [1], range(2, prg.dimension + 1),
+                                       "mc", samples, run_seed, threads)
+        assert got[2] == samples
+        assert [m.tolist() for m in got[:2]] == want
 
 
 THRESHOLD_PRGS = {
@@ -350,10 +353,9 @@ def test_mc_draws_packed_seeds_up_to_64_bits():
     assert prg.seed_bits == 64
     seeds = _drawn(prg, 500, 3)
     mins = np.min([prg.coord_block(seeds, i) for i in range(1, 9)], axis=0)
-    tails, total = order_statistic_tails(prg, [], range(1, 9), "mc", 500, 3)
+    _, at_min, total = strict_order_margins(prg, [], range(1, 9), "mc", 500, 3)
     assert total == 500
-    assert tails[0].tolist() == [int(np.count_nonzero(mins > theta))
-                                 for theta in range(257)]
+    assert at_min.tolist() == [int(np.count_nonzero(mins == v)) for v in range(257)]
     # 72 bits are drawn as nine 8-bit word columns, one Philox integers
     # call per word, and counted from the scalar coordinates of each row
     wide = TWisePRG(9, 8, 256)
@@ -366,8 +368,8 @@ def test_mc_draws_packed_seeds_up_to_64_bits():
     uniform = float(Fraction(255, 256) ** 8)
     assert threshold_errors(wide, [1], "mc", 500, 3) == [abs(above / 500 - uniform)]
     # the whole law of the minimum, not only its tail above 1
-    tails, total = order_statistic_tails(wide, [], range(1, 9), "mc", 500, 3)
-    assert tails[0].tolist() == [sum(m > theta for m in wide_mins) for theta in range(257)]
+    _, at_min, total = strict_order_margins(wide, [], range(1, 9), "mc", 500, 3)
+    assert at_min.tolist() == [wide_mins.count(v) for v in range(257)]
 
 
 def test_prg_test_mc_on_a_72_bit_prg_exits_zero(tmp_path, capsys):

@@ -32,7 +32,6 @@ from minwise_lab.rectprg import (
     Rectangle,
     RecursiveMixPRG,
     TWisePRG,
-    order_statistic_tails,
     rectangle_error,
     rectangle_hits_exact,
     strict_order_margins,
@@ -301,8 +300,8 @@ def test_mc_corpus_matches_per_query_draws(fam_corpus, run_seed):
 @settings(max_examples=8, deadline=None)
 def test_mc_corpus_does_not_depend_on_the_block_split(chunk_bits, threads, fam_corpus,
                                                       run_seed):
-    # the one draw is counted in 750 row blocks at chunk_bits = 2, and
-    # whole at 16
+    # the one draw is counted whole, as one block, whatever the
+    # exhaustive block size
     with scan_chunk_bits(chunk_bits):
         _check_mc_against_per_query_draws(*fam_corpus, run_seed, threads=threads)
 
@@ -776,9 +775,9 @@ def test_tail_table_is_one_scan(monkeypatch, t, b, M):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return order_statistic_tails(*args, **kwargs)
+        return strict_order_margins(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "order_statistic_tails", counting)
+    monkeypatch.setattr(verify, "strict_order_margins", counting)
     assert check_twise_tails(t, b, range(M + 1), M) == per_theta
     assert len(calls) == 1
     with pytest.raises(ValueError):
@@ -862,7 +861,7 @@ def test_reduction_counts_match_rectangle_hits_exact(case):
     prg = make()
     N, M = prg.dimension, prg.alphabet
     rest = [x for x in X if x not in Y]
-    tails, total = order_statistic_tails(prg, Y, rest)
+    tails, total = reference_counts.order_statistic_tails(prg, Y, rest)
     reference = [hits for _, _, hits
                  in reference_counts.reduction_counts_from_tails(tails, len(Y))]
     at_max, at_min, _ = strict_order_margins(prg, Y, rest)
