@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import sys
@@ -237,17 +238,17 @@ def _component_extractor(cfg: dict, out: Path | None) -> int:
         raise _CliError("extractor-test config needs source width n and output m")
     with _config_values():
         n, m = int(cfg["n"]), int(cfg["m"])
+        # the span table and each flat source's counts have 2^(d+m) cells
+        if n - 1 + m > EXHAUSTIVE_SEED_BITS:
+            raise _CliError(
+                f"{n - 1}-bit seeds x {m}-bit outputs: 2^{n - 1 + m} (seed, output) "
+                f"cells exceed the 2^{EXHAUSTIVE_SEED_BITS} exhaustive budget"
+            )
+        ext = LeftoverHash(n, m, claimed_entropy_k=cfg.get("claimed_entropy_k"))
         fs = cfg.get("flat_sources")
         if fs:
             rng = np.random.Generator(np.random.Philox(key=int(fs.get("rng_seed", 0))))
             per = int(fs.get("per_level", 50))
-    # the span table and each flat source's counts have 2^(d+m) cells
-    if n - 1 + m > EXHAUSTIVE_SEED_BITS:
-        raise _CliError(
-            f"{n - 1}-bit seeds x {m}-bit outputs: 2^{n - 1 + m} (seed, output) "
-            f"cells exceed the 2^{EXHAUSTIVE_SEED_BITS} exhaustive budget"
-        )
-    ext = LeftoverHash(n, m, claimed_entropy_k=cfg.get("claimed_entropy_k"))
     n_seeds = 1 << ext.d
     full_rank = bool(spans_full_rank(ext.span_table()).all())
 
@@ -525,6 +526,17 @@ def _bound_allocator() -> None:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; ``argv`` defaults to the process's arguments.
+
+    Run as the program (``argv`` None), the CLI first moves every object
+    that start-up made (imports, mostly numpy's) into the collector's
+    permanent generation.  They live until exit anyway, so no collection
+    during the run, in a forked scan worker or at interpreter shutdown
+    walks them again.  A caller that passes ``argv`` (a test, a tracing
+    wrapper) keeps its heap collectable: nothing is frozen.
+    """
+    if argv is None:
+        gc.freeze()
     _bound_allocator()
     args = _build_parser().parse_args(argv)
     # a contract violation or a bad config exits 2 (_read_json, _out_dir

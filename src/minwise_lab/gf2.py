@@ -144,6 +144,17 @@ def field_mul(ctx: FieldContext, a: int, b: int) -> int:
     return poly_mod(clmul(a, b), ctx.modulus)
 
 
+def _field_pow(ctx: FieldContext, a: int, e: int) -> int:
+    """a^e under ``ctx``'s modulus, by square-and-multiply."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = ctx.mul(acc, a)
+        a = ctx.mul(a, a)
+        e >>= 1
+    return acc
+
+
 @lru_cache(maxsize=None)
 def find_irreducible(degree: int) -> FieldContext:
     """FieldContext for GF(2^degree) with the smallest valid modulus.
@@ -191,17 +202,22 @@ def log_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
         # a reducible modulus has zero divisors and no element of order q
         raise InvalidArgument(f"modulus {ctx.modulus:#x} is not irreducible")
     q = ctx.size - 1
-    for g in range(1, ctx.size):
-        powers = [1]
-        while len(powers) < q and (v := ctx.mul(powers[-1], g)) != 1:
-            powers.append(v)
-        if len(powers) == q:  # no power of g below the q-th is 1
-            break
+    # g has order q iff g^(q/p) != 1 for every prime p dividing q
+    factors = _prime_factors(q)
+    g = next(c for c in range(1, ctx.size)
+             if all(_field_pow(ctx, c, q // p) != 1 for p in factors))
     exp = np.zeros(4 * q + 1, dtype=np.uint64)
-    exp[:q] = powers
-    exp[q:2 * q] = powers
+    exp[0] = 1
+    filled = 1
+    while filled < q:
+        # g^filled times the first filled powers gives the next ones
+        step = ctx.mul(int(exp[filled - 1]), g)
+        top = min(2 * filled, q)
+        exp[filled:top] = _mul_bit_serial(ctx, exp[:top - filled], step)
+        filled = top
+    exp[q:2 * q] = exp[:q]
     log = np.full(ctx.size, 2 * q, dtype=np.intp)
-    log[powers] = np.arange(q)
+    log[exp[:q]] = np.arange(q)
     log.flags.writeable = exp.flags.writeable = False
     return log, exp
 
@@ -243,8 +259,14 @@ def mul_block(ctx: FieldContext, a: np.ndarray, b: "np.ndarray | int") -> np.nda
         if scalar:
             return exp.take(log + log[b]).take(a.view(np.int64))
         return exp.take(log.take(a.view(np.int64)) + log.take(b.view(np.int64)))
+    return _mul_bit_serial(ctx, a, b)
+
+
+def _mul_bit_serial(ctx: FieldContext, a: np.ndarray, b: "np.ndarray | int") -> np.ndarray:
+    """mul_block's product for uint64 operands, computed without tables."""
+    n = ctx.degree
     acc = np.zeros(np.broadcast(a, b).shape, dtype=np.uint64)
-    if scalar:
+    if isinstance(b, (int, np.integer)):
         bb = int(b)
         i = 0
         while bb:

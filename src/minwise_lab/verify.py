@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,11 +41,13 @@ CSV_COLUMNS = [
 ]
 
 
+@lru_cache(maxsize=None)
 def uniform_minwise_probability(sizeX: int, M: int, k: int = 1) -> Fraction:
     """Exact Pr[max h(Y) < min h(X\\Y)] under uniformly random h, |Y| = k.
 
     Closed form by enumerating the maximum theta of the bottom-k values:
     sum_theta [(theta/M)^k - ((theta-1)/M)^k] * ((M-theta)/M)^(|X|-k).
+    The Fraction is immutable, so it is computed once per (|X|, M, k).
     """
     if M < 2:
         raise InvalidArgument("alphabet M must be >= 2")

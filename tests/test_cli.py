@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import gc
 import json
 import math
 import os
@@ -45,6 +46,16 @@ def _write(tmp_path, name, payload) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _fresh_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m minwise_lab.cli ARGV`` in a child process, as the benchmark
+    and the console script start the CLI, on the package under test."""
+    src = str(Path(minwise_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "minwise_lab.cli", *argv],
+                          env=env, capture_output=True, timeout=300)
 
 
 @pytest.fixture
@@ -230,6 +241,7 @@ def test_malformed_config_values_exit_two(tmp_path, capsys):
         ("loads-test", {"allocation": {"kind": "twise"}, "N": 8, "ell": 16,
                         "X": [1, 2, 3], "Y": [1], "regime": "small"}, "KeyError"),
         ("extractor-test", {"n": "seven", "m": 6}, "seven"),
+        ("extractor-test", {"n": 6, "m": 3, "claimed_entropy_k": "abc"}, "TypeError"),
         ("loads-test", {"ell": 4, "X": ["a", 2, 3], "Y": [2], "regime": "small"},
          "ValueError"),
         ("reduction-test", {"prg": {"kind": "twise", "t": 2}, "dimension": 4,
@@ -382,17 +394,48 @@ LOADS_PARITY_CONFIGS = {
 @pytest.mark.parametrize("size", sorted(LOADS_PARITY_CONFIGS))
 def test_loads_report_matches_the_reference_counter(size, tmp_path, monkeypatch):
     cfg = _write(tmp_path, "l.json", LOADS_PARITY_CONFIGS[size])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "minwise_lab.cli", "loads-test", "--config", cfg,
-         "--out-dir", str(tmp_path / "fresh")],
-        env=env, capture_output=True, timeout=300)
+    proc = _fresh_cli("loads-test", "--config", cfg, "--out-dir", str(tmp_path / "fresh"))
     assert proc.returncode == 0, proc.stderr
     monkeypatch.setattr(verify, "_scan_loads", reference_counts.scan_loads)
     assert main(["loads-test", "--config", cfg, "--out-dir", str(tmp_path / "ref")]) == 0
     assert ((tmp_path / "fresh" / "loads_report.json").read_bytes()
             == (tmp_path / "ref" / "loads_report.json").read_bytes())
+
+
+ORACLE_CONFIGS = {
+    "extractor-test": ("extractor_basic.json", "extractor_report.json"),
+    "prg-test": ("prg_pairwise.json", "prg_report.json"),
+    "loads-test": ("loads_small.json", "loads_report.json"),
+    "reduction-test": ("reduction_pairwise.json", "reduction_report.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_CONFIGS))
+def test_fresh_process_matches_in_process_main(command, tmp_path, capsys):
+    # the program path (argv from the command line) freezes the start-up
+    # heap; an in-process main([...]) does not, and both give the same bytes
+    config, report = ORACLE_CONFIGS[command]
+    argv = [command, "--config", str(CONFIG_DIR / config)]
+    proc = _fresh_cli(*argv, "--out-dir", str(tmp_path / "fresh"))
+    status = main([*argv, "--out-dir", str(tmp_path / "in")])
+    assert (proc.returncode, proc.stderr) == (status, b"")
+    assert proc.stdout.decode() == capsys.readouterr().out
+    assert ((tmp_path / "fresh" / report).read_bytes()
+            == (tmp_path / "in" / report).read_bytes())
+
+
+def test_main_freezes_the_heap_only_as_the_program(monkeypatch, capsys):
+    argv = ["construct", "--config", str(CONFIG_DIR / "minwise_desk.json")]
+    before = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["minwise-lab", *argv])
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out.count("seed_bits = 23") == 2
 
 
 def test_loads_test_rejects_y_equal_to_x(tmp_path, capsys):
@@ -478,17 +521,13 @@ def _measure_bytes(tmp_path, config: str, *extra: str, status: int = 0) -> list:
     the allocator policy, then forks its workers.  Every run must exit with
     ``status``."""
     cfg = str(CONFIG_DIR / config)
-    src = str(Path(minwise_lab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     outs = []
     for threads, fresh in (("1", False), ("2", False), ("2", True)):
         out = tmp_path / f"t{threads}{'-fresh' if fresh else ''}"
         argv = ["measure", "--config", cfg, "--out-dir", str(out), "--threads", threads,
                 *extra]
         if fresh:
-            proc = subprocess.run([sys.executable, "-m", "minwise_lab.cli", *argv],
-                                  env=env, capture_output=True, timeout=300)
+            proc = _fresh_cli(*argv)
             assert proc.returncode == status, proc.stderr
         else:
             assert main(argv) == status

@@ -147,6 +147,24 @@ def _order(ctx: FieldContext, g: int) -> int:
     return k
 
 
+def _walk_log_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
+    """log_tables by walking the powers of each candidate g in turn until
+    one reaches q = 2^n - 1 distinct powers before returning to 1."""
+    q = ctx.size - 1
+    for g in range(1, ctx.size):
+        powers = [1]
+        while len(powers) < q and (v := ctx.mul(powers[-1], g)) != 1:
+            powers.append(v)
+        if len(powers) == q:  # no power of g below the q-th is 1
+            break
+    exp = np.zeros(4 * q + 1, dtype=np.uint64)
+    exp[:q] = powers
+    exp[q:2 * q] = powers
+    log = np.full(ctx.size, 2 * q, dtype=np.intp)
+    log[powers] = np.arange(q)
+    return log, exp
+
+
 @pytest.mark.parametrize("degree", range(1, 9))
 def test_mul_block_every_pair(degree):
     ctx = find_irreducible(degree)
@@ -204,6 +222,15 @@ def test_log_tables_invert_and_generate(degree):
     g = int(exp[1])
     assert _order(ctx, g) == q
     assert all(_order(ctx, c) < q for c in range(1, g))
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_log_tables_equal_the_power_walk(degree):
+    ctx = find_irreducible(degree)
+    log, exp = log_tables(ctx)
+    ref_log, ref_exp = _walk_log_tables(ctx)
+    assert log.dtype == ref_log.dtype and exp.dtype == ref_exp.dtype
+    assert np.array_equal(log, ref_log) and np.array_equal(exp, ref_exp)
 
 
 def test_mul_block_refuses_a_reducible_modulus():

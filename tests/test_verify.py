@@ -91,6 +91,14 @@ def test_uniform_closed_form_large_M_limit():
         assert abs(p - Fraction(1, sizeX)) <= Fraction(sizeX, 2 ** 12)
 
 
+def test_uniform_closed_form_is_computed_once_per_shape():
+    fresh = uniform_minwise_probability.__wrapped__(6, 16, 2)
+    assert uniform_minwise_probability(6, 16, 2) == fresh
+    hits = uniform_minwise_probability.cache_info().hits
+    assert uniform_minwise_probability(6, 16, 2) == fresh
+    assert uniform_minwise_probability.cache_info().hits == hits + 1
+
+
 def test_uniform_closed_form_rejects_bad_params():
     with pytest.raises(ValueError):
         uniform_minwise_probability(3, 1, 1)
