@@ -9,16 +9,17 @@ failed, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import verify
+from .config import Config, reading
 from .construction import family_from_config, prg_from_config
 from .errors import MinwiseLabError, SeedSpaceTooLarge
 from .extractor import FlatSource, LeftoverHash, spans_full_rank, strong_extractor_distance
@@ -26,12 +27,8 @@ from .gf2 import rank  # noqa: F401  (perfbench/trace_cli.py wraps cli.rank by n
 from .kwise import EXHAUSTIVE_SEED_BITS, TWiseFamily, check_mode
 from .rectprg import threshold_errors
 
-SUMMARY_THRESHOLD_KEYS = (
-    "max_mult_err_uniform",
-    "median_mult_err_uniform",
-    "max_mult_err_fair",
-    "max_tie_mass",
-)
+SUMMARY_THRESHOLD_KEYS = ("max_mult_err_uniform", "median_mult_err_uniform",
+                          "max_mult_err_fair", "max_tie_mass")
 
 
 class _CliError(ValueError):
@@ -52,18 +49,28 @@ def _read_json(path: str) -> dict:
     return cfg
 
 
-@contextlib.contextmanager
-def _config_values():
-    """Turns a malformed config value read inside the block (a string
-    where a number goes, a missing key, a value of the wrong type) into
-    a _CliError.  Library errors pass through as they are; only the
-    parse phase runs inside, so a fault in a scan keeps its traceback."""
-    try:
-        yield
-    except (MinwiseLabError, _CliError):
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise _CliError(f"malformed config value: {type(exc).__name__}: {exc}") from exc
+def _config(args) -> dict:
+    """The config file's object, with each --mode, --samples or --run-seed
+    flag given in place of the config's value, once --threads is checked."""
+    if getattr(args, "threads", 1) < 1:
+        raise _CliError("--threads must be >= 1")
+    cfg = _read_json(args.config)
+    for key in ("mode", "samples", "run_seed"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    return cfg
+
+
+def _philox_key(cfg: Config, key: str) -> int:
+    """A counter-based RNG key; numpy's Philox takes [0, 2^128)."""
+    return cfg.int(key, 0, lo=0, hi=(1 << 128) - 1)
+
+
+def _sampling(cfg: Config) -> tuple[str, int | None, int]:
+    """(mode, samples, run_seed) of a measure or prg-test config."""
+    mode = cfg.string("mode", "exhaustive")
+    check_mode(mode)
+    return mode, cfg.int("samples", None, lo=1), _philox_key(cfg, "run_seed")
 
 
 def _out_dir(args) -> Path | None:
@@ -77,20 +84,15 @@ def _out_dir(args) -> Path | None:
     return out
 
 
-def _check_threads(args) -> None:
-    if getattr(args, "threads", 1) < 1:
-        raise _CliError("--threads must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
 
 
 def _cmd_construct(args) -> int:
-    cfg = _read_json(args.config)
-    with _config_values():
-        family = family_from_config(cfg.get("construction", cfg))
+    # a whole measure config is read as measure reads it
+    with reading(_config(args)) as cfg:
+        family = _measure_spec(cfg)[0] if "construction" in cfg else family_from_config(cfg)
     if args.eval is not None and args.seed is None:
         raise _CliError("--eval requires --seed")
     if args.seed is not None:
@@ -130,74 +132,52 @@ def _cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _corpus_queries(cfg: dict, N: int, k: int) -> list:
-    corpus = cfg.get("corpus", {})
-    rng = np.random.Generator(np.random.Philox(key=int(corpus.get("seed", 0))))
+def _corpus_queries(cfg: Config | dict, N: int, k: int) -> list:
+    """The queries of a measure config's corpus."""
+    corpus = (cfg if isinstance(cfg, Config) else Config(cfg)).obj("corpus", {})
+    rng = np.random.Generator(np.random.Philox(key=_philox_key(corpus, "seed")))
     queries = []
-    for spec in corpus.get("queries", []):
-        kind = spec.get("kind")
+    for spec in corpus.objects("queries", []):
+        kind = spec.string("kind", choices=("full_domain", "intervals", "random_subsets"))
         if kind == "full_domain":
             X = list(range(1, N + 1))
             if len(X) <= k:
                 raise _CliError(f"full_domain needs |X| > k={k}")
             queries += [(X, list(Y)) for Y in itertools.combinations(X, k)]
         elif kind == "intervals":
-            for size in spec.get("sizes", []):
-                size = int(size)
+            for size in spec.ints("sizes", []):
                 if size <= k or size > N:
                     raise _CliError(f"interval size {size} outside (k, N]")
                 for lo in range(1, N - size + 2):
                     X = list(range(lo, lo + size))
                     queries += [(X, list(Y)) for Y in itertools.combinations(X, k)]
-        elif kind == "random_subsets":
-            size = int(spec.get("size", 0))
+        else:
+            size = spec.int("size", 0)
             if size <= k or size > N:
                 raise _CliError(f"random subset size {size} outside (k, N]")
-            for _ in range(int(spec.get("count", 0))):
+            # draws past the number of distinct (X, Y) pairs only repeat them
+            count = spec.int("count", 0, lo=0, hi=math.comb(N, size) * math.comb(size, k))
+            for _ in range(count):
                 X = sorted(int(v) for v in rng.choice(N, size=size, replace=False) + 1)
                 Y = sorted(int(v) for v in rng.choice(X, size=k, replace=False))
                 queries.append((X, Y))
-        else:
-            raise _CliError(f"unknown corpus query kind {kind!r}")
     return queries
 
 
-def _threshold_limits(thresholds: dict) -> dict:
-    """The config's threshold limits by name, checked before any scan."""
-    limits = {}
-    for name in sorted(thresholds):
-        if name not in SUMMARY_THRESHOLD_KEYS:
-            raise _CliError(
-                f"unknown threshold {name!r}; known: {', '.join(SUMMARY_THRESHOLD_KEYS)}"
-            )
-        limits[name] = float(thresholds[name])
-    return limits
-
-
-def _apply_thresholds(summary: dict, limits: dict) -> list[dict]:
-    checks = []
-    for name, limit in limits.items():
-        value = summary.get(name)
-        ok = value is None or value <= limit
-        checks.append({"name": name, "limit": limit, "value": value, "ok": ok})
-    return checks
+def _measure_spec(cfg: Config) -> tuple:
+    """(family, mode, samples, run_seed, queries, threshold limits by name)."""
+    family = family_from_config(cfg.obj("construction"))
+    mode, samples, run_seed = _sampling(cfg)
+    queries = _corpus_queries(cfg, family.domain_size, family.params.k)
+    thresholds = cfg.obj("thresholds", {})
+    limits = {name: thresholds.number(name, None) for name in sorted(SUMMARY_THRESHOLD_KEYS)}
+    limits = {name: float(limit) for name, limit in limits.items() if limit is not None}
+    return family, mode, samples, run_seed, queries, limits
 
 
 def _cmd_measure(args) -> int:
-    _check_threads(args)
-    cfg = _read_json(args.config)
-    if "construction" not in cfg:
-        raise _CliError("measure config needs a 'construction' object")
-    with _config_values():
-        family = family_from_config(cfg["construction"])
-        k = int(cfg["construction"].get("k", 1))
-        mode = args.mode or cfg.get("mode", "exhaustive")
-        check_mode(mode)
-        samples = args.samples if args.samples is not None else cfg.get("samples")
-        samples = int(samples) if samples is not None else None
-        run_seed = args.run_seed if args.run_seed is not None else int(cfg.get("run_seed", 0))
-        queries = _corpus_queries(cfg, family.domain_size, k)
-        limits = _threshold_limits(cfg.get("thresholds", {}))
+    with reading(_config(args)) as cfg:
+        family, mode, samples, run_seed, queries, limits = _measure_spec(cfg)
     out = _out_dir(args)
     if out is None:
         raise _CliError("measure needs --out-dir for its CSV/JSON artifacts")
@@ -209,10 +189,12 @@ def _cmd_measure(args) -> int:
 
     verify.write_reports_csv(out / "measure.csv", reports)
     summary = verify.summarize_reports(reports)
-    checks = _apply_thresholds(summary, limits)
+    checks = [{"name": name, "limit": limit, "value": summary.get(name),
+               "ok": summary.get(name) is None or summary[name] <= limit}
+              for name, limit in limits.items()]
     verify.write_json(out / "summary.json", {
         "family_id": family.family_id,
-        "k": k,
+        "k": family.params.k,
         "mode": mode,
         "samples": samples,
         "run_seed": run_seed,
@@ -229,31 +211,32 @@ def _cmd_measure(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# component tests
+# component tests: each runner reads a config dict, checks it, runs its
+# oracle and returns (report, ok, verdict detail)
 # ---------------------------------------------------------------------------
 
 
-def _component_extractor(cfg: dict, out: Path | None) -> int:
-    if "n" not in cfg or "m" not in cfg:
-        raise _CliError("extractor-test config needs source width n and output m")
-    with _config_values():
-        n, m = int(cfg["n"]), int(cfg["m"])
+def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
+    with reading(params) as cfg:
+        n, m = cfg.int("n", lo=1), cfg.int("m", lo=0)
         # the span table and each flat source's counts have 2^(d+m) cells
         if n - 1 + m > EXHAUSTIVE_SEED_BITS:
             raise _CliError(
                 f"{n - 1}-bit seeds x {m}-bit outputs: 2^{n - 1 + m} (seed, output) "
                 f"cells exceed the 2^{EXHAUSTIVE_SEED_BITS} exhaustive budget"
             )
-        ext = LeftoverHash(n, m, claimed_entropy_k=cfg.get("claimed_entropy_k"))
-        fs = cfg.get("flat_sources")
-        if fs:
-            rng = np.random.Generator(np.random.Philox(key=int(fs.get("rng_seed", 0))))
-            per = int(fs.get("per_level", 50))
+        ext = LeftoverHash(n, m, claimed_entropy_k=cfg.number("claimed_entropy_k", None,
+                                                              lo=0, hi=n))
+        fs = cfg.obj("flat_sources", None)
+        if fs is not None:
+            rng = np.random.Generator(np.random.Philox(key=_philox_key(fs, "rng_seed")))
+            # and the sources of one level count theirs under the same budget
+            per = fs.int("per_level", 50, lo=0, hi=1 << (EXHAUSTIVE_SEED_BITS - (n - 1 + m)))
     n_seeds = 1 << ext.d
     full_rank = bool(spans_full_rank(ext.span_table()).all())
 
     levels = []
-    if fs:
+    if fs is not None:
         for entropy in range(ext.m + 1, ext.n):
             worst = 0.0
             for _ in range(per):
@@ -266,30 +249,23 @@ def _component_extractor(cfg: dict, out: Path | None) -> int:
                 "bound": bound, "ok": worst <= bound + 1e-12,
             })
     ok = full_rank and all(lv["ok"] for lv in levels)
-    if out is not None:
-        verify.write_json(out / "extractor_report.json", {
-            "map_id": ext.map_id, "n": ext.n, "m": ext.m, "seeds": n_seeds,
-            "full_rank": full_rank, "levels": levels, "ok": ok,
-        })
-    print(
-        f"extractor-test: {'PASS' if ok else 'FAIL'} "
-        f"(rank {'full' if full_rank else 'DEFICIENT'} on {n_seeds} seeds, "
-        f"{len(levels)} entropy levels)"
-    )
-    return 0 if ok else 1
+    return ({"map_id": ext.map_id, "n": ext.n, "m": ext.m, "seeds": n_seeds,
+             "full_rank": full_rank, "levels": levels, "ok": ok}, ok,
+            f"rank {'full' if full_rank else 'DEFICIENT'} on {n_seeds} seeds, "
+            f"{len(levels)} entropy levels")
 
 
-def _component_prg(cfg: dict, out: Path | None, threads: int = 1) -> int:
-    for key in ("prg", "dimension", "alphabet"):
-        if key not in cfg:
-            raise _CliError(f"prg-test config needs {key!r}")
-    with _config_values():
-        dim, alpha = int(cfg["dimension"]), int(cfg["alphabet"])
-        prg = prg_from_config(cfg["prg"], dim, alpha)
-        mode = cfg.get("mode", "exhaustive")
-        samples = int(cfg["samples"]) if cfg.get("samples") is not None else None
-        run_seed = int(cfg.get("run_seed", 0))
-        thetas = [int(t) for t in cfg.get("thresholds", range(0, alpha + 1))]
+def _prg_spec(cfg: Config) -> tuple:
+    """(prg, dimension, alphabet) of a prg-test or reduction-test config."""
+    dim, alpha = cfg.int("dimension", lo=1), cfg.int("alphabet")
+    return prg_from_config(cfg.obj("prg"), dim, alpha), dim, alpha
+
+
+def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
+    with reading(params) as cfg:
+        prg, dim, alpha = _prg_spec(cfg)
+        mode, samples, run_seed = _sampling(cfg)
+        thetas = list(cfg.ints("thresholds", range(alpha + 1), lo=0))
     try:
         errors = threshold_errors(prg, thetas, mode, samples, run_seed, threads)
     except SeedSpaceTooLarge as exc:
@@ -298,93 +274,59 @@ def _component_prg(cfg: dict, out: Path | None, threads: int = 1) -> int:
     max_err = max((r["error"] for r in rows), default=0.0)
     claimed = getattr(prg, "claimed_error", None)
     ok = claimed is None or max_err <= claimed + 1e-12
-
-    if out is not None:
-        verify.write_json(out / "prg_report.json", {
-            "prg_id": prg.prg_id, "dimension": dim, "alphabet": alpha,
-            "mode": mode, "samples": samples, "run_seed": run_seed,
-            "thresholds": rows, "max_error": max_err,
-            "claimed_error": claimed, "ok": ok,
-        })
-    print(
-        f"prg-test: {'PASS' if ok else 'FAIL'} "
-        f"(max threshold error {max_err} over {len(rows)} rectangles"
-        + (f", claimed {claimed}" if claimed is not None else "") + ")"
-    )
-    return 0 if ok else 1
+    return ({"prg_id": prg.prg_id, "dimension": dim, "alphabet": alpha,
+             "mode": mode, "samples": samples, "run_seed": run_seed,
+             "thresholds": rows, "max_error": max_err,
+             "claimed_error": claimed, "ok": ok}, ok,
+            f"max threshold error {max_err} over {len(rows)} rectangles"
+            + (f", claimed {claimed}" if claimed is not None else ""))
 
 
-def _component_kwise(cfg: dict, out: Path | None) -> int:
-    for key in ("t", "b", "M"):
-        if key not in cfg:
-            raise _CliError(f"kwise test config needs {key!r}")
-    with _config_values():
-        t, b, M = int(cfg["t"]), int(cfg["b"]), int(cfg["M"])
-    thetas = cfg.get("thetas", range(0, M + 1))
+def _component_kwise(params: dict, threads: int) -> tuple[dict, bool, str]:
+    with reading(params) as cfg:
+        # at t = b the b coordinates are already fully independent
+        b = cfg.int("b", lo=1)
+        t, M = cfg.int("t", lo=1, hi=b), cfg.int("M")
+        thetas = cfg.ints("thetas", range(M + 1), lo=0)
     rows = [r.to_json() for r in verify.check_twise_tails(t, b, thetas, M)]
     ok = all(r["within"] for r in rows)
-    if out is not None:
-        verify.write_json(out / "kwise_report.json",
-                          {"t": t, "b": b, "M": M, "rows": rows, "ok": ok})
-    print(
-        f"kwise-test: {'PASS' if ok else 'FAIL'} "
-        f"({len(rows)} thetas within the truncation bound, t={t} b={b} M={M})"
-    )
-    return 0 if ok else 1
+    return ({"t": t, "b": b, "M": M, "rows": rows, "ok": ok}, ok,
+            f"{len(rows)} thetas within the truncation bound, t={t} b={b} M={M}")
 
 
-def _component_loads(cfg: dict, out: Path | None) -> int:
-    for key in ("ell", "X", "Y", "regime"):
-        if key not in cfg:
-            raise _CliError(f"loads-test config needs {key!r}")
-    with _config_values():
-        ell = int(cfg["ell"])
-        alloc = cfg.get("allocation", "uniform")
-        if alloc == "uniform":
-            g = "uniform"
-        elif isinstance(alloc, dict) and alloc.get("kind") == "twise":
-            if "N" not in cfg:
-                raise _CliError("loads-test with a twise allocation needs the domain N")
-            g = TWiseFamily(int(alloc["t"]), int(cfg["N"]), ell)
+def _component_loads(params: dict, threads: int) -> tuple[dict, bool, str]:
+    with reading(params) as cfg:
+        ell = cfg.int("ell", lo=1)
+        X, Y, regime = cfg.ints("X"), cfg.ints("Y"), cfg.string("regime")
+        if cfg.is_object("allocation"):
+            alloc = cfg.obj("allocation")
+            alloc.string("kind", choices=("twise",))
+            N = cfg.int("N", lo=1)
+            g = TWiseFamily(alloc.int("t", lo=1, hi=N), N, ell)
         else:
-            raise _CliError(f"unknown allocation {alloc!r}")
-        constants = {
-            "C": int(cfg.get("C", 1)), "C_g": int(cfg.get("C_g", 2)),
-            "t": int(cfg["t"]) if "t" in cfg else None,
-            "independence": int(cfg["independence"]) if "independence" in cfg else None,
-        }
-        X, Y = [int(v) for v in cfg["X"]], [int(v) for v in cfg["Y"]]
-    rep = verify.check_load_lemma(g, X, Y, ell, cfg["regime"], **constants)
+            g = cfg.string("allocation", "uniform")
+        # no bucket holds more than the |X| points, so a load threshold
+        # C_g past |X| is never reached; C sits below C_g on the ladder
+        C_g = cfg.int("C_g", 2, lo=2, hi=len(X))
+        constants = {"C": cfg.int("C", 1, lo=1, hi=C_g - 1), "C_g": C_g,
+                     "t": cfg.int("t", None, lo=1),
+                     "independence": cfg.int("independence", None, lo=1)}
+    rep = verify.check_load_lemma(g, X, Y, ell, regime, **constants)
     ok = rep.asserted_ok()
-    if out is not None:
-        verify.write_json(out / "loads_report.json",
-                          {**rep.to_json(), "asserted_ok": ok})
-    print(
-        f"loads-test: {'PASS' if ok else 'FAIL'} "
-        f"({rep.regime} regime, bad frequency {rep.bad_frequency}, "
-        f"chain {rep.chain.tag}, closed form {rep.closed_form.tag})"
-    )
-    return 0 if ok else 1
+    return ({**rep.to_json(), "asserted_ok": ok}, ok,
+            f"{rep.regime} regime, bad frequency {rep.bad_frequency}, "
+            f"chain {rep.chain.tag}, closed form {rep.closed_form.tag}")
 
 
-def _component_reduction(cfg: dict, out: Path | None, threads: int = 1) -> int:
-    for key in ("prg", "dimension", "alphabet", "X", "Y"):
-        if key not in cfg:
-            raise _CliError(f"reduction-test config needs {key!r}")
-    with _config_values():
-        prg = prg_from_config(cfg["prg"], int(cfg["dimension"]), int(cfg["alphabet"]))
-        X, Y = [int(v) for v in cfg["X"]], [int(v) for v in cfg["Y"]]
+def _component_reduction(params: dict, threads: int) -> tuple[dict, bool, str]:
+    with reading(params) as cfg:
+        prg = _prg_spec(cfg)[0]
+        X, Y = cfg.ints("X"), cfg.ints("Y")
     rep = verify.check_reduction(prg, X, Y, threads)
     ok = rep.asserted_ok()
-    if out is not None:
-        verify.write_json(out / "reduction_report.json",
-                          {**rep.to_json(), "asserted_ok": ok})
-    print(
-        f"reduction-test: {'PASS' if ok else 'FAIL'} "
-        f"(delta {rep.delta}, additive {rep.additive_error} <= {rep.additive_bound}, "
-        f"mult {rep.mult_error} <= {rep.mult_bound})"
-    )
-    return 0 if ok else 1
+    return ({**rep.to_json(), "asserted_ok": ok}, ok,
+            f"delta {rep.delta}, additive {rep.additive_error} <= {rep.additive_bound}, "
+            f"mult {rep.mult_error} <= {rep.mult_bound}")
 
 
 _COMPONENT_RUNNERS = {
@@ -394,6 +336,16 @@ _COMPONENT_RUNNERS = {
     "loads": _component_loads,
     "reduction": _component_reduction,
 }
+
+
+def _run_component(kind: str, params: dict, out: Path | None, threads: int) -> int:
+    """Run one oracle, write its ``<kind>_report.json`` under ``out`` when
+    given and print its verdict line; returns the exit status."""
+    report, ok, detail = _COMPONENT_RUNNERS[kind](params, threads)
+    if out is not None:
+        verify.write_json(out / f"{kind}_report.json", report)
+    print(f"{kind}-test: {'PASS' if ok else 'FAIL'} ({detail})")
+    return 0 if ok else 1
 
 
 def run_component_tests(kind: str, params: dict, out_dir=None) -> int:
@@ -415,32 +367,13 @@ def run_component_tests(kind: str, params: dict, out_dir=None) -> int:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    return _COMPONENT_RUNNERS[kind](dict(params), out)
+    return _run_component(kind, dict(params), out, 1)
 
 
-def _cmd_extractor_test(args) -> int:
-    return _component_extractor(_read_json(args.config), _out_dir(args))
-
-
-def _cmd_prg_test(args) -> int:
-    _check_threads(args)
-    cfg = _read_json(args.config)
-    if args.mode:
-        cfg["mode"] = args.mode
-    if args.samples is not None:
-        cfg["samples"] = args.samples
-    if args.run_seed is not None:
-        cfg["run_seed"] = args.run_seed
-    return _component_prg(cfg, _out_dir(args), args.threads)
-
-
-def _cmd_loads_test(args) -> int:
-    return _component_loads(_read_json(args.config), _out_dir(args))
-
-
-def _cmd_reduction_test(args) -> int:
-    _check_threads(args)
-    return _component_reduction(_read_json(args.config), _out_dir(args), args.threads)
+def _cmd_component(args) -> int:
+    """The ``<kind>-test`` subcommands: that kind's oracle on the config file."""
+    return _run_component(args.command.removesuffix("-test"), _config(args),
+                          _out_dir(args), getattr(args, "threads", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +414,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("measure", _cmd_measure,
         "measure min-wise error over a query corpus", sampling=True, threads=True)
-    add("extractor-test", _cmd_extractor_test,
+    add("extractor-test", _cmd_component,
         "surjectivity and leftover-hash distance checks")
-    add("prg-test", _cmd_prg_test,
+    add("prg-test", _cmd_component,
         "threshold-rectangle error scan for a PRG", sampling=True, threads=True)
-    add("loads-test", _cmd_loads_test,
+    add("loads-test", _cmd_component,
         "allocation load frequencies vs the regime bounds")
-    add("reduction-test", _cmd_reduction_test,
+    add("reduction-test", _cmd_component,
         "min-wise error vs rectangle error, both exact", threads=True)
     return parser
 
@@ -539,9 +472,9 @@ def main(argv=None) -> int:
         gc.freeze()
     _bound_allocator()
     args = _build_parser().parse_args(argv)
-    # a contract violation or a bad config exits 2 (_read_json, _out_dir
-    # and _config_values turn read and parse failures into _CliError);
-    # anything else is a bug and propagates with its traceback
+    # a contract violation or a bad config exits 2 (_read_json and
+    # _out_dir raise _CliError, the config reader ParamViolation); anything
+    # else is a bug and propagates with its traceback
     try:
         return args.handler(args)
     except (MinwiseLabError, _CliError) as exc:

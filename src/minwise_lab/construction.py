@@ -17,11 +17,12 @@ from __future__ import annotations
 import abc
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
+from .config import Config, reading
 from .errors import InvalidArgument, ParamViolation
 from .extractor import LeftoverHash
 from .kwise import SCAN_CHUNK_BITS, SeededFamily, SeedLayout, TWiseFamily, dsum_values
@@ -440,71 +441,57 @@ def seed_layout(params: ConstructionParams, prg1: RectanglePRG,
 
 
 # ---------------------------------------------------------------------------
-# JSON config plumbing
+# JSON config plumbing: each reader takes a dict (checked for unread keys
+# when it is done) or a node of a config the caller is reading
 # ---------------------------------------------------------------------------
 
-PARAM_KEYS = ("N", "M", "k", "ell", "t", "C", "C_g", "C_s", "C_e")
 
-
-def prg_from_config(desc: dict, dimension: int, alphabet: int) -> RectanglePRG:
-    """Instantiate a rectangle PRG from a {kind, ...} descriptor."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ParamViolation(f"PRG descriptor must be an object with a 'kind': {desc!r}")
-    kind = desc["kind"]
-    err = desc.get("claimed_error")
-    if kind == "full_independence":
-        prg = FullIndependencePRG(dimension, alphabet)
+def prg_from_config(desc: dict | Config, dimension: int, alphabet: int) -> RectanglePRG:
+    """Instantiate a rectangle PRG from a {kind, ...} descriptor.  A t-wise
+    PRG takes t <= dimension: at t = dimension its coordinates are already
+    fully independent."""
+    with reading(desc) as cfg:
+        kind = cfg.string("kind", choices=("full_independence", "twise", "recursive_mix"))
+        err = cfg.number("claimed_error", None, lo=0)
+        if kind == "twise":
+            return TWisePRG(cfg.int("t", lo=1, hi=dimension), dimension, alphabet,
+                            claimed_error=err)
+        if kind == "recursive_mix":
+            return RecursiveMixPRG(dimension, alphabet, claimed_error=err)
         if err is not None:
             raise ParamViolation("full independence has error 0 by definition")
-        return prg
-    if kind == "twise":
-        if "t" not in desc:
-            raise ParamViolation("twise PRG descriptor needs a degree 't'")
-        return TWisePRG(int(desc["t"]), dimension, alphabet, claimed_error=err)
-    if kind == "recursive_mix":
-        return RecursiveMixPRG(dimension, alphabet, claimed_error=err)
-    raise ParamViolation(f"unknown PRG kind {kind!r}")
+        return FullIndependencePRG(dimension, alphabet)
 
 
-def extractor_from_config(desc: dict) -> LeftoverHash:
-    if not isinstance(desc, dict) or desc.get("kind") != "leftover_hash":
-        raise ParamViolation(
-            f"extractor descriptor must have kind 'leftover_hash': {desc!r}"
-        )
-    if "n" not in desc or "m" not in desc:
-        raise ParamViolation("extractor descriptor needs source width n and output m")
-    return LeftoverHash(int(desc["n"]), int(desc["m"]),
-                        claimed_entropy_k=desc.get("claimed_entropy_k"))
+def extractor_from_config(desc: dict | Config) -> LeftoverHash:
+    with reading(desc) as cfg:
+        cfg.string("kind", choices=("leftover_hash",))
+        n, m = cfg.int("n"), cfg.int("m", lo=0)
+        return LeftoverHash(n, m, claimed_entropy_k=cfg.number("claimed_entropy_k", None,
+                                                               lo=0, hi=n))
 
 
-def params_from_config(cfg: dict) -> ConstructionParams:
-    missing = [key for key in ("N", "M") if key not in cfg]
-    if missing:
-        raise ParamViolation(f"config missing required fields: {missing}")
-    kwargs = {key: int(cfg[key]) for key in PARAM_KEYS if key in cfg}
-    if "k_cap" in cfg:
-        kwargs["k_cap"] = int(cfg["k_cap"])
-    return ConstructionParams(**kwargs)
+def params_from_config(cfg: dict | Config) -> ConstructionParams:
+    with reading(cfg) as node:
+        node.require("N", "M")
+        return ConstructionParams(**{f.name: node.int(f.name, f.default)
+                                     for f in fields(ConstructionParams)})
 
 
-def family_from_config(cfg: dict) -> SeededFamily:
+def family_from_config(cfg: dict | Config) -> SeededFamily:
     """Build a family from the JSON construction config.
 
     Schema: {family?: "minwise"|"kminwise", N, M, k, ell, t, C, C_g,
-    C_s, C_e, prg1: {kind, ...}, prg2: {kind, ...},
+    C_s, C_e, k_cap, prg1: {kind, ...}, prg2: {kind, ...},
     extractor: {kind: "leftover_hash", n, m}}.  The family kind
     defaults to "minwise" when k = 1 and "kminwise" otherwise.
     """
-    params = params_from_config(cfg)
-    for key in ("prg1", "prg2", "extractor"):
-        if key not in cfg:
-            raise ParamViolation(f"config missing component descriptor {key!r}")
-    extractor = extractor_from_config(cfg["extractor"])
-    prg1 = prg_from_config(cfg["prg1"], params.ell, 1 << extractor.d)
-    prg2 = prg_from_config(cfg["prg2"], params.N, params.M)
-    kind = cfg.get("family", "minwise" if params.k == 1 else "kminwise")
-    if kind == "minwise":
-        return build_minwise(params, prg1, prg2, extractor)
-    if kind == "kminwise":
-        return build_kminwise(params, prg1, prg2, extractor)
-    raise ParamViolation(f"unknown family kind {kind!r}")
+    with reading(cfg) as node:
+        params = params_from_config(node)
+        extractor = extractor_from_config(node.obj("extractor"))
+        prg1 = prg_from_config(node.obj("prg1"), params.ell, 1 << extractor.d)
+        prg2 = prg_from_config(node.obj("prg2"), params.N, params.M)
+        kind = node.string("family", "minwise" if params.k == 1 else "kminwise",
+                           choices=("minwise", "kminwise"))
+        build = build_minwise if kind == "minwise" else build_kminwise
+        return build(params, prg1, prg2, extractor)

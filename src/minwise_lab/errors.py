@@ -56,8 +56,9 @@ class ConditionNeverHolds(MinwiseLabError):
     """Conditioning event has probability zero under the generator."""
 
 
-class ParamViolation(MinwiseLabError):
-    """Construction parameters or plugged components are inconsistent."""
+class ParamViolation(MinwiseLabError, ValueError):
+    """Construction parameters, plugged components or config values are
+    inconsistent; also a ValueError, like InvalidArgument."""
 
 
 class SeedSpaceTooLarge(MinwiseLabError):

@@ -88,13 +88,16 @@ class ErrorReport:
         return [v if isinstance(v, str) else repr(v) for v in values]
 
 
-def _query_sets(family: SeededFamily, X, Y) -> tuple[list[int], list[int]]:
-    x_raw = [int(v) for v in X]
-    y_raw = [int(v) for v in Y]
-    xs = list(dict.fromkeys(x_raw))
-    ys = list(dict.fromkeys(y_raw))
-    if len(xs) != len(x_raw) or len(ys) != len(y_raw):
+def _distinct_points(X, Y) -> tuple[list[int], list[int]]:
+    """X and Y as lists of ints; InvalidArgument if either repeats a point."""
+    xs, ys = [int(v) for v in X], [int(v) for v in Y]
+    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise InvalidArgument("X and Y must not contain duplicates")
+    return xs, ys
+
+
+def _query_sets(family: SeededFamily, X, Y) -> tuple[list[int], list[int]]:
+    xs, ys = _distinct_points(X, Y)
     if not set(ys) <= set(xs):
         raise InvalidArgument("Y must be a subset of X")
     if not ys or set(ys) == set(xs):
@@ -505,8 +508,7 @@ def check_load_lemma(
     friends) is reported with a holds/fails/vacuous tag but never
     asserted, since its hidden constants have no desk-scale value.
     """
-    xs = list(dict.fromkeys(int(v) for v in X))
-    ys = list(dict.fromkeys(int(v) for v in Y))
+    xs, ys = _distinct_points(X, Y)
     if not set(ys) <= set(xs) or not ys:
         raise InvalidArgument("need nonempty Y, a subset of X")
     if len(ys) == len(xs):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -46,6 +47,17 @@ def _write(tmp_path, name, payload) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _shipped(name: str, path: tuple = (), value=None) -> dict:
+    """configs/<name>.json, with the node at ``path`` replaced by ``value``."""
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if path:
+        node[path[-1]] = value
+    return cfg
 
 
 def _fresh_cli(*argv: str) -> subprocess.CompletedProcess:
@@ -246,6 +258,25 @@ def test_malformed_config_values_exit_two(tmp_path, capsys):
          "ValueError"),
         ("reduction-test", {"prg": {"kind": "twise", "t": 2}, "dimension": 4,
                             "alphabet": 8, "X": 5, "Y": [1]}, "TypeError"),
+        # values that ended in a traceback, or ran without end, before every
+        # key was read through the one checked reader
+        *(("construct", _shipped(name, ("construction", "prg1", "t"), 10 ** 30),
+           "construction.prg1.t must be >= 1 and <= 4")
+          for name in ("minwise_desk", "kminwise_desk")),
+        *(("loads-test", _shipped("loads_small", ("C",), c), "C must be >= 1 and <= 1")
+          for c in (-1, 10 ** 30)),
+        *(("extractor-test", _shipped("extractor_basic", ("flat_sources",), v),
+           "flat_sources must be an object") for v in ("x", -1, 1.5, 10 ** 30)),
+        ("extractor-test", _shipped("extractor_basic", ("m",), -1), "m must be >= 0"),
+        ("extractor-test", _shipped("extractor_basic", ("flat_sources", "per_level"), 10 ** 30),
+         "flat_sources.per_level must be >= 0 and <= 16384"),
+        # a misspelled key, at the top and nested, and a point given twice
+        ("measure", {**{k: v for k, v in _shipped("minwise_desk").items() if k != "thresholds"},
+                     "thresolds": {"max_mult_err_uniform": 0.0}},
+         "unknown key 'thresolds'; known: construction, corpus, mode, run_seed, samples, "
+         "thresholds"),
+        ("prg-test", _shipped("prg_pairwise", ("prg", "tt"), 3), "unknown key 'prg.tt'"),
+        ("loads-test", _shipped("loads_small", ("X",), [1, 1, 2, 3, 4, 5, 6]), "duplicates"),
     ]
     for i, (command, cfg, diagnostic) in enumerate(cases):
         path = _write(tmp_path, f"bad{i}.json", cfg)
@@ -258,6 +289,65 @@ def test_malformed_config_values_exit_two(tmp_path, capsys):
                                          "corpus": SMALL_CORPUS})
     assert main(["measure", "--config", cfg, "--out-dir", str(blocked)]) == 2
     assert "cannot create output directory" in capsys.readouterr().err
+
+
+# every node of every shipped config is replaced in turn by each of these
+CONFIG_MUTANTS = (None, "x", -1, 0, [], {}, 1.5, 10 ** 30)
+
+
+def _config_nodes(value, path: tuple = ()):
+    """The path of every node under ``value``, objects and lists included."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _config_nodes(child, path + (key,))
+
+
+def test_every_config_mutation_exits_with_a_status(tmp_path, capsys):
+    # a mutant may pass, fail its checks or be refused, but never raise;
+    # construction nodes go through construct and the rest of a measure
+    # config through a 1024-sample Monte-Carlo measure
+    oracles = {config: command for command, (config, _) in ORACLE_CONFIGS.items()}
+    escapes, statuses = [], set()
+    for config in sorted(CONFIG_DIR.glob("*.json")):
+        for path in _config_nodes(_shipped(config.stem)):
+            if config.name in oracles:
+                argv = [oracles[config.name]]
+            elif path[0] == "construction":
+                argv = ["construct"]
+            else:
+                argv = ["measure", "--mode", "mc", "--samples", "1024"]
+            for value in CONFIG_MUTANTS:
+                cfg = _write(tmp_path, "mutant.json", _shipped(config.stem, path, value))
+                try:
+                    statuses.add(main([*argv, "--config", cfg,
+                                       "--out-dir", str(tmp_path / "out")]))
+                except Exception as exc:  # noqa: BLE001  (every escape is listed)
+                    escapes.append(f"{config.name} {path} = {value!r}: {exc!r}")
+                capsys.readouterr()
+    assert escapes == []
+    assert statuses == {0, 1, 2}
+
+
+def test_benchmark_configs_pass_the_reader(tmp_path, monkeypatch, capsys):
+    # a range check or the unknown-key rule must not turn benchmark runs
+    # into failed operations.  perfbench/run.py is imported read-only for
+    # the configs it generates; construct reads a measure config as
+    # measure does, and each oracle config runs through its subcommand.
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(bench)
+    for workload in (bench.desk_workload, bench.mc_workload):
+        for name, cfg in workload(0, tmp_path).configs.items():
+            assert main(["construct", "--config", _write(tmp_path, name, cfg)]) == 0
+    oracles = bench.oracle_configs(0)
+    for command, name, _, _ in bench.ORACLE_COMMANDS:
+        assert main([command, "--config", _write(tmp_path, name, oracles[name])]) == 0
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_measure_rejects_intervals_larger_than_the_domain(tmp_path, capsys):

@@ -20,6 +20,7 @@ from minwise_lab.construction import ConstructionParams, build_kminwise, build_m
 from minwise_lab.errors import (
     DomainOverflow,
     EmptyQuery,
+    InvalidArgument,
     RegimeMismatch,
     SeedSpaceTooLarge,
 )
@@ -712,6 +713,15 @@ def test_load_lemma_rejects_y_equal_to_x(xs, ell, regime):
     for g in ("uniform", TWiseFamily(len(xs), 4, ell)):
         with pytest.raises(EmptyQuery):
             check_load_lemma(g, xs, list(reversed(xs)), ell, regime)
+
+
+def test_load_lemma_rejects_duplicate_points():
+    # a repeated point used to be merged, so the lemma was checked for a
+    # smaller X than the one given
+    for g in ("uniform", TWiseFamily(2, 8, 16)):
+        for xs, ys in (([1, 1, 2, 3, 4, 5, 6], [1]), ([1, 2, 3], [1, 1])):
+            with pytest.raises(InvalidArgument, match="duplicates"):
+                check_load_lemma(g, xs, ys, 16, "small")
 
 
 def test_load_lemma_independence_override():
