@@ -25,7 +25,14 @@ import numpy as np
 from .config import Config, reading
 from .errors import InvalidArgument, ParamViolation
 from .extractor import LeftoverHash
-from .kwise import SCAN_CHUNK_BITS, SeededFamily, SeedLayout, TWiseFamily, dsum_values
+from .kwise import (
+    POINT_TABLE_BYTES,
+    SCAN_CHUNK_BITS,
+    SeededFamily,
+    SeedLayout,
+    TWiseFamily,
+    dsum_values,
+)
 from .rectprg import (
     FullIndependencePRG,
     RectanglePRG,
@@ -152,12 +159,6 @@ def _allocation_family(params: ConstructionParams) -> SeededFamily:
     return TWiseFamily(params.allocation_independence, params.N, params.ell)
 
 
-# Bytes of per-point tables one bucketed family may hold, summed over its
-# points.  Tables are built on first use and never evicted; a point whose
-# tables would pass the budget keeps the layered path.
-POINT_TABLE_BYTES = 16 << 20
-
-
 class _BucketedFamily(SeededFamily):
     """The shared skeleton: allocation g, per-bucket extractor seeds from
     PRG1, and one source word w extracted at x's bucket.  h(x) is the
@@ -169,18 +170,28 @@ class _BucketedFamily(SeededFamily):
     (w is one word).  The low L = g-seed + prg1-seed bits reach
     z = Ext(w, s_{g(x)}) only through PRG1's multiplier at
     g(x)'s bucket, and z reaches h(x) only through what ``_after_z``
-    computes from it.  So on a ``range`` of consecutive seeds cut at
-    multiples of 2^L, such as an exhaustive scan block, the block
-    evaluator serves each point x from two tables, built on first use
-    from the same block paths and kept for the family's life: Y_x, the
-    multiplier for each of the 2^L low values, and T_x, the after-z value
-    for each of the 2^m outputs.  Each point then costs one gather of Y_x
-    through one composed row T_x[low_m(w * y)] per source word w.  This
-    needs m < n <= L <= SCAN_CHUNK_BITS.  Every other block (an array,
-    even of consecutive seeds), and every point whose tables would pass
-    POINT_TABLE_BYTES (summed over all points), goes through the layers,
-    with equal values.  The scalar ``eval`` is the reference for both
-    paths.
+    computes from it.  So the block evaluator serves each point x from
+    up to two tables, built on first use from the same block paths and
+    kept for the family's life, while they fit POINT_TABLE_BYTES (summed
+    over the points of this family; g, PRG1, PRG2 and the t-wise family
+    each keep their own tables within their own budget): T_x, the
+    after-z value for each of the 2^m outputs, and Y_x, the multiplier
+    for each of the 2^L low values.  On a ``range`` of consecutive seeds
+    cut at multiples of 2^L, such as an exhaustive scan block, each point
+    then costs one gather of Y_x through one composed row
+    T_x[low_m(w * y)] per source word w.  This needs
+    m < n <= L <= SCAN_CHUNK_BITS.  Every other block (an array,
+    even of consecutive seeds), and every point without both tables,
+    goes through the layers, which map z through T_x where it was built.
+    Once a block has evaluated ell distinct points, or from its first
+    point when the previous layered block did, the layers compute z for
+    every bucket once for the block, and each point gathers its own
+    bucket's z; before that, each point extracts z at its own bucket.
+    So a corpus of P points costs min(P, ell) extractions a block, and
+    at most 2 * ell - 1 on its first block; the per-bucket z take ell
+    entries a seed (32 MiB for a 2^16-seed block at ell = 256 with 2-byte
+    z).  All paths give equal values, and the scalar ``eval`` is the
+    reference for each.
     """
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
@@ -215,10 +226,13 @@ class _BucketedFamily(SeededFamily):
         self.range_size = params.M
         self.seed_bits = self.layout.total_bits
         self.low_bits = self.layout.field("w").offset
-        # the per-point tables (x -> (Y_x, T_x), or None past the budget),
-        # filled on first use
-        self._tables: dict = {}
+        # the per-point tables, x -> T_x and x -> Y_x (None past the
+        # budget), filled on first use; every point evaluated has a T_x entry
+        self._after_tables: dict = {}
+        self._low_tables: dict = {}
         self._table_bytes = 0
+        # distinct points evaluated by the last layered block evaluator
+        self._block_points = 0
 
     def seed_columns(self) -> tuple[int, ...]:
         return self.layout.words
@@ -236,7 +250,7 @@ class _BucketedFamily(SeededFamily):
     @abc.abstractmethod
     def _after_z(self, z: np.ndarray, x: int) -> np.ndarray:
         """Values at x of what depends on the seed only through z, for a
-        uint64 block of extractor outputs."""
+        block of extractor outputs."""
 
     def _combiner(self, column):
         """(x, after-z values) -> h's values on the block whose field
@@ -253,26 +267,33 @@ class _BucketedFamily(SeededFamily):
             family.eval(f_seed, x), self.prg2.coord_eval(prg2_seed, x), self.range_size
         )
 
-    def _point_tables(self, x: int):
-        """(Y_x, T_x), built on first use if both fit what is left of
-        POINT_TABLE_BYTES, else None."""
-        if x not in self._tables:
-            nbytes = 8 * ((1 << self.low_bits) + (1 << self.extractor.m))
+    def _table(self, tables: dict, x: int, nbytes: int, build):
+        """tables[x], set on first use to ``build(x)`` if ``nbytes`` fit
+        what is left of POINT_TABLE_BYTES, else to None."""
+        if x not in tables:
             fits = self._table_bytes + nbytes <= POINT_TABLE_BYTES
-            self._tables[x] = (self._low_table(x), self._z_table(x)) if fits else None
+            tables[x] = build(x) if fits else None
             self._table_bytes += nbytes if fits else 0
-        return self._tables[x]
+        return tables[x]
 
-    def _low_table(self, x: int) -> np.ndarray:
+    def _after_table(self, x: int) -> np.ndarray | None:
+        """T_x: the after-z value at x for every extractor output z, in the
+        narrowest dtype that holds M."""
+        dtype = np.min_scalar_type(self.range_size)
+        return self._table(
+            self._after_tables, x, dtype.itemsize << self.extractor.m,
+            lambda x: self._after_z(np.arange(1 << self.extractor.m, dtype=np.uint64),
+                                    x).astype(dtype))
+
+    def _low_table(self, x: int) -> np.ndarray | None:
         """Y_x: PRG1's value at g(x)'s bucket, which is the extractor
         multiplier y_s = s + 1, for every low value g-seed | prg1-seed."""
-        parts = self.layout.unpack_block(np.arange(1 << self.low_bits, dtype=np.uint64))
-        bucket = self.g.block_evaluator(parts["g-seed"])(x)
-        return self.prg1.block_evaluator(parts["prg1-seed"])(bucket)
+        def build(x):
+            parts = self.layout.unpack_block(np.arange(1 << self.low_bits, dtype=np.uint64))
+            bucket = self.g.block_evaluator(parts["g-seed"])(x)
+            return self.prg1.block_evaluator(parts["prg1-seed"])(bucket)
 
-    def _z_table(self, x: int) -> np.ndarray:
-        """T_x: the after-z value at x for every extractor output z."""
-        return self._after_z(np.arange(1 << self.extractor.m, dtype=np.uint64), x)
+        return self._table(self._low_tables, x, 8 << self.low_bits, build)
 
     def _sub_block_sources(self, seeds: np.ndarray | range):
         """w of each 2^L-seed sub-block when ``seeds`` is a step-1
@@ -298,12 +319,36 @@ class _BucketedFamily(SeededFamily):
         prg1_at = self.prg1.block_evaluator(parts.pop("prg1-seed"))
         w = parts.pop("w")[:, 0].astype(np.uint64)
         combine = self._combiner(parts.__getitem__)
+        ell, z_dtype = self.params.ell, np.min_scalar_type((1 << self.extractor.m) - 1)
+        # the per-bucket pass pays once a block evaluates ell distinct
+        # points: it starts at the block's first point when the previous
+        # layered block reached ell, else at the ell-th
+        seen, previous = set(), self._block_points
+
+        @functools.cache
+        def bucket_z():
+            # z at bucket b of seed j in cell (b - 1) * len(w) + j, so each
+            # bucket's row is written whole; PRG1's value v in [1, 2^d] is
+            # the multiplier y_s of seed v - 1
+            z = np.empty((ell, len(w)), dtype=z_dtype)
+            for b in range(ell):
+                z[b] = self.extractor.extract_block(w, ys=prg1_at(b + 1))
+            return z.reshape(-1), np.arange(-len(w), 0)
 
         def evaluate(x: int) -> np.ndarray:
             self._check_x(x)
-            # PRG1's value v in [1, 2^d] is the multiplier y_s of seed v - 1
-            z = self.extractor.extract_block(w, ys=prg1_at(bucket_of(x)))
-            return combine(x, self._after_z(z, x))
+            after = self._after_table(x)
+            seen.add(x)
+            self._block_points = len(seen)
+            if ell <= max(previous, len(seen)):
+                z, cell = bucket_z()
+                if ell > 1:
+                    # buckets are uint64 from Horner, narrower from tables
+                    row = np.multiply(bucket_of(x), len(w), dtype=np.intp, casting="unsafe")
+                    z = z.take(row + cell)
+            else:
+                z = self.extractor.extract_block(w, ys=prg1_at(bucket_of(x))).astype(z_dtype)
+            return combine(x, self._after_z(z, x) if after is None else after.take(z))
 
         return evaluate
 
@@ -322,10 +367,9 @@ class _BucketedFamily(SeededFamily):
 
         def evaluate(x: int) -> np.ndarray:
             self._check_x(x)
-            tables = self._point_tables(x)
-            if tables is None:
+            after, ys = self._after_table(x), self._low_table(x)
+            if after is None or ys is None:
                 return layered()(x)
-            ys, after = tables
             # one gather of Y_x through the rows T_x[low_m(w * y)]
             index = ys.view(np.int64) if len(sources) == 1 else row_of + ys.view(np.int64)
             return combine(x, after.take(row_z).take(index).reshape(-1))

@@ -35,6 +35,7 @@ from .gf2 import (
     mat_vec,
     mul_block,
     rank,
+    row_spans,
 )
 
 
@@ -139,19 +140,6 @@ class LeftoverHash:
                 table[lo:lo + step] = self.extract_block(xs, ss)
             self._table = table
         return self._table
-
-
-def row_spans(rows: np.ndarray) -> np.ndarray:
-    """(count, 2^m) XOR spans of a (count, m) stack of m rows each.
-
-    Entry [c, a] is the XOR of rows[c, i] over the bits i set in a; the
-    span of a + 2^i is that of a XOR row i, so the table doubles m times.
-    """
-    count, m = rows.shape
-    span = np.zeros((count, 1 << m), dtype=rows.dtype)
-    for i in range(m):
-        span[:, 1 << i:2 << i] = span[:, :1 << i] ^ rows[:, i, None]
-    return span
 
 
 def spans_full_rank(span: np.ndarray) -> np.ndarray:

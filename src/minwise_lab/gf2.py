@@ -286,6 +286,19 @@ def _mul_bit_serial(ctx: FieldContext, a: np.ndarray, b: "np.ndarray | int") -> 
     return acc
 
 
+def row_spans(rows: np.ndarray) -> np.ndarray:
+    """(count, 2^m) XOR spans of a (count, m) stack of m rows each.
+
+    Entry [c, a] is the XOR of rows[c, i] over the bits i set in a; the
+    span of a + 2^i is that of a XOR row i, so the table doubles m times.
+    """
+    count, m = rows.shape
+    span = np.zeros((count, 1 << m), dtype=rows.dtype)
+    for i in range(m):
+        span[:, 1 << i:2 << i] = span[:, :1 << i] ^ rows[:, i, None]
+    return span
+
+
 # ---------------------------------------------------------------------------
 # GF(2) matrices
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A family member is a degree-(t-1) polynomial over GF(2^n) with 2^n >=
 max(N, M); the seed packs the t coefficients.  Points enter the field
 through the fixed injection chi(x) = x - 1 and outputs leave it by
 truncation to the low log2(M) bits, shifted into [M] = {1, ..., M}.
-Horner evaluation order is fixed so outputs are bit-exact everywhere.
+Field arithmetic is exact, so Horner's rule and the per-point tables of
+block evaluation give the same bits everywhere.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     ScanWorkerFailed,
     SeedSpaceTooLarge,
 )
-from .gf2 import FieldContext, find_irreducible, mul_block
+from .gf2 import FieldContext, find_irreducible, mul_block, row_spans
 
 EXHAUSTIVE_SEED_BITS = 24
 
@@ -42,6 +43,23 @@ SCAN_CHUNK_BITS = 16
 # draw_seed_block on Philox keyed by the run seed and jumped j times, so
 # this constant defines the sample itself: it is not a tuning knob.
 MC_DRAW_BITS = 16
+
+# log2 of the entries of one point table of a t-wise family: at a fixed
+# point, a run of coefficient words whose bits fit this width is read by
+# one gather.  Tables of 2^12 entries take 4 KiB as uint8.  On the 84-bit
+# benchmark family's 10-wise overlay over GF(2^4), 16 points of a 2^16-row
+# block took a median 11.6, 9.4 and 7.0 ms at 10, 12 and 16 bits (runs
+# of 2, 3 and 4 words; 14 bits is 12's 3 words), and building the
+# 16 points' tables 1.3, 1.8 and 2.7 ms; 16 bits would hold about 3 MB
+# more tables on that family, so 12 it is.
+POINT_TABLE_BITS = 12
+
+# Bytes of per-point tables one family may hold, summed over its points:
+# a t-wise family's point tables, or a bucketed family's T_x and Y_x
+# (``construction``), each family its own budget.  Tables are built on
+# first use and never evicted; a point whose tables would pass the budget
+# is evaluated without them, with the same values.
+POINT_TABLE_BYTES = 16 << 20
 
 
 def dsum_values(u, v, range_size: int):
@@ -388,10 +406,10 @@ class SeededFamily(abc.ABC):
 
         The default is the scalar loop over ``eval`` on the block's seeds.
         Work that depends only on the point may also be kept across
-        blocks: the bucketed families of ``construction`` build per-point
-        tables on a point's first aligned scan block, within a byte budget
-        per family, and evaluate every other block, and every point past
-        that budget, through their layers, with the same values.
+        blocks: TWiseFamily keeps per-point tables of its polynomial's
+        terms, and the bucketed families of ``construction`` per-point
+        tables of their layers, each within POINT_TABLE_BYTES per family,
+        with the same values as the paths without them.
         """
         widths = self.seed_columns()
         offsets = np.cumsum((0, *widths)).tolist()
@@ -457,6 +475,14 @@ class TWiseFamily(SeededFamily):
         self.domain_size = domain_size
         self.range_size = range_size
         self.seed_bits = t * ctx.degree
+        # coefficient words per point-table run; a run of one word saves
+        # no gather, so then (n > POINT_TABLE_BITS / 2, or t = 1) every
+        # point is evaluated by Horner
+        run = min(t, POINT_TABLE_BITS // ctx.degree)
+        self.run_words = run if run >= 2 else 0
+        # x -> its tables, or None past POINT_TABLE_BYTES
+        self._point_tables: dict[int, list[np.ndarray] | None] = {}
+        self._table_bytes = 0
 
     def seed_columns(self) -> tuple[int, ...]:
         return (self.ctx.degree,) * self.t
@@ -487,32 +513,99 @@ class TWiseFamily(SeededFamily):
         v = self.eval_field(seed, x - 1)
         return (v & (self.range_size - 1)) + 1
 
-    def block_evaluator(self, seeds: np.ndarray):
-        """x -> values of the block's members at x, by Horner.
+    def point_tables(self, x: int) -> list[np.ndarray] | None:
+        """The tables of point x, built on its first use and kept if they
+        fit what is left of POINT_TABLE_BYTES, else None.
 
-        The coefficients are the block's word columns.  All but the top
-        one are only XORed in, so they stay narrow: as uint64 columns they
-        lifted loads-test's per-block peak past the CLI's malloc trim
-        threshold (51k minor faults instead of 13k).  x is a checked point
-        or, for TWisePRG, an unchecked uint64 array of points, one per seed.
+        At a fixed point chi = x - 1 the masked value is GF(2)-linear in
+        the coefficient words.  So for each run of ``run_words`` words,
+        low words first, a table holds the XOR of the run's terms
+        a_i chi^i, masked to the output bits, for every value of the
+        run's bits, the higher words the slower axes.  It is the XOR of
+        the runs' per-word rows, and each row is the XOR span of the
+        terms x^j chi^i of its word's single bits.  Each table has at most
+        2^POINT_TABLE_BITS entries, in the narrowest dtype that holds M.
+        """
+        if x not in self._point_tables:
+            n, t, run = self.ctx.degree, self.t, self.run_words
+            dtype = np.min_scalar_type(self.range_size)
+            nbytes = dtype.itemsize * sum(1 << (min(run, t - start) * n)
+                                          for start in range(0, t, run))
+            fits = self._table_bytes + nbytes <= POINT_TABLE_BYTES
+            self._point_tables[x] = self._build_point_tables(x) if fits else None
+            self._table_bytes += nbytes if fits else 0
+        return self._point_tables[x]
+
+    def _build_point_tables(self, x: int) -> list[np.ndarray]:
+        n, modulus, chi = self.ctx.degree, self.ctx.modulus, x - 1
+        mask = self.range_size - 1
+        images, power = [], 1
+        for _ in range(self.t):
+            term = power
+            for _ in range(n):
+                images.append(term & mask)
+                term <<= 1
+                term ^= modulus if term >> n else 0
+            power = self.ctx.mul(power, chi)
+        images = np.array(images, dtype=np.min_scalar_type(self.range_size))
+        rows = row_spans(images.reshape(self.t, n))
+        tables = []
+        for start in range(0, self.t, self.run_words):
+            table = rows[start]
+            for row in rows[start + 1:start + self.run_words]:
+                table = (row[:, None] ^ table).reshape(-1)
+            tables.append(table)
+        return tables
+
+    def block_evaluator(self, seeds: np.ndarray):
+        """x -> values of the block's members at x.
+
+        x is a checked point or, for TWisePRG, an unchecked uint64 array
+        of points, one per seed.  At a point with tables (``run_words`` >
+        0, within the budget), the value is the XOR of one gather per run
+        of words, each at the run's bits, which are bound on the block's
+        first such point; it comes in the narrowest dtype that holds M.
+        Otherwise, and at an array of points, it is Horner's, as uint64.
+        Horner's coefficients are the block's word columns.  All but the
+        top one are only XORed in, so they stay narrow: as uint64 columns
+        they lifted loads-test's per-block peak past the CLI's malloc trim
+        threshold (51k minor faults instead of 13k).
         """
         coeffs = seed_words(seeds, self.seed_columns())
-        top = coeffs[:, -1].astype(np.uint64)
-        rest = [coeffs[:, i] for i in range(self.t - 2, -1, -1)]
+        n, t, run = self.ctx.degree, self.t, self.run_words
         out_mask = np.uint64(self.range_size - 1)
+
+        @functools.cache
+        def run_index() -> list[np.ndarray]:
+            index = []
+            for start in range(0, t, run):
+                bits = coeffs[:, start].astype(np.intp)
+                for k in range(1, min(run, t - start)):
+                    bits |= coeffs[:, start + k].astype(np.intp) << (k * n)
+                index.append(bits)
+            return index
 
         def evaluate(x) -> np.ndarray:
             if isinstance(x, (int, np.integer)):
                 self._check_x(x)
-                chi = int(x) - 1
+                x = int(x)
+                tables = self.point_tables(x) if run else None
+                if tables is not None:
+                    index = run_index()
+                    vals = tables[0].take(index[0])
+                    for table, bits in zip(tables[1:], index[1:]):
+                        vals ^= table.take(bits)
+                    vals += 1
+                    return vals
+                chi = x - 1
             else:
                 chi = x.astype(np.uint64, copy=False) - np.uint64(1)
             # the products are fresh arrays, so the XOR can be in place
             # without touching the coefficient columns
-            acc = top
-            for a in rest:
+            acc = coeffs[:, -1].astype(np.uint64)
+            for i in range(t - 2, -1, -1):
                 acc = mul_block(self.ctx, acc, chi)
-                acc ^= a
+                acc ^= coeffs[:, i]
             vals = acc & out_mask
             vals += np.uint64(1)
             return vals

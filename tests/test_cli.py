@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import ctypes
 import gc
-import importlib.util
 import json
 import math
 import os
@@ -14,6 +13,7 @@ import sys
 import types
 from pathlib import Path
 
+import benchmark_module
 import pytest
 import reference_counts
 
@@ -335,12 +335,7 @@ def test_benchmark_configs_pass_the_reader(tmp_path, monkeypatch, capsys):
     # into failed operations.  perfbench/run.py is imported read-only for
     # the configs it generates; construct reads a measure config as
     # measure does, and each oracle config runs through its subcommand.
-    spec = importlib.util.spec_from_file_location("perfbench_run",
-                                                  ROOT / "perfbench" / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec.loader.exec_module(bench)
+    bench = benchmark_module.load(monkeypatch)
     for workload in (bench.desk_workload, bench.mc_workload):
         for name, cfg in workload(0, tmp_path).configs.items():
             assert main(["construct", "--config", _write(tmp_path, name, cfg)]) == 0

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import benchmark_module
 from seed_rows import seed_ints, split_words
-from minwise_lab import construction
+from minwise_lab import construction, kwise
 from minwise_lab.construction import (
     BucketedKMinwiseFamily,
     BucketedMinwiseFamily,
@@ -23,7 +24,13 @@ from minwise_lab.construction import (
 )
 from minwise_lab.errors import ParamViolation
 from minwise_lab.extractor import LeftoverHash
-from minwise_lab.kwise import SCAN_CHUNK_BITS, TWiseFamily, dsum_values, scan_seeds
+from minwise_lab.kwise import (
+    MC_DRAW_BITS,
+    SCAN_CHUNK_BITS,
+    TWiseFamily,
+    dsum_values,
+    scan_seeds,
+)
 from minwise_lab.rectprg import FullIndependencePRG, RecursiveMixPRG, TWisePRG
 from minwise_lab.verify import measure_corpus
 
@@ -409,11 +416,14 @@ def test_table_path_equals_layered_path_and_scalar_eval(name):
         for i in (0, 1, 0x5A5, (fam.seed_space >> SCAN_CHUNK_BITS) - 1):
             block = range(i * step, (i + 1) * step)
             assert _block_mismatches(fam, block, rng) == 0
-    # the tables serve exactly the aligned range blocks of layouts with
-    # n <= L <= SCAN_CHUNK_BITS, and were built for every point there
+    # Y_x serves exactly the aligned range blocks of layouts with
+    # n <= L <= SCAN_CHUNK_BITS, and was built for every point there;
+    # every point evaluated has its T_x
     aligned = fam.extractor.n <= fam.low_bits <= SCAN_CHUNK_BITS
+    points = list(range(1, fam.domain_size + 1))
     assert (fam._sub_block_sources(block) is not None) == aligned
-    assert sorted(fam._tables) == (list(range(1, fam.domain_size + 1)) if aligned else [])
+    assert sorted(fam._low_tables) == (points if aligned else [])
+    assert sorted(fam._after_tables) == points
     # an array goes through the layers, even when it holds the range's own
     # seeds: packed in order, shuffled between its ends, or as word columns
     packed = np.arange(block.start, block.stop, dtype=np.uint64)
@@ -500,16 +510,18 @@ def test_points_past_the_table_budget_keep_equal_values(monkeypatch):
     make = TABLE_FAMILIES["minwise L<c"]
     queries = [([1, 2, 3, 4], [y]) for y in range(1, 5)] + [([2, 3], [3]), ([1, 3, 4], [1])]
     want = measure_corpus(make(), queries)
-    # room for the tables of two points, each Y_x (2^10 entries) and T_x
-    # (2^6 entries): points 1 and 2 are served from them, 3 and 4 layered
+    # room for the T_x (2^6 uint8 entries) of all four points and the Y_x
+    # (2^10 uint64 entries) of two: points 1 and 2 are served from both
+    # tables, 3 and 4 layered through T_x
     fam, layered = make(), make()
     with monkeypatch.context() as patch:
-        patch.setattr(construction, "POINT_TABLE_BYTES", 8 * 2 * ((1 << 10) + (1 << 6)))
+        patch.setattr(construction, "POINT_TABLE_BYTES", 4 * (1 << 6) + 2 * 8 * (1 << 10))
         got = measure_corpus(fam, queries)
         patch.setattr(construction, "POINT_TABLE_BYTES", 0)
         none = measure_corpus(layered, queries)
-    assert [x for x in range(1, 5) if fam._tables[x] is not None] == [1, 2]
-    assert not any(layered._tables.values())
+    assert [x for x in range(1, 5) if fam._low_tables[x] is not None] == [1, 2]
+    assert all(fam._after_tables[x] is not None for x in range(1, 5))
+    assert not any(layered._low_tables.values()) and not any(layered._after_tables.values())
     for reports in (got, none):
         assert [r.exact_measured for r in reports] == [r.exact_measured for r in want]
         assert [r.exact_tie for r in reports] == [r.exact_tie for r in want]
@@ -537,3 +549,106 @@ def test_desk_scan_builds_each_point_table_once(monkeypatch):
     assert blocks == [1 << SCAN_CHUNK_BITS] * 128
     assert sorted(built) == sorted([("T", x) for x in range(1, 5)] +
                                    [("Y", x) for x in range(1, 5)])
+
+
+def _wide_kminwise(ell: int) -> BucketedKMinwiseFamily:
+    """N = M = 8, a 3-wise PRG1 over GF(2^9) and a 5-wise overlay: 58
+    packed seed bits at ell = 4, 52 at ell = 1."""
+    return _kminwise(8, 8, ell, TWisePRG(3, ell, 512), TWisePRG(2, 8, 8), LeftoverHash(10, 6))
+
+
+def _wide_minwise(ell: int) -> BucketedMinwiseFamily:
+    """N = M = 8 with a 2-wise inner family and a constant PRG2."""
+    return _minwise(8, 8, ell, TWisePRG(2, ell, 512), TWisePRG(1, 8, 8), LeftoverHash(10, 9))
+
+
+def _counting(monkeypatch, owner, name: str) -> list:
+    """Record one entry per call of ``owner.name`` and pass it on."""
+    calls, inner = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(1) or inner(*a, **kw))
+    return calls
+
+
+# extractions a block over all 8 points: on the family's first block the
+# points before the ell-th extract at their own bucket
+@pytest.mark.parametrize("make, ell, first, later", [
+    (_wide_minwise, 1, 1, 1), (_wide_minwise, 4, 7, 4), (_wide_minwise, 8, 15, 8),
+    (_wide_kminwise, 1, 1, 1), (_wide_kminwise, 4, 7, 4), (_wide_kminwise, 8, 15, 8),
+])
+def test_bucket_major_path_matches_scalar_eval(monkeypatch, make, ell, first, later):
+    # with ell or more points the layers extract z once per bucket and
+    # block, and every point gathers its own bucket's z
+    fam = make(ell)
+    rng = np.random.Generator(np.random.Philox(key=ell))
+    packed = rng.integers(0, fam.seed_space, size=300, dtype=np.uint64)
+    blocks = {"drawn": fam.draw_seed_block(rng, 300), "packed": packed,
+              "columns": split_words(packed, fam.seed_columns())}
+    extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
+    points = range(1, fam.domain_size + 1)
+    for i, (form, seeds) in enumerate(blocks.items()):
+        extracts.clear()
+        evaluate = fam.block_evaluator(seeds)
+        got = {x: evaluate(x) for x in points}
+        assert len(extracts) == (later if i else first), form
+        assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0, form
+
+
+@pytest.mark.parametrize("make", [_wide_minwise, _wide_kminwise])
+def test_fewer_points_than_buckets_extract_once_a_point(monkeypatch, make):
+    fam = make(4)
+    binds = []
+    bind = fam.block_evaluator
+    monkeypatch.setattr(fam, "block_evaluator",
+                        lambda seeds: binds.append(len(seeds)) or bind(seeds))
+    extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
+    # P = 3 distinct points over two Monte-Carlo blocks: z at each
+    # point's own bucket, never at all four
+    measure_corpus(fam, [([1, 2, 3], [2]), ([2, 3], [3])], "mc",
+                   samples=(1 << 16) + 500, run_seed=3)
+    assert binds == [1 << 16, 500]
+    assert len(extracts) <= 3 * len(binds)
+
+
+@pytest.mark.parametrize("make", [_wide_minwise, _wide_kminwise])
+def test_sparse_points_after_a_full_block_extract_once_a_point_again(monkeypatch, make):
+    # the pass follows the points of the current blocks, not of the
+    # family's past: after a block of all 8 points, 3 points take the
+    # per-bucket pass on the next block only
+    fam = make(4)
+    rng = np.random.Generator(np.random.Philox(key=11))
+    blocks = [fam.draw_seed_block(rng, 300) for _ in range(3)]
+    evaluate = fam.block_evaluator(blocks[0])
+    for x in range(1, fam.domain_size + 1):
+        evaluate(x)
+    extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
+    counts = []
+    for seeds in blocks[1:]:
+        extracts.clear()
+        evaluate = fam.block_evaluator(seeds)
+        got = {x: evaluate(x) for x in (1, 2, 3)}
+        counts.append(len(extracts))
+        assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0
+    assert counts == [4, 3]
+
+
+def test_benchmark_mc_block_multiplies_once_a_bucket(monkeypatch, tmp_path):
+    # the 84-bit family of the benchmark's Monte-Carlo workload, read from
+    # perfbench/run.py (imported, not changed).  Once a block of its scan
+    # has evaluated ell points, every point is read from point tables and
+    # the per-bucket z, so kwise's Horner multiplies only PRG1 over
+    # GF(2^9), once per bucket; a fall back to Horner anywhere else fails
+    config = benchmark_module.load(monkeypatch).mc_workload(0, tmp_path).configs["mc.json"]
+    fam = family_from_config(config["construction"])
+    assert fam.seed_bits == 84
+    ell, points = fam.params.ell, range(1, fam.domain_size + 1)
+    muls = _counting(monkeypatch, kwise, "mul_block")
+    for j in range(2):
+        # block j of kwise.scan's Monte-Carlo draw
+        rng = np.random.Generator(np.random.Philox(key=config["run_seed"]).jumped(j))
+        seeds = fam.draw_seed_block(rng, 1 << MC_DRAW_BITS)
+        muls.clear()
+        evaluate = fam.block_evaluator(seeds)
+        got = {x: evaluate(x) for x in points}
+        # the family's first block evaluates ell - 1 points layered first
+        assert len(muls) <= ell + (ell - 1 if j == 0 else 0)
+        assert _scalar_mismatches(fam, seeds, range(0, len(seeds), 4099), got) == 0

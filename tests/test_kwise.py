@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksize import scan_chunk_bits
-from seed_rows import split_words
+from seed_rows import seed_ints, split_words
+from minwise_lab import kwise
 from minwise_lab.construction import ConstructionParams, build_kminwise
 from minwise_lab.errors import (
     BadSeedLength,
@@ -27,9 +28,10 @@ from minwise_lab.errors import (
     SeedSpaceTooLarge,
 )
 from minwise_lab.extractor import LeftoverHash
-from minwise_lab.gf2 import find_irreducible
+from minwise_lab.gf2 import find_irreducible, mul_block
 from minwise_lab.kwise import (
     MC_DRAW_BITS,
+    POINT_TABLE_BITS,
     SCAN_CHUNK_BITS,
     TWiseFamily,
     direct_sum,
@@ -174,10 +176,12 @@ def test_direct_sum_is_bijection_per_fixed_other_value():
         assert images == set(range(1, 9))
 
 
-@pytest.mark.parametrize("M", [2, 4, 64, 1 << 16])
+@pytest.mark.parametrize("M", [2, 4, 16, 64, 128, 256, 1 << 15, 1 << 16])
 def test_dsum_values_equals_the_modular_formula(M):
-    # the full grid for small M, a random sample of pairs for M = 2^16
-    if M <= 64:
+    # the full grid up to M = 256, a random sample of pairs above; on
+    # uint64 and on min_scalar_type(M), the narrowest dtype an evaluator
+    # returns, where u + v may wrap past the dtype's top
+    if M <= 256:
         u, v = (a.ravel() for a in np.meshgrid(np.arange(1, M + 1), np.arange(1, M + 1)))
     else:
         rng = np.random.Generator(np.random.Philox(key=M))
@@ -186,10 +190,91 @@ def test_dsum_values_equals_the_modular_formula(M):
     want = (u + v - 1) % M + 1
     for a, b in zip(u.tolist(), v.tolist()):
         assert dsum_values(a, b, M) == (a + b - 1) % M + 1
-    for m in (M, np.uint64(M)):
-        got = dsum_values(u.astype(np.uint64), v.astype(np.uint64), m)
-        assert got.dtype == np.uint64
+    for dtype, m in ((np.uint64, M), (np.uint64, np.uint64(M)), (np.min_scalar_type(M), M)):
+        got = dsum_values(u.astype(dtype), v.astype(dtype), m)
+        assert got.dtype == dtype
         assert np.array_equal(got, want)
+
+
+def _word_block(fam: TWiseFamily, rng, count: int):
+    """A packed block when the seed fits 63 bits, else word columns."""
+    if fam.seed_bits <= 63:
+        return rng.integers(0, fam.seed_space, size=count, dtype=np.uint64)
+    return np.stack([rng.integers(0, fam.ctx.size, size=count, dtype=np.uint64)
+                     for _ in range(fam.t)], axis=1)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_point_tables_match_scalar_eval(n):
+    rng = np.random.Generator(np.random.Philox(key=n))
+    ctx = find_irreducible(n)
+    M = max(2, 1 << (n - 1))  # below 2^n from n = 2 on: the mask drops bits
+    for t in (1, 2, 3, 4, 10):
+        fam = TWiseFamily(t, ctx.size, M, ctx)
+        # tables where a run holds two or more words, Horner elsewhere
+        assert fam.run_words == (min(t, POINT_TABLE_BITS // n)
+                                 if t >= 2 and 2 * n <= POINT_TABLE_BITS else 0)
+        seeds = _word_block(fam, rng, 64)
+        ints = seed_ints(seeds, fam.seed_columns())
+        evaluate = fam.block_evaluator(seeds)
+        points = sorted({1, ctx.size, *rng.integers(1, ctx.size + 1, size=3).tolist()})
+        for x in points:
+            want = [fam.eval(s, x) for s in ints]
+            for point in (x, np.int64(x), np.uint64(x)):
+                got = evaluate(point)
+                assert got.tolist() == want, (t, x, type(point))
+                assert got.dtype == (np.min_scalar_type(M) if fam.run_words else np.uint64)
+        assert sorted(fam._point_tables) == (points if fam.run_words else [])
+        for tables in fam._point_tables.values():
+            assert all(len(table) <= 1 << POINT_TABLE_BITS for table in tables)
+            assert len(tables) == -(-t // fam.run_words)
+
+
+def test_points_past_the_table_budget_are_evaluated_by_horner(monkeypatch):
+    # 10-wise over GF(2^4): runs of 3, 3, 3 and 1 words, 3 * 2^12 + 2^4
+    # uint8 entries a point; a budget of two points' tables
+    fam = TWiseFamily(10, domain_size=16, range_size=16)
+    assert fam.run_words == 3
+    monkeypatch.setattr(kwise, "POINT_TABLE_BYTES", 2 * (3 * 4096 + 16))
+    rng = np.random.Generator(np.random.Philox(key=10))
+    seeds = _word_block(fam, rng, 200)
+    ints = seed_ints(seeds, fam.seed_columns())
+    evaluate = fam.block_evaluator(seeds)
+    for x in range(1, 17):
+        got = evaluate(x)
+        assert got.tolist() == [fam.eval(s, x) for s in ints], x
+        assert got.dtype == (np.uint8 if x <= 2 else np.uint64), x
+    assert [x for x, tables in fam._point_tables.items() if tables is not None] == [1, 2]
+    assert fam._table_bytes == 2 * (3 * 4096 + 16)
+
+
+@pytest.mark.parametrize("x", [0, -1, 9, np.uint64(9)])
+def test_point_outside_the_domain_raises_before_any_table(x):
+    fam = TWiseFamily(3, domain_size=8, range_size=8)
+    assert fam.run_words == 3
+    evaluate = fam.block_evaluator(np.arange(fam.seed_space, dtype=np.uint64))
+    with pytest.raises(DomainOverflow):
+        evaluate(x)
+    assert fam._point_tables == {}
+
+
+@pytest.mark.parametrize("t, alphabet", [(2, 16), (3, 64), (4, 16), (2, 512)])
+def test_twise_prg_values_at_array_points_are_horner_s(monkeypatch, t, alphabet):
+    # an array of points, one per seed, is evaluated by Horner whatever
+    # the field; each seed's value equals scalar coord_eval and the
+    # point-table value at its coordinate
+    prg = TWisePRG(t, 8, alphabet)
+    rng = np.random.Generator(np.random.Philox(key=t * alphabet))
+    seeds = rng.integers(0, prg.seed_space, size=256, dtype=np.uint64)
+    coords = rng.integers(1, 9, size=256, dtype=np.uint64)
+    muls = []
+    monkeypatch.setattr(kwise, "mul_block", lambda *a: muls.append(1) or mul_block(*a))
+    got = prg.coord_block(seeds, coords)
+    assert got.dtype == np.uint64 and len(muls) == t - 1
+    assert got.tolist() == [prg.coord_eval(int(s), int(c)) for s, c in zip(seeds, coords)]
+    read = prg.block_evaluator(seeds)
+    at_points = {c: read(c) for c in range(1, 9)}
+    assert got.tolist() == [int(at_points[int(c)][j]) for j, c in enumerate(coords)]
 
 
 def test_direct_sum_rejects_range_mismatch():
