@@ -14,7 +14,6 @@ overlays one global (C_e+1)k-wise family via the direct sum.
 
 from __future__ import annotations
 
-import abc
 import functools
 import math
 from dataclasses import dataclass, fields
@@ -28,6 +27,7 @@ from .extractor import LeftoverHash
 from .kwise import (
     POINT_TABLE_BYTES,
     SCAN_CHUNK_BITS,
+    DirectSumFamily,
     SeededFamily,
     SeedLayout,
     TWiseFamily,
@@ -35,6 +35,7 @@ from .kwise import (
 )
 from .rectprg import (
     FullIndependencePRG,
+    PRGHashFamily,
     RectanglePRG,
     RecursiveMixPRG,
     TWisePRG,
@@ -43,6 +44,13 @@ from .rectprg import (
 
 def _is_pow2(v: int) -> bool:
     return v >= 1 and v & (v - 1) == 0
+
+
+# Seed bits one t-wise part of a construction may take.  A seed block
+# holds each of its words as a column of at least a byte, so a 2^16-row
+# Monte-Carlo block of a part this wide takes at least 32 MiB; the widest
+# part of a shipped or benchmark config takes 40 bits.
+PART_SEED_BITS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,16 @@ class ConstructionParams:
             cap = max(1, round(math.log2(self.N))) ** 2
         if self.k > cap:
             raise ParamViolation(f"order k={self.k} above the polylog cap {cap}")
+        # the overlay's (C_e + 1)k words outnumber the inner family's
+        # ceil(0.1 C_s) + 1 over the same field; g's field is max(N, ell)'s
+        for key, part, words, size in (
+                ("C_e", "overlay", (self.C_e + 1) * self.k, max(self.N, self.M)),
+                ("C_g", "allocation", self.C_g * self.k, max(self.N, self.ell))):
+            n = max(1, (size - 1).bit_length())
+            if words * n > PART_SEED_BITS:
+                raise ParamViolation(
+                    f"{key}={getattr(self, key)}: the {part}'s {words} seed words over "
+                    f"GF(2^{n}) take {words * n} bits, past the {PART_SEED_BITS}-bit limit")
 
     @property
     def allocation_independence(self) -> int:
@@ -145,12 +163,17 @@ class _SingleBucket(SeededFamily):
         self._check_x(x)
         return 1
 
-    def block_evaluator(self, seeds: np.ndarray):
-        def evaluate(x: int) -> np.ndarray:
-            self._check_x(x)
-            return np.ones(len(seeds), dtype=np.uint64)
+    def bind(self, points):
+        self._check_points(points)
 
-        return evaluate
+        def block(seeds):
+            def evaluate(x: int) -> np.ndarray:
+                self._check_x(x)
+                return np.ones(len(seeds), dtype=np.uint64)
+
+            return evaluate
+
+        return block
 
 
 def _allocation_family(params: ConstructionParams) -> SeededFamily:
@@ -162,36 +185,32 @@ def _allocation_family(params: ConstructionParams) -> SeededFamily:
 class _BucketedFamily(SeededFamily):
     """The shared skeleton: allocation g, per-bucket extractor seeds from
     PRG1, and one source word w extracted at x's bucket.  h(x) is the
-    direct sum of a t-wise family and PRG2 at x, with the two seeds that
-    each subclass's ``_split`` takes from the extractor output.
+    direct sum of a t-wise family and PRG2 at x: the subclass's
+    ``after``, a family of the extractor output z, takes both seeds from
+    z, or PRG2's alone beside the k-min-wise overlay.
 
     Seed layout (low bits first): g-seed | prg1-seed | w, followed by
     the subclass's ``extra_fields``, each with the words of what reads it
     (w is one word).  The low L = g-seed + prg1-seed bits reach
-    z = Ext(w, s_{g(x)}) only through PRG1's multiplier at
-    g(x)'s bucket, and z reaches h(x) only through what ``_after_z``
-    computes from it.  So the block evaluator serves each point x from
-    up to two tables, built on first use from the same block paths and
-    kept for the family's life, while they fit POINT_TABLE_BYTES (summed
-    over the points of this family; g, PRG1, PRG2 and the t-wise family
-    each keep their own tables within their own budget): T_x, the
-    after-z value for each of the 2^m outputs, and Y_x, the multiplier
-    for each of the 2^L low values.  On a ``range`` of consecutive seeds
-    cut at multiples of 2^L, such as an exhaustive scan block, each point
-    then costs one gather of Y_x through one composed row
-    T_x[low_m(w * y)] per source word w.  This needs
-    m < n <= L <= SCAN_CHUNK_BITS.  Every other block (an array,
-    even of consecutive seeds), and every point without both tables,
-    goes through the layers, which map z through T_x where it was built.
-    Once a block has evaluated ell distinct points, or from its first
-    point when the previous layered block did, the layers compute z for
-    every bucket once for the block, and each point gathers its own
-    bucket's z; before that, each point extracts z at its own bucket.
-    So a corpus of P points costs min(P, ell) extractions a block, and
-    at most 2 * ell - 1 on its first block; the per-bucket z take ell
-    entries a seed (32 MiB for a 2^16-seed block at ell = 256 with 2-byte
-    z).  All paths give equal values, and the scalar ``eval`` is the
-    reference for each.
+    z = Ext(w, s_{g(x)}) only through PRG1's multiplier at g(x)'s
+    bucket, and z reaches h(x) only through the subclass's ``after``, a
+    family of z.  So ``bind`` builds per-point tables (``_tables``): T_x,
+    the after-z value for each of the 2^m outputs, and Y_x, the multiplier
+    for each of the 2^L low values; g, PRG1 and ``after`` are bound as
+    plans of their own, and the k-min-wise ``bind`` adds the overlay's
+    values to the plan's.  On a ``range`` of consecutive seeds cut at
+    multiples of 2^L, such as an exhaustive scan block, a point with both
+    tables costs one gather of Y_x through one composed row
+    T_x[low_m(w * y)] per source word w; this needs
+    m < n <= L <= SCAN_CHUNK_BITS.  Every other block (an array, even of
+    consecutive seeds), and every other point, goes through the layers,
+    which map z through T_x where it was built.  A plan of at least ell
+    points computes z there for every bucket once a block, and each point
+    gathers its own bucket's z; with fewer, each point extracts z at its
+    own bucket.  So P bound points cost min(P, ell) extractions a block,
+    from the first; the per-bucket z take ell entries a seed (32 MiB for
+    a 2^16-seed block at ell = 256 with 2-byte z).  All paths give equal
+    values, and the scalar ``eval`` is the reference for each.
     """
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
@@ -226,74 +245,44 @@ class _BucketedFamily(SeededFamily):
         self.range_size = params.M
         self.seed_bits = self.layout.total_bits
         self.low_bits = self.layout.field("w").offset
-        # the per-point tables, x -> T_x and x -> Y_x (None past the
-        # budget), filled on first use; every point evaluated has a T_x entry
-        self._after_tables: dict = {}
-        self._low_tables: dict = {}
-        self._table_bytes = 0
-        # distinct points evaluated by the last layered block evaluator
-        self._block_points = 0
 
     def seed_columns(self) -> tuple[int, ...]:
         return self.layout.words
 
-    def _bucket_output(self, parts: dict, x: int) -> int:
-        """Extractor output for x's bucket: Ext(w, PRG1(prg1-seed)_{g(x)} - 1)."""
-        bucket = self.g.eval(parts["g-seed"], x)
-        s = self.prg1.coord_eval(parts["prg1-seed"], bucket) - 1
-        return self.extractor.extract(parts["w"], s)
-
-    @abc.abstractmethod
-    def _split(self, parts: dict, z):
-        """(t-wise family, its seed, PRG2 seed) from the seed fields and z."""
-
-    @abc.abstractmethod
-    def _after_z(self, z: np.ndarray, x: int) -> np.ndarray:
-        """Values at x of what depends on the seed only through z, for a
-        block of extractor outputs."""
-
-    def _combiner(self, column):
-        """(x, after-z values) -> h's values on the block whose field
-        columns ``column(name)`` reads.  For the min-wise family h is its
-        after-z half."""
-        return lambda x, after: after
-
     def eval(self, seed: int, x: int) -> int:
+        """``after`` at x, on z = Ext(w, PRG1(prg1-seed)_{g(x)} - 1)."""
         self._check_seed(seed)
         self._check_x(x)
         parts = self.layout.unpack(seed)
-        family, f_seed, prg2_seed = self._split(parts, self._bucket_output(parts, x))
-        return dsum_values(
-            family.eval(f_seed, x), self.prg2.coord_eval(prg2_seed, x), self.range_size
-        )
+        bucket = self.g.eval(parts["g-seed"], x)
+        s = self.prg1.coord_eval(parts["prg1-seed"], bucket) - 1
+        return self.after.eval(self.extractor.extract(parts["w"], s), x)
 
-    def _table(self, tables: dict, x: int, nbytes: int, build):
-        """tables[x], set on first use to ``build(x)`` if ``nbytes`` fit
-        what is left of POINT_TABLE_BYTES, else to None."""
-        if x not in tables:
-            fits = self._table_bytes + nbytes <= POINT_TABLE_BYTES
-            tables[x] = build(x) if fits else None
-            self._table_bytes += nbytes if fits else 0
-        return tables[x]
-
-    def _after_table(self, x: int) -> np.ndarray | None:
-        """T_x: the after-z value at x for every extractor output z, in the
-        narrowest dtype that holds M."""
+    def _tables(self, points: list[int], g, prg1, after) -> dict:
+        """x -> (T_x, Y_x or None) within POINT_TABLE_BYTES: T_x, in M's
+        narrowest dtype, for the first points it fits, then Y_x for the
+        first of those that the rest fits, when n <= L <= SCAN_CHUNK_BITS.
+        Y_x, PRG1's value at g(x)'s bucket for each low value, gathers PRG1's
+        values at every bucket by g's at x, each on its own seeds only.
+        Nothing is evaluated for a table that does not fit."""
         dtype = np.min_scalar_type(self.range_size)
-        return self._table(
-            self._after_tables, x, dtype.itemsize << self.extractor.m,
-            lambda x: self._after_z(np.arange(1 << self.extractor.m, dtype=np.uint64),
-                                    x).astype(dtype))
-
-    def _low_table(self, x: int) -> np.ndarray | None:
-        """Y_x: PRG1's value at g(x)'s bucket, which is the extractor
-        multiplier y_s = s + 1, for every low value g-seed | prg1-seed."""
-        def build(x):
-            parts = self.layout.unpack_block(np.arange(1 << self.low_bits, dtype=np.uint64))
-            bucket = self.g.block_evaluator(parts["g-seed"])(x)
-            return self.prg1.block_evaluator(parts["prg1-seed"])(bucket)
-
-        return self._table(self._low_tables, x, 8 << self.low_bits, build)
+        y_dtype = np.min_scalar_type(self.prg1.alphabet)
+        after_bytes = dtype.itemsize << self.extractor.m
+        tabled = points[:POINT_TABLE_BYTES // after_bytes]
+        if not tabled:
+            return {}
+        after_at = after(np.arange(1 << self.extractor.m, dtype=np.uint64))
+        tables = {x: (after_at(x).astype(dtype), None) for x in tabled}
+        room = (POINT_TABLE_BYTES - len(tabled) * after_bytes) // (
+            y_dtype.itemsize << self.low_bits)
+        if room and self.extractor.n <= self.low_bits <= SCAN_CHUNK_BITS:
+            b = self.layout.field("prg1-seed").offset
+            at = prg1(np.arange(1 << (self.low_bits - b), dtype=np.uint64))
+            ys = np.stack([at(i).astype(y_dtype) for i in range(1, self.params.ell + 1)])
+            bucket_of = g(np.arange(1 << b, dtype=np.uint64))
+            tables.update((x, (tables[x][0], ys[bucket_of(x) - 1].T.reshape(-1)))
+                          for x in tabled[:room])
+        return tables
 
     def _sub_block_sources(self, seeds: np.ndarray | range):
         """w of each 2^L-seed sub-block when ``seeds`` is a step-1
@@ -310,71 +299,69 @@ class _BucketedFamily(SeededFamily):
         high = np.arange(seeds.start >> L, seeds.stop >> L, dtype=np.uint64)
         return high & np.uint64((1 << n) - 1)
 
-    def _layered_evaluator(self, seeds: np.ndarray):
-        # the layout unpack, g's and PRG1's coefficients and the combiner's
-        # per-block seeds are bound once; only what depends on z, the
-        # extractor output at x's bucket, is evaluated at every point
-        parts = self.layout.unpack_block(seeds)
-        bucket_of = self.g.block_evaluator(parts.pop("g-seed"))
-        prg1_at = self.prg1.block_evaluator(parts.pop("prg1-seed"))
-        w = parts.pop("w")[:, 0].astype(np.uint64)
-        combine = self._combiner(parts.__getitem__)
-        ell, z_dtype = self.params.ell, np.min_scalar_type((1 << self.extractor.m) - 1)
-        # the per-bucket pass pays once a block evaluates ell distinct
-        # points: it starts at the block's first point when the previous
-        # layered block reached ell, else at the ell-th
-        seen, previous = set(), self._block_points
+    def bind(self, points):
+        points = self._check_points(points)
+        ell = self.params.ell
+        per_bucket = len(points) >= ell
+        g, after = self.g.bind(points), self.after.bind(points)
+        prg1 = self.prg1.bind(range(1, ell + 1) if per_bucket else ())
+        tables = self._tables(points, g, prg1, after)
+        z_dtype = np.min_scalar_type((1 << self.extractor.m) - 1)
 
-        @functools.cache
-        def bucket_z():
-            # z at bucket b of seed j in cell (b - 1) * len(w) + j, so each
-            # bucket's row is written whole; PRG1's value v in [1, 2^d] is
-            # the multiplier y_s of seed v - 1
-            z = np.empty((ell, len(w)), dtype=z_dtype)
-            for b in range(ell):
-                z[b] = self.extractor.extract_block(w, ys=prg1_at(b + 1))
-            return z.reshape(-1), np.arange(-len(w), 0)
+        def layered(seeds):
+            # the layout unpack, g's and PRG1's coefficients and the
+            # per-bucket z are bound once; only what depends on z at x's
+            # bucket is evaluated at every point
+            parts = self.layout.unpack_block(seeds)
+            bucket_of = g(parts.pop("g-seed"))
+            prg1_at = prg1(parts.pop("prg1-seed"))
+            w = parts.pop("w")[:, 0].astype(np.uint64)
+            if per_bucket:
+                # z at bucket b of seed j in cell (b - 1) * len(w) + j, so
+                # each bucket's row is written whole; PRG1's value v in
+                # [1, 2^d] is the multiplier y_s of seed v - 1
+                bucket_z = np.empty((ell, len(w)), dtype=z_dtype)
+                for b in range(ell):
+                    bucket_z[b] = self.extractor.extract_block(w, ys=prg1_at(b + 1))
+                bucket_z, cell = bucket_z.reshape(-1), np.arange(-len(w), 0)
 
-        def evaluate(x: int) -> np.ndarray:
-            self._check_x(x)
-            after = self._after_table(x)
-            seen.add(x)
-            self._block_points = len(seen)
-            if ell <= max(previous, len(seen)):
-                z, cell = bucket_z()
-                if ell > 1:
+            def evaluate(x: int) -> np.ndarray:
+                self._check_x(x)
+                if per_bucket:
                     # buckets are uint64 from Horner, narrower from tables
                     row = np.multiply(bucket_of(x), len(w), dtype=np.intp, casting="unsafe")
-                    z = z.take(row + cell)
-            else:
-                z = self.extractor.extract_block(w, ys=prg1_at(bucket_of(x))).astype(z_dtype)
-            return combine(x, self._after_z(z, x) if after is None else after.take(z))
+                    z = bucket_z.take(row + cell)
+                else:
+                    z = self.extractor.extract_block(w, ys=prg1_at(bucket_of(x))).astype(z_dtype)
+                table = tables.get(x, (None,))[0]
+                return after(z)(x) if table is None else table.take(z)
 
-        return evaluate
+            return evaluate
 
-    def block_evaluator(self, seeds: np.ndarray):
-        sources = self._sub_block_sources(seeds)
-        if sources is None:
-            return self._layered_evaluator(seeds)
-        n = self.extractor.n
-        # z for every (sub-block's w, multiplier y) pair, row-major
-        row_z = self.extractor.extract_block(
-            sources[:, None], ys=np.arange(1 << n, dtype=np.uint64)).view(np.int64)
-        row_of = (np.arange(len(sources), dtype=np.int64) << n)[:, None]
-        combine = self._combiner(lambda name: self.layout.unpack_block(seeds)[name])
-        # bound only if some point of the block has no tables
-        layered = functools.cache(lambda: self._layered_evaluator(seeds))
+        def block(seeds):
+            sources = self._sub_block_sources(seeds)
+            if sources is None:
+                return layered(seeds)
+            n = self.extractor.n
+            # z for every (sub-block's w, multiplier y) pair, row-major
+            row_z = self.extractor.extract_block(
+                sources[:, None], ys=np.arange(1 << n, dtype=np.uint64)).view(np.int64)
+            row_of = (np.arange(len(sources), dtype=np.int64) << n)[:, None]
+            # bound only if some point of the block has no Y_x
+            layered_block = functools.cache(lambda: layered(seeds))
 
-        def evaluate(x: int) -> np.ndarray:
-            self._check_x(x)
-            after, ys = self._after_table(x), self._low_table(x)
-            if after is None or ys is None:
-                return layered()(x)
-            # one gather of Y_x through the rows T_x[low_m(w * y)]
-            index = ys.view(np.int64) if len(sources) == 1 else row_of + ys.view(np.int64)
-            return combine(x, after.take(row_z).take(index).reshape(-1))
+            def evaluate(x: int) -> np.ndarray:
+                self._check_x(x)
+                table, ys = tables.get(x, (None, None))
+                if ys is None:
+                    return layered_block()(x)
+                # one gather of Y_x through the rows T_x[low_m(w * y)]
+                index = ys if len(sources) == 1 else row_of + ys
+                return table.take(row_z).take(index).reshape(-1)
 
-        return evaluate
+            return evaluate
+
+        return block
 
 
 class BucketedMinwiseFamily(_BucketedFamily):
@@ -397,6 +384,7 @@ class BucketedMinwiseFamily(_BucketedFamily):
                 f"{inner.seed_bits} + PRG2 seed {prg2.seed_bits}"
             )
         self.inner = inner
+        self.after = DirectSumFamily(inner, PRGHashFamily(prg2))
 
     @property
     def family_id(self) -> str:
@@ -406,16 +394,6 @@ class BucketedMinwiseFamily(_BucketedFamily):
             f"prg1={self.prg1.prg_id},ext={self.extractor.map_id},"
             f"inner={self.inner.family_id},prg2={self.prg2.prg_id})"
         )
-
-    def _split(self, parts: dict, z):
-        # with Python int operands, uint64 columns stay uint64 under both
-        # numpy 1.x value-based casting and NEP 50
-        return self.inner, z & (self.inner.seed_space - 1), z >> self.inner.seed_bits
-
-    def _after_z(self, z: np.ndarray, x: int) -> np.ndarray:
-        inner = self.inner.eval_block(z & (self.inner.seed_space - 1), x)
-        return dsum_values(inner, self.prg2.coord_block(z >> self.inner.seed_bits, x),
-                           self.range_size)
 
 
 class BucketedKMinwiseFamily(_BucketedFamily):
@@ -438,6 +416,7 @@ class BucketedKMinwiseFamily(_BucketedFamily):
                 f"extractor output {extractor.m} bits != PRG2 seed {prg2.seed_bits}"
             )
         self.overlay = overlay
+        self.after = PRGHashFamily(prg2)
 
     @property
     def family_id(self) -> str:
@@ -449,16 +428,20 @@ class BucketedKMinwiseFamily(_BucketedFamily):
             f"overlay={self.overlay.family_id})"
         )
 
-    def _split(self, parts: dict, z):
-        return self.overlay, parts["h0-seed"], z
-
-    def _after_z(self, z: np.ndarray, x: int) -> np.ndarray:
-        return self.prg2.coord_block(z, x)
-
-    def _combiner(self, column):
+    def eval(self, seed: int, x: int) -> int:
+        phi = super().eval(seed, x)
         # the overlay seed is a layout field: its words are its coefficients
-        overlay = self.overlay.block_evaluator(column("h0-seed"))
-        return lambda x, after: dsum_values(overlay(x), after, self.range_size)
+        h0 = self.layout.unpack(seed)["h0-seed"]
+        return dsum_values(self.overlay.eval(h0, x), phi, self.range_size)
+
+    def bind(self, points):
+        phi, overlay = super().bind(points), self.overlay.bind(points)
+
+        def block(seeds):
+            at_phi, at_h0 = phi(seeds), overlay(self.layout.unpack_block(seeds)["h0-seed"])
+            return lambda x: dsum_values(at_h0(x), at_phi(x), self.range_size)
+
+        return block
 
 
 def build_minwise(params: ConstructionParams, prg1: RectanglePRG,

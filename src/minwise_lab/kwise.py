@@ -15,7 +15,7 @@ import functools
 import os
 import pickle
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -54,11 +54,11 @@ MC_DRAW_BITS = 16
 # more tables on that family, so 12 it is.
 POINT_TABLE_BITS = 12
 
-# Bytes of per-point tables one family may hold, summed over its points:
-# a t-wise family's point tables, or a bucketed family's T_x and Y_x
-# (``construction``), each family its own budget.  Tables are built on
-# first use and never evicted; a point whose tables would pass the budget
-# is evaluated without them, with the same values.
+# Bytes of per-point tables one plan may hold, summed over its points: a
+# t-wise family's point tables, or a bucketed family's T_x and Y_x
+# (``construction``).  Tables are built once per bind, in the process that
+# binds, in the order of the points; a point whose tables would pass the
+# budget is evaluated without them, with the same values.
 POINT_TABLE_BYTES = 16 << 20
 
 
@@ -397,30 +397,36 @@ class SeededFamily(abc.ABC):
         return SeedLayout.build([("seed", self.seed_columns())])
 
     def eval_block(self, seeds: np.ndarray, x: int) -> np.ndarray:
-        """Vectorized eval over a seed block: ``block_evaluator(seeds)(x)``."""
-        return self.block_evaluator(seeds)(x)
+        """Vectorized eval over a seed block: ``bind((x,))(seeds)(x)``."""
+        return self.bind((x,))(seeds)(x)
 
-    def block_evaluator(self, seeds: np.ndarray):
-        """x -> the values of the block's members at x, with the work that
-        depends only on the seed block done once, when it is bound.
+    def bind(self, points) -> Callable:
+        """The evaluation plan of ``points``, made once before a scan: the
+        binder seeds -> (x -> values) of each block.
 
-        The default is the scalar loop over ``eval`` on the block's seeds.
-        Work that depends only on the point may also be kept across
-        blocks: TWiseFamily keeps per-point tables of its polynomial's
-        terms, and the bucketed families of ``construction`` per-point
-        tables of their layers, each within POINT_TABLE_BYTES per family,
-        with the same values as the paths without them.
+        Every point is checked before any table is built.  Work that
+        depends only on a point is done here, within POINT_TABLE_BYTES
+        (TWiseFamily's point tables, the T_x and Y_x of ``construction``'s
+        bucketed families); nothing a plan does changes it or the family,
+        so forked scan workers share it copy-on-write.  A point not bound,
+        or past the budget, gets equal values without tables.  The default
+        is the scalar loop over ``eval`` on each block's seeds.
         """
+        self._check_points(points)
         widths = self.seed_columns()
         offsets = np.cumsum((0, *widths)).tolist()
-        ints = [sum(v << o for v, o in zip(row, offsets))
-                for row in seed_words(seeds, widths).tolist()]
 
-        def evaluate(x: int) -> np.ndarray:
-            self._check_x(x)
-            return np.array([self.eval(s, x) for s in ints], dtype=np.uint64)
+        def block(seeds):
+            ints = [sum(v << o for v, o in zip(row, offsets))
+                    for row in seed_words(seeds, widths).tolist()]
 
-        return evaluate
+            def evaluate(x: int) -> np.ndarray:
+                self._check_x(x)
+                return np.array([self.eval(s, x) for s in ints], dtype=np.uint64)
+
+            return evaluate
+
+        return block
 
     def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Sample seeds for Monte-Carlo oracles: the layout's draw_block."""
@@ -435,6 +441,12 @@ class SeededFamily(abc.ABC):
     def _check_x(self, x: int) -> None:
         if not 1 <= x <= self.domain_size:
             raise DomainOverflow(f"point {x} outside [1, {self.domain_size}]")
+
+    def _check_points(self, points) -> list[int]:
+        """The distinct points, in order, after every one is checked."""
+        for x in points:
+            self._check_x(x)
+        return list(dict.fromkeys(int(x) for x in points))
 
 
 class TWiseFamily(SeededFamily):
@@ -480,9 +492,6 @@ class TWiseFamily(SeededFamily):
         # point is evaluated by Horner
         run = min(t, POINT_TABLE_BITS // ctx.degree)
         self.run_words = run if run >= 2 else 0
-        # x -> its tables, or None past POINT_TABLE_BYTES
-        self._point_tables: dict[int, list[np.ndarray] | None] = {}
-        self._table_bytes = 0
 
     def seed_columns(self) -> tuple[int, ...]:
         return (self.ctx.degree,) * self.t
@@ -513,30 +522,18 @@ class TWiseFamily(SeededFamily):
         v = self.eval_field(seed, x - 1)
         return (v & (self.range_size - 1)) + 1
 
-    def point_tables(self, x: int) -> list[np.ndarray] | None:
-        """The tables of point x, built on its first use and kept if they
-        fit what is left of POINT_TABLE_BYTES, else None.
+    def _run_tables(self, x: int) -> list[np.ndarray]:
+        """The tables of point x, one per run of ``run_words`` words.
 
         At a fixed point chi = x - 1 the masked value is GF(2)-linear in
-        the coefficient words.  So for each run of ``run_words`` words,
-        low words first, a table holds the XOR of the run's terms
-        a_i chi^i, masked to the output bits, for every value of the
-        run's bits, the higher words the slower axes.  It is the XOR of
-        the runs' per-word rows, and each row is the XOR span of the
-        terms x^j chi^i of its word's single bits.  Each table has at most
-        2^POINT_TABLE_BITS entries, in the narrowest dtype that holds M.
+        the coefficient words.  So for each run, low words first, a table
+        holds the XOR of the run's terms a_i chi^i, masked to the output
+        bits, for every value of the run's bits, the higher words the
+        slower axes.  It is the XOR of the runs' per-word rows, and each
+        row is the XOR span of the terms x^j chi^i of its word's single
+        bits.  Each table has at most 2^POINT_TABLE_BITS entries, in the
+        narrowest dtype that holds M.
         """
-        if x not in self._point_tables:
-            n, t, run = self.ctx.degree, self.t, self.run_words
-            dtype = np.min_scalar_type(self.range_size)
-            nbytes = dtype.itemsize * sum(1 << (min(run, t - start) * n)
-                                          for start in range(0, t, run))
-            fits = self._table_bytes + nbytes <= POINT_TABLE_BYTES
-            self._point_tables[x] = self._build_point_tables(x) if fits else None
-            self._table_bytes += nbytes if fits else 0
-        return self._point_tables[x]
-
-    def _build_point_tables(self, x: int) -> list[np.ndarray]:
         n, modulus, chi = self.ctx.degree, self.ctx.modulus, x - 1
         mask = self.range_size - 1
         images, power = [], 1
@@ -557,60 +554,68 @@ class TWiseFamily(SeededFamily):
             tables.append(table)
         return tables
 
-    def block_evaluator(self, seeds: np.ndarray):
-        """x -> values of the block's members at x.
+    def bind(self, points) -> Callable:
+        """The plan of ``points``, with the tables (``_run_tables``) of the
+        first that fit POINT_TABLE_BYTES when ``run_words`` > 0.
 
-        x is a checked point or, for TWisePRG, an unchecked uint64 array
-        of points, one per seed.  At a point with tables (``run_words`` >
-        0, within the budget), the value is the XOR of one gather per run
-        of words, each at the run's bits, which are bound on the block's
-        first such point; it comes in the narrowest dtype that holds M.
-        Otherwise, and at an array of points, it is Horner's, as uint64.
-        Horner's coefficients are the block's word columns.  All but the
-        top one are only XORed in, so they stay narrow: as uint64 columns
-        they lifted loads-test's per-block peak past the CLI's malloc trim
-        threshold (51k minor faults instead of 13k).
+        Its evaluators take a checked point or, for TWisePRG, an unchecked
+        uint64 array of points, one per seed.  At a point with tables the
+        value is the XOR of one gather per run of words, each at the run's
+        bits, which are bound on the block's first such point; it comes in
+        the narrowest dtype that holds M.  Otherwise it is Horner's, as
+        uint64.  Horner's coefficients are the block's word columns.  All
+        but the top one are only XORed in, so they stay narrow: as uint64
+        columns they lifted loads-test's per-block peak past the CLI's
+        malloc trim threshold (51k minor faults instead of 13k).
         """
-        coeffs = seed_words(seeds, self.seed_columns())
+        points = self._check_points(points)
         n, t, run = self.ctx.degree, self.t, self.run_words
-        out_mask = np.uint64(self.range_size - 1)
+        tables = {}
+        if run:
+            nbytes = np.min_scalar_type(self.range_size).itemsize * sum(
+                1 << (min(run, t - start) * n) for start in range(0, t, run))
+            tables = {x: self._run_tables(x) for x in points[:POINT_TABLE_BYTES // nbytes]}
 
-        @functools.cache
-        def run_index() -> list[np.ndarray]:
-            index = []
-            for start in range(0, t, run):
-                bits = coeffs[:, start].astype(np.intp)
-                for k in range(1, min(run, t - start)):
-                    bits |= coeffs[:, start + k].astype(np.intp) << (k * n)
-                index.append(bits)
-            return index
+        def block(seeds):
+            coeffs = seed_words(seeds, self.seed_columns())
 
-        def evaluate(x) -> np.ndarray:
-            if isinstance(x, (int, np.integer)):
-                self._check_x(x)
-                x = int(x)
-                tables = self.point_tables(x) if run else None
-                if tables is not None:
-                    index = run_index()
-                    vals = tables[0].take(index[0])
-                    for table, bits in zip(tables[1:], index[1:]):
-                        vals ^= table.take(bits)
-                    vals += 1
-                    return vals
-                chi = x - 1
-            else:
-                chi = x.astype(np.uint64, copy=False) - np.uint64(1)
-            # the products are fresh arrays, so the XOR can be in place
-            # without touching the coefficient columns
-            acc = coeffs[:, -1].astype(np.uint64)
-            for i in range(t - 2, -1, -1):
-                acc = mul_block(self.ctx, acc, chi)
-                acc ^= coeffs[:, i]
-            vals = acc & out_mask
-            vals += np.uint64(1)
-            return vals
+            @functools.cache
+            def run_index() -> list[np.ndarray]:
+                index = []
+                for start in range(0, t, run):
+                    bits = coeffs[:, start].astype(np.intp)
+                    for k in range(1, min(run, t - start)):
+                        bits |= coeffs[:, start + k].astype(np.intp) << (k * n)
+                    index.append(bits)
+                return index
 
-        return evaluate
+            def evaluate(x) -> np.ndarray:
+                if isinstance(x, (int, np.integer)):
+                    self._check_x(x)
+                    x = int(x)
+                    if x in tables:
+                        index = run_index()
+                        vals = tables[x][0].take(index[0])
+                        for table, bits in zip(tables[x][1:], index[1:]):
+                            vals ^= table.take(bits)
+                        vals += 1
+                        return vals
+                    chi = x - 1
+                else:
+                    chi = x.astype(np.uint64, copy=False) - np.uint64(1)
+                # the products are fresh arrays, so the XOR can be in place
+                # without touching the coefficient columns
+                acc = coeffs[:, -1].astype(np.uint64)
+                for i in range(t - 2, -1, -1):
+                    acc = mul_block(self.ctx, acc, chi)
+                    acc ^= coeffs[:, i]
+                vals = acc & np.uint64(self.range_size - 1)
+                vals += np.uint64(1)
+                return vals
+
+            return evaluate
+
+        return block
 
 
 class DirectSumFamily(SeededFamily):
@@ -652,12 +657,16 @@ class DirectSumFamily(SeededFamily):
         sf, sg = self.split_seed(seed)
         return dsum_values(self.f.eval(sf, x), self.g.eval(sg, x), self.range_size)
 
-    def block_evaluator(self, seeds: np.ndarray):
-        words = seed_words(seeds, self.seed_columns())
+    def bind(self, points) -> Callable:
+        f, g = self.f.bind(points), self.g.bind(points)
         cut = len(self.f.seed_columns())
-        f = self.f.block_evaluator(words[:, :cut])
-        g = self.g.block_evaluator(words[:, cut:])
-        return lambda x: dsum_values(f(x), g(x), self.range_size)
+
+        def block(seeds):
+            words = seed_words(seeds, self.seed_columns())
+            at_f, at_g = f(words[:, :cut]), g(words[:, cut:])
+            return lambda x: dsum_values(at_f(x), at_g(x), self.range_size)
+
+        return block
 
 
 def direct_sum(f: SeededFamily, g: SeededFamily) -> DirectSumFamily:

@@ -128,15 +128,24 @@ class RectanglePRG(abc.ABC):
     def coord_block(self, seeds: np.ndarray, coords) -> np.ndarray:
         """Vectorized coord_eval on any seed block; ``coords`` is an int or an array."""
 
-    def block_evaluator(self, seeds: np.ndarray):
-        """coords -> coord_block(seeds, coords), with the work that depends
-        only on the seed block done once, when it is bound.
+    def bind(self, coords):
+        """The evaluation plan of ``coords``, as SeededFamily.bind, with
+        coords -> coord_block(seeds, coords) a block's evaluator; a scalar
+        coordinate is checked.  TWisePRG binds its family instead."""
+        for coord in coords:
+            self._check_coord(coord)
 
-        The default binds the block's word columns; a generator that
-        overrides it writes coord_block as ``block_evaluator(seeds)(coords)``.
-        """
-        words = seed_words(seeds, self.seed_columns())
-        return lambda coords: self.coord_block(words, coords)
+        def block(seeds):
+            words = seed_words(seeds, self.seed_columns())
+
+            def read(coords):
+                if np.ndim(coords) == 0:
+                    self._check_coord(coords)
+                return self.coord_block(words, coords)
+
+            return read
+
+        return block
 
     def expand(self, seed: int) -> tuple[int, ...]:
         """The full output vector for one seed."""
@@ -206,11 +215,12 @@ class TWisePRG(RectanglePRG):
     def coord_eval(self, seed: int, coord: int) -> int:
         return self.family.eval(seed, coord)
 
-    def block_evaluator(self, seeds: np.ndarray):
-        return self.family.block_evaluator(seeds)
+    def bind(self, coords):
+        return self.family.bind(coords)
 
     def coord_block(self, seeds: np.ndarray, coords) -> np.ndarray:
-        return self.block_evaluator(seeds)(coords)
+        """Horner's values at ``coords``, without point tables."""
+        return self.family.bind(())(seeds)(coords)
 
 
 class RecursiveMixPRG(RectanglePRG):
@@ -301,14 +311,8 @@ class PRGHashFamily(SeededFamily):
         self._check_x(x)
         return self.prg.coord_eval(seed, x)
 
-    def block_evaluator(self, seeds: np.ndarray):
-        read = self.prg.block_evaluator(seeds)
-
-        def evaluate(x: int) -> np.ndarray:
-            self._check_x(x)
-            return read(x)
-
-        return evaluate
+    def bind(self, points):
+        return self.prg.bind(self._check_points(points))
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +328,16 @@ def _check_shape(prg: RectanglePRG, rect: Rectangle) -> None:
 def _accepted(prg: RectanglePRG, rect: Rectangle):
     """Counter of the seeds in a block whose output the rectangle accepts.
 
-    Coordinates are tested in order, through the generator's evaluator
-    bound once per block, and a block stops being read once no seed in
-    it is left.
+    Coordinates are tested in order, through the generator's plan of
+    them, bound here and then once per block, and a block stops being read
+    once no seed in it is left.
     """
     active = rect.active_coords()
     tables = {i: rect.member_table(i) for i in active}
+    plan = prg.bind(active)
 
     def count(seeds: np.ndarray) -> int:
-        read = prg.block_evaluator(seeds)
+        read = plan(seeds)
         acc = np.ones(len(seeds), dtype=bool)
         for i in active:
             vals = read(i)
@@ -373,12 +378,11 @@ def strict_order_margins(prg: RectanglePRG, low, high, mode: str = "exhaustive",
     low, high = [int(i) for i in low], [int(i) for i in high]
     if not high:
         raise InvalidArgument("need at least one coordinate to take the minimum over")
-    for i in low + high:
-        prg._check_coord(i)
+    plan = prg.bind(low + high)
     side = prg.alphabet + 1
 
     def count(seeds: np.ndarray) -> np.ndarray:
-        read = prg.block_evaluator(seeds)
+        read = plan(seeds)
         b = _extreme(read, high, np.minimum)
         a = _extreme(read, low, np.maximum) if low else np.zeros_like(b)
         # outputs lie in [1, M], so cell 0 of b's margin collects exactly

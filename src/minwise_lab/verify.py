@@ -18,18 +18,14 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from . import kwise
 from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
 from .kwise import SeededFamily, check_mode, scan, scan_seeds
-from .rectprg import (
-    PRGHashFamily,
-    RectanglePRG,
-    TWisePRG,
-    strict_order_margins,
-)
+from .rectprg import RectanglePRG, TWisePRG, strict_order_margins
 # bound here only so that perfbench/trace_cli.py finds it under this name
 from .rectprg import rectangle_hits_exact  # noqa: F401
 
@@ -96,18 +92,17 @@ def _distinct_points(X, Y) -> tuple[list[int], list[int]]:
     return xs, ys
 
 
-def _query_sets(family: SeededFamily, X, Y) -> tuple[list[int], list[int]]:
+def _query_sets(X, Y) -> tuple[list[int], list[int]]:
+    """X and Y checked as a query; a scan's plan checks their points."""
     xs, ys = _distinct_points(X, Y)
     if not set(ys) <= set(xs):
         raise InvalidArgument("Y must be a subset of X")
     if not ys or set(ys) == set(xs):
         raise EmptyQuery("need a nonempty Y strictly inside X")
-    for v in xs:
-        family._check_x(v)
     return xs, ys
 
 
-def _query_counts(vals: np.ndarray, plan: list[tuple[list[int], list[int]]],
+def _query_counts(vals: np.ndarray, rows: list[tuple[list[int], list[int]]],
                   weights: np.ndarray | None = None) -> np.ndarray:
     """(queries, 2) int64 counts of (max h(Y) < min h(X\\Y), equality).
 
@@ -115,8 +110,8 @@ def _query_counts(vals: np.ndarray, plan: list[tuple[list[int], list[int]]],
     seed, or of ``weights[j]`` seeds when weights are given; each query
     reads its rows by index.
     """
-    counts = np.empty((len(plan), 2), dtype=np.int64)
-    for q, (y_rows, rest_rows) in enumerate(plan):
+    counts = np.empty((len(rows), 2), dtype=np.int64)
+    for q, (y_rows, rest_rows) in enumerate(rows):
         max_y = vals[y_rows].max(axis=0)
         min_rest = vals[rest_rows].min(axis=0)
         below, tied = max_y < min_rest, max_y == min_rest
@@ -125,32 +120,30 @@ def _query_counts(vals: np.ndarray, plan: list[tuple[list[int], list[int]]],
     return counts
 
 
-def _block_counts(family: SeededFamily, seeds: np.ndarray, points: list[int],
-                  plan: list[tuple[list[int], list[int]]]) -> np.ndarray:
+def _block_counts(plan: Callable, seeds: np.ndarray, points: list[int],
+                  rows: list[tuple[list[int], list[int]]], M: int) -> np.ndarray:
     """_query_counts on one block.
 
-    The family's block evaluator is bound once, and each distinct point
-    is evaluated by it into a (points, seeds) value matrix in the
-    narrowest dtype that holds [1, M].
+    The plan is bound to the block once, and each distinct point is
+    evaluated by it into a (points, seeds) value matrix in the narrowest
+    dtype that holds [1, M].
     """
-    vals = np.empty((len(points), len(seeds)),
-                    dtype=np.min_scalar_type(family.range_size))
-    evaluate = family.block_evaluator(seeds)
+    vals = np.empty((len(points), len(seeds)), dtype=np.min_scalar_type(M))
+    evaluate = plan(seeds)
     for i, x in enumerate(points):
         vals[i] = evaluate(x)
     del evaluate  # the block's unpacked seeds go before the queries allocate
-    return _query_counts(vals, plan)
+    return _query_counts(vals, rows)
 
 
-def _joint_law(family: SeededFamily, seeds: np.ndarray, points: list[int]) -> np.ndarray:
+def _joint_law(plan: Callable, seeds: np.ndarray, points: list[int], M: int) -> np.ndarray:
     """The block's histogram of h on ``points``, over M^P cells.
 
     A seed with values v_1..v_P at the points, in their order, counts in
     cell sum_i (v_i - 1) * M^(P-i).  The caller keeps M^P within one
     block, so the codes fit in int64 with room to spare.
     """
-    M = family.range_size
-    evaluate = family.block_evaluator(seeds)
+    evaluate = plan(seeds)
     # a copy: the evaluator's arrays are read, never written
     code = evaluate(points[0]).astype(np.uint64)
     for x in points[1:]:
@@ -180,36 +173,38 @@ def measure_corpus(
     blocks are split across that many forked processes, with the same
     result.
     Ties (max h(Y) == min h(X\\Y)) are reported separately: they are
-    exactly the mass the strict convention loses at finite M.  Each
-    distinct point of the corpus is evaluated once per seed block, in
-    corpus order, whatever the number of queries that contain it.  When
+    exactly the mass the strict convention loses at finite M.  The
+    family is bound to the corpus's distinct points once, before the
+    scan, and each is evaluated once per seed block, in corpus order,
+    whatever the number of queries that contain it.  When
     the P distinct points have M^P <= 2^SCAN_CHUNK_BITS value vectors,
     no more cells than a block has seeds, the scan counts only the joint
     law of h on them, and every query is read off that histogram once
     the scan is done.  Larger corpora count every query on every block.
     """
     check_mode(mode)
-    sets = [_query_sets(family, X, Y) for X, Y in queries]
+    sets = [_query_sets(X, Y) for X, Y in queries]
     if not sets:
         return []
     points = list(dict.fromkeys(x for xs, _ in sets for x in xs))
     row = {x: i for i, x in enumerate(points)}
-    plan = [([row[y] for y in ys], [row[x] for x in xs if x not in ys])
+    rows = [([row[y] for y in ys], [row[x] for x in xs if x not in ys])
             for xs, ys in sets]
     M, P = family.range_size, len(points)
+    plan = family.bind(points)
 
     if M ** P <= 1 << kwise.SCAN_CHUNK_BITS:
         def count(seeds):
-            return _joint_law(family, seeds, points)
+            return _joint_law(plan, seeds, points, M)
 
         law, total = scan(family, count, mode, samples, run_seed, threads)
         seen = np.flatnonzero(law)
         # row i of the seen cells' value vectors is digit P-1-i in base M
         place = M ** np.arange(P - 1, -1, -1, dtype=np.int64)
-        counts = _query_counts(seen // place[:, None] % M, plan, law[seen])
+        counts = _query_counts(seen // place[:, None] % M, rows, law[seen])
     else:
         def count(seeds):
-            return _block_counts(family, seeds, points, plan)
+            return _block_counts(plan, seeds, points, rows, M)
 
         counts, total = scan(family, count, mode, samples, run_seed, threads)
     return [_error_report(family, xs, ys, mode, int(hits), int(ties), total)
@@ -432,22 +427,24 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
     ``bj_threshold`` points of X\\Y (0 when it is None), by r * |Y|
     compares of bucket indices.
 
-    g is bound once per block, and each point's bucket is evaluated
-    once.  When _loads_by_points(r, ell) holds, with r = |X\\Y| < ell,
-    the least load is 0 and the largest is the largest multiplicity
-    among the r bucket indices, so no load is stored.  Otherwise the
-    points are added into an (ell, block) matrix, which is reduced
-    elementwise over its ell contiguous rows.
+    g is bound to the points once, before the scan, and to each block
+    once, and each point's bucket is evaluated once.  When
+    _loads_by_points(r, ell) holds, with r = |X\\Y| < ell, the least load
+    is 0 and the largest is the largest multiplicity among the r bucket
+    indices, so no load is stored.  Otherwise the points are added into
+    an (ell, block) matrix, which is reduced elementwise over its ell
+    contiguous rows.
     """
     rest = [x for x in xs if x not in ys]
     r = len(rest)
     side = r + 1
     by_points = _loads_by_points(r, ell)
     bucket, load = np.min_scalar_type(ell), np.min_scalar_type(r)
+    plan = g_family.bind(rest if bj_threshold is None else [*ys, *rest])
 
     def count(seeds):
         n = len(seeds)
-        evaluate = g_family.block_evaluator(seeds)
+        evaluate = plan(seeds)
         if bj_threshold is not None:
             j_buckets = [evaluate(y).astype(bucket) for y in ys]
             in_j = np.zeros(n, dtype=load)
@@ -751,7 +748,7 @@ def check_reduction(prg: RectanglePRG, X, Y, threads: int = 1) -> ReductionRepor
     scan of the seed space (split over ``threads`` forked workers) that
     keeps O(M) counts: strict_order_margins.
     """
-    xs, ys = _query_sets(PRGHashFamily(prg), X, Y)
+    xs, ys = _query_sets(X, Y)
     k = len(ys)
     N, M = prg.dimension, prg.alphabet
     rest = [x for x in xs if x not in ys]

@@ -48,9 +48,10 @@ def order_statistic_tails(prg: RectanglePRG, low, high) -> tuple[np.ndarray, int
     theta over ``high``.  Suffix sums of one (max, min) histogram over
     the whole seed space, each block's values stacked and reduced here."""
     family, side = PRGHashFamily(prg), prg.alphabet + 1
+    plan = family.bind([*low, *high])
 
     def count(seeds):
-        evaluate = family.block_evaluator(seeds)
+        evaluate = plan(seeds)
         a = np.stack([evaluate(i) for i in low]).max(axis=0).astype(np.int64)
         b = np.stack([evaluate(i) for i in high]).min(axis=0).astype(np.int64)
         return np.bincount(a * side + b, minlength=side * side)

@@ -244,6 +244,10 @@ def test_library_argument_checks_still_exit_two(measure_config, tmp_path, capsys
 def test_malformed_config_values_exit_two(tmp_path, capsys):
     # values that fail int() or float(), a missing key and an output
     # directory that is a file are config errors, not failed checks
+    big = 10 ** 30
+    ladder = [({"C_e": big}, "C_e=10"), ({"C_s": big, "C_e": big + 1}, "C_e=10"),
+              ({"C_g": big, "C_s": big + 1, "C_e": big + 2}, "C_e=10"),
+              ({"C_s": big}, "C_s=10"), ({"C_g": big}, "C_g=10")]
     cases = [
         ("measure", {"construction": {**MINWISE_CONSTRUCTION, "t": "two"},
                      "corpus": SMALL_CORPUS}, "two"),
@@ -263,6 +267,9 @@ def test_malformed_config_values_exit_two(tmp_path, capsys):
         *(("construct", _shipped(name, ("construction", "prg1", "t"), 10 ** 30),
            "construction.prg1.t must be >= 1 and <= 4")
           for name in ("minwise_desk", "kminwise_desk")),
+        *(("construct", _shipped(name, ("construction",),
+                                 {**_shipped(name)["construction"], **values}), diagnostic)
+          for name in ("minwise_desk", "kminwise_desk") for values, diagnostic in ladder),
         *(("loads-test", _shipped("loads_small", ("C",), c), "C must be >= 1 and <= 1")
           for c in (-1, 10 ** 30)),
         *(("extractor-test", _shipped("extractor_basic", ("flat_sources",), v),

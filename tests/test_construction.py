@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import benchmark_module
 from seed_rows import seed_ints, split_words
-from minwise_lab import construction, kwise
+from minwise_lab import cli, construction, kwise
 from minwise_lab.construction import (
     BucketedKMinwiseFamily,
     BucketedMinwiseFamily,
@@ -255,6 +257,16 @@ def test_param_validation():
     with pytest.raises(ParamViolation):
         ConstructionParams(N=32, M=4, k=26)     # k above the polylog cap
     ConstructionParams(N=32, M=4, k=26, k_cap=32)  # explicit cap lifts it
+    # one t-wise part past PART_SEED_BITS: the overlay's words over GF(2^2)
+    # from C_e, and g's two words over the field of ell from C_g
+    limit = construction.PART_SEED_BITS
+    ConstructionParams(N=4, M=4, C_e=limit // 2 - 1)
+    with pytest.raises(ParamViolation, match="C_e=2048: the overlay's 2049 seed words"):
+        ConstructionParams(N=4, M=4, C_e=limit // 2)
+    ConstructionParams(N=4, M=4, ell=1 << limit // 2)
+    with pytest.raises(ParamViolation,
+                       match=r"C_g=2: the allocation's 2 seed words over GF\(2\^2049\)"):
+        ConstructionParams(N=4, M=4, ell=1 << (limit // 2 + 1))
 
 
 def test_component_shape_validation():
@@ -382,8 +394,8 @@ TABLE_FAMILIES = {
 }
 
 
-def _block_mismatches(fam, seeds, rng) -> int:
-    """Points x and seeds where ``fam`` on the block (a range or an
+def _block_mismatches(fam, plan, seeds, rng) -> int:
+    """Points x and seeds where ``plan`` on the block (a range or an
     array) differs from its layered path on the packed block, plus scalar
     eval at eight positions per point."""
     if isinstance(seeds, range):
@@ -392,7 +404,9 @@ def _block_mismatches(fam, seeds, rng) -> int:
         packed = seeds
     else:
         packed = np.asarray(seed_ints(seeds, fam.seed_columns()), dtype=np.uint64)
-    evaluate, reference = fam.block_evaluator(seeds), fam._layered_evaluator(packed)
+    # an array block always goes through the layers
+    assert fam._sub_block_sources(packed) is None
+    evaluate, reference = plan(seeds), plan(packed)
     bad = 0
     for x in range(1, fam.domain_size + 1):
         got = evaluate(x)
@@ -403,27 +417,30 @@ def _block_mismatches(fam, seeds, rng) -> int:
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_FAMILIES))
-def test_table_path_equals_layered_path_and_scalar_eval(name):
+def test_table_path_equals_layered_path_and_scalar_eval(monkeypatch, name):
     fam = TABLE_FAMILIES[name]()
     rng = np.random.Generator(np.random.Philox(key=len(name)))
     step = 1 << SCAN_CHUNK_BITS
+    points = list(range(1, fam.domain_size + 1))
+    built = _spy_table_builds(monkeypatch)
+    plan = fam.bind(points)
     if fam.seed_bits <= 24:
         # every block of the exhaustive scan, in scan order
-        assert scan_seeds(fam.seed_bits, lambda seeds: _block_mismatches(fam, seeds, rng)) == 0
+        assert scan_seeds(fam.seed_bits,
+                          lambda seeds: _block_mismatches(fam, plan, seeds, rng)) == 0
         block = range(min(step, fam.seed_space))
     else:
         # aligned scan-shaped range blocks at the start, the end and in between
         for i in (0, 1, 0x5A5, (fam.seed_space >> SCAN_CHUNK_BITS) - 1):
             block = range(i * step, (i + 1) * step)
-            assert _block_mismatches(fam, block, rng) == 0
+            assert _block_mismatches(fam, plan, block, rng) == 0
     # Y_x serves exactly the aligned range blocks of layouts with
-    # n <= L <= SCAN_CHUNK_BITS, and was built for every point there;
-    # every point evaluated has its T_x
+    # n <= L <= SCAN_CHUNK_BITS, and the plan built it for every point
+    # there; every bound point has its T_x
     aligned = fam.extractor.n <= fam.low_bits <= SCAN_CHUNK_BITS
-    points = list(range(1, fam.domain_size + 1))
     assert (fam._sub_block_sources(block) is not None) == aligned
-    assert sorted(fam._low_tables) == (points if aligned else [])
-    assert sorted(fam._after_tables) == points
+    assert [x for kind, o, x in built if kind == "Y"] == (points if aligned else [])
+    assert [x for kind, o, x in built if kind == "T"] == points
     # an array goes through the layers, even when it holds the range's own
     # seeds: packed in order, shuffled between its ends, or as word columns
     packed = np.arange(block.start, block.stop, dtype=np.uint64)
@@ -431,8 +448,7 @@ def test_table_path_equals_layered_path_and_scalar_eval(name):
     shuffled[1:-1] = rng.permutation(packed[1:-1])
     columns = split_words(packed, fam.seed_columns())
     for other in (packed, shuffled, columns):
-        assert fam._sub_block_sources(other) is None
-        assert _block_mismatches(fam, other, rng) == 0
+        assert _block_mismatches(fam, plan, other, rng) == 0
 
 
 # t is used by the twise kind only
@@ -484,6 +500,7 @@ def _scalar_mismatches(fam, seeds, positions, got) -> int:
 def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, count):
     rng = np.random.Generator(np.random.Philox(key=key))
     points = range(1, fam.domain_size + 1)
+    plan = fam.bind(points)
     if fam.seed_bits <= 63:
         # the first, a middle and the last block of scan_seeds' split,
         # served from the per-point tables when n <= L <= SCAN_CHUNK_BITS
@@ -496,13 +513,13 @@ def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, cou
             assert (fam._sub_block_sources(block) is not None) == tables
             # the range's packed array takes the layers, with equal values
             assert fam._sub_block_sources(packed) is None
-            evaluate, layered = fam.block_evaluator(block), fam.block_evaluator(packed)
+            evaluate, layered = plan(block), plan(packed)
             got = {x: evaluate(x) for x in points}
             assert all(np.array_equal(got[x], layered(x)) for x in points)
             assert _scalar_mismatches(fam, packed, rng.integers(0, step, size=8), got) == 0
     # a Monte-Carlo draw (word columns past 64 bits) goes through the layers
     drawn = fam.draw_seed_block(rng, count)
-    evaluate = fam.block_evaluator(drawn)
+    evaluate = plan(drawn)
     assert _scalar_mismatches(fam, drawn, range(count), {x: evaluate(x) for x in points}) == 0
 
 
@@ -510,45 +527,155 @@ def test_points_past_the_table_budget_keep_equal_values(monkeypatch):
     make = TABLE_FAMILIES["minwise L<c"]
     queries = [([1, 2, 3, 4], [y]) for y in range(1, 5)] + [([2, 3], [3]), ([1, 3, 4], [1])]
     want = measure_corpus(make(), queries)
+    fam = make()
     # room for the T_x (2^6 uint8 entries) of all four points and the Y_x
-    # (2^10 uint64 entries) of two: points 1 and 2 are served from both
-    # tables, 3 and 4 layered through T_x
-    fam, layered = make(), make()
-    with monkeypatch.context() as patch:
-        patch.setattr(construction, "POINT_TABLE_BYTES", 4 * (1 << 6) + 2 * 8 * (1 << 10))
-        got = measure_corpus(fam, queries)
-        patch.setattr(construction, "POINT_TABLE_BYTES", 0)
-        none = measure_corpus(layered, queries)
-    assert [x for x in range(1, 5) if fam._low_tables[x] is not None] == [1, 2]
-    assert all(fam._after_tables[x] is not None for x in range(1, 5))
-    assert not any(layered._low_tables.values()) and not any(layered._after_tables.values())
-    for reports in (got, none):
-        assert [r.exact_measured for r in reports] == [r.exact_measured for r in want]
-        assert [r.exact_tie for r in reports] == [r.exact_tie for r in want]
+    # (2^10 uint8 entries) of two: points 1 and 2 are served from both
+    # tables, 3 and 4 layered through T_x; with no room, every point is
+    # layered without tables
+    for budget, tabled, with_y in ((4 * (1 << 6) + 2 * (1 << 10), [1, 2, 3, 4], [1, 2]),
+                                   (0, [], [])):
+        with monkeypatch.context() as patch:
+            patch.setattr(construction, "POINT_TABLE_BYTES", budget)
+            built = _spy_table_builds(patch)
+            got = measure_corpus(fam, queries)
+        assert [x for kind, o, x in built if kind == "T"] == tabled
+        assert [x for kind, o, x in built if kind == "Y"] == with_y
+        assert [r.exact_measured for r in got] == [r.exact_measured for r in want]
+        assert [r.exact_tie for r in got] == [r.exact_tie for r in want]
+
+
+def _past_the_budget(kind: str):
+    """A family over N = M = 2^10 with m = 30, so that T_x, 2^m uint16
+    entries, is past POINT_TABLE_BYTES: min-wise with a 2-wise inner
+    family and a constant PRG2, or k-min-wise with a 3-wise PRG2."""
+    N = 1 << 10
+    if kind == "minwise":
+        prg2 = TWisePRG(1, N, N)
+        m = TWiseFamily(ConstructionParams(N=N, M=N).inner_independence, N, N).seed_bits
+        m += prg2.seed_bits
+    else:
+        prg2 = TWisePRG(3, N, N)
+        m = prg2.seed_bits
+    build = _minwise if kind == "minwise" else _kminwise
+    return build(N, N, 2, TWisePRG(2, 2, 1 << m), prg2, LeftoverHash(m + 1, m))
+
+
+@pytest.mark.parametrize("kind", ["minwise", "kminwise"])
+def test_extractor_output_past_the_table_budget_builds_no_table(monkeypatch, kind):
+    # binding builds and evaluates nothing of T_x's size, and every point
+    # goes through the layers with scalar eval's values
+    fam = _past_the_budget(kind)
+    itemsize = np.min_scalar_type(fam.range_size).itemsize
+    assert itemsize << fam.extractor.m > construction.POINT_TABLE_BYTES
+    built = _spy_table_builds(monkeypatch)
+    points = [1, 2, 7, fam.domain_size]
+    plan = fam.bind(points)
+    assert [table for table, _, _ in built if table != "point"] == []
+    rng = np.random.Generator(np.random.Philox(key=fam.extractor.m))
+    seeds = fam.draw_seed_block(rng, 200)
+    evaluate = plan(seeds)
+    got = {x: evaluate(x) for x in points}
+    assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0
+
+
+def _spy_table_builds(monkeypatch) -> list:
+    """(table, owner, point) for every table built from now on: the
+    point tables of every t-wise family, and each bucketed family's T_x
+    and Y_x.  A build in any process but this one raises, and a scan
+    worker's exception reaches the test through kwise._portable."""
+    built, pid = [], os.getpid()
+
+    def in_this_process():
+        if os.getpid() != pid:
+            raise AssertionError("a table was built in a scan worker")
+
+    run_tables, tables = TWiseFamily._run_tables, construction._BucketedFamily._tables
+
+    def spy_run_tables(self, x):
+        in_this_process()
+        built.append(("point", id(self), x))
+        return run_tables(self, x)
+
+    def spy_tables(self, *args):
+        in_this_process()
+        out = tables(self, *args)
+        built.extend(("T", id(self), x) for x in out)
+        built.extend(("Y", id(self), x) for x, (_, ys) in out.items() if ys is not None)
+        return out
+
+    monkeypatch.setattr(TWiseFamily, "_run_tables", spy_run_tables)
+    monkeypatch.setattr(construction._BucketedFamily, "_tables", spy_tables)
+    return built
+
+
+def _desk_scan_builds(patch, threads: int) -> tuple[list, list, list]:
+    """The desk scan at ``threads`` workers: the tables built, the sizes
+    of the blocks the parent evaluates, and of g's blocks.  g's plan
+    raises when a scan worker evaluates it."""
+    fam = desk_minwise()
+    built = _spy_table_builds(patch)
+    blocks, g_blocks, pid = [], [], os.getpid()
+    bind, bind_g = fam.bind, fam.g.bind
+
+    def spy_bind(points):
+        plan = bind(points)
+        return lambda seeds: blocks.append(len(seeds)) or plan(seeds)
+
+    def spy_bind_g(points):
+        plan = bind_g(points)
+
+        def block(seeds):
+            if os.getpid() != pid:
+                raise AssertionError("g was evaluated by the layers in a scan worker")
+            g_blocks.append(len(seeds))
+            return plan(seeds)
+
+        return block
+
+    patch.setattr(fam, "bind", spy_bind)
+    patch.setattr(fam.g, "bind", spy_bind_g)
+    measure_corpus(fam, [([1, 2, 3, 4], [1]), ([2, 4], [4])], threads=threads)
+    points = range(1, 5)
+    owners = {fam.g: points, fam.prg1.family: range(1, fam.params.ell + 1),
+              fam.inner: points}
+    assert sorted(built) == sorted(
+        [(kind, id(fam), x) for kind in "TY" for x in points] +
+        [("point", id(owner), x) for owner, xs in owners.items() for x in xs])
+    return built, blocks, g_blocks
 
 
 def test_desk_scan_builds_each_point_table_once(monkeypatch):
-    fam = desk_minwise()
-    built, blocks = [], []
+    # the exhaustive desk scan: the parent builds T_x, Y_x and the point
+    # tables of g, PRG1's buckets and the inner family, each once.  Every
+    # block is an aligned range served from Y_x, so g's plan is evaluated
+    # once, on the low values that build Y_x, and never by the layers
+    y_seeds = 1 << desk_minwise().layout.field("prg1-seed").offset
+    for threads in (1, 2):
+        with monkeypatch.context() as patch:
+            built, blocks, g_blocks = _desk_scan_builds(patch, threads)
+        assert len(built) == len(set(built))
+        # at two workers, every block is evaluated in a worker
+        assert blocks == ([1 << SCAN_CHUNK_BITS] * 128 if threads == 1 else [])
+        assert g_blocks == [y_seeds]
 
-    def counted(name, bind):
-        def wrapper(seeds):
-            blocks.append(len(seeds)) if name == "block" else None
-            evaluate = bind(seeds)
-            if name == "block":
-                return evaluate
-            return lambda x: built.append((name, x)) or evaluate(x)
-        return wrapper
 
-    after_z = fam._after_z
-    monkeypatch.setattr(fam, "_after_z", lambda z, x: built.append(("T", x)) or after_z(z, x))
-    # g's block evaluator is bound once per Y_x and never on the table path
-    monkeypatch.setattr(fam.g, "block_evaluator", counted("Y", fam.g.block_evaluator))
-    monkeypatch.setattr(fam, "block_evaluator", counted("block", fam.block_evaluator))
-    measure_corpus(fam, [([1, 2, 3, 4], [1]), ([2, 4], [4])], threads=1)
-    assert blocks == [1 << SCAN_CHUNK_BITS] * 128
-    assert sorted(built) == sorted([("T", x) for x in range(1, 5)] +
-                                   [("Y", x) for x in range(1, 5)])
+def test_benchmark_mc_scan_builds_each_point_table_once(monkeypatch, tmp_path):
+    # the 84-bit family and corpus of the benchmark's Monte-Carlo workload,
+    # read from perfbench/run.py (imported, not changed), over two blocks
+    # at two workers
+    config = benchmark_module.load(monkeypatch).mc_workload(0, tmp_path).configs["mc.json"]
+    fam = family_from_config(config["construction"])
+    queries = cli._corpus_queries(config, fam.domain_size, fam.params.k)
+    points = sorted({x for X, _ in queries for x in X})
+    built = _spy_table_builds(monkeypatch)
+    measure_corpus(fam, queries, "mc", samples=(1 << 16) + 500,
+                   run_seed=config["run_seed"], threads=2)
+    assert len(built) == len(set(built))
+    # L > SCAN_CHUNK_BITS, so no Y_x; PRG1 over GF(2^9) keeps no tables
+    assert fam.low_bits > SCAN_CHUNK_BITS and fam.prg1.family.run_words == 0
+    assert sorted(x for kind, owner, x in built if kind == "T") == points
+    for owner in (fam.g, fam.prg2.family, fam.overlay):
+        assert sorted(x for _, o, x in built if o == id(owner)) == points
 
 
 def _wide_kminwise(ell: int) -> BucketedKMinwiseFamily:
@@ -569,15 +696,14 @@ def _counting(monkeypatch, owner, name: str) -> list:
     return calls
 
 
-# extractions a block over all 8 points: on the family's first block the
-# points before the ell-th extract at their own bucket
-@pytest.mark.parametrize("make, ell, first, later", [
-    (_wide_minwise, 1, 1, 1), (_wide_minwise, 4, 7, 4), (_wide_minwise, 8, 15, 8),
-    (_wide_kminwise, 1, 1, 1), (_wide_kminwise, 4, 7, 4), (_wide_kminwise, 8, 15, 8),
+@pytest.mark.parametrize("make, ell", [
+    (_wide_minwise, 1), (_wide_minwise, 4), (_wide_minwise, 8),
+    (_wide_kminwise, 1), (_wide_kminwise, 4), (_wide_kminwise, 8),
 ])
-def test_bucket_major_path_matches_scalar_eval(monkeypatch, make, ell, first, later):
-    # with ell or more points the layers extract z once per bucket and
-    # block, and every point gathers its own bucket's z
+def test_bucket_major_path_matches_scalar_eval(monkeypatch, make, ell):
+    # a plan of all 8 points, ell or more, extracts z once per bucket and
+    # block, from its first block, and every point gathers its own
+    # bucket's z; binding extracts nothing
     fam = make(ell)
     rng = np.random.Generator(np.random.Philox(key=ell))
     packed = rng.integers(0, fam.seed_space, size=300, dtype=np.uint64)
@@ -585,70 +711,72 @@ def test_bucket_major_path_matches_scalar_eval(monkeypatch, make, ell, first, la
               "columns": split_words(packed, fam.seed_columns())}
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
     points = range(1, fam.domain_size + 1)
-    for i, (form, seeds) in enumerate(blocks.items()):
+    plan = fam.bind(points)
+    assert extracts == []
+    for form, seeds in blocks.items():
         extracts.clear()
-        evaluate = fam.block_evaluator(seeds)
+        evaluate = plan(seeds)
         got = {x: evaluate(x) for x in points}
-        assert len(extracts) == (later if i else first), form
+        assert len(extracts) == ell, form
         assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0, form
 
 
 @pytest.mark.parametrize("make", [_wide_minwise, _wide_kminwise])
 def test_fewer_points_than_buckets_extract_once_a_point(monkeypatch, make):
     fam = make(4)
-    binds = []
-    bind = fam.block_evaluator
-    monkeypatch.setattr(fam, "block_evaluator",
-                        lambda seeds: binds.append(len(seeds)) or bind(seeds))
+    blocks, bind = [], fam.bind
+
+    def spy(points):
+        plan = bind(points)
+        return lambda seeds: blocks.append(len(seeds)) or plan(seeds)
+
+    monkeypatch.setattr(fam, "bind", spy)
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
     # P = 3 distinct points over two Monte-Carlo blocks: z at each
     # point's own bucket, never at all four
     measure_corpus(fam, [([1, 2, 3], [2]), ([2, 3], [3])], "mc",
                    samples=(1 << 16) + 500, run_seed=3)
-    assert binds == [1 << 16, 500]
-    assert len(extracts) <= 3 * len(binds)
+    assert blocks == [1 << 16, 500]
+    assert len(extracts) <= 3 * len(blocks)
 
 
 @pytest.mark.parametrize("make", [_wide_minwise, _wide_kminwise])
-def test_sparse_points_after_a_full_block_extract_once_a_point_again(monkeypatch, make):
-    # the pass follows the points of the current blocks, not of the
-    # family's past: after a block of all 8 points, 3 points take the
-    # per-bucket pass on the next block only
+def test_plan_extractions_follow_the_bound_points(monkeypatch, make):
+    # the pass is chosen from the plan's points, from its first block: at
+    # ell = 4, 3 bound points extract once a point, and all 8 once a bucket
     fam = make(4)
     rng = np.random.Generator(np.random.Philox(key=11))
     blocks = [fam.draw_seed_block(rng, 300) for _ in range(3)]
-    evaluate = fam.block_evaluator(blocks[0])
-    for x in range(1, fam.domain_size + 1):
-        evaluate(x)
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
-    counts = []
-    for seeds in blocks[1:]:
-        extracts.clear()
-        evaluate = fam.block_evaluator(seeds)
-        got = {x: evaluate(x) for x in (1, 2, 3)}
-        counts.append(len(extracts))
-        assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0
-    assert counts == [4, 3]
+    for points in ((1, 2, 3), range(1, 9)):
+        plan = fam.bind(points)
+        for seeds in blocks:
+            extracts.clear()
+            evaluate = plan(seeds)
+            got = {x: evaluate(x) for x in points}
+            assert len(extracts) == min(len(points), 4)
+            assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0
 
 
 def test_benchmark_mc_block_multiplies_once_a_bucket(monkeypatch, tmp_path):
     # the 84-bit family of the benchmark's Monte-Carlo workload, read from
-    # perfbench/run.py (imported, not changed).  Once a block of its scan
-    # has evaluated ell points, every point is read from point tables and
-    # the per-bucket z, so kwise's Horner multiplies only PRG1 over
-    # GF(2^9), once per bucket; a fall back to Horner anywhere else fails
+    # perfbench/run.py (imported, not changed).  A plan of its ell or more
+    # points reads every point from point tables and the per-bucket z, so
+    # on every block, the first included, kwise's Horner multiplies only
+    # PRG1 over GF(2^9), once per bucket; a fall back to Horner anywhere
+    # else fails
     config = benchmark_module.load(monkeypatch).mc_workload(0, tmp_path).configs["mc.json"]
     fam = family_from_config(config["construction"])
     assert fam.seed_bits == 84
     ell, points = fam.params.ell, range(1, fam.domain_size + 1)
     muls = _counting(monkeypatch, kwise, "mul_block")
+    plan = fam.bind(points)
     for j in range(2):
         # block j of kwise.scan's Monte-Carlo draw
         rng = np.random.Generator(np.random.Philox(key=config["run_seed"]).jumped(j))
         seeds = fam.draw_seed_block(rng, 1 << MC_DRAW_BITS)
         muls.clear()
-        evaluate = fam.block_evaluator(seeds)
+        evaluate = plan(seeds)
         got = {x: evaluate(x) for x in points}
-        # the family's first block evaluates ell - 1 points layered first
-        assert len(muls) <= ell + (ell - 1 if j == 0 else 0)
+        assert len(muls) <= ell
         assert _scalar_mismatches(fam, seeds, range(0, len(seeds), 4099), got) == 0

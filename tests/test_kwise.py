@@ -204,8 +204,20 @@ def _word_block(fam: TWiseFamily, rng, count: int):
                      for _ in range(fam.t)], axis=1)
 
 
+def _spy_run_tables(monkeypatch) -> list:
+    """(x, tables) for every point's tables TWiseFamily builds from now on."""
+    built, build = [], TWiseFamily._run_tables
+
+    def spy(self, x):
+        built.append((x, build(self, x)))
+        return built[-1][1]
+
+    monkeypatch.setattr(TWiseFamily, "_run_tables", spy)
+    return built
+
+
 @pytest.mark.parametrize("n", range(1, 17))
-def test_point_tables_match_scalar_eval(n):
+def test_point_tables_match_scalar_eval(monkeypatch, n):
     rng = np.random.Generator(np.random.Philox(key=n))
     ctx = find_irreducible(n)
     M = max(2, 1 << (n - 1))  # below 2^n from n = 2 on: the mask drops bits
@@ -216,16 +228,18 @@ def test_point_tables_match_scalar_eval(n):
                                  if t >= 2 and 2 * n <= POINT_TABLE_BITS else 0)
         seeds = _word_block(fam, rng, 64)
         ints = seed_ints(seeds, fam.seed_columns())
-        evaluate = fam.block_evaluator(seeds)
         points = sorted({1, ctx.size, *rng.integers(1, ctx.size + 1, size=3).tolist()})
+        built = _spy_run_tables(monkeypatch)
+        plan = fam.bind(points)
+        evaluate = plan(seeds)
         for x in points:
             want = [fam.eval(s, x) for s in ints]
             for point in (x, np.int64(x), np.uint64(x)):
                 got = evaluate(point)
                 assert got.tolist() == want, (t, x, type(point))
                 assert got.dtype == (np.min_scalar_type(M) if fam.run_words else np.uint64)
-        assert sorted(fam._point_tables) == (points if fam.run_words else [])
-        for tables in fam._point_tables.values():
+        assert [x for x, _ in built] == (points if fam.run_words else [])
+        for _, tables in built:
             assert all(len(table) <= 1 << POINT_TABLE_BITS for table in tables)
             assert len(tables) == -(-t // fam.run_words)
 
@@ -239,23 +253,33 @@ def test_points_past_the_table_budget_are_evaluated_by_horner(monkeypatch):
     rng = np.random.Generator(np.random.Philox(key=10))
     seeds = _word_block(fam, rng, 200)
     ints = seed_ints(seeds, fam.seed_columns())
-    evaluate = fam.block_evaluator(seeds)
+    built = _spy_run_tables(monkeypatch)
+    evaluate = fam.bind(range(1, 17))(seeds)
     for x in range(1, 17):
         got = evaluate(x)
         assert got.tolist() == [fam.eval(s, x) for s in ints], x
         assert got.dtype == (np.uint8 if x <= 2 else np.uint64), x
-    assert [x for x, tables in fam._point_tables.items() if tables is not None] == [1, 2]
-    assert fam._table_bytes == 2 * (3 * 4096 + 16)
+    assert [x for x, _ in built] == [1, 2]
+    assert sum(t.nbytes for _, tables in built for t in tables) == 2 * (3 * 4096 + 16)
 
 
 @pytest.mark.parametrize("x", [0, -1, 9, np.uint64(9)])
-def test_point_outside_the_domain_raises_before_any_table(x):
+def test_point_outside_the_domain_raises_before_any_table(monkeypatch, x):
     fam = TWiseFamily(3, domain_size=8, range_size=8)
     assert fam.run_words == 3
-    evaluate = fam.block_evaluator(np.arange(fam.seed_space, dtype=np.uint64))
+    built, build = [], TWiseFamily._run_tables
+    monkeypatch.setattr(TWiseFamily, "_run_tables",
+                        lambda self, x: built.append(x) or build(self, x))
+    # every point is checked before the first table, wherever x stands
+    for points in ([x], [1, 2, x], [x, 1]):
+        with pytest.raises(DomainOverflow):
+            fam.bind(points)
+    assert built == []
+    # a plan's evaluator refuses it too, bound or not
+    evaluate = fam.bind([1])(np.arange(fam.seed_space, dtype=np.uint64))
     with pytest.raises(DomainOverflow):
         evaluate(x)
-    assert fam._point_tables == {}
+    assert built == [1]
 
 
 @pytest.mark.parametrize("t, alphabet", [(2, 16), (3, 64), (4, 16), (2, 512)])
@@ -272,7 +296,7 @@ def test_twise_prg_values_at_array_points_are_horner_s(monkeypatch, t, alphabet)
     got = prg.coord_block(seeds, coords)
     assert got.dtype == np.uint64 and len(muls) == t - 1
     assert got.tolist() == [prg.coord_eval(int(s), int(c)) for s, c in zip(seeds, coords)]
-    read = prg.block_evaluator(seeds)
+    read = prg.bind(range(1, 9))(seeds)
     at_points = {c: read(c) for c in range(1, 9)}
     assert got.tolist() == [int(at_points[int(c)][j]) for j, c in enumerate(coords)]
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,14 @@ from hypothesis import strategies as st
 from blocksize import scan_chunk_bits
 import reference_counts
 from seed_rows import seed_ints
-from minwise_lab import verify
-from minwise_lab.construction import ConstructionParams, build_kminwise, build_minwise
+from minwise_lab import cli, verify
+from minwise_lab.construction import (
+    ConstructionParams,
+    build_kminwise,
+    build_minwise,
+    family_from_config,
+    prg_from_config,
+)
 from minwise_lab.errors import (
     DomainOverflow,
     EmptyQuery,
@@ -344,8 +352,8 @@ def test_block_evaluator_equals_eval_block_and_scalar_eval(fam, key, count):
     rng = np.random.Generator(np.random.Philox(key=key))
     seeds = fam.draw_seed_block(rng, count)
     kept = seeds.copy()
-    evaluate = fam.block_evaluator(seeds)
     points = range(1, fam.domain_size + 1)
+    evaluate = fam.bind(points)(seeds)
     # points in both orders: a bound evaluator must not change with use
     first = {x: evaluate(x) for x in points}
     for x in reversed(points):
@@ -407,14 +415,14 @@ def _few_points(fam) -> list[int]:
 
 
 @pytest.mark.parametrize("fam", [f for f in EVALUATOR_FAMILIES if f.seed_bits <= 24])
-def test_counting_a_scan_block_leaves_the_evaluated_values_alone(monkeypatch, fam):
+def test_counting_a_scan_block_leaves_the_evaluated_values_alone(fam):
     # the first scan block, on the per-point tables where the family has them
     block = np.arange(min(fam.seed_space, 1 << 16), dtype=np.uint64)
     points = _few_points(fam)
-    bind, handed = fam.block_evaluator, []
+    plan, handed = fam.bind(points), []
 
     def recording(seeds):
-        evaluate = bind(seeds)
+        evaluate = plan(seeds)
 
         def recorded(x):
             out = evaluate(x)
@@ -422,14 +430,70 @@ def test_counting_a_scan_block_leaves_the_evaluated_values_alone(monkeypatch, fa
             return out
         return recorded
 
-    monkeypatch.setattr(fam, "block_evaluator", recording)
-    law = verify._joint_law(fam, block, points)
+    law = verify._joint_law(recording, block, points, fam.range_size)
     assert law.sum() == len(block) and len(handed) == len(points)
     assert all(np.array_equal(out, kept) for out, kept in handed)
     # one point evaluated twice in a block gives equal arrays
-    evaluate = bind(block)
+    evaluate = plan(block)
     for x in points:
         assert np.array_equal(evaluate(x), evaluate(x))
+
+
+def _ids(value) -> tuple:
+    """The id of ``value`` and, for a dict, list or set, of what it holds,
+    so that a container filled in place shows too."""
+    held = ((*value.keys(), *value.values()) if isinstance(value, dict)
+            else value if isinstance(value, (list, set)) else ())
+    return id(value), sorted(map(id, held))
+
+
+def _library_state(obj) -> dict:
+    """id -> (object, its attributes' _ids, its attributes) for ``obj`` and
+    every library object reachable from it through attributes; holding
+    the attributes keeps every id in use while the state is held."""
+    state, stack = {}, [obj]
+    while stack:
+        o = stack.pop()
+        if (id(o) in state or not hasattr(o, "__dict__")
+                or not type(o).__module__.startswith("minwise_lab")):
+            continue
+        attrs = dict(vars(o))
+        state[id(o)] = (o, {name: _ids(v) for name, v in attrs.items()}, attrs)
+        stack.extend(attrs.values())
+    return state
+
+
+SHIPPED_SCANS = ("minwise_desk", "kminwise_desk", "loads_small", "prg_pairwise",
+                 "reduction_pairwise")
+
+
+def _shipped_scan(name: str):
+    """(object, its scans) for a shipped config that a scan reads."""
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" /
+                      f"{name}.json").read_text())
+    if "construction" in cfg:
+        fam = family_from_config(cfg["construction"])
+        queries = cli._corpus_queries(cfg, fam.domain_size, fam.params.k)
+        return fam, lambda: (measure_corpus(fam, queries),
+                             measure_corpus(fam, queries, "mc", 5000, 1))
+    if "allocation" in cfg:
+        g = TWiseFamily(cfg["allocation"]["t"], cfg["N"], cfg["ell"])
+        return g, lambda: _scan_loads(g, cfg["X"], cfg["Y"], cfg["ell"], 2)
+    prg = prg_from_config(cfg["prg"], cfg["dimension"], cfg["alphabet"])
+    return prg, lambda: strict_order_margins(prg, [1], [2, 3, 4])
+
+
+@pytest.mark.parametrize("name", SHIPPED_SCANS)
+def test_scans_leave_every_shipped_family_as_it_was(name):
+    # a scan binds its points into a plan of its own: no family, nor any
+    # library object it holds, gains, loses, replaces or fills an attribute
+    obj, run = _shipped_scan(name)
+    getattr(obj, "layout", None)
+    before = _library_state(obj)
+    run()
+    after = _library_state(obj)
+    assert after.keys() == before.keys()
+    assert all(after[key][1] == attrs for key, (_, attrs, _) in before.items())
 
 
 # ---------------------------------------------------------------------------
