@@ -17,13 +17,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
 from .config import Config, reading
 from .errors import InvalidArgument, ParamViolation
 from .extractor import LeftoverHash
+from .gf2 import prepare_mul
 from .kwise import (
     POINT_TABLE_BYTES,
     SCAN_CHUNK_BITS,
@@ -119,31 +119,6 @@ class ConstructionParams:
     def overlay_independence(self) -> int:
         """Independence degree of the global overlay family (k >= 1)."""
         return (self.C_e + 1) * self.k
-
-    @property
-    def target_error(self) -> Fraction:
-        return Fraction(1, 2 ** (self.C * self.t))
-
-    def design_widths(self, kind: str) -> dict:
-        """The width formulas the analysis assigns each component.
-
-        These are reporting values; the binding arithmetic identity is
-        that the layout's field widths sum to the family's seed_bits.
-        """
-        logn = math.log2(max(2, self.N))
-        if kind == "minwise":
-            return {
-                "source_bits": math.ceil(self.C_e * logn),
-                "output_bits": math.ceil(0.3 * self.C_e * logn),
-                "per_bucket_seed_bits": self.C_e * self.t,
-            }
-        if kind == "kminwise":
-            return {
-                "source_bits": math.ceil(10 * self.k * self.C_e * logn),
-                "output_bits": math.ceil(self.C_e * logn),
-                "per_bucket_seed_bits": self.C_e * self.t,
-            }
-        raise InvalidArgument(f"unknown construction kind {kind!r}")
 
 
 class _SingleBucket(SeededFamily):
@@ -306,6 +281,7 @@ class _BucketedFamily(SeededFamily):
         g, after = self.g.bind(points), self.after.bind(points)
         prg1 = self.prg1.bind(range(1, ell + 1) if per_bucket else ())
         tables = self._tables(points, g, prg1, after)
+        prepare_mul(self.extractor.ctx)  # every block extracts
         z_dtype = np.min_scalar_type((1 << self.extractor.m) - 1)
 
         def layered(seeds):

@@ -40,20 +40,12 @@ class WidthError(MinwiseLabError):
     """Extractor output width is not smaller than the source width."""
 
 
-class TooManyRows(MinwiseLabError):
-    """surjectify() was given a matrix with more rows than columns."""
-
-
 class WidthMismatch(MinwiseLabError):
     """Composition stages disagree on the running source width."""
 
 
 class DomainMismatch(MinwiseLabError):
     """Two explicit distributions are not over the same finite set."""
-
-
-class ConditionNeverHolds(MinwiseLabError):
-    """Conditioning event has probability zero under the generator."""
 
 
 class ParamViolation(MinwiseLabError, ValueError):

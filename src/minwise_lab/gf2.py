@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgument, NotFullRank
+from .errors import InvalidArgument
 
 # ---------------------------------------------------------------------------
 # polynomial arithmetic on int bitmasks
@@ -139,11 +139,6 @@ class FieldContext:
         return poly_mod(clmul(a, b), self.modulus)
 
 
-def field_mul(ctx: FieldContext, a: int, b: int) -> int:
-    """Product of two field elements under ``ctx``'s modulus."""
-    return poly_mod(clmul(a, b), ctx.modulus)
-
-
 def _field_pow(ctx: FieldContext, a: int, e: int) -> int:
     """a^e under ``ctx``'s modulus, by square-and-multiply."""
     acc = 1
@@ -220,6 +215,17 @@ def log_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
     log[exp[:q]] = np.arange(q)
     log.flags.writeable = exp.flags.writeable = False
     return log, exp
+
+
+def prepare_mul(ctx: FieldContext) -> None:
+    """Build the tables mul_block reads in ``ctx``, if it reads any.
+
+    A plan whose blocks multiply in a field calls this when it binds, in
+    the calling process, so that forked scan workers share the tables
+    instead of each building its own on its first block.
+    """
+    if ctx.degree <= TABLE_MAX_DEGREE:
+        log_tables(ctx)
 
 
 def mul_block(ctx: FieldContext, a: np.ndarray, b: "np.ndarray | int") -> np.ndarray:
@@ -346,48 +352,20 @@ def mat_vec(m: BitMatrix, v: int) -> int:
     return out
 
 
-def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduced row echelon form with the fixed leftmost-pivot rule.
-
-    Returns (echelon matrix without zero rows, pivot column indices in
-    increasing order).  The output is the canonical RREF of the row
-    space, so every routine built on it is deterministic.
-    """
-    rows = list(m.rows)
-    pivots: list[int] = []
-    reduced: list[int] = []
-    for col in range(m.cols):
-        pick = None
-        for idx, r in enumerate(rows):
-            if (r >> col) & 1:
-                pick = idx
-                break
-        if pick is None:
-            continue
-        piv = rows.pop(pick)
-        rows = [r ^ piv if (r >> col) & 1 else r for r in rows]
-        reduced = [r ^ piv if (r >> col) & 1 else r for r in reduced]
-        reduced.append(piv)
-        pivots.append(col)
-    return BitMatrix(tuple(reduced), m.cols), tuple(pivots)
-
-
-def rank(m: BitMatrix) -> int:
-    """Rank over GF(2)."""
-    return len(rref(m)[1])
-
-
 class EchelonBasis:
     """Incremental GF(2) elimination basis for int-bitmask vectors.
 
     Every stored vector has a distinct lowest set bit, and the vectors
     are kept sorted by it, so one ascending pass clears each stored
     lowest bit in turn: the remainder is zero iff the vector lies in the
-    span, and otherwise its lowest bit is new.
+    span, and otherwise its lowest bit is new.  It starts as the span of
+    ``vectors``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, vectors=()) -> None:
         self.vectors: list[int] = []
+        for v in vectors:
+            self.add(v)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -403,10 +381,9 @@ class EchelonBasis:
         return bool(v)
 
 
-def row_basis(m: BitMatrix) -> BitMatrix:
-    """Maximal independent subset of rows, scanning top to bottom."""
-    basis = EchelonBasis()
-    return BitMatrix(tuple(r for r in m.rows if basis.add(r)), m.cols)
+def rank(m: BitMatrix) -> int:
+    """Rank over GF(2): the size of an elimination basis of m's rows."""
+    return len(EchelonBasis(m.rows))
 
 
 def complement_basis(m: BitMatrix) -> BitMatrix:
@@ -419,9 +396,7 @@ def complement_basis(m: BitMatrix) -> BitMatrix:
     the "dual coordinates" used by the composition combinator: for
     full-row-rank m, (m·x, complement_basis(m)·x) is a bijection of x.
     """
-    basis = EchelonBasis()
-    for r in m.rows:
-        basis.add(r)
+    basis = EchelonBasis(m.rows)
     picked = []
     for j in range(m.cols):
         if len(basis) == m.cols:
@@ -429,27 +404,3 @@ def complement_basis(m: BitMatrix) -> BitMatrix:
         if basis.add(1 << j):
             picked.append(1 << j)
     return BitMatrix(tuple(picked), m.cols)
-
-
-def kernel_basis(m: BitMatrix) -> BitMatrix:
-    """Canonical basis of {v : m·v = 0} for a full-row-rank matrix.
-
-    The basis is read off the RREF: one vector per free column, ordered
-    by free column index, so repeated calls agree bit for bit.  Raises
-    NotFullRank when rank(m) < nrows (the composition contract needs
-    surjective stages, and silently dropping rows would hide that).
-    """
-    ech, pivots = rref(m)
-    if len(pivots) != m.nrows:
-        raise NotFullRank(f"matrix has rank {len(pivots)} < {m.nrows} rows")
-    pivot_set = set(pivots)
-    vecs = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for i, p in enumerate(pivots):
-            if (ech.rows[i] >> free) & 1:
-                v |= 1 << p
-        vecs.append(v)
-    return BitMatrix(tuple(vecs), m.cols)

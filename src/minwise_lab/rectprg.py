@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadSeedLength, ConditionNeverHolds, DomainOverflow, InvalidArgument
-from .gf2 import find_irreducible, mul_block
+from .errors import BadSeedLength, DomainOverflow, InvalidArgument
+from .gf2 import find_irreducible, mul_block, prepare_mul
 from .kwise import SeededFamily, TWiseFamily, scan, seed_words
 
 
@@ -68,12 +68,6 @@ class Rectangle:
         """1(x_i <= theta) on the given coordinates."""
         below = frozenset(range(1, theta + 1))
         return cls.build(dimension, alphabet, {c: below for c in coords})
-
-    def restricted_to(self, coord: int, values) -> "Rectangle":
-        """Copy with coordinate ``coord`` replaced by the given accept set."""
-        acc = list(self.accept_sets)
-        acc[coord - 1] = frozenset(values)
-        return Rectangle(self.dimension, self.alphabet, tuple(acc))
 
     def uniform_expectation(self) -> Fraction:
         """Exact E_U[f] = prod |S_i| / M."""
@@ -146,11 +140,6 @@ class RectanglePRG(abc.ABC):
             return read
 
         return block
-
-    def expand(self, seed: int) -> tuple[int, ...]:
-        """The full output vector for one seed."""
-        self._check_seed(seed)
-        return tuple(self.coord_eval(seed, i) for i in range(1, self.dimension + 1))
 
     def _check_seed(self, seed: int) -> None:
         if seed < 0 or seed >> self.seed_bits:
@@ -258,6 +247,10 @@ class RecursiveMixPRG(RectanglePRG):
     def seed_columns(self) -> tuple[int, ...]:
         return (self.cell_bits,) * (1 + 2 * self.levels)
 
+    def bind(self, coords):
+        prepare_mul(self.ctx)
+        return super().bind(coords)
+
     def coord_eval(self, seed: int, coord: int) -> int:
         self._check_seed(seed)
         self._check_coord(coord)
@@ -288,7 +281,7 @@ class RecursiveMixPRG(RectanglePRG):
 
 
 class PRGHashFamily(SeededFamily):
-    """A RectanglePRG viewed as the hash family {x -> expand(seed)[x]}.
+    """A RectanglePRG G viewed as the hash family {x -> G(seed)[x]}.
 
     This is the object of the reduction between rectangle-fooling PRGs
     and min-wise hashing, and it plugs straight into measure_minwise.
@@ -446,27 +439,3 @@ def threshold_errors(prg: RectanglePRG, thetas, mode: str = "exhaustive",
     return [_additive_error(total - int(at_most[min(t, prg.alphabet)]), total,
                             rect.uniform_expectation(), mode)
             for t, rect in zip(thetas, rects)]
-
-
-def conditional_rectangle_check(
-    prg: RectanglePRG, j: int, alpha: int, rect: Rectangle
-) -> float:
-    """|E_prg[prod_{i != j} f_i | s_j = alpha] - prod_{i != j} E_U[f_i]|.
-
-    ``rect`` must leave coordinate j unconstrained; the conditioning is
-    exact over the full seed space.  Signals ConditionNeverHolds when no
-    seed gives coordinate j the value alpha.
-    """
-    _check_shape(prg, rect)
-    if rect.accept_sets[j - 1] is not None:
-        raise InvalidArgument(f"rectangle must not constrain coordinate {j}")
-    if not 1 <= alpha <= prg.alphabet:
-        raise DomainOverflow(f"alpha {alpha} outside [1, {prg.alphabet}]")
-    point = rect.restricted_to(j, {alpha})
-    joint_hits, total = rectangle_hits_exact(prg, point)
-    cond_rect = Rectangle.build(prg.dimension, prg.alphabet, {j: {alpha}})
-    point_hits, _ = rectangle_hits_exact(prg, cond_rect)
-    if point_hits == 0:
-        raise ConditionNeverHolds(f"no seed gives coordinate {j} the value {alpha}")
-    conditional = Fraction(joint_hits, point_hits)
-    return abs(float(conditional - rect.uniform_expectation()))

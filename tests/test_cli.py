@@ -633,6 +633,16 @@ def test_measure_bytes_do_not_depend_on_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_kminwise_rows_the_overlay_leaves_open_are_pinned(tmp_path):
+    # N = 8 past a 5-wise overlay: every |X| is 6 to 8, so no row is forced
+    # uniform by the overlay alone (none reads 0), and each one depends on
+    # what g, PRG1, the extractor and PRG2 give; 22 seed bits
+    data = ROOT / "tests" / "data"
+    outs = _measure_bytes(tmp_path, str(data / "kminwise_overlay_open.json"))
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0][0] == (data / "kminwise_overlay_open_golden.csv").read_bytes()
+
+
 def test_mc_measure_bytes_do_not_depend_on_threads(tmp_path):
     # 2^17 samples: two draw chunks of 2^16 rows, one per block.  The
     # config's thresholds are the exact answer's 0.0, which sampling error

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import benchmark_module
 from seed_rows import seed_ints, split_words
-from minwise_lab import cli, construction, kwise
+from minwise_lab import cli, construction, gf2, kwise
 from minwise_lab.construction import (
     BucketedKMinwiseFamily,
     BucketedMinwiseFamily,
@@ -35,6 +35,7 @@ from minwise_lab.kwise import (
 )
 from minwise_lab.rectprg import FullIndependencePRG, RecursiveMixPRG, TWisePRG
 from minwise_lab.verify import measure_corpus
+from reference_construction import design_widths, pack, target_error
 
 
 def desk_minwise(prg1=None) -> BucketedMinwiseFamily:
@@ -178,14 +179,14 @@ def test_single_bucket_collapse():
 @settings(max_examples=80, deadline=None)
 def test_layout_pack_unpack_round_trip(seed):
     layout = SeedLayout.build([("g-seed", (4,)), ("prg1-seed", (6, 6)), ("w", (7,))])
-    assert layout.pack(layout.unpack(seed)) == seed
+    assert pack(layout, layout.unpack(seed)) == seed
 
 
 def test_layout_rejects_overwide_values():
     layout = SeedLayout.build([("a", (3,)), ("b", (5,))])
-    assert layout.pack({"a": 7, "b": 31}) == 7 | (31 << 3)
+    assert pack(layout, {"a": 7, "b": 31}) == 7 | (31 << 3)
     with pytest.raises(ParamViolation):
-        layout.pack({"a": 8, "b": 0})
+        pack(layout, {"a": 8, "b": 0})
     with pytest.raises(KeyError):
         layout.field("c")
 
@@ -345,18 +346,18 @@ def test_config_validation():
 def test_design_widths_report():
     params = ConstructionParams(N=256, M=256, k=2, ell=16, t=4)
     for kind in ("minwise", "kminwise"):
-        w = params.design_widths(kind)
+        w = design_widths(params, kind)
         assert set(w) == {"source_bits", "output_bits", "per_bucket_seed_bits"}
         assert all(isinstance(v, int) and v > 0 for v in w.values())
-    assert params.design_widths("kminwise")["source_bits"] > \
-        params.design_widths("minwise")["source_bits"]
+    assert design_widths(params, "kminwise")["source_bits"] > \
+        design_widths(params, "minwise")["source_bits"]
     with pytest.raises(ValueError):
-        params.design_widths("other")
+        design_widths(params, "other")
 
 
 def test_target_error_and_derived_degrees():
     params = ConstructionParams(N=4, M=4, k=2, ell=4, t=3)
-    assert params.target_error == 0.125
+    assert target_error(params) == 0.125
     assert params.allocation_independence == 4
     assert params.overlay_independence == 10
     assert params.inner_independence == 2
@@ -582,13 +583,26 @@ def _spy_table_builds(monkeypatch) -> list:
     """(table, owner, point) for every table built from now on: the
     point tables of every t-wise family, and each bucketed family's T_x
     and Y_x.  A build in any process but this one raises, and a scan
-    worker's exception reaches the test through kwise._portable."""
+    worker's exception reaches the test through kwise._portable; so does
+    a field's gf2.log_tables, which are cleared first so that none is
+    inherited from an earlier test."""
     built, pid = [], os.getpid()
 
     def in_this_process():
         if os.getpid() != pid:
             raise AssertionError("a table was built in a scan worker")
 
+    log_tables = gf2.log_tables
+    log_tables.cache_clear()
+
+    def spy_log_tables(ctx):
+        misses = log_tables.cache_info().misses
+        out = log_tables(ctx)
+        if log_tables.cache_info().misses != misses:
+            in_this_process()
+        return out
+
+    monkeypatch.setattr(gf2, "log_tables", spy_log_tables)
     run_tables, tables = TWiseFamily._run_tables, construction._BucketedFamily._tables
 
     def spy_run_tables(self, x):

@@ -439,6 +439,30 @@ def test_counting_a_scan_block_leaves_the_evaluated_values_alone(fam):
         assert np.array_equal(evaluate(x), evaluate(x))
 
 
+@pytest.mark.parametrize("narrow", [False, True])
+@pytest.mark.parametrize("M, P", [(256, 1), (16, 2), (2, 8), (1 << 16, 1), (256, 2), (2, 16)])
+def test_joint_law_in_narrow_codes_equals_uint64_codes(M, P, narrow):
+    # M^P = 256 or 65,536 cells, so codes in uint8 or uint16 that wrap on
+    # the way, most of all at values equal to M; the values come as
+    # uint64, as Horner gives them, or as point tables give them
+    rng = np.random.default_rng(M + P)
+    vals = rng.integers(1, M, size=(P, 3000), endpoint=True, dtype=np.uint64)
+    vals[:, :2] = M  # the top cell
+    vals[:, 2] = 1  # the bottom cell
+    vals[0, 3:9] = M
+    if narrow:
+        vals = vals.astype(np.min_scalar_type(M))
+    code = np.zeros(vals.shape[1], dtype=np.uint64)
+    for row in vals:
+        code = code * np.uint64(M) + row.astype(np.uint64) - np.uint64(1)
+    want = np.bincount(code.view(np.int64), minlength=M ** P)
+    seeds = np.arange(vals.shape[1])
+    law = verify._joint_law(lambda block: lambda x: vals[x - 1, block],
+                            seeds, list(range(1, P + 1)), M)
+    assert np.array_equal(law, want)
+    assert law[-1] >= 2 and law[0] >= 1
+
+
 def _ids(value) -> tuple:
     """The id of ``value`` and, for a dict, list or set, of what it holds,
     so that a container filled in place shows too."""
