@@ -3,67 +3,57 @@
 The package splits into construction layers (gf2, kwise, extractor,
 rectprg, construction) and the measurement layer (verify, cli).  The
 top-level namespace re-exports the pieces most callers need: build a
-family from parameters or a JSON config, then measure it.
+family from parameters or a JSON config, then measure it.  Each name is
+imported from its module on first use (PEP 562), so importing the
+package, or one module of it, loads nothing else.
 """
 
 from __future__ import annotations
 
-from .construction import (
-    BucketedKMinwiseFamily,
-    BucketedMinwiseFamily,
-    ConstructionParams,
-    SeedLayout,
-    build_kminwise,
-    build_minwise,
-    family_from_config,
-    seed_layout,
-)
-from .errors import MinwiseLabError
-from .extractor import LeftoverHash
-from .kwise import DirectSumFamily, SeededFamily, TWiseFamily
-from .rectprg import (
-    FullIndependencePRG,
-    PRGHashFamily,
-    Rectangle,
-    RecursiveMixPRG,
-    TWisePRG,
-)
-from .verify import (
-    ErrorReport,
-    check_load_lemma,
-    check_reduction,
-    check_twise_tail,
-    measure_corpus,
-    measure_minwise,
-    uniform_minwise_probability,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BucketedKMinwiseFamily",
-    "BucketedMinwiseFamily",
-    "ConstructionParams",
-    "DirectSumFamily",
-    "ErrorReport",
-    "FullIndependencePRG",
-    "LeftoverHash",
-    "MinwiseLabError",
-    "PRGHashFamily",
-    "Rectangle",
-    "RecursiveMixPRG",
-    "SeedLayout",
-    "SeededFamily",
-    "TWiseFamily",
-    "TWisePRG",
-    "build_kminwise",
-    "build_minwise",
-    "check_load_lemma",
-    "check_reduction",
-    "check_twise_tail",
-    "family_from_config",
-    "measure_corpus",
-    "measure_minwise",
-    "seed_layout",
-    "uniform_minwise_probability",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    "BucketedKMinwiseFamily": "construction",
+    "BucketedMinwiseFamily": "construction",
+    "ConstructionParams": "construction",
+    "SeedLayout": "construction",
+    "build_kminwise": "construction",
+    "build_minwise": "construction",
+    "family_from_config": "construction",
+    "seed_layout": "construction",
+    "MinwiseLabError": "errors",
+    "LeftoverHash": "extractor",
+    "DirectSumFamily": "kwise",
+    "SeededFamily": "kwise",
+    "TWiseFamily": "kwise",
+    "FullIndependencePRG": "rectprg",
+    "PRGHashFamily": "rectprg",
+    "Rectangle": "rectprg",
+    "RecursiveMixPRG": "rectprg",
+    "TWisePRG": "rectprg",
+    "ErrorReport": "verify",
+    "check_load_lemma": "verify",
+    "check_reduction": "verify",
+    "check_twise_tail": "verify",
+    "measure_corpus": "verify",
+    "measure_minwise": "verify",
+    "uniform_minwise_probability": "verify",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

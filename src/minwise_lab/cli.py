@@ -8,27 +8,48 @@ failed, 2 usage or config error.
 
 from __future__ import annotations
 
-import argparse
 import gc
+import importlib
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import verify
-from .config import Config, reading
-from .construction import family_from_config, prg_from_config
-from .errors import MinwiseLabError, SeedSpaceTooLarge
-from .extractor import FlatSource, LeftoverHash, spans_full_rank, strong_extractor_distance
-from .gf2 import rank  # noqa: F401  (perfbench/trace_cli.py wraps cli.rank by name)
-from .kwise import EXHAUSTIVE_SEED_BITS, TWiseFamily, check_mode
-from .rectprg import threshold_errors
+from .config import Config, reading, write_json
+from .errors import EXHAUSTIVE_SEED_BITS, MinwiseLabError, SeedSpaceTooLarge
 
 SUMMARY_THRESHOLD_KEYS = ("max_mult_err_uniform", "median_mult_err_uniform",
                           "max_mult_err_fair", "max_tie_mass")
+
+
+# Library names that the handlers call as attributes of this module,
+# imported from their modules on first use (PEP 562) so that a subcommand
+# loads only what it runs.  perfbench/trace_cli.py wraps each of them here
+# (and rank, which no handler calls) as the set-up span.
+_LAZY = {
+    "LeftoverHash": "extractor",
+    "TWiseFamily": "kwise",
+    "family_from_config": "construction",
+    "prg_from_config": "rectprg",
+    "rank": "gf2",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _lib(name: str):
+    """The handlers' way to a name of _LAZY: the module's value, so that a
+    wrapper set on the module is what runs."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 class _CliError(ValueError):
@@ -68,6 +89,8 @@ def _philox_key(cfg: Config, key: str) -> int:
 
 def _sampling(cfg: Config) -> tuple[str, int | None, int]:
     """(mode, samples, run_seed) of a measure or prg-test config."""
+    from .kwise import check_mode
+
     mode = cfg.string("mode", "exhaustive")
     check_mode(mode)
     return mode, cfg.int("samples", None, lo=1), _philox_key(cfg, "run_seed")
@@ -92,7 +115,8 @@ def _out_dir(args) -> Path | None:
 def _cmd_construct(args) -> int:
     # a whole measure config is read as measure reads it
     with reading(_config(args)) as cfg:
-        family = _measure_spec(cfg)[0] if "construction" in cfg else family_from_config(cfg)
+        family = (_measure_spec(cfg)[0] if "construction" in cfg
+                  else _lib("family_from_config")(cfg))
     if args.eval is not None and args.seed is None:
         raise _CliError("--eval requires --seed")
     if args.seed is not None:
@@ -116,7 +140,7 @@ def _cmd_construct(args) -> int:
             print(f"{f.name}: offset {f.offset} width {f.width}")
     out = _out_dir(args)
     if out is not None:
-        verify.write_json(out / "construct.json", {
+        write_json(out / "construct.json", {
             "family_id": family.family_id,
             "seed_bits": family.seed_bits,
             "layout": [
@@ -134,6 +158,8 @@ def _cmd_construct(args) -> int:
 
 def _corpus_queries(cfg: Config | dict, N: int, k: int) -> list:
     """The queries of a measure config's corpus."""
+    import numpy as np
+
     corpus = (cfg if isinstance(cfg, Config) else Config(cfg)).obj("corpus", {})
     rng = np.random.Generator(np.random.Philox(key=_philox_key(corpus, "seed")))
     queries = []
@@ -166,7 +192,7 @@ def _corpus_queries(cfg: Config | dict, N: int, k: int) -> list:
 
 def _measure_spec(cfg: Config) -> tuple:
     """(family, mode, samples, run_seed, queries, threshold limits by name)."""
-    family = family_from_config(cfg.obj("construction"))
+    family = _lib("family_from_config")(cfg.obj("construction"))
     mode, samples, run_seed = _sampling(cfg)
     queries = _corpus_queries(cfg, family.domain_size, family.params.k)
     thresholds = cfg.obj("thresholds", {})
@@ -176,6 +202,8 @@ def _measure_spec(cfg: Config) -> tuple:
 
 
 def _cmd_measure(args) -> int:
+    from . import verify
+
     with reading(_config(args)) as cfg:
         family, mode, samples, run_seed, queries, limits = _measure_spec(cfg)
     out = _out_dir(args)
@@ -217,6 +245,10 @@ def _cmd_measure(args) -> int:
 
 
 def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
+    import numpy as np
+
+    from .extractor import FlatSource, spans_full_rank, strong_extractor_distance
+
     with reading(params) as cfg:
         n, m = cfg.int("n", lo=1), cfg.int("m", lo=0)
         # the span table and each flat source's counts have 2^(d+m) cells
@@ -225,8 +257,8 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
                 f"{n - 1}-bit seeds x {m}-bit outputs: 2^{n - 1 + m} (seed, output) "
                 f"cells exceed the 2^{EXHAUSTIVE_SEED_BITS} exhaustive budget"
             )
-        ext = LeftoverHash(n, m, claimed_entropy_k=cfg.number("claimed_entropy_k", None,
-                                                              lo=0, hi=n))
+        entropy_k = cfg.number("claimed_entropy_k", None, lo=0, hi=n)
+        ext = _lib("LeftoverHash")(n, m, claimed_entropy_k=entropy_k)
         fs = cfg.obj("flat_sources", None)
         if fs is not None:
             rng = np.random.Generator(np.random.Philox(key=_philox_key(fs, "rng_seed")))
@@ -241,7 +273,7 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
             worst = 0.0
             for _ in range(per):
                 support = rng.choice(1 << ext.n, size=1 << entropy, replace=False)
-                src = FlatSource(ext.n, tuple(int(v) for v in sorted(support)))
+                src = FlatSource(ext.n, tuple(support.tolist()))
                 worst = max(worst, strong_extractor_distance(ext, src))
             bound = 2.0 * 2.0 ** ((ext.m - entropy) / 2)
             levels.append({
@@ -258,10 +290,12 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
 def _prg_spec(cfg: Config) -> tuple:
     """(prg, dimension, alphabet) of a prg-test or reduction-test config."""
     dim, alpha = cfg.int("dimension", lo=1), cfg.int("alphabet")
-    return prg_from_config(cfg.obj("prg"), dim, alpha), dim, alpha
+    return _lib("prg_from_config")(cfg.obj("prg"), dim, alpha), dim, alpha
 
 
 def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
+    from .rectprg import threshold_errors
+
     with reading(params) as cfg:
         prg, dim, alpha = _prg_spec(cfg)
         mode, samples, run_seed = _sampling(cfg)
@@ -283,6 +317,8 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
 
 
 def _component_kwise(params: dict, threads: int) -> tuple[dict, bool, str]:
+    from . import verify
+
     with reading(params) as cfg:
         # at t = b the b coordinates are already fully independent
         b = cfg.int("b", lo=1)
@@ -295,6 +331,8 @@ def _component_kwise(params: dict, threads: int) -> tuple[dict, bool, str]:
 
 
 def _component_loads(params: dict, threads: int) -> tuple[dict, bool, str]:
+    from . import verify
+
     with reading(params) as cfg:
         ell = cfg.int("ell", lo=1)
         X, Y, regime = cfg.ints("X"), cfg.ints("Y"), cfg.string("regime")
@@ -302,7 +340,7 @@ def _component_loads(params: dict, threads: int) -> tuple[dict, bool, str]:
             alloc = cfg.obj("allocation")
             alloc.string("kind", choices=("twise",))
             N = cfg.int("N", lo=1)
-            g = TWiseFamily(alloc.int("t", lo=1, hi=N), N, ell)
+            g = _lib("TWiseFamily")(alloc.int("t", lo=1, hi=N), N, ell)
         else:
             g = cfg.string("allocation", "uniform")
         # no bucket holds more than the |X| points, so a load threshold
@@ -319,6 +357,8 @@ def _component_loads(params: dict, threads: int) -> tuple[dict, bool, str]:
 
 
 def _component_reduction(params: dict, threads: int) -> tuple[dict, bool, str]:
+    from . import verify
+
     with reading(params) as cfg:
         prg = _prg_spec(cfg)[0]
         X, Y = cfg.ints("X"), cfg.ints("Y")
@@ -343,7 +383,7 @@ def _run_component(kind: str, params: dict, out: Path | None, threads: int) -> i
     given and print its verdict line; returns the exit status."""
     report, ok, detail = _COMPONENT_RUNNERS[kind](params, threads)
     if out is not None:
-        verify.write_json(out / f"{kind}_report.json", report)
+        write_json(out / f"{kind}_report.json", report)
     print(f"{kind}-test: {'PASS' if ok else 'FAIL'} ({detail})")
     return 0 if ok else 1
 
@@ -381,7 +421,9 @@ def _cmd_component(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # after the subcommand's modules (see _MODULES)
+
     parser = argparse.ArgumentParser(
         prog="minwise-lab",
         description="construct bucketed (k-)min-wise families and run the "
@@ -458,20 +500,44 @@ def _bound_allocator() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+# The library modules that each subcommand's handler imports.  main loads
+# them before argparse, which, imported first, leaves 0.3-0.6 MB more of the
+# heap resident through the run (the desk measure and extractor-test, 2
+# vCPUs, Python 3.11).
+_MODULES = {
+    "construct": ("construction",),
+    "measure": ("construction", "verify"),
+    "extractor-test": ("extractor",),
+    "prg-test": ("rectprg",),
+    "loads-test": ("verify",),
+    "reduction-test": ("verify",),
+}
+
+
 def main(argv=None) -> int:
     """Run one subcommand; ``argv`` defaults to the process's arguments.
 
-    Run as the program (``argv`` None), the CLI first moves every object
-    that start-up made (imports, mostly numpy's) into the collector's
-    permanent generation.  They live until exit anyway, so no collection
-    during the run, in a forked scan worker or at interpreter shutdown
-    walks them again.  A caller that passes ``argv`` (a test, a tracing
-    wrapper) keeps its heap collectable: nothing is frozen.
+    The subcommand's modules are imported first.  Run as the program
+    (``argv`` None), the CLI keeps OpenBLAS to one thread before numpy
+    loads, unless OPENBLAS_NUM_THREADS is set: no code here calls BLAS,
+    and the pool's idle threads spin on the CPU.  Once the arguments are
+    parsed it moves every object that start-up made (imports, mostly
+    numpy's and the subcommand's modules) into the collector's permanent
+    generation.  They live until exit anyway, so no collection during the
+    run, in a forked scan worker or at interpreter shutdown walks them
+    again.  A caller that passes ``argv`` (a test, a tracing wrapper)
+    keeps its environment and a collectable heap.
     """
-    if argv is None:
-        gc.freeze()
+    program = argv is None
+    if program:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    words = sys.argv[1:] if program else argv
+    for module in _MODULES.get(words[0] if words else "", ()):
+        importlib.import_module(f".{module}", __package__)
     _bound_allocator()
     args = _build_parser().parse_args(argv)
+    if program:
+        gc.freeze()
     # a contract violation or a bad config exits 2 (_read_json and
     # _out_dir raise _CliError, the config reader ParamViolation); anything
     # else is a bug and propagates with its traceback

@@ -1,4 +1,4 @@
-"""The one checked reader of JSON configs.
+"""The one checked reader of JSON configs, and the writer of JSON reports.
 
 A Config node wraps one JSON object.  Its accessors ``int``, ``number``,
 ``string``, ``ints`` (an integer list), ``obj`` and ``objects`` (a nested
@@ -15,6 +15,7 @@ wrong JSON type) or ValueError (it is out of range, or a list entry is bad).
 from __future__ import annotations
 
 import contextlib
+import json
 import sys
 from dataclasses import MISSING as REQUIRED  # also a dataclass field's "no default"
 
@@ -127,3 +128,10 @@ def reading(data):
     yield node
     if node is not data:
         node.done()
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as indented JSON with sorted keys."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

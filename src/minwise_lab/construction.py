@@ -33,13 +33,7 @@ from .kwise import (
     TWiseFamily,
     dsum_values,
 )
-from .rectprg import (
-    FullIndependencePRG,
-    PRGHashFamily,
-    RectanglePRG,
-    RecursiveMixPRG,
-    TWisePRG,
-)
+from .rectprg import PRGHashFamily, RectanglePRG, prg_from_config
 
 
 def _is_pow2(v: int) -> bool:
@@ -447,23 +441,6 @@ def seed_layout(params: ConstructionParams, prg1: RectanglePRG,
 # JSON config plumbing: each reader takes a dict (checked for unread keys
 # when it is done) or a node of a config the caller is reading
 # ---------------------------------------------------------------------------
-
-
-def prg_from_config(desc: dict | Config, dimension: int, alphabet: int) -> RectanglePRG:
-    """Instantiate a rectangle PRG from a {kind, ...} descriptor.  A t-wise
-    PRG takes t <= dimension: at t = dimension its coordinates are already
-    fully independent."""
-    with reading(desc) as cfg:
-        kind = cfg.string("kind", choices=("full_independence", "twise", "recursive_mix"))
-        err = cfg.number("claimed_error", None, lo=0)
-        if kind == "twise":
-            return TWisePRG(cfg.int("t", lo=1, hi=dimension), dimension, alphabet,
-                            claimed_error=err)
-        if kind == "recursive_mix":
-            return RecursiveMixPRG(dimension, alphabet, claimed_error=err)
-        if err is not None:
-            raise ParamViolation("full independence has error 0 by definition")
-        return FullIndependencePRG(dimension, alphabet)
 
 
 def extractor_from_config(desc: dict | Config) -> LeftoverHash:

@@ -7,6 +7,10 @@ violations from programming bugs.
 
 from __future__ import annotations
 
+# log2 of the largest seed space an exhaustive scan enumerates; past it a
+# scan raises SeedSpaceTooLarge
+EXHAUSTIVE_SEED_BITS = 24
+
 
 class MinwiseLabError(Exception):
     """Base class for all library-level errors."""
@@ -54,7 +58,8 @@ class ParamViolation(MinwiseLabError, ValueError):
 
 
 class SeedSpaceTooLarge(MinwiseLabError):
-    """Exhaustive enumeration requested for a seed space over the 24-bit budget."""
+    """Exhaustive enumeration requested for a seed space over the
+    2^EXHAUSTIVE_SEED_BITS budget."""
 
 
 class ScanWorkerFailed(MinwiseLabError):

@@ -194,10 +194,14 @@ class FlatSource:
     def __post_init__(self) -> None:
         if not self.support:
             raise InvalidArgument("support must be nonempty")
-        if len(set(self.support)) != len(self.support):
-            raise InvalidArgument("support values must be distinct")
-        if any(v < 0 or v >> self.n for v in self.support):
+        values = np.sort(np.asarray(self.support))
+        if values.dtype.kind not in "iu":
+            raise InvalidArgument("support values must be integers of at most 64 bits")
+        # sorted, the ends bound the rest and distinct values increase strictly
+        if values[0] < 0 or int(values[-1]) >> self.n:
             raise InvalidArgument("support value outside n bits")
+        if np.any(values[1:] == values[:-1]):
+            raise InvalidArgument("support values must be distinct")
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
@@ -253,5 +257,8 @@ def strong_extractor_distance(ext: LeftoverHash, source: FlatSource) -> float:
     counts = seed_output_counts(ext, source).ravel()
     n_seeds = 1 << ext.d
     n_out = 1 << ext.m
+    # reduced in place: one float array of 2^(d+m) cells, not three
     p = counts / (len(source.support) * n_seeds)
-    return float(np.abs(p - 1.0 / (n_seeds * n_out)).sum()) / 2.0
+    p -= 1.0 / (n_seeds * n_out)
+    np.abs(p, out=p)
+    return float(p.sum()) / 2.0

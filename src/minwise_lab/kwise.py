@@ -20,6 +20,7 @@ from typing import Callable, NoReturn
 import numpy as np
 
 from .errors import (
+    EXHAUSTIVE_SEED_BITS,
     BadSeedLength,
     DomainOverflow,
     InvalidArgument,
@@ -28,8 +29,6 @@ from .errors import (
     SeedSpaceTooLarge,
 )
 from .gf2 import FieldContext, find_irreducible, mul_block, prepare_mul, row_spans
-
-EXHAUSTIVE_SEED_BITS = 24
 
 # log2 of the seeds in one exhaustive scan block, read by every scan
 # when it starts.  Chosen by measurement: a block's uint64 temporaries

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadSeedLength, DomainOverflow, InvalidArgument
+from .config import Config, reading
+from .errors import BadSeedLength, DomainOverflow, InvalidArgument, ParamViolation
 from .gf2 import find_irreducible, mul_block, prepare_mul
 from .kwise import SeededFamily, TWiseFamily, scan, seed_words
 
@@ -439,3 +440,26 @@ def threshold_errors(prg: RectanglePRG, thetas, mode: str = "exhaustive",
     return [_additive_error(total - int(at_most[min(t, prg.alphabet)]), total,
                             rect.uniform_expectation(), mode)
             for t, rect in zip(thetas, rects)]
+
+
+# ---------------------------------------------------------------------------
+# JSON config plumbing: the PRG reader of prg-test, reduction-test and
+# construction.family_from_config
+# ---------------------------------------------------------------------------
+
+
+def prg_from_config(desc: dict | Config, dimension: int, alphabet: int) -> RectanglePRG:
+    """Instantiate a rectangle PRG from a {kind, ...} descriptor.  A t-wise
+    PRG takes t <= dimension: at t = dimension its coordinates are already
+    fully independent."""
+    with reading(desc) as cfg:
+        kind = cfg.string("kind", choices=("full_independence", "twise", "recursive_mix"))
+        err = cfg.number("claimed_error", None, lo=0)
+        if kind == "twise":
+            return TWisePRG(cfg.int("t", lo=1, hi=dimension), dimension, alphabet,
+                            claimed_error=err)
+        if kind == "recursive_mix":
+            return RecursiveMixPRG(dimension, alphabet, claimed_error=err)
+        if err is not None:
+            raise ParamViolation("full independence has error 0 by definition")
+        return FullIndependencePRG(dimension, alphabet)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -23,6 +22,9 @@ from typing import Callable
 import numpy as np
 
 from . import kwise
+# measure writes its summary through verify.write_json, where
+# perfbench/trace_cli.py times it
+from .config import write_json  # noqa: F401
 from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
 from .kwise import SeededFamily, check_mode, scan, scan_seeds
 from .rectprg import RectanglePRG, TWisePRG, strict_order_margins
@@ -805,12 +807,6 @@ def write_reports_csv(path, reports) -> None:
         writer.writerow(CSV_COLUMNS)
         for rep in reports:
             writer.writerow(rep.csv_row())
-
-
-def write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def summarize_reports(reports) -> dict:

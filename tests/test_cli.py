@@ -516,6 +516,43 @@ def test_fresh_process_matches_in_process_main(command, tmp_path, capsys):
             == (tmp_path / "in" / report).read_bytes())
 
 
+# main() run as the program in a fresh interpreter, then a JSON line on
+# what the process holds: whether numpy was loaded before main, the
+# minwise_lab modules, which of their namespaces sit in the collector's
+# permanent generation, OPENBLAS_NUM_THREADS and the OS threads
+PROGRAM_PROBE = """
+import gc, json, os, sys
+from minwise_lab import cli
+numpy_first = "numpy" in sys.modules
+sys.argv = ["minwise-lab", *sys.argv[1:]]
+status = cli.main()
+modules = sorted(m.removeprefix("minwise_lab.") for m in sys.modules
+                 if m.startswith("minwise_lab."))
+tracked = {id(o) for o in gc.get_objects()}
+tasks = "/proc/self/task"
+print(json.dumps({
+    "status": status, "numpy_first": numpy_first, "modules": modules,
+    "frozen": [m for m in modules if id(vars(sys.modules["minwise_lab." + m])) not in tracked],
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+"""
+
+
+def _program(*argv: str, openblas: str | None = None) -> dict:
+    """PROGRAM_PROBE's report of ``minwise-lab ARGV``, run with
+    OPENBLAS_NUM_THREADS set to ``openblas`` or unset."""
+    src = str(Path(minwise_lab.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    proc = subprocess.run([sys.executable, "-c", PROGRAM_PROBE, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_main_freezes_the_heap_only_as_the_program(monkeypatch, capsys):
     argv = ["construct", "--config", str(CONFIG_DIR / "minwise_desk.json")]
     before = gc.get_freeze_count()
@@ -528,6 +565,91 @@ def test_main_freezes_the_heap_only_as_the_program(monkeypatch, capsys):
     finally:
         gc.unfreeze()
     assert capsys.readouterr().out.count("seed_bits = 23") == 2
+    # the heap is frozen once the subcommand's own modules are loaded, so
+    # that construction, which the handler imports, is frozen with the rest
+    report = _program(*argv)
+    assert report["status"] == 0 and "construction" in report["modules"]
+    assert report["frozen"] == report["modules"]
+
+
+BASE_MODULES = {"cli", "config", "errors"}
+SUBCOMMAND_MODULES = {
+    "construct": ("kminwise_desk.json",
+                  {"construction", "extractor", "gf2", "kwise", "rectprg"}),
+    "measure": ("minwise_desk.json",
+                {"construction", "extractor", "gf2", "kwise", "rectprg", "verify"}),
+    "extractor-test": ("extractor_basic.json", {"extractor", "gf2"}),
+    "prg-test": ("prg_pairwise.json", {"gf2", "kwise", "rectprg"}),
+    "loads-test": ("loads_small.json", {"gf2", "kwise", "rectprg", "verify"}),
+    "reduction-test": ("reduction_pairwise.json", {"gf2", "kwise", "rectprg", "verify"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_each_subcommand_loads_only_the_modules_it_runs(command, tmp_path):
+    config, modules = SUBCOMMAND_MODULES[command]
+    report = _program(command, "--config", str(CONFIG_DIR / config),
+                      "--out-dir", str(tmp_path))
+    assert report["status"] == 0
+    assert not report["numpy_first"]
+    assert set(report["modules"]) == BASE_MODULES | modules
+
+
+def test_the_program_starts_no_blas_threads_unless_asked(tmp_path, monkeypatch, capsys):
+    argv = ("extractor-test", "--config", str(CONFIG_DIR / "extractor_basic.json"))
+    report = _program(*argv)
+    assert report["openblas"] == "1"
+    assert report["threads"] in (1, None)   # None: no /proc/self/task to count
+    assert _program(*argv, openblas="2")["openblas"] == "2"
+    # a caller of main([...]) keeps its environment
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(list(argv)) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_the_package_resolves_its_exports_on_first_use():
+    src = str(Path(minwise_lab.__file__).resolve().parents[1])
+    code = ("import sys, minwise_lab; "
+            "print(sorted(m for m in sys.modules if m.startswith('minwise_lab'))); "
+            "print('numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.split("\n")
+    assert out[:2] == ["['minwise_lab']", "False"]
+    for name in minwise_lab.__all__:
+        value = getattr(minwise_lab, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(minwise_lab)
+    with pytest.raises(AttributeError):
+        minwise_lab.not_an_export
+
+
+# each name a handler builds with, and the subcommands that build with it
+# (construct reads a measure config and a bare construction object apart)
+CLI_NAMES = {
+    "family_from_config": [("construct", "kminwise_desk.json"), ("construct", None)],
+    "prg_from_config": [("reduction-test", "reduction_pairwise.json")],
+    "TWiseFamily": [("loads-test", "loads_small.json")],
+    "LeftoverHash": [("extractor-test", "extractor_basic.json")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_NAMES))
+def test_handlers_build_through_the_names_on_cli(name, tmp_path, monkeypatch, capsys):
+    # a wrapper set on the cli module (as the per-layer tracer sets one) is
+    # what the handler calls
+    from minwise_lab import cli
+
+    real, calls = getattr(cli, name), []
+    monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    bare = _write(tmp_path, "construction.json", MINWISE_CONSTRUCTION)
+    for command, config in CLI_NAMES[name]:
+        path = str(CONFIG_DIR / config) if config else bare
+        before = len(calls)
+        assert main([command, "--config", path]) == 0
+        assert len(calls) > before
+    assert cli.rank is sys.modules["minwise_lab.gf2"].rank
 
 
 def test_loads_test_rejects_y_equal_to_x(tmp_path, capsys):

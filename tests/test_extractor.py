@@ -380,3 +380,11 @@ def test_flat_source_validation():
         FlatSource(4, (1, 1))
     with pytest.raises(ValueError):
         FlatSource(4, (16,))
+    with pytest.raises(ValueError):
+        FlatSource(4, (3, -1))
+    with pytest.raises(ValueError):
+        FlatSource(4, (2, 1.5))
+    with pytest.raises(ValueError):
+        FlatSource(4, (1 << 70,))
+    # the support is checked sorted but kept as given
+    assert FlatSource(4, (15, 0, 7)).support == (15, 0, 7)
