@@ -247,7 +247,8 @@ def _cmd_measure(args) -> int:
 def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
     import numpy as np
 
-    from .extractor import FlatSource, spans_full_rank, strong_extractor_distance
+    from .extractor import (FlatSource, leftover_bound, spans_full_rank,
+                            strong_extractor_distance)
 
     with reading(params) as cfg:
         n, m = cfg.int("n", lo=1), cfg.int("m", lo=0)
@@ -257,8 +258,7 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
                 f"{n - 1}-bit seeds x {m}-bit outputs: 2^{n - 1 + m} (seed, output) "
                 f"cells exceed the 2^{EXHAUSTIVE_SEED_BITS} exhaustive budget"
             )
-        entropy_k = cfg.number("claimed_entropy_k", None, lo=0, hi=n)
-        ext = _lib("LeftoverHash")(n, m, claimed_entropy_k=entropy_k)
+        ext = _lib("LeftoverHash")(n, m)
         fs = cfg.obj("flat_sources", None)
         if fs is not None:
             rng = np.random.Generator(np.random.Philox(key=_philox_key(fs, "rng_seed")))
@@ -275,7 +275,7 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
                 support = rng.choice(1 << ext.n, size=1 << entropy, replace=False)
                 src = FlatSource(ext.n, tuple(support.tolist()))
                 worst = max(worst, strong_extractor_distance(ext, src))
-            bound = 2.0 * 2.0 ** ((ext.m - entropy) / 2)
+            bound = leftover_bound(ext.m, entropy)
             levels.append({
                 "entropy": entropy, "sources": per, "max_distance": worst,
                 "bound": bound, "ok": worst <= bound + 1e-12,

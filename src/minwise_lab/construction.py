@@ -429,7 +429,9 @@ def build_kminwise(params: ConstructionParams, prg1: RectanglePRG,
 def seed_layout(params: ConstructionParams, prg1: RectanglePRG,
                 prg2: RectanglePRG, extractor: LeftoverHash,
                 kind: str = "minwise") -> SeedLayout:
-    """The layout the corresponding builder would assign, without building."""
+    """The seed layout of the family of ``kind``: builds that family with
+    build_minwise or build_kminwise, so every parameter check runs, and
+    returns its layout."""
     if kind == "minwise":
         return build_minwise(params, prg1, prg2, extractor).layout
     if kind == "kminwise":
@@ -446,9 +448,7 @@ def seed_layout(params: ConstructionParams, prg1: RectanglePRG,
 def extractor_from_config(desc: dict | Config) -> LeftoverHash:
     with reading(desc) as cfg:
         cfg.string("kind", choices=("leftover_hash",))
-        n, m = cfg.int("n"), cfg.int("m", lo=0)
-        return LeftoverHash(n, m, claimed_entropy_k=cfg.number("claimed_entropy_k", None,
-                                                               lo=0, hi=n))
+        return LeftoverHash(cfg.int("n"), cfg.int("m", lo=0))
 
 
 def params_from_config(cfg: dict | Config) -> ConstructionParams:

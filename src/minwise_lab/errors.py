@@ -2,7 +2,10 @@
 
 Every error raised on a violated precondition derives from
 :class:`MinwiseLabError` so callers (and the CLI) can distinguish contract
-violations from programming bugs.
+violations from programming bugs.  :class:`ScanWorkerFailed` is not one:
+a scan worker that dies or cannot send back what stopped it is a failure
+of the run, not of its arguments, so it is a RuntimeError and the CLI
+lets it propagate with its traceback instead of exiting 2.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ class SeedSpaceTooLarge(MinwiseLabError):
     2^EXHAUSTIVE_SEED_BITS budget."""
 
 
-class ScanWorkerFailed(MinwiseLabError):
-    """A forked scan worker ended without sending its sum."""
+class ScanWorkerFailed(RuntimeError):
+    """A forked scan worker ended without sending its sum, or sent an
+    exception that could not be pickled."""
 
 
 class EmptyQuery(MinwiseLabError):

@@ -45,29 +45,22 @@ def leftover_extract(ctx: FieldContext, x: int, s: int, m: int) -> int:
 
 
 class LeftoverHash:
-    """The leftover-hash LinearSeededMap: n source bits, n-1 seed bits.
+    """The leftover-hash extractor: n source bits, n-1 seed bits, m < n
+    output bits, with a full-row-rank GF(2)-linear map at every seed.
 
     Attributes
     ----------
     n, d, m : int
         Source, seed, and output widths (d = n - 1).
-    claimed_entropy_k : float | None
-        Declared min-entropy threshold; with it, claimed_error is the
-        leftover-hash bound 2 * 2^((m - k)/2).  Declarations are metadata
-        audited empirically, not analytic guarantees of this instance.
     """
 
-    def __init__(self, n: int, m: int, claimed_entropy_k: float | None = None):
+    def __init__(self, n: int, m: int):
         if m >= n:
             raise WidthError(f"output width {m} must be < source width {n}")
         self.ctx = find_irreducible(n)
         self.n = n
         self.d = n - 1
         self.m = m
-        self.claimed_entropy_k = claimed_entropy_k
-        self.claimed_error = (
-            None if claimed_entropy_k is None else leftover_bound(m, claimed_entropy_k)
-        )
         self._table: np.ndarray | None = None
         self._span: np.ndarray | None = None
 
@@ -224,24 +217,23 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
 
 
 def seed_output_counts(ext: LeftoverHash, source: FlatSource) -> np.ndarray:
-    """(2^d, 2^m) integer counts #{x in support : E(x, s) = y}, exactly.
+    """(2^d, 2^m) int32 counts #{x in support : E(x, s) = y}, exactly.
 
     With f the support's indicator and f^ its Walsh-Hadamard transform,
     count_s(y) = 2^-m sum_a (-1)^(a . y) f^(span[s, a]), because
     a . E(x, s) = parity(x & span[s, a]).  So one transform of length
     2^n, a gather at the span table and a transform of length 2^m per
     seed give every count, with no 2^n x 2^d output table.  Every
-    intermediate is at most 2^(n+m) in magnitude, so the cells are int32
-    up to n + m = 30 and int64 beyond.
+    intermediate is at most 2^(n+m) in magnitude, so int32 cells hold
+    them up to n + m = 30, past which InvalidArgument is raised (the
+    span table alone would take 8 GiB there).
     """
     if source.n != ext.n:
         raise DomainMismatch(f"source has {source.n} bits, extractor expects {ext.n}")
-    return _transform_counts(ext, source, np.int32 if ext.n + ext.m <= 30 else np.int64)
-
-
-def _transform_counts(ext: LeftoverHash, source: FlatSource, dtype) -> np.ndarray:
-    """seed_output_counts with its cells in ``dtype``."""
-    f = np.zeros(1 << ext.n, dtype=dtype)
+    if ext.n + ext.m > 30:
+        raise InvalidArgument(
+            f"n + m = {ext.n + ext.m} exceeds the 30 bits that int32 counts hold")
+    f = np.zeros(1 << ext.n, dtype=np.int32)
     f[np.array(source.support, dtype=np.int64)] = 1
     counts = _walsh_hadamard(_walsh_hadamard(f).take(ext.span_table()))
     counts >>= ext.m

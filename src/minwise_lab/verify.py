@@ -26,7 +26,7 @@ from . import kwise
 # perfbench/trace_cli.py times it
 from .config import write_json  # noqa: F401
 from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
-from .kwise import SeededFamily, check_mode, scan, scan_seeds
+from .kwise import SeededFamily, check_mode, scan
 from .rectprg import RectanglePRG, TWisePRG, strict_order_margins
 # bound here only so that perfbench/trace_cli.py finds it under this name
 from .rectprg import rectangle_hits_exact  # noqa: F401
@@ -481,7 +481,7 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
         bj_bad = 0 if bj_threshold is None else np.count_nonzero(in_j >= bj_threshold)
         return np.append(np.bincount(cells, minlength=side * side), bj_bad)
 
-    total = scan_seeds(g_family.seed_bits, count)
+    total = scan(g_family, count)[0]
     return total[:-1].reshape(side, side), int(total[-1])
 
 

@@ -20,6 +20,8 @@ import reference_counts
 import minwise_lab
 from minwise_lab import verify
 from minwise_lab.cli import _bound_allocator, main, run_component_tests
+from minwise_lab.construction import BucketedMinwiseFamily
+from minwise_lab.errors import ScanWorkerFailed
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -234,6 +236,29 @@ def test_library_bugs_propagate_instead_of_reading_as_config_errors(
     assert "config error" not in capsys.readouterr().err
 
 
+def test_a_killed_scan_worker_propagates_instead_of_reading_as_a_config_error(
+        tmp_path, monkeypatch, capsys):
+    # every forked worker of the desk measure dies at its first block
+    parent = os.getpid()
+    bind = BucketedMinwiseFamily.bind
+
+    def dying(self, points):
+        plan = bind(self, points)
+
+        def block(seeds):
+            if os.getpid() != parent:
+                os._exit(9)
+            return plan(seeds)
+
+        return block
+
+    monkeypatch.setattr(BucketedMinwiseFamily, "bind", dying)
+    with pytest.raises(ScanWorkerFailed, match="exit code 9"):
+        main(["measure", "--threads", "2", "--config", str(CONFIG_DIR / "minwise_desk.json"),
+              "--out-dir", str(tmp_path)])
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_library_argument_checks_still_exit_two(measure_config, tmp_path, capsys):
     # the library's own argument checks raise MinwiseLabError subclasses
     assert main(["measure", "--config", measure_config, "--out-dir", str(tmp_path),
@@ -257,7 +282,12 @@ def test_malformed_config_values_exit_two(tmp_path, capsys):
         ("loads-test", {"allocation": {"kind": "twise"}, "N": 8, "ell": 16,
                         "X": [1, 2, 3], "Y": [1], "regime": "small"}, "KeyError"),
         ("extractor-test", {"n": "seven", "m": 6}, "seven"),
-        ("extractor-test", {"n": 6, "m": 3, "claimed_entropy_k": "abc"}, "TypeError"),
+        # a declared entropy that nothing audited is refused like any other key
+        ("extractor-test", {"n": 6, "m": 3, "claimed_entropy_k": 4},
+         "unknown key 'claimed_entropy_k'"),
+        ("construct", {**MINWISE_CONSTRUCTION, "extractor": {
+            **MINWISE_CONSTRUCTION["extractor"], "claimed_entropy_k": 4}},
+         "unknown key 'extractor.claimed_entropy_k'"),
         ("loads-test", {"ell": 4, "X": ["a", 2, 3], "Y": [2], "regime": "small"},
          "ValueError"),
         ("reduction-test", {"prg": {"kind": "twise", "t": 2}, "dimension": 4,

@@ -89,8 +89,12 @@ def test_determinism_across_instances():
 
 
 def test_eval_block_matches_scalar_eval():
+    # both ends of the seed space and a seeded sample between them
+    rng = np.random.Generator(np.random.Philox(key=97))
+    ends = np.arange(256, dtype=np.uint64)
     for fam in (desk_minwise(), desk_kminwise()):
-        seeds = np.arange(0, fam.seed_space, 97, dtype=np.uint64)
+        sample = rng.integers(0, fam.seed_space, size=2048, dtype=np.uint64)
+        seeds = np.concatenate([ends, sample, np.uint64(fam.seed_space - 1) - ends])
         for x in range(1, 5):
             block = fam.eval_block(seeds, x)
             assert block.tolist() == [fam.eval(int(s), x) for s in seeds]

@@ -8,11 +8,16 @@ import random
 import numpy as np
 import pytest
 
-from minwise_lab.errors import DomainMismatch, NotFullRank, WidthError, WidthMismatch
+from minwise_lab.errors import (
+    DomainMismatch,
+    InvalidArgument,
+    NotFullRank,
+    WidthError,
+    WidthMismatch,
+)
 from minwise_lab.extractor import (
     FlatSource,
     LeftoverHash,
-    _transform_counts,
     compose_extract,
     leftover_bound,
     leftover_extract,
@@ -135,7 +140,9 @@ def test_transform_counts_match_table_bincount(n):
     rng = random.Random(n)
     for m in range(1, n):
         ext = LeftoverHash(n, m)
-        for size in (1, 1 << m, rng.randrange(2, 1 << n), 1 << n):
+        sizes = (1, 1 << m, rng.randrange(2, 1 << n), 1 << n)
+        # at n = 12 one support per m, cycling through the four kinds
+        for size in sizes if n < 12 else sizes[m % 4:m % 4 + 1]:
             support = tuple(rng.sample(range(1 << n), size))
             src = FlatSource(n, support)
             counts, dist = _table_bincount(table, m, support)
@@ -143,15 +150,24 @@ def test_transform_counts_match_table_bincount(n):
             assert strong_extractor_distance(ext, src) == dist
 
 
-def test_int32_counts_equal_the_int64_path_at_the_widest_budget():
+def test_int32_counts_equal_brute_force_at_the_widest_budget():
     # n = 12, m = 11: 2^22 cells whose intermediates reach 2^23 in magnitude
     ext = LeftoverHash(12, 11)
+    table = ext.extract_table()
     rng = random.Random(1211)
     for size in (1, 2048, 3001, 4096):
-        src = FlatSource(12, tuple(rng.sample(range(1 << 12), size)))
-        counts = seed_output_counts(ext, src)
+        support = tuple(rng.sample(range(1 << 12), size))
+        counts = seed_output_counts(ext, FlatSource(12, support))
         assert counts.dtype == np.int32
-        assert np.array_equal(counts, _transform_counts(ext, src, np.int64))
+        assert np.array_equal(counts.ravel(), _table_bincount(table, 11, support)[0])
+
+
+def test_counts_past_thirty_bits_are_refused_before_any_table():
+    # n + m = 31 would need an 8 GiB span table; nothing is built first
+    ext = LeftoverHash(16, 15)
+    with pytest.raises(InvalidArgument, match="n \\+ m = 31"):
+        seed_output_counts(ext, FlatSource(16, (0, 1)))
+    assert ext._span is None
 
 
 @pytest.mark.parametrize("n", range(2, 9))
