@@ -288,16 +288,24 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
 
 
 def _prg_spec(cfg: Config) -> tuple:
-    """(prg, dimension, alphabet) of a prg-test or reduction-test config."""
+    """(prg, dimension, alphabet, its ``prg`` node) of a prg-test or
+    reduction-test config."""
     dim, alpha = cfg.int("dimension", lo=1), cfg.int("alphabet")
-    return _lib("prg_from_config")(cfg.obj("prg"), dim, alpha), dim, alpha
+    node = cfg.obj("prg")
+    return _lib("prg_from_config")(node, dim, alpha), dim, alpha, node
 
 
 def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
-    from .rectprg import threshold_errors
+    from .rectprg import FullIndependencePRG, threshold_errors
 
     with reading(params) as cfg:
-        prg, dim, alpha = _prg_spec(cfg)
+        prg, dim, alpha, node = _prg_spec(cfg)
+        # the claim this run audits; full independence has error 0 by definition
+        claimed = node.number("claimed_error", None, lo=0)
+        if isinstance(prg, FullIndependencePRG):
+            if claimed is not None:
+                raise _CliError("full independence has error 0 by definition")
+            claimed = 0.0
         mode, samples, run_seed = _sampling(cfg)
         thetas = list(cfg.ints("thresholds", range(alpha + 1), lo=0))
     try:
@@ -306,7 +314,6 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
         raise _CliError(f"{exc}; rerun with --mode mc --samples <n>")
     rows = [{"theta": t, "error": err} for t, err in zip(thetas, errors)]
     max_err = max((r["error"] for r in rows), default=0.0)
-    claimed = getattr(prg, "claimed_error", None)
     ok = claimed is None or max_err <= claimed + 1e-12
     return ({"prg_id": prg.prg_id, "dimension": dim, "alphabet": alpha,
              "mode": mode, "samples": samples, "run_seed": run_seed,
@@ -347,8 +354,7 @@ def _component_loads(params: dict, threads: int) -> tuple[dict, bool, str]:
         # C_g past |X| is never reached; C sits below C_g on the ladder
         C_g = cfg.int("C_g", 2, lo=2, hi=len(X))
         constants = {"C": cfg.int("C", 1, lo=1, hi=C_g - 1), "C_g": C_g,
-                     "t": cfg.int("t", None, lo=1),
-                     "independence": cfg.int("independence", None, lo=1)}
+                     "t": cfg.int("t", None, lo=1)}
     rep = verify.check_load_lemma(g, X, Y, ell, regime, **constants)
     ok = rep.asserted_ok()
     return ({**rep.to_json(), "asserted_ok": ok}, ok,

@@ -51,10 +51,11 @@ PART_SEED_BITS = 1 << 12
 class ConstructionParams:
     """Shared parameter block: sizes, bucket count, and the constant ladder.
 
-    The constants must satisfy C_e > C_s > C_g > C >= 1; all derived
-    independence degrees and design widths use ceilings so every width
-    is a positive integer.  ``t`` is the free knob the target error
-    2^(-C*t) is written in; desk-scale configs set it directly.
+    The constants must satisfy C_e > C_s > C_g > C >= 1, and k is at most
+    the polylog cap round(log2 N)^2; all derived independence degrees and
+    design widths use ceilings so every width is a positive integer.
+    ``t`` is the free knob the target error 2^(-C*t) is written in;
+    desk-scale configs set it directly.
     """
 
     N: int
@@ -66,7 +67,6 @@ class ConstructionParams:
     C_g: int = 2
     C_s: int = 3
     C_e: int = 4
-    k_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -84,9 +84,7 @@ class ConstructionParams:
             )
         if not 1 <= self.k <= self.N:
             raise ParamViolation(f"order k={self.k} outside [1, N={self.N}]")
-        cap = self.k_cap
-        if cap is None:
-            cap = max(1, round(math.log2(self.N))) ** 2
+        cap = max(1, round(math.log2(self.N))) ** 2
         if self.k > cap:
             raise ParamViolation(f"order k={self.k} above the polylog cap {cap}")
         # the overlay's (C_e + 1)k words outnumber the inner family's
@@ -462,7 +460,7 @@ def family_from_config(cfg: dict | Config) -> SeededFamily:
     """Build a family from the JSON construction config.
 
     Schema: {family?: "minwise"|"kminwise", N, M, k, ell, t, C, C_g,
-    C_s, C_e, k_cap, prg1: {kind, ...}, prg2: {kind, ...},
+    C_s, C_e, prg1: {kind, t?}, prg2: {kind, t?},
     extractor: {kind: "leftover_hash", n, m}}.  The family kind
     defaults to "minwise" when k = 1 and "kminwise" otherwise.
     """

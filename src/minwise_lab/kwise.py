@@ -28,7 +28,7 @@ from .errors import (
     ScanWorkerFailed,
     SeedSpaceTooLarge,
 )
-from .gf2 import FieldContext, find_irreducible, mul_block, prepare_mul, row_spans
+from .gf2 import find_irreducible, mul_block, prepare_mul, row_spans
 
 # log2 of the seeds in one exhaustive scan block, read by every scan
 # when it starts.  Chosen by measurement: a block's uint64 temporaries
@@ -446,31 +446,18 @@ class TWiseFamily(SeededFamily):
     t : int
         Independence degree (t = 1 gives the constant family).
     domain_size, range_size : int
-        N and M; M must be a power of two with max(N, M) <= 2^n.
-    ctx : FieldContext, optional
-        Field to evaluate in; defaults to the smallest field that fits.
+        N and M; M must be a power of two.  The family evaluates in
+        GF(2^n), the smallest field with max(N, M) <= 2^n.
     """
 
-    def __init__(
-        self,
-        t: int,
-        domain_size: int,
-        range_size: int,
-        ctx: FieldContext | None = None,
-    ) -> None:
+    def __init__(self, t: int, domain_size: int, range_size: int) -> None:
         if t < 1:
             raise InvalidArgument("independence degree t must be >= 1")
         if domain_size < 1:
             raise InvalidArgument("domain_size must be >= 1")
         if range_size < 2 or range_size & (range_size - 1):
             raise InvalidArgument("range_size must be a power of two >= 2")
-        need = max(domain_size, range_size)
-        if ctx is None:
-            ctx = find_irreducible(max(1, (need - 1).bit_length()))
-        if ctx.size < need:
-            raise InvalidArgument(
-                f"field of size {ctx.size} too small for max(N, M) = {need}"
-            )
+        ctx = find_irreducible(max(1, (max(domain_size, range_size) - 1).bit_length()))
         self.t = t
         self.ctx = ctx
         self.domain_size = domain_size

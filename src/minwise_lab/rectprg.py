@@ -4,8 +4,8 @@ A RectanglePRG stretches a short seed into a vector in [M]^N; its
 quality is the worst additive error |E_seed[f(G(seed))] - E_U[f]| over
 rectangle predicates f(x) = prod_i 1(x_i in S_i).  The generators here
 are measured baselines, not the asymptotically optimal constructions
-the analysis consumes as black boxes: declared errors are metadata that
-the exact oracle audits at small dimensions.
+the analysis consumes as black boxes: an error claimed for one is a
+prg-test config's, which the exact oracle audits at small dimensions.
 
 Threshold rectangles 1(x_i > theta) get first-class constructors since
 every min-wise event is built from them.
@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Config, reading
-from .errors import BadSeedLength, DomainOverflow, InvalidArgument, ParamViolation
+from .errors import BadSeedLength, DomainOverflow, InvalidArgument
 from .gf2 import find_irreducible, mul_block, prepare_mul
 from .kwise import SeededFamily, TWiseFamily, scan, seed_words
 
@@ -95,12 +95,11 @@ class Rectangle:
 
 
 class RectanglePRG(abc.ABC):
-    """Seeded generator of vectors in [M]^N with a declared rectangle error."""
+    """Seeded generator of vectors in [M]^N."""
 
     seed_bits: int
     dimension: int
     alphabet: int
-    claimed_error: float | None
 
     @property
     def seed_space(self) -> int:
@@ -164,7 +163,6 @@ class FullIndependencePRG(RectanglePRG):
         self.alphabet = alphabet
         self.value_bits = alphabet.bit_length() - 1
         self.seed_bits = dimension * self.value_bits
-        self.claimed_error = 0.0
 
     @property
     def prg_id(self) -> str:
@@ -187,13 +185,12 @@ class FullIndependencePRG(RectanglePRG):
 class TWisePRG(RectanglePRG):
     """Coordinate i is a degree-(t-1) polynomial family evaluated at i."""
 
-    def __init__(self, t: int, dimension: int, alphabet: int, claimed_error: float | None = None):
+    def __init__(self, t: int, dimension: int, alphabet: int):
         self.family = TWiseFamily(t, dimension, alphabet)
         self.t = t
         self.dimension = dimension
         self.alphabet = alphabet
         self.seed_bits = self.family.seed_bits
-        self.claimed_error = claimed_error
 
     @property
     def prg_id(self) -> str:
@@ -227,7 +224,7 @@ class RecursiveMixPRG(RectanglePRG):
     Seed words, low bits first, each b bits: x, then (a_i, b_i) per level.
     """
 
-    def __init__(self, dimension: int, alphabet: int, claimed_error: float | None = None):
+    def __init__(self, dimension: int, alphabet: int):
         if dimension < 1 or dimension & (dimension - 1):
             raise InvalidArgument("dimension must be a power of two >= 1")
         if alphabet < 2 or alphabet & (alphabet - 1):
@@ -239,7 +236,6 @@ class RecursiveMixPRG(RectanglePRG):
         b = self.ctx.degree
         self.cell_bits = b
         self.seed_bits = b + self.levels * 2 * b
-        self.claimed_error = claimed_error
 
     @property
     def prg_id(self) -> str:
@@ -431,15 +427,18 @@ def threshold_errors(prg: RectanglePRG, thetas, mode: str = "exhaustive",
                      threads: int = 1) -> list[float]:
     """rectangle_error of Rectangle.threshold(N, M, theta) for every theta,
     all read off one pass of strict_order_margins with an empty ``low``:
-    #{min over every coordinate > theta} is total - at_min.cumsum()[theta]."""
+    #{min over every coordinate > theta} is total - at_min.cumsum()[theta],
+    and its uniform reference is ((M - theta)/M)^N, 0 once theta >= M."""
     thetas = [int(t) for t in thetas]
-    rects = [Rectangle.threshold(prg.dimension, prg.alphabet, t) for t in thetas]
-    _, at_min, total = strict_order_margins(prg, [], range(1, prg.dimension + 1),
+    if any(t < 0 for t in thetas):
+        raise InvalidArgument("thresholds must be >= 0")
+    N, M = prg.dimension, prg.alphabet
+    _, at_min, total = strict_order_margins(prg, [], range(1, N + 1),
                                             mode, samples, run_seed, threads)
     at_most = at_min.cumsum()
-    return [_additive_error(total - int(at_most[min(t, prg.alphabet)]), total,
-                            rect.uniform_expectation(), mode)
-            for t, rect in zip(thetas, rects)]
+    return [_additive_error(total - int(at_most[min(t, M)]), total,
+                            Fraction(max(M - t, 0), M) ** N, mode)
+            for t in thetas]
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +453,8 @@ def prg_from_config(desc: dict | Config, dimension: int, alphabet: int) -> Recta
     fully independent."""
     with reading(desc) as cfg:
         kind = cfg.string("kind", choices=("full_independence", "twise", "recursive_mix"))
-        err = cfg.number("claimed_error", None, lo=0)
         if kind == "twise":
-            return TWisePRG(cfg.int("t", lo=1, hi=dimension), dimension, alphabet,
-                            claimed_error=err)
+            return TWisePRG(cfg.int("t", lo=1, hi=dimension), dimension, alphabet)
         if kind == "recursive_mix":
-            return RecursiveMixPRG(dimension, alphabet, claimed_error=err)
-        if err is not None:
-            raise ParamViolation("full independence has error 0 by definition")
+            return RecursiveMixPRG(dimension, alphabet)
         return FullIndependencePRG(dimension, alphabet)

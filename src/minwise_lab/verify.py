@@ -86,17 +86,12 @@ class ErrorReport:
         return [v if isinstance(v, str) else repr(v) for v in values]
 
 
-def _distinct_points(X, Y) -> tuple[list[int], list[int]]:
-    """X and Y as lists of ints; InvalidArgument if either repeats a point."""
+def _query_sets(X, Y) -> tuple[list[int], list[int]]:
+    """X and Y as lists of ints, checked as a query; a scan's plan checks
+    their points."""
     xs, ys = [int(v) for v in X], [int(v) for v in Y]
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise InvalidArgument("X and Y must not contain duplicates")
-    return xs, ys
-
-
-def _query_sets(X, Y) -> tuple[list[int], list[int]]:
-    """X and Y checked as a query; a scan's plan checks their points."""
-    xs, ys = _distinct_points(X, Y)
     if not set(ys) <= set(xs):
         raise InvalidArgument("Y must be a subset of X")
     if not ys or set(ys) == set(xs):
@@ -494,13 +489,15 @@ def check_load_lemma(
     C: int = 1,
     C_g: int = 2,
     t: int | None = None,
-    independence: int | None = None,
 ) -> LoadReport:
     """Audit the allocation-load claims for one (X, Y) at bucket count ell.
 
     ``g_family`` is a SeededFamily onto [ell] (exhaustively enumerated)
     or the string "uniform" for the exact multinomial computation — the
-    two coincide whenever the family's independence covers |X|.  Each
+    two coincide whenever the family's independence covers |X|.  The
+    bounds take that independence from the family's own degree ``t``
+    (InvalidArgument for a family without one), and take |X| for
+    "uniform".  X and Y are checked as every query is.  Each
     regime fixes one integer band [lo, hi] of allowed loads of X\\Y, and
     both paths report the frequency of some load leaving it.
 
@@ -511,11 +508,7 @@ def check_load_lemma(
     friends) is reported with a holds/fails/vacuous tag but never
     asserted, since its hidden constants have no desk-scale value.
     """
-    xs, ys = _distinct_points(X, Y)
-    if not set(ys) <= set(xs) or not ys:
-        raise InvalidArgument("need nonempty Y, a subset of X")
-    if len(ys) == len(xs):
-        raise EmptyQuery("need a nonempty Y strictly inside X")
+    xs, ys = _query_sets(X, Y)
     k = len(ys)
     r = len(xs) - k
     if t is None:
@@ -539,12 +532,9 @@ def check_load_lemma(
             raise InvalidArgument(
                 f"allocation family range {g_family.range_size} != ell {ell}"
             )
-        indep = independence if independence is not None else getattr(g_family, "t", None)
+        indep = getattr(g_family, "t", None)
         if indep is None:
-            raise InvalidArgument(
-                "pass independence= for allocation families without a "
-                "declared degree"
-            )
+            raise InvalidArgument("the allocation family declares no independence degree t")
 
     p1 = Fraction(1, ell)
     mean = r * p1

@@ -290,6 +290,19 @@ def test_malformed_config_values_exit_two(tmp_path, capsys):
          "unknown key 'extractor.claimed_entropy_k'"),
         ("loads-test", {"ell": 4, "X": ["a", 2, 3], "Y": [2], "regime": "small"},
          "ValueError"),
+        # premises that the audited object fixes are refused like any other key:
+        # the allocation's degree, the polylog cap on k and a generator's error
+        ("loads-test", _shipped("loads_small", ("independence",), 6),
+         "unknown key 'independence'"),
+        ("construct", _shipped("minwise_desk", ("construction", "k_cap"), 32),
+         "unknown key 'construction.k_cap'"),
+        ("construct", _shipped("minwise_desk", ("construction", "prg1", "claimed_error"), 1e-9),
+         "unknown key 'construction.prg1.claimed_error'"),
+        ("reduction-test", _shipped("reduction_pairwise", ("prg", "claimed_error"), 1e-9),
+         "unknown key 'prg.claimed_error'"),
+        ("prg-test", _shipped("prg_pairwise", ("prg",),
+                              {"kind": "full_independence", "claimed_error": 0.1}),
+         "full independence has error 0 by definition"),
         ("reduction-test", {"prg": {"kind": "twise", "t": 2}, "dimension": 4,
                             "alphabet": 8, "X": 5, "Y": [1]}, "TypeError"),
         # values that ended in a traceback, or ran without end, before every
@@ -465,7 +478,7 @@ def test_prg_test_full_independence_has_zero_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["prg-test", "--config", cfg, "--out-dir", str(out)]) == 0
     report = json.loads((out / "prg_report.json").read_text())
-    assert report["max_error"] == 0.0
+    assert report["max_error"] == report["claimed_error"] == 0.0
     assert all(row["error"] == 0.0 for row in report["thresholds"])
 
 
@@ -689,6 +702,12 @@ def test_loads_test_rejects_y_equal_to_x(tmp_path, capsys):
     })
     assert main(["loads-test", "--config", cfg]) == 2
     assert "strictly inside X" in capsys.readouterr().err
+
+
+def test_loads_test_refuses_an_empty_y_as_every_query_does(tmp_path, capsys):
+    cfg = _write(tmp_path, "y.json", _shipped("loads_small", ("Y",), []))
+    assert main(["loads-test", "--config", cfg]) == 2
+    assert "config error: need a nonempty Y strictly inside X" in capsys.readouterr().err
 
 
 def test_reduction_test_smoke(tmp_path):

@@ -261,7 +261,7 @@ def test_param_validation():
         ConstructionParams(N=4, M=4, k=5)       # k > N
     with pytest.raises(ParamViolation):
         ConstructionParams(N=32, M=4, k=26)     # k above the polylog cap
-    ConstructionParams(N=32, M=4, k=26, k_cap=32)  # explicit cap lifts it
+    ConstructionParams(N=32, M=4, k=25)     # at the cap, round(log2 32)^2
     # one t-wise part past PART_SEED_BITS: the overlay's words over GF(2^2)
     # from C_e, and g's two words over the field of ell from C_g
     limit = construction.PART_SEED_BITS
@@ -337,8 +337,9 @@ def test_config_validation():
         family_from_config(missing)
     with pytest.raises(ParamViolation):
         prg_from_config({"kind": "twise"}, 4, 4)
-    with pytest.raises(ParamViolation):
-        prg_from_config({"kind": "full_independence", "claimed_error": 0.1}, 4, 4)
+    # a claimed error is a prg-test config's, not the generator's
+    with pytest.raises(ParamViolation, match="unknown key 'claimed_error'"):
+        prg_from_config({"kind": "twise", "t": 2, "claimed_error": 0.1}, 4, 4)
     with pytest.raises(ParamViolation):
         prg_from_config({"kind": "unheard_of"}, 4, 4)
     with pytest.raises(ParamViolation):

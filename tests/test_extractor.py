@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -133,10 +134,19 @@ def _table_bincount(table: np.ndarray, m: int, support) -> tuple[np.ndarray, flo
     return counts, float(np.abs(p - 1.0 / (n_seeds << m)).sum()) / 2.0
 
 
+@functools.lru_cache(maxsize=1)
+def _output_table(n: int) -> np.ndarray:
+    """The read-only (2^n, 2^d) table of E's (n-1)-bit outputs, whose low
+    m bits are E at m; the two n = 12 tests, run one after the other,
+    share one build."""
+    table = LeftoverHash(n, n - 1).extract_table()
+    table.flags.writeable = False
+    return table
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_transform_counts_match_table_bincount(n):
-    # one (2^n, 2^d) table of (n-1)-bit outputs; its low m bits are E at m
-    table = LeftoverHash(n, n - 1).extract_table()
+    table = _output_table(n)
     rng = random.Random(n)
     for m in range(1, n):
         ext = LeftoverHash(n, m)
@@ -153,7 +163,7 @@ def test_transform_counts_match_table_bincount(n):
 def test_int32_counts_equal_brute_force_at_the_widest_budget():
     # n = 12, m = 11: 2^22 cells whose intermediates reach 2^23 in magnitude
     ext = LeftoverHash(12, 11)
-    table = ext.extract_table()
+    table = _output_table(12)
     rng = random.Random(1211)
     for size in (1, 2048, 3001, 4096):
         support = tuple(rng.sample(range(1 << 12), size))

@@ -148,12 +148,6 @@ def test_range_must_be_power_of_two():
         TWiseFamily(2, domain_size=4, range_size=6)
 
 
-def test_field_must_fit():
-    ctx = find_irreducible(2)
-    with pytest.raises(ValueError):
-        TWiseFamily(2, domain_size=8, range_size=4, ctx=ctx)
-
-
 # --- direct sum -------------------------------------------------------------
 
 
@@ -222,7 +216,8 @@ def test_point_tables_match_scalar_eval(monkeypatch, n):
     ctx = find_irreducible(n)
     M = max(2, 1 << (n - 1))  # below 2^n from n = 2 on: the mask drops bits
     for t in (1, 2, 3, 4, 10):
-        fam = TWiseFamily(t, ctx.size, M, ctx)
+        fam = TWiseFamily(t, ctx.size, M)
+        assert fam.ctx == ctx
         # tables where a run holds two or more words, Horner elsewhere
         assert fam.run_words == (min(t, POINT_TABLE_BITS // n)
                                  if t >= 2 and 2 * n <= POINT_TABLE_BITS else 0)

@@ -12,7 +12,7 @@ import pytest
 from blocksize import scan_chunk_bits
 from seed_rows import seed_ints
 from minwise_lab.cli import main, run_component_tests
-from minwise_lab.errors import BadSeedLength, SeedSpaceTooLarge
+from minwise_lab.errors import BadSeedLength, InvalidArgument, SeedSpaceTooLarge
 from minwise_lab.gf2 import find_irreducible
 from minwise_lab.rectprg import (
     FullIndependencePRG,
@@ -243,6 +243,11 @@ def test_threshold_errors_match_rectangle_error(kind, mode):
             for t in thetas]
     assert threshold_errors(prg, thetas, mode, **SAMPLING[mode]) == want
     assert any(want) == (kind != "fullind" or mode == "mc")
+    # a threshold below 0 names no rectangle
+    with pytest.raises(InvalidArgument):
+        Rectangle.threshold(prg.dimension, M, -1)
+    with pytest.raises(InvalidArgument):
+        threshold_errors(prg, [0, -1], mode, **SAMPLING[mode])
 
 
 @pytest.mark.parametrize("mode", sorted(SAMPLING))

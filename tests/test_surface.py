@@ -13,6 +13,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import minwise_lab
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minwise_lab"
@@ -63,3 +65,18 @@ def test_every_src_definition_is_run_or_public():
             break
         live |= grown
     assert sorted(key for key, _ in defs if key not in live) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: minwise_lab.check_load_lemma("uniform", [1, 2, 3], [1], 16, "small",
+                                         independence=3),
+    lambda: minwise_lab.ConstructionParams(N=32, M=4, k=26, k_cap=32),
+    lambda: minwise_lab.TWiseFamily(2, 8, 4, ctx=None),
+    lambda: minwise_lab.TWisePRG(2, 4, 8, claimed_error=0.1),
+    lambda: minwise_lab.RecursiveMixPRG(4, 8, claimed_error=0.1),
+], ids=["independence", "k_cap", "ctx", "twise_claimed_error", "recmix_claimed_error"])
+def test_no_caller_restates_a_premise_the_object_fixes(call):
+    # the allocation's degree, the cap on k, the field and a generator's
+    # error are read off the object itself; a prg-test config states a claim
+    with pytest.raises(TypeError):
+        call()

@@ -681,9 +681,10 @@ def test_scan_and_uniform_agree_when_independence_covers_x(ell, n, regime):
 
 class _WideLoads(SeededFamily):
     """2-bit allocation of 300 points onto 2 buckets: seeds 0 and 1 put
-    every point in one bucket, seed 2 alternates, seed 3 splits at 200."""
+    every point in one bucket, seed 2 alternates, seed 3 splits at 200.
+    It declares pairwise independence, which the large-regime chain needs."""
 
-    domain_size, range_size, seed_bits = 300, 2, 2
+    domain_size, range_size, seed_bits, t = 300, 2, 2, 2
     family_id = "wide_loads"
 
     def eval(self, seed, x):
@@ -697,7 +698,7 @@ class _WideLoads(SeededFamily):
 def test_scan_counts_loads_above_255():
     fam = _WideLoads()
     X, Y = list(range(1, 301)), [300]
-    rep = check_load_lemma(fam, X, Y, 2, "large", independence=2)
+    rep = check_load_lemma(fam, X, Y, 2, "large")
     loads = [[sum(fam.eval(s, x) == b for x in X[:-1]) for b in (1, 2)]
              for s in range(4)]
     mean = 299 / 2
@@ -773,7 +774,7 @@ def test_points_count_loads_above_255(monkeypatch):
 def test_load_lemma_validation():
     with pytest.raises(RegimeMismatch):
         check_load_lemma("uniform", list(range(1, 14)), [1], 16, "small")
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyQuery):
         check_load_lemma("uniform", [1, 2, 3], [], 4, "small")
     with pytest.raises(ValueError):
         check_load_lemma("gaussian", [1, 2, 3], [1], 4, "small")
@@ -783,8 +784,8 @@ def test_load_lemma_validation():
     with pytest.raises(ValueError):
         # constant families carry no moment bound in the mid regime
         check_load_lemma(TWiseFamily(1, 4, 4), [1, 2, 3, 4], [1], 4, "mid")
-    with pytest.raises(ValueError):
-        # adapter families do not declare a degree; must be passed in
+    with pytest.raises(ValueError, match="independence degree t"):
+        # adapter families declare no degree t, the only one the bounds read
         check_load_lemma(PRGHashFamily(TWisePRG(2, 3, 4)), [1, 2, 3], [1],
                          4, "small")
     with pytest.raises(SeedSpaceTooLarge):
@@ -810,14 +811,6 @@ def test_load_lemma_rejects_duplicate_points():
         for xs, ys in (([1, 1, 2, 3, 4, 5, 6], [1]), ([1, 2, 3], [1, 1])):
             with pytest.raises(InvalidArgument, match="duplicates"):
                 check_load_lemma(g, xs, ys, 16, "small")
-
-
-def test_load_lemma_independence_override():
-    fam = PRGHashFamily(TWisePRG(2, 3, 4))
-    rep = check_load_lemma(fam, [1, 2, 3], [1], 4, "small", independence=2)
-    ref = check_load_lemma(TWiseFamily(2, 3, 4), [1, 2, 3], [1], 4, "small")
-    assert rep.bad_frequency == ref.bad_frequency
-    assert rep.chain.bound == ref.chain.bound
 
 
 def test_load_report_json_round_trip():
