@@ -20,10 +20,7 @@ _EXPORTS = {
     "BucketedMinwiseFamily": "construction",
     "ConstructionParams": "construction",
     "SeedLayout": "construction",
-    "build_kminwise": "construction",
-    "build_minwise": "construction",
     "family_from_config": "construction",
-    "seed_layout": "construction",
     "MinwiseLabError": "errors",
     "LeftoverHash": "extractor",
     "DirectSumFamily": "kwise",
@@ -37,7 +34,7 @@ _EXPORTS = {
     "ErrorReport": "verify",
     "check_load_lemma": "verify",
     "check_reduction": "verify",
-    "check_twise_tail": "verify",
+    "check_twise_tails": "verify",
     "measure_corpus": "verify",
     "measure_minwise": "verify",
     "uniform_minwise_probability": "verify",

@@ -82,18 +82,26 @@ def _config(args) -> dict:
     return cfg
 
 
-def _philox_key(cfg: Config, key: str) -> int:
+def _philox_key(cfg: Config, key: str, default: int | None = 0) -> int | None:
     """A counter-based RNG key; numpy's Philox takes [0, 2^128)."""
-    return cfg.int(key, 0, lo=0, hi=(1 << 128) - 1)
+    return cfg.int(key, default, lo=0, hi=(1 << 128) - 1)
 
 
 def _sampling(cfg: Config) -> tuple[str, int | None, int]:
-    """(mode, samples, run_seed) of a measure or prg-test config."""
+    """(mode, samples, run_seed) of a measure or prg-test config.  An
+    exhaustive run draws nothing, so a sample count or run seed given
+    to it (in the config or by flag) is refused rather than reported."""
     from .kwise import check_mode
 
     mode = cfg.string("mode", "exhaustive")
     check_mode(mode)
-    return mode, cfg.int("samples", None, lo=1), _philox_key(cfg, "run_seed")
+    samples, run_seed = cfg.int("samples", None, lo=1), _philox_key(cfg, "run_seed", None)
+    if mode == "exhaustive":
+        for key, value in (("samples", samples), ("run_seed", run_seed)):
+            if value is not None:
+                raise _CliError(f"{key} applies only to Monte-Carlo runs; "
+                                "an exhaustive run enumerates every seed (use --mode mc)")
+    return mode, samples, run_seed or 0
 
 
 def _out_dir(args) -> Path | None:

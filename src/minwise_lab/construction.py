@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import Config, reading
-from .errors import InvalidArgument, ParamViolation
+from .errors import ParamViolation
 from .extractor import LeftoverHash
 from .gf2 import prepare_mul
 from .kwise import (
@@ -412,31 +412,6 @@ class BucketedKMinwiseFamily(_BucketedFamily):
         return block
 
 
-def build_minwise(params: ConstructionParams, prg1: RectanglePRG,
-                  prg2: RectanglePRG, extractor: LeftoverHash) -> BucketedMinwiseFamily:
-    """Assemble the bucketed min-wise family; ParamViolation on mismatch."""
-    return BucketedMinwiseFamily(params, prg1, prg2, extractor)
-
-
-def build_kminwise(params: ConstructionParams, prg1: RectanglePRG,
-                   prg2: RectanglePRG, extractor: LeftoverHash) -> BucketedKMinwiseFamily:
-    """Assemble the bucketed k-min-wise family; ParamViolation on mismatch."""
-    return BucketedKMinwiseFamily(params, prg1, prg2, extractor)
-
-
-def seed_layout(params: ConstructionParams, prg1: RectanglePRG,
-                prg2: RectanglePRG, extractor: LeftoverHash,
-                kind: str = "minwise") -> SeedLayout:
-    """The seed layout of the family of ``kind``: builds that family with
-    build_minwise or build_kminwise, so every parameter check runs, and
-    returns its layout."""
-    if kind == "minwise":
-        return build_minwise(params, prg1, prg2, extractor).layout
-    if kind == "kminwise":
-        return build_kminwise(params, prg1, prg2, extractor).layout
-    raise InvalidArgument(f"unknown construction kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # JSON config plumbing: each reader takes a dict (checked for unread keys
 # when it is done) or a node of a config the caller is reading
@@ -471,5 +446,5 @@ def family_from_config(cfg: dict | Config) -> SeededFamily:
         prg2 = prg_from_config(node.obj("prg2"), params.N, params.M)
         kind = node.string("family", "minwise" if params.k == 1 else "kminwise",
                            choices=("minwise", "kminwise"))
-        build = build_minwise if kind == "minwise" else build_kminwise
-        return build(params, prg1, prg2, extractor)
+        family = BucketedMinwiseFamily if kind == "minwise" else BucketedKMinwiseFamily
+        return family(params, prg1, prg2, extractor)

@@ -40,7 +40,7 @@ class DomainOverflow(MinwiseLabError):
 
 
 class RangeMismatch(MinwiseLabError):
-    """Two families combined by direct_sum have incompatible ranges."""
+    """Two families combined by a DirectSumFamily have incompatible ranges."""
 
 
 class WidthError(MinwiseLabError):

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DomainMismatch, InvalidArgument, NotFullRank, WidthError, WidthMismatch
 from .gf2 import (
     BitMatrix,
-    FieldContext,
     complement_basis,
     find_irreducible,
     mat_vec,
@@ -27,21 +26,6 @@ from .gf2 import (
     rank,
     row_spans,
 )
-
-
-def leftover_extract(ctx: FieldContext, x: int, s: int, m: int) -> int:
-    """Low-order m bits of x * y_s in the field, with y_s = s + 1.
-
-    ``x`` is an n-bit source sample, ``s`` an (n-1)-bit seed, and m < n.
-    """
-    n = ctx.degree
-    if m >= n:
-        raise WidthError(f"output width {m} must be < source width {n}")
-    if not 0 <= s < (1 << (n - 1)):
-        raise WidthError(f"seed {s} outside {{0,1}}^{n - 1}")
-    if not 0 <= x < ctx.size:
-        raise WidthError(f"source sample {x} outside {{0,1}}^{n}")
-    return ctx.mul(x, s + 1) & ((1 << m) - 1)
 
 
 class LeftoverHash:
@@ -69,16 +53,19 @@ class LeftoverHash:
         return f"leftover(n={self.n},m={self.m},mod={self.ctx.modulus:#x})"
 
     def extract(self, x: int, s: int) -> int:
-        return leftover_extract(self.ctx, x, s, self.m)
+        """Low-order m bits of x * y_s in the field, with y_s = s + 1.
 
-    def extract_block(self, xs: np.ndarray, ss=None, *, ys=None) -> np.ndarray:
-        """Vectorized extract at seeds ``ss``, a scalar or an array.
-
-        A caller that already holds the multipliers y_s = s + 1 passes them
-        as ``ys`` instead of ``ss``, which skips a copy and an add per block.
+        ``x`` is an n-bit source sample and ``s`` an (n-1)-bit seed.
         """
-        if ys is None:
-            ys = ss + 1 if isinstance(ss, (int, np.integer)) else ss.astype(np.uint64) + np.uint64(1)
+        if not 0 <= s < (1 << self.d):
+            raise WidthError(f"seed {s} outside {{0,1}}^{self.d}")
+        if not 0 <= x < self.ctx.size:
+            raise WidthError(f"source sample {x} outside {{0,1}}^{self.n}")
+        return self.ctx.mul(x, s + 1) & ((1 << self.m) - 1)
+
+    def extract_block(self, xs: np.ndarray, ys) -> np.ndarray:
+        """Vectorized extract at the multipliers ``ys``, y_s = s + 1 of
+        each seed s, a scalar or an array."""
         prod = mul_block(self.ctx, xs.astype(np.uint64, copy=False), ys)
         return prod & np.uint64((1 << self.m) - 1)
 
@@ -116,11 +103,11 @@ class LeftoverHash:
         if self._table is None:
             rows, cols = 1 << self.n, 1 << self.d
             table = np.empty((rows, cols), dtype=np.uint16)
-            ss = np.arange(cols, dtype=np.uint64)
+            ys = np.arange(1, cols + 1, dtype=np.uint64)
             step = max(1, (1 << 18) // cols)
             for lo in range(0, rows, step):
                 xs = np.arange(lo, min(lo + step, rows), dtype=np.uint64)[:, None]
-                table[lo:lo + step] = self.extract_block(xs, ss)
+                table[lo:lo + step] = self.extract_block(xs, ys)
             self._table = table
         return self._table
 

@@ -38,7 +38,7 @@ SCAN_CHUNK_BITS = 16
 
 # log2 of the rows in one Monte-Carlo draw chunk, which is also one
 # Monte-Carlo scan block.  Chunk j of a sample is the family's
-# draw_seed_block on Philox keyed by the run seed and jumped j times, so
+# layout.draw_block on Philox keyed by the run seed and jumped j times, so
 # this constant defines the sample itself: it is not a tuning knob.
 MC_DRAW_BITS = 16
 
@@ -235,7 +235,7 @@ def scan(family: SeededFamily, count, mode: str = "exhaustive",
     The one seed source of every oracle.  Exhaustive mode enumerates
     [0, 2^seed_bits) through scan_seeds, under its 24-bit budget.
     Monte-Carlo mode ("mc") counts ``samples`` seeds in blocks of
-    <= 2^MC_DRAW_BITS rows: block j is the family's draw_seed_block on
+    <= 2^MC_DRAW_BITS rows: block j is the family's layout.draw_block on
     Philox keyed by ``run_seed`` and jumped j times, so a run of at most
     2^16 samples is one draw off the unjumped stream.  Each block is
     drawn where it is counted, so no process holds the whole sample.
@@ -251,7 +251,7 @@ def scan(family: SeededFamily, count, mode: str = "exhaustive",
 
     def block_of(j: int):
         rng = np.random.Generator(np.random.Philox(key=run_seed).jumped(j))
-        return family.draw_seed_block(rng, min(width, samples - j * width))
+        return family.layout.draw_block(rng, min(width, samples - j * width))
 
     return scan_blocks(-(-samples // width), block_of, count, threads), samples
 
@@ -416,10 +416,6 @@ class SeededFamily(abc.ABC):
             return evaluate
 
         return block
-
-    def draw_seed_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Sample seeds for Monte-Carlo oracles: the layout's draw_block."""
-        return self.layout.draw_block(rng, count)
 
     def _check_seed(self, seed: int) -> None:
         if seed < 0 or seed >> self.seed_bits:
@@ -647,8 +643,3 @@ class DirectSumFamily(SeededFamily):
             return lambda x: dsum_values(at_f(x), at_g(x), self.range_size)
 
         return block
-
-
-def direct_sum(f: SeededFamily, g: SeededFamily) -> DirectSumFamily:
-    """Combine two families by ((f(x) + g(x) - 1) mod M) + 1."""
-    return DirectSumFamily(f, g)

@@ -7,8 +7,8 @@ are measured baselines, not the asymptotically optimal constructions
 the analysis consumes as black boxes: an error claimed for one is a
 prg-test config's, which the exact oracle audits at small dimensions.
 
-Threshold rectangles 1(x_i > theta) get first-class constructors since
-every min-wise event is built from them.
+Every min-wise event is built from threshold rectangles 1(x_i > theta);
+threshold_errors measures all thresholds of a generator in one scan.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class Rectangle:
                 raise InvalidArgument("accept set member outside [1, M]")
 
     @classmethod
-    def full(cls, dimension: int, alphabet: int) -> "Rectangle":
-        return cls(dimension, alphabet, (None,) * dimension)
-
-    @classmethod
     def build(cls, dimension: int, alphabet: int, sets: dict) -> "Rectangle":
         """Rectangle from a {1-indexed coordinate: iterable of values} dict."""
         acc: list = [None] * dimension
@@ -55,20 +51,6 @@ class Rectangle:
                 raise InvalidArgument(f"coordinate {coord} outside [1, {dimension}]")
             acc[coord - 1] = frozenset(vals)
         return cls(dimension, alphabet, tuple(acc))
-
-    @classmethod
-    def threshold(cls, dimension: int, alphabet: int, theta: int, coords=None) -> "Rectangle":
-        """1(x_i > theta) on the given coordinates (default: all of them)."""
-        above = frozenset(range(theta + 1, alphabet + 1))
-        if coords is None:
-            coords = range(1, dimension + 1)
-        return cls.build(dimension, alphabet, {c: above for c in coords})
-
-    @classmethod
-    def at_most(cls, dimension: int, alphabet: int, theta: int, coords) -> "Rectangle":
-        """1(x_i <= theta) on the given coordinates."""
-        below = frozenset(range(1, theta + 1))
-        return cls.build(dimension, alphabet, {c: below for c in coords})
 
     def uniform_expectation(self) -> Fraction:
         """Exact E_U[f] = prod |S_i| / M."""
@@ -425,10 +407,11 @@ def rectangle_error(
 def threshold_errors(prg: RectanglePRG, thetas, mode: str = "exhaustive",
                      samples: int | None = None, run_seed: int = 0,
                      threads: int = 1) -> list[float]:
-    """rectangle_error of Rectangle.threshold(N, M, theta) for every theta,
-    all read off one pass of strict_order_margins with an empty ``low``:
-    #{min over every coordinate > theta} is total - at_min.cumsum()[theta],
-    and its uniform reference is ((M - theta)/M)^N, 0 once theta >= M."""
+    """rectangle_error of the rectangle 1(x_i > theta) on every coordinate,
+    for every theta, all read off one pass of strict_order_margins with an
+    empty ``low``: #{min over every coordinate > theta} is
+    total - at_min.cumsum()[theta], and its uniform reference is
+    ((M - theta)/M)^N, 0 once theta >= M."""
     thetas = [int(t) for t in thetas]
     if any(t < 0 for t in thetas):
         raise InvalidArgument("thresholds must be >= 0")

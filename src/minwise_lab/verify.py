@@ -674,11 +674,6 @@ def check_twise_tails(t: int, b: int, thetas, M: int) -> list[TailReport]:
     return reports
 
 
-def check_twise_tail(t: int, b: int, theta: int, M: int) -> TailReport:
-    """One theta: check_twise_tails on [theta]."""
-    return check_twise_tails(t, b, [theta], M)[0]
-
-
 # ---------------------------------------------------------------------------
 # reduction audit: rectangle error bounds min-wise error
 # ---------------------------------------------------------------------------

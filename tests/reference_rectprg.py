@@ -1,9 +1,11 @@
 """Reference rectangle-PRG routines the tests check the generators with.
 
-``expand`` reads a generator's whole output vector through its scalar
-``coord_eval``, and ``conditional_rectangle_check`` conditions a
-rectangle's exact acceptance on one coordinate's value, by two exact
-counts of ``rectprg.rectangle_hits_exact``.
+``full_rectangle``, ``threshold_rectangle`` and ``at_most_rectangle``
+build the rectangles the tests measure, ``expand`` reads a generator's
+whole output vector through its scalar ``coord_eval``, and
+``conditional_rectangle_check`` conditions a rectangle's exact
+acceptance on one coordinate's value, by two exact counts of
+``rectprg.rectangle_hits_exact``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,26 @@ from minwise_lab.rectprg import Rectangle, RectanglePRG, _check_shape, rectangle
 
 class ConditionNeverHolds(MinwiseLabError):
     """Conditioning event has probability zero under the generator."""
+
+
+def full_rectangle(dimension: int, alphabet: int) -> Rectangle:
+    """The rectangle that accepts every vector."""
+    return Rectangle(dimension, alphabet, (None,) * dimension)
+
+
+def threshold_rectangle(dimension: int, alphabet: int, theta: int, coords=None) -> Rectangle:
+    """1(x_i > theta) on the given coordinates (default: all of them); a
+    theta below 0 puts 0 in the accept sets, which Rectangle refuses."""
+    above = frozenset(range(theta + 1, alphabet + 1))
+    if coords is None:
+        coords = range(1, dimension + 1)
+    return Rectangle.build(dimension, alphabet, {c: above for c in coords})
+
+
+def at_most_rectangle(dimension: int, alphabet: int, theta: int, coords) -> Rectangle:
+    """1(x_i <= theta) on the given coordinates."""
+    below = frozenset(range(1, theta + 1))
+    return Rectangle.build(dimension, alphabet, {c: below for c in coords})
 
 
 def expand(prg: RectanglePRG, seed: int) -> tuple[int, ...]:

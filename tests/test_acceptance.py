@@ -41,7 +41,7 @@ from minwise_lab.rectprg import TWisePRG
 from minwise_lab.verify import (
     check_load_lemma,
     check_reduction,
-    check_twise_tail,
+    check_twise_tails,
     measure_minwise,
     uniform_minwise_probability,
 )
@@ -142,7 +142,7 @@ def test_criterion_03_every_extractor_seed_is_surjective(capsys):
         n_seeds = 1 << full.d
         basis = np.array([1 << j for j in range(n)], dtype=np.uint64)
         imgs = full.extract_block(
-            basis[:, None], np.arange(n_seeds, dtype=np.uint64)[None, :])
+            basis[:, None], np.arange(1, n_seeds + 1, dtype=np.uint64)[None, :])
         for m in range(1, n):
             mask = (1 << m) - 1
             for s in range(n_seeds):
@@ -237,11 +237,10 @@ def test_criterion_06_tail_estimate_zero_violations(capsys):
     for t in (2, 3):
         for b in range(1, 5):
             for M in (8, 16):
-                for theta in range(0, M + 1):
-                    rep = check_twise_tail(t, b, theta, M)
+                for rep in check_twise_tails(t, b, range(M + 1), M):
                     if not rep.within:
                         failures.append(
-                            f"t={t} b={b} M={M} theta={theta}: "
+                            f"t={t} b={b} M={M} theta={rep.theta}: "
                             f"|{rep.exact_p} - {rep.reference}| > "
                             f"{rep.tolerance}")
 

@@ -495,6 +495,35 @@ def test_prg_test_claimed_error_enforced(tmp_path):
     assert main(["prg-test", "--config", bad_cfg, "--out-dir", str(tmp_path / "b")]) == 1
 
 
+@pytest.mark.parametrize("given", ["config", "flag"])
+@pytest.mark.parametrize("key", ["samples", "run_seed"])
+@pytest.mark.parametrize("command,config,report", [
+    ("measure", "kminwise_desk", "summary.json"),
+    ("prg-test", "prg_pairwise", "prg_report.json"),
+])
+def test_exhaustive_runs_refuse_a_sample_count_or_run_seed(command, config, report, key,
+                                                           given, tmp_path, capsys):
+    # an exhaustive run draws nothing, so it has no value of either to report
+    cfg = _shipped(config)
+    argv = [command, "--out-dir", str(tmp_path / "out")]
+    if given == "config":
+        cfg[key] = 100
+    else:
+        argv += [f"--{key.replace('_', '-')}", "100"]
+    path = _write(tmp_path, "c.json", cfg)
+    assert main([*argv, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} applies only to Monte-Carlo runs" in err
+    assert "--mode mc" in err
+    assert not (tmp_path / "out" / report).exists()
+    if command == "prg-test":
+        # and a Monte-Carlo run reads it
+        assert main([*argv, "--config", path, "--mode", "mc"]
+                    + (["--samples", "100"] if key == "run_seed" else [])) == 0
+        written = json.loads((tmp_path / "out" / report).read_text())
+        assert written[key] == 100
+
+
 def test_loads_test_smoke(tmp_path, capsys):
     cfg = _write(tmp_path, "l.json", {
         "allocation": {"kind": "twise", "t": 2},
@@ -736,7 +765,7 @@ def test_reduction_test_is_exact_only(tmp_path, capsys):
 
 
 def test_run_component_tests_kwise_table(tmp_path, capsys, monkeypatch):
-    per_theta = [verify.check_twise_tail(2, 3, theta, 8).to_json() for theta in range(9)]
+    per_theta = [verify.check_twise_tails(2, 3, [theta], 8)[0].to_json() for theta in range(9)]
     scans, strict_order_margins = [], verify.strict_order_margins
 
     def counting(*args, **kwargs):

@@ -17,12 +17,9 @@ from minwise_lab.construction import (
     BucketedMinwiseFamily,
     ConstructionParams,
     SeedLayout,
-    build_kminwise,
-    build_minwise,
     family_from_config,
     params_from_config,
     prg_from_config,
-    seed_layout,
 )
 from minwise_lab.errors import ParamViolation
 from minwise_lab.extractor import LeftoverHash
@@ -42,13 +39,13 @@ def desk_minwise(prg1=None) -> BucketedMinwiseFamily:
     """N=M=4, four buckets, 23 packed seed bits with the default PRG1."""
     params = ConstructionParams(N=4, M=4, k=1, ell=4, t=2)
     prg1 = prg1 or TWisePRG(2, 4, 64)
-    return build_minwise(params, prg1, TWisePRG(1, 4, 4), LeftoverHash(7, 6))
+    return BucketedMinwiseFamily(params, prg1, TWisePRG(1, 4, 4), LeftoverHash(7, 6))
 
 
 def desk_kminwise(k: int = 1) -> BucketedKMinwiseFamily:
     """N=M=4 with the overlay family; 21 packed seed bits at k=1."""
     params = ConstructionParams(N=4, M=4, k=k, ell=4, t=2)
-    return build_kminwise(
+    return BucketedKMinwiseFamily(
         params, TWisePRG(2, 4, 4), TWisePRG(1, 4, 4), LeftoverHash(3, 2)
     )
 
@@ -162,7 +159,7 @@ def test_minwise_values_decompose_through_the_direct_sum():
 def test_single_bucket_collapse():
     # ell = 1: no allocation bits, one extractor seed for everything
     params = ConstructionParams(N=4, M=4, k=1, ell=1, t=2)
-    fam = build_minwise(
+    fam = BucketedMinwiseFamily(
         params, FullIndependencePRG(1, 64), TWisePRG(1, 4, 4), LeftoverHash(7, 6)
     )
     assert fam.g.seed_bits == 0
@@ -196,15 +193,15 @@ def test_layout_rejects_overwide_values():
 
 
 def test_wide_seed_blocks_agree_with_scalar_path():
-    # 95 packed bits: draw_seed_block fills one column per coefficient word
+    # 95 packed bits: layout.draw_block fills one column per coefficient word
     params = ConstructionParams(N=12, M=64, k=2, ell=4, t=2)
-    fam = build_kminwise(
+    fam = BucketedKMinwiseFamily(
         params, TWisePRG(2, 4, 64), TWisePRG(1, 12, 64), LeftoverHash(7, 6)
     )
     assert fam.seed_bits == 95
     assert fam.seed_columns() == (4,) * 4 + (6, 6) + (7,) + (6,) * 10
     rng = np.random.Generator(np.random.Philox(key=21))
-    block = fam.draw_seed_block(rng, 40)
+    block = fam.layout.draw_block(rng, 40)
     assert block.shape == (40, 17) and block.dtype == np.uint8
     seeds = seed_ints(block, fam.seed_columns())
     for x in (1, 7, 12):
@@ -278,32 +275,22 @@ def test_component_shape_validation():
     params = ConstructionParams(N=4, M=4, k=1, ell=4, t=2)
     good = dict(prg1=TWisePRG(2, 4, 64), prg2=TWisePRG(1, 4, 4),
                 extractor=LeftoverHash(7, 6))
-    build_minwise(params, **good)
+    BucketedMinwiseFamily(params, **good)
     with pytest.raises(ParamViolation):
-        build_minwise(params, TWisePRG(2, 8, 64), good["prg2"], good["extractor"])
+        BucketedMinwiseFamily(params, TWisePRG(2, 8, 64), good["prg2"], good["extractor"])
     with pytest.raises(ParamViolation):
-        build_minwise(params, TWisePRG(2, 4, 32), good["prg2"], good["extractor"])
+        BucketedMinwiseFamily(params, TWisePRG(2, 4, 32), good["prg2"], good["extractor"])
     with pytest.raises(ParamViolation):
-        build_minwise(params, good["prg1"], TWisePRG(1, 4, 8), good["extractor"])
+        BucketedMinwiseFamily(params, good["prg1"], TWisePRG(1, 4, 8), good["extractor"])
     with pytest.raises(ParamViolation):
         # extractor output must split into inner seed + PRG2 seed
-        build_minwise(params, TWisePRG(2, 4, 32), good["prg2"], LeftoverHash(6, 5))
+        BucketedMinwiseFamily(params, TWisePRG(2, 4, 32), good["prg2"], LeftoverHash(6, 5))
     with pytest.raises(ParamViolation):
-        build_minwise(ConstructionParams(N=4, M=4, k=2, ell=4, t=2), **good)
+        BucketedMinwiseFamily(ConstructionParams(N=4, M=4, k=2, ell=4, t=2), **good)
     with pytest.raises(ParamViolation):
         # k-min-wise wants extractor output == PRG2 seed exactly
-        build_kminwise(params, TWisePRG(2, 4, 64), TWisePRG(1, 4, 4),
-                       LeftoverHash(7, 6))
-
-
-def test_seed_layout_helper_matches_builders():
-    params = ConstructionParams(N=4, M=4, k=1, ell=4, t=2)
-    lay = seed_layout(params, TWisePRG(2, 4, 64), TWisePRG(1, 4, 4),
-                      LeftoverHash(7, 6))
-    assert lay.total_bits == 23
-    with pytest.raises(ValueError):
-        seed_layout(params, TWisePRG(2, 4, 64), TWisePRG(1, 4, 4),
-                    LeftoverHash(7, 6), kind="else")
+        BucketedKMinwiseFamily(params, TWisePRG(2, 4, 64), TWisePRG(1, 4, 4),
+                               LeftoverHash(7, 6))
 
 
 def test_family_from_config_round_trip():
@@ -374,11 +361,13 @@ def test_target_error_and_derived_degrees():
 
 
 def _minwise(N, M, ell, prg1, prg2, ext):
-    return build_minwise(ConstructionParams(N=N, M=M, k=1, ell=ell, t=2), prg1, prg2, ext)
+    return BucketedMinwiseFamily(ConstructionParams(N=N, M=M, k=1, ell=ell, t=2),
+                                 prg1, prg2, ext)
 
 
 def _kminwise(N, M, ell, prg1, prg2, ext):
-    return build_kminwise(ConstructionParams(N=N, M=M, k=1, ell=ell, t=2), prg1, prg2, ext)
+    return BucketedKMinwiseFamily(ConstructionParams(N=N, M=M, k=1, ell=ell, t=2),
+                                  prg1, prg2, ext)
 
 
 # name -> builder.  L = g-seed + prg1-seed bits against the block size
@@ -524,7 +513,7 @@ def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, cou
             assert all(np.array_equal(got[x], layered(x)) for x in points)
             assert _scalar_mismatches(fam, packed, rng.integers(0, step, size=8), got) == 0
     # a Monte-Carlo draw (word columns past 64 bits) goes through the layers
-    drawn = fam.draw_seed_block(rng, count)
+    drawn = fam.layout.draw_block(rng, count)
     evaluate = plan(drawn)
     assert _scalar_mismatches(fam, drawn, range(count), {x: evaluate(x) for x in points}) == 0
 
@@ -578,7 +567,7 @@ def test_extractor_output_past_the_table_budget_builds_no_table(monkeypatch, kin
     plan = fam.bind(points)
     assert [table for table, _, _ in built if table != "point"] == []
     rng = np.random.Generator(np.random.Philox(key=fam.extractor.m))
-    seeds = fam.draw_seed_block(rng, 200)
+    seeds = fam.layout.draw_block(rng, 200)
     evaluate = plan(seeds)
     got = {x: evaluate(x) for x in points}
     assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0
@@ -726,7 +715,7 @@ def test_bucket_major_path_matches_scalar_eval(monkeypatch, make, ell):
     fam = make(ell)
     rng = np.random.Generator(np.random.Philox(key=ell))
     packed = rng.integers(0, fam.seed_space, size=300, dtype=np.uint64)
-    blocks = {"drawn": fam.draw_seed_block(rng, 300), "packed": packed,
+    blocks = {"drawn": fam.layout.draw_block(rng, 300), "packed": packed,
               "columns": split_words(packed, fam.seed_columns())}
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
     points = range(1, fam.domain_size + 1)
@@ -765,7 +754,7 @@ def test_plan_extractions_follow_the_bound_points(monkeypatch, make):
     # ell = 4, 3 bound points extract once a point, and all 8 once a bucket
     fam = make(4)
     rng = np.random.Generator(np.random.Philox(key=11))
-    blocks = [fam.draw_seed_block(rng, 300) for _ in range(3)]
+    blocks = [fam.layout.draw_block(rng, 300) for _ in range(3)]
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
     for points in ((1, 2, 3), range(1, 9)):
         plan = fam.bind(points)
@@ -793,7 +782,7 @@ def test_benchmark_mc_block_multiplies_once_a_bucket(monkeypatch, tmp_path):
     for j in range(2):
         # block j of kwise.scan's Monte-Carlo draw
         rng = np.random.Generator(np.random.Philox(key=config["run_seed"]).jumped(j))
-        seeds = fam.draw_seed_block(rng, 1 << MC_DRAW_BITS)
+        seeds = fam.layout.draw_block(rng, 1 << MC_DRAW_BITS)
         muls.clear()
         evaluate = plan(seeds)
         got = {x: evaluate(x) for x in points}

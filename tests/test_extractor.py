@@ -21,7 +21,6 @@ from minwise_lab.extractor import (
     LeftoverHash,
     compose_extract,
     leftover_bound,
-    leftover_extract,
     row_spans,
     seed_output_counts,
     spans_full_rank,
@@ -48,7 +47,9 @@ def test_width_error():
         LeftoverHash(4, 4)
     ext = LeftoverHash(4, 2)
     with pytest.raises(WidthError):
-        leftover_extract(ext.ctx, 1, 1 << 3, 2)  # seed too wide
+        ext.extract(1, 1 << 3)  # seed too wide
+    with pytest.raises(WidthError):
+        ext.extract(1 << 4, 0)  # source sample too wide
 
 
 def test_uniform_in_uniform_out_n4():
@@ -81,17 +82,15 @@ def test_linearity_exhaustive_n6():
 def test_extract_block_matches_scalar():
     ext = LeftoverHash(7, 4)
     xs = np.arange(128, dtype=np.uint64)
+    # a scalar multiplier y_s = s + 1
     for s in (0, 1, 63):
-        block = ext.extract_block(xs, s)
+        block = ext.extract_block(xs, s + 1)
         for x in range(128):
             assert int(block[x]) == ext.extract(x, s)
-    # array-seed form
-    ss = np.arange(64, dtype=np.uint64)
-    block = ext.extract_block(xs[:64], ss)
+    # one multiplier per source sample
+    block = ext.extract_block(xs[:64], np.arange(1, 65, dtype=np.uint64))
     for i in range(64):
         assert int(block[i]) == ext.extract(i, i)
-    # the multiplier form reads y_s = s + 1 straight
-    assert np.array_equal(ext.extract_block(xs[:64], ys=ss + np.uint64(1)), block)
 
 
 @pytest.mark.parametrize("n", [3, 10, 11])
@@ -99,10 +98,10 @@ def test_extract_table_matches_the_whole_grid(n):
     # n = 10 and 11 fill the table in 2 and 8 row blocks
     ext = LeftoverHash(n, n - 2)
     xs = np.arange(1 << n, dtype=np.uint64)[:, None]
-    ss = np.arange(1 << (n - 1), dtype=np.uint64)[None, :]
+    ys = np.arange(1, (1 << (n - 1)) + 1, dtype=np.uint64)[None, :]
     table = ext.extract_table()
     assert table.dtype == np.uint16
-    assert np.array_equal(table, ext.extract_block(xs, ss))
+    assert np.array_equal(table, ext.extract_block(xs, ys))
     for x, s in [(0, 0), (1, 0), ((1 << n) - 1, (1 << (n - 1)) - 1), (5, 3)]:
         assert int(table[x, s]) == ext.extract(x, s)
 

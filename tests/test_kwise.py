@@ -1,4 +1,4 @@
-"""Tests for the polynomial t-wise families and direct_sum."""
+"""Tests for the polynomial t-wise families and their direct sum."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from blocksize import scan_chunk_bits
 from seed_rows import seed_ints, split_words
 from minwise_lab import kwise
-from minwise_lab.construction import ConstructionParams, build_kminwise
+from minwise_lab.construction import BucketedKMinwiseFamily, ConstructionParams
 from minwise_lab.errors import (
     BadSeedLength,
     DomainOverflow,
@@ -33,8 +33,9 @@ from minwise_lab.kwise import (
     MC_DRAW_BITS,
     POINT_TABLE_BITS,
     SCAN_CHUNK_BITS,
+    DirectSumFamily,
+    SeedLayout,
     TWiseFamily,
-    direct_sum,
     dsum_values,
     scan,
     scan_blocks,
@@ -154,7 +155,7 @@ def test_range_must_be_power_of_two():
 def test_direct_sum_formula_and_seed_order():
     f = TWiseFamily(1, domain_size=4, range_size=4)
     g = TWiseFamily(2, domain_size=4, range_size=4)
-    d = direct_sum(f, g)
+    d = DirectSumFamily(f, g)
     assert d.seed_bits == f.seed_bits + g.seed_bits
     for seed in range(0, d.seed_space, 7):
         sf = seed & (f.seed_space - 1)
@@ -300,7 +301,7 @@ def test_direct_sum_rejects_range_mismatch():
     f = TWiseFamily(1, domain_size=4, range_size=4)
     g = TWiseFamily(1, domain_size=4, range_size=8)
     with pytest.raises(RangeMismatch):
-        direct_sum(f, g)
+        DirectSumFamily(f, g)
 
 
 def test_direct_sum_preserves_pair_marginals():
@@ -308,7 +309,7 @@ def test_direct_sum_preserves_pair_marginals():
     # every pair of positions jointly uniform
     f = TWiseFamily(2, domain_size=4, range_size=4)
     g = TWiseFamily(1, domain_size=4, range_size=4)
-    d = direct_sum(f, g)
+    d = DirectSumFamily(f, g)
     f_seeds = np.arange(f.seed_space, dtype=np.uint64)
     for g_seed in range(g.seed_space):
         seeds = f_seeds | np.uint64(g_seed << f.seed_bits)
@@ -391,7 +392,7 @@ def test_scan_is_the_one_seed_source_of_both_modes():
     assert total == fam.seed_space and hist.tolist() == [1] * fam.seed_space
     # monte-carlo mode counts the rows of one Philox draw keyed by the run
     # seed, here one block, the whole draw chunk, whatever the block size
-    drawn = fam.draw_seed_block(np.random.Generator(np.random.Philox(key=5)), 1001)
+    drawn = fam.layout.draw_block(np.random.Generator(np.random.Philox(key=5)), 1001)
     with scan_chunk_bits(3):
         hist, total = scan(fam, seen, "mc", 1001, run_seed=5, threads=2)
     assert total == 1001 and np.array_equal(hist, seen(drawn))
@@ -408,8 +409,8 @@ def _chunked_draw(fam, samples: int, run_seed: int) -> np.ndarray:
     the run seed and jumped j times."""
     width = 1 << MC_DRAW_BITS
     return np.concatenate([
-        fam.draw_seed_block(np.random.Generator(np.random.Philox(key=run_seed).jumped(j)),
-                            min(width, samples - lo))
+        fam.layout.draw_block(np.random.Generator(np.random.Philox(key=run_seed).jumped(j)),
+                              min(width, samples - lo))
         for j, lo in enumerate(range(0, samples, width))])
 
 
@@ -430,12 +431,12 @@ def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
 
     # each chunk is drawn once, by the process that counts it: never by
     # the parent of the forked workers
-    drawn, draw = [], fam.draw_seed_block
-    fam.draw_seed_block = lambda rng, count: drawn.append(count) or draw(rng, count)
-    with scan_chunk_bits(chunk_bits):
+    drawn, draw = [], SeedLayout.draw_block
+    with pytest.MonkeyPatch.context() as mp, scan_chunk_bits(chunk_bits):
+        mp.setattr(SeedLayout, "draw_block",
+                   lambda layout, rng, count: drawn.append(count) or draw(layout, rng, count))
         hist, total = scan(fam, seen_and_sized, "mc", samples, run_seed=12,
                            threads=threads)
-    del fam.draw_seed_block
     assert total == samples
     assert hist[-2:].tolist() == [2, 1]
     assert drawn == ([1 << 16, 1 << 16, 1001] if threads == 1 else [])
@@ -445,8 +446,8 @@ def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
 def test_mc_scan_counts_the_chunked_draw_of_a_2d_layout():
     # 95 packed seed bits: each chunk is a 2-D block of 17 word columns of
     # at most 7 bits; the count is a histogram of each word
-    fam = build_kminwise(ConstructionParams(N=12, M=64, k=2, ell=4, t=2),
-                         TWisePRG(2, 4, 64), TWisePRG(1, 12, 64), LeftoverHash(7, 6))
+    fam = BucketedKMinwiseFamily(ConstructionParams(N=12, M=64, k=2, ell=4, t=2),
+                                 TWisePRG(2, 4, 64), TWisePRG(1, 12, 64), LeftoverHash(7, 6))
     assert fam.seed_bits == 95
     samples = (1 << 17) + 1001
 

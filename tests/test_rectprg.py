@@ -27,25 +27,28 @@ from minwise_lab.rectprg import (
 )
 from reference_rectprg import (
     ConditionNeverHolds,
+    at_most_rectangle,
     conditional_rectangle_check,
     expand,
+    full_rectangle,
     restricted_to,
+    threshold_rectangle,
 )
 
 
 def test_rectangle_uniform_expectation():
     r = Rectangle.build(3, 4, {1: {1, 2}, 3: {4}})
     assert r.uniform_expectation() == Fraction(2, 4) * Fraction(1, 4)
-    assert Rectangle.full(3, 4).uniform_expectation() == 1
+    assert full_rectangle(3, 4).uniform_expectation() == 1
     assert Rectangle.build(2, 4, {1: set()}).uniform_expectation() == 0
 
 
 def test_threshold_rectangle_sets():
-    r = Rectangle.threshold(3, 8, 5)
+    r = threshold_rectangle(3, 8, 5)
     assert all(s == frozenset({6, 7, 8}) for s in r.accept_sets)
-    r2 = Rectangle.threshold(3, 8, 5, coords=[2])
+    r2 = threshold_rectangle(3, 8, 5, coords=[2])
     assert r2.accept_sets[0] is None and r2.accept_sets[2] is None
-    r3 = Rectangle.at_most(3, 8, 2, coords=[1, 2])
+    r3 = at_most_rectangle(3, 8, 2, coords=[1, 2])
     assert r3.accept_sets[0] == frozenset({1, 2})
 
 
@@ -59,7 +62,7 @@ def test_full_independence_expand_is_identity_chunking():
 def test_full_independence_rectangle_error_zero():
     prg = FullIndependencePRG(3, 4)
     for theta in range(5):
-        assert rectangle_error(prg, Rectangle.threshold(3, 4, theta)) == 0.0
+        assert rectangle_error(prg, threshold_rectangle(3, 4, theta)) == 0.0
     mixed = Rectangle.build(3, 4, {1: {2, 3}, 2: {1}, 3: {1, 2, 4}})
     assert rectangle_error(prg, mixed) == 0.0
 
@@ -93,7 +96,7 @@ def test_pairwise_threshold_error_frozen_n3_m4():
     prg = TWisePRG(2, 3, 4)
     ctx = find_irreducible(2)
     for theta in (1, 2):
-        rect = Rectangle.threshold(3, 4, theta)
+        rect = threshold_rectangle(3, 4, theta)
         hits = 0
         for a0 in range(4):
             for a1 in range(4):
@@ -107,8 +110,8 @@ def test_pairwise_threshold_error_frozen_n3_m4():
     # frozen values from the oracle above: theta=1 hits 6 of 16 seeds
     # (uniform would be 27/64); theta=2 hits exactly 2 = 16/8, because
     # any a1 != 0 spreads three distinct values over a 2-element target
-    assert rectangle_error(prg, Rectangle.threshold(3, 4, 1)) == pytest.approx(3 / 64)
-    assert rectangle_error(prg, Rectangle.threshold(3, 4, 2)) == 0.0
+    assert rectangle_error(prg, threshold_rectangle(3, 4, 1)) == pytest.approx(3 / 64)
+    assert rectangle_error(prg, threshold_rectangle(3, 4, 2)) == 0.0
 
 
 def test_recursive_mix_matches_straightline_reference():
@@ -154,17 +157,17 @@ def test_expand_checks_seed_length():
 def test_exhaustive_budget_enforced():
     prg = FullIndependencePRG(13, 4)  # 26 seed bits
     with pytest.raises(SeedSpaceTooLarge):
-        rectangle_error(prg, Rectangle.full(13, 4))
+        rectangle_error(prg, full_rectangle(13, 4))
     # monte-carlo opt-in still works
     err = rectangle_error(
-        prg, Rectangle.threshold(13, 4, 2), mode="mc", samples=20000, run_seed=3
+        prg, threshold_rectangle(13, 4, 2), mode="mc", samples=20000, run_seed=3
     )
     assert 0.0 <= err < 0.02
 
 
 def test_mc_mode_reproducible():
     prg = TWisePRG(2, 4, 8)
-    rect = Rectangle.threshold(4, 8, 3)
+    rect = threshold_rectangle(4, 8, 3)
     a = rectangle_error(prg, rect, mode="mc", samples=5000, run_seed=11)
     b = rectangle_error(prg, rect, mode="mc", samples=5000, run_seed=11)
     assert a == b
@@ -238,14 +241,14 @@ def test_threshold_errors_match_rectangle_error(kind, mode):
     prg = THRESHOLD_PRGS[kind]()
     M = prg.alphabet
     thetas = list(range(M + 1)) + [M + 3]
-    want = [rectangle_error(prg, Rectangle.threshold(prg.dimension, M, t), mode=mode,
+    want = [rectangle_error(prg, threshold_rectangle(prg.dimension, M, t), mode=mode,
                             **SAMPLING[mode])
             for t in thetas]
     assert threshold_errors(prg, thetas, mode, **SAMPLING[mode]) == want
     assert any(want) == (kind != "fullind" or mode == "mc")
     # a threshold below 0 names no rectangle
     with pytest.raises(InvalidArgument):
-        Rectangle.threshold(prg.dimension, M, -1)
+        threshold_rectangle(prg.dimension, M, -1)
     with pytest.raises(InvalidArgument):
         threshold_errors(prg, [0, -1], mode, **SAMPLING[mode])
 
@@ -258,7 +261,7 @@ def test_prg_test_rows_match_rectangle_error(mode, tmp_path):
     run_component_tests("prg", params, out_dir=tmp_path)
     rows = json.loads((tmp_path / "prg_report.json").read_text())["thresholds"]
     assert rows == [
-        {"theta": t, "error": rectangle_error(prg, Rectangle.threshold(8, 4, t),
+        {"theta": t, "error": rectangle_error(prg, threshold_rectangle(8, 4, t),
                                               mode=mode, **SAMPLING[mode])}
         for t in range(5)
     ]
@@ -276,7 +279,7 @@ def test_conditional_full_independence_zero():
 
 def test_conditional_all_ones_rectangle_zero():
     prg = TWisePRG(2, 3, 4)
-    rect = Rectangle.full(3, 4)
+    rect = full_rectangle(3, 4)
     assert conditional_rectangle_check(prg, 1, 2, rect) == 0.0
 
 
@@ -284,7 +287,7 @@ def test_conditional_twise_exact_value():
     # t-wise baseline at N=3, M=4: exact conditional error, frozen via an
     # independent conditioned enumeration
     prg = TWisePRG(2, 3, 4)
-    rect = Rectangle.threshold(3, 4, 2, coords=[1, 3])
+    rect = threshold_rectangle(3, 4, 2, coords=[1, 3])
     alpha = 1
     matching = [s for s in range(prg.seed_space) if prg.coord_eval(s, 2) == alpha]
     hits = sum(
@@ -313,7 +316,7 @@ def test_conditional_never_holds():
 
     prg = StuckPRG(3, 4)
     with pytest.raises(ConditionNeverHolds):
-        conditional_rectangle_check(prg, 2, 2, Rectangle.full(3, 4))
+        conditional_rectangle_check(prg, 2, 2, full_rectangle(3, 4))
 
 
 def test_conditional_error_bounded_by_measured_algebra():
@@ -322,7 +325,7 @@ def test_conditional_error_bounded_by_measured_algebra():
     # all quantities measured exactly — the displayed algebra of the
     # conditional-rectangle fact
     prg = RecursiveMixPRG(4, 4)
-    rect = Rectangle.threshold(4, 4, 1, coords=[1, 3, 4])
+    rect = threshold_rectangle(4, 4, 1, coords=[1, 3, 4])
     j = 2
     for alpha in range(1, 5):
         point = Rectangle.build(4, 4, {j: {alpha}})

@@ -13,16 +13,18 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minwise_lab
+from minwise_lab import construction, extractor, kwise, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minwise_lab"
 
 PUBLIC = {
     *minwise_lab.__all__,
     # the README's library tour
-    "compose_extract", "direct_sum", "rectangle_error", "run_component_tests",
+    "compose_extract", "rectangle_error", "run_component_tests",
     # wrapped by name by perfbench/trace_cli.py, and called by no subcommand
     "eval_block", "extract_table",
 }
@@ -80,3 +82,31 @@ def test_no_caller_restates_a_premise_the_object_fixes(call):
     # error are read off the object itself; a prg-test config states a claim
     with pytest.raises(TypeError):
         call()
+
+
+# each a second name for an object its callers already name: the bucketed
+# family classes, their ``layout``, DirectSumFamily, check_twise_tails on
+# one theta, LeftoverHash.extract and the family's ``layout.draw_block``
+REMOVED_NAMES = [
+    (minwise_lab, "build_minwise"), (minwise_lab, "build_kminwise"),
+    (minwise_lab, "seed_layout"), (minwise_lab, "check_twise_tail"),
+    (construction, "build_minwise"), (construction, "build_kminwise"),
+    (construction, "seed_layout"), (verify, "check_twise_tail"),
+    (kwise, "direct_sum"), (extractor, "leftover_extract"),
+    (kwise.SeededFamily, "draw_seed_block"),
+]
+
+
+@pytest.mark.parametrize("owner,name", REMOVED_NAMES,
+                         ids=[f"{owner.__name__}.{name}" for owner, name in REMOVED_NAMES])
+def test_one_name_per_library_object(owner, name):
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
+
+
+def test_second_spellings_are_gone():
+    # extract_block takes the multipliers y_s = s + 1 only, and the package
+    # exports the many-theta tail check in place of its one-theta form
+    with pytest.raises(TypeError):
+        minwise_lab.LeftoverHash(4, 2).extract_block(np.arange(4, dtype=np.uint64), ss=0)
+    assert "check_twise_tails" in minwise_lab.__all__

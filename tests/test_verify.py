@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from blocksize import scan_chunk_bits
 import reference_counts
+from reference_rectprg import threshold_rectangle
 from seed_rows import seed_ints
 from minwise_lab import cli, verify
 from minwise_lab.construction import (
+    BucketedKMinwiseFamily,
+    BucketedMinwiseFamily,
     ConstructionParams,
-    build_kminwise,
-    build_minwise,
     family_from_config,
     prg_from_config,
 )
@@ -34,7 +35,7 @@ from minwise_lab.errors import (
 )
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
-from minwise_lab.kwise import SeededFamily, TWiseFamily, direct_sum, scan_seeds
+from minwise_lab.kwise import DirectSumFamily, SeededFamily, TWiseFamily, scan_seeds
 from minwise_lab.rectprg import (
     FullIndependencePRG,
     PRGHashFamily,
@@ -57,7 +58,6 @@ from minwise_lab.verify import (
     binomial_tail_at_least,
     check_load_lemma,
     check_reduction,
-    check_twise_tail,
     check_twise_tails,
     measure_corpus,
     measure_minwise,
@@ -246,9 +246,9 @@ def _small_bucketed(kind: str, N: int, M: int, ell: int):
     if kind == "minwise":
         m = TWiseFamily(params.inner_independence, N, M).seed_bits + prg2.seed_bits
         ext = LeftoverHash(m + 1, m)
-        return build_minwise(params, TWisePRG(1, ell, 1 << ext.d), prg2, ext)
+        return BucketedMinwiseFamily(params, TWisePRG(1, ell, 1 << ext.d), prg2, ext)
     ext = LeftoverHash(prg2.seed_bits + 1, prg2.seed_bits)
-    return build_kminwise(params, TWisePRG(1, ell, 1 << ext.d), prg2, ext)
+    return BucketedKMinwiseFamily(params, TWisePRG(1, ell, 1 << ext.d), prg2, ext)
 
 
 # 9 and 10 seed bits at N = 2; 13 and 15 at N = 4
@@ -299,7 +299,7 @@ def _check_mc_against_per_query_draws(fam, corpus, run_seed, threads=1):
                              run_seed=run_seed, threads=threads)
     for rep, (X, Y) in zip(reports, corpus):
         rng = np.random.Generator(np.random.Philox(key=run_seed))
-        hits, ties = _reference_counts(fam, fam.draw_seed_block(rng, samples), X, Y)
+        hits, ties = _reference_counts(fam, fam.layout.draw_block(rng, samples), X, Y)
         assert rep.measured_p == hits / samples
         assert rep.tie_mass == ties / samples
         assert rep.samples == samples
@@ -326,8 +326,8 @@ def test_mc_corpus_does_not_depend_on_the_block_split(chunk_bits, threads, fam_c
 def _wide_kminwise():
     """95 packed seed bits: its seeds come as a 2-D block of word columns."""
     params = ConstructionParams(N=12, M=64, k=2, ell=4, t=2)
-    return build_kminwise(params, TWisePRG(2, 4, 64), TWisePRG(1, 12, 64),
-                          LeftoverHash(7, 6))
+    return BucketedKMinwiseFamily(params, TWisePRG(2, 4, 64), TWisePRG(1, 12, 64),
+                                  LeftoverHash(7, 6))
 
 
 EVALUATOR_FAMILIES = [
@@ -335,13 +335,13 @@ EVALUATOR_FAMILIES = [
     _wide_kminwise(),
     PRGHashFamily(TWisePRG(3, 8, 8)),
     PRGHashFamily(RecursiveMixPRG(8, 8)),
-    direct_sum(TWiseFamily(2, 6, 8), TWiseFamily(1, 6, 8)),
+    DirectSumFamily(TWiseFamily(2, 6, 8), TWiseFamily(1, 6, 8)),
     TWiseFamily(3, 300, 512),  # 9-bit coefficients: uint16 columns
     # wider than 64 bits, so drawn as word columns
     PRGHashFamily(FullIndependencePRG(32, 8)),  # 96 bits
     PRGHashFamily(RecursiveMixPRG(1024, 256)),  # 168 bits
     PRGHashFamily(TWisePRG(9, 8, 256)),  # 72 bits
-    direct_sum(TWiseFamily(5, 8, 256), TWiseFamily(5, 8, 256)),  # 80 bits
+    DirectSumFamily(TWiseFamily(5, 8, 256), TWiseFamily(5, 8, 256)),  # 80 bits
 ]
 
 
@@ -350,7 +350,7 @@ EVALUATOR_FAMILIES = [
 @settings(max_examples=40, deadline=None)
 def test_block_evaluator_equals_eval_block_and_scalar_eval(fam, key, count):
     rng = np.random.Generator(np.random.Philox(key=key))
-    seeds = fam.draw_seed_block(rng, count)
+    seeds = fam.layout.draw_block(rng, count)
     kept = seeds.copy()
     points = range(1, fam.domain_size + 1)
     evaluate = fam.bind(points)(seeds)
@@ -837,7 +837,7 @@ def test_tail_frozen_pairwise_case():
             if min(vals) > 2:
                 above += 1
     assert above == 26
-    rep = check_twise_tail(2, 3, 2, 8)
+    rep, = check_twise_tails(2, 3, [2], 8)
     assert rep.exact_p == float(Fraction(26, 64))
     assert rep.reference == float(Fraction(27, 64))
     assert rep.tolerance == float(Fraction(36, 64) / 2)
@@ -846,30 +846,29 @@ def test_tail_frozen_pairwise_case():
 
 
 def test_tail_boundary_thetas():
-    z = check_twise_tail(2, 3, 0, 8)
+    z, full = check_twise_tails(2, 3, [0, 8], 8)
     assert z.exact_p == 1.0 and z.reference == 1.0 and z.within
     assert z.implied_constant is None
-    full = check_twise_tail(2, 3, 8, 8)
     assert full.exact_p == 0.0 and full.within
     with pytest.raises(ValueError):
-        check_twise_tail(2, 3, 9, 8)
+        check_twise_tails(2, 3, [9], 8)
 
 
 def test_tail_single_point_is_exactly_uniform():
     for theta in range(0, 9):
-        rep = check_twise_tail(2, 1, theta, 8)
+        rep, = check_twise_tails(2, 1, [theta], 8)
         assert rep.exact_p == rep.reference == 1 - theta / 8
         assert rep.within
 
 
 def test_tail_rejects_untestable_seed_space():
     with pytest.raises(SeedSpaceTooLarge):
-        check_twise_tail(8, 8, 1, 1024)
+        check_twise_tails(8, 8, [1], 1024)
 
 
 @pytest.mark.parametrize("t,b,M", [(1, 3, 8), (2, 4, 16), (3, 4, 8)])
 def test_tail_table_is_one_scan(monkeypatch, t, b, M):
-    per_theta = [check_twise_tail(t, b, theta, M) for theta in range(M + 1)]
+    per_theta = [check_twise_tails(t, b, [theta], M)[0] for theta in range(M + 1)]
     calls = []
 
     def counting(*args, **kwargs):
@@ -1059,9 +1058,9 @@ WIDE_ORACLES = {
         TWiseFamily(5, 8, 32), [1, 2, 3], [1]),
     "scan_loads": lambda: _scan_loads(
         TWiseFamily(5, 8, 32), [1, 2, 3], [1], 32, None),
-    "check_twise_tail": lambda: check_twise_tail(5, 3, 1, 32),
+    "check_twise_tails": lambda: check_twise_tails(5, 3, [1], 32),
     "rectangle_hits_exact": lambda: rectangle_hits_exact(
-        TWisePRG(5, 32, 32), Rectangle.threshold(32, 32, 1)),
+        TWisePRG(5, 32, 32), threshold_rectangle(32, 32, 1)),
 }
 
 
@@ -1096,7 +1095,7 @@ def _rectangle_early_exit(chunk_bits):
 
 def _tail(chunk_bits):
     with scan_chunk_bits(chunk_bits):
-        return check_twise_tail(2, 4, 3, 16).exact_p
+        return check_twise_tails(2, 4, [3], 16)[0].exact_p
 
 
 def _mc_rectangle_error(chunk_bits):
@@ -1109,7 +1108,7 @@ def _mc_rectangle_error(chunk_bits):
 
 
 @pytest.mark.parametrize("oracle", [_rectangle_early_exit, _tail, _mc_rectangle_error],
-                         ids=["rectangle_hits_exact", "check_twise_tail",
+                         ids=["rectangle_hits_exact", "check_twise_tails",
                               "mc_rectangle_error"])
 def test_oracle_chunking_is_invisible(oracle):
     assert oracle(2) == oracle(20)
