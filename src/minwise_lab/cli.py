@@ -1,9 +1,10 @@
 """Batch experiment runner for the hash-family constructions and oracles.
 
 Every run is driven by a JSON config file so results are reproducible
-artifacts: identical config plus identical run seed gives byte-identical
-CSV/JSON outputs.  Exit codes: 0 all checks passed, 1 a measured check
-failed, 2 usage or config error.
+artifacts: an identical config gives byte-identical CSV/JSON outputs,
+since a Monte-Carlo run's sample count and run seed are config keys.
+Exit codes: 0 all checks passed, 1 a measured check failed, 2 usage or
+config error.
 """
 
 from __future__ import annotations
@@ -71,15 +72,10 @@ def _read_json(path: str) -> dict:
 
 
 def _config(args) -> dict:
-    """The config file's object, with each --mode, --samples or --run-seed
-    flag given in place of the config's value, once --threads is checked."""
+    """The config file's object, once --threads is checked."""
     if getattr(args, "threads", 1) < 1:
         raise _CliError("--threads must be >= 1")
-    cfg = _read_json(args.config)
-    for key in ("mode", "samples", "run_seed"):
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
-    return cfg
+    return _read_json(args.config)
 
 
 def _philox_key(cfg: Config, key: str, default: int | None = 0) -> int | None:
@@ -87,21 +83,22 @@ def _philox_key(cfg: Config, key: str, default: int | None = 0) -> int | None:
     return cfg.int(key, default, lo=0, hi=(1 << 128) - 1)
 
 
-def _sampling(cfg: Config) -> tuple[str, int | None, int]:
-    """(mode, samples, run_seed) of a measure or prg-test config.  An
-    exhaustive run draws nothing, so a sample count or run seed given
-    to it (in the config or by flag) is refused rather than reported."""
-    from .kwise import check_mode
-
+def _sampling(cfg: Config) -> tuple[str, int | None, int | None]:
+    """(mode, samples, run_seed) of a measure or prg-test config, the last
+    two None in an exhaustive run.  It draws nothing, so a sample count or
+    run seed given to it is refused rather than reported."""
     mode = cfg.string("mode", "exhaustive")
-    check_mode(mode)
+    if mode not in ("exhaustive", "mc"):
+        raise _CliError(f"unknown mode {mode!r}")
     samples, run_seed = cfg.int("samples", None, lo=1), _philox_key(cfg, "run_seed", None)
+    if mode == "mc" and samples is None:
+        raise _CliError("monte-carlo mode needs a positive sample count")
     if mode == "exhaustive":
         for key, value in (("samples", samples), ("run_seed", run_seed)):
             if value is not None:
-                raise _CliError(f"{key} applies only to Monte-Carlo runs; "
-                                "an exhaustive run enumerates every seed (use --mode mc)")
-    return mode, samples, run_seed or 0
+                raise _CliError(f"{key} applies only to Monte-Carlo runs; an exhaustive "
+                                'run enumerates every seed (set "mode": "mc")')
+    return mode, samples, run_seed
 
 
 def _out_dir(args) -> Path | None:
@@ -218,10 +215,10 @@ def _cmd_measure(args) -> int:
     if out is None:
         raise _CliError("measure needs --out-dir for its CSV/JSON artifacts")
     try:
-        reports = verify.measure_corpus(family, queries, mode=mode, samples=samples,
+        reports = verify.measure_corpus(family, queries, samples=samples,
                                         run_seed=run_seed, threads=args.threads)
     except SeedSpaceTooLarge as exc:
-        raise _CliError(f"{exc}; rerun with --mode mc --samples <n>")
+        raise _CliError(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
 
     verify.write_reports_csv(out / "measure.csv", reports)
     summary = verify.summarize_reports(reports)
@@ -233,7 +230,7 @@ def _cmd_measure(args) -> int:
         "k": family.params.k,
         "mode": mode,
         "samples": samples,
-        "run_seed": run_seed,
+        "run_seed": run_seed or 0,
         "summary": summary,
         "thresholds": checks,
     })
@@ -317,14 +314,15 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
         mode, samples, run_seed = _sampling(cfg)
         thetas = list(cfg.ints("thresholds", range(alpha + 1), lo=0))
     try:
-        errors = threshold_errors(prg, thetas, mode, samples, run_seed, threads)
+        errors = threshold_errors(prg, thetas, samples=samples, run_seed=run_seed,
+                                  threads=threads)
     except SeedSpaceTooLarge as exc:
-        raise _CliError(f"{exc}; rerun with --mode mc --samples <n>")
+        raise _CliError(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
     rows = [{"theta": t, "error": err} for t, err in zip(thetas, errors)]
     max_err = max((r["error"] for r in rows), default=0.0)
     ok = claimed is None or max_err <= claimed + 1e-12
     return ({"prg_id": prg.prg_id, "dimension": dim, "alphabet": alpha,
-             "mode": mode, "samples": samples, "run_seed": run_seed,
+             "mode": mode, "samples": samples, "run_seed": run_seed or 0,
              "thresholds": rows, "max_error": max_err,
              "claimed_error": claimed, "ok": ok}, ok,
             f"max threshold error {max_err} over {len(rows)} rectangles"
@@ -445,17 +443,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, helptext, *, sampling=False, threads=False):
+    def add(name, handler, helptext, *, threads=False):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out-dir", help="directory for report artifacts")
-        if sampling:
-            p.add_argument("--mode", choices=("exhaustive", "mc"),
-                           help="override the config's verification mode")
-            p.add_argument("--samples", type=int,
-                           help="monte-carlo sample count")
-            p.add_argument("--run-seed", type=int,
-                           help="counter-based RNG key for monte-carlo runs")
         if threads:
             p.add_argument("--threads", type=int, default=1,
                            help="worker processes: exhaustive and monte-carlo "
@@ -469,11 +460,11 @@ def _build_parser():
     c.add_argument("--eval", type=int, help="domain point to hash with --seed")
 
     add("measure", _cmd_measure,
-        "measure min-wise error over a query corpus", sampling=True, threads=True)
+        "measure min-wise error over a query corpus", threads=True)
     add("extractor-test", _cmd_component,
         "surjectivity and leftover-hash distance checks")
     add("prg-test", _cmd_component,
-        "threshold-rectangle error scan for a PRG", sampling=True, threads=True)
+        "threshold-rectangle error scan for a PRG", threads=True)
     add("loads-test", _cmd_component,
         "allocation load frequencies vs the regime bounds")
     add("reduction-test", _cmd_component,

@@ -44,7 +44,7 @@ class RangeMismatch(MinwiseLabError):
 
 
 class WidthError(MinwiseLabError):
-    """Extractor output width is not smaller than the source width."""
+    """Extractor output width is negative or not smaller than the source width."""
 
 
 class WidthMismatch(MinwiseLabError):

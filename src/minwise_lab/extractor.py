@@ -39,8 +39,8 @@ class LeftoverHash:
     """
 
     def __init__(self, n: int, m: int):
-        if m >= n:
-            raise WidthError(f"output width {m} must be < source width {n}")
+        if not 0 <= m < n:
+            raise WidthError(f"output width {m} must be in [0, source width {n})")
         self.ctx = find_irreducible(n)
         self.n = n
         self.d = n - 1

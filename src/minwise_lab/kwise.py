@@ -222,35 +222,31 @@ def scan_seeds(seed_bits: int, count, threads: int = 1):
     return scan_blocks(-(-total // step), block_of, count, threads)
 
 
-def check_mode(mode: str) -> None:
-    """Refuse any mode but "exhaustive" and "mc" (Monte-Carlo)."""
-    if mode not in ("exhaustive", "mc"):
-        raise InvalidArgument(f"unknown mode {mode!r}")
-
-
-def scan(family: SeededFamily, count, mode: str = "exhaustive",
-         samples: int | None = None, run_seed: int = 0, threads: int = 1):
+def scan(family: SeededFamily, count, *, samples: int | None = None,
+         run_seed: int | None = None, threads: int = 1):
     """(sum of ``count`` over the family's seed blocks, seeds counted).
 
-    The one seed source of every oracle.  Exhaustive mode enumerates
-    [0, 2^seed_bits) through scan_seeds, under its 24-bit budget.
-    Monte-Carlo mode ("mc") counts ``samples`` seeds in blocks of
-    <= 2^MC_DRAW_BITS rows: block j is the family's layout.draw_block on
-    Philox keyed by ``run_seed`` and jumped j times, so a run of at most
+    The one seed source of every oracle.  Without ``samples`` it is exact:
+    it enumerates [0, 2^seed_bits) through scan_seeds, under its 24-bit
+    budget, and refuses a ``run_seed``, which keys only a draw.  With
+    ``samples`` >= 1 it is Monte-Carlo, in blocks of <= 2^MC_DRAW_BITS
+    rows: block j is the family's layout.draw_block on Philox keyed by
+    ``run_seed`` (0 when None) and jumped j times, so a run of at most
     2^16 samples is one draw off the unjumped stream.  Each block is
     drawn where it is counted, so no process holds the whole sample.
     Either way the blocks go through scan_blocks on ``threads`` workers,
     so the sum is the same at any ``threads``.
     """
-    check_mode(mode)
-    if mode == "exhaustive":
+    if samples is None:
+        if run_seed is not None:
+            raise InvalidArgument("a run seed keys a Monte-Carlo draw: it needs samples")
         return scan_seeds(family.seed_bits, count, threads), family.seed_space
-    if not samples or samples < 1:
+    if samples < 1:
         raise InvalidArgument("monte-carlo mode needs a positive sample count")
-    width = 1 << MC_DRAW_BITS
+    key, width = run_seed or 0, 1 << MC_DRAW_BITS
 
     def block_of(j: int):
-        rng = np.random.Generator(np.random.Philox(key=run_seed).jumped(j))
+        rng = np.random.Generator(np.random.Philox(key=key).jumped(j))
         return family.layout.draw_block(rng, min(width, samples - j * width))
 
     return scan_blocks(-(-samples // width), block_of, count, threads), samples

@@ -139,6 +139,8 @@ class FullIndependencePRG(RectanglePRG):
     """
 
     def __init__(self, dimension: int, alphabet: int):
+        if dimension < 1:
+            raise InvalidArgument("dimension must be >= 1")
         if alphabet < 2 or alphabet & (alphabet - 1):
             raise InvalidArgument("alphabet must be a power of two >= 2")
         self.dimension = dimension
@@ -330,8 +332,8 @@ def _extreme(read, coords: list[int], reduce) -> np.ndarray:
     return acc.astype(np.intp)
 
 
-def strict_order_margins(prg: RectanglePRG, low, high, mode: str = "exhaustive",
-                         samples: int | None = None, run_seed: int = 0,
+def strict_order_margins(prg: RectanglePRG, low, high, *, samples: int | None = None,
+                         run_seed: int | None = None,
                          threads: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
     """(at_max, at_min, seeds counted) over the seeds whose output has
     a = max over ``low`` below b = min over ``high``: at_max[v] counts
@@ -342,10 +344,10 @@ def strict_order_margins(prg: RectanglePRG, low, high, mode: str = "exhaustive",
     #{a <= top} - #{b <= theta} of them, in O(M) cells.  The max over an
     empty ``low`` is 0, below every output, so then at_min is the law of
     the minimum over ``high`` and #{min > theta} is
-    total - at_min.cumsum()[theta].  Both modes count the seeds of
-    kwise.scan on PRGHashFamily(prg), so monte-carlo mode counts the draw
-    that rectangle_error makes for the same run_seed; the blocks are split
-    over ``threads`` workers, with the same result.
+    total - at_min.cumsum()[theta].  The seeds are those of kwise.scan on
+    PRGHashFamily(prg): every seed without ``samples``, else the draw
+    that rectangle_error makes for the same ``samples`` and ``run_seed``;
+    the blocks are split over ``threads`` workers, with the same result.
     """
     low, high = [int(i) for i in low], [int(i) for i in high]
     if not high:
@@ -366,15 +368,17 @@ def strict_order_margins(prg: RectanglePRG, low, high, mode: str = "exhaustive",
         return np.concatenate((np.bincount(a, minlength=side),
                                np.bincount(b, minlength=side)))
 
-    both, total = scan(PRGHashFamily(prg), count, mode, samples, run_seed, threads)
+    both, total = scan(PRGHashFamily(prg), count, samples=samples, run_seed=run_seed,
+                       threads=threads)
     both[0] -= both[side]
     both[side] = 0
     return both[:side], both[side:], total
 
 
-def _additive_error(hits: int, total: int, uniform: Fraction, mode: str) -> float:
-    """|hits/total - uniform|: exact in exhaustive mode, a float difference in mc."""
-    if mode == "exhaustive":
+def _additive_error(hits: int, total: int, uniform: Fraction, samples: int | None) -> float:
+    """|hits/total - uniform|: exact over every seed, a float difference
+    over ``samples`` drawn ones."""
+    if samples is None:
         return abs(float(Fraction(hits, total) - uniform))
     return abs(hits / total - float(uniform))
 
@@ -388,25 +392,25 @@ def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle) -> tuple[int, int]:
 def rectangle_error(
     prg: RectanglePRG,
     rect: Rectangle,
-    mode: str = "exhaustive",
+    *,
     samples: int | None = None,
-    run_seed: int = 0,
+    run_seed: int | None = None,
 ) -> float:
-    """|E_seed[f(G(seed))] - E_U[f]|, exact in exhaustive mode.
+    """|E_seed[f(G(seed))] - E_U[f]|, exact without ``samples``.
 
-    Exhaustive mode needs seed_bits <= 24 and signals
-    SeedSpaceTooLarge otherwise; monte-carlo mode is an explicit
-    opt-in with a declared sample count, using the counter-based Philox
-    generator keyed by run_seed.  Both modes count through kwise.scan.
+    Without ``samples`` every seed is counted, which needs seed_bits <= 24
+    and signals SeedSpaceTooLarge otherwise; a sample count is the
+    explicit Monte-Carlo opt-in, drawn by the counter-based Philox
+    generator keyed by ``run_seed``.  Both count through kwise.scan.
     """
     _check_shape(prg, rect)
-    count, total = scan(PRGHashFamily(prg), _accepted(prg, rect), mode, samples, run_seed)
-    return _additive_error(count, total, rect.uniform_expectation(), mode)
+    count, total = scan(PRGHashFamily(prg), _accepted(prg, rect),
+                        samples=samples, run_seed=run_seed)
+    return _additive_error(count, total, rect.uniform_expectation(), samples)
 
 
-def threshold_errors(prg: RectanglePRG, thetas, mode: str = "exhaustive",
-                     samples: int | None = None, run_seed: int = 0,
-                     threads: int = 1) -> list[float]:
+def threshold_errors(prg: RectanglePRG, thetas, *, samples: int | None = None,
+                     run_seed: int | None = None, threads: int = 1) -> list[float]:
     """rectangle_error of the rectangle 1(x_i > theta) on every coordinate,
     for every theta, all read off one pass of strict_order_margins with an
     empty ``low``: #{min over every coordinate > theta} is
@@ -416,11 +420,11 @@ def threshold_errors(prg: RectanglePRG, thetas, mode: str = "exhaustive",
     if any(t < 0 for t in thetas):
         raise InvalidArgument("thresholds must be >= 0")
     N, M = prg.dimension, prg.alphabet
-    _, at_min, total = strict_order_margins(prg, [], range(1, N + 1),
-                                            mode, samples, run_seed, threads)
+    _, at_min, total = strict_order_margins(prg, [], range(1, N + 1), samples=samples,
+                                            run_seed=run_seed, threads=threads)
     at_most = at_min.cumsum()
     return [_additive_error(total - int(at_most[min(t, M)]), total,
-                            Fraction(max(M - t, 0), M) ** N, mode)
+                            Fraction(max(M - t, 0), M) ** N, samples)
             for t in thetas]
 
 

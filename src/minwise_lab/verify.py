@@ -1,12 +1,13 @@
 """Ground-truth oracles for (k-)min-wise error and the supporting lemmas.
 
-Everything here is measured, not assumed: exhaustive mode enumerates
-the full seed space and reports exact fractions; Monte-Carlo mode is an
-explicit opt-in with a counter-based RNG so every report is exactly
-reproducible.  Inequalities asserted by these oracles are instantiated
-proof-chain bounds (valid at any scale); the asymptotic closed forms
-they descend from are reported alongside with a holds/fails/vacuous
-tag, since desk-scale constants rarely satisfy their hypotheses.
+Everything here is measured, not assumed: a scan enumerates the full
+seed space and reports exact fractions unless it is given a sample
+count, the explicit Monte-Carlo opt-in, whose counter-based RNG keeps
+every report exactly reproducible.  Inequalities asserted by these
+oracles are instantiated proof-chain bounds (valid at any scale); the
+asymptotic closed forms they descend from are reported alongside with a
+holds/fails/vacuous tag, since desk-scale constants rarely satisfy their
+hypotheses.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import kwise
 # perfbench/trace_cli.py times it
 from .config import write_json  # noqa: F401
 from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
-from .kwise import SeededFamily, check_mode, scan
+from .kwise import SeededFamily, scan
 from .rectprg import RectanglePRG, TWisePRG, strict_order_margins
 # bound here only so that perfbench/trace_cli.py finds it under this name
 from .rectprg import rectangle_hits_exact  # noqa: F401
@@ -158,21 +159,22 @@ def _joint_law(plan: Callable, seeds: np.ndarray, points: list[int], M: int) -> 
 def measure_corpus(
     family: SeededFamily,
     queries,
-    mode: str = "exhaustive",
+    *,
     samples: int | None = None,
-    run_seed: int = 0,
+    run_seed: int | None = None,
     threads: int = 1,
 ) -> list[ErrorReport]:
     """Measure Pr[max h(Y) < min h(X\\Y)] for every (X, Y) in ``queries``.
 
-    Strict inequalities throughout.  Exhaustive mode (seed_bits <= 24)
-    counts the whole seed space and is exact.  Monte-Carlo mode counts
-    ``samples`` seeds drawn by kwise.scan in chunks of 2^16 off Philox
-    keyed by run_seed (a run of at most 2^16 samples is one draw), and
-    attaches the half-width of a 99% Wilson score interval.  Both modes
-    count through kwise.scan, in seed blocks; with ``threads`` > 1 the
-    blocks are split across that many forked processes, with the same
-    result.
+    Strict inequalities throughout.  Without ``samples`` (seed_bits <= 24)
+    the whole seed space is counted, and the reports are exact, with mode
+    "exhaustive".  With ``samples`` the reports are Monte-Carlo ("mc"):
+    that many seeds drawn by kwise.scan in chunks of 2^16 off Philox
+    keyed by ``run_seed`` (a run of at most 2^16 samples is one draw),
+    each with the half-width of a 99% Wilson score interval.  Either way
+    the seeds are counted through kwise.scan, in seed blocks; with
+    ``threads`` > 1 the blocks are split across that many forked
+    processes, with the same result.
     Ties (max h(Y) == min h(X\\Y)) are reported separately: they are
     exactly the mass the strict convention loses at finite M.  The
     family is bound to the corpus's distinct points once, before the
@@ -183,7 +185,6 @@ def measure_corpus(
     law of h on them, and every query is read off that histogram once
     the scan is done.  Larger corpora count every query on every block.
     """
-    check_mode(mode)
     sets = [_query_sets(X, Y) for X, Y in queries]
     if not sets:
         return []
@@ -198,7 +199,7 @@ def measure_corpus(
         def count(seeds):
             return _joint_law(plan, seeds, points, M)
 
-        law, total = scan(family, count, mode, samples, run_seed, threads)
+        law, total = scan(family, count, samples=samples, run_seed=run_seed, threads=threads)
         seen = np.flatnonzero(law)
         # row i of the seen cells' value vectors is digit P-1-i in base M
         place = M ** np.arange(P - 1, -1, -1, dtype=np.int64)
@@ -207,8 +208,9 @@ def measure_corpus(
         def count(seeds):
             return _block_counts(plan, seeds, points, rows, M)
 
-        counts, total = scan(family, count, mode, samples, run_seed, threads)
-    return [_error_report(family, xs, ys, mode, int(hits), int(ties), total)
+        counts, total = scan(family, count, samples=samples, run_seed=run_seed,
+                             threads=threads)
+    return [_error_report(family, xs, ys, samples, int(hits), int(ties), total)
             for (xs, ys), (hits, ties) in zip(sets, counts)]
 
 
@@ -223,14 +225,15 @@ def _wilson_halfwidth(hits: int, total: int) -> float:
     return z / (1.0 + zz) * math.sqrt(p * (1.0 - p) / total + zz / (4.0 * total))
 
 
-def _error_report(family: SeededFamily, xs: list[int], ys: list[int], mode: str,
-                  hits: int, ties: int, total: int) -> ErrorReport:
+def _error_report(family: SeededFamily, xs: list[int], ys: list[int],
+                  samples: int | None, hits: int, ties: int, total: int) -> ErrorReport:
+    """The report of one query: exact when no sample count was given."""
     k = len(ys)
     uniform = uniform_minwise_probability(len(xs), family.range_size, k)
     fair = Fraction(1, math.comb(len(xs), k))
     measured = Fraction(hits, total)
     tie_mass = Fraction(ties, total)
-    exact = mode == "exhaustive"
+    exact = samples is None
     ci = 0.0 if exact else _wilson_halfwidth(hits, total)
     return ErrorReport(
         family_id=family.family_id,
@@ -238,7 +241,7 @@ def _error_report(family: SeededFamily, xs: list[int], ys: list[int], mode: str,
         M=family.range_size,
         k=k,
         sizeX=len(xs),
-        mode=mode,
+        mode="exhaustive" if exact else "mc",
         samples=total,
         measured_p=float(measured),
         uniform_ref=float(uniform),
@@ -257,12 +260,12 @@ def measure_minwise(
     family: SeededFamily,
     X,
     Y,
-    mode: str = "exhaustive",
+    *,
     samples: int | None = None,
-    run_seed: int = 0,
+    run_seed: int | None = None,
 ) -> ErrorReport:
     """Measure one query: measure_corpus on the corpus [(X, Y)]."""
-    return measure_corpus(family, [(X, Y)], mode, samples, run_seed)[0]
+    return measure_corpus(family, [(X, Y)], samples=samples, run_seed=run_seed)[0]
 
 
 # ---------------------------------------------------------------------------

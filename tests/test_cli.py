@@ -165,10 +165,12 @@ def test_measure_is_byte_deterministic(measure_config, tmp_path):
 
 def test_measure_mc_keyed_by_run_seed(measure_config, tmp_path):
     outs = []
-    for name, seed in (("m1", "9"), ("m2", "9"), ("m3", "10")):
+    for name, seed in (("m1", 9), ("m2", 9), ("m3", 10)):
         out = tmp_path / name
-        assert main(["measure", "--config", measure_config, "--out-dir", str(out),
-                     "--mode", "mc", "--samples", "4000", "--run-seed", seed]) == 0
+        cfg = {**json.loads(Path(measure_config).read_text()),
+               "mode": "mc", "samples": 4000, "run_seed": seed}
+        assert main(["measure", "--config", _write(tmp_path, f"{name}.json", cfg),
+                     "--out-dir", str(out)]) == 0
         outs.append((out / "measure.csv").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
@@ -259,11 +261,17 @@ def test_a_killed_scan_worker_propagates_instead_of_reading_as_a_config_error(
     assert "config error" not in capsys.readouterr().err
 
 
-def test_library_argument_checks_still_exit_two(measure_config, tmp_path, capsys):
-    # the library's own argument checks raise MinwiseLabError subclasses
-    assert main(["measure", "--config", measure_config, "--out-dir", str(tmp_path),
-                 "--mode", "mc"]) == 2
-    assert "positive sample count" in capsys.readouterr().err
+def test_library_argument_checks_still_exit_two(tmp_path, capsys):
+    # the library's own argument checks raise MinwiseLabError subclasses: the
+    # config reader passes an extractor with m = n, LeftoverHash refuses it
+    extractor = {**MINWISE_CONSTRUCTION["extractor"], "m": 7}
+    cfg = {"construction": {**MINWISE_CONSTRUCTION, "extractor": extractor},
+           "corpus": SMALL_CORPUS}
+    assert main(["measure", "--config", _write(tmp_path, "m.json", cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config error: output width 7 must be in [0, source width 7)" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out" / "measure.csv").exists()
 
 
 def test_malformed_config_values_exit_two(tmp_path, capsys):
@@ -367,9 +375,12 @@ def test_every_config_mutation_exits_with_a_status(tmp_path, capsys):
             elif path[0] == "construction":
                 argv = ["construct"]
             else:
-                argv = ["measure", "--mode", "mc", "--samples", "1024"]
+                argv = ["measure"]
             for value in CONFIG_MUTANTS:
-                cfg = _write(tmp_path, "mutant.json", _shipped(config.stem, path, value))
+                mutant = _shipped(config.stem, path, value)
+                if argv == ["measure"]:
+                    mutant.update(mode="mc", samples=1024)
+                cfg = _write(tmp_path, "mutant.json", mutant)
                 try:
                     statuses.add(main([*argv, "--config", cfg,
                                        "--out-dir", str(tmp_path / "out")]))
@@ -435,9 +446,10 @@ def test_measure_too_large_seed_space_suggests_mc(tmp_path, capsys):
         "corpus": {"seed": 1, "queries": [{"kind": "full_domain"}]},
     })
     assert main(["measure", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
-    assert "--mode mc" in capsys.readouterr().err
-    assert main(["measure", "--config", cfg, "--out-dir", str(tmp_path / "o"),
-                 "--mode", "mc", "--samples", "2000"]) == 0
+    assert '"mode": "mc" and "samples"' in capsys.readouterr().err
+    cfg = _write(tmp_path, "k2.json", {**json.loads(Path(cfg).read_text()),
+                                       "mode": "mc", "samples": 2000})
+    assert main(["measure", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_extractor_test_smoke(tmp_path, capsys):
@@ -506,22 +518,38 @@ def test_exhaustive_runs_refuse_a_sample_count_or_run_seed(command, config, repo
     # an exhaustive run draws nothing, so it has no value of either to report
     cfg = _shipped(config)
     argv = [command, "--out-dir", str(tmp_path / "out")]
-    if given == "config":
-        cfg[key] = 100
-    else:
-        argv += [f"--{key.replace('_', '-')}", "100"]
+    if given == "flag":
+        # the flags are gone: the run seed and sample count are config keys
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--config", _write(tmp_path, "c.json", cfg),
+                  f"--{key.replace('_', '-')}", "100"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        return
+    cfg[key] = 100
     path = _write(tmp_path, "c.json", cfg)
     assert main([*argv, "--config", path]) == 2
     err = capsys.readouterr().err
     assert f"config error: {key} applies only to Monte-Carlo runs" in err
-    assert "--mode mc" in err
+    assert '"mode": "mc"' in err
     assert not (tmp_path / "out" / report).exists()
     if command == "prg-test":
         # and a Monte-Carlo run reads it
-        assert main([*argv, "--config", path, "--mode", "mc"]
-                    + (["--samples", "100"] if key == "run_seed" else [])) == 0
+        path = _write(tmp_path, "c.json", {**cfg, "mode": "mc", "samples": 100})
+        assert main([*argv, "--config", path]) == 0
         written = json.loads((tmp_path / "out" / report).read_text())
         assert written[key] == 100
+
+
+@pytest.mark.parametrize("command,config,report", [
+    ("measure", "minwise_desk", "summary.json"),
+    ("prg-test", "prg_pairwise", "prg_report.json"),
+])
+def test_an_unknown_mode_exits_two(command, config, report, tmp_path, capsys):
+    path = _write(tmp_path, "c.json", {**_shipped(config), "mode": "guess"})
+    assert main([command, "--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config error: unknown mode 'guess'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / report).exists()
 
 
 def test_loads_test_smoke(tmp_path, capsys):
@@ -758,6 +786,7 @@ def test_reduction_test_is_exact_only(tmp_path, capsys):
     })
     assert main(["reduction-test", "--config", cfg, "--threads", "2"]) == 2
     assert "25 seed bits exceed" in capsys.readouterr().err
+    # argparse refuses the removed flags, as every subcommand does
     for flag in ("--mode", "--samples", "--run-seed"):
         with pytest.raises(SystemExit) as exc:
             main(["reduction-test", "--config", cfg, flag, "1"])
@@ -807,7 +836,7 @@ def test_threads_flag_accepted_and_validated(measure_config, tmp_path):
                  "--threads", "0"]) == 2
 
 
-def _measure_bytes(tmp_path, config: str, *extra: str, status: int = 0) -> list:
+def _measure_bytes(tmp_path, config: str, status: int = 0) -> list:
     """measure.csv and summary.json of in-process --threads 1 and 2 runs and of
     a fresh CLI process at --threads 2, as the benchmark starts one: it sets
     the allocator policy, then forks its workers.  Every run must exit with
@@ -816,8 +845,7 @@ def _measure_bytes(tmp_path, config: str, *extra: str, status: int = 0) -> list:
     outs = []
     for threads, fresh in (("1", False), ("2", False), ("2", True)):
         out = tmp_path / f"t{threads}{'-fresh' if fresh else ''}"
-        argv = ["measure", "--config", cfg, "--out-dir", str(out), "--threads", threads,
-                *extra]
+        argv = ["measure", "--config", cfg, "--out-dir", str(out), "--threads", threads]
         if fresh:
             proc = _fresh_cli(*argv)
             assert proc.returncode == status, proc.stderr
@@ -847,8 +875,9 @@ def test_mc_measure_bytes_do_not_depend_on_threads(tmp_path):
     # 2^17 samples: two draw chunks of 2^16 rows, one per block.  The
     # config's thresholds are the exact answer's 0.0, which sampling error
     # misses, so every run exits 1 after writing its reports.
-    outs = _measure_bytes(tmp_path, "kminwise_desk.json", "--mode", "mc",
-                          "--samples", str(1 << 17), "--run-seed", "9", status=1)
+    cfg = _write(tmp_path, "mc.json", {**_shipped("kminwise_desk"),
+                                       "mode": "mc", "samples": 1 << 17, "run_seed": 9})
+    outs = _measure_bytes(tmp_path, cfg, status=1)
     assert outs[0] == outs[1] == outs[2]
     assert b'"mode": "mc"' in outs[0][1]
 
@@ -890,15 +919,17 @@ def test_mc_measure_peak_memory_does_not_grow_with_samples(tmp_path):
             "extractor": {"kind": "leftover_hash", "n": 10, "m": 8},
         },
         "corpus": {"seed": 1, "queries": [{"kind": "random_subsets", "count": 1, "size": 3}]},
+        "mode": "mc",
     })
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     peak_kib = {}
     for samples in (1 << 16, 1 << 20):
+        sized = _write(tmp_path, f"wide-{samples}.json",
+                       {**json.loads(Path(cfg).read_text()), "samples": samples})
         proc = subprocess.Popen(
-            [sys.executable, "-m", "minwise_lab.cli", "measure", "--config", cfg,
-             "--out-dir", str(tmp_path / str(samples)), "--mode", "mc",
-             "--samples", str(samples), "--threads", "1"],
+            [sys.executable, "-m", "minwise_lab.cli", "measure", "--config", sized,
+             "--out-dir", str(tmp_path / str(samples)), "--threads", "1"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -938,18 +969,18 @@ def test_prg_and_reduction_bytes_do_not_depend_on_threads(tmp_path):
     # recursive_mix N = M = 8 has 21 seed bits: 32 seed blocks; the
     # Monte-Carlo prg-test draws 2^17 + 7 seeds, counted in three blocks
     base = {"prg": {"kind": "recursive_mix"}, "dimension": 8, "alphabet": 8}
-    mc = ["--mode", "mc", "--samples", str((1 << 17) + 7), "--run-seed", "3"]
-    runs = {"prg-test": ("prg-test", "prg_report.json", base, []),
-            "prg-test-mc": ("prg-test", "prg_report.json", base, mc),
+    mc = {"mode": "mc", "samples": (1 << 17) + 7, "run_seed": 3}
+    runs = {"prg-test": ("prg-test", "prg_report.json", base),
+            "prg-test-mc": ("prg-test", "prg_report.json", {**base, **mc}),
             "reduction-test": ("reduction-test", "reduction_report.json",
-                               {**base, "X": [1, 2, 3, 4], "Y": [1, 2]}, [])}
-    for name, (command, report, params, extra) in runs.items():
+                               {**base, "X": [1, 2, 3, 4], "Y": [1, 2]})}
+    for name, (command, report, params) in runs.items():
         cfg = _write(tmp_path, f"{name}.json", params)
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / name / threads
             assert main([command, "--config", cfg, "--out-dir", str(out),
-                         "--threads", threads, *extra]) == 0
+                         "--threads", threads]) == 0
             outs.append((out / report).read_bytes())
         assert outs[0] == outs[1]
 

@@ -676,7 +676,7 @@ def test_benchmark_mc_scan_builds_each_point_table_once(monkeypatch, tmp_path):
     queries = cli._corpus_queries(config, fam.domain_size, fam.params.k)
     points = sorted({x for X, _ in queries for x in X})
     built = _spy_table_builds(monkeypatch)
-    measure_corpus(fam, queries, "mc", samples=(1 << 16) + 500,
+    measure_corpus(fam, queries, samples=(1 << 16) + 500,
                    run_seed=config["run_seed"], threads=2)
     assert len(built) == len(set(built))
     # L > SCAN_CHUNK_BITS, so no Y_x; PRG1 over GF(2^9) keeps no tables
@@ -742,7 +742,7 @@ def test_fewer_points_than_buckets_extract_once_a_point(monkeypatch, make):
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
     # P = 3 distinct points over two Monte-Carlo blocks: z at each
     # point's own bucket, never at all four
-    measure_corpus(fam, [([1, 2, 3], [2]), ([2, 3], [3])], "mc",
+    measure_corpus(fam, [([1, 2, 3], [2]), ([2, 3], [3])],
                    samples=(1 << 16) + 500, run_seed=3)
     assert blocks == [1 << 16, 500]
     assert len(extracts) <= 3 * len(blocks)

@@ -45,6 +45,9 @@ def test_zero_source_maps_to_zero_every_seed():
 def test_width_error():
     with pytest.raises(WidthError):
         LeftoverHash(4, 4)
+    # a negative output width is refused before it reaches a shift
+    with pytest.raises(WidthError):
+        LeftoverHash(4, -1)
     ext = LeftoverHash(4, 2)
     with pytest.raises(WidthError):
         ext.extract(1, 1 << 3)  # seed too wide

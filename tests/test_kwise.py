@@ -390,17 +390,14 @@ def test_scan_is_the_one_seed_source_of_both_modes():
 
     hist, total = scan(fam, seen)
     assert total == fam.seed_space and hist.tolist() == [1] * fam.seed_space
-    # monte-carlo mode counts the rows of one Philox draw keyed by the run
+    # a sample count counts the rows of one Philox draw keyed by the run
     # seed, here one block, the whole draw chunk, whatever the block size
     drawn = fam.layout.draw_block(np.random.Generator(np.random.Philox(key=5)), 1001)
     with scan_chunk_bits(3):
-        hist, total = scan(fam, seen, "mc", 1001, run_seed=5, threads=2)
+        hist, total = scan(fam, seen, samples=1001, run_seed=5, threads=2)
     assert total == 1001 and np.array_equal(hist, seen(drawn))
-    with pytest.raises(InvalidArgument, match="unknown mode"):
-        scan(fam, seen, "guess")
-    for samples in (None, 0):
-        with pytest.raises(InvalidArgument, match="positive sample count"):
-            scan(fam, seen, "mc", samples)
+    with pytest.raises(InvalidArgument, match="positive sample count"):
+        scan(fam, seen, samples=0)
 
 
 def _chunked_draw(fam, samples: int, run_seed: int) -> np.ndarray:
@@ -435,7 +432,7 @@ def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
     with pytest.MonkeyPatch.context() as mp, scan_chunk_bits(chunk_bits):
         mp.setattr(SeedLayout, "draw_block",
                    lambda layout, rng, count: drawn.append(count) or draw(layout, rng, count))
-        hist, total = scan(fam, seen_and_sized, "mc", samples, run_seed=12,
+        hist, total = scan(fam, seen_and_sized, samples=samples, run_seed=12,
                            threads=threads)
     assert total == samples
     assert hist[-2:].tolist() == [2, 1]
@@ -457,7 +454,7 @@ def test_mc_scan_counts_the_chunked_draw_of_a_2d_layout():
                                for col in seeds.T])
 
     with scan_chunk_bits(15):
-        hist, total = scan(fam, word_counts, "mc", samples, run_seed=3, threads=2)
+        hist, total = scan(fam, word_counts, samples=samples, run_seed=3, threads=2)
     assert total == samples
     assert np.array_equal(hist, word_counts(_chunked_draw(fam, samples, 3)))
 

@@ -59,6 +59,13 @@ def test_full_independence_expand_is_identity_chunking():
     assert expand(prg, seed) == (0b010 + 1, 0b111 + 1, 0b000 + 1, 0b101 + 1)
 
 
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_full_independence_needs_a_coordinate(dimension):
+    # a dimension below 1 would give a negative seed width
+    with pytest.raises(InvalidArgument):
+        FullIndependencePRG(dimension, 4)
+
+
 def test_full_independence_rectangle_error_zero():
     prg = FullIndependencePRG(3, 4)
     for theta in range(5):
@@ -160,7 +167,7 @@ def test_exhaustive_budget_enforced():
         rectangle_error(prg, full_rectangle(13, 4))
     # monte-carlo opt-in still works
     err = rectangle_error(
-        prg, threshold_rectangle(13, 4, 2), mode="mc", samples=20000, run_seed=3
+        prg, threshold_rectangle(13, 4, 2), samples=20000, run_seed=3
     )
     assert 0.0 <= err < 0.02
 
@@ -168,8 +175,8 @@ def test_exhaustive_budget_enforced():
 def test_mc_mode_reproducible():
     prg = TWisePRG(2, 4, 8)
     rect = threshold_rectangle(4, 8, 3)
-    a = rectangle_error(prg, rect, mode="mc", samples=5000, run_seed=11)
-    b = rectangle_error(prg, rect, mode="mc", samples=5000, run_seed=11)
+    a = rectangle_error(prg, rect, samples=5000, run_seed=11)
+    b = rectangle_error(prg, rect, samples=5000, run_seed=11)
     assert a == b
 
 
@@ -222,7 +229,7 @@ def test_mc_order_statistic_tails_do_not_depend_on_the_block_split(kind):
     for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
         with scan_chunk_bits(chunk_bits):
             got = strict_order_margins(prg, [1], range(2, prg.dimension + 1),
-                                       "mc", samples, run_seed, threads)
+                                       samples=samples, run_seed=run_seed, threads=threads)
         assert got[2] == samples
         assert [m.tolist() for m in got[:2]] == want
 
@@ -241,16 +248,15 @@ def test_threshold_errors_match_rectangle_error(kind, mode):
     prg = THRESHOLD_PRGS[kind]()
     M = prg.alphabet
     thetas = list(range(M + 1)) + [M + 3]
-    want = [rectangle_error(prg, threshold_rectangle(prg.dimension, M, t), mode=mode,
-                            **SAMPLING[mode])
+    want = [rectangle_error(prg, threshold_rectangle(prg.dimension, M, t), **SAMPLING[mode])
             for t in thetas]
-    assert threshold_errors(prg, thetas, mode, **SAMPLING[mode]) == want
+    assert threshold_errors(prg, thetas, **SAMPLING[mode]) == want
     assert any(want) == (kind != "fullind" or mode == "mc")
     # a threshold below 0 names no rectangle
     with pytest.raises(InvalidArgument):
         threshold_rectangle(prg.dimension, M, -1)
     with pytest.raises(InvalidArgument):
-        threshold_errors(prg, [0, -1], mode, **SAMPLING[mode])
+        threshold_errors(prg, [0, -1], **SAMPLING[mode])
 
 
 @pytest.mark.parametrize("mode", sorted(SAMPLING))
@@ -262,7 +268,7 @@ def test_prg_test_rows_match_rectangle_error(mode, tmp_path):
     rows = json.loads((tmp_path / "prg_report.json").read_text())["thresholds"]
     assert rows == [
         {"theta": t, "error": rectangle_error(prg, threshold_rectangle(8, 4, t),
-                                              mode=mode, **SAMPLING[mode])}
+                                              **SAMPLING[mode])}
         for t in range(5)
     ]
 
@@ -362,7 +368,7 @@ def test_mc_draws_packed_seeds_up_to_64_bits():
     assert prg.seed_bits == 64
     seeds = _drawn(prg, 500, 3)
     mins = np.min([prg.coord_block(seeds, i) for i in range(1, 9)], axis=0)
-    _, at_min, total = strict_order_margins(prg, [], range(1, 9), "mc", 500, 3)
+    _, at_min, total = strict_order_margins(prg, [], range(1, 9), samples=500, run_seed=3)
     assert total == 500
     assert at_min.tolist() == [int(np.count_nonzero(mins == v)) for v in range(257)]
     # 72 bits are drawn as nine 8-bit word columns, one Philox integers
@@ -375,9 +381,9 @@ def test_mc_draws_packed_seeds_up_to_64_bits():
                  for seed in seed_ints(words, (8,) * 9)]
     above = sum(m > 1 for m in wide_mins)
     uniform = float(Fraction(255, 256) ** 8)
-    assert threshold_errors(wide, [1], "mc", 500, 3) == [abs(above / 500 - uniform)]
+    assert threshold_errors(wide, [1], samples=500, run_seed=3) == [abs(above / 500 - uniform)]
     # the whole law of the minimum, not only its tail above 1
-    _, at_min, total = strict_order_margins(wide, [], range(1, 9), "mc", 500, 3)
+    _, at_min, total = strict_order_margins(wide, [], range(1, 9), samples=500, run_seed=3)
     assert at_min.tolist() == [wide_mins.count(v) for v in range(257)]
 
 

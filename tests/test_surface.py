@@ -3,9 +3,11 @@
 A definition counts as run when a name that reads it appears at module
 level in ``src/minwise_lab`` (an import counts) or inside a definition
 that is run itself; its own body does not count, and a dunder method is
-run with its class.  Names are matched as written, not resolved, so a
-method counts once any attribute of its name is read.  Code that only
-the tests read belongs in a ``tests/`` reference module.
+run with its class.  Names are matched as written, not resolved.  A
+method (a ``def`` directly in a class body) is reached only through an
+attribute of its name, such as ``obj.name``: a local or free name that
+happens to be spelled the same does not count.  Code that only the
+tests read belongs in a ``tests/`` reference module.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 import minwise_lab
-from minwise_lab import construction, extractor, kwise, verify
+from minwise_lab import construction, extractor, kwise, rectprg, verify
+from minwise_lab.errors import InvalidArgument
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minwise_lab"
 
@@ -31,27 +34,28 @@ PUBLIC = {
 
 
 def _definitions_and_reads() -> tuple[list, list]:
-    """([(definition, enclosing definition)], [(enclosing definition, name read)]),
-    a definition being (file, line, name) and None standing for module level."""
+    """([(definition, enclosing definition, is a method)],
+    [(enclosing definition, name read, read as an attribute)]), a
+    definition being (file, line, name) and None standing for module level."""
     defs, reads = [], []
 
-    def visit(node, owner, path):
+    def visit(node, owner, path, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 key = (path, child.lineno, child.name)
-                defs.append((key, owner))
-                visit(child, key, path)
+                defs.append((key, owner, in_class))
+                visit(child, key, path, isinstance(child, ast.ClassDef))
                 continue
             if isinstance(child, ast.Name):
-                reads.append((owner, child.id))
+                reads.append((owner, child.id, False))
             elif isinstance(child, ast.Attribute):
-                reads.append((owner, child.attr))
+                reads.append((owner, child.attr, True))
             elif isinstance(child, ast.alias):
-                reads.append((owner, child.name))
-            visit(child, owner, path)
+                reads.append((owner, child.name, False))
+            visit(child, owner, path, in_class)
 
     for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), None, path.name)
+        visit(ast.parse(path.read_text()), None, path.name, False)
     return defs, reads
 
 
@@ -59,14 +63,18 @@ def test_every_src_definition_is_run_or_public():
     defs, reads = _definitions_and_reads()
     live: set = set()
     while True:
-        read = {name for owner, name in reads if owner is None or owner in live}
-        grown = {key for key, owner in defs if key[2] in PUBLIC or key[2] in read
+        seen = [(name, attribute) for owner, name, attribute in reads
+                if owner is None or owner in live]
+        read = {name for name, _ in seen}
+        as_attribute = {name for name, attribute in seen if attribute}
+        grown = {key for key, owner, method in defs
+                 if key[2] in PUBLIC or key[2] in (as_attribute if method else read)
                  or (key[2].startswith("__") and key[2].endswith("__")
                      and (owner is None or owner in live))}
         if grown <= live:
             break
         live |= grown
-    assert sorted(key for key, _ in defs if key not in live) == []
+    assert sorted(key for key, *_ in defs if key not in live) == []
 
 
 @pytest.mark.parametrize("call", [
@@ -86,14 +94,15 @@ def test_no_caller_restates_a_premise_the_object_fixes(call):
 
 # each a second name for an object its callers already name: the bucketed
 # family classes, their ``layout``, DirectSumFamily, check_twise_tails on
-# one theta, LeftoverHash.extract and the family's ``layout.draw_block``
+# one theta, LeftoverHash.extract and the family's ``layout.draw_block``;
+# and kwise.check_mode, a second switch for what a sample count decides
 REMOVED_NAMES = [
     (minwise_lab, "build_minwise"), (minwise_lab, "build_kminwise"),
     (minwise_lab, "seed_layout"), (minwise_lab, "check_twise_tail"),
     (construction, "build_minwise"), (construction, "build_kminwise"),
     (construction, "seed_layout"), (verify, "check_twise_tail"),
     (kwise, "direct_sum"), (extractor, "leftover_extract"),
-    (kwise.SeededFamily, "draw_seed_block"),
+    (kwise.SeededFamily, "draw_seed_block"), (kwise, "check_mode"),
 ]
 
 
@@ -110,3 +119,33 @@ def test_second_spellings_are_gone():
     with pytest.raises(TypeError):
         minwise_lab.LeftoverHash(4, 2).extract_block(np.arange(4, dtype=np.uint64), ss=0)
     assert "check_twise_tails" in minwise_lab.__all__
+
+
+_FAMILY, _PRG = kwise.TWiseFamily(2, 4, 8), rectprg.TWisePRG(2, 4, 8)
+SAMPLED = {
+    "scan": lambda *a, **kw: kwise.scan(_FAMILY, len, *a, **kw),
+    "measure_corpus": lambda *a, **kw: verify.measure_corpus(_FAMILY, [([1, 2], [1])], *a, **kw),
+    "measure_minwise": lambda *a, **kw: verify.measure_minwise(_FAMILY, [1, 2], [1], *a, **kw),
+    "strict_order_margins": lambda *a, **kw: rectprg.strict_order_margins(_PRG, [1], [2], *a,
+                                                                         **kw),
+    "threshold_errors": lambda *a, **kw: rectprg.threshold_errors(_PRG, [0, 1], *a, **kw),
+    "rectangle_error": lambda *a, **kw: rectprg.rectangle_error(
+        _PRG, rectprg.Rectangle.build(4, 8, {1: {1, 2}}), *a, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_a_sample_count_is_the_one_sampling_switch(name):
+    # a run is exact exactly when no sample count is given: no mode says so
+    # a second time, and the sampling arguments are keyword-only
+    call = SAMPLED[name]
+    for kwargs in ({"mode": "exhaustive"}, {"mode": "mc", "samples": 10}):
+        with pytest.raises(TypeError):
+            call(**kwargs)
+    with pytest.raises(TypeError):
+        call("mc", 10)
+    # a run seed keys only a draw
+    with pytest.raises(InvalidArgument):
+        call(run_seed=3)
+    call()
+    call(samples=10, run_seed=3)

@@ -178,14 +178,14 @@ def test_exhaustive_chunking_is_invisible():
 def test_mc_mode_is_reproducible_and_close():
     fam = TWiseFamily(2, 8, 16)
     exact = measure_minwise(fam, [1, 2, 3, 4, 5], [3])
-    mc1 = measure_minwise(fam, [1, 2, 3, 4, 5], [3], mode="mc",
+    mc1 = measure_minwise(fam, [1, 2, 3, 4, 5], [3],
                           samples=20000, run_seed=7)
-    mc2 = measure_minwise(fam, [1, 2, 3, 4, 5], [3], mode="mc",
+    mc2 = measure_minwise(fam, [1, 2, 3, 4, 5], [3],
                           samples=20000, run_seed=7)
     assert mc1.measured_p == mc2.measured_p
     assert mc1.ci_halfwidth == _wilson_halfwidth(round(mc1.measured_p * 20000), 20000)
     assert abs(mc1.measured_p - exact.measured_p) < 0.02
-    mc3 = measure_minwise(fam, [1, 2, 3, 4, 5], [3], mode="mc",
+    mc3 = measure_minwise(fam, [1, 2, 3, 4, 5], [3],
                           samples=20000, run_seed=8)
     assert mc3.measured_p != mc1.measured_p
 
@@ -209,7 +209,7 @@ def test_mc_mode_on_a_seed_space_too_large_to_enumerate():
     fam = TWiseFamily(8, 8, 1024)  # 80 seed bits
     with pytest.raises(SeedSpaceTooLarge):
         measure_minwise(fam, list(range(1, 9)), [1])
-    rep = measure_minwise(fam, list(range(1, 9)), [1], mode="mc",
+    rep = measure_minwise(fam, list(range(1, 9)), [1],
                           samples=30000, run_seed=3)
     # eight points, huge alphabet: reference is 1/8 give or take 8/1024
     assert abs(rep.measured_p - 0.125) < 0.02
@@ -228,10 +228,10 @@ def test_query_validation():
         measure_minwise(fam, [1, 2, 3], [4])
     with pytest.raises(DomainOverflow):
         measure_minwise(fam, [1, 2, 99], [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         measure_minwise(fam, [1, 2, 3], [1], mode="guess")
     with pytest.raises(ValueError):
-        measure_minwise(fam, [1, 2, 3], [1], mode="mc")
+        measure_minwise(fam, [1, 2, 3], [1], samples=0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def test_exhaustive_corpus_matches_per_query_reference(fam_corpus, chunk_bits, t
 
 def _check_mc_against_per_query_draws(fam, corpus, run_seed, threads=1):
     samples = 3000
-    reports = measure_corpus(fam, corpus, mode="mc", samples=samples,
+    reports = measure_corpus(fam, corpus, samples=samples,
                              run_seed=run_seed, threads=threads)
     for rep, (X, Y) in zip(reports, corpus):
         rng = np.random.Generator(np.random.Philox(key=run_seed))
@@ -384,7 +384,7 @@ def test_joint_law_and_per_query_counts_give_equal_reports(monkeypatch, points, 
     # corpus is also measured at the block size that flips its path.
     fam = TWiseFamily(4, 17, 2)  # 20 seed bits: 16 blocks or more
     corpus = [(list(range(i, i + 3)), [i + 2]) for i in range(1, points - 1)]
-    samples = (1 << 17) + 1001 if mode == "mc" else None
+    sampling = {"samples": (1 << 17) + 1001, "run_seed": 7} if mode == "mc" else {}
     paths = []
 
     def spy(name):
@@ -397,13 +397,13 @@ def test_joint_law_and_per_query_counts_give_equal_reports(monkeypatch, points, 
     for chunk_bits in (16, 15 if points == 16 else 17):
         paths.clear()
         with scan_chunk_bits(chunk_bits):
-            reports[chunk_bits] = measure_corpus(fam, corpus, mode, samples, 7, threads)
+            reports[chunk_bits] = measure_corpus(fam, corpus, **sampling, threads=threads)
         joint = points <= chunk_bits
         if threads == 1:  # forked workers record nowhere the test can see
             assert set(paths) == {"_joint_law" if joint else "_block_counts"}
     first, second = reports.values()
     assert first == second
-    assert [r.samples for r in first] == [samples or fam.seed_space] * len(corpus)
+    assert [r.samples for r in first] == [sampling.get("samples", fam.seed_space)] * len(corpus)
 
 
 def _few_points(fam) -> list[int]:
@@ -499,7 +499,7 @@ def _shipped_scan(name: str):
         fam = family_from_config(cfg["construction"])
         queries = cli._corpus_queries(cfg, fam.domain_size, fam.params.k)
         return fam, lambda: (measure_corpus(fam, queries),
-                             measure_corpus(fam, queries, "mc", 5000, 1))
+                             measure_corpus(fam, queries, samples=5000, run_seed=1))
     if "allocation" in cfg:
         g = TWiseFamily(cfg["allocation"]["t"], cfg["N"], cfg["ell"])
         return g, lambda: _scan_loads(g, cfg["X"], cfg["Y"], cfg["ell"], 2)
@@ -1104,7 +1104,7 @@ def _mc_rectangle_error(chunk_bits):
     prg = TWisePRG(2, 8, 8)
     rect = Rectangle.build(8, 8, {1: {1, 2, 3}, 4: {2, 5, 8}, 7: range(4, 9)})
     with scan_chunk_bits(chunk_bits):
-        return rectangle_error(prg, rect, mode="mc", samples=3001, run_seed=9)
+        return rectangle_error(prg, rect, samples=3001, run_seed=9)
 
 
 @pytest.mark.parametrize("oracle", [_rectangle_early_exit, _tail, _mc_rectangle_error],
