@@ -79,7 +79,8 @@ def _config(args) -> dict:
 
 
 def _philox_key(cfg: Config, key: str, default: int | None = 0) -> int | None:
-    """A counter-based RNG key; numpy's Philox takes [0, 2^128)."""
+    """A key of the program's Philox4x64-10 stream (minwise_lab.philox),
+    which takes [0, 2^128)."""
     return cfg.int(key, default, lo=0, hi=(1 << 128) - 1)
 
 
@@ -163,10 +164,10 @@ def _cmd_construct(args) -> int:
 
 def _corpus_queries(cfg: Config | dict, N: int, k: int) -> list:
     """The queries of a measure config's corpus."""
-    import numpy as np
+    from .philox import Philox
 
     corpus = (cfg if isinstance(cfg, Config) else Config(cfg)).obj("corpus", {})
-    rng = np.random.Generator(np.random.Philox(key=_philox_key(corpus, "seed")))
+    stream = Philox(_philox_key(corpus, "seed"))
     queries = []
     for spec in corpus.objects("queries", []):
         kind = spec.string("kind", choices=("full_domain", "intervals", "random_subsets"))
@@ -189,8 +190,8 @@ def _corpus_queries(cfg: Config | dict, N: int, k: int) -> list:
             # draws past the number of distinct (X, Y) pairs only repeat them
             count = spec.int("count", 0, lo=0, hi=math.comb(N, size) * math.comb(size, k))
             for _ in range(count):
-                X = sorted(int(v) for v in rng.choice(N, size=size, replace=False) + 1)
-                Y = sorted(int(v) for v in rng.choice(X, size=k, replace=False))
+                X = sorted(v + 1 for v in stream.choice(N, size))
+                Y = sorted(X[i] for i in stream.choice(size, k))
                 queries.append((X, Y))
     return queries
 
@@ -250,10 +251,9 @@ def _cmd_measure(args) -> int:
 
 
 def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
-    import numpy as np
-
     from .extractor import (FlatSource, leftover_bound, spans_full_rank,
                             strong_extractor_distance)
+    from .philox import Philox
 
     with reading(params) as cfg:
         n, m = cfg.int("n", lo=1), cfg.int("m", lo=0)
@@ -266,7 +266,7 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
         ext = _lib("LeftoverHash")(n, m)
         fs = cfg.obj("flat_sources", None)
         if fs is not None:
-            rng = np.random.Generator(np.random.Philox(key=_philox_key(fs, "rng_seed")))
+            stream = Philox(_philox_key(fs, "rng_seed"))
             # and the sources of one level count theirs under the same budget
             per = fs.int("per_level", 50, lo=0, hi=1 << (EXHAUSTIVE_SEED_BITS - (n - 1 + m)))
     n_seeds = 1 << ext.d
@@ -277,8 +277,8 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
         for entropy in range(ext.m + 1, ext.n):
             worst = 0.0
             for _ in range(per):
-                support = rng.choice(1 << ext.n, size=1 << entropy, replace=False)
-                src = FlatSource(ext.n, tuple(support.tolist()))
+                support = stream.choice(1 << ext.n, 1 << entropy)
+                src = FlatSource(ext.n, tuple(support))
                 worst = max(worst, strong_extractor_distance(ext, src))
             bound = leftover_bound(ext.m, entropy)
             levels.append({
@@ -510,9 +510,9 @@ def _bound_allocator() -> None:
 # heap resident through the run (the desk measure and extractor-test, 2
 # vCPUs, Python 3.11).
 _MODULES = {
-    "construct": ("construction",),
-    "measure": ("construction", "verify"),
-    "extractor-test": ("extractor",),
+    "construct": ("construction", "philox"),
+    "measure": ("construction", "philox", "verify"),
+    "extractor-test": ("extractor", "philox"),
     "prg-test": ("rectprg",),
     "loads-test": ("verify",),
     "reduction-test": ("verify",),

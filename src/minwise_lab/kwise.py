@@ -15,7 +15,7 @@ import functools
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Callable, NoReturn
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .errors import (
     SeedSpaceTooLarge,
 )
 from .gf2 import find_irreducible, mul_block, prepare_mul, row_spans
+
+if TYPE_CHECKING:
+    from .philox import Philox
 
 # log2 of the seeds in one exhaustive scan block, read by every scan
 # when it starts.  Chosen by measurement: a block's uint64 temporaries
@@ -230,9 +233,11 @@ def scan(family: SeededFamily, count, *, samples: int | None = None,
     it enumerates [0, 2^seed_bits) through scan_seeds, under its 24-bit
     budget, and refuses a ``run_seed``, which keys only a draw.  With
     ``samples`` >= 1 it is Monte-Carlo, in blocks of <= 2^MC_DRAW_BITS
-    rows: block j is the family's layout.draw_block on Philox keyed by
-    ``run_seed`` (0 when None) and jumped j times, so a run of at most
-    2^16 samples is one draw off the unjumped stream.  Each block is
+    rows: block j is the family's layout.draw_block on philox.Philox
+    keyed by ``run_seed`` (0 when None) and jumped j times, so a run of
+    at most 2^16 samples is one draw off the unjumped stream.  A key
+    outside [0, 2^128) raises InvalidArgument before any block is drawn,
+    in this process at any ``threads``.  Each block is
     drawn where it is counted, so no process holds the whole sample.
     Either way the blocks go through scan_blocks on ``threads`` workers,
     so the sum is the same at any ``threads``.
@@ -243,11 +248,12 @@ def scan(family: SeededFamily, count, *, samples: int | None = None,
         return scan_seeds(family.seed_bits, count, threads), family.seed_space
     if samples < 1:
         raise InvalidArgument("monte-carlo mode needs a positive sample count")
-    key, width = run_seed or 0, 1 << MC_DRAW_BITS
+    from .philox import Philox
+
+    stream, width = Philox(run_seed or 0), 1 << MC_DRAW_BITS
 
     def block_of(j: int):
-        rng = np.random.Generator(np.random.Philox(key=key).jumped(j))
-        return family.layout.draw_block(rng, min(width, samples - j * width))
+        return family.layout.draw_block(stream.jumped(j), min(width, samples - j * width))
 
     return scan_blocks(-(-samples // width), block_of, count, threads), samples
 
@@ -326,19 +332,18 @@ class SeedLayout:
         cuts = np.cumsum([len(f.words) for f in self.fields])[:-1]
         return dict(zip(self.names(), np.split(seed_words(seeds, self.words), cuts, axis=1)))
 
-    def draw_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def draw_block(self, stream: Philox, count: int) -> np.ndarray:
         """Uniform seeds for sampling: packed uint64 up to 64 bits, else
         word columns as seed_words makes them.  In layout order, a field
         of at most 63 bits is one integer per row, cut into its words, and
         each word of a wider field is drawn on its own."""
         if self.total_bits <= 64:
-            return rng.integers(0, 1 << self.total_bits, size=count, dtype=np.uint64)
+            return stream.integers(self.total_bits, count)
         parts = []
         for f in self.fields:
             for run in [f.words] if f.width <= 63 else [(w,) for w in f.words]:
                 if run:
-                    value = rng.integers(0, 1 << sum(run), size=count, dtype=np.uint64)
-                    parts.append(seed_words(value, run))
+                    parts.append(seed_words(stream.integers(sum(run), count), run))
         return np.concatenate(parts, axis=1)
 
 

@@ -400,8 +400,9 @@ def rectangle_error(
 
     Without ``samples`` every seed is counted, which needs seed_bits <= 24
     and signals SeedSpaceTooLarge otherwise; a sample count is the
-    explicit Monte-Carlo opt-in, drawn by the counter-based Philox
-    generator keyed by ``run_seed``.  Both count through kwise.scan.
+    explicit Monte-Carlo opt-in, drawn from the program's Philox4x64-10
+    stream (minwise_lab.philox) keyed by ``run_seed``.  Both count
+    through kwise.scan.
     """
     _check_shape(prg, rect)
     count, total = scan(PRGHashFamily(prg), _accepted(prg, rect),

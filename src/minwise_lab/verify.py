@@ -169,8 +169,8 @@ def measure_corpus(
     Strict inequalities throughout.  Without ``samples`` (seed_bits <= 24)
     the whole seed space is counted, and the reports are exact, with mode
     "exhaustive".  With ``samples`` the reports are Monte-Carlo ("mc"):
-    that many seeds drawn by kwise.scan in chunks of 2^16 off Philox
-    keyed by ``run_seed`` (a run of at most 2^16 samples is one draw),
+    that many seeds drawn by kwise.scan in chunks of 2^16 off the
+    Philox4x64-10 stream of minwise_lab.philox keyed by ``run_seed`` (a run of at most 2^16 samples is one draw),
     each with the half-width of a 99% Wilson score interval.  Either way
     the seeds are counted through kwise.scan, in seed blocks; with
     ``threads`` > 1 the blocks are split across that many forked

@@ -632,6 +632,7 @@ tracked = {id(o) for o in gc.get_objects()}
 tasks = "/proc/self/task"
 print(json.dumps({
     "status": status, "numpy_first": numpy_first, "modules": modules,
+    "numpy_random": "numpy.random" in sys.modules,
     "frozen": [m for m in modules if id(vars(sys.modules["minwise_lab." + m])) not in tracked],
     "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
@@ -673,12 +674,18 @@ def test_main_freezes_the_heap_only_as_the_program(monkeypatch, capsys):
 
 
 BASE_MODULES = {"cli", "config", "errors"}
+# each subcommand on a shipped config, and measure once more in Monte-Carlo
+# mode: a run that draws (a corpus, flat sources, Monte-Carlo seeds) loads
+# philox, and none loads numpy's random package
+MC_MEASURE = {"mode": "mc", "samples": 4000, "run_seed": 5}
 SUBCOMMAND_MODULES = {
     "construct": ("kminwise_desk.json",
-                  {"construction", "extractor", "gf2", "kwise", "rectprg"}),
+                  {"construction", "extractor", "gf2", "kwise", "philox", "rectprg"}),
     "measure": ("minwise_desk.json",
-                {"construction", "extractor", "gf2", "kwise", "rectprg", "verify"}),
-    "extractor-test": ("extractor_basic.json", {"extractor", "gf2"}),
+                {"construction", "extractor", "gf2", "kwise", "philox", "rectprg", "verify"}),
+    "measure-mc": ("minwise_desk.json",
+                   {"construction", "extractor", "gf2", "kwise", "philox", "rectprg", "verify"}),
+    "extractor-test": ("extractor_basic.json", {"extractor", "gf2", "philox"}),
     "prg-test": ("prg_pairwise.json", {"gf2", "kwise", "rectprg"}),
     "loads-test": ("loads_small.json", {"gf2", "kwise", "rectprg", "verify"}),
     "reduction-test": ("reduction_pairwise.json", {"gf2", "kwise", "rectprg", "verify"}),
@@ -688,10 +695,15 @@ SUBCOMMAND_MODULES = {
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
 def test_each_subcommand_loads_only_the_modules_it_runs(command, tmp_path):
     config, modules = SUBCOMMAND_MODULES[command]
-    report = _program(command, "--config", str(CONFIG_DIR / config),
-                      "--out-dir", str(tmp_path))
+    config = str(CONFIG_DIR / config)
+    if command.endswith("-mc"):
+        command = command.removesuffix("-mc")
+        config = _write(tmp_path, "mc.json", {**json.loads(Path(config).read_text()),
+                                              **MC_MEASURE})
+    report = _program(command, "--config", config, "--out-dir", str(tmp_path))
     assert report["status"] == 0
     assert not report["numpy_first"]
+    assert report["numpy_random"] is False
     assert set(report["modules"]) == BASE_MODULES | modules
 
 

@@ -30,6 +30,7 @@ from minwise_lab.kwise import (
     dsum_values,
     scan_seeds,
 )
+from minwise_lab.philox import Philox
 from minwise_lab.rectprg import FullIndependencePRG, RecursiveMixPRG, TWisePRG
 from minwise_lab.verify import measure_corpus
 from reference_construction import design_widths, pack, target_error
@@ -200,8 +201,7 @@ def test_wide_seed_blocks_agree_with_scalar_path():
     )
     assert fam.seed_bits == 95
     assert fam.seed_columns() == (4,) * 4 + (6, 6) + (7,) + (6,) * 10
-    rng = np.random.Generator(np.random.Philox(key=21))
-    block = fam.layout.draw_block(rng, 40)
+    block = fam.layout.draw_block(Philox(21), 40)
     assert block.shape == (40, 17) and block.dtype == np.uint8
     seeds = seed_ints(block, fam.seed_columns())
     for x in (1, 7, 12):
@@ -241,7 +241,7 @@ def test_wide_layout_draw_equals_stacked_columns(gap):
             elif width:
                 want.append(split_words(
                     rng.integers(0, 1 << width, size=1000, dtype=np.uint64), words))
-        got = layout.draw_block(np.random.Generator(np.random.Philox(key=4)), 1000)
+        got = layout.draw_block(Philox(4), 1000)
         assert got.dtype == np.min_scalar_type((1 << max(layout.words)) - 1)
         assert got.shape == (1000, len(layout.words))
         assert np.array_equal(got, np.concatenate(want, axis=1))
@@ -493,7 +493,7 @@ def _scalar_mismatches(fam, seeds, positions, got) -> int:
                    LeftoverHash(10, 8)), 5, 40)
 @settings(max_examples=50, deadline=None)
 def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, count):
-    rng = np.random.Generator(np.random.Philox(key=key))
+    stream = Philox(key)
     points = range(1, fam.domain_size + 1)
     plan = fam.bind(points)
     if fam.seed_bits <= 63:
@@ -511,9 +511,10 @@ def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, cou
             evaluate, layered = plan(block), plan(packed)
             got = {x: evaluate(x) for x in points}
             assert all(np.array_equal(got[x], layered(x)) for x in points)
-            assert _scalar_mismatches(fam, packed, rng.integers(0, step, size=8), got) == 0
+            positions = stream.integers(step.bit_length() - 1, 8)
+            assert _scalar_mismatches(fam, packed, positions, got) == 0
     # a Monte-Carlo draw (word columns past 64 bits) goes through the layers
-    drawn = fam.layout.draw_block(rng, count)
+    drawn = fam.layout.draw_block(stream, count)
     evaluate = plan(drawn)
     assert _scalar_mismatches(fam, drawn, range(count), {x: evaluate(x) for x in points}) == 0
 
@@ -566,8 +567,7 @@ def test_extractor_output_past_the_table_budget_builds_no_table(monkeypatch, kin
     points = [1, 2, 7, fam.domain_size]
     plan = fam.bind(points)
     assert [table for table, _, _ in built if table != "point"] == []
-    rng = np.random.Generator(np.random.Philox(key=fam.extractor.m))
-    seeds = fam.layout.draw_block(rng, 200)
+    seeds = fam.layout.draw_block(Philox(fam.extractor.m), 200)
     evaluate = plan(seeds)
     got = {x: evaluate(x) for x in points}
     assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0
@@ -713,9 +713,9 @@ def test_bucket_major_path_matches_scalar_eval(monkeypatch, make, ell):
     # block, from its first block, and every point gathers its own
     # bucket's z; binding extracts nothing
     fam = make(ell)
-    rng = np.random.Generator(np.random.Philox(key=ell))
-    packed = rng.integers(0, fam.seed_space, size=300, dtype=np.uint64)
-    blocks = {"drawn": fam.layout.draw_block(rng, 300), "packed": packed,
+    stream = Philox(ell)
+    packed = stream.integers(fam.seed_bits, 300)
+    blocks = {"drawn": fam.layout.draw_block(stream, 300), "packed": packed,
               "columns": split_words(packed, fam.seed_columns())}
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
     points = range(1, fam.domain_size + 1)
@@ -753,8 +753,8 @@ def test_plan_extractions_follow_the_bound_points(monkeypatch, make):
     # the pass is chosen from the plan's points, from its first block: at
     # ell = 4, 3 bound points extract once a point, and all 8 once a bucket
     fam = make(4)
-    rng = np.random.Generator(np.random.Philox(key=11))
-    blocks = [fam.layout.draw_block(rng, 300) for _ in range(3)]
+    stream = Philox(11)
+    blocks = [fam.layout.draw_block(stream, 300) for _ in range(3)]
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
     for points in ((1, 2, 3), range(1, 9)):
         plan = fam.bind(points)
@@ -781,8 +781,7 @@ def test_benchmark_mc_block_multiplies_once_a_bucket(monkeypatch, tmp_path):
     plan = fam.bind(points)
     for j in range(2):
         # block j of kwise.scan's Monte-Carlo draw
-        rng = np.random.Generator(np.random.Philox(key=config["run_seed"]).jumped(j))
-        seeds = fam.layout.draw_block(rng, 1 << MC_DRAW_BITS)
+        seeds = fam.layout.draw_block(Philox(config["run_seed"]).jumped(j), 1 << MC_DRAW_BITS)
         muls.clear()
         evaluate = plan(seeds)
         got = {x: evaluate(x) for x in points}

@@ -42,6 +42,7 @@ from minwise_lab.kwise import (
     scan_seeds,
     seed_words,
 )
+from minwise_lab.philox import Philox
 from minwise_lab.rectprg import TWisePRG
 
 
@@ -392,12 +393,20 @@ def test_scan_is_the_one_seed_source_of_both_modes():
     assert total == fam.seed_space and hist.tolist() == [1] * fam.seed_space
     # a sample count counts the rows of one Philox draw keyed by the run
     # seed, here one block, the whole draw chunk, whatever the block size
-    drawn = fam.layout.draw_block(np.random.Generator(np.random.Philox(key=5)), 1001)
+    drawn = fam.layout.draw_block(Philox(5), 1001)
     with scan_chunk_bits(3):
         hist, total = scan(fam, seen, samples=1001, run_seed=5, threads=2)
     assert total == 1001 and np.array_equal(hist, seen(drawn))
     with pytest.raises(InvalidArgument, match="positive sample count"):
         scan(fam, seen, samples=0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("run_seed", [-1, 1 << 130])
+def test_scan_refuses_a_run_seed_outside_128_bits(run_seed, threads):
+    # the key is checked by the calling process, before any block is drawn
+    with pytest.raises(InvalidArgument, match=r"outside \[0, 2\^128\)"):
+        scan(TWiseFamily(2, 4, 8), len, samples=10, run_seed=run_seed, threads=threads)
 
 
 def _chunked_draw(fam, samples: int, run_seed: int) -> np.ndarray:
@@ -406,8 +415,7 @@ def _chunked_draw(fam, samples: int, run_seed: int) -> np.ndarray:
     the run seed and jumped j times."""
     width = 1 << MC_DRAW_BITS
     return np.concatenate([
-        fam.layout.draw_block(np.random.Generator(np.random.Philox(key=run_seed).jumped(j)),
-                              min(width, samples - lo))
+        fam.layout.draw_block(Philox(run_seed).jumped(j), min(width, samples - lo))
         for j, lo in enumerate(range(0, samples, width))])
 
 
@@ -431,7 +439,7 @@ def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
     drawn, draw = [], SeedLayout.draw_block
     with pytest.MonkeyPatch.context() as mp, scan_chunk_bits(chunk_bits):
         mp.setattr(SeedLayout, "draw_block",
-                   lambda layout, rng, count: drawn.append(count) or draw(layout, rng, count))
+                   lambda layout, stream, count: drawn.append(count) or draw(layout, stream, count))
         hist, total = scan(fam, seen_and_sized, samples=samples, run_seed=12,
                            threads=threads)
     assert total == samples

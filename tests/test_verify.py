@@ -36,6 +36,7 @@ from minwise_lab.errors import (
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
 from minwise_lab.kwise import DirectSumFamily, SeededFamily, TWiseFamily, scan_seeds
+from minwise_lab.philox import Philox
 from minwise_lab.rectprg import (
     FullIndependencePRG,
     PRGHashFamily,
@@ -298,8 +299,7 @@ def _check_mc_against_per_query_draws(fam, corpus, run_seed, threads=1):
     reports = measure_corpus(fam, corpus, samples=samples,
                              run_seed=run_seed, threads=threads)
     for rep, (X, Y) in zip(reports, corpus):
-        rng = np.random.Generator(np.random.Philox(key=run_seed))
-        hits, ties = _reference_counts(fam, fam.layout.draw_block(rng, samples), X, Y)
+        hits, ties = _reference_counts(fam, fam.layout.draw_block(Philox(run_seed), samples), X, Y)
         assert rep.measured_p == hits / samples
         assert rep.tie_mass == ties / samples
         assert rep.samples == samples
@@ -349,8 +349,7 @@ EVALUATOR_FAMILIES = [
        st.integers(min_value=1, max_value=40))
 @settings(max_examples=40, deadline=None)
 def test_block_evaluator_equals_eval_block_and_scalar_eval(fam, key, count):
-    rng = np.random.Generator(np.random.Philox(key=key))
-    seeds = fam.layout.draw_block(rng, count)
+    seeds = fam.layout.draw_block(Philox(key), count)
     kept = seeds.copy()
     points = range(1, fam.domain_size + 1)
     evaluate = fam.bind(points)(seeds)
