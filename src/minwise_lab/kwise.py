@@ -45,6 +45,16 @@ SCAN_CHUNK_BITS = 16
 # this constant defines the sample itself: it is not a tuning knob.
 MC_DRAW_BITS = 16
 
+# log2 of the rows of one Monte-Carlo count slice, read by every scan
+# when it starts.  A draw chunk is drawn whole and counted in consecutive
+# row slices of this many rows, whose integer counts add up to the
+# chunk's, so it moves no result.  Chosen by measurement on the 84-bit
+# benchmark family (8 queries of 6 points, 2 vCPUs): one warm chunk count
+# took a median 26, 23, 24, 27 and 36 ms at 16, 15, 14, 13 and 12 bits,
+# and the traced peak of a one-chunk measure was 8.79, 5.60 and 4.16 MiB
+# at 16, 15 and 14 bits and 4.16 MiB below, of which the draw is 3.88 MiB.
+MC_COUNT_BITS = 14
+
 # log2 of the entries of one point table of a t-wise family: at a fixed
 # point, a run of coefficient words whose bits fit this width is read by
 # one gather.  Tables of 2^12 entries take 4 KiB as uint8.  On the 84-bit
@@ -237,10 +247,11 @@ def scan(family: SeededFamily, count, *, samples: int | None = None,
     keyed by ``run_seed`` (0 when None) and jumped j times, so a run of
     at most 2^16 samples is one draw off the unjumped stream.  A key
     outside [0, 2^128) raises InvalidArgument before any block is drawn,
-    in this process at any ``threads``.  Each block is
-    drawn where it is counted, so no process holds the whole sample.
-    Either way the blocks go through scan_blocks on ``threads`` workers,
-    so the sum is the same at any ``threads``.
+    in this process at any ``threads``.  Each block is drawn whole where
+    it is counted, so no process holds the whole sample, and ``count``
+    sees it in consecutive row slices of <= 2^MC_COUNT_BITS rows, whose
+    counts are added.  Either way the blocks go through scan_blocks on
+    ``threads`` workers, so the sum is the same at any ``threads``.
     """
     if samples is None:
         if run_seed is not None:
@@ -251,11 +262,15 @@ def scan(family: SeededFamily, count, *, samples: int | None = None,
     from .philox import Philox
 
     stream, width = Philox(run_seed or 0), 1 << MC_DRAW_BITS
+    step = 1 << MC_COUNT_BITS
 
     def block_of(j: int):
         return family.layout.draw_block(stream.jumped(j), min(width, samples - j * width))
 
-    return scan_blocks(-(-samples // width), block_of, count, threads), samples
+    def count_sliced(chunk: np.ndarray):
+        return sum(count(chunk[lo:lo + step]) for lo in range(0, len(chunk), step))
+
+    return scan_blocks(-(-samples // width), block_of, count_sliced, threads), samples
 
 
 def seed_words(seeds: np.ndarray | range, widths) -> np.ndarray:

@@ -145,9 +145,12 @@ class Philox:
     def integers(self, bits: int, count: int) -> np.ndarray:
         """numpy's ``integers(0, 2**bits, count, dtype=np.uint64)``: each
         value is the top ``bits`` of a half when ``bits`` <= 32, else of
-        a word; 0 bits draw nothing."""
+        a word; 0 bits draw nothing.  A count below 0 is refused before
+        the stream moves."""
         if not 0 <= bits <= 64:
             raise InvalidArgument(f"{bits}-bit integers: bits must lie in [0, 64]")
+        if count < 0:
+            raise InvalidArgument(f"cannot draw {count} integers")
         if bits == 0:
             return np.zeros(count, np.uint64)
         if bits <= 32:

@@ -170,9 +170,11 @@ def measure_corpus(
     the whole seed space is counted, and the reports are exact, with mode
     "exhaustive".  With ``samples`` the reports are Monte-Carlo ("mc"):
     that many seeds drawn by kwise.scan in chunks of 2^16 off the
-    Philox4x64-10 stream of minwise_lab.philox keyed by ``run_seed`` (a run of at most 2^16 samples is one draw),
-    each with the half-width of a 99% Wilson score interval.  Either way
-    the seeds are counted through kwise.scan, in seed blocks; with
+    Philox4x64-10 stream of minwise_lab.philox keyed by ``run_seed`` (a
+    run of at most 2^16 samples is one draw), each with the half-width
+    of a 99% Wilson score interval.  Either way the seeds are counted
+    through kwise.scan, in seed blocks: a Monte-Carlo block is one chunk,
+    drawn whole and counted in slices of 2^kwise.MC_COUNT_BITS rows.  With
     ``threads`` > 1 the blocks are split across that many forked
     processes, with the same result.
     Ties (max h(Y) == min h(X\\Y)) are reported separately: they are

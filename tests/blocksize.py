@@ -1,11 +1,13 @@
-"""The exhaustive scans' block size, set for the length of a ``with`` block.
+"""The scans' block and slice sizes, set for the length of a ``with`` block.
 
 Every exhaustive scan reads ``kwise.SCAN_CHUNK_BITS`` when it starts,
-and forked scan workers inherit it.  A Monte-Carlo block is one draw
-chunk of 2^MC_DRAW_BITS rows whatever this size is, so Monte-Carlo tests
-that set it check that it does not matter.  Hypothesis ``@given`` tests
-cannot use the function-scoped ``monkeypatch`` fixture, so block-split
-tests set the constant here.
+and every Monte-Carlo scan ``kwise.MC_COUNT_BITS``; forked scan workers
+inherit both.  A Monte-Carlo block is one draw chunk of 2^MC_DRAW_BITS
+rows whatever the block size is, drawn whole and counted in slices of
+2^MC_COUNT_BITS rows, so Monte-Carlo tests that set either size check
+that it does not matter.  Hypothesis ``@given`` tests cannot use the
+function-scoped ``monkeypatch`` fixture, so block-split tests set the
+constants here.
 """
 
 from __future__ import annotations
@@ -16,10 +18,21 @@ from minwise_lab import kwise
 
 
 @contextlib.contextmanager
-def scan_chunk_bits(bits: int):
-    """Exhaustive scans started inside the block count in blocks of <= 2^bits seeds."""
-    saved, kwise.SCAN_CHUNK_BITS = kwise.SCAN_CHUNK_BITS, bits
+def _setting(name: str, bits: int):
+    saved = getattr(kwise, name)
+    setattr(kwise, name, bits)
     try:
         yield
     finally:
-        kwise.SCAN_CHUNK_BITS = saved
+        setattr(kwise, name, saved)
+
+
+def scan_chunk_bits(bits: int):
+    """Exhaustive scans started inside the block count in blocks of <= 2^bits seeds."""
+    return _setting("SCAN_CHUNK_BITS", bits)
+
+
+def mc_count_bits(bits: int):
+    """Monte-Carlo scans started inside the block count each draw chunk
+    in slices of <= 2^bits rows."""
+    return _setting("MC_COUNT_BITS", bits)

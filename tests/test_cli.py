@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -19,8 +20,8 @@ import reference_counts
 
 import minwise_lab
 from minwise_lab import verify
-from minwise_lab.cli import _bound_allocator, main, run_component_tests
-from minwise_lab.construction import BucketedMinwiseFamily
+from minwise_lab.cli import _bound_allocator, _corpus_queries, main, run_component_tests
+from minwise_lab.construction import BucketedMinwiseFamily, family_from_config
 from minwise_lab.errors import ScanWorkerFailed
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -920,16 +921,20 @@ def test_mc_measure_on_a_132_bit_family(tmp_path):
         assert abs(float(row["measured_p"]) - p) <= 5 * sigma
 
 
+# the 84-bit k-min-wise family of the benchmark's Monte-Carlo workload
+WIDE_CONSTRUCTION = {
+    "family": "kminwise", "N": 16, "M": 16, "k": 2, "ell": 4, "t": 2,
+    "C": 1, "C_g": 2, "C_s": 3, "C_e": 4,
+    "prg1": {"kind": "twise", "t": 2}, "prg2": {"kind": "twise", "t": 2},
+    "extractor": {"kind": "leftover_hash", "n": 10, "m": 8},
+}
+
+
 def test_mc_measure_peak_memory_does_not_grow_with_samples(tmp_path):
     # the benchmark's 84-bit k-min-wise family, one query; each run is a
     # fresh CLI process, so its peak is its own and not pytest's
     cfg = _write(tmp_path, "wide.json", {
-        "construction": {
-            "family": "kminwise", "N": 16, "M": 16, "k": 2, "ell": 4, "t": 2,
-            "C": 1, "C_g": 2, "C_s": 3, "C_e": 4,
-            "prg1": {"kind": "twise", "t": 2}, "prg2": {"kind": "twise", "t": 2},
-            "extractor": {"kind": "leftover_hash", "n": 10, "m": 8},
-        },
+        "construction": WIDE_CONSTRUCTION,
         "corpus": {"seed": 1, "queries": [{"kind": "random_subsets", "count": 1, "size": 3}]},
         "mode": "mc",
     })
@@ -949,6 +954,25 @@ def test_mc_measure_peak_memory_does_not_grow_with_samples(tmp_path):
         peak_kib[samples] = usage.ru_maxrss  # KiB on Linux
     # 16 times the samples, drawn and counted in 2^16-row chunks
     assert peak_kib[1 << 20] - peak_kib[1 << 16] < 8 << 10, peak_kib
+
+
+def test_mc_measure_of_one_chunk_holds_at_most_5_mib():
+    # the benchmark's family and query shape: 8 random queries of 6
+    # points.  The chunk of 2^16 rows is drawn whole (3.88 MiB of word
+    # columns) and counted in slices of 2^MC_COUNT_BITS rows; counted
+    # whole, its numpy arrays peaked at 8.79 MiB.  tracemalloc sees
+    # numpy's allocations, so the peak repeats exactly
+    family = family_from_config(WIDE_CONSTRUCTION)
+    queries = _corpus_queries({"corpus": {"seed": 1, "queries": [
+        {"kind": "random_subsets", "count": 8, "size": 6}]}}, 16, 2)
+    assert family.seed_bits == 84 and len(queries) == 8
+    tracemalloc.start()
+    try:
+        verify.measure_corpus(family, queries, samples=1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 << 20, peak / (1 << 20)
 
 
 def _fake_libc(monkeypatch, **symbols):

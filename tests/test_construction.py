@@ -740,11 +740,12 @@ def test_fewer_points_than_buckets_extract_once_a_point(monkeypatch, make):
 
     monkeypatch.setattr(fam, "bind", spy)
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
-    # P = 3 distinct points over two Monte-Carlo blocks: z at each
-    # point's own bucket, never at all four
+    # P = 3 distinct points over two Monte-Carlo chunks, counted in
+    # slices of 2^MC_COUNT_BITS rows: z at each point's own bucket, never
+    # at all four
     measure_corpus(fam, [([1, 2, 3], [2]), ([2, 3], [3])],
                    samples=(1 << 16) + 500, run_seed=3)
-    assert blocks == [1 << 16, 500]
+    assert blocks == [1 << 14] * 4 + [500]
     assert len(extracts) <= 3 * len(blocks)
 
 

@@ -30,6 +30,7 @@ from minwise_lab.errors import (
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible, mul_block
 from minwise_lab.kwise import (
+    MC_COUNT_BITS,
     MC_DRAW_BITS,
     POINT_TABLE_BITS,
     SCAN_CHUNK_BITS,
@@ -423,16 +424,21 @@ def _chunked_draw(fam, samples: int, run_seed: int) -> np.ndarray:
 @pytest.mark.parametrize("chunk_bits", [10, 16, 20])
 def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
     # three draw chunks, the last one short: every Monte-Carlo block is
-    # one whole chunk, whatever the exhaustive block size
+    # one whole chunk, whatever the exhaustive block size, and count sees
+    # it in slices of 2^MC_COUNT_BITS rows
     fam = TWiseFamily(2, 4, 8)
     samples = (1 << 17) + 1001
+    assert MC_COUNT_BITS == 14
 
     def seen(seeds):
         return np.bincount(seeds.astype(np.int64), minlength=fam.seed_space)
 
+    sliced = []
+
     def seen_and_sized(seeds):
-        # the counts, then how many blocks had each length
-        return np.append(seen(seeds), [len(seeds) == 1 << 16, len(seeds) == 1001])
+        # the counts, then how many slices had each length, and in all
+        sliced.append(len(seeds))
+        return np.append(seen(seeds), [len(seeds) == 1 << 14, len(seeds) == 1001, 1])
 
     # each chunk is drawn once, by the process that counts it: never by
     # the parent of the forked workers
@@ -443,9 +449,10 @@ def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
         hist, total = scan(fam, seen_and_sized, samples=samples, run_seed=12,
                            threads=threads)
     assert total == samples
-    assert hist[-2:].tolist() == [2, 1]
+    assert hist[-3:].tolist() == [8, 1, 9]
     assert drawn == ([1 << 16, 1 << 16, 1001] if threads == 1 else [])
-    assert np.array_equal(hist[:-2], seen(_chunked_draw(fam, samples, 12)))
+    assert sliced == ([1 << 14] * 8 + [1001] if threads == 1 else [])
+    assert np.array_equal(hist[:-3], seen(_chunked_draw(fam, samples, 12)))
 
 
 def test_mc_scan_counts_the_chunked_draw_of_a_2d_layout():

@@ -88,3 +88,13 @@ def test_draw_arguments_are_checked():
     for bits in (-1, 65):
         with pytest.raises(InvalidArgument, match="bits"):
             stream.integers(bits, 1)
+    # a negative count is refused before the stream moves, so the words
+    # read next are the words an untouched stream reads
+    stream.integers(40, 3)
+    for bits in (0, 5, 40):
+        with pytest.raises(InvalidArgument, match="cannot draw -1 integers"):
+            stream.integers(bits, -1)
+    fresh = Philox(0)
+    fresh.integers(40, 3)
+    assert np.array_equal(stream.integers(64, 4), fresh.integers(64, 4))
+    assert np.array_equal(stream.integers(5, 3), fresh.integers(5, 3))

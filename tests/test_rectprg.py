@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blocksize import scan_chunk_bits
+from blocksize import mc_count_bits, scan_chunk_bits
 from seed_rows import seed_ints
 from minwise_lab.cli import main, run_component_tests
 from minwise_lab.errors import BadSeedLength, InvalidArgument, SeedSpaceTooLarge
@@ -226,12 +226,15 @@ def test_mc_order_statistic_tails_do_not_depend_on_the_block_split(kind):
     samples, run_seed = 3001, 5
     outs = np.array([expand(prg, int(s)) for s in _drawn(prg, samples, run_seed)])
     want = _margins(outs[:, 0], outs[:, 1:].min(axis=1), prg.alphabet)
-    for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
-        with scan_chunk_bits(chunk_bits):
-            got = strict_order_margins(prg, [1], range(2, prg.dimension + 1),
-                                       samples=samples, run_seed=run_seed, threads=threads)
-        assert got[2] == samples
-        assert [m.tolist() for m in got[:2]] == want
+    # the one draw chunk counted whole or in slices of 1, 8 or 2^14 rows
+    for count_bits in (0, 3, 14, 16):
+        for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
+            with scan_chunk_bits(chunk_bits), mc_count_bits(count_bits):
+                got = strict_order_margins(prg, [1], range(2, prg.dimension + 1),
+                                           samples=samples, run_seed=run_seed,
+                                           threads=threads)
+            assert got[2] == samples
+            assert [m.tolist() for m in got[:2]] == want, (count_bits, chunk_bits, threads)
 
 
 THRESHOLD_PRGS = {

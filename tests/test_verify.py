@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksize import scan_chunk_bits
+from blocksize import mc_count_bits, scan_chunk_bits
 import reference_counts
 from reference_rectprg import threshold_rectangle
 from seed_rows import seed_ints
@@ -328,6 +328,26 @@ def _wide_kminwise():
     params = ConstructionParams(N=12, M=64, k=2, ell=4, t=2)
     return BucketedKMinwiseFamily(params, TWisePRG(2, 4, 64), TWisePRG(1, 12, 64),
                                   LeftoverHash(7, 6))
+
+
+@pytest.mark.parametrize("corpus", [
+    [([1, 5], [5])],  # 64^2 value vectors: the joint law is counted
+    [([1, 2, 3, 7], [2, 7]), ([2, 3, 9], [3])],  # 64^5: every query is counted
+])
+def test_mc_corpus_on_a_2d_layout_does_not_depend_on_the_count_slices(corpus):
+    # one short draw chunk of word columns, counted in slices of 1 and 8
+    # rows (the last one short) and whole
+    fam, samples, run_seed = _wide_kminwise(), 1001, 4
+    drawn = fam.layout.draw_block(Philox(run_seed), samples)
+    assert drawn.ndim == 2
+    want = [(hits / samples, ties / samples)
+            for hits, ties in (_reference_counts(fam, drawn, X, Y) for X, Y in corpus)]
+    for count_bits in (0, 3, 14, 16):
+        for threads in (1, 2):
+            with mc_count_bits(count_bits):
+                reports = measure_corpus(fam, corpus, samples=samples,
+                                         run_seed=run_seed, threads=threads)
+            assert [(r.measured_p, r.tie_mass) for r in reports] == want, (count_bits, threads)
 
 
 EVALUATOR_FAMILIES = [
