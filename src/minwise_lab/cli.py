@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import Config, reading, write_json
-from .errors import EXHAUSTIVE_SEED_BITS, MinwiseLabError, SeedSpaceTooLarge
+from .errors import EXHAUSTIVE_SEED_BITS, MinwiseLabError, ParamViolation, SeedSpaceTooLarge
 
 SUMMARY_THRESHOLD_KEYS = ("max_mult_err_uniform", "median_mult_err_uniform",
                           "max_mult_err_fair", "max_tie_mass")
@@ -53,28 +53,24 @@ def _lib(name: str):
     return globals()[name] if name in globals() else __getattr__(name)
 
 
-class _CliError(ValueError):
-    """Raised for anything that should exit 2 with a diagnostic."""
-
-
 def _read_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _CliError(f"cannot read config {path}: {exc}")
+        raise ParamViolation(f"cannot read config {path}: {exc}")
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _CliError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        raise ParamViolation(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(cfg, dict):
-        raise _CliError(f"{path}: top-level config must be a JSON object")
+        raise ParamViolation(f"{path}: top-level config must be a JSON object")
     return cfg
 
 
 def _config(args) -> dict:
     """The config file's object, once --threads is checked."""
     if getattr(args, "threads", 1) < 1:
-        raise _CliError("--threads must be >= 1")
+        raise ParamViolation("--threads must be >= 1")
     return _read_json(args.config)
 
 
@@ -90,15 +86,15 @@ def _sampling(cfg: Config) -> tuple[str, int | None, int | None]:
     run seed given to it is refused rather than reported."""
     mode = cfg.string("mode", "exhaustive")
     if mode not in ("exhaustive", "mc"):
-        raise _CliError(f"unknown mode {mode!r}")
+        raise ParamViolation(f"unknown mode {mode!r}")
     samples, run_seed = cfg.int("samples", None, lo=1), _philox_key(cfg, "run_seed", None)
     if mode == "mc" and samples is None:
-        raise _CliError("monte-carlo mode needs a positive sample count")
+        raise ParamViolation("monte-carlo mode needs a positive sample count")
     if mode == "exhaustive":
         for key, value in (("samples", samples), ("run_seed", run_seed)):
             if value is not None:
-                raise _CliError(f"{key} applies only to Monte-Carlo runs; an exhaustive "
-                                'run enumerates every seed (set "mode": "mc")')
+                raise ParamViolation(f"{key} applies only to Monte-Carlo runs; an "
+                                     'exhaustive run enumerates every seed (set "mode": "mc")')
     return mode, samples, run_seed
 
 
@@ -109,7 +105,7 @@ def _out_dir(args) -> Path | None:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _CliError(f"cannot create output directory {out}: {exc}") from exc
+        raise ParamViolation(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -124,14 +120,14 @@ def _cmd_construct(args) -> int:
         family = (_measure_spec(cfg)[0] if "construction" in cfg
                   else _lib("family_from_config")(cfg))
     if args.eval is not None and args.seed is None:
-        raise _CliError("--eval requires --seed")
+        raise ParamViolation("--eval requires --seed")
     if args.seed is not None:
         try:
             seed = int(args.seed, 0)
         except ValueError:
-            raise _CliError(f"seed {args.seed!r} is not an integer literal")
+            raise ParamViolation(f"seed {args.seed!r} is not an integer literal")
         if not 0 <= seed < family.seed_space:
-            raise _CliError(
+            raise ParamViolation(
                 f"seed {args.seed} outside the {family.seed_bits}-bit seed space"
             )
         if args.eval is not None:
@@ -174,19 +170,19 @@ def _corpus_queries(cfg: Config | dict, N: int, k: int) -> list:
         if kind == "full_domain":
             X = list(range(1, N + 1))
             if len(X) <= k:
-                raise _CliError(f"full_domain needs |X| > k={k}")
+                raise ParamViolation(f"full_domain needs |X| > k={k}")
             queries += [(X, list(Y)) for Y in itertools.combinations(X, k)]
         elif kind == "intervals":
             for size in spec.ints("sizes", []):
                 if size <= k or size > N:
-                    raise _CliError(f"interval size {size} outside (k, N]")
+                    raise ParamViolation(f"interval size {size} outside (k, N]")
                 for lo in range(1, N - size + 2):
                     X = list(range(lo, lo + size))
                     queries += [(X, list(Y)) for Y in itertools.combinations(X, k)]
         else:
             size = spec.int("size", 0)
             if size <= k or size > N:
-                raise _CliError(f"random subset size {size} outside (k, N]")
+                raise ParamViolation(f"random subset size {size} outside (k, N]")
             # draws past the number of distinct (X, Y) pairs only repeat them
             count = spec.int("count", 0, lo=0, hi=math.comb(N, size) * math.comb(size, k))
             for _ in range(count):
@@ -214,12 +210,12 @@ def _cmd_measure(args) -> int:
         family, mode, samples, run_seed, queries, limits = _measure_spec(cfg)
     out = _out_dir(args)
     if out is None:
-        raise _CliError("measure needs --out-dir for its CSV/JSON artifacts")
+        raise ParamViolation("measure needs --out-dir for its CSV/JSON artifacts")
     try:
         reports = verify.measure_corpus(family, queries, samples=samples,
                                         run_seed=run_seed, threads=args.threads)
     except SeedSpaceTooLarge as exc:
-        raise _CliError(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
+        raise ParamViolation(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
 
     verify.write_reports_csv(out / "measure.csv", reports)
     summary = verify.summarize_reports(reports)
@@ -259,7 +255,7 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
         n, m = cfg.int("n", lo=1), cfg.int("m", lo=0)
         # the span table and each flat source's counts have 2^(d+m) cells
         if n - 1 + m > EXHAUSTIVE_SEED_BITS:
-            raise _CliError(
+            raise ParamViolation(
                 f"{n - 1}-bit seeds x {m}-bit outputs: 2^{n - 1 + m} (seed, output) "
                 f"cells exceed the 2^{EXHAUSTIVE_SEED_BITS} exhaustive budget"
             )
@@ -309,7 +305,7 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
         claimed = node.number("claimed_error", None, lo=0)
         if isinstance(prg, FullIndependencePRG):
             if claimed is not None:
-                raise _CliError("full independence has error 0 by definition")
+                raise ParamViolation("full independence has error 0 by definition")
             claimed = 0.0
         mode, samples, run_seed = _sampling(cfg)
         thetas = list(cfg.ints("thresholds", range(alpha + 1), lo=0))
@@ -317,7 +313,7 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
         errors = threshold_errors(prg, thetas, samples=samples, run_seed=run_seed,
                                   threads=threads)
     except SeedSpaceTooLarge as exc:
-        raise _CliError(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
+        raise ParamViolation(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
     rows = [{"theta": t, "error": err} for t, err in zip(thetas, errors)]
     max_err = max((r["error"] for r in rows), default=0.0)
     ok = claimed is None or max_err <= claimed + 1e-12
@@ -359,9 +355,8 @@ def _component_loads(params: dict, threads: int) -> tuple[dict, bool, str]:
         # no bucket holds more than the |X| points, so a load threshold
         # C_g past |X| is never reached; C sits below C_g on the ladder
         C_g = cfg.int("C_g", 2, lo=2, hi=len(X))
-        constants = {"C": cfg.int("C", 1, lo=1, hi=C_g - 1), "C_g": C_g,
-                     "t": cfg.int("t", None, lo=1)}
-    rep = verify.check_load_lemma(g, X, Y, ell, regime, **constants)
+        C = cfg.int("C", 1, lo=1, hi=C_g - 1)
+    rep = verify.check_load_lemma(g, X, Y, ell, regime, C, C_g)
     ok = rep.asserted_ok()
     return ({**rep.to_json(), "asserted_ok": ok}, ok,
             f"{rep.regime} regime, bad frequency {rep.bad_frequency}, "
@@ -543,12 +538,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if program:
         gc.freeze()
-    # a contract violation or a bad config exits 2 (_read_json and
-    # _out_dir raise _CliError, the config reader ParamViolation); anything
-    # else is a bug and propagates with its traceback
+    # a contract violation or a bad config exits 2; anything else is a bug
+    # and propagates with its traceback
     try:
         return args.handler(args)
-    except (MinwiseLabError, _CliError) as exc:
+    except MinwiseLabError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ import numpy as np
 from .config import Config, reading
 from .errors import ParamViolation
 from .extractor import LeftoverHash
-from .gf2 import prepare_mul
 from .kwise import (
     POINT_TABLE_BYTES,
     SCAN_CHUNK_BITS,
@@ -273,7 +272,6 @@ class _BucketedFamily(SeededFamily):
         g, after = self.g.bind(points), self.after.bind(points)
         prg1 = self.prg1.bind(range(1, ell + 1) if per_bucket else ())
         tables = self._tables(points, g, prg1, after)
-        prepare_mul(self.extractor.ctx)  # every block extracts
         z_dtype = np.min_scalar_type((1 << self.extractor.m) - 1)
 
         def layered(seeds):

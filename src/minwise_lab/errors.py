@@ -56,8 +56,9 @@ class DomainMismatch(MinwiseLabError):
 
 
 class ParamViolation(MinwiseLabError, ValueError):
-    """Construction parameters, plugged components or config values are
-    inconsistent; also a ValueError, like InvalidArgument."""
+    """Construction parameters, plugged components, a config file or its
+    values are unreadable or inconsistent; also a ValueError, like
+    InvalidArgument."""
 
 
 class SeedSpaceTooLarge(MinwiseLabError):

@@ -159,13 +159,18 @@ def find_irreducible(degree: int) -> FieldContext:
     lexicographically smallest coefficient vector.  Candidates without a
     constant term are skipped: they are divisible by x (and for degree 1
     the modulus x would not present GF(2) faithfully as residues).
-    Results are cached per degree.
+    Results are cached per degree.  Up to TABLE_MAX_DEGREE the field's
+    log_tables are built before it is returned, so every field the
+    program multiplies in has them before a scan forks its workers.
     """
     if not 1 <= degree <= 64:
         raise InvalidArgument("supported field degrees are 1..64")
     for cand in range((1 << degree) | 1, 1 << (degree + 1), 2):
         if is_irreducible(cand):
-            return FieldContext(degree, cand)
+            ctx = FieldContext(degree, cand)
+            if degree <= TABLE_MAX_DEGREE:
+                log_tables(ctx)
+            return ctx
     raise AssertionError("unreachable: an irreducible exists for every degree")
 
 
@@ -189,7 +194,8 @@ def log_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
     array of 2^n entries with exp[log[v]] = v for every nonzero v and
     log[0] = 2q.  A sum of two logs is then below 2q exactly when both
     factors are nonzero, so exp[log[a] + log[b]] is the product a·b
-    with no branch on zero.  Built on first use and cached per field.
+    with no branch on zero.  Cached per field: find_irreducible builds
+    them for the fields it returns, and any other context on first use.
     """
     if ctx.degree > TABLE_MAX_DEGREE:
         raise InvalidArgument(f"log tables cover field degrees up to {TABLE_MAX_DEGREE}")
@@ -215,17 +221,6 @@ def log_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
     log[exp[:q]] = np.arange(q)
     log.flags.writeable = exp.flags.writeable = False
     return log, exp
-
-
-def prepare_mul(ctx: FieldContext) -> None:
-    """Build the tables mul_block reads in ``ctx``, if it reads any.
-
-    A plan whose blocks multiply in a field calls this when it binds, in
-    the calling process, so that forked scan workers share the tables
-    instead of each building its own on its first block.
-    """
-    if ctx.degree <= TABLE_MAX_DEGREE:
-        log_tables(ctx)
 
 
 def mul_block(ctx: FieldContext, a: np.ndarray, b: "np.ndarray | int") -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import (
     ScanWorkerFailed,
     SeedSpaceTooLarge,
 )
-from .gf2 import find_irreducible, mul_block, prepare_mul, row_spans
+from .gf2 import find_irreducible, mul_block, row_spans
 
 if TYPE_CHECKING:
     from .philox import Philox
@@ -410,12 +410,10 @@ class SeededFamily(abc.ABC):
         Every point is checked before any table is built.  Work that
         depends only on a point is done here, within POINT_TABLE_BYTES
         (TWiseFamily's point tables, the T_x and Y_x of ``construction``'s
-        bucketed families), and so are the gf2.mul_block tables of the
-        fields its blocks multiply in (gf2.prepare_mul); nothing a plan
-        does changes it or the family, so forked scan workers share it
-        copy-on-write.  A point not bound, or past the budget, gets equal
-        values without tables.  The default is the scalar loop over
-        ``eval`` on each block's seeds.
+        bucketed families); nothing a plan does changes it or the family,
+        so forked scan workers share it copy-on-write.  A point not bound,
+        or past the budget, gets equal values without tables.  The
+        default is the scalar loop over ``eval`` on each block's seeds.
         """
         self._check_points(points)
         widths = self.seed_columns()
@@ -563,10 +561,6 @@ class TWiseFamily(SeededFamily):
             nbytes = np.min_scalar_type(self.range_size).itemsize * sum(
                 1 << (min(run, t - start) * n) for start in range(0, t, run))
             tables = {x: self._run_tables(x) for x in points[:POINT_TABLE_BYTES // nbytes]}
-        if t > 1 and (not points or len(tables) < len(points)):
-            # Horner multiplies: at a bound point without tables, and at
-            # the points of an empty plan, which are read as arrays
-            prepare_mul(self.ctx)
 
         def block(seeds):
             coeffs = seed_words(seeds, self.seed_columns())

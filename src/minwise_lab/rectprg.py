@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import Config, reading
 from .errors import BadSeedLength, DomainOverflow, InvalidArgument
-from .gf2 import find_irreducible, mul_block, prepare_mul
+from .gf2 import find_irreducible, mul_block
 from .kwise import SeededFamily, TWiseFamily, scan, seed_words
 
 
@@ -227,10 +227,6 @@ class RecursiveMixPRG(RectanglePRG):
 
     def seed_columns(self) -> tuple[int, ...]:
         return (self.cell_bits,) * (1 + 2 * self.levels)
-
-    def bind(self, coords):
-        prepare_mul(self.ctx)
-        return super().bind(coords)
 
     def coord_eval(self, seed: int, coord: int) -> int:
         self._check_seed(seed)

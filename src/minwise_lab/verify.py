@@ -493,7 +493,6 @@ def check_load_lemma(
     regime: str,
     C: int = 1,
     C_g: int = 2,
-    t: int | None = None,
 ) -> LoadReport:
     """Audit the allocation-load claims for one (X, Y) at bucket count ell.
 
@@ -516,8 +515,6 @@ def check_load_lemma(
     xs, ys = _query_sets(X, Y)
     k = len(ys)
     r = len(xs) - k
-    if t is None:
-        t = max(1, int(round(math.log2(ell))))
 
     lo09, hi11 = ell ** 0.9, ell ** 1.1
     actual = "small" if len(xs) <= lo09 else ("large" if len(xs) >= hi11 else "mid")
@@ -548,6 +545,8 @@ def check_load_lemma(
         if k == 1:
             u = float(C_g)
         else:
+            # the lemma's t = log2 ell, rounded and at least 1; no caller sets it
+            t = max(1, round(math.log2(ell)))
             u = C_g + 10 * k * math.log2(max(2, len(xs))) / t
             bj_thr = min(max(1, (C_g - 1) * k), max(1, indep - k))
         u_eff = min(max(1, math.ceil(u)), indep)

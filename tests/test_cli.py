@@ -303,6 +303,8 @@ def test_malformed_config_values_exit_two(tmp_path, capsys):
         # the allocation's degree, the polylog cap on k and a generator's error
         ("loads-test", _shipped("loads_small", ("independence",), 6),
          "unknown key 'independence'"),
+        # the small regime's t is log2 ell, which no key restates
+        ("loads-test", _shipped("loads_small", ("t",), 4), "unknown key 't'"),
         ("construct", _shipped("minwise_desk", ("construction", "k_cap"), 32),
          "unknown key 'construction.k_cap'"),
         ("construct", _shipped("minwise_desk", ("construction", "prg1", "claimed_error"), 1e-9),

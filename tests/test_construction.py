@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -31,7 +32,7 @@ from minwise_lab.kwise import (
     scan_seeds,
 )
 from minwise_lab.philox import Philox
-from minwise_lab.rectprg import FullIndependencePRG, RecursiveMixPRG, TWisePRG
+from minwise_lab.rectprg import FullIndependencePRG, RecursiveMixPRG, TWisePRG, threshold_errors
 from minwise_lab.verify import measure_corpus
 from reference_construction import design_widths, pack, target_error
 
@@ -579,7 +580,9 @@ def _spy_table_builds(monkeypatch) -> list:
     and Y_x.  A build in any process but this one raises, and a scan
     worker's exception reaches the test through kwise._portable; so does
     a field's gf2.log_tables, which are cleared first so that none is
-    inherited from an earlier test."""
+    inherited from an earlier test.  So are the fields of
+    gf2.find_irreducible, which builds their tables: a family made after
+    this call builds them anew, in this process."""
     built, pid = [], os.getpid()
 
     def in_this_process():
@@ -588,6 +591,7 @@ def _spy_table_builds(monkeypatch) -> list:
 
     log_tables = gf2.log_tables
     log_tables.cache_clear()
+    gf2.find_irreducible.cache_clear()
 
     def spy_log_tables(ctx):
         misses = log_tables.cache_info().misses
@@ -620,8 +624,8 @@ def _desk_scan_builds(patch, threads: int) -> tuple[list, list, list]:
     """The desk scan at ``threads`` workers: the tables built, the sizes
     of the blocks the parent evaluates, and of g's blocks.  g's plan
     raises when a scan worker evaluates it."""
-    fam = desk_minwise()
     built = _spy_table_builds(patch)
+    fam = desk_minwise()
     blocks, g_blocks, pid = [], [], os.getpid()
     bind, bind_g = fam.bind, fam.g.bind
 
@@ -672,10 +676,10 @@ def test_benchmark_mc_scan_builds_each_point_table_once(monkeypatch, tmp_path):
     # read from perfbench/run.py (imported, not changed), over two blocks
     # at two workers
     config = benchmark_module.load(monkeypatch).mc_workload(0, tmp_path).configs["mc.json"]
+    built = _spy_table_builds(monkeypatch)
     fam = family_from_config(config["construction"])
     queries = cli._corpus_queries(config, fam.domain_size, fam.params.k)
     points = sorted({x for X, _ in queries for x in X})
-    built = _spy_table_builds(monkeypatch)
     measure_corpus(fam, queries, samples=(1 << 16) + 500,
                    run_seed=config["run_seed"], threads=2)
     assert len(built) == len(set(built))
@@ -684,6 +688,22 @@ def test_benchmark_mc_scan_builds_each_point_table_once(monkeypatch, tmp_path):
     assert sorted(x for kind, owner, x in built if kind == "T") == points
     for owner in (fam.g, fam.prg2.family, fam.overlay):
         assert sorted(x for _, o, x in built if o == id(owner)) == points
+
+
+def test_oracle_suite_recursive_mix_scan_builds_no_field_table_in_a_worker(monkeypatch):
+    # the benchmark oracle suite's prg-test config, read from perfbench/run.py
+    # (imported, not changed): a recursive-mix PRG over GF(2^4) with 20-bit
+    # seeds, scanned at two workers.  Its blocks multiply in the field, whose
+    # tables come with it from gf2.find_irreducible, in this process
+    bench = benchmark_module.load(monkeypatch)
+    config = bench.oracle_configs(None)["prg.json"]
+    reference = json.loads((benchmark_module.RUN_PY.parent / "reference" /
+                            "oracle_suite.json").read_text())["reports"]["prg_report.json"]
+    _spy_table_builds(monkeypatch)
+    prg = prg_from_config(config["prg"], config["dimension"], config["alphabet"])
+    assert isinstance(prg, RecursiveMixPRG) and prg.seed_bits == 20
+    errors = threshold_errors(prg, config["thresholds"], threads=2)
+    assert errors == [row["error"] for row in reference["thresholds"]]
 
 
 def _wide_kminwise(ell: int) -> BucketedKMinwiseFamily:

@@ -9,6 +9,7 @@ import pytest
 
 from minwise_lab.errors import NotFullRank
 from minwise_lab.gf2 import (
+    TABLE_MAX_DEGREE,
     BitMatrix,
     FieldContext,
     clmul,
@@ -228,6 +229,22 @@ def test_log_tables_equal_the_power_walk(degree):
     ref_log, ref_exp = _walk_log_tables(ctx)
     assert log.dtype == ref_log.dtype and exp.dtype == ref_exp.dtype
     assert np.array_equal(log, ref_log) and np.array_equal(exp, ref_exp)
+
+
+def test_a_field_comes_with_its_tables():
+    # find_irreducible builds the log tables of every field that mul_block
+    # reads them in, before it returns the field, so a scan's forked workers
+    # find them built; a wider field multiplies bit-serially and builds none
+    find_irreducible.cache_clear()
+    log_tables.cache_clear()
+    for degree in range(1, TABLE_MAX_DEGREE + 5):
+        before = log_tables.cache_info().misses
+        ctx = find_irreducible(degree)
+        built = log_tables.cache_info().misses - before
+        assert built == (degree <= TABLE_MAX_DEGREE)
+        if built:
+            log_tables(ctx)
+            assert log_tables.cache_info().misses == before + 1
 
 
 def test_mul_block_refuses_a_reducible_modulus():
