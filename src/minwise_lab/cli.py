@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import Config, reading, write_json
+from .config import Config, reading, within, write_json
 from .errors import EXHAUSTIVE_SEED_BITS, MinwiseLabError, ParamViolation, SeedSpaceTooLarge
 
 SUMMARY_THRESHOLD_KEYS = ("max_mult_err_uniform", "median_mult_err_uniform",
@@ -218,9 +218,10 @@ def _cmd_measure(args) -> int:
         raise ParamViolation(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
 
     verify.write_reports_csv(out / "measure.csv", reports)
+    exact = verify.exact_summary(reports)
     summary = verify.summarize_reports(reports)
-    checks = [{"name": name, "limit": limit, "value": summary.get(name),
-               "ok": summary.get(name) is None or summary[name] <= limit}
+    checks = [{"name": name, "limit": limit, "value": summary[name],
+               "ok": exact[name] is None or within(exact[name], limit)}
               for name, limit in limits.items()]
     verify.write_json(out / "summary.json", {
         "family_id": family.family_id,
@@ -271,15 +272,15 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
     levels = []
     if fs is not None:
         for entropy in range(ext.m + 1, ext.n):
-            worst = 0.0
+            worst = 0
             for _ in range(per):
                 support = stream.choice(1 << ext.n, 1 << entropy)
                 src = FlatSource(ext.n, tuple(support))
                 worst = max(worst, strong_extractor_distance(ext, src))
-            bound = leftover_bound(ext.m, entropy)
             levels.append({
-                "entropy": entropy, "sources": per, "max_distance": worst,
-                "bound": bound, "ok": worst <= bound + 1e-12,
+                "entropy": entropy, "sources": per, "max_distance": float(worst),
+                "bound": leftover_bound(ext.m, entropy),
+                "ok": within(worst, 2, 2, (ext.m - entropy) / 2),
             })
     ok = full_rank and all(lv["ok"] for lv in levels)
     return ({"map_id": ext.map_id, "n": ext.n, "m": ext.m, "seeds": n_seeds,
@@ -314,14 +315,14 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
                                   threads=threads)
     except SeedSpaceTooLarge as exc:
         raise ParamViolation(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
-    rows = [{"theta": t, "error": err} for t, err in zip(thetas, errors)]
-    max_err = max((r["error"] for r in rows), default=0.0)
-    ok = claimed is None or max_err <= claimed + 1e-12
+    rows = [{"theta": t, "error": float(err)} for t, err in zip(thetas, errors)]
+    max_err = max(errors, default=0)
+    ok = claimed is None or within(max_err, claimed)
     return ({"prg_id": prg.prg_id, "dimension": dim, "alphabet": alpha,
              "mode": mode, "samples": samples, "run_seed": run_seed or 0,
-             "thresholds": rows, "max_error": max_err,
+             "thresholds": rows, "max_error": float(max_err),
              "claimed_error": claimed, "ok": ok}, ok,
-            f"max threshold error {max_err} over {len(rows)} rectangles"
+            f"max threshold error {float(max_err)} over {len(rows)} rectangles"
             + (f", claimed {claimed}" if claimed is not None else ""))
 
 

@@ -1,4 +1,4 @@
-"""The one checked reader of JSON configs, and the writer of JSON reports.
+"""The one checked reader of JSON configs, writer of reports and verdict rule.
 
 A Config node wraps one JSON object.  Its accessors ``int``, ``number``,
 ``string``, ``ints`` (an integer list), ``obj`` and ``objects`` (a nested
@@ -18,6 +18,7 @@ import contextlib
 import json
 import sys
 from dataclasses import MISSING as REQUIRED  # also a dataclass field's "no default"
+from fractions import Fraction
 
 from .errors import ParamViolation
 
@@ -135,3 +136,24 @@ def write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def within(value, limit, base=1, power=0) -> bool:
+    """Whether value <= limit * base^power, decided exactly: every check
+    of the program is this comparison.
+
+    ``value``, ``limit``, ``base`` > 0 and ``power`` are rationals; a
+    float among them is read as the decimal its repr writes, which for a
+    number parsed from a config is the decimal that was written.  A
+    ``power`` p/q raises both sides to q, so a bound such as
+    2 * 2^((m - k)/2) is compared without rounding: value^q against
+    limit^q * base^p when neither is negative.
+    """
+    value, limit, base, power = (Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
+                                 for x in (value, limit, base, power))
+    if value < 0 and limit < 0:
+        # -limit * base^power <= -value, between positive sides
+        return within(-limit, -value, base, -power)
+    if value < 0 or limit < 0:
+        return value < 0
+    return value ** power.denominator <= limit ** power.denominator * base ** power.numerator

@@ -12,6 +12,7 @@ source behind the desk-scale extractor oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -227,17 +228,16 @@ def seed_output_counts(ext: LeftoverHash, source: FlatSource) -> np.ndarray:
     return counts
 
 
-def strong_extractor_distance(ext: LeftoverHash, source: FlatSource) -> float:
+def strong_extractor_distance(ext: LeftoverHash, source: FlatSource) -> Fraction:
     """Exact distance of (seed, Ext(X, seed)) from uniform, X flat.
 
-    Reduces the exact (seed, output) counts of seed_output_counts, flat
-    in seed-major order, so the result carries no sampling error.
+    Cell (s, y) is off uniform by |count * 2^m - |S|| / (|S| * 2^(d+m)),
+    so the distance is the sum of those integers over
+    2 * |S| * 2^(d+m).  They are reduced in place in the int32 counts of
+    seed_output_counts, where count * 2^m <= 2^(n+m) still fits.
     """
-    counts = seed_output_counts(ext, source).ravel()
-    n_seeds = 1 << ext.d
-    n_out = 1 << ext.m
-    # reduced in place: one float array of 2^(d+m) cells, not three
-    p = counts / (len(source.support) * n_seeds)
-    p -= 1.0 / (n_seeds * n_out)
-    np.abs(p, out=p)
-    return float(p.sum()) / 2.0
+    counts = seed_output_counts(ext, source)
+    counts <<= ext.m
+    counts -= len(source.support)
+    np.abs(counts, out=counts)
+    return Fraction(int(counts.sum(dtype=np.int64)), len(source.support) << (ext.d + ext.m + 1))

@@ -273,13 +273,14 @@ def scan(family: SeededFamily, count, *, samples: int | None = None,
     return scan_blocks(-(-samples // width), block_of, count_sliced, threads), samples
 
 
-def seed_words(seeds: np.ndarray | range, widths) -> np.ndarray:
+def seed_words(seeds: np.ndarray | range, widths, out: np.ndarray | None = None) -> np.ndarray:
     """(count, words) columns of a seed block's words of the given
     widths, low bits first: the one converter between the block forms.
     A 2-D block is its word columns already; a ``range`` of seeds (an
     exhaustive scan block) becomes their packed uint64 array, and a
     packed block is cut by shift and mask into a column-major block of
-    the narrowest unsigned dtype that holds the widest word."""
+    the narrowest unsigned dtype that holds the widest word, or into the
+    columns ``out`` when given."""
     if isinstance(seeds, range):
         seeds = np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.uint64)
     if seeds.ndim == 2:
@@ -288,7 +289,7 @@ def seed_words(seeds: np.ndarray | range, widths) -> np.ndarray:
         return seeds
     seeds = seeds.astype(np.uint64, copy=False)
     dtype = np.min_scalar_type((1 << max(widths, default=1)) - 1)
-    words = np.empty((len(seeds), len(widths)), dtype=dtype, order="F")
+    words = np.empty((len(seeds), len(widths)), dtype=dtype, order="F") if out is None else out
     offset = 0
     for i, width in enumerate(widths):
         words[:, i] = (seeds >> np.uint64(offset)) & np.uint64((1 << width) - 1)
@@ -349,17 +350,20 @@ class SeedLayout:
 
     def draw_block(self, stream: Philox, count: int) -> np.ndarray:
         """Uniform seeds for sampling: packed uint64 up to 64 bits, else
-        word columns as seed_words makes them.  In layout order, a field
-        of at most 63 bits is one integer per row, cut into its words, and
-        each word of a wider field is drawn on its own."""
+        word columns as seed_words makes them, in one preallocated block.
+        In layout order, a field of at most 63 bits is one integer per row,
+        cut into its words, and each word of a wider field is drawn on its
+        own."""
         if self.total_bits <= 64:
             return stream.integers(self.total_bits, count)
-        parts = []
+        words = np.empty((count, len(self.words)), order="F",
+                         dtype=np.min_scalar_type((1 << max(self.words)) - 1))
+        col = 0
         for f in self.fields:
             for run in [f.words] if f.width <= 63 else [(w,) for w in f.words]:
-                if run:
-                    parts.append(seed_words(stream.integers(sum(run), count), run))
-        return np.concatenate(parts, axis=1)
+                seed_words(stream.integers(sum(run), count), run, words[:, col:col + len(run)])
+                col += len(run)
+        return words
 
 
 class SeededFamily(abc.ABC):

@@ -371,14 +371,6 @@ def strict_order_margins(prg: RectanglePRG, low, high, *, samples: int | None = 
     return both[:side], both[side:], total
 
 
-def _additive_error(hits: int, total: int, uniform: Fraction, samples: int | None) -> float:
-    """|hits/total - uniform|: exact over every seed, a float difference
-    over ``samples`` drawn ones."""
-    if samples is None:
-        return abs(float(Fraction(hits, total) - uniform))
-    return abs(hits / total - float(uniform))
-
-
 def rectangle_hits_exact(prg: RectanglePRG, rect: Rectangle) -> tuple[int, int]:
     """Exact (#seeds accepted by the rectangle, #seeds), by enumeration."""
     _check_shape(prg, rect)
@@ -391,8 +383,8 @@ def rectangle_error(
     *,
     samples: int | None = None,
     run_seed: int | None = None,
-) -> float:
-    """|E_seed[f(G(seed))] - E_U[f]|, exact without ``samples``.
+) -> Fraction:
+    """|E_seed[f(G(seed))] - E_U[f]| over the seeds counted, exactly.
 
     Without ``samples`` every seed is counted, which needs seed_bits <= 24
     and signals SeedSpaceTooLarge otherwise; a sample count is the
@@ -403,11 +395,11 @@ def rectangle_error(
     _check_shape(prg, rect)
     count, total = scan(PRGHashFamily(prg), _accepted(prg, rect),
                         samples=samples, run_seed=run_seed)
-    return _additive_error(count, total, rect.uniform_expectation(), samples)
+    return abs(Fraction(count, total) - rect.uniform_expectation())
 
 
 def threshold_errors(prg: RectanglePRG, thetas, *, samples: int | None = None,
-                     run_seed: int | None = None, threads: int = 1) -> list[float]:
+                     run_seed: int | None = None, threads: int = 1) -> list[Fraction]:
     """rectangle_error of the rectangle 1(x_i > theta) on every coordinate,
     for every theta, all read off one pass of strict_order_margins with an
     empty ``low``: #{min over every coordinate > theta} is
@@ -420,8 +412,7 @@ def threshold_errors(prg: RectanglePRG, thetas, *, samples: int | None = None,
     _, at_min, total = strict_order_margins(prg, [], range(1, N + 1), samples=samples,
                                             run_seed=run_seed, threads=threads)
     at_most = at_min.cumsum()
-    return [_additive_error(total - int(at_most[min(t, M)]), total,
-                            Fraction(max(M - t, 0), M) ** N, samples)
+    return [abs(Fraction(total - int(at_most[min(t, M)]), total) - Fraction(max(M - t, 0), M) ** N)
             for t in thetas]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import kwise
 # measure writes its summary through verify.write_json, where
 # perfbench/trace_cli.py times it
-from .config import write_json  # noqa: F401
+from .config import within, write_json  # noqa: F401
 from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
 from .kwise import SeededFamily, scan
 from .rectprg import RectanglePRG, TWisePRG, strict_order_margins
@@ -78,9 +78,9 @@ class ErrorReport:
     mult_err_fair: float
     tie_mass: float
     ci_halfwidth: float
-    exact_measured: Fraction | None = field(default=None, repr=False)
-    exact_uniform: Fraction | None = field(default=None, repr=False)
-    exact_tie: Fraction | None = field(default=None, repr=False)
+    exact_measured: Fraction = field(repr=False)
+    exact_uniform: Fraction = field(repr=False)
+    exact_tie: Fraction = field(repr=False)
 
     def csv_row(self) -> list[str]:
         values = [getattr(self, f.name) for f in fields(self)[:len(CSV_COLUMNS)]]
@@ -229,21 +229,19 @@ def _wilson_halfwidth(hits: int, total: int) -> float:
 
 def _error_report(family: SeededFamily, xs: list[int], ys: list[int],
                   samples: int | None, hits: int, ties: int, total: int) -> ErrorReport:
-    """The report of one query: exact when no sample count was given."""
+    """The report of one query: exhaustive when no sample count was given."""
     k = len(ys)
     uniform = uniform_minwise_probability(len(xs), family.range_size, k)
     fair = Fraction(1, math.comb(len(xs), k))
     measured = Fraction(hits, total)
     tie_mass = Fraction(ties, total)
-    exact = samples is None
-    ci = 0.0 if exact else _wilson_halfwidth(hits, total)
     return ErrorReport(
         family_id=family.family_id,
         N=family.domain_size,
         M=family.range_size,
         k=k,
         sizeX=len(xs),
-        mode="exhaustive" if exact else "mc",
+        mode="exhaustive" if samples is None else "mc",
         samples=total,
         measured_p=float(measured),
         uniform_ref=float(uniform),
@@ -251,10 +249,10 @@ def _error_report(family: SeededFamily, xs: list[int], ys: list[int],
         mult_err_uniform=float(abs(measured - uniform) / uniform),
         mult_err_fair=float(abs(measured - fair) / fair),
         tie_mass=float(tie_mass),
-        ci_halfwidth=ci,
-        exact_measured=measured if exact else None,
+        ci_halfwidth=0.0 if samples is None else _wilson_halfwidth(hits, total),
+        exact_measured=measured,
         exact_uniform=uniform,
-        exact_tie=tie_mass if exact else None,
+        exact_tie=tie_mass,
     )
 
 
@@ -286,10 +284,11 @@ class BoundCheck:
     ok: bool
 
     @classmethod
-    def make(cls, description: str, frequency, bound) -> "BoundCheck":
-        vac = bound > 1
-        ok = vac or float(frequency) <= float(bound) + 1e-12
-        return cls(description, float(frequency), float(bound), vac, ok)
+    def make(cls, description: str, frequency, bound, base=1, power=0) -> "BoundCheck":
+        """frequency <= bound * base^power by within, vacuous above 1."""
+        vac = not within(bound, 1, base, -power)
+        ok = vac or within(frequency, bound, base, power)
+        return cls(description, float(frequency), float(bound) * base ** power, vac, ok)
 
     @property
     def tag(self) -> str:
@@ -315,10 +314,7 @@ class LoadReport:
     bj_chain: BoundCheck | None = None
 
     def asserted_ok(self) -> bool:
-        ok = self.chain.ok
-        if self.bj_chain is not None:
-            ok = ok and self.bj_chain.ok
-        return ok
+        return self.chain.ok and (self.bj_chain is None or self.bj_chain.ok)
 
     def to_json(self) -> dict:
         out = {
@@ -516,8 +512,9 @@ def check_load_lemma(
     k = len(ys)
     r = len(xs) - k
 
-    lo09, hi11 = ell ** 0.9, ell ** 1.1
-    actual = "small" if len(xs) <= lo09 else ("large" if len(xs) >= hi11 else "mid")
+    # |X| <= ell^0.9 is small and ell^1.1 <= |X| large
+    actual = ("small" if within(len(xs), 1, ell, 0.9)
+              else "large" if within(1, len(xs), ell, -1.1) else "mid")
     if regime != actual:
         raise RegimeMismatch(
             f"|X|={len(xs)} is in the {actual!r} regime at ell={ell}, "
@@ -558,17 +555,15 @@ def check_load_lemma(
             raise InvalidArgument("mid/large regime chains need >= pairwise independence")
         e = min(indep if indep % 2 == 0 else indep - 1, 12)
         mu = binomial_central_moment(r, p1, e)
-        # a load is bad at load - mean >= a (mid) or |load - mean| >= a
-        # (large); the band holds the integer loads left, with 1e-12 slack
-        # so a float edge that should be an integer stays bad
+        # a load is bad at load - mean >= ell^0.1 (mid) or
+        # |load - mean| >= mean/10 (large); the band holds the loads left
         if regime == "mid":
-            a = ell ** 0.1
-            threshold = float(mean) + a
-            lo = 0
+            threshold, lo = float(mean) + ell ** 0.1, 0
+            # the last load L below mean + ell^0.1: 1 <= (L + 1 - mean) * ell^-0.1
+            hi = next(L for L in itertools.count() if within(1, L + 1 - mean, ell, -0.1))
         else:
-            a = threshold = 0.1 * float(mean)
-            lo = max(0, math.floor(float(mean) - a + 1e-12) + 1)
-        hi = max(0, math.ceil(float(mean) + a - 1e-12) - 1)
+            a, threshold = mean / 10, 0.1 * float(mean)
+            lo, hi = math.floor(mean - a) + 1, math.ceil(mean + a) - 1
 
     if uniform_g:
         freq = 1 - _bounded_count_poly(r, lo, hi, ell)
@@ -599,7 +594,7 @@ def check_load_lemma(
     elif regime == "mid":
         chain = BoundCheck.make(
             f"Pr[any load - mean >= ell^0.1] <= ell*mu_{e}/ell^(0.1*{e})",
-            freq, ell * float(mu) / a ** e,
+            freq, ell * mu, ell, Fraction(-e, 10),
         )
         closed = BoundCheck.make(
             "1/ell^(3C*k)" if k > 1 else "1/ell^(3C)",
@@ -607,7 +602,7 @@ def check_load_lemma(
     else:
         chain = BoundCheck.make(
             f"Pr[any |load - mean| >= 0.1*mean] <= ell*mu_{e}/(0.1*mean)^{e}",
-            freq, ell * float(mu) / a ** e,
+            freq, ell * mu / a ** e,
         )
         closed = BoundCheck.make(
             "1/|X|^(3C*k)" if k > 1 else "1/|X|^(3C)",
@@ -667,13 +662,12 @@ def check_twise_tails(t: int, b: int, thetas, M: int) -> list[TailReport]:
         exact = Fraction(total - int(at_most[theta]), total)
         reference = (1 - Fraction(theta, M)) ** b
         tolerance = Fraction(b * theta, M) ** t / math.factorial(t)
-        within = abs(exact - reference) <= tolerance
         implied = None
         if theta > 0 and exact > 0:
             implied = float(exact) ** (2.0 / t) * (b * theta / M) / t
         reports.append(TailReport(
             t, b, theta, M, float(exact), float(reference), float(tolerance),
-            within, implied,
+            within(abs(exact - reference), tolerance), implied,
         ))
     return reports
 
@@ -765,7 +759,6 @@ def check_reduction(prg: RectanglePRG, X, Y, threads: int = 1) -> ReductionRepor
         mult_bound = 2 * N * M * delta
     else:
         mult_bound = Fraction(N ** k * 4 * M, math.factorial(k)) * delta
-    precondition = uniform >= Fraction(math.factorial(k), 2 * N ** k)
 
     return ReductionReport(
         N=N, M=M, k=k, sizeX=len(xs),
@@ -777,9 +770,9 @@ def check_reduction(prg: RectanglePRG, X, Y, threads: int = 1) -> ReductionRepor
         additive_bound=float(additive_bound),
         mult_error=float(mult),
         mult_bound=float(mult_bound),
-        precondition_ok=bool(precondition),
-        additive_ok=additive <= additive_bound,
-        mult_ok=mult <= mult_bound,
+        precondition_ok=within(Fraction(math.factorial(k), 2 * N ** k), uniform),
+        additive_ok=within(additive, additive_bound),
+        mult_ok=within(mult, mult_bound),
     )
 
 
@@ -798,19 +791,27 @@ def write_reports_csv(path, reports) -> None:
             writer.writerow(rep.csv_row())
 
 
-def summarize_reports(reports) -> dict:
-    """Max/median multiplicative errors over a corpus of ErrorReports."""
+def exact_summary(reports) -> dict:
+    """Max/median multiplicative errors and the largest tie mass of a corpus
+    of ErrorReports, as Fractions of their exact fields (None if empty)."""
     if not reports:
         return {"queries": 0, "max_mult_err_uniform": None,
                 "median_mult_err_uniform": None,
                 "max_mult_err_fair": None, "max_tie_mass": None}
-    uni = sorted(r.mult_err_uniform for r in reports)
+    uni = sorted(abs(r.exact_measured - r.exact_uniform) / r.exact_uniform for r in reports)
     mid = len(uni) // 2
-    median = uni[mid] if len(uni) % 2 else (uni[mid - 1] + uni[mid]) / 2
     return {
         "queries": len(reports),
-        "max_mult_err_uniform": max(uni),
-        "median_mult_err_uniform": median,
-        "max_mult_err_fair": max(r.mult_err_fair for r in reports),
-        "max_tie_mass": max(r.tie_mass for r in reports),
+        "max_mult_err_uniform": uni[-1],
+        "median_mult_err_uniform": uni[mid] if len(uni) % 2 else (uni[mid - 1] + uni[mid]) / 2,
+        # |p - 1/C(|X|, k)| / (1/C(|X|, k))
+        "max_mult_err_fair": max(abs(r.exact_measured * math.comb(r.sizeX, r.k) - 1)
+                                 for r in reports),
+        "max_tie_mass": max(r.exact_tie for r in reports),
     }
+
+
+def summarize_reports(reports) -> dict:
+    """exact_summary with its statistics as floats, for output."""
+    return {name: value if value is None or name == "queries" else float(value)
+            for name, value in exact_summary(reports).items()}

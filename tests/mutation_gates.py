@@ -1,5 +1,5 @@
-"""Check that the output pins catch small faults in the Monte-Carlo scan
-and the direct sum.
+"""Check that the output pins catch small faults in the Monte-Carlo scan,
+the direct sum and the verdict rule.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KWISE = "src/minwise_lab/kwise.py"
+CONFIG = "src/minwise_lab/config.py"
 
 # (name, file, text, replacement)
 MUTATIONS = [
@@ -32,6 +33,9 @@ MUTATIONS = [
      "stream.jumped(j)", "stream.jumped(j + 1)"),
     ("the last count slice of a chunk dropped", KWISE,
      "for lo in range(0, len(chunk), step))", "for lo in range(0, len(chunk), step)[:-1])"),
+    # the kminwise_desk limit 0.0 on max_mult_err_uniform is met with equality
+    ("the verdict compares strictly (`<` for `<=`)", CONFIG,
+     "<= limit ** power.denominator", "< limit ** power.denominator"),
 ]
 
 

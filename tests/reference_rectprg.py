@@ -55,8 +55,8 @@ def restricted_to(rect: Rectangle, coord: int, values) -> Rectangle:
 
 def conditional_rectangle_check(
     prg: RectanglePRG, j: int, alpha: int, rect: Rectangle
-) -> float:
-    """|E_prg[prod_{i != j} f_i | s_j = alpha] - prod_{i != j} E_U[f_i]|.
+) -> Fraction:
+    """|E_prg[prod_{i != j} f_i | s_j = alpha] - prod_{i != j} E_U[f_i]|, exactly.
 
     ``rect`` must leave coordinate j unconstrained; the conditioning is
     exact over the full seed space.  Signals ConditionNeverHolds when no
@@ -74,4 +74,4 @@ def conditional_rectangle_check(
     if point_hits == 0:
         raise ConditionNeverHolds(f"no seed gives coordinate {j} the value {alpha}")
     conditional = Fraction(joint_hits, point_hits)
-    return abs(float(conditional - rect.uniform_expectation()))
+    return abs(conditional - rect.uniform_expectation())

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import benchmark_module
@@ -23,6 +24,7 @@ from minwise_lab import verify
 from minwise_lab.cli import _bound_allocator, _corpus_queries, main, run_component_tests
 from minwise_lab.construction import BucketedMinwiseFamily, family_from_config
 from minwise_lab.errors import ScanWorkerFailed
+from minwise_lab.rectprg import TWisePRG, threshold_errors
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -508,6 +510,38 @@ def test_prg_test_claimed_error_enforced(tmp_path):
         "dimension": 4, "alphabet": 8,
     })
     assert main(["prg-test", "--config", bad_cfg, "--out-dir", str(tmp_path / "b")]) == 1
+
+
+def test_prg_test_claim_is_decided_exactly(tmp_path):
+    # the errors of this exhaustive scan are dyadic, so the float of the
+    # largest one writes it exactly; a claim 10^-13 below it must fail
+    params = {"prg": {"kind": "twise", "t": 2}, "dimension": 4, "alphabet": 8}
+    max_err = max(threshold_errors(TWisePRG(2, 4, 8), range(9)))
+    assert Fraction(repr(float(max_err))) == max_err
+    for claimed, status in ((float(max_err), 0), (float(max_err - Fraction(1, 10 ** 13)), 1)):
+        cfg = _write(tmp_path, "c.json", {**params, "prg": {**params["prg"],
+                                                             "claimed_error": claimed}})
+        assert main(["prg-test", "--config", cfg]) == status, claimed
+
+
+def test_measure_limit_is_decided_exactly(tmp_path):
+    # the one query X = {1, 3, 4}, Y = {4} of the desk family, whose exact
+    # max_mult_err_uniform lies above the decimal its float prints as; that
+    # printed value, given back as the limit, is exceeded
+    cfg = {**_shipped("minwise_desk"), "thresholds": {},
+           "corpus": {"seed": 4, "queries": [{"kind": "random_subsets", "count": 1, "size": 3}]}}
+    out = tmp_path / "out"
+    assert main(["measure", "--config", _write(tmp_path, "a.json", cfg),
+                 "--out-dir", str(out)]) == 0
+    printed = json.loads((out / "summary.json").read_text())["summary"]["max_mult_err_uniform"]
+    rep = verify.measure_minwise(family_from_config(cfg["construction"]), [1, 3, 4], [4])
+    assert Fraction(repr(printed)) < abs(rep.exact_measured - rep.exact_uniform) / rep.exact_uniform
+    cfg["thresholds"] = {"max_mult_err_uniform": printed}
+    assert main(["measure", "--config", _write(tmp_path, "b.json", cfg),
+                 "--out-dir", str(out)]) == 1
+    check = json.loads((out / "summary.json").read_text())["thresholds"]
+    assert check == [{"name": "max_mult_err_uniform", "limit": printed, "value": printed,
+                      "ok": False}]
 
 
 @pytest.mark.parametrize("given", ["config", "flag"])

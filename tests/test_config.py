@@ -4,10 +4,11 @@ the refusal of keys that nothing reads."""
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import pytest
 
-from minwise_lab.config import Config, reading
+from minwise_lab.config import Config, reading, within
 from minwise_lab.errors import ParamViolation
 
 
@@ -75,3 +76,29 @@ def test_reading_checks_the_dicts_it_wraps():
     with pytest.raises(ParamViolation, match=re.escape("config missing required fields: "
                                                        "['N', 'M']")):
         Config({"k": 1}).require("N", "M")
+
+
+TINY = Fraction(1, 10 ** 13)
+
+
+def test_within_decides_a_rational_power_exactly():
+    # 2 * 2^(1/2), 16^(1/10) and the leftover bound 2 * 2^((m - k)/2) at
+    # m - k = -3, its power a float, are irrational; the float of each lies
+    # within 10^-15 of it, so 10^-13 either side brackets it
+    for limit, base, power in ((2, 2, Fraction(1, 2)), (1, 16, Fraction(1, 10)), (2, 2, -1.5)):
+        near = Fraction(limit * float(base) ** float(power))
+        assert within(near - TINY, limit, base, power)
+        assert not within(near + TINY, limit, base, power)
+    # 1024^(1/10) = 2 is rational, and met with equality
+    assert within(2, 1, 1024, Fraction(1, 10))
+    assert not within(2 + Fraction(1, 10 ** 30), 1, 1024, Fraction(1, 10))
+
+
+def test_within_reads_floats_as_their_decimals_and_keeps_signs():
+    # 0.1 + 0.2 prints as 0.30000000000000004, which is above 0.3
+    assert within(Fraction(3, 10), 0.3) and not within(Fraction(3, 10) + TINY, 0.3)
+    assert not within(0.1 + 0.2, 0.3)
+    assert within(0, 0) and within(-1, 0) and not within(0, -1)
+    assert within(-2, -1) and not within(-1, -2)
+    # -3 <= -1 * 4^(1/2) = -2, and -1 > -2
+    assert within(-3, -1, 4, Fraction(1, 2)) and not within(-1, -1, 4, Fraction(1, 2))

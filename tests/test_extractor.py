@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,14 +127,16 @@ def test_distance_zero_for_full_support():
     assert strong_extractor_distance(ext, src) == 0.0
 
 
-def _table_bincount(table: np.ndarray, m: int, support) -> tuple[np.ndarray, float]:
-    """Brute-force (seed, output) counts and distance from an output table."""
+def _table_bincount(table: np.ndarray, m: int, support) -> tuple[np.ndarray, Fraction]:
+    """Brute-force (seed, output) counts and exact distance from an output
+    table: half the sum of |count/(|S| * seeds) - 1/(seeds * 2^m)|, each
+    term scaled by |S| * seeds * 2^m to an integer."""
     sub = table[np.array(support, dtype=np.int64), :].astype(np.int64) & ((1 << m) - 1)
     n_seeds = table.shape[1]
     flat = sub + (np.arange(n_seeds, dtype=np.int64)[None, :] << m)
     counts = np.bincount(flat.ravel(), minlength=n_seeds << m)
-    p = counts / (len(support) * n_seeds)
-    return counts, float(np.abs(p - 1.0 / (n_seeds << m)).sum()) / 2.0
+    scaled = np.abs(counts * (1 << m) - len(support))
+    return counts, Fraction(int(scaled.sum()), 2 * len(support) * (n_seeds << m))
 
 
 @functools.lru_cache(maxsize=1)

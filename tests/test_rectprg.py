@@ -269,9 +269,10 @@ def test_prg_test_rows_match_rectangle_error(mode, tmp_path):
               "mode": mode, "thresholds": [0, 1, 2, 3, 4], **SAMPLING[mode]}
     run_component_tests("prg", params, out_dir=tmp_path)
     rows = json.loads((tmp_path / "prg_report.json").read_text())["thresholds"]
+    # the report holds each exact error as a float
     assert rows == [
-        {"theta": t, "error": rectangle_error(prg, threshold_rectangle(8, 4, t),
-                                              **SAMPLING[mode])}
+        {"theta": t, "error": float(rectangle_error(prg, threshold_rectangle(8, 4, t),
+                                                    **SAMPLING[mode]))}
         for t in range(5)
     ]
 
@@ -348,7 +349,7 @@ def test_conditional_error_bounded_by_measured_algebra():
         delta_point = abs(p_alpha - Fraction(1, 4))
         bound = (delta_joint + rect.uniform_expectation() * delta_point) / p_alpha
         got = conditional_rectangle_check(prg, j, alpha, rect)
-        assert got <= float(bound) + 1e-12
+        assert got <= bound
 
 
 # --- PRG as hash family -------------------------------------------------------
@@ -383,8 +384,9 @@ def test_mc_draws_packed_seeds_up_to_64_bits():
     wide_mins = [min(wide.coord_eval(seed, i) for i in range(1, 9))
                  for seed in seed_ints(words, (8,) * 9)]
     above = sum(m > 1 for m in wide_mins)
-    uniform = float(Fraction(255, 256) ** 8)
-    assert threshold_errors(wide, [1], samples=500, run_seed=3) == [abs(above / 500 - uniform)]
+    uniform = Fraction(255, 256) ** 8
+    assert threshold_errors(wide, [1], samples=500, run_seed=3) == [abs(Fraction(above, 500)
+                                                                        - uniform)]
     # the whole law of the minimum, not only its tail above 1
     _, at_min, total = strict_order_margins(wide, [], range(1, 9), samples=500, run_seed=3)
     assert at_min.tolist() == [wide_mins.count(v) for v in range(257)]

@@ -638,10 +638,10 @@ def test_large_regime_family_scan_matches_direct_recount():
     loads = np.zeros(len(seeds))
     for x in X[:-1]:
         loads += fam.eval_block(seeds, x) == 1
-    mean = 5 / 2
-    bad = (np.maximum(np.abs(loads - mean), np.abs((5 - loads) - mean))
-           >= 0.1 * mean - 1e-12)
-    assert rep.bad_frequency == bad.mean()
+    # the bad event |load - mean| >= mean/10, decided in exact rationals
+    mean = Fraction(5, 2)
+    bad = [max(abs(int(c) - mean), abs(5 - int(c) - mean)) >= mean / 10 for c in loads]
+    assert rep.bad_frequency == sum(bad) / len(bad)
 
 
 def test_scan_loads_chunking_is_invisible():
@@ -788,6 +788,18 @@ def test_points_count_loads_above_255(monkeypatch):
     assert np.array_equal(hist, want[0]) and bj_bad == want[1]
     assert np.flatnonzero(hist[0])[[0, -1]].tolist() == [1, 299]
     assert bj_bad == 2  # seeds 0 and 1: 300 shares bucket 1 with 299 and 99 points
+
+
+@pytest.mark.parametrize("size, declared, actual", [(512, "large", "small"),
+                                                   (2048, "small", "large")])
+def test_regime_edges_are_exact(size, declared, actual):
+    # at ell = 1024, |X| = 512 is exactly ell^0.9 and |X| = 2048 exactly
+    # ell^1.1, so both belong to the outer regimes; the float power
+    # 1024 ** 1.1 = 2048.0000000000014 put 2048 in "mid".  The regime is
+    # checked before any count.
+    X = list(range(1, size + 1))
+    with pytest.raises(RegimeMismatch, match=f"{actual!r} regime .* not {declared!r}"):
+        check_load_lemma("uniform", X, [1], 1024, declared)
 
 
 def test_load_lemma_validation():
@@ -1065,6 +1077,15 @@ def test_bound_check_tags():
     assert BoundCheck.make("x", 0.5, 0.5).tag == "holds"
     assert BoundCheck.make("x", 0.6, 0.5).tag == "fails"
     assert BoundCheck.make("x", Fraction(1, 3), Fraction(1, 3)).ok
+    # exact: no slack lets a violation of 10^-13 pass
+    assert BoundCheck.make("x", Fraction(1, 3) + Fraction(1, 10 ** 13), Fraction(1, 3)).tag \
+        == "fails"
+    # a bound times a rational power: 4 * 16^(-1/10) is 2^1.6, above 1
+    assert BoundCheck.make("x", Fraction(1, 2), 4, 16, Fraction(-1, 10)).tag == "vacuous"
+    # (1/2) * 1024^(1/10) is exactly 1: met, and not vacuous
+    half = (Fraction(1, 2), 1024, Fraction(1, 10))
+    assert BoundCheck.make("x", 1, *half).tag == "holds"
+    assert BoundCheck.make("x", 1 + Fraction(1, 10 ** 13), *half).tag == "fails"
 
 
 # ---------------------------------------------------------------------------
