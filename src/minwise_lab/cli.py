@@ -19,10 +19,12 @@ import sys
 from pathlib import Path
 
 from .config import Config, reading, within, write_json
-from .errors import EXHAUSTIVE_SEED_BITS, MinwiseLabError, ParamViolation, SeedSpaceTooLarge
+from .errors import EXHAUSTIVE_SEED_BITS, InvalidArgument, MinwiseLabError, SeedSpaceTooLarge
 
 SUMMARY_THRESHOLD_KEYS = ("max_mult_err_uniform", "median_mult_err_uniform",
                           "max_mult_err_fair", "max_tie_mass")
+# what a config error adds when an exhaustive scan's seed space is over budget
+MC_HINT = '; rerun with "mode": "mc" and "samples": <n> in the config'
 
 
 # Library names that the handlers call as attributes of this module,
@@ -57,20 +59,20 @@ def _read_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ParamViolation(f"cannot read config {path}: {exc}")
+        raise InvalidArgument(f"cannot read config {path}: {exc}")
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParamViolation(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        raise InvalidArgument(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(cfg, dict):
-        raise ParamViolation(f"{path}: top-level config must be a JSON object")
+        raise InvalidArgument(f"{path}: top-level config must be a JSON object")
     return cfg
 
 
 def _config(args) -> dict:
     """The config file's object, once --threads is checked."""
     if getattr(args, "threads", 1) < 1:
-        raise ParamViolation("--threads must be >= 1")
+        raise InvalidArgument("--threads must be >= 1")
     return _read_json(args.config)
 
 
@@ -86,14 +88,14 @@ def _sampling(cfg: Config) -> tuple[str, int | None, int | None]:
     run seed given to it is refused rather than reported."""
     mode = cfg.string("mode", "exhaustive")
     if mode not in ("exhaustive", "mc"):
-        raise ParamViolation(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     samples, run_seed = cfg.int("samples", None, lo=1), _philox_key(cfg, "run_seed", None)
     if mode == "mc" and samples is None:
-        raise ParamViolation("monte-carlo mode needs a positive sample count")
+        raise InvalidArgument("monte-carlo mode needs a positive sample count")
     if mode == "exhaustive":
         for key, value in (("samples", samples), ("run_seed", run_seed)):
             if value is not None:
-                raise ParamViolation(f"{key} applies only to Monte-Carlo runs; an "
+                raise InvalidArgument(f"{key} applies only to Monte-Carlo runs; an "
                                      'exhaustive run enumerates every seed (set "mode": "mc")')
     return mode, samples, run_seed
 
@@ -105,7 +107,7 @@ def _out_dir(args) -> Path | None:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ParamViolation(f"cannot create output directory {out}: {exc}") from exc
+        raise InvalidArgument(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -120,14 +122,14 @@ def _cmd_construct(args) -> int:
         family = (_measure_spec(cfg)[0] if "construction" in cfg
                   else _lib("family_from_config")(cfg))
     if args.eval is not None and args.seed is None:
-        raise ParamViolation("--eval requires --seed")
+        raise InvalidArgument("--eval requires --seed")
     if args.seed is not None:
         try:
             seed = int(args.seed, 0)
         except ValueError:
-            raise ParamViolation(f"seed {args.seed!r} is not an integer literal")
+            raise InvalidArgument(f"seed {args.seed!r} is not an integer literal")
         if not 0 <= seed < family.seed_space:
-            raise ParamViolation(
+            raise InvalidArgument(
                 f"seed {args.seed} outside the {family.seed_bits}-bit seed space"
             )
         if args.eval is not None:
@@ -170,19 +172,19 @@ def _corpus_queries(cfg: Config | dict, N: int, k: int) -> list:
         if kind == "full_domain":
             X = list(range(1, N + 1))
             if len(X) <= k:
-                raise ParamViolation(f"full_domain needs |X| > k={k}")
+                raise InvalidArgument(f"full_domain needs |X| > k={k}")
             queries += [(X, list(Y)) for Y in itertools.combinations(X, k)]
         elif kind == "intervals":
             for size in spec.ints("sizes", []):
                 if size <= k or size > N:
-                    raise ParamViolation(f"interval size {size} outside (k, N]")
+                    raise InvalidArgument(f"interval size {size} outside (k, N]")
                 for lo in range(1, N - size + 2):
                     X = list(range(lo, lo + size))
                     queries += [(X, list(Y)) for Y in itertools.combinations(X, k)]
         else:
             size = spec.int("size", 0)
             if size <= k or size > N:
-                raise ParamViolation(f"random subset size {size} outside (k, N]")
+                raise InvalidArgument(f"random subset size {size} outside (k, N]")
             # draws past the number of distinct (X, Y) pairs only repeat them
             count = spec.int("count", 0, lo=0, hi=math.comb(N, size) * math.comb(size, k))
             for _ in range(count):
@@ -210,12 +212,12 @@ def _cmd_measure(args) -> int:
         family, mode, samples, run_seed, queries, limits = _measure_spec(cfg)
     out = _out_dir(args)
     if out is None:
-        raise ParamViolation("measure needs --out-dir for its CSV/JSON artifacts")
+        raise InvalidArgument("measure needs --out-dir for its CSV/JSON artifacts")
     try:
         reports = verify.measure_corpus(family, queries, samples=samples,
                                         run_seed=run_seed, threads=args.threads)
     except SeedSpaceTooLarge as exc:
-        raise ParamViolation(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
+        raise InvalidArgument(f"{exc}{MC_HINT}")
 
     verify.write_reports_csv(out / "measure.csv", reports)
     exact = verify.exact_summary(reports)
@@ -256,7 +258,7 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
         n, m = cfg.int("n", lo=1), cfg.int("m", lo=0)
         # the span table and each flat source's counts have 2^(d+m) cells
         if n - 1 + m > EXHAUSTIVE_SEED_BITS:
-            raise ParamViolation(
+            raise InvalidArgument(
                 f"{n - 1}-bit seeds x {m}-bit outputs: 2^{n - 1 + m} (seed, output) "
                 f"cells exceed the 2^{EXHAUSTIVE_SEED_BITS} exhaustive budget"
             )
@@ -306,7 +308,7 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
         claimed = node.number("claimed_error", None, lo=0)
         if isinstance(prg, FullIndependencePRG):
             if claimed is not None:
-                raise ParamViolation("full independence has error 0 by definition")
+                raise InvalidArgument("full independence has error 0 by definition")
             claimed = 0.0
         mode, samples, run_seed = _sampling(cfg)
         thetas = list(cfg.ints("thresholds", range(alpha + 1), lo=0))
@@ -314,7 +316,7 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
         errors = threshold_errors(prg, thetas, samples=samples, run_seed=run_seed,
                                   threads=threads)
     except SeedSpaceTooLarge as exc:
-        raise ParamViolation(f'{exc}; rerun with "mode": "mc" and "samples": <n> in the config')
+        raise InvalidArgument(f"{exc}{MC_HINT}")
     rows = [{"theta": t, "error": float(err)} for t, err in zip(thetas, errors)]
     max_err = max(errors, default=0)
     ok = claimed is None or within(max_err, claimed)
@@ -403,11 +405,12 @@ def run_component_tests(kind: str, params: dict, out_dir=None) -> int:
     the matching subcommand's JSON config (the ``kwise`` tail-estimate
     table has no subcommand of its own and is reachable only here).
     Reports are written under ``out_dir`` when given.  Returns the exit
-    status: 0 every asserted check passed, 1 otherwise.  Malformed
-    params raise ValueError; module errors propagate as-is.
+    status: 0 every asserted check passed, 1 otherwise.  An unknown
+    kind, malformed params or a value the library refuses raise
+    InvalidArgument, a ValueError.
     """
     if kind not in _COMPONENT_RUNNERS:
-        raise ValueError(
+        raise InvalidArgument(
             f"unknown component kind {kind!r}; "
             f"known: {', '.join(sorted(_COMPONENT_RUNNERS))}"
         )

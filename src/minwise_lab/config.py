@@ -7,7 +7,7 @@ key's path in their errors.  No default makes the key required; a None
 default reads an absent key or a null as None.  ``done()`` refuses every
 key that no accessor asked for, in the node or in an object read from it.
 
-Errors are ParamViolation, also a ValueError, led by the kind of fault:
+Errors are InvalidArgument, also a ValueError, led by the kind of fault:
 KeyError (a missing or unknown key), TypeError (the key's value has the
 wrong JSON type) or ValueError (it is out of range, or a list entry is bad).
 """
@@ -20,7 +20,7 @@ import sys
 from dataclasses import MISSING as REQUIRED  # also a dataclass field's "no default"
 from fractions import Fraction
 
-from .errors import ParamViolation
+from .errors import InvalidArgument
 
 
 class Config:
@@ -47,22 +47,22 @@ class Config:
         if key in self.data and not (self.data[key] is None and default is None):
             return self.data[key], True
         if default is REQUIRED:
-            raise ParamViolation(f"KeyError: {self.path or 'config'} needs {key!r}")
+            raise InvalidArgument(f"KeyError: {self.path or 'config'} needs {key!r}")
         return default, False
 
     def require(self, *keys: str) -> None:
         """Refuse the object unless it has all of ``keys``; names each one missing."""
         missing = [key for key in keys if key not in self.data]
         if missing:
-            raise ParamViolation(f"{self.path or 'config'} missing required fields: {missing}")
+            raise InvalidArgument(f"{self.path or 'config'} missing required fields: {missing}")
 
     @staticmethod
     def _check(where: str, value, what: str, ok: bool, kind="TypeError", lo=None, hi=None):
         if not ok:
-            raise ParamViolation(f"{kind}: {where} must be {what}, got {value!r}")
+            raise InvalidArgument(f"{kind}: {where} must be {what}, got {value!r}")
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             span = " and ".join(f"{op} {v}" for op, v in ((">=", lo), ("<=", hi)) if v is not None)
-            raise ParamViolation(f"ValueError: {where} must be {span}, got {value!r}")
+            raise InvalidArgument(f"ValueError: {where} must be {span}, got {value!r}")
 
     def int(self, key: str, default=REQUIRED, lo=None, hi=None):
         value, given = self._get(key, default)
@@ -114,7 +114,7 @@ class Config:
         """Refuse any key that no accessor asked for, here or in a child."""
         unknown = [key for key in self.data if key not in self._read]
         if unknown:
-            raise ParamViolation(f"KeyError: unknown key {self._where(unknown[0])!r}; "
+            raise InvalidArgument(f"KeyError: unknown key {self._where(unknown[0])!r}; "
                                  f"known: {', '.join(sorted(self._read))}")
         for child in self._children:
             child.done()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import Config, reading
-from .errors import ParamViolation
+from .errors import InvalidArgument
 from .extractor import LeftoverHash
 from .kwise import (
     POINT_TABLE_BYTES,
@@ -69,23 +69,23 @@ class ConstructionParams:
 
     def __post_init__(self) -> None:
         if self.N < 1:
-            raise ParamViolation("domain size N must be >= 1")
+            raise InvalidArgument("domain size N must be >= 1")
         if not _is_pow2(self.M) or self.M < 2:
-            raise ParamViolation("alphabet M must be a power of two >= 2")
+            raise InvalidArgument("alphabet M must be a power of two >= 2")
         if not _is_pow2(self.ell):
-            raise ParamViolation("bucket count ell must be a power of two")
+            raise InvalidArgument("bucket count ell must be a power of two")
         if self.t < 1:
-            raise ParamViolation("t must be >= 1")
+            raise InvalidArgument("t must be >= 1")
         if not (self.C_e > self.C_s > self.C_g > self.C >= 1):
-            raise ParamViolation(
+            raise InvalidArgument(
                 f"constants must satisfy C_e > C_s > C_g > C >= 1, got "
                 f"C_e={self.C_e} C_s={self.C_s} C_g={self.C_g} C={self.C}"
             )
         if not 1 <= self.k <= self.N:
-            raise ParamViolation(f"order k={self.k} outside [1, N={self.N}]")
+            raise InvalidArgument(f"order k={self.k} outside [1, N={self.N}]")
         cap = max(1, round(math.log2(self.N))) ** 2
         if self.k > cap:
-            raise ParamViolation(f"order k={self.k} above the polylog cap {cap}")
+            raise InvalidArgument(f"order k={self.k} above the polylog cap {cap}")
         # the overlay's (C_e + 1)k words outnumber the inner family's
         # ceil(0.1 C_s) + 1 over the same field; g's field is max(N, ell)'s
         for key, part, words, size in (
@@ -93,7 +93,7 @@ class ConstructionParams:
                 ("C_g", "allocation", self.C_g * self.k, max(self.N, self.ell))):
             n = max(1, (size - 1).bit_length())
             if words * n > PART_SEED_BITS:
-                raise ParamViolation(
+                raise InvalidArgument(
                     f"{key}={getattr(self, key)}: the {part}'s {words} seed words over "
                     f"GF(2^{n}) take {words * n} bits, past the {PART_SEED_BITS}-bit limit")
 
@@ -183,16 +183,16 @@ class _BucketedFamily(SeededFamily):
                  prg2: RectanglePRG, extractor: LeftoverHash,
                  extra_fields: tuple[tuple[str, tuple[int, ...]], ...] = ()) -> None:
         if prg1.dimension != params.ell:
-            raise ParamViolation(
+            raise InvalidArgument(
                 f"per-bucket seed PRG dimension {prg1.dimension} != ell {params.ell}"
             )
         if prg1.alphabet != 1 << extractor.d:
-            raise ParamViolation(
+            raise InvalidArgument(
                 f"per-bucket seed PRG alphabet {prg1.alphabet} does not cover the "
                 f"{extractor.d}-bit extractor seed"
             )
         if prg2.dimension != params.N or prg2.alphabet != params.M:
-            raise ParamViolation(
+            raise InvalidArgument(
                 f"inner PRG shape ({prg2.dimension}, {prg2.alphabet}) != "
                 f"(N={params.N}, M={params.M})"
             )
@@ -341,11 +341,11 @@ class BucketedMinwiseFamily(_BucketedFamily):
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
                  prg2: RectanglePRG, extractor: LeftoverHash) -> None:
         if params.k != 1:
-            raise ParamViolation(f"min-wise construction requires k = 1, got {params.k}")
+            raise InvalidArgument(f"min-wise construction requires k = 1, got {params.k}")
         super().__init__(params, prg1, prg2, extractor)
         inner = TWiseFamily(params.inner_independence, params.N, params.M)
         if extractor.m != inner.seed_bits + prg2.seed_bits:
-            raise ParamViolation(
+            raise InvalidArgument(
                 f"extractor output {extractor.m} bits != inner seed "
                 f"{inner.seed_bits} + PRG2 seed {prg2.seed_bits}"
             )
@@ -378,7 +378,7 @@ class BucketedKMinwiseFamily(_BucketedFamily):
         super().__init__(params, prg1, prg2, extractor,
                          (("h0-seed", overlay.seed_columns()),))
         if extractor.m != prg2.seed_bits:
-            raise ParamViolation(
+            raise InvalidArgument(
                 f"extractor output {extractor.m} bits != PRG2 seed {prg2.seed_bits}"
             )
         self.overlay = overlay

@@ -20,45 +20,11 @@ class MinwiseLabError(Exception):
 
 
 class InvalidArgument(MinwiseLabError, ValueError):
-    """An argument is outside what the called routine accepts.
+    """An argument, a parameter set, a config file or one of its values is
+    outside what the called routine accepts; the message names the check.
 
-    It is also a ValueError, the type such checks raised before, so
-    callers that catch ValueError keep working.
+    It is also a ValueError, so callers that catch ValueError catch it.
     """
-
-
-class NotFullRank(MinwiseLabError):
-    """A matrix required to have full row rank does not."""
-
-
-class BadSeedLength(MinwiseLabError):
-    """A seed is negative or wider than the declared seed_bits."""
-
-
-class DomainOverflow(MinwiseLabError):
-    """An evaluation point lies outside the family's domain [1, N]."""
-
-
-class RangeMismatch(MinwiseLabError):
-    """Two families combined by a DirectSumFamily have incompatible ranges."""
-
-
-class WidthError(MinwiseLabError):
-    """Extractor output width is negative or not smaller than the source width."""
-
-
-class WidthMismatch(MinwiseLabError):
-    """Composition stages disagree on the running source width."""
-
-
-class DomainMismatch(MinwiseLabError):
-    """Two explicit distributions are not over the same finite set."""
-
-
-class ParamViolation(MinwiseLabError, ValueError):
-    """Construction parameters, plugged components, a config file or its
-    values are unreadable or inconsistent; also a ValueError, like
-    InvalidArgument."""
 
 
 class SeedSpaceTooLarge(MinwiseLabError):
@@ -69,11 +35,3 @@ class SeedSpaceTooLarge(MinwiseLabError):
 class ScanWorkerFailed(RuntimeError):
     """A forked scan worker ended without sending its sum, or sent an
     exception that could not be pickled."""
-
-
-class EmptyQuery(MinwiseLabError):
-    """A min-wise query needs a nonempty Y that is a proper subset of X."""
-
-
-class RegimeMismatch(MinwiseLabError):
-    """|X| contradicts the declared load-lemma regime."""

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainMismatch, InvalidArgument, NotFullRank, WidthError, WidthMismatch
+from .errors import InvalidArgument
 from .gf2 import (
     BitMatrix,
     complement_basis,
@@ -41,7 +41,7 @@ class LeftoverHash:
 
     def __init__(self, n: int, m: int):
         if not 0 <= m < n:
-            raise WidthError(f"output width {m} must be in [0, source width {n})")
+            raise InvalidArgument(f"output width {m} must be in [0, source width {n})")
         self.ctx = find_irreducible(n)
         self.n = n
         self.d = n - 1
@@ -59,9 +59,9 @@ class LeftoverHash:
         ``x`` is an n-bit source sample and ``s`` an (n-1)-bit seed.
         """
         if not 0 <= s < (1 << self.d):
-            raise WidthError(f"seed {s} outside {{0,1}}^{self.d}")
+            raise InvalidArgument(f"seed {s} outside {{0,1}}^{self.d}")
         if not 0 <= x < self.ctx.size:
-            raise WidthError(f"source sample {x} outside {{0,1}}^{self.n}")
+            raise InvalidArgument(f"source sample {x} outside {{0,1}}^{self.n}")
         return self.ctx.mul(x, s + 1) & ((1 << self.m) - 1)
 
     def extract_block(self, xs: np.ndarray, ys) -> np.ndarray:
@@ -96,10 +96,10 @@ class LeftoverHash:
     def extract_table(self) -> np.ndarray:
         """Full (2^n, 2^d) uint16 table of outputs; cached per instance.
 
-        No oracle reads it any more (they use span_table): it stays as the
-        brute-force reference of the tests and a target of the per-layer
-        tracer.  Filled a block of about 2^18 cells at a time, so the
-        uint64 products never exist for the whole grid at once.
+        No oracle reads it (they use span_table): it is the brute-force
+        reference of the tests and a target of the per-layer tracer.
+        Filled a block of about 2^18 cells at a time, so the uint64
+        products never exist for the whole grid at once.
         """
         if self._table is None:
             rows, cols = 1 << self.n, 1 << self.d
@@ -140,24 +140,24 @@ def compose_extract(stages: Sequence, w: int, seeds: Sequence[int]) -> int:
     kernel can intersect the row space, collapsing the joint output.)
 
     The return value concatenates the outputs, output_1 in the low bits.
-    Each stage must declare .n and .m and provide matrix_of(seed); its .n
-    must equal the running width, else WidthMismatch.  A stage whose
-    matrix is not full row rank raises NotFullRank.
+    Each stage must declare .n and .m and provide matrix_of(seed).  A
+    stage whose .n is not the running width, or whose matrix is not full
+    row rank, raises InvalidArgument.
     """
     if len(stages) != len(seeds):
-        raise WidthMismatch(f"{len(stages)} stages but {len(seeds)} seeds")
+        raise InvalidArgument(f"{len(stages)} stages but {len(seeds)} seeds")
     if not stages:
-        raise WidthMismatch("need at least one stage")
+        raise InvalidArgument("need at least one stage")
     x, width = w, stages[0].n
     out = shift = 0
     for stage, seed in zip(stages, seeds):
         if stage.n != width:
-            raise WidthMismatch(
+            raise InvalidArgument(
                 f"stage expects {stage.n} source bits, running width is {width}"
             )
         mat = stage.matrix_of(seed)
         if rank(mat) != mat.nrows:
-            raise NotFullRank("composition stage is not surjective for this seed")
+            raise InvalidArgument("composition stage is not surjective for this seed")
         dual = complement_basis(mat)
         out |= mat_vec(mat, x) << shift
         shift += stage.m
@@ -217,7 +217,7 @@ def seed_output_counts(ext: LeftoverHash, source: FlatSource) -> np.ndarray:
     span table alone would take 8 GiB there).
     """
     if source.n != ext.n:
-        raise DomainMismatch(f"source has {source.n} bits, extractor expects {ext.n}")
+        raise InvalidArgument(f"source has {source.n} bits, extractor expects {ext.n}")
     if ext.n + ext.m > 30:
         raise InvalidArgument(
             f"n + m = {ext.n + ext.m} exceeds the 30 bits that int32 counts hold")

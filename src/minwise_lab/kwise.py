@@ -19,15 +19,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn
 
 import numpy as np
 
-from .errors import (
-    EXHAUSTIVE_SEED_BITS,
-    BadSeedLength,
-    DomainOverflow,
-    InvalidArgument,
-    RangeMismatch,
-    ScanWorkerFailed,
-    SeedSpaceTooLarge,
-)
+from .errors import EXHAUSTIVE_SEED_BITS, InvalidArgument, ScanWorkerFailed, SeedSpaceTooLarge
 from .gf2 import find_irreducible, mul_block, row_spans
 
 if TYPE_CHECKING:
@@ -285,7 +277,7 @@ def seed_words(seeds: np.ndarray | range, widths, out: np.ndarray | None = None)
         seeds = np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.uint64)
     if seeds.ndim == 2:
         if seeds.shape[1] != len(widths):
-            raise BadSeedLength(f"{seeds.shape[1]} word columns, expected {len(widths)}")
+            raise InvalidArgument(f"{seeds.shape[1]} word columns, expected {len(widths)}")
         return seeds
     seeds = seeds.astype(np.uint64, copy=False)
     dtype = np.min_scalar_type((1 << max(widths, default=1)) - 1)
@@ -437,13 +429,13 @@ class SeededFamily(abc.ABC):
 
     def _check_seed(self, seed: int) -> None:
         if seed < 0 or seed >> self.seed_bits:
-            raise BadSeedLength(
+            raise InvalidArgument(
                 f"seed {seed:#x} outside [0, 2^{self.seed_bits})"
             )
 
     def _check_x(self, x: int) -> None:
         if not 1 <= x <= self.domain_size:
-            raise DomainOverflow(f"point {x} outside [1, {self.domain_size}]")
+            raise InvalidArgument(f"point {x} outside [1, {self.domain_size}]")
 
     def _check_points(self, points) -> list[int]:
         """The distinct points, in order, after every one is checked."""
@@ -619,11 +611,11 @@ class DirectSumFamily(SeededFamily):
 
     def __init__(self, f: SeededFamily, g: SeededFamily) -> None:
         if f.range_size != g.range_size:
-            raise RangeMismatch(
+            raise InvalidArgument(
                 f"range sizes differ: {f.range_size} vs {g.range_size}"
             )
         if f.domain_size != g.domain_size:
-            raise RangeMismatch(
+            raise InvalidArgument(
                 f"domain sizes differ: {f.domain_size} vs {g.domain_size}"
             )
         self.f = f

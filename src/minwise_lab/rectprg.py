@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Config, reading
-from .errors import BadSeedLength, DomainOverflow, InvalidArgument
+from .errors import InvalidArgument
 from .gf2 import find_irreducible, mul_block
 from .kwise import SeededFamily, TWiseFamily, scan, seed_words
 
@@ -125,11 +125,11 @@ class RectanglePRG(abc.ABC):
 
     def _check_seed(self, seed: int) -> None:
         if seed < 0 or seed >> self.seed_bits:
-            raise BadSeedLength(f"seed {seed:#x} outside [0, 2^{self.seed_bits})")
+            raise InvalidArgument(f"seed {seed:#x} outside [0, 2^{self.seed_bits})")
 
     def _check_coord(self, coord: int) -> None:
         if not 1 <= coord <= self.dimension:
-            raise DomainOverflow(f"coordinate {coord} outside [1, {self.dimension}]")
+            raise InvalidArgument(f"coordinate {coord} outside [1, {self.dimension}]")
 
 
 class FullIndependencePRG(RectanglePRG):

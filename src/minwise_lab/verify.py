@@ -26,7 +26,7 @@ from . import kwise
 # measure writes its summary through verify.write_json, where
 # perfbench/trace_cli.py times it
 from .config import within, write_json  # noqa: F401
-from .errors import EmptyQuery, InvalidArgument, RegimeMismatch
+from .errors import InvalidArgument
 from .kwise import SeededFamily, scan
 from .rectprg import RectanglePRG, TWisePRG, strict_order_margins
 # bound here only so that perfbench/trace_cli.py finds it under this name
@@ -96,7 +96,7 @@ def _query_sets(X, Y) -> tuple[list[int], list[int]]:
     if not set(ys) <= set(xs):
         raise InvalidArgument("Y must be a subset of X")
     if not ys or set(ys) == set(xs):
-        raise EmptyQuery("need a nonempty Y strictly inside X")
+        raise InvalidArgument("need a nonempty Y strictly inside X")
     return xs, ys
 
 
@@ -516,7 +516,7 @@ def check_load_lemma(
     actual = ("small" if within(len(xs), 1, ell, 0.9)
               else "large" if within(1, len(xs), ell, -1.1) else "mid")
     if regime != actual:
-        raise RegimeMismatch(
+        raise InvalidArgument(
             f"|X|={len(xs)} is in the {actual!r} regime at ell={ell}, "
             f"not {regime!r}"
         )
@@ -562,7 +562,8 @@ def check_load_lemma(
             # the last load L below mean + ell^0.1: 1 <= (L + 1 - mean) * ell^-0.1
             hi = next(L for L in itertools.count() if within(1, L + 1 - mean, ell, -0.1))
         else:
-            a, threshold = mean / 10, 0.1 * float(mean)
+            a = mean / 10
+            threshold = float(a)
             lo, hi = math.floor(mean - a) + 1, math.ceil(mean + a) - 1
 
     if uniform_g:

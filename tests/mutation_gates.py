@@ -1,5 +1,6 @@
 """Check that the output pins catch small faults in the Monte-Carlo scan,
-the direct sum and the verdict rule.
+the direct sum, the verdict rule and the CLI's exit status for a bad
+config.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -24,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KWISE = "src/minwise_lab/kwise.py"
 CONFIG = "src/minwise_lab/config.py"
+CLI = "src/minwise_lab/cli.py"
 
 # (name, file, text, replacement)
 MUTATIONS = [
@@ -36,6 +38,9 @@ MUTATIONS = [
     # the kminwise_desk limit 0.0 on max_mult_err_uniform is met with equality
     ("the verdict compares strictly (`<` for `<=`)", CONFIG,
      "<= limit ** power.denominator", "< limit ** power.denominator"),
+    # a config error other than an over-budget scan then ends in a traceback
+    ("`main` catches `SeedSpaceTooLarge` alone", CLI,
+     "    except MinwiseLabError as exc:", "    except SeedSpaceTooLarge as exc:"),
 ]
 
 

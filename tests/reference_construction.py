@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from minwise_lab.construction import ConstructionParams
-from minwise_lab.errors import InvalidArgument, ParamViolation
+from minwise_lab.errors import InvalidArgument
 from minwise_lab.kwise import SeedLayout
 
 
@@ -48,7 +48,7 @@ def pack(layout: SeedLayout, values: dict) -> int:
     for f in layout.fields:
         v = values[f.name]
         if v < 0 or v >> f.width:
-            raise ParamViolation(
+            raise InvalidArgument(
                 f"field {f.name} value {v:#x} wider than {f.width} bits"
             )
         seed |= v << f.offset

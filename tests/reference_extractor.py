@@ -16,13 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from minwise_lab.errors import (
-    DomainMismatch,
-    InvalidArgument,
-    MinwiseLabError,
-    NotFullRank,
-    WidthMismatch,
-)
+from minwise_lab.errors import InvalidArgument, MinwiseLabError
 from minwise_lab.extractor import FlatSource
 from minwise_lab.gf2 import BitMatrix, EchelonBasis, complement_basis, mat_vec, rank
 
@@ -59,7 +53,7 @@ def _stage_map(stage, seed: int) -> tuple[int, BitMatrix, BitMatrix]:
     """(m, M_seed, complement_basis(M_seed)) for one stage seed."""
     mat = stage.matrix_of(seed)
     if rank(mat) != mat.nrows:
-        raise NotFullRank("composition stage is not surjective for this seed")
+        raise InvalidArgument("composition stage is not surjective for this seed")
     return stage.m, mat, complement_basis(mat)
 
 
@@ -83,7 +77,7 @@ class ComposedExtractor:
 
     def __init__(self, stages: Sequence):
         if not stages:
-            raise WidthMismatch("need at least one stage")
+            raise InvalidArgument("need at least one stage")
         self.stages = list(stages)
         self.n = stages[0].n
         self.d = sum(st.d for st in stages)
@@ -91,7 +85,7 @@ class ComposedExtractor:
         width = self.n
         for st in stages:
             if st.n != width:
-                raise WidthMismatch(
+                raise InvalidArgument(
                     f"stage expects {st.n} source bits, running width is {width}"
                 )
             width -= st.m
@@ -119,9 +113,9 @@ def exact_statistical_distance(dist_a, dist_b) -> float:
     """
     if isinstance(dist_a, Mapping) or isinstance(dist_b, Mapping):
         if not (isinstance(dist_a, Mapping) and isinstance(dist_b, Mapping)):
-            raise DomainMismatch("cannot compare a mapping with a sequence")
+            raise InvalidArgument("cannot compare a mapping with a sequence")
         if set(dist_a) != set(dist_b):
-            raise DomainMismatch("distributions cover different outcome sets")
+            raise InvalidArgument("distributions cover different outcome sets")
         keys = list(dist_a)
         pa = np.array([dist_a[k] for k in keys], dtype=float)
         pb = np.array([dist_b[k] for k in keys], dtype=float)
@@ -129,7 +123,7 @@ def exact_statistical_distance(dist_a, dist_b) -> float:
         pa = np.asarray(dist_a, dtype=float)
         pb = np.asarray(dist_b, dtype=float)
         if pa.shape != pb.shape:
-            raise DomainMismatch("distributions cover different outcome sets")
+            raise InvalidArgument("distributions cover different outcome sets")
     for p in (pa, pb):
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise InvalidArgument("distribution does not sum to 1")

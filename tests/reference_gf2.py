@@ -8,7 +8,7 @@ the row and kernel bases read off it.
 
 from __future__ import annotations
 
-from minwise_lab.errors import NotFullRank
+from minwise_lab.errors import InvalidArgument
 from minwise_lab.gf2 import BitMatrix, EchelonBasis, FieldContext, clmul, poly_mod
 
 
@@ -54,12 +54,12 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
 
     The basis is read off the RREF: one vector per free column, ordered
     by free column index, so repeated calls agree bit for bit.  Raises
-    NotFullRank when rank(m) < nrows (the composition contract needs
+    InvalidArgument when rank(m) < nrows (the composition contract needs
     surjective stages, and silently dropping rows would hide that).
     """
     ech, pivots = rref(m)
     if len(pivots) != m.nrows:
-        raise NotFullRank(f"matrix has rank {len(pivots)} < {m.nrows} rows")
+        raise InvalidArgument(f"matrix has rank {len(pivots)} < {m.nrows} rows")
     pivot_set = set(pivots)
     vecs = []
     for free in range(m.cols):

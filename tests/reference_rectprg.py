@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from minwise_lab.errors import DomainOverflow, InvalidArgument, MinwiseLabError
+from minwise_lab.errors import InvalidArgument, MinwiseLabError
 from minwise_lab.rectprg import Rectangle, RectanglePRG, _check_shape, rectangle_hits_exact
 
 
@@ -66,7 +66,7 @@ def conditional_rectangle_check(
     if rect.accept_sets[j - 1] is not None:
         raise InvalidArgument(f"rectangle must not constrain coordinate {j}")
     if not 1 <= alpha <= prg.alphabet:
-        raise DomainOverflow(f"alpha {alpha} outside [1, {prg.alphabet}]")
+        raise InvalidArgument(f"alpha {alpha} outside [1, {prg.alphabet}]")
     point = restricted_to(rect, j, {alpha})
     joint_hits, total = rectangle_hits_exact(prg, point)
     cond_rect = Rectangle.build(prg.dimension, prg.alphabet, {j: {alpha}})

@@ -23,7 +23,7 @@ import minwise_lab
 from minwise_lab import verify
 from minwise_lab.cli import _bound_allocator, _corpus_queries, main, run_component_tests
 from minwise_lab.construction import BucketedMinwiseFamily, family_from_config
-from minwise_lab.errors import ScanWorkerFailed
+from minwise_lab.errors import InvalidArgument, ScanWorkerFailed
 from minwise_lab.rectprg import TWisePRG, threshold_errors
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -265,8 +265,8 @@ def test_a_killed_scan_worker_propagates_instead_of_reading_as_a_config_error(
 
 
 def test_library_argument_checks_still_exit_two(tmp_path, capsys):
-    # the library's own argument checks raise MinwiseLabError subclasses: the
-    # config reader passes an extractor with m = n, LeftoverHash refuses it
+    # the library's own argument checks raise InvalidArgument: the config
+    # reader passes an extractor with m = n, LeftoverHash refuses it
     extractor = {**MINWISE_CONSTRUCTION["extractor"], "m": 7}
     cfg = {"construction": {**MINWISE_CONSTRUCTION, "extractor": extractor},
            "corpus": SMALL_CORPUS}
@@ -275,6 +275,21 @@ def test_library_argument_checks_still_exit_two(tmp_path, capsys):
     assert "config error: output width 7 must be in [0, source width 7)" in (
         capsys.readouterr().err)
     assert not (tmp_path / "out" / "measure.csv").exists()
+
+
+def test_an_over_budget_exhaustive_run_names_the_monte_carlo_keys(tmp_path, capsys):
+    # the 35-bit k = 2 family and a 26-bit pairwise generator are past the
+    # 2^24 exhaustive budget; measure and prg-test give the same hint
+    wide = {**_shipped("kminwise_desk")["construction"], "k": 2}
+    measure = _write(tmp_path, "m.json", {"construction": wide,
+                                          "corpus": {"queries": [{"kind": "full_domain"}]}})
+    prg = _write(tmp_path, "p.json", _shipped("prg_pairwise", ("alphabet",), 1 << 13))
+    for bits, argv in ((35, ["measure", "--config", measure, "--out-dir", str(tmp_path)]),
+                       (26, ["prg-test", "--config", prg])):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {bits} seed bits exceed the 24-bit exhaustive budget; "
+            'rerun with "mode": "mc" and "samples": <n> in the config\n')
 
 
 def test_malformed_config_values_exit_two(tmp_path, capsys):
@@ -871,9 +886,9 @@ def test_run_component_tests_matches_subcommands(tmp_path, capsys):
 
 
 def test_run_component_tests_validates_input(tmp_path):
-    with pytest.raises(ValueError, match="unknown component kind"):
+    with pytest.raises(InvalidArgument, match="unknown component kind"):
         run_component_tests("sketch", {})
-    with pytest.raises(ValueError, match="needs 't'"):
+    with pytest.raises(InvalidArgument, match="needs 't'"):
         run_component_tests("kwise", {"b": 3, "M": 8})
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from minwise_lab.config import Config, reading, within
-from minwise_lab.errors import ParamViolation
+from minwise_lab.errors import InvalidArgument
 
 
 def test_accessors_read_values_and_defaults():
@@ -47,7 +47,7 @@ NODE = {"n": 3, "b": True, "f": 1.5, "big": 10 ** 400, "z": None, "s": "a",
     (lambda c: c.objects("mixed"), "ValueError: o.mixed[0] must be an object, got 1"),
 ])
 def test_errors_name_the_fault_and_the_key_path(read, message):
-    with pytest.raises(ParamViolation, match=re.escape(message)) as exc:
+    with pytest.raises(InvalidArgument, match=re.escape(message)) as exc:
         read(Config({"o": NODE}).obj("o"))
     assert isinstance(exc.value, ValueError)
 
@@ -56,24 +56,24 @@ def test_done_refuses_unread_keys_at_any_depth():
     cfg = Config({"a": 1, "o": {"b": 2, "typo": 3}})
     cfg.int("a")
     cfg.obj("o").int("b")
-    with pytest.raises(ParamViolation, match=re.escape("KeyError: unknown key 'o.typo'; "
+    with pytest.raises(InvalidArgument, match=re.escape("KeyError: unknown key 'o.typo'; "
                                                        "known: b")):
         cfg.done()
 
 
 def test_reading_checks_the_dicts_it_wraps():
-    with pytest.raises(ParamViolation, match="unknown key 'extra'"):
+    with pytest.raises(InvalidArgument, match="unknown key 'extra'"):
         with reading({"a": 1, "extra": 2}) as cfg:
             cfg.int("a")
     # a failed read is reported as it is, before any unread key
-    with pytest.raises(ParamViolation, match="config needs 'b'"):
+    with pytest.raises(InvalidArgument, match="config needs 'b'"):
         with reading({"a": 1}) as cfg:
             cfg.int("b")
     # a node passes through: whoever made it checks it
     node = Config({"a": 1, "extra": 2})
     with reading(node) as cfg:
         assert cfg is node and cfg.int("a") == 1
-    with pytest.raises(ParamViolation, match=re.escape("config missing required fields: "
+    with pytest.raises(InvalidArgument, match=re.escape("config missing required fields: "
                                                        "['N', 'M']")):
         Config({"k": 1}).require("N", "M")
 

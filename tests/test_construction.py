@@ -22,7 +22,7 @@ from minwise_lab.construction import (
     params_from_config,
     prg_from_config,
 )
-from minwise_lab.errors import ParamViolation
+from minwise_lab.errors import InvalidArgument
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.kwise import (
     MC_DRAW_BITS,
@@ -188,7 +188,7 @@ def test_layout_pack_unpack_round_trip(seed):
 def test_layout_rejects_overwide_values():
     layout = SeedLayout.build([("a", (3,)), ("b", (5,))])
     assert pack(layout, {"a": 7, "b": 31}) == 7 | (31 << 3)
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="field a value 0x8 wider than 3 bits"):
         pack(layout, {"a": 8, "b": 0})
     with pytest.raises(KeyError):
         layout.field("c")
@@ -249,25 +249,25 @@ def test_wide_layout_draw_equals_stacked_columns(gap):
 
 
 def test_param_validation():
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="alphabet M must be a power of two"):
         ConstructionParams(N=4, M=3)            # alphabet not a power of two
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="bucket count ell must be a power of two"):
         ConstructionParams(N=4, M=4, ell=3)     # bucket count not a power of two
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="C_e > C_s > C_g > C >= 1, got C_e=3 C_s=3"):
         ConstructionParams(N=4, M=4, C_e=3, C_s=3)
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match=r"order k=5 outside \[1, N=4\]"):
         ConstructionParams(N=4, M=4, k=5)       # k > N
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="order k=26 above the polylog cap 25"):
         ConstructionParams(N=32, M=4, k=26)     # k above the polylog cap
     ConstructionParams(N=32, M=4, k=25)     # at the cap, round(log2 32)^2
     # one t-wise part past PART_SEED_BITS: the overlay's words over GF(2^2)
     # from C_e, and g's two words over the field of ell from C_g
     limit = construction.PART_SEED_BITS
     ConstructionParams(N=4, M=4, C_e=limit // 2 - 1)
-    with pytest.raises(ParamViolation, match="C_e=2048: the overlay's 2049 seed words"):
+    with pytest.raises(InvalidArgument, match="C_e=2048: the overlay's 2049 seed words"):
         ConstructionParams(N=4, M=4, C_e=limit // 2)
     ConstructionParams(N=4, M=4, ell=1 << limit // 2)
-    with pytest.raises(ParamViolation,
+    with pytest.raises(InvalidArgument,
                        match=r"C_g=2: the allocation's 2 seed words over GF\(2\^2049\)"):
         ConstructionParams(N=4, M=4, ell=1 << (limit // 2 + 1))
 
@@ -277,18 +277,18 @@ def test_component_shape_validation():
     good = dict(prg1=TWisePRG(2, 4, 64), prg2=TWisePRG(1, 4, 4),
                 extractor=LeftoverHash(7, 6))
     BucketedMinwiseFamily(params, **good)
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="seed PRG dimension 8 != ell 4"):
         BucketedMinwiseFamily(params, TWisePRG(2, 8, 64), good["prg2"], good["extractor"])
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="alphabet 32 does not cover the 6-bit"):
         BucketedMinwiseFamily(params, TWisePRG(2, 4, 32), good["prg2"], good["extractor"])
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match=r"inner PRG shape \(4, 8\) != \(N=4, M=4\)"):
         BucketedMinwiseFamily(params, good["prg1"], TWisePRG(1, 4, 8), good["extractor"])
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match=r"output 5 bits != inner seed 4 \+ PRG2 seed 2"):
         # extractor output must split into inner seed + PRG2 seed
         BucketedMinwiseFamily(params, TWisePRG(2, 4, 32), good["prg2"], LeftoverHash(6, 5))
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="requires k = 1, got 2"):
         BucketedMinwiseFamily(ConstructionParams(N=4, M=4, k=2, ell=4, t=2), **good)
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="extractor output 6 bits != PRG2 seed 2"):
         # k-min-wise wants extractor output == PRG2 seed exactly
         BucketedKMinwiseFamily(params, TWisePRG(2, 4, 64), TWisePRG(1, 4, 4),
                                LeftoverHash(7, 6))
@@ -315,22 +315,22 @@ def test_family_from_config_defaults_to_kminwise_when_k_above_one():
 
 
 def test_config_validation():
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match=r"config missing required fields: \['M'\]"):
         params_from_config({"N": 4})
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="family must be one of .*, got 'sketchy'"):
         family_from_config({**MINWISE_CONFIG, "family": "sketchy"})
     missing = dict(MINWISE_CONFIG)
     del missing["prg1"]
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="KeyError: config needs 'prg1'"):
         family_from_config(missing)
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="KeyError: config needs 't'"):
         prg_from_config({"kind": "twise"}, 4, 4)
     # a claimed error is a prg-test config's, not the generator's
-    with pytest.raises(ParamViolation, match="unknown key 'claimed_error'"):
+    with pytest.raises(InvalidArgument, match="unknown key 'claimed_error'"):
         prg_from_config({"kind": "twise", "t": 2, "claimed_error": 0.1}, 4, 4)
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="kind must be one of .*, got 'unheard_of'"):
         prg_from_config({"kind": "unheard_of"}, 4, 4)
-    with pytest.raises(ParamViolation):
+    with pytest.raises(InvalidArgument, match="TypeError: config must be an object, got 'twise'"):
         prg_from_config("twise", 4, 4)
     assert isinstance(prg_from_config({"kind": "recursive_mix"}, 4, 4),
                       RecursiveMixPRG)

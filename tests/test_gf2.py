@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from minwise_lab.errors import NotFullRank
+from minwise_lab.errors import InvalidArgument
 from minwise_lab.gf2 import (
     TABLE_MAX_DEGREE,
     BitMatrix,
@@ -290,7 +290,7 @@ def test_kernel_frozen_example():
 
 
 def test_kernel_basis_requires_full_row_rank():
-    with pytest.raises(NotFullRank):
+    with pytest.raises(InvalidArgument, match="matrix has rank 1 < 2 rows"):
         kernel_basis(BitMatrix((0b01, 0b01), 2))
 
 

@@ -12,7 +12,7 @@ import pytest
 from blocksize import mc_count_bits, scan_chunk_bits
 from seed_rows import seed_ints
 from minwise_lab.cli import main, run_component_tests
-from minwise_lab.errors import BadSeedLength, InvalidArgument, SeedSpaceTooLarge
+from minwise_lab.errors import InvalidArgument, SeedSpaceTooLarge
 from minwise_lab.gf2 import find_irreducible
 from minwise_lab.rectprg import (
     FullIndependencePRG,
@@ -157,7 +157,7 @@ def test_recursive_mix_block_matches_scalar():
 
 def test_expand_checks_seed_length():
     prg = FullIndependencePRG(2, 4)
-    with pytest.raises(BadSeedLength):
+    with pytest.raises(InvalidArgument, match=r"seed 0x10 outside \[0, 2\^4\)"):
         expand(prg, 1 << prg.seed_bits)
 
 

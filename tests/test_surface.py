@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import minwise_lab
-from minwise_lab import construction, extractor, kwise, rectprg, verify
+from minwise_lab import construction, errors, extractor, kwise, rectprg, verify
 from minwise_lab.errors import InvalidArgument
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minwise_lab"
@@ -98,7 +98,9 @@ def test_no_caller_restates_a_premise_the_object_fixes(call):
 # each a second name for an object its callers already name: the bucketed
 # family classes, their ``layout``, DirectSumFamily, check_twise_tails on
 # one theta, LeftoverHash.extract and the family's ``layout.draw_block``;
-# and kwise.check_mode, a second switch for what a sample count decides
+# kwise.check_mode, a second switch for what a sample count decides; and
+# the exception classes that no caller caught by type, each an
+# InvalidArgument whose message names the check
 REMOVED_NAMES = [
     (minwise_lab, "build_minwise"), (minwise_lab, "build_kminwise"),
     (minwise_lab, "seed_layout"), (minwise_lab, "check_twise_tail"),
@@ -106,6 +108,10 @@ REMOVED_NAMES = [
     (construction, "seed_layout"), (verify, "check_twise_tail"),
     (kwise, "direct_sum"), (extractor, "leftover_extract"),
     (kwise.SeededFamily, "draw_seed_block"), (kwise, "check_mode"),
+    *((errors, name) for name in (
+        "ParamViolation", "NotFullRank", "BadSeedLength", "DomainOverflow",
+        "RangeMismatch", "WidthError", "WidthMismatch", "DomainMismatch",
+        "EmptyQuery", "RegimeMismatch")),
 ]
 
 
@@ -122,6 +128,18 @@ def test_second_spellings_are_gone():
     with pytest.raises(TypeError):
         minwise_lab.LeftoverHash(4, 2).extract_block(np.arange(4, dtype=np.uint64), ss=0)
     assert "check_twise_tails" in minwise_lab.__all__
+
+
+def test_one_contract_error():
+    # a bad argument or config raises InvalidArgument, SeedSpaceTooLarge is
+    # the one type a caller catches by name, and a dead scan worker is a
+    # RuntimeError, not a contract violation
+    types = {name for name, value in vars(errors).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    assert types == {"MinwiseLabError", "InvalidArgument", "SeedSpaceTooLarge",
+                     "ScanWorkerFailed"}
+    assert issubclass(errors.InvalidArgument, ValueError)
+    assert not issubclass(errors.ScanWorkerFailed, errors.MinwiseLabError)
 
 
 _FAMILY, _PRG = kwise.TWiseFamily(2, 4, 8), rectprg.TWisePRG(2, 4, 8)

@@ -26,13 +26,7 @@ from minwise_lab.construction import (
     family_from_config,
     prg_from_config,
 )
-from minwise_lab.errors import (
-    DomainOverflow,
-    EmptyQuery,
-    InvalidArgument,
-    RegimeMismatch,
-    SeedSpaceTooLarge,
-)
+from minwise_lab.errors import InvalidArgument, SeedSpaceTooLarge
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
 from minwise_lab.kwise import DirectSumFamily, SeededFamily, TWiseFamily, scan_seeds
@@ -219,15 +213,15 @@ def test_mc_mode_on_a_seed_space_too_large_to_enumerate():
 
 def test_query_validation():
     fam = TWiseFamily(2, 4, 8)
-    with pytest.raises(EmptyQuery):
+    with pytest.raises(InvalidArgument, match="need a nonempty Y strictly inside X"):
         measure_minwise(fam, [1, 2, 3], [])
-    with pytest.raises(EmptyQuery):
+    with pytest.raises(InvalidArgument, match="need a nonempty Y strictly inside X"):
         measure_minwise(fam, [1, 2, 3], [1, 2, 3])
     with pytest.raises(ValueError):
         measure_minwise(fam, [1, 2, 2], [1])
     with pytest.raises(ValueError):
         measure_minwise(fam, [1, 2, 3], [4])
-    with pytest.raises(DomainOverflow):
+    with pytest.raises(InvalidArgument, match=r"point 99 outside \[1, 4\]"):
         measure_minwise(fam, [1, 2, 99], [1])
     with pytest.raises(TypeError):
         measure_minwise(fam, [1, 2, 3], [1], mode="guess")
@@ -386,7 +380,7 @@ def test_block_evaluator_equals_eval_block_and_scalar_eval(fam, key, count):
 
 def test_corpus_checks_every_query_before_scanning():
     fam = TWiseFamily(5, 8, 32)  # 25 seed bits: a scan would refuse
-    with pytest.raises(EmptyQuery):
+    with pytest.raises(InvalidArgument, match="need a nonempty Y strictly inside X"):
         measure_corpus(fam, [([1, 2, 3], [1]), ([1, 2], [])])
     assert measure_corpus(fam, []) == []
     with pytest.raises(SeedSpaceTooLarge):
@@ -798,14 +792,21 @@ def test_regime_edges_are_exact(size, declared, actual):
     # 1024 ** 1.1 = 2048.0000000000014 put 2048 in "mid".  The regime is
     # checked before any count.
     X = list(range(1, size + 1))
-    with pytest.raises(RegimeMismatch, match=f"{actual!r} regime .* not {declared!r}"):
+    with pytest.raises(InvalidArgument, match=f"{actual!r} regime .* not {declared!r}"):
         check_load_lemma("uniform", X, [1], 1024, declared)
 
 
+
+def test_large_regime_threshold_is_the_exact_tenth_of_the_mean():
+    # r = 12 points over ell = 2 buckets: mean 6, band decided at |load - 6| >= 3/5
+    rep = check_load_lemma("uniform", range(1, 14), [13], 2, "large")
+    assert rep.threshold == 0.6
+
+
 def test_load_lemma_validation():
-    with pytest.raises(RegimeMismatch):
+    with pytest.raises(InvalidArgument, match="'mid' regime at ell=16, not 'small'"):
         check_load_lemma("uniform", list(range(1, 14)), [1], 16, "small")
-    with pytest.raises(EmptyQuery):
+    with pytest.raises(InvalidArgument, match="need a nonempty Y strictly inside X"):
         check_load_lemma("uniform", [1, 2, 3], [], 4, "small")
     with pytest.raises(ValueError):
         check_load_lemma("gaussian", [1, 2, 3], [1], 4, "small")
@@ -831,7 +832,7 @@ def test_load_lemma_validation():
 def test_load_lemma_rejects_y_equal_to_x(xs, ell, regime):
     # X \ Y is empty, so r = 0: the large regime's band half-width is 0
     for g in ("uniform", TWiseFamily(len(xs), 4, ell)):
-        with pytest.raises(EmptyQuery):
+        with pytest.raises(InvalidArgument, match="need a nonempty Y strictly inside X"):
             check_load_lemma(g, xs, list(reversed(xs)), ell, regime)
 
 
