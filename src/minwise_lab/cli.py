@@ -221,7 +221,8 @@ def _cmd_measure(args) -> int:
 
     verify.write_reports_csv(out / "measure.csv", reports)
     exact = verify.exact_summary(reports)
-    summary = verify.summarize_reports(reports)
+    summary = {name: value if value is None or name == "queries" else float(value)
+               for name, value in exact.items()}
     checks = [{"name": name, "limit": limit, "value": summary[name],
                "ok": exact[name] is None or within(exact[name], limit)}
               for name, limit in limits.items()]

@@ -204,65 +204,54 @@ def _reply(data: bytes, pid: int, status: int):
     return value
 
 
-def scan_seeds(seed_bits: int, count, threads: int = 1):
-    """Sum of ``count(seeds)`` over the seed blocks of [0, 2^seed_bits).
-
-    This is the one exhaustive enumeration behind every exact oracle.
-    Each block is a ``range`` of <= 2^SCAN_CHUNK_BITS consecutive seeds,
-    turned into an array only by seed_words, and the blocks are summed
-    by scan_blocks on ``threads`` workers.  The budget is checked before
-    any block is built, so an oversized space raises SeedSpaceTooLarge
-    before any work is done.
-    """
-    if seed_bits > EXHAUSTIVE_SEED_BITS:
-        raise SeedSpaceTooLarge(
-            f"{seed_bits} seed bits exceed the {EXHAUSTIVE_SEED_BITS}-bit "
-            "exhaustive budget"
-        )
-    step, total = 1 << SCAN_CHUNK_BITS, 1 << seed_bits
-
-    def block_of(i: int):
-        return range(i * step, min((i + 1) * step, total))
-
-    return scan_blocks(-(-total // step), block_of, count, threads)
-
-
 def scan(family: SeededFamily, count, *, samples: int | None = None,
          run_seed: int | None = None, threads: int = 1):
     """(sum of ``count`` over the family's seed blocks, seeds counted).
 
     The one seed source of every oracle.  Without ``samples`` it is exact:
-    it enumerates [0, 2^seed_bits) through scan_seeds, under its 24-bit
-    budget, and refuses a ``run_seed``, which keys only a draw.  With
-    ``samples`` >= 1 it is Monte-Carlo, in blocks of <= 2^MC_DRAW_BITS
-    rows: block j is the family's layout.draw_block on philox.Philox
-    keyed by ``run_seed`` (0 when None) and jumped j times, so a run of
-    at most 2^16 samples is one draw off the unjumped stream.  A key
-    outside [0, 2^128) raises InvalidArgument before any block is drawn,
-    in this process at any ``threads``.  Each block is drawn whole where
-    it is counted, so no process holds the whole sample, and ``count``
-    sees it in consecutive row slices of <= 2^MC_COUNT_BITS rows, whose
-    counts are added.  Either way the blocks go through scan_blocks on
-    ``threads`` workers, so the sum is the same at any ``threads``.
+    it enumerates [0, 2^seed_bits) in ``range`` blocks of <= 2^SCAN_CHUNK_BITS
+    consecutive seeds, turned into arrays only by seed_words, and refuses
+    a ``run_seed``, which keys only a draw.  A space past the
+    EXHAUSTIVE_SEED_BITS budget raises SeedSpaceTooLarge before any block
+    is built.  With ``samples`` >= 1 it is Monte-Carlo, in blocks of
+    <= 2^MC_DRAW_BITS rows: block j is the family's layout.draw_block on
+    philox.Philox keyed by ``run_seed`` (0 when None) and jumped j times,
+    so a run of at most 2^16 samples is one draw off the unjumped stream.
+    A key outside [0, 2^128) raises InvalidArgument before any block is
+    drawn, in this process at any ``threads``.  Each block is drawn whole
+    where it is counted, so no process holds the whole sample, and
+    ``count`` sees it in consecutive row slices of <= 2^MC_COUNT_BITS
+    rows, whose counts are added.  Either way the blocks go through
+    scan_blocks on ``threads`` workers, so the sum is the same at any
+    ``threads``.
     """
     if samples is None:
         if run_seed is not None:
             raise InvalidArgument("a run seed keys a Monte-Carlo draw: it needs samples")
-        return scan_seeds(family.seed_bits, count, threads), family.seed_space
-    if samples < 1:
-        raise InvalidArgument("monte-carlo mode needs a positive sample count")
-    from .philox import Philox
+        if family.seed_bits > EXHAUSTIVE_SEED_BITS:
+            raise SeedSpaceTooLarge(
+                f"{family.seed_bits} seed bits exceed the {EXHAUSTIVE_SEED_BITS}-bit "
+                "exhaustive budget"
+            )
+        seen, width = family.seed_space, 1 << SCAN_CHUNK_BITS
 
-    stream, width = Philox(run_seed or 0), 1 << MC_DRAW_BITS
-    step = 1 << MC_COUNT_BITS
+        def block_of(i: int):
+            return range(i * width, min((i + 1) * width, seen))
+    else:
+        if samples < 1:
+            raise InvalidArgument("monte-carlo mode needs a positive sample count")
+        from .philox import Philox
 
-    def block_of(j: int):
-        return family.layout.draw_block(stream.jumped(j), min(width, samples - j * width))
+        stream, seen, width = Philox(run_seed or 0), samples, 1 << MC_DRAW_BITS
+        step, count_rows = 1 << MC_COUNT_BITS, count
 
-    def count_sliced(chunk: np.ndarray):
-        return sum(count(chunk[lo:lo + step]) for lo in range(0, len(chunk), step))
+        def block_of(j: int):
+            return family.layout.draw_block(stream.jumped(j), min(width, samples - j * width))
 
-    return scan_blocks(-(-samples // width), block_of, count_sliced, threads), samples
+        def count(chunk: np.ndarray):
+            return sum(count_rows(chunk[lo:lo + step]) for lo in range(0, len(chunk), step))
+
+    return scan_blocks(-(-seen // width), block_of, count, threads), seen
 
 
 def seed_words(seeds: np.ndarray | range, widths, out: np.ndarray | None = None) -> np.ndarray:

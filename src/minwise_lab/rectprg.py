@@ -341,9 +341,9 @@ def strict_order_margins(prg: RectanglePRG, low, high, *, samples: int | None = 
     empty ``low`` is 0, below every output, so then at_min is the law of
     the minimum over ``high`` and #{min > theta} is
     total - at_min.cumsum()[theta].  The seeds are those of kwise.scan on
-    PRGHashFamily(prg): every seed without ``samples``, else the draw
-    that rectangle_error makes for the same ``samples`` and ``run_seed``;
-    the blocks are split over ``threads`` workers, with the same result.
+    PRGHashFamily(prg) for ``samples`` and ``run_seed``, as in
+    rectangle_error; the blocks are split over ``threads`` workers, with
+    the same result.
     """
     low, high = [int(i) for i in low], [int(i) for i in high]
     if not high:
@@ -386,11 +386,9 @@ def rectangle_error(
 ) -> Fraction:
     """|E_seed[f(G(seed))] - E_U[f]| over the seeds counted, exactly.
 
-    Without ``samples`` every seed is counted, which needs seed_bits <= 24
-    and signals SeedSpaceTooLarge otherwise; a sample count is the
-    explicit Monte-Carlo opt-in, drawn from the program's Philox4x64-10
-    stream (minwise_lab.philox) keyed by ``run_seed``.  Both count
-    through kwise.scan.
+    The seeds are those of kwise.scan on PRGHashFamily(prg) for
+    ``samples`` and ``run_seed``: every seed without ``samples``, else a
+    Monte-Carlo draw.
     """
     _check_shape(prg, rect)
     count, total = scan(PRGHashFamily(prg), _accepted(prg, rect),

@@ -166,17 +166,12 @@ def measure_corpus(
 ) -> list[ErrorReport]:
     """Measure Pr[max h(Y) < min h(X\\Y)] for every (X, Y) in ``queries``.
 
-    Strict inequalities throughout.  Without ``samples`` (seed_bits <= 24)
-    the whole seed space is counted, and the reports are exact, with mode
-    "exhaustive".  With ``samples`` the reports are Monte-Carlo ("mc"):
-    that many seeds drawn by kwise.scan in chunks of 2^16 off the
-    Philox4x64-10 stream of minwise_lab.philox keyed by ``run_seed`` (a
-    run of at most 2^16 samples is one draw), each with the half-width
-    of a 99% Wilson score interval.  Either way the seeds are counted
-    through kwise.scan, in seed blocks: a Monte-Carlo block is one chunk,
-    drawn whole and counted in slices of 2^kwise.MC_COUNT_BITS rows.  With
-    ``threads`` > 1 the blocks are split across that many forked
-    processes, with the same result.
+    Strict inequalities throughout.  The seeds are those of kwise.scan
+    for ``samples`` and ``run_seed``: without ``samples`` every seed, and
+    the reports are exact, with mode "exhaustive"; with it the reports are
+    Monte-Carlo ("mc"), each with the half-width of a 99% Wilson score
+    interval.  With ``threads`` > 1 the blocks are split across that many
+    forked processes, with the same result.
     Ties (max h(Y) == min h(X\\Y)) are reported separately: they are
     exactly the mass the strict convention loses at finite M.  The
     family is bound to the corpus's distinct points once, before the
@@ -493,8 +488,9 @@ def check_load_lemma(
     """Audit the allocation-load claims for one (X, Y) at bucket count ell.
 
     ``g_family`` is a SeededFamily onto [ell] (exhaustively enumerated)
-    or the string "uniform" for the exact multinomial computation — the
-    two coincide whenever the family's independence covers |X|.  The
+    or the string "uniform" for the exact multinomial computation, with
+    B_J read off the law of the number of buckets Y fills — the two
+    coincide whenever the family's independence covers |X|.  The
     bounds take that independence from the family's own degree ``t``
     (InvalidArgument for a family without one), and take |X| for
     "uniform".  X and Y are checked as every query is.  Each
@@ -570,10 +566,14 @@ def check_load_lemma(
         freq = 1 - _bounded_count_poly(r, lo, hi, ell)
         max_seen = r
         if bj_thr is not None:
-            bj_freq = sum(
-                binomial_tail_at_least(r, Fraction(len(set(alloc)), ell), bj_thr)
-                for alloc in itertools.product(range(ell), repeat=k)
-            ) / ell ** k
+            # B_J ~ Binomial(r, j/ell) given the j distinct buckets of Y;
+            # ways[j] counts the placements of Y's points that fill j
+            ways = [1]
+            for _ in range(k):
+                ways = [j * w + (ell - j + 1) * v
+                        for j, (w, v) in enumerate(zip([*ways, 0], [0, *ways]))]
+            bj_freq = sum(w * binomial_tail_at_least(r, Fraction(j, ell), bj_thr)
+                          for j, w in enumerate(ways)) / ell ** k
     else:
         hist, bj_bad = _scan_loads(g_family, xs, ys, ell, bj_thr)
         freq = 1 - Fraction(int(hist[lo:, :hi + 1].sum()), g_family.seed_space)
@@ -810,9 +810,3 @@ def exact_summary(reports) -> dict:
                                  for r in reports),
         "max_tie_mass": max(r.exact_tie for r in reports),
     }
-
-
-def summarize_reports(reports) -> dict:
-    """exact_summary with its statistics as floats, for output."""
-    return {name: value if value is None or name == "queries" else float(value)
-            for name, value in exact_summary(reports).items()}

@@ -13,7 +13,9 @@ every file it wrote under ``--out-dir``.  The cases are:
 - ``tests/data/kminwise_overlay_open.json``;
 - the benchmark's configs at seed 1, generated by ``perfbench/run.py``
   itself (``tests/benchmark_module.py``), under the commands it runs;
-- a ``full_independence`` prg-test, exhaustive and Monte-Carlo.
+- a ``full_independence`` prg-test, exhaustive and Monte-Carlo;
+- a loads-test of the default uniform allocation with |Y| = 5 at
+  ell = 64, the one pin of its B_J law.
 
 Usage, from the repository root:
 
@@ -59,6 +61,8 @@ BENCH_SEED = 1
 
 FULL_INDEPENDENCE = {"prg": {"kind": "full_independence"}, "dimension": 4, "alphabet": 8}
 
+UNIFORM_LOADS = {"ell": 64, "X": list(range(1, 13)), "Y": [1, 2, 3, 4, 5], "regime": "small"}
+
 
 def _config(path: Path, cfg: dict) -> str:
     path.write_text(json.dumps(cfg, indent=2) + "\n")
@@ -101,6 +105,8 @@ def cases(tmp: Path) -> dict[str, list[str]]:
     mc = _config(tmp / "full_independence_mc.json",
                  {**FULL_INDEPENDENCE, "mode": "mc", "samples": 50000})
     out["full_independence_mc"] = ["prg-test", "--config", mc]
+    out["uniform_loads"] = ["loads-test", "--config",
+                            _config(tmp / "uniform_loads.json", UNIFORM_LOADS)]
     return out
 
 

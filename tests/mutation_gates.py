@@ -1,6 +1,6 @@
 """Check that the output pins catch small faults in the Monte-Carlo scan,
-the direct sum, the verdict rule and the CLI's exit status for a bad
-config.
+the direct sum, the verdict rule, the CLI's exit status for a bad config
+and the uniform allocation's B_J law.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KWISE = "src/minwise_lab/kwise.py"
 CONFIG = "src/minwise_lab/config.py"
 CLI = "src/minwise_lab/cli.py"
+VERIFY = "src/minwise_lab/verify.py"
 
 # (name, file, text, replacement)
 MUTATIONS = [
@@ -41,6 +42,9 @@ MUTATIONS = [
     # a config error other than an over-budget scan then ends in a traceback
     ("`main` catches `SeedSpaceTooLarge` alone", CLI,
      "    except MinwiseLabError as exc:", "    except SeedSpaceTooLarge as exc:"),
+    # the uniform_loads pin's B_J frequency then counts too few placements
+    ("the B_J law's new-bucket factor one short", VERIFY,
+     "(ell - j + 1) * v", "(ell - j) * v"),
 ]
 
 

@@ -2,18 +2,24 @@
 
 These are the direct forms the library's counters are tested against:
 a (seeds, ell) bucket-load matrix reduced row by row for the load
-histogram, and the full (M+1)^2 table of (max over Y, min over X\\Y)
-pairs for the order-statistic margins and the reduction's per-theta
-counts.  They keep every cell the library no longer stores, so they are
-slower and larger, and they are meant to be obviously right.
+histogram, the sum over all ell^k placements of Y for the uniform
+allocation's B_J frequency, and the full (M+1)^2 table of (max over Y,
+min over X\\Y) pairs for the order-statistic margins and the reduction's
+per-theta counts.  They keep every cell and case the library no longer
+stores, so they are slower and larger, and they are meant to be
+obviously right.
 """
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 
-from minwise_lab.kwise import SeededFamily, scan, scan_seeds
+from minwise_lab.kwise import SeededFamily, scan
 from minwise_lab.rectprg import PRGHashFamily, RectanglePRG
+from minwise_lab.verify import binomial_tail_at_least
 
 
 def scan_loads(g_family: SeededFamily, xs, ys, ell: int, bj_threshold: int | None):
@@ -38,8 +44,16 @@ def scan_loads(g_family: SeededFamily, xs, ys, ell: int, bj_threshold: int | Non
         cells = counts.min(axis=1).astype(np.int64) * side + counts.max(axis=1)
         return np.append(np.bincount(cells, minlength=side * side), bj_bad)
 
-    total = scan_seeds(g_family.seed_bits, count)
+    total = scan(g_family, count)[0]
     return total[:-1].reshape(side, side), int(total[-1])
+
+
+def uniform_bj_frequency(r: int, k: int, ell: int, threshold: int) -> Fraction:
+    """Pr[B_J >= threshold] under uniform allocation: the mean, over all
+    ell^k placements of Y's k points, of the chance that at least
+    ``threshold`` of the r points of X\\Y land in the buckets they fill."""
+    return sum(binomial_tail_at_least(r, Fraction(len(set(alloc)), ell), threshold)
+               for alloc in itertools.product(range(ell), repeat=k)) / ell ** k
 
 
 def order_statistic_tails(prg: RectanglePRG, low, high) -> tuple[np.ndarray, int]:

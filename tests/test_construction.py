@@ -29,7 +29,7 @@ from minwise_lab.kwise import (
     SCAN_CHUNK_BITS,
     TWiseFamily,
     dsum_values,
-    scan_seeds,
+    scan,
 )
 from minwise_lab.philox import Philox
 from minwise_lab.rectprg import FullIndependencePRG, RecursiveMixPRG, TWisePRG, threshold_errors
@@ -422,8 +422,7 @@ def test_table_path_equals_layered_path_and_scalar_eval(monkeypatch, name):
     plan = fam.bind(points)
     if fam.seed_bits <= 24:
         # every block of the exhaustive scan, in scan order
-        assert scan_seeds(fam.seed_bits,
-                          lambda seeds: _block_mismatches(fam, plan, seeds, rng)) == 0
+        assert scan(fam, lambda seeds: _block_mismatches(fam, plan, seeds, rng))[0] == 0
         block = range(min(step, fam.seed_space))
     else:
         # aligned scan-shaped range blocks at the start, the end and in between
@@ -498,7 +497,7 @@ def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, cou
     points = range(1, fam.domain_size + 1)
     plan = fam.bind(points)
     if fam.seed_bits <= 63:
-        # the first, a middle and the last block of scan_seeds' split,
+        # the first, a middle and the last block of kwise.scan's split,
         # served from the per-point tables when n <= L <= SCAN_CHUNK_BITS
         step = min(1 << SCAN_CHUNK_BITS, fam.seed_space)
         blocks = fam.seed_space // step

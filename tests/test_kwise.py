@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import pickle
@@ -16,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksize import scan_chunk_bits
+from deadline import deadline
 from seed_rows import seed_ints, split_words
 from minwise_lab import kwise
 from minwise_lab.construction import BucketedKMinwiseFamily, ConstructionParams
@@ -33,7 +33,6 @@ from minwise_lab.kwise import (
     dsum_values,
     scan,
     scan_blocks,
-    scan_seeds,
     seed_words,
 )
 from minwise_lab.philox import Philox
@@ -325,6 +324,19 @@ def test_eval_pure_and_in_range(seed, x):
     assert fam.eval(seed, x) == v
 
 
+class _Width(kwise.SeededFamily):
+    """A family of ``seed_bits``-bit seeds, for scans that read no value."""
+
+    domain_size = range_size = 1
+    family_id = "width"
+
+    def __init__(self, seed_bits: int):
+        self.seed_bits = seed_bits
+
+    def eval(self, seed, x):
+        return 1
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("seed_bits,chunk_bits", [(5, 2), (3, 20), (0, 20)])
 def test_scan_seeds_counts_every_seed_once(seed_bits, chunk_bits, threads):
@@ -335,8 +347,8 @@ def test_scan_seeds_counts_every_seed_once(seed_bits, chunk_bits, threads):
         return np.bincount(seeds, minlength=1 << seed_bits)
 
     with scan_chunk_bits(chunk_bits):
-        hist = scan_seeds(seed_bits, count, threads)
-    assert hist.tolist() == [1] * (1 << seed_bits)
+        hist, seen = scan(_Width(seed_bits), count, threads=threads)
+    assert hist.tolist() == [1] * (1 << seed_bits) and seen == 1 << seed_bits
 
 
 def test_scan_seeds_checks_the_budget_before_the_first_block():
@@ -346,10 +358,10 @@ def test_scan_seeds_checks_the_budget_before_the_first_block():
         calls.append(len(seeds))
         return 0
 
-    assert scan_seeds(24, count) == 0  # at the budget: every block reaches count
+    assert scan(_Width(24), count) == (0, 1 << 24)  # at the budget: every block reaches count
     assert calls == [1 << SCAN_CHUNK_BITS] * (1 << (24 - SCAN_CHUNK_BITS))
     with pytest.raises(SeedSpaceTooLarge):
-        scan_seeds(25, count)  # over it: refused before the first count
+        scan(_Width(25), count)  # over it: refused before the first count
     assert len(calls) == 1 << (24 - SCAN_CHUNK_BITS)
 
 
@@ -470,22 +482,6 @@ def test_mc_scan_counts_the_chunked_draw_of_a_2d_layout():
 # --- forked scan workers ------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _within(seconds: float):
-    """Raise TimeoutError in the block once ``seconds`` have passed, so a
-    scan that waits on a lost worker fails instead of hanging."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    saved = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, saved)
-
-
 @pytest.mark.parametrize("threads,blocks,forks", [
     (1, 5, 0), (2, 1, 0), (2, 2, 2), (2, 7, 2), (3, 2, 2), (4, 9, 4)])
 def test_scan_forks_one_worker_per_contiguous_range(monkeypatch, threads, blocks, forks):
@@ -513,7 +509,7 @@ def test_scan_forks_one_worker_per_contiguous_range(monkeypatch, threads, blocks
 
 def test_a_large_sum_comes_back_whole():
     # 1 MiB from each worker: more than a pipe holds before it is read
-    with _within(20):
+    with deadline(20):
         total = scan_blocks(4, lambda i: i, lambda i: np.full(1 << 17, i, dtype=np.int64), 2)
     assert total.tolist() == [6] * (1 << 17)
 
@@ -525,9 +521,9 @@ def test_a_worker_exception_is_raised_again_with_its_type(bad_block):
             raise InvalidArgument(f"bad block at seed {seeds[0]}")
         return 1
 
-    with _within(20), scan_chunk_bits(2), pytest.raises(
+    with deadline(20), scan_chunk_bits(2), pytest.raises(
             InvalidArgument, match=f"bad block at seed {bad_block * 4}"):
-        scan_seeds(4, count, threads=2)
+        scan(_Width(4), count, threads=2)
 
 
 def test_a_failed_scan_kills_the_workers_still_counting():
@@ -538,7 +534,7 @@ def test_a_failed_scan_kills_the_workers_still_counting():
         time.sleep(60)
         return 1
 
-    with _within(20), pytest.raises(InvalidArgument, match="block 0 failed"):
+    with deadline(20), pytest.raises(InvalidArgument, match="block 0 failed"):
         scan_blocks(4, lambda i: i, count, threads=2)
 
 
@@ -551,9 +547,9 @@ def test_an_exception_that_cannot_be_sent_keeps_its_name_and_message():
     def count(seeds):
         raise _Unpicklable("lost in transit")
 
-    with _within(20), scan_chunk_bits(2), pytest.raises(
+    with deadline(20), scan_chunk_bits(2), pytest.raises(
             ScanWorkerFailed, match="_Unpicklable: lost in transit"):
-        scan_seeds(4, count, threads=2)
+        scan(_Width(4), count, threads=2)
 
 
 def test_a_worker_that_dies_without_a_result_raises_instead_of_hanging():
@@ -564,8 +560,8 @@ def test_a_worker_that_dies_without_a_result_raises_instead_of_hanging():
             os._exit(1)
         return 1
 
-    with _within(20), scan_chunk_bits(2), pytest.raises(ScanWorkerFailed, match="exit code 1"):
-        scan_seeds(4, count, threads=2)
+    with deadline(20), scan_chunk_bits(2), pytest.raises(ScanWorkerFailed, match="exit code 1"):
+        scan(_Width(4), count, threads=2)
 
 
 def _state(pid: int) -> str | None:
@@ -605,7 +601,7 @@ def test_workers_of_a_killed_scan_stop_at_their_next_block():
         os.kill(scanner, signal.SIGKILL)
         os.waitpid(scanner, 0)
         os.close(read)
-    deadline = time.monotonic() + 10
+    until = time.monotonic() + 10
     while any(_state(pid) not in (None, "Z") for pid in workers):
-        assert time.monotonic() < deadline, "a worker outlived its parent's scan"
+        assert time.monotonic() < until, "a worker outlived its parent's scan"
         time.sleep(0.02)

@@ -98,9 +98,11 @@ def test_no_caller_restates_a_premise_the_object_fixes(call):
 # each a second name for an object its callers already name: the bucketed
 # family classes, their ``layout``, DirectSumFamily, check_twise_tails on
 # one theta, LeftoverHash.extract and the family's ``layout.draw_block``;
-# kwise.check_mode, a second switch for what a sample count decides; and
-# the exception classes that no caller caught by type, each an
-# InvalidArgument whose message names the check
+# kwise.check_mode, a second switch for what a sample count decides;
+# kwise.scan_seeds, a second seed enumerator beside kwise.scan;
+# verify.summarize_reports, which counted exact_summary's statistics again
+# to give them as floats; and the exception classes that no caller caught
+# by type, each an InvalidArgument whose message names the check
 REMOVED_NAMES = [
     (minwise_lab, "build_minwise"), (minwise_lab, "build_kminwise"),
     (minwise_lab, "seed_layout"), (minwise_lab, "check_twise_tail"),
@@ -108,6 +110,7 @@ REMOVED_NAMES = [
     (construction, "seed_layout"), (verify, "check_twise_tail"),
     (kwise, "direct_sum"), (extractor, "leftover_extract"),
     (kwise.SeededFamily, "draw_seed_block"), (kwise, "check_mode"),
+    (kwise, "scan_seeds"), (verify, "summarize_reports"),
     *((errors, name) for name in (
         "ParamViolation", "NotFullRank", "BadSeedLength", "DomainOverflow",
         "RangeMismatch", "WidthError", "WidthMismatch", "DomainMismatch",

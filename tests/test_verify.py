@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksize import mc_count_bits, scan_chunk_bits
+from deadline import deadline
 import reference_counts
 from reference_rectprg import threshold_rectangle
 from seed_rows import seed_ints
 from minwise_lab import cli, verify
+from minwise_lab.config import within
 from minwise_lab.construction import (
     BucketedKMinwiseFamily,
     BucketedMinwiseFamily,
@@ -29,7 +31,7 @@ from minwise_lab.construction import (
 from minwise_lab.errors import InvalidArgument, SeedSpaceTooLarge
 from minwise_lab.extractor import LeftoverHash
 from minwise_lab.gf2 import find_irreducible
-from minwise_lab.kwise import DirectSumFamily, SeededFamily, TWiseFamily, scan_seeds
+from minwise_lab.kwise import DirectSumFamily, SeededFamily, TWiseFamily
 from minwise_lab.philox import Philox
 from minwise_lab.rectprg import (
     FullIndependencePRG,
@@ -54,9 +56,9 @@ from minwise_lab.verify import (
     check_load_lemma,
     check_reduction,
     check_twise_tails,
+    exact_summary,
     measure_corpus,
     measure_minwise,
-    summarize_reports,
     uniform_minwise_probability,
     write_reports_csv,
 )
@@ -682,14 +684,39 @@ def test_scan_loads_finds_the_max_load_in_the_last_block(chunk_bits):
             hist.sum()) == want
 
 
-@pytest.mark.parametrize("ell, n, regime", [(4, 4, "mid"), (2, 6, "large")])
-def test_scan_and_uniform_agree_when_independence_covers_x(ell, n, regime):
+@pytest.mark.parametrize("ell, n, regime, k", [
+    pytest.param(4, 4, "mid", 1, id="4-4-mid"), pytest.param(2, 6, "large", 1, id="2-6-large"),
+    (8, 4, "small", 2), (16, 5, "small", 2), (16, 5, "small", 3), (8, 4, "small", 3)])
+def test_scan_and_uniform_agree_when_independence_covers_x(ell, n, regime, k):
     # a |X|-wise family allocates X exactly like uniformly random buckets,
-    # so both paths must count the same band with the same frequency
-    X, Y = list(range(1, n + 1)), [n]
+    # so both paths must count the same band and, in the small regime at
+    # k >= 2, the same B_J with the same frequencies
+    X, Y = list(range(1, n + 1)), list(range(n - k + 1, n + 1))
     uni = check_load_lemma("uniform", X, Y, ell, regime)
     fam = check_load_lemma(TWiseFamily(n, n, ell), X, Y, ell, regime)
     assert fam.to_json() == uni.to_json()
+
+
+@pytest.mark.parametrize("ell, k", [(4, 2), (8, 2), (8, 3), (8, 4), (16, 2), (16, 3)])
+def test_uniform_bj_frequency_is_the_mean_over_placements(ell, k):
+    # the law of the number of buckets Y fills gives the frequency that
+    # the sum over every placement of Y's points gives
+    for r in (1, 4, 7):
+        X = list(range(1, r + k + 1))
+        if not within(len(X), 1, ell, 0.9):
+            continue  # not a small-regime query set
+        for C_g in (2, 3):
+            rep = check_load_lemma("uniform", X, X[:k], ell, "small", C_g=C_g)
+            want = reference_counts.uniform_bj_frequency(r, k, ell, rep.bj_threshold)
+            assert rep.bj_frequency == float(want)
+
+
+def test_uniform_bj_frequency_is_quick_at_many_placements():
+    # 64^5 placements of Y: a loop over them runs for hours
+    with deadline(20):
+        rep = check_load_lemma("uniform", range(1, 13), [1, 2, 3, 4, 5], 64, "small")
+    assert (rep.bj_threshold, rep.bj_chain.tag) == (5, "holds")
+    assert 0 < rep.bj_frequency <= rep.bj_chain.bound
 
 
 class _WideLoads(SeededFamily):
@@ -1064,12 +1091,12 @@ def test_csv_empty_corpus_is_header_only(tmp_path):
 def test_summary_statistics():
     fam = TWiseFamily(2, 4, 8)
     reports = [measure_minwise(fam, [1, 2, 3, 4], [y]) for y in (1, 2, 3)]
-    s = summarize_reports(reports)
+    s = exact_summary(reports)
     assert s["queries"] == 3
-    assert s["max_mult_err_uniform"] == max(r.mult_err_uniform for r in reports)
+    assert float(s["max_mult_err_uniform"]) == max(r.mult_err_uniform for r in reports)
     vals = sorted(r.mult_err_uniform for r in reports)
-    assert s["median_mult_err_uniform"] == vals[1]
-    empty = summarize_reports([])
+    assert float(s["median_mult_err_uniform"]) == vals[1]
+    empty = exact_summary([])
     assert empty["queries"] == 0 and empty["max_mult_err_uniform"] is None
 
 
