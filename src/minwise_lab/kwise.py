@@ -48,8 +48,10 @@ MC_DRAW_BITS = 16
 MC_COUNT_BITS = 14
 
 # log2 of the entries of one point table of a t-wise family: at a fixed
-# point, a run of coefficient words whose bits fit this width is read by
-# one gather.  Tables of 2^12 entries take 4 KiB as uint8.  On the 84-bit
+# point, a run of coefficient words whose bits fit this width is one
+# table, sliced on an aligned exhaustive block (the values are the outer
+# XOR of the runs' slices) and read by one gather on any other block.
+# Tables of 2^12 entries take 4 KiB as uint8.  On the 84-bit
 # benchmark family's 10-wise overlay over GF(2^4), 16 points of a 2^16-row
 # block took a median 11.6, 9.4 and 7.0 ms at 10, 12 and 16 bits (runs
 # of 2, 3 and 4 words; 14 bits is 12's 3 words), and building the
@@ -353,8 +355,8 @@ class SeededFamily(abc.ABC):
     Seeds are integers in [0, 2^seed_bits) made of the coefficient words
     of seed_columns(); evaluation is pure.  Block evaluation reads a
     ``range`` of seeds, a packed uint64 block or a 2-D (count, words)
-    block of word columns through seed_words and returns a uint64 value
-    array.
+    block of word columns, through seed_words where it needs the words,
+    and returns a fresh array of values.
     """
 
     domain_size: int
@@ -522,6 +524,8 @@ class TWiseFamily(SeededFamily):
             table = rows[start]
             for row in rows[start + 1:start + self.run_words]:
                 table = (row[:, None] ^ table).reshape(-1)
+            # forked scan workers share a plan's tables: a write must raise
+            table.flags.writeable = False
             tables.append(table)
         return tables
 
@@ -530,50 +534,88 @@ class TWiseFamily(SeededFamily):
         first that fit POINT_TABLE_BYTES when ``run_words`` > 0.
 
         Its evaluators take a checked point or, for TWisePRG, an unchecked
-        uint64 array of points, one per seed.  At a point with tables the
-        value is the XOR of one gather per run of words, each at the run's
-        bits, which are bound on the block's first such point; it comes in
-        the narrowest dtype that holds M.  Otherwise it is Horner's, as
-        uint64.  Horner's coefficients are the block's word columns.  All
+        uint64 array of points, one per seed, and return a fresh array.  A
+        point with tables is read in one of two block forms, in the
+        narrowest dtype that holds M:
+
+        - an aligned block, a step-1 ``range`` of 2^B seeds (no more than
+          the seed space) from a multiple of 2^B, as every exhaustive
+          block of kwise.scan is: a run of words wholly above bit B gives
+          one table entry, one reaching below it the slice of its table
+          that the block's low B bits sweep, and the values are the outer
+          XOR of those slices, higher runs the slower axes, as
+          ``_run_tables`` lays out its own tables;
+        - any other block (a Monte-Carlo draw, a packed array, an
+          unaligned range): the XOR of one gather per run of words, each
+          at the run's bits, which are bound on the block's first such
+          point.
+
+        Otherwise the value is Horner's, as uint64.  Horner's coefficients
+        are the block's word columns, cut on its first use of them.  All
         but the top one are only XORed in, so they stay narrow: as uint64
         columns they lifted loads-test's per-block peak past the CLI's
         malloc trim threshold (51k minor faults instead of 13k).
         """
         points = self._check_points(points)
         n, t, run = self.ctx.degree, self.t, self.run_words
-        tables = {}
+        tables, runs = {}, []
         if run:
+            # (lowest seed bit, bits) of each run of words, high runs first
+            runs = [(start * n, min(run, t - start) * n) for start in range(0, t, run)][::-1]
             nbytes = np.min_scalar_type(self.range_size).itemsize * sum(
-                1 << (min(run, t - start) * n) for start in range(0, t, run))
+                1 << bits for _, bits in runs)
             tables = {x: self._run_tables(x) for x in points[:POINT_TABLE_BYTES // nbytes]}
 
         def block(seeds):
-            coeffs = seed_words(seeds, self.seed_columns())
+            size = len(seeds)
+            aligned = (isinstance(seeds, range) and seeds.step == 1
+                       and 0 < size <= self.seed_space and not size & (size - 1)
+                       and not seeds.start % size)
+            varying = size.bit_length() - 1
+
+            @functools.cache
+            def word_columns() -> np.ndarray:
+                return seed_words(seeds, self.seed_columns())
 
             @functools.cache
             def run_index() -> list[np.ndarray]:
-                index = []
+                words, index = word_columns(), []
                 for start in range(0, t, run):
-                    bits = coeffs[:, start].astype(np.intp)
+                    bits = words[:, start].astype(np.intp)
                     for k in range(1, min(run, t - start)):
-                        bits |= coeffs[:, start + k].astype(np.intp) << (k * n)
+                        bits |= words[:, start + k].astype(np.intp) << (k * n)
                     index.append(bits)
                 return index
+
+            def aligned_values(x: int) -> np.ndarray:
+                vals = np.zeros(1, dtype=tables[x][0].dtype)
+                for table, (low, bits) in zip(tables[x][::-1], runs):
+                    # the block sweeps the run's bits below bit `varying`;
+                    # the ones above are the start's
+                    base = (seeds.start >> low) & ((1 << bits) - 1)
+                    swept = 1 << min(max(varying - low, 0), bits)
+                    vals = (vals[:, None] ^ table[base:base + swept]).reshape(-1)
+                return vals
+
+            def gathered_values(x: int) -> np.ndarray:
+                index = run_index()
+                vals = tables[x][0].take(index[0])
+                for table, bits in zip(tables[x][1:], index[1:]):
+                    vals ^= table.take(bits)
+                return vals
 
             def evaluate(x) -> np.ndarray:
                 if isinstance(x, (int, np.integer)):
                     self._check_x(x)
                     x = int(x)
                     if x in tables:
-                        index = run_index()
-                        vals = tables[x][0].take(index[0])
-                        for table, bits in zip(tables[x][1:], index[1:]):
-                            vals ^= table.take(bits)
+                        vals = aligned_values(x) if aligned else gathered_values(x)
                         vals += 1
                         return vals
                     chi = x - 1
                 else:
                     chi = x.astype(np.uint64, copy=False) - np.uint64(1)
+                coeffs = word_columns()
                 # the products are fresh arrays, so the XOR can be in place
                 # without touching the coefficient columns
                 acc = coeffs[:, -1].astype(np.uint64)

@@ -355,24 +355,31 @@ def _bounded_count_poly(r: int, lo: int, hi: int, ell: int) -> Fraction:
     """Exact Pr[every bucket load in [lo, hi]] for r uniform balls, ell buckets.
 
     Exponential-generating-function count: r! * [x^r] (sum_{c=lo}^{hi}
-    x^c / c!)^ell / ell^r.
+    x^c / c!)^ell / ell^r.  A power series sum_d a_d x^d / d! is kept as
+    its integers a_d, which multiply by the binomial convolution
+    sum_i C(d, i) a_i b_(d-i), so a_r counts the placements of the r
+    labelled balls with every load in the band.  The base is raised to
+    the power ell by squaring, truncated past x^r: O(r^2 log ell) integer
+    products, where multiplying by the base ell times costs O(ell r^2)
+    rational ones.
     """
-    base = [Fraction(0)] * (r + 1)
-    for c in range(lo, min(hi, r) + 1):
-        base[c] = Fraction(1, math.factorial(c))
-    poly = [Fraction(1)] + [Fraction(0)] * r
-    for _ in range(ell):
-        nxt = [Fraction(0)] * (r + 1)
-        for i, a in enumerate(poly):
-            if a == 0:
-                continue
-            for j, b in enumerate(base):
-                if i + j > r:
-                    break
-                if b != 0:
-                    nxt[i + j] += a * b
-        poly = nxt
-    return poly[r] * math.factorial(r) / Fraction(ell) ** r
+    def times(p: list[int], q: list[int]) -> list[int]:
+        # row is Pascal's row d, each built from the one before
+        product, row = [], [1]
+        for d in range(r + 1):
+            product.append(sum(c * a * b for c, a, b in zip(row, p, q[d::-1])))
+            row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+        return product
+
+    base = [int(lo <= c <= hi) for c in range(r + 1)]
+    poly, power = [1] + [0] * r, ell
+    while power:
+        if power & 1:
+            poly = times(poly, base)
+        power >>= 1
+        if power:
+            base = times(base, base)
+    return Fraction(poly[r], ell ** r)
 
 
 # A per-point scatter-add into a block's (ell, block) load matrix costs

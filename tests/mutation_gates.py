@@ -1,6 +1,6 @@
 """Check that the output pins catch small faults in the Monte-Carlo scan,
-the direct sum, the verdict rule, the CLI's exit status for a bad config
-and the uniform allocation's B_J law.
+the direct sum, the verdict rule, the CLI's exit status for a bad config,
+the uniform allocation's B_J law and the aligned t-wise block values.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -45,6 +45,12 @@ MUTATIONS = [
     # the uniform_loads pin's B_J frequency then counts too few placements
     ("the B_J law's new-bucket factor one short", VERIFY,
      "(ell - j + 1) * v", "(ell - j) * v"),
+    # a run that reaches below an aligned block's top seed bit then reads
+    # every block's slice from one word too high; only scans of several
+    # blocks can show it (benchmark loads-test and reduction-test), since
+    # one block whose seeds reach every run reads each table whole
+    ("an aligned block's slice base read from the next word's offset", KWISE,
+     "base = (seeds.start >> low)", "base = (seeds.start >> (low + n))"),
 ]
 
 

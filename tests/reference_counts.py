@@ -2,8 +2,9 @@
 
 These are the direct forms the library's counters are tested against:
 a (seeds, ell) bucket-load matrix reduced row by row for the load
-histogram, the sum over all ell^k placements of Y for the uniform
-allocation's B_J frequency, and the full (M+1)^2 table of (max over Y,
+histogram, the ell-fold rational product behind the uniform
+allocation's band frequency, the sum over all ell^k placements of Y for
+its B_J frequency, and the full (M+1)^2 table of (max over Y,
 min over X\\Y) pairs for the order-statistic margins and the reduction's
 per-theta counts.  They keep every cell and case the library no longer
 stores, so they are slower and larger, and they are meant to be
@@ -13,6 +14,7 @@ obviously right.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +48,28 @@ def scan_loads(g_family: SeededFamily, xs, ys, ell: int, bj_threshold: int | Non
 
     total = scan(g_family, count)[0]
     return total[:-1].reshape(side, side), int(total[-1])
+
+
+def bounded_count_poly(r: int, lo: int, hi: int, ell: int) -> Fraction:
+    """verify._bounded_count_poly's Pr[every bucket load in [lo, hi]] for
+    r uniform balls in ell buckets: r! [x^r] (sum_{c=lo}^{hi} x^c / c!)^ell
+    / ell^r, the base multiplied in ell times over rationals."""
+    base = [Fraction(0)] * (r + 1)
+    for c in range(lo, min(hi, r) + 1):
+        base[c] = Fraction(1, math.factorial(c))
+    poly = [Fraction(1)] + [Fraction(0)] * r
+    for _ in range(ell):
+        nxt = [Fraction(0)] * (r + 1)
+        for i, a in enumerate(poly):
+            if a == 0:
+                continue
+            for j, b in enumerate(base):
+                if i + j > r:
+                    break
+                if b != 0:
+                    nxt[i + j] += a * b
+        poly = nxt
+    return poly[r] * math.factorial(r) / Fraction(ell) ** r
 
 
 def uniform_bj_frequency(r: int, k: int, ell: int, threshold: int) -> Fraction:

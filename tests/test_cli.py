@@ -24,6 +24,7 @@ from minwise_lab import verify
 from minwise_lab.cli import _bound_allocator, _corpus_queries, main, run_component_tests
 from minwise_lab.construction import BucketedMinwiseFamily, family_from_config
 from minwise_lab.errors import InvalidArgument, ScanWorkerFailed
+from minwise_lab.kwise import TWiseFamily
 from minwise_lab.rectprg import TWisePRG, threshold_errors
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1024,6 +1025,25 @@ def test_mc_measure_of_one_chunk_holds_at_most_5_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 5 << 20, peak / (1 << 20)
+
+
+def test_benchmark_loads_scan_holds_at_most_2_mib(monkeypatch):
+    # the benchmark's loads-test config: a 4-wise allocation over GF(2^5),
+    # 20 seed bits in 16 blocks of 2^16.  Its point values are the outer
+    # XOR of run-table slices (1.08 MiB traced); through word columns,
+    # intp run indices and gathers the numpy arrays peaked at 2.33 MiB
+    cfg = benchmark_module.load(monkeypatch).oracle_configs(None)["loads.json"]
+    g = TWiseFamily(cfg["allocation"]["t"], cfg["N"], cfg["ell"])
+    assert g.seed_bits == 20
+    tracemalloc.start()
+    try:
+        rep = verify.check_load_lemma(g, cfg["X"], cfg["Y"], cfg["ell"], cfg["regime"],
+                                      cfg["C"], cfg["C_g"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.asserted_ok()
+    assert peak <= 2 << 20, peak / (1 << 20)
 
 
 def _fake_libc(monkeypatch, **symbols):

@@ -291,6 +291,93 @@ def test_twise_prg_values_at_array_points_are_horner_s(monkeypatch, t, alphabet)
     assert got.tolist() == [int(at_points[int(c)][j]) for j, c in enumerate(coords)]
 
 
+def _aligned_blocks(fam, rng, bits: int) -> list[range]:
+    """Step-1 ranges of 2^bits seeds from multiples of 2^bits: the first,
+    the last and one drawn in between."""
+    size, blocks = 1 << bits, fam.seed_space >> bits
+    return [range(start, start + size) for start in
+            sorted({0, int(rng.integers(0, blocks)) << bits, (blocks - 1) << bits})]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 10])
+def test_aligned_blocks_equal_the_gather_path_and_scalar_eval(monkeypatch, t, n):
+    # M < 2^n, so the mask drops field bits; seeds of 2 to 60 bits, one
+    # block below 16 bits and many above; runs of 6 words down to 2,
+    # with a 1-word tail run at (t, n) = (5, 3), (4, 4), (10, 4), (3, 5),
+    # (5, 5), (3, 6) and (5, 6)
+    fam = TWiseFamily(t, 1 << n, 1 << (n - 1))
+    prg = TWisePRG(t, 1 << n, 1 << (n - 1))
+    rng = np.random.Generator(np.random.Philox(key=16 * t + n))
+    points = sorted({1, 1 << n, *rng.integers(1, (1 << n) + 1, size=3).tolist()})
+    words = []
+    monkeypatch.setattr(kwise, "seed_words", lambda *a: words.append(1) or seed_words(*a))
+    plans = (fam.bind(points), prg.bind(points))
+    for bits in sorted({min(fam.seed_bits, 7), min(fam.seed_bits, SCAN_CHUNK_BITS)}):
+        for block in _aligned_blocks(fam, rng, bits):
+            picks = rng.choice(len(block), size=8).tolist()
+            packed = np.arange(block.start, block.stop, dtype=np.uint64)
+            for plan in plans:
+                aligned = plan(block)
+                got = {x: aligned(x) for x in points}
+                # no word columns are cut where every point has tables
+                assert words == [] or fam.run_words == 0
+                gathered = plan(packed)
+                for x in points:
+                    want = gathered(x)
+                    assert got[x].dtype == want.dtype and np.array_equal(got[x], want), (block, x)
+                    assert [int(got[x][i]) for i in picks] == [
+                        fam.eval(block[i], x) for i in picks], (block, x)
+                words.clear()
+
+
+def test_other_blocks_and_points_past_the_budget_take_the_word_path(monkeypatch):
+    # 5-wise over GF(2^4), runs of 3 and 2 words, 20 seed bits; a budget
+    # of one point's tables leaves points 2 and 3 to Horner
+    fam = TWiseFamily(5, domain_size=16, range_size=8)
+    assert fam.run_words == 3
+    monkeypatch.setattr(kwise, "POINT_TABLE_BYTES", 4096 + 256)
+    plan = fam.bind([1, 2, 3])
+    words = seed_words(np.arange(1 << 12, 1 << 13, dtype=np.uint64), fam.seed_columns())
+    blocks = [
+        range(1 << 12, 1 << 13),  # aligned
+        range(3, 3 + (1 << 10)),  # unaligned start
+        range(1 << 12, (1 << 12) + 3000),  # not a power of two
+        range(1 << 12, 1 << 14, 2),  # a step of 2
+        range(0, 1 << 21),  # past the seed space: high bits ignored
+        np.arange(1 << 12, 1 << 13, dtype=np.uint64),  # packed
+        words,  # 2-D word columns
+    ]
+    rng = np.random.Generator(np.random.Philox(key=5))
+    for seeds in blocks:
+        evaluate = plan(seeds)
+        ints = seed_ints(seeds, fam.seed_columns())
+        picks = [0, len(ints) - 1, *rng.integers(0, len(ints), size=64).tolist()]
+        for x in (1, 2, 3):
+            got = evaluate(x)
+            assert got.dtype == (np.uint8 if x == 1 else np.uint64) and len(got) == len(ints)
+            assert [int(got[i]) for i in picks] == [
+                fam.eval(ints[i] & (fam.seed_space - 1), x) for i in picks], (seeds, x)
+
+
+def test_plan_tables_are_read_only_and_values_fresh():
+    # 5-wise over GF(2^3): runs of 4 words and a 1-word tail, which is a
+    # row of the span table
+    fam = TWiseFamily(5, domain_size=8, range_size=4)
+    tables = fam._run_tables(3)
+    assert [len(table) for table in tables] == [1 << 12, 1 << 3]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table += 1
+        with pytest.raises(ValueError, match="read-only"):
+            table[:2] ^= 1
+    for seeds in (range(0, 1 << 15), np.arange(1 << 15, dtype=np.uint64)):
+        evaluate = fam.bind([3])(seeds)
+        first = evaluate(3)
+        first += 1
+        assert np.array_equal(evaluate(3), first - 1)
+
+
 def test_direct_sum_rejects_range_mismatch():
     f = TWiseFamily(1, domain_size=4, range_size=4)
     g = TWiseFamily(1, domain_size=4, range_size=8)

@@ -569,6 +569,25 @@ def test_bounded_count_poly_matches_enumeration():
         assert _bounded_count_poly(r, lo, hi, ell) == Fraction(good, ell ** r)
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 5, 9, 16])
+def test_bounded_count_poly_equals_the_rational_product(r):
+    # bands below, across and past r, empty bands, and ell both odd and
+    # even, so that squaring meets every bit pattern of the power
+    for lo, hi in [(0, 0), (0, 1), (0, 3), (1, 2), (2, 5), (0, r), (3, 40), (4, 2), (0, -1)]:
+        for ell in (1, 2, 3, 6, 7, 16, 33):
+            want = reference_counts.bounded_count_poly(r, lo, hi, ell)
+            assert _bounded_count_poly(r, lo, hi, ell) == want, (r, lo, hi, ell)
+
+
+def test_uniform_band_frequency_is_quick_at_many_buckets():
+    # r = 299 points into 1024 buckets: the ell-fold rational product
+    # took 11.4 s
+    with deadline(5):
+        rep = check_load_lemma("uniform", range(1, 301), [1], 1024, "small")
+    # a load of 2 is bad, so the good placements are the injective ones
+    assert rep.bad_frequency == float(1 - Fraction(math.perm(1024, 299), 1024 ** 299))
+
+
 def test_small_regime_uniform_and_full_independence_family_agree():
     # 3-wise on a 3-point query set is exactly the multinomial allocation
     lu = check_load_lemma("uniform", [1, 2, 3], [2], 4, "small")
