@@ -333,9 +333,11 @@ def _component_kwise(params: dict, threads: int) -> tuple[dict, bool, str]:
     from . import verify
 
     with reading(params) as cfg:
-        # at t = b the b coordinates are already fully independent
-        b = cfg.int("b", lo=1)
-        t, M = cfg.int("t", lo=1, hi=b), cfg.int("M")
+        # at t = b the b coordinates are already fully independent; a b or M
+        # past 2^24 needs a field of more seed bits than the budget, and is
+        # refused before its b coordinates and M + 1 thresholds are listed
+        b = cfg.int("b", lo=1, hi=1 << EXHAUSTIVE_SEED_BITS)
+        t, M = cfg.int("t", lo=1, hi=b), cfg.int("M", hi=1 << EXHAUSTIVE_SEED_BITS)
         thetas = cfg.ints("thetas", range(M + 1), lo=0)
     rows = [r.to_json() for r in verify.check_twise_tails(t, b, thetas, M)]
     ok = all(r["within"] for r in rows)
@@ -380,52 +382,39 @@ def _component_reduction(params: dict, threads: int) -> tuple[dict, bool, str]:
             f"mult {rep.mult_error} <= {rep.mult_bound}")
 
 
-_COMPONENT_RUNNERS = {
-    "extractor": _component_extractor,
-    "prg": _component_prg,
-    "kwise": _component_kwise,
-    "loads": _component_loads,
-    "reduction": _component_reduction,
-}
-
-
-def _run_component(kind: str, params: dict, out: Path | None, threads: int) -> int:
-    """Run one oracle, write its ``<kind>_report.json`` under ``out`` when
-    given and print its verdict line; returns the exit status."""
-    report, ok, detail = _COMPONENT_RUNNERS[kind](params, threads)
+def _cmd_component(args) -> int:
+    """A ``<kind>-test`` subcommand: its oracle's runner on the config file.
+    Writes ``<kind>_report.json`` under --out-dir when given, prints the
+    verdict line and returns the exit status."""
+    params, out = _config(args), _out_dir(args)
+    report, ok, detail = _SUBCOMMANDS[args.command][0](params, getattr(args, "threads", 1))
     if out is not None:
-        write_json(out / f"{kind}_report.json", report)
-    print(f"{kind}-test: {'PASS' if ok else 'FAIL'} ({detail})")
+        write_json(out / f"{args.command.removesuffix('-test')}_report.json", report)
+    print(f"{args.command}: {'PASS' if ok else 'FAIL'} ({detail})")
     return 0 if ok else 1
 
 
-def run_component_tests(kind: str, params: dict, out_dir=None) -> int:
-    """Run one component oracle suite programmatically.
-
-    ``kind`` selects the oracle family; ``params`` has the same shape as
-    the matching subcommand's JSON config (the ``kwise`` tail-estimate
-    table has no subcommand of its own and is reachable only here).
-    Reports are written under ``out_dir`` when given.  Returns the exit
-    status: 0 every asserted check passed, 1 otherwise.  An unknown
-    kind, malformed params or a value the library refuses raise
-    InvalidArgument, a ValueError.
-    """
-    if kind not in _COMPONENT_RUNNERS:
-        raise InvalidArgument(
-            f"unknown component kind {kind!r}; "
-            f"known: {', '.join(sorted(_COMPONENT_RUNNERS))}"
-        )
-    out = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-    return _run_component(kind, dict(params), out, 1)
-
-
-def _cmd_component(args) -> int:
-    """The ``<kind>-test`` subcommands: that kind's oracle on the config file."""
-    return _run_component(args.command.removesuffix("-test"), _config(args),
-                          _out_dir(args), getattr(args, "threads", 1))
+# Each subcommand once: (its handler, or a -test subcommand's runner, which
+# _cmd_component calls; its help; whether it takes --threads; the library
+# modules it imports).  main loads those modules before argparse, which,
+# imported first, leaves 0.3-0.6 MB more of the heap resident through the
+# run (the desk measure and extractor-test, 2 vCPUs, Python 3.11).
+_SUBCOMMANDS = {
+    "construct": (_cmd_construct, "build a family and inspect or evaluate it",
+                  False, ("construction", "philox")),
+    "measure": (_cmd_measure, "measure min-wise error over a query corpus",
+                True, ("construction", "philox", "verify")),
+    "extractor-test": (_component_extractor, "surjectivity and leftover-hash distance checks",
+                       False, ("extractor", "philox")),
+    "prg-test": (_component_prg, "threshold-rectangle error scan for a PRG",
+                 True, ("rectprg",)),
+    "kwise-test": (_component_kwise, "exact t-wise minimum tails vs the truncation bound",
+                   False, ("verify",)),
+    "loads-test": (_component_loads, "allocation load frequencies vs the regime bounds",
+                   False, ("verify",)),
+    "reduction-test": (_component_reduction, "min-wise error vs rectangle error, both exact",
+                       True, ("verify",)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +423,7 @@ def _cmd_component(args) -> int:
 
 
 def _build_parser():
-    import argparse  # after the subcommand's modules (see _MODULES)
+    import argparse  # after the subcommand's modules (see _SUBCOMMANDS)
 
     parser = argparse.ArgumentParser(
         prog="minwise-lab",
@@ -442,8 +431,7 @@ def _build_parser():
                     "verification oracles over config-driven corpora",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, helptext, *, threads=False):
+    for name, (run, helptext, threads, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out-dir", help="directory for report artifacts")
@@ -452,23 +440,10 @@ def _build_parser():
                            help="worker processes: exhaustive and monte-carlo "
                                 "scans split their seed blocks across this "
                                 "many, with byte-identical output")
-        p.set_defaults(handler=handler)
-        return p
-
-    c = add("construct", _cmd_construct, "build a family and inspect or evaluate it")
-    c.add_argument("--seed", help="packed seed (decimal or 0x hex)")
-    c.add_argument("--eval", type=int, help="domain point to hash with --seed")
-
-    add("measure", _cmd_measure,
-        "measure min-wise error over a query corpus", threads=True)
-    add("extractor-test", _cmd_component,
-        "surjectivity and leftover-hash distance checks")
-    add("prg-test", _cmd_component,
-        "threshold-rectangle error scan for a PRG", threads=True)
-    add("loads-test", _cmd_component,
-        "allocation load frequencies vs the regime bounds")
-    add("reduction-test", _cmd_component,
-        "min-wise error vs rectangle error, both exact", threads=True)
+        if name == "construct":
+            p.add_argument("--seed", help="packed seed (decimal or 0x hex)")
+            p.add_argument("--eval", type=int, help="domain point to hash with --seed")
+        p.set_defaults(handler=_cmd_component if name.endswith("-test") else run)
     return parser
 
 
@@ -505,20 +480,6 @@ def _bound_allocator() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
-# The library modules that each subcommand's handler imports.  main loads
-# them before argparse, which, imported first, leaves 0.3-0.6 MB more of the
-# heap resident through the run (the desk measure and extractor-test, 2
-# vCPUs, Python 3.11).
-_MODULES = {
-    "construct": ("construction", "philox"),
-    "measure": ("construction", "philox", "verify"),
-    "extractor-test": ("extractor", "philox"),
-    "prg-test": ("rectprg",),
-    "loads-test": ("verify",),
-    "reduction-test": ("verify",),
-}
-
-
 def main(argv=None) -> int:
     """Run one subcommand; ``argv`` defaults to the process's arguments.
 
@@ -537,7 +498,7 @@ def main(argv=None) -> int:
     if program:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     words = sys.argv[1:] if program else argv
-    for module in _MODULES.get(words[0] if words else "", ()):
+    for module in _SUBCOMMANDS.get(words[0] if words else "", ((),))[-1]:
         importlib.import_module(f".{module}", __package__)
     _bound_allocator()
     args = _build_parser().parse_args(argv)

@@ -448,9 +448,11 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
 
     def count(seeds):
         n = len(seeds)
+        # every evaluation is a fresh array that the count only reads, so
+        # a column already of the bucket type is taken as it is
         evaluate = plan(seeds)
         if bj_threshold is not None:
-            j_buckets = [evaluate(y).astype(bucket) for y in ys]
+            j_buckets = [evaluate(y).astype(bucket, copy=False) for y in ys]
             in_j = np.zeros(n, dtype=load)
         if by_points:
             cols = []
@@ -459,7 +461,7 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
             # (b - 1) * n + j is the cell of bucket b at seed j
             cell = np.arange(-n, 0)
         for x in rest:
-            col = evaluate(x).astype(bucket)
+            col = evaluate(x).astype(bucket, copy=False)
             if bj_threshold is not None:
                 hit = col == j_buckets[0]
                 for b in j_buckets[1:]:

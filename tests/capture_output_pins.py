@@ -15,7 +15,10 @@ every file it wrote under ``--out-dir``.  The cases are:
   itself (``tests/benchmark_module.py``), under the commands it runs;
 - a ``full_independence`` prg-test, exhaustive and Monte-Carlo;
 - a loads-test of the default uniform allocation with |Y| = 5 at
-  ell = 64, the one pin of its B_J law.
+  ell = 64, the one pin of its B_J law;
+- a loads-test of a 3-wise allocation over GF(2^6): 18 seed bits in runs
+  of 12 and 6 bits, scanned in four aligned blocks, the one pin of how
+  an aligned block slices its run tables outside the benchmark's configs.
 
 Usage, from the repository root:
 
@@ -48,6 +51,7 @@ PINS = ROOT / "tests" / "data" / "output_pins.json"
 CONFIG_COMMANDS = {
     "extractor_basic": ("extractor-test", False),
     "kminwise_desk": ("measure", True),
+    "kwise_tails": ("kwise-test", False),
     "loads_small": ("loads-test", False),
     "minwise_desk": ("measure", True),
     "prg_pairwise": ("prg-test", True),
@@ -62,6 +66,9 @@ BENCH_SEED = 1
 FULL_INDEPENDENCE = {"prg": {"kind": "full_independence"}, "dimension": 4, "alphabet": 8}
 
 UNIFORM_LOADS = {"ell": 64, "X": list(range(1, 13)), "Y": [1, 2, 3, 4, 5], "regime": "small"}
+
+TWISE_LOADS = {"allocation": {"kind": "twise", "t": 3}, "N": 64, "ell": 64,
+               "X": list(range(1, 7)), "Y": [1], "regime": "small"}
 
 
 def _config(path: Path, cfg: dict) -> str:
@@ -107,6 +114,8 @@ def cases(tmp: Path) -> dict[str, list[str]]:
     out["full_independence_mc"] = ["prg-test", "--config", mc]
     out["uniform_loads"] = ["loads-test", "--config",
                             _config(tmp / "uniform_loads.json", UNIFORM_LOADS)]
+    out["twise_loads"] = ["loads-test", "--config",
+                          _config(tmp / "twise_loads.json", TWISE_LOADS)]
     return out
 
 

@@ -47,8 +47,10 @@ MUTATIONS = [
      "(ell - j + 1) * v", "(ell - j) * v"),
     # a run that reaches below an aligned block's top seed bit then reads
     # every block's slice from one word too high; only scans of several
-    # blocks can show it (benchmark loads-test and reduction-test), since
-    # one block whose seeds reach every run reads each table whole
+    # blocks can show it (the twise_loads pin, whose bad frequency rises
+    # from 0.108 to 0.428, and the benchmark's loads-test and
+    # reduction-test), since one block whose seeds reach every run reads
+    # each table whole
     ("an aligned block's slice base read from the next word's offset", KWISE,
      "base = (seeds.start >> low)", "base = (seeds.start >> (low + n))"),
 ]

@@ -21,7 +21,7 @@ import reference_counts
 
 import minwise_lab
 from minwise_lab import verify
-from minwise_lab.cli import _bound_allocator, _corpus_queries, main, run_component_tests
+from minwise_lab.cli import _bound_allocator, _corpus_queries, main
 from minwise_lab.construction import BucketedMinwiseFamily, family_from_config
 from minwise_lab.errors import InvalidArgument, ScanWorkerFailed
 from minwise_lab.kwise import TWiseFamily
@@ -356,6 +356,15 @@ def test_malformed_config_values_exit_two(tmp_path, capsys):
          "thresholds"),
         ("prg-test", _shipped("prg_pairwise", ("prg", "tt"), 3), "unknown key 'prg.tt'"),
         ("loads-test", _shipped("loads_small", ("X",), [1, 1, 2, 3, 4, 5, 6]), "duplicates"),
+        # the tail table: t missing or past b, a misspelled key, an alphabet
+        # the family refuses, and a b or M whose field is past the budget
+        ("kwise-test", {"b": 3, "M": 8}, "needs 't'"),
+        ("kwise-test", _shipped("kwise_tails", ("t",), 4), "t must be >= 1 and <= 3"),
+        ("kwise-test", _shipped("kwise_tails", ("theta",), [1]), "unknown key 'theta'"),
+        ("kwise-test", _shipped("kwise_tails", ("M",), 6), "power of two"),
+        ("kwise-test", _shipped("kwise_tails", ("b",), 10 ** 30),
+         "b must be >= 1 and <= 16777216"),
+        ("kwise-test", _shipped("kwise_tails", ("M",), 10 ** 30), "M must be <= 16777216"),
     ]
     for i, (command, cfg, diagnostic) in enumerate(cases):
         path = _write(tmp_path, f"bad{i}.json", cfg)
@@ -499,7 +508,9 @@ def test_extractor_test_matches_the_captured_oracle_reference(flat_seed, tmp_pat
                            .read_text())
     cfg = reference["configs"]["extractor.json"]
     cfg["flat_sources"]["rng_seed"] = flat_seed
-    assert run_component_tests("extractor", cfg, tmp_path) == reference["exit_code"]
+    path = _write(tmp_path, "extractor.json", cfg)
+    assert (main(["extractor-test", "--config", path, "--out-dir", str(tmp_path)])
+            == reference["exit_code"])
     report = json.loads((tmp_path / "extractor_report.json").read_text())
     assert report == reference["reports"]["extractor_report.json"][str(flat_seed)]
 
@@ -650,6 +661,7 @@ def test_loads_report_matches_the_reference_counter(size, tmp_path, monkeypatch)
 ORACLE_CONFIGS = {
     "extractor-test": ("extractor_basic.json", "extractor_report.json"),
     "prg-test": ("prg_pairwise.json", "prg_report.json"),
+    "kwise-test": ("kwise_tails.json", "kwise_report.json"),
     "loads-test": ("loads_small.json", "loads_report.json"),
     "reduction-test": ("reduction_pairwise.json", "reduction_report.json"),
 }
@@ -740,6 +752,7 @@ SUBCOMMAND_MODULES = {
                    {"construction", "extractor", "gf2", "kwise", "philox", "rectprg", "verify"}),
     "extractor-test": ("extractor_basic.json", {"extractor", "gf2", "philox"}),
     "prg-test": ("prg_pairwise.json", {"gf2", "kwise", "rectprg"}),
+    "kwise-test": ("kwise_tails.json", {"gf2", "kwise", "rectprg", "verify"}),
     "loads-test": ("loads_small.json", {"gf2", "kwise", "rectprg", "verify"}),
     "reduction-test": ("reduction_pairwise.json", {"gf2", "kwise", "rectprg", "verify"}),
 }
@@ -858,7 +871,7 @@ def test_reduction_test_is_exact_only(tmp_path, capsys):
         assert exc.value.code == 2
 
 
-def test_run_component_tests_kwise_table(tmp_path, capsys, monkeypatch):
+def test_kwise_test_table(tmp_path, capsys, monkeypatch):
     per_theta = [verify.check_twise_tails(2, 3, [theta], 8)[0].to_json() for theta in range(9)]
     scans, strict_order_margins = [], verify.strict_order_margins
 
@@ -867,30 +880,13 @@ def test_run_component_tests_kwise_table(tmp_path, capsys, monkeypatch):
         return strict_order_margins(*args, **kwargs)
 
     monkeypatch.setattr(verify, "strict_order_margins", counting)
-    rc = run_component_tests("kwise", {"t": 2, "b": 3, "M": 8},
-                             out_dir=tmp_path / "out")
-    assert rc == 0
+    argv = ["kwise-test", "--config", str(CONFIG_DIR / "kwise_tails.json")]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
     assert len(scans) == 1  # one table answers every theta
     report = json.loads((tmp_path / "out" / "kwise_report.json").read_text())
     assert report["rows"] == per_theta  # theta 0..M
     assert all(row["within"] for row in report["rows"])
     assert "PASS" in capsys.readouterr().out
-
-
-def test_run_component_tests_matches_subcommands(tmp_path, capsys):
-    params = {"prg": {"kind": "full_independence"}, "dimension": 3, "alphabet": 4}
-    assert run_component_tests("prg", params, out_dir=tmp_path / "a") == 0
-    cfg = _write(tmp_path, "p.json", params)
-    assert main(["prg-test", "--config", cfg, "--out-dir", str(tmp_path / "b")]) == 0
-    assert ((tmp_path / "a" / "prg_report.json").read_bytes()
-            == (tmp_path / "b" / "prg_report.json").read_bytes())
-
-
-def test_run_component_tests_validates_input(tmp_path):
-    with pytest.raises(InvalidArgument, match="unknown component kind"):
-        run_component_tests("sketch", {})
-    with pytest.raises(InvalidArgument, match="needs 't'"):
-        run_component_tests("kwise", {"b": 3, "M": 8})
 
 
 def test_threads_flag_accepted_and_validated(measure_config, tmp_path):

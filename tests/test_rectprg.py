@@ -11,7 +11,7 @@ import pytest
 
 from blocksize import mc_count_bits, scan_chunk_bits
 from seed_rows import seed_ints
-from minwise_lab.cli import main, run_component_tests
+from minwise_lab.cli import main
 from minwise_lab.errors import InvalidArgument, SeedSpaceTooLarge
 from minwise_lab.gf2 import find_irreducible
 from minwise_lab.rectprg import (
@@ -267,7 +267,9 @@ def test_prg_test_rows_match_rectangle_error(mode, tmp_path):
     prg = RecursiveMixPRG(8, 4)
     params = {"prg": {"kind": "recursive_mix"}, "dimension": 8, "alphabet": 4,
               "mode": mode, "thresholds": [0, 1, 2, 3, 4], **SAMPLING[mode]}
-    run_component_tests("prg", params, out_dir=tmp_path)
+    config = tmp_path / "prg.json"
+    config.write_text(json.dumps(params))
+    assert main(["prg-test", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
     rows = json.loads((tmp_path / "prg_report.json").read_text())["thresholds"]
     # the report holds each exact error as a float
     assert rows == [

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import minwise_lab
-from minwise_lab import construction, errors, extractor, kwise, rectprg, verify
+from minwise_lab import cli, construction, errors, extractor, kwise, rectprg, verify
 from minwise_lab.errors import InvalidArgument
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minwise_lab"
@@ -27,7 +27,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "minwise_lab"
 PUBLIC = {
     *minwise_lab.__all__,
     # the README's library tour
-    "compose_extract", "rectangle_error", "run_component_tests",
+    "compose_extract", "rectangle_error",
     # wrapped by name by perfbench/trace_cli.py, and called by no subcommand
     "eval_block", "extract_table",
 }
@@ -110,7 +110,7 @@ REMOVED_NAMES = [
     (construction, "seed_layout"), (verify, "check_twise_tail"),
     (kwise, "direct_sum"), (extractor, "leftover_extract"),
     (kwise.SeededFamily, "draw_seed_block"), (kwise, "check_mode"),
-    (kwise, "scan_seeds"), (verify, "summarize_reports"),
+    (kwise, "scan_seeds"), (verify, "summarize_reports"), (cli, "run_component_tests"),
     *((errors, name) for name in (
         "ParamViolation", "NotFullRank", "BadSeedLength", "DomainOverflow",
         "RangeMismatch", "WidthError", "WidthMismatch", "DomainMismatch",
