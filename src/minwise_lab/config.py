@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import stat
 import sys
 from dataclasses import MISSING as REQUIRED  # also a dataclass field's "no default"
 from fractions import Fraction
@@ -131,11 +133,25 @@ def reading(data):
         node.done()
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` in place, the one writer of every output.
+
+    The file is opened without truncating it, overwritten and then cut at
+    the written length, so a rerun does not pay the flush that ext4 starts
+    when an existing file is truncated to zero.  The inode stays: a
+    symlink, a hard link and the mode behave as under ``open(path, "w")``.
+    Only a regular file is cut; ``/dev/null`` refuses ``ftruncate``.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def write_json(path, payload) -> None:
     """Write ``payload`` to ``path`` as indented JSON with sorted keys."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def within(value, limit, base=1, power=0) -> bool:

@@ -13,6 +13,7 @@ hypotheses.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -25,7 +26,7 @@ import numpy as np
 from . import kwise
 # measure writes its summary through verify.write_json, where
 # perfbench/trace_cli.py times it
-from .config import within, write_json  # noqa: F401
+from .config import within, write_json, write_text  # noqa: F401
 from .errors import InvalidArgument
 from .kwise import SeededFamily, scan
 from .rectprg import RectanglePRG, TWisePRG, strict_order_margins
@@ -793,12 +794,12 @@ def check_reduction(prg: RectanglePRG, X, Y, threads: int = 1) -> ReductionRepor
 
 def write_reports_csv(path, reports) -> None:
     """One row per query under the versioned schema header."""
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_SCHEMA + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rep in reports:
-            writer.writerow(rep.csv_row())
+    buf = io.StringIO()
+    buf.write(CSV_SCHEMA + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rep.csv_row() for rep in reports)
+    write_text(path, buf.getvalue())
 
 
 def exact_summary(reports) -> dict:

@@ -1,6 +1,7 @@
 """Check that the output pins catch small faults in the Monte-Carlo scan,
 the direct sum, the verdict rule, the CLI's exit status for a bad config,
-the uniform allocation's B_J law and the aligned t-wise block values.
+the uniform allocation's B_J law, the aligned t-wise block values and
+the in-place rewrite of an output.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -53,6 +54,10 @@ MUTATIONS = [
     # each table whole
     ("an aligned block's slice base read from the next word's offset", KWISE,
      "base = (seeds.start >> low)", "base = (seeds.start >> (low + n))"),
+    # every pin case reruns into a directory that holds its outputs with
+    # 1 KiB more at the end, which an uncut rewrite keeps
+    ("a rewrite keeps the old file's tail", CONFIG,
+     "            fh.truncate()\n", "            pass\n"),
 ]
 
 

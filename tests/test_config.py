@@ -1,15 +1,19 @@
 """The checked config reader: typed accessors, key paths in errors and
-the refusal of keys that nothing reads."""
+the refusal of keys that nothing reads; the exact verdict rule; and the
+in-place writer of every output."""
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from fractions import Fraction
 
 import pytest
 
-from minwise_lab.config import Config, reading, within
+from minwise_lab.config import Config, reading, within, write_json
 from minwise_lab.errors import InvalidArgument
+from minwise_lab.verify import write_reports_csv
 
 
 def test_accessors_read_values_and_defaults():
@@ -102,3 +106,75 @@ def test_within_reads_floats_as_their_decimals_and_keeps_signs():
     assert within(-2, -1) and not within(-1, -2)
     # -3 <= -1 * 4^(1/2) = -2, and -1 > -2
     assert within(-3, -1, 4, Fraction(1, 2)) and not within(-1, -1, 4, Fraction(1, 2))
+
+
+class _Row:
+    def __init__(self, i):
+        self.i = i
+
+    def csv_row(self):
+        return [self.i, "a,b"]
+
+
+# the two writers of every output file, each writing n entries
+WRITERS = {
+    "json": lambda path, n: write_json(path, {"xs": list(range(n))}),
+    "csv": lambda path, n: write_reports_csv(path, [_Row(i) for i in range(n)]),
+}
+
+LONG, SHORT = 40, 3
+
+
+def _fresh(write, n, tmp_path):
+    """The bytes of n entries written to a new file."""
+    path = tmp_path / f"fresh_{n}"
+    write(path, n)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+@pytest.mark.parametrize("first, second", [(LONG, SHORT), (SHORT, LONG)])
+def test_a_rewrite_reads_back_exactly_the_new_bytes(kind, first, second, tmp_path):
+    write, path = WRITERS[kind], tmp_path / "out"
+    write(path, first)
+    write(path, second)
+    want = _fresh(write, second, tmp_path)
+    assert path.read_bytes() == want and len(want) != len(_fresh(write, first, tmp_path))
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_a_write_through_a_symlink_lands_in_its_target(kind, tmp_path):
+    write, target, link = WRITERS[kind], tmp_path / "target", tmp_path / "link"
+    write(target, LONG)
+    link.symlink_to(target)
+    write(link, SHORT)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == _fresh(write, SHORT, tmp_path)
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_a_write_through_a_symlink_to_dev_null_succeeds(kind, tmp_path):
+    # /dev/null is not a regular file: ftruncate on it is EINVAL
+    link = tmp_path / "link"
+    link.symlink_to(os.devnull)
+    WRITERS[kind](link, LONG)
+    assert link.is_symlink() and os.readlink(link) == os.devnull
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_a_hard_link_sees_the_new_bytes(kind, tmp_path):
+    write, path, hard = WRITERS[kind], tmp_path / "out", tmp_path / "hard"
+    write(path, LONG)
+    os.link(path, hard)
+    write(path, SHORT)
+    assert hard.read_bytes() == _fresh(write, SHORT, tmp_path)
+    assert os.path.samefile(path, hard)
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_a_rewrite_keeps_the_mode(kind, tmp_path):
+    write, path = WRITERS[kind], tmp_path / "out"
+    write(path, LONG)
+    path.chmod(0o600)
+    write(path, SHORT)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
