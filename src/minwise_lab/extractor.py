@@ -5,8 +5,8 @@ GF(2^n), with y_s = s + 1 so that every (n-1)-bit seed picks a distinct
 nonzero multiplier.  Every per-seed matrix has full row rank, which is
 the defining extra guarantee here: a fixed seed sends U_n exactly to
 U_m.  On top of that this module provides the dual-projection
-composition of stages, and the exact per-seed output counts of a flat
-source behind the desk-scale extractor oracle.
+composition of stages, and the exact distance of (seed, output) from
+uniform on a flat source behind the desk-scale extractor oracle.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ class LeftoverHash:
         return BitMatrix.from_images(images, self.m)
 
     def span_table(self) -> np.ndarray:
-        """(2^d, 2^m) int64 row spans of every seed matrix; cached per instance.
+        """(2^d, 2^m) row spans of every seed matrix as n-bit unsigned ints
+        of the narrowest dtype; cached per instance.
 
         Row i of seed s's matrix, r_{s,i}, is the n-bit vector whose bit j
         is bit i of E(2^j, s).  Entry [s, a] is the XOR of the rows r_{s,i}
@@ -90,7 +91,7 @@ class LeftoverHash:
             for j in range(self.n):
                 column = mul_block(self.ctx, ys, 1 << j)
                 rows |= ((column[:, None] >> bits) & np.uint64(1)) << np.uint64(j)
-            self._span = row_spans(rows.view(np.int64))
+            self._span = row_spans(rows.astype(np.min_scalar_type((1 << self.n) - 1)))
         return self._span
 
     def extract_table(self) -> np.ndarray:
@@ -204,17 +205,26 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def seed_output_counts(ext: LeftoverHash, source: FlatSource) -> np.ndarray:
-    """(2^d, 2^m) int32 counts #{x in support : E(x, s) = y}, exactly.
+# log2 of the span cells that strong_extractor_distance gathers and
+# transforms at a time (512 seeds at m = 5): their int32 counts and intp
+# gather index stay at 64 and 128 KiB whatever the seed count.
+SPAN_SLICE_BITS = 14
+
+
+def strong_extractor_distance(ext: LeftoverHash, source: FlatSource) -> Fraction:
+    """Exact distance of (seed, Ext(X, seed)) from uniform, X flat.
 
     With f the support's indicator and f^ its Walsh-Hadamard transform,
-    count_s(y) = 2^-m sum_a (-1)^(a . y) f^(span[s, a]), because
+    2^m count_s(y) = sum_a (-1)^(a . y) f^(span[s, a]), because
     a . E(x, s) = parity(x & span[s, a]).  So one transform of length
-    2^n, a gather at the span table and a transform of length 2^m per
-    seed give every count, with no 2^n x 2^d output table.  Every
-    intermediate is at most 2^(n+m) in magnitude, so int32 cells hold
-    them up to n + m = 30, past which InvalidArgument is raised (the
-    span table alone would take 8 GiB there).
+    2^n, and per seed a gather at the span table and a transform of
+    length 2^m, give every count, with no 2^n x 2^d output table.  Cell
+    (s, y) is off uniform by |count * 2^m - |S|| / (|S| * 2^(d+m)), so
+    the distance is the sum of those integers over 2 * |S| * 2^(d+m),
+    reduced 2^SPAN_SLICE_BITS span cells at a time.  Every intermediate
+    is at most 2^(n+m) in magnitude, so int32 cells hold them up to
+    n + m = 30, past which InvalidArgument is raised before any table
+    is built (the span table alone would have 2^(n+m-1) cells there).
     """
     if source.n != ext.n:
         raise InvalidArgument(f"source has {source.n} bits, extractor expects {ext.n}")
@@ -223,21 +233,13 @@ def seed_output_counts(ext: LeftoverHash, source: FlatSource) -> np.ndarray:
             f"n + m = {ext.n + ext.m} exceeds the 30 bits that int32 counts hold")
     f = np.zeros(1 << ext.n, dtype=np.int32)
     f[np.array(source.support, dtype=np.int64)] = 1
-    counts = _walsh_hadamard(_walsh_hadamard(f).take(ext.span_table()))
-    counts >>= ext.m
-    return counts
-
-
-def strong_extractor_distance(ext: LeftoverHash, source: FlatSource) -> Fraction:
-    """Exact distance of (seed, Ext(X, seed)) from uniform, X flat.
-
-    Cell (s, y) is off uniform by |count * 2^m - |S|| / (|S| * 2^(d+m)),
-    so the distance is the sum of those integers over
-    2 * |S| * 2^(d+m).  They are reduced in place in the int32 counts of
-    seed_output_counts, where count * 2^m <= 2^(n+m) still fits.
-    """
-    counts = seed_output_counts(ext, source)
-    counts <<= ext.m
-    counts -= len(source.support)
-    np.abs(counts, out=counts)
-    return Fraction(int(counts.sum(dtype=np.int64)), len(source.support) << (ext.d + ext.m + 1))
+    spectrum = _walsh_hadamard(f)
+    span = ext.span_table()
+    step = max(1, (1 << SPAN_SLICE_BITS) >> ext.m)
+    total = 0
+    for lo in range(0, len(span), step):
+        scaled = _walsh_hadamard(spectrum.take(span[lo:lo + step]))
+        scaled -= len(source.support)
+        np.abs(scaled, out=scaled)
+        total += int(scaled.sum(dtype=np.int64))
+    return Fraction(total, len(source.support) << (ext.d + ext.m + 1))

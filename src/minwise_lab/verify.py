@@ -421,6 +421,11 @@ def _largest_multiplicity(cols: list[np.ndarray], dtype) -> np.ndarray:
     return top
 
 
+# seeds per bincount of a loads block: its intp copy of the cells is
+# 128 KiB, where a whole 2^16-seed block's would be 512 KiB
+_COUNT_SLICE = 1 << 14
+
+
 def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
                 bj_threshold: int | None):
     """Exhaustive chunked scan of g-seeds: (min, max) load histogram, B_J tail.
@@ -445,6 +450,7 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
     side = r + 1
     by_points = _loads_by_points(r, ell)
     bucket, load = np.min_scalar_type(ell), np.min_scalar_type(r)
+    pair = np.min_scalar_type(side * side - 1)  # a (least, largest) load cell
     plan = g_family.bind(rest if bj_threshold is None else [*ys, *rest])
 
     def count(seeds):
@@ -478,9 +484,12 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
         if by_points:
             cells = _largest_multiplicity(cols, load)
         else:
-            cells = loads.min(axis=0).astype(np.intp) * side + loads.max(axis=0)
+            cells = loads.min(axis=0).astype(pair) * side + loads.max(axis=0)
         bj_bad = 0 if bj_threshold is None else np.count_nonzero(in_j >= bj_threshold)
-        return np.append(np.bincount(cells, minlength=side * side), bj_bad)
+        # bincount reads intp, so the narrow cells are widened a slice at a time
+        hist = sum(np.bincount(cells[lo:lo + _COUNT_SLICE], minlength=side * side)
+                   for lo in range(0, n, _COUNT_SLICE))
+        return np.append(hist, bj_bad)
 
     total = scan(g_family, count)[0]
     return total[:-1].reshape(side, side), int(total[-1])

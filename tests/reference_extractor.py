@@ -6,6 +6,8 @@ packaged as one map with concatenated seeds, built stage map by stage
 map, so that the two can be compared seed by seed.  ``surjectify``,
 ``min_entropy`` and ``exact_statistical_distance`` are the direct forms
 of facts the tests state about matrices, flat sources and distributions.
+``seed_output_counts`` is the whole (seed, output) count table that
+``extractor.strong_extractor_distance`` reduces a slice at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from minwise_lab.errors import InvalidArgument, MinwiseLabError
-from minwise_lab.extractor import FlatSource
+from minwise_lab.extractor import FlatSource, LeftoverHash, _walsh_hadamard
 from minwise_lab.gf2 import BitMatrix, EchelonBasis, complement_basis, mat_vec, rank
 
 
@@ -97,6 +99,23 @@ class ComposedExtractor:
             maps.append(self._stage_map(st, s & ((1 << st.d) - 1)))
             s >>= st.d
         return _apply_stages(maps, x)
+
+
+def seed_output_counts(ext: LeftoverHash, source: FlatSource) -> np.ndarray:
+    """(2^d, 2^m) int32 counts #{x in support : E(x, s) = y}, exactly.
+
+    With f the support's indicator and f^ its Walsh-Hadamard transform,
+    count_s(y) = 2^-m sum_a (-1)^(a . y) f^(span[s, a]), taken for the
+    whole span table at once.  Every intermediate is at most 2^(n+m) in
+    magnitude, so int32 cells hold them up to n + m = 30.
+    """
+    if source.n != ext.n or ext.n + ext.m > 30:
+        raise InvalidArgument(f"no int32 count table for n = {ext.n}, m = {ext.m}")
+    f = np.zeros(1 << ext.n, dtype=np.int32)
+    f[np.array(source.support, dtype=np.int64)] = 1
+    counts = _walsh_hadamard(_walsh_hadamard(f).take(ext.span_table()))
+    counts >>= ext.m
+    return counts
 
 
 def min_entropy(source: FlatSource) -> float:

@@ -21,9 +21,10 @@ import reference_counts
 
 import minwise_lab
 from minwise_lab import verify
-from minwise_lab.cli import _bound_allocator, _corpus_queries, main
+from minwise_lab.cli import _bound_allocator, _component_extractor, _corpus_queries, main
 from minwise_lab.construction import BucketedMinwiseFamily, family_from_config
 from minwise_lab.errors import InvalidArgument, ScanWorkerFailed
+from minwise_lab.gf2 import find_irreducible
 from minwise_lab.kwise import TWiseFamily
 from minwise_lab.rectprg import TWisePRG, threshold_errors
 
@@ -1042,23 +1043,79 @@ def test_benchmark_loads_scan_holds_at_most_2_mib(monkeypatch):
     assert peak <= 2 << 20, peak / (1 << 20)
 
 
+def test_benchmark_loads_scan_holds_at_most_1_mib(monkeypatch):
+    # the same scan as above: each 2^16-seed block's narrow cells are
+    # bincounted 2^14 seeds at a time, so no block-sized intp copy
+    # (512 KiB) is made; the numpy arrays peaked at 1.09 MiB with one
+    cfg = benchmark_module.load(monkeypatch).oracle_configs(None)["loads.json"]
+    g = TWiseFamily(cfg["allocation"]["t"], cfg["N"], cfg["ell"])
+    tracemalloc.start()
+    try:
+        rep = verify.check_load_lemma(g, cfg["X"], cfg["Y"], cfg["ell"], cfg["regime"],
+                                      cfg["C"], cfg["C_g"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.asserted_ok()
+    assert peak <= 1 << 20, peak / (1 << 20)
+
+
+def test_benchmark_extractor_runner_holds_at_most_1_mib(monkeypatch):
+    # the benchmark's extractor-test: n = 12, m = 5, five flat sources at
+    # each entropy 6..11.  The span table is 128 KiB of uint16, and each
+    # source's distance is reduced 512 seeds at a time, so no (2^11, 2^5)
+    # int32 count table or whole-table gather index is built; with them
+    # and an int64 span table the runner peaked at 1.20 MiB.  The field's
+    # log tables are built once per process, before the traced runs
+    bench = benchmark_module.load(monkeypatch)
+    find_irreducible(bench.oracle_configs(None)["extractor.json"]["n"])
+    for flat_seed in (0, bench.FLAT_SEED_POOL - 1):
+        params = bench.oracle_configs(flat_seed)["extractor.json"]
+        tracemalloc.start()
+        try:
+            report, ok, _ = _component_extractor(params, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and len(report["levels"]) == 6
+        assert peak <= 1 << 20, (flat_seed, peak / (1 << 20))
+
+
 def _fake_libc(monkeypatch, **symbols):
     libc = types.SimpleNamespace(**symbols)
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
     return libc
 
 
-def test_allocator_policy_sets_both_malloc_thresholds(monkeypatch):
+def _recording_libc(monkeypatch, *names):
+    """A fake libc with the named functions, each recording its calls
+    into the one list it returns, in call order."""
     calls = []
 
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
+    def recorder(name):
+        def call(*args):
+            calls.append((name, *args))
+            return 1
+        return call
 
-    _fake_libc(monkeypatch, mallopt=mallopt)
+    _fake_libc(monkeypatch, **{name: recorder(name) for name in names})
+    return calls
+
+
+def test_allocator_policy_sets_both_malloc_thresholds(monkeypatch):
+    calls = _recording_libc(monkeypatch, "mallopt", "malloc_trim")
     _bound_allocator()
-    # M_MMAP_THRESHOLD at glibc's 64-bit maximum, M_TRIM_THRESHOLD at 8 MiB
-    assert calls == [(-3, 32 << 20), (-1, 8 << 20)]
+    # M_MMAP_THRESHOLD at glibc's 64-bit maximum, M_TRIM_THRESHOLD at 8 MiB,
+    # then what start-up freed goes back to the OS
+    assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 8 << 20),
+                     ("malloc_trim", 0)]
+
+
+def test_allocator_policy_without_malloc_trim_still_sets_both_thresholds(monkeypatch):
+    # musl has mallopt but no malloc_trim
+    calls = _recording_libc(monkeypatch, "mallopt")
+    _bound_allocator()
+    assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 8 << 20)]
 
 
 def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch, capsys):

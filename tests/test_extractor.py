@@ -17,7 +17,6 @@ from minwise_lab.extractor import (
     compose_extract,
     leftover_bound,
     row_spans,
-    seed_output_counts,
     spans_full_rank,
     strong_extractor_distance,
 )
@@ -27,6 +26,7 @@ from reference_extractor import (
     TooManyRows,
     exact_statistical_distance,
     min_entropy,
+    seed_output_counts,
     surjectify,
 )
 
@@ -172,11 +172,26 @@ def test_int32_counts_equal_brute_force_at_the_widest_budget():
 
 
 def test_counts_past_thirty_bits_are_refused_before_any_table():
-    # n + m = 31 would need an 8 GiB span table; nothing is built first
+    # n + m = 31 would need a 2 GiB span table; nothing is built first
     ext = LeftoverHash(16, 15)
     with pytest.raises(InvalidArgument, match="n \\+ m = 31"):
-        seed_output_counts(ext, FlatSource(16, (0, 1)))
+        strong_extractor_distance(ext, FlatSource(16, (0, 1)))
     assert ext._span is None
+
+
+@pytest.mark.parametrize("n", range(2, 18))
+def test_span_table_equals_the_int64_build_in_the_narrowest_dtype(n):
+    # uint8 up to n = 8, uint16 up to 16 and uint32 from 17 on
+    ext = LeftoverHash(n, min(n - 1, 3))
+    ys = np.arange(1, (1 << ext.d) + 1, dtype=np.uint64)
+    rows = np.zeros((1 << ext.d, ext.m), dtype=np.int64)
+    for j in range(n):
+        out = ext.extract_block(np.uint64(1 << j), ys).astype(np.int64)
+        for i in range(ext.m):
+            rows[:, i] |= ((out >> i) & 1) << j
+    span = ext.span_table()
+    assert span.dtype == (np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint32)
+    assert np.array_equal(span, row_spans(rows))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
