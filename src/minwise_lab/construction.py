@@ -40,9 +40,9 @@ def _is_pow2(v: int) -> bool:
 
 
 # Seed bits one t-wise part of a construction may take.  A seed block
-# holds each of its words as a column of at least a byte, so a 2^16-row
-# Monte-Carlo block of a part this wide takes at least 32 MiB; the widest
-# part of a shipped or benchmark config takes 40 bits.
+# holds each of its words as a column of at least a byte, so a 2^14-row
+# Monte-Carlo count slice of a part this wide takes at least 8 MiB; the
+# widest part of a shipped or benchmark config takes 40 bits.
 PART_SEED_BITS = 1 << 12
 
 

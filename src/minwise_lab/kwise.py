@@ -38,13 +38,15 @@ SCAN_CHUNK_BITS = 16
 MC_DRAW_BITS = 16
 
 # log2 of the rows of one Monte-Carlo count slice, read by every scan
-# when it starts.  A draw chunk is drawn whole and counted in consecutive
-# row slices of this many rows, whose integer counts add up to the
-# chunk's, so it moves no result.  Chosen by measurement on the 84-bit
-# benchmark family (8 queries of 6 points, 2 vCPUs): one warm chunk count
-# took a median 26, 23, 24, 27 and 36 ms at 16, 15, 14, 13 and 12 bits,
-# and the traced peak of a one-chunk measure was 8.79, 5.60 and 4.16 MiB
-# at 16, 15 and 14 bits and 4.16 MiB below, of which the draw is 3.88 MiB.
+# when it starts.  A draw chunk is counted in consecutive row slices of
+# this many rows, each drawn where it is counted, whose integer counts
+# add up to the chunk's, so it moves no result.  Chosen by measurement on
+# the 84-bit benchmark family (8 queries of 6 points, 2 vCPUs), with the
+# chunk drawn whole: one warm chunk count took a median 26, 23, 24, 27
+# and 36 ms at 16, 15, 14, 13 and 12 bits, and the traced peak of a
+# one-chunk measure was 8.79, 5.60 and 4.16 MiB at 16, 15 and 14 bits
+# and 4.16 MiB below, 3.63 MiB of it the whole chunk's draw.  Drawn a
+# slice at a time, it peaks at 2.43 MiB at 14 bits.
 MC_COUNT_BITS = 14
 
 # log2 of the entries of one point table of a t-wise family: at a fixed
@@ -216,16 +218,16 @@ def scan(family: SeededFamily, count, *, samples: int | None = None,
     a ``run_seed``, which keys only a draw.  A space past the
     EXHAUSTIVE_SEED_BITS budget raises SeedSpaceTooLarge before any block
     is built.  With ``samples`` >= 1 it is Monte-Carlo, in blocks of
-    <= 2^MC_DRAW_BITS rows: block j is the family's layout.draw_block on
-    philox.Philox keyed by ``run_seed`` (0 when None) and jumped j times,
-    so a run of at most 2^16 samples is one draw off the unjumped stream.
-    A key outside [0, 2^128) raises InvalidArgument before any block is
-    drawn, in this process at any ``threads``.  Each block is drawn whole
-    where it is counted, so no process holds the whole sample, and
-    ``count`` sees it in consecutive row slices of <= 2^MC_COUNT_BITS
-    rows, whose counts are added.  Either way the blocks go through
-    scan_blocks on ``threads`` workers, so the sum is the same at any
-    ``threads``.
+    <= 2^MC_DRAW_BITS rows: block j is the family's layout.draw_block of
+    that many rows on philox.Philox keyed by ``run_seed`` (0 when None)
+    and jumped j times, so a run of at most 2^16 samples is one draw off
+    the unjumped stream.  A key outside [0, 2^128) raises InvalidArgument
+    before any block is drawn, in this process at any ``threads``.
+    ``count`` sees each block in consecutive row slices of <=
+    2^MC_COUNT_BITS rows, whose counts are added, and each slice is drawn
+    where it is counted, so no process holds a whole block.  Either way
+    the blocks go through scan_blocks on ``threads`` workers, so the sum
+    is the same at any ``threads``.
     """
     if samples is None:
         if run_seed is not None:
@@ -245,13 +247,15 @@ def scan(family: SeededFamily, count, *, samples: int | None = None,
         from .philox import Philox
 
         stream, seen, width = Philox(run_seed or 0), samples, 1 << MC_DRAW_BITS
-        step, count_rows = 1 << MC_COUNT_BITS, count
+        step, count_rows, draw = 1 << MC_COUNT_BITS, count, family.layout.draw_block
 
         def block_of(j: int):
-            return family.layout.draw_block(stream.jumped(j), min(width, samples - j * width))
+            return stream.jumped(j), min(width, samples - j * width)
 
-        def count(chunk: np.ndarray):
-            return sum(count_rows(chunk[lo:lo + step]) for lo in range(0, len(chunk), step))
+        def count(chunk: tuple):
+            source, n = chunk
+            return sum(count_rows(draw(source, n, lo, min(lo + step, n)))
+                       for lo in range(0, n, step))
 
     return scan_blocks(-(-seen // width), block_of, count, threads), seen
 
@@ -331,22 +335,47 @@ class SeedLayout:
         cuts = np.cumsum([len(f.words) for f in self.fields])[:-1]
         return dict(zip(self.names(), np.split(seed_words(seeds, self.words), cuts, axis=1)))
 
-    def draw_block(self, stream: Philox, count: int) -> np.ndarray:
-        """Uniform seeds for sampling: packed uint64 up to 64 bits, else
-        word columns as seed_words makes them, in one preallocated block.
-        In layout order, a field of at most 63 bits is one integer per row,
-        cut into its words, and each word of a wider field is drawn on its
-        own."""
+    def draw_block(self, stream: Philox, count: int, lo: int = 0,
+                   hi: int | None = None) -> np.ndarray:
+        """Rows [lo, hi) (all when ``hi`` is None) of ``count`` uniform
+        seeds drawn from ``stream``, which does not move: packed uint64 up
+        to 64 bits, else word columns as seed_words makes them.  In layout
+        order, a field of at most 63 bits is one integer per row, cut into
+        its words, and each word of a wider field is drawn on its own, as
+        numpy draws ``integers`` in turn: up to 32 bits from halves, first
+        the one an odd count left waiting, else from words.  So each draw's
+        rows start at a half or word offset fixed by the counts and widths
+        of the draws before it, and a slice computes only its own blocks."""
+        hi = count if hi is None else hi
+        if not 0 <= lo <= hi <= count:
+            raise InvalidArgument(f"rows [{lo}, {hi}) of a draw of {count}")
         if self.total_bits <= 64:
-            return stream.integers(self.total_bits, count)
-        words = np.empty((count, len(self.words)), order="F",
-                         dtype=np.min_scalar_type((1 << max(self.words)) - 1))
-        col = 0
-        for f in self.fields:
-            for run in [f.words] if f.width <= 63 else [(w,) for w in f.words]:
-                seed_words(stream.integers(sum(run), count), run, words[:, col:col + len(run)])
-                col += len(run)
-        return words
+            runs, out = [self.words], None
+        else:
+            runs = [run for f in self.fields if f.words
+                    for run in ([f.words] if f.width <= 63 else [(w,) for w in f.words])]
+            out = np.empty((hi - lo, len(self.words)), order="F",
+                           dtype=np.min_scalar_type((1 << max(self.words)) - 1))
+        word, waiting, col = 0, None, 0  # the next unread word; the waiting half
+        for run in runs:
+            bits = sum(run)
+            if bits > 32:
+                values = stream.integers_at(word + lo, hi - lo, bits)
+                word += count
+            else:
+                # row r reads half start + r, but for a row 0 whose waiting
+                # half a draw of words has passed since
+                start = 2 * word - (waiting is not None)
+                values = stream.integers_at(start + lo, hi - lo, bits)
+                if waiting not in (None, start) and lo == 0 < hi:
+                    values[0] = stream.integers_at(waiting, 1, bits)[0]
+                end = start + count
+                word, waiting = -(-end // 2), end if end % 2 else None
+            if out is None:
+                return values
+            seed_words(values, run, out[:, col:col + len(run)])
+            col += len(run)
+        return out
 
 
 class SeededFamily(abc.ABC):

@@ -2,12 +2,12 @@
 
 The stream is bit-equal to numpy's ``Philox(key).jumped(jump)``, and its
 two draws to the ``Generator`` methods the program once called on it:
-``integers(0, 2**bits, count, dtype=np.uint64)`` and ``choice(pop, size,
-replace=False)``, as numpy 2.4 computes them.  numpy keeps its bit
-generators' streams stable across versions but not its ``Generator``
-methods (NEP 19), and importing numpy's random package costs a run
-about 6 MB of peak memory, so the program computes the stream and both
-draws here, from numpy's core alone.
+``integers(0, 2**bits, count, dtype=np.uint64)``, read at any offset of
+the stream, and ``choice(pop, size, replace=False)``, as numpy 2.4
+computes them.  numpy keeps its bit generators' streams stable across
+versions but not its ``Generator`` methods (NEP 19), and importing
+numpy's random package costs a run about 6 MB of peak memory, so the
+program computes the stream and both draws here, from numpy's core alone.
 
 A block is 4 words computed from a 256-bit counter and the 128-bit key
 by 10 rounds.  Block b of the stream is computed at counter
@@ -30,10 +30,17 @@ _BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 # Blocks computed by one pass of the vectorised rounds: each of the
 # pass's (2, blocks) uint64 temporaries is 32 KiB, so they stay in cache
-# and a large draw does not hold a round's worth of full-size arrays at
-# once.  A read computes at least one whole pass, so that many small
-# reads (a corpus query, a window of bounded draws) share one.
+# and a large read does not hold a round's worth of full-size arrays at
+# once.  Passes of 256 blocks added 11 ms to a Monte-Carlo measure.
 _SLICE_BLOCKS = 2048
+
+# Blocks a stream's first refill computes at least, from the block its
+# read starts in; each later one reads ahead twice as far, up to the
+# second value.  So a few short reads (a corpus, about 40 words) compute
+# 64 blocks, and many (the windows of a long choice) share a refill.
+# Refills of up to 2048 blocks (a pass, whose temporaries take 450 KiB)
+# raised extractor-test's traced peak to 1008 KiB; of up to 1024, 716.
+_READ_AHEAD, _MAX_READ_AHEAD = 64, 1024
 
 # Bounded draws tried at once; a rejection (probability below
 # bound / 2^32) ends a window early and the next one starts at it.
@@ -75,7 +82,10 @@ class Philox:
     times, read as numpy reads it: 64-bit words in block order, and
     32-bit halves of those words, low half first.  A word whose low
     half was read keeps its high half for the next 32-bit read, while
-    64-bit reads take whole words and leave that half waiting."""
+    64-bit reads take whole words and leave that half waiting.  Reads in
+    turn compute their words in refills that read ahead (_READ_AHEAD);
+    ``integers_at`` reads at any offset, computes only the blocks its
+    values lie in and does not move the stream."""
 
     def __init__(self, key: int, jump: int = 0):
         if not 0 <= key < 1 << 128:
@@ -86,6 +96,7 @@ class Philox:
         self._next = 0       # index of the next unread word
         self._half = None    # the high half of a word whose low half was read
         self._ahead = (0, np.empty(0, np.uint64))  # (first index, words) computed
+        self._reach = _READ_AHEAD  # blocks the next refill reads ahead
 
     def jumped(self, jumps: int) -> "Philox":
         """numpy's ``jumped``: the same key, ``jumps`` more jumps, reading
@@ -120,8 +131,8 @@ class Philox:
         stop = self._next + count
         if not start <= self._next or stop > start + len(words):
             first = self._next // 4
-            start, words = first * 4, self._blocks(first, max(-(-stop // 4), first + _SLICE_BLOCKS))
-            self._ahead = start, words
+            start, words = first * 4, self._blocks(first, max(-(-stop // 4), first + self._reach))
+            self._ahead, self._reach = (start, words), min(2 * self._reach, _MAX_READ_AHEAD)
         out = words[self._next - start:stop - start]
         self._next = stop
         return out
@@ -142,20 +153,25 @@ class Philox:
             self._half = words[-1] >> 32
         return out
 
-    def integers(self, bits: int, count: int) -> np.ndarray:
-        """numpy's ``integers(0, 2**bits, count, dtype=np.uint64)``: each
-        value is the top ``bits`` of a half when ``bits`` <= 32, else of
-        a word; 0 bits draw nothing.  A count below 0 is refused before
-        the stream moves."""
-        if not 0 <= bits <= 64:
-            raise InvalidArgument(f"{bits}-bit integers: bits must lie in [0, 64]")
-        if count < 0:
-            raise InvalidArgument(f"cannot draw {count} integers")
-        if bits == 0:
+    def integers_at(self, first: int, count: int, bits: int) -> np.ndarray:
+        """numpy's ``integers(0, 2**bits, count, dtype=np.uint64)`` read
+        from ``first`` places past the next unread word: each value is the
+        top ``bits`` of a half when ``bits`` <= 32, with ``first`` counted
+        in halves, else of a word, counted in words; 0 bits draw nothing.
+        Only the blocks the values lie in are computed, and the stream
+        does not move.  A waiting half has no offset, so a stream that
+        holds one is refused."""
+        if self._half is not None:
+            raise InvalidArgument("a read at an offset cannot place the stream's waiting half")
+        if not bits:
             return np.zeros(count, np.uint64)
-        if bits <= 32:
-            return self._halves(count) >> (32 - bits)
-        return self._read(count) >> (64 - bits)
+        size = 32 if bits <= 32 else 64  # bits of a place: a half or a word
+        per = 256 // size                # places in a block
+        first += self._next * 64 // size
+        words = self._blocks(first // per, -(-(first + count) // per))
+        # a word's low half is its first 32 bits in little-endian order
+        places = words.astype("<u8", copy=False).view(f"<u{size // 8}")[first % per:]
+        return (places[:count] >> (size - bits)).astype(np.uint64, copy=False)
 
     def _below(self, bounds: np.ndarray) -> list[int]:
         """numpy's bounded draw on [0, b) for each b of ``bounds`` in turn

@@ -3,7 +3,7 @@
 Every exhaustive scan reads ``kwise.SCAN_CHUNK_BITS`` when it starts,
 and every Monte-Carlo scan ``kwise.MC_COUNT_BITS``; forked scan workers
 inherit both.  A Monte-Carlo block is one draw chunk of 2^MC_DRAW_BITS
-rows whatever the block size is, drawn whole and counted in slices of
+rows whatever the block size is, drawn and counted in slices of
 2^MC_COUNT_BITS rows, so Monte-Carlo tests that set either size check
 that it does not matter.  Hypothesis ``@given`` tests cannot use the
 function-scoped ``monkeypatch`` fixture, so block-split tests set the

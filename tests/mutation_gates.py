@@ -1,7 +1,8 @@
-"""Check that the output pins catch small faults in the Monte-Carlo scan,
-the direct sum, the verdict rule, the CLI's exit status for a bad config,
-the uniform allocation's B_J law, the aligned t-wise block values, the
-in-place rewrite of an output and the extractor distance's span slices.
+"""Check that the output pins catch small faults in the Monte-Carlo scan
+and its count slices' draws, the direct sum, the verdict rule, the CLI's
+exit status for a bad config, the uniform allocation's B_J law, the
+aligned t-wise block values, the in-place rewrite of an output and the
+extractor distance's span slices.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -37,7 +38,10 @@ MUTATIONS = [
     ("Monte-Carlo chunk j drawn from jumped(j + 1)", KWISE,
      "stream.jumped(j)", "stream.jumped(j + 1)"),
     ("the last count slice of a chunk dropped", KWISE,
-     "for lo in range(0, len(chunk), step))", "for lo in range(0, len(chunk), step)[:-1])"),
+     "for lo in range(0, n, step))", "for lo in range(0, n, step)[:-1])"),
+    # every slice of a chunk then counts the chunk's first 2^14 rows again
+    ("a count slice drawn from the chunk's first rows", KWISE,
+     "draw(source, n, lo, min(lo + step, n))", "draw(source, n, 0, min(step, n - lo))"),
     # the kminwise_desk limit 0.0 on max_mult_err_uniform is met with equality
     ("the verdict compares strictly (`<` for `<=`)", CONFIG,
      "<= limit ** power.denominator", "< limit ** power.denominator"),

@@ -35,6 +35,7 @@ from minwise_lab.philox import Philox
 from minwise_lab.rectprg import FullIndependencePRG, RecursiveMixPRG, TWisePRG, threshold_errors
 from minwise_lab.verify import measure_corpus
 from reference_construction import design_widths, pack, target_error
+from reference_philox import integers
 
 
 def desk_minwise(prg1=None) -> BucketedMinwiseFamily:
@@ -246,6 +247,73 @@ def test_wide_layout_draw_equals_stacked_columns(gap):
         assert got.dtype == np.min_scalar_type((1 << max(layout.words)) - 1)
         assert got.shape == (1000, len(layout.words))
         assert np.array_equal(got, np.concatenate(want, axis=1))
+
+
+# packed layouts: a draw of at most 32 bits reads halves, a wider one words
+PACKED_LAYOUTS = [[("a", (5,))], [("a", (3, 3)), ("b", (26,))], [("a", (33,))],
+                  [("a", (32, 32))]]
+# a field drawn as words between fields drawn as halves: after an odd
+# count the half left waiting is read by the third field's row 0, past
+# the words of the second
+WORDS_BETWEEN = [("a", (5,)), ("b", (20, 20)), ("c", (6,)), ("d", (4,) * 20)]
+
+
+def _numpy_rows(fields, count: int) -> np.ndarray:
+    """The draw of ``count`` rows as numpy's Generator makes it on
+    Philox(11).jumped(3): one ``integers`` per field in layout order (per
+    word past 63 bits), packed up to 64 bits, else cut into word columns."""
+    rng = np.random.Generator(np.random.Philox(key=11).jumped(3))
+
+    def draw(bits):
+        return rng.integers(0, 1 << bits, size=count, dtype=np.uint64)
+
+    total = sum(sum(words) for _, words in fields)
+    if total <= 64:
+        return draw(total)
+    cols = []
+    for _, words in fields:
+        for run in [words] if sum(words) <= 63 else [(w,) for w in words]:
+            values, low = draw(sum(run)), 0
+            for w in run:
+                cols.append((values >> np.uint64(low)) & np.uint64((1 << w) - 1))
+                low += w
+    return np.stack(cols, axis=1)
+
+
+def _slices(count: int) -> list[tuple[int, int]]:
+    """Every slice of a short draw; of a long one, the 2^14-row count
+    slices and slices that start or end on either half of a word."""
+    if count < 50:
+        return [(lo, hi) for hi in range(count + 1) for lo in range(hi + 1)]
+    step = 1 << 14
+    return [*((lo, min(lo + step, count)) for lo in range(0, count, step)),
+            (0, 1), (0, 2), (1, 2), (1, 4), (2, 5), (12345, 40000), (25000, 25001),
+            (count - 2, count), (count - 1, count), (0, count)]
+
+
+@pytest.mark.parametrize("count", [1, 7, 50001])
+def test_draw_block_slices_equal_numpys_rows(count):
+    for fields in [*PACKED_LAYOUTS, *WIDE_LAYOUTS.values(), WORDS_BETWEEN]:
+        layout, want = SeedLayout.build(fields), _numpy_rows(fields, count)
+        stream = Philox(11).jumped(3)
+        for lo, hi in _slices(count):
+            got = layout.draw_block(stream, count, lo, hi)
+            assert got.shape == want[lo:hi].shape, (fields, lo, hi)
+            assert np.array_equal(got, want[lo:hi]), (fields, lo, hi)
+        # the stream did not move
+        assert np.array_equal(layout.draw_block(stream, count), want)
+
+
+def test_draw_block_refuses_rows_outside_its_draw_and_a_waiting_half():
+    layout, stream = SeedLayout.build(WORDS_BETWEEN), Philox(2)
+    for lo, hi in ((-1, 3), (4, 3), (0, 8)):
+        with pytest.raises(InvalidArgument, match="rows"):
+            layout.draw_block(stream, 7, lo, hi)
+    # an odd count of narrow integers leaves a half waiting, which no read
+    # at an offset can place
+    integers(stream, 5, 3)
+    with pytest.raises(InvalidArgument, match="waiting half"):
+        layout.draw_block(stream, 7)
 
 
 def test_param_validation():
@@ -511,7 +579,7 @@ def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, cou
             evaluate, layered = plan(block), plan(packed)
             got = {x: evaluate(x) for x in points}
             assert all(np.array_equal(got[x], layered(x)) for x in points)
-            positions = stream.integers(step.bit_length() - 1, 8)
+            positions = integers(stream, step.bit_length() - 1, 8)
             assert _scalar_mismatches(fam, packed, positions, got) == 0
     # a Monte-Carlo draw (word columns past 64 bits) goes through the layers
     drawn = fam.layout.draw_block(stream, count)
@@ -733,7 +801,7 @@ def test_bucket_major_path_matches_scalar_eval(monkeypatch, make, ell):
     # bucket's z; binding extracts nothing
     fam = make(ell)
     stream = Philox(ell)
-    packed = stream.integers(fam.seed_bits, 300)
+    packed = integers(stream, fam.seed_bits, 300)
     blocks = {"drawn": fam.layout.draw_block(stream, 300), "packed": packed,
               "columns": split_words(packed, fam.seed_columns())}
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
@@ -773,8 +841,8 @@ def test_plan_extractions_follow_the_bound_points(monkeypatch, make):
     # the pass is chosen from the plan's points, from its first block: at
     # ell = 4, 3 bound points extract once a point, and all 8 once a bucket
     fam = make(4)
-    stream = Philox(11)
-    blocks = [fam.layout.draw_block(stream, 300) for _ in range(3)]
+    # draw_block does not move its stream, so each block has its own jump
+    blocks = [fam.layout.draw_block(Philox(11).jumped(j), 300) for j in range(3)]
     extracts = _counting(monkeypatch, LeftoverHash, "extract_block")
     for points in ((1, 2, 3), range(1, 9)):
         plan = fam.bind(points)

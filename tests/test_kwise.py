@@ -532,17 +532,22 @@ def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
         sliced.append(len(seeds))
         return np.append(seen(seeds), [len(seeds) == 1 << 14, len(seeds) == 1001, 1])
 
-    # each chunk is drawn once, by the process that counts it: never by
-    # the parent of the forked workers
+    # each count slice is drawn once, on its own, by the process that
+    # counts it: never by the parent of the forked workers
     drawn, draw = [], SeedLayout.draw_block
+
+    def draw_slice(layout, stream, count, lo, hi):
+        drawn.append((count, lo, hi))
+        return draw(layout, stream, count, lo, hi)
+
     with pytest.MonkeyPatch.context() as mp, scan_chunk_bits(chunk_bits):
-        mp.setattr(SeedLayout, "draw_block",
-                   lambda layout, stream, count: drawn.append(count) or draw(layout, stream, count))
+        mp.setattr(SeedLayout, "draw_block", draw_slice)
         hist, total = scan(fam, seen_and_sized, samples=samples, run_seed=12,
                            threads=threads)
     assert total == samples
     assert hist[-3:].tolist() == [8, 1, 9]
-    assert drawn == ([1 << 16, 1 << 16, 1001] if threads == 1 else [])
+    assert drawn == ([(1 << 16, lo, lo + (1 << 14)) for lo in range(0, 1 << 16, 1 << 14)] * 2
+                     + [(1001, 0, 1001)] if threads == 1 else [])
     assert sliced == ([1 << 14] * 8 + [1001] if threads == 1 else [])
     assert np.array_equal(hist[:-3], seen(_chunked_draw(fam, samples, 12)))
 

@@ -12,6 +12,7 @@ import pytest
 
 from minwise_lab.errors import InvalidArgument
 from minwise_lab.philox import Philox
+from reference_philox import integers
 
 KEYS = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1]
 
@@ -23,12 +24,34 @@ def _generator(key: int, jump: int = 0) -> np.random.Generator:
 @pytest.mark.parametrize("jump", [0, 1, 3])
 @pytest.mark.parametrize("key", KEYS)
 def test_raw_words_equal_numpys(key, jump):
-    want = np.random.Philox(key=key).jumped(jump).random_raw(8203)
+    sizes = (1, 6, 63, 64, 65, 2049, 8191, 5)
+    want = np.random.Philox(key=key).jumped(jump).random_raw(sum(sizes))
     stream = Philox(key).jumped(jump)
-    # 64-bit integers are the raw words; reads of odd lengths, one across
-    # a block and one across a pass of 2048 blocks, give one long read's
-    got = np.concatenate([stream.integers(64, n) for n in (1, 6, 8191, 5)])
+    # 64-bit integers are the raw words.  The first refill reads 64 blocks
+    # (256 words) ahead and each later one twice as far, up to 1024 blocks,
+    # in passes of 2048: reads of these lengths, across a block, a refill
+    # and a pass, give one long read's words
+    got = np.concatenate([integers(stream, 64, n) for n in sizes])
     assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+def test_reads_at_an_offset_equal_numpys_words_there():
+    raw = np.random.Philox(key=5).jumped(2).random_raw(3000)
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)
+    stream = Philox(5).jumped(2)
+    for first, count in ((0, 1), (3, 5), (255, 2), (1000, 1999), (2999, 0)):
+        for bits, values in ((64, raw), (40, raw), (32, halves), (9, halves), (0, halves)):
+            want = values[first:first + count] >> np.uint64(64 - bits if values is raw
+                                                              else 32 - bits)
+            got = stream.integers_at(first, count, bits)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
+    # the stream did not move, and offsets count from its next word
+    assert np.array_equal(integers(stream, 64, 4), raw[:4])
+    assert np.array_equal(stream.integers_at(1, 3, 64), raw[5:8])
+    assert np.array_equal(stream.integers_at(1, 3, 32), halves[9:12])
+    integers(stream, 5, 1)
+    with pytest.raises(InvalidArgument, match="waiting half"):
+        stream.integers_at(0, 1, 5)
 
 
 def test_jumped_reads_on_from_the_next_block_not_computed():
@@ -36,8 +59,8 @@ def test_jumped_reads_on_from_the_next_block_not_computed():
         numpy_bits = np.random.Philox(key=9)
         numpy_bits.random_raw(read)
         stream = Philox(9)
-        stream.integers(64, read)
-        assert np.array_equal(stream.jumped(2).integers(64, 9),
+        integers(stream, 64, read)
+        assert np.array_equal(integers(stream.jumped(2), 64, 9),
                               numpy_bits.jumped(2).random_raw(9)), read
 
 
@@ -49,9 +72,9 @@ def test_integers_equal_numpys_at_every_width():
     for bits in range(65):
         for width, count in ((bits, 3), (64 - bits, 5), (bits // 2, 1)):
             want = rng.integers(0, 1 << width, size=count, dtype=np.uint64)
-            got = stream.integers(width, count)
+            got = integers(stream, width, count)
             assert got.dtype == np.uint64 and np.array_equal(got, want), (bits, width)
-    assert np.array_equal(stream.integers(17, 70001),
+    assert np.array_equal(integers(stream, 17, 70001),
                           rng.integers(0, 1 << 17, size=70001, dtype=np.uint64))
 
 
@@ -68,9 +91,9 @@ def test_choice_equals_numpys_and_leaves_the_stream_where_numpy_does(pop, size):
     rng, stream = _generator(pop + size), Philox(pop + size)
     for _ in range(2):
         assert stream.choice(pop, size) == rng.choice(pop, size=size, replace=False).tolist()
-        assert np.array_equal(stream.integers(20, 11),
+        assert np.array_equal(integers(stream, 20, 11),
                               rng.integers(0, 1 << 20, size=11, dtype=np.uint64))
-        assert np.array_equal(stream.integers(40, 3),
+        assert np.array_equal(integers(stream, 40, 3),
                               rng.integers(0, 1 << 40, size=3, dtype=np.uint64))
 
 
@@ -87,14 +110,14 @@ def test_draw_arguments_are_checked():
             stream.choice(pop, size)
     for bits in (-1, 65):
         with pytest.raises(InvalidArgument, match="bits"):
-            stream.integers(bits, 1)
+            integers(stream, bits, 1)
     # a negative count is refused before the stream moves, so the words
     # read next are the words an untouched stream reads
-    stream.integers(40, 3)
+    integers(stream, 40, 3)
     for bits in (0, 5, 40):
         with pytest.raises(InvalidArgument, match="cannot draw -1 integers"):
-            stream.integers(bits, -1)
+            integers(stream, bits, -1)
     fresh = Philox(0)
-    fresh.integers(40, 3)
-    assert np.array_equal(stream.integers(64, 4), fresh.integers(64, 4))
-    assert np.array_equal(stream.integers(5, 3), fresh.integers(5, 3))
+    integers(fresh, 40, 3)
+    assert np.array_equal(integers(stream, 64, 4), integers(fresh, 64, 4))
+    assert np.array_equal(integers(stream, 5, 3), integers(fresh, 5, 3))

@@ -18,7 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # kminwise_desk runs `construct`: the patch list is settled before the
-# command starts, and its `measure` takes tens of seconds
+# command starts, so any command serves (its `measure`, as a fresh
+# process, takes about 0.11 s)
 COMMANDS = {
     "prg_pairwise": "prg-test",
     "loads_small": "loads-test",
