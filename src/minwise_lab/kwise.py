@@ -31,22 +31,22 @@ if TYPE_CHECKING:
 # reuse freed memory instead of faulting in fresh pages.
 SCAN_CHUNK_BITS = 16
 
-# log2 of the rows in one Monte-Carlo draw chunk, which is also one
-# Monte-Carlo scan block.  Chunk j of a sample is the family's
-# layout.draw_block on Philox keyed by the run seed and jumped j times, so
-# this constant defines the sample itself: it is not a tuning knob.
+# log2 of the rows in one Monte-Carlo draw chunk.  Chunk j of a sample
+# is the family's layout.draw_block on Philox keyed by the run seed and
+# jumped j times, so this constant defines the sample itself: it is not
+# a tuning knob.
 MC_DRAW_BITS = 16
 
-# log2 of the rows of one Monte-Carlo count slice, read by every scan
-# when it starts.  A draw chunk is counted in consecutive row slices of
-# this many rows, each drawn where it is counted, whose integer counts
-# add up to the chunk's, so it moves no result.  Chosen by measurement on
-# the 84-bit benchmark family (8 queries of 6 points, 2 vCPUs), with the
-# chunk drawn whole: one warm chunk count took a median 26, 23, 24, 27
-# and 36 ms at 16, 15, 14, 13 and 12 bits, and the traced peak of a
-# one-chunk measure was 8.79, 5.60 and 4.16 MiB at 16, 15 and 14 bits
-# and 4.16 MiB below, 3.63 MiB of it the whole chunk's draw.  Drawn a
-# slice at a time, it peaks at 2.43 MiB at 14 bits.
+# log2 of the rows of one Monte-Carlo count slice, at most MC_DRAW_BITS
+# and read by every scan when it starts.  Each slice of a draw chunk is
+# one scan block, drawn where it is counted, and the slices' integer
+# counts add up to the chunk's, so it moves no result.  Chosen by
+# measurement on the 84-bit benchmark family (8 queries of 6 points, 2
+# vCPUs), with the chunk drawn whole: one warm chunk count took a median
+# 26, 23, 24, 27 and 36 ms at 16, 15, 14, 13 and 12 bits, and the traced
+# peak of a one-chunk measure was 8.79, 5.60 and 4.16 MiB at 16, 15 and
+# 14 bits and 4.16 MiB below, 3.63 MiB of it the whole chunk's draw.
+# Drawn a slice at a time, it peaks at 2.43 MiB at 14 bits.
 MC_COUNT_BITS = 14
 
 # log2 of the entries of one point table of a t-wise family: at a fixed
@@ -218,16 +218,16 @@ def scan(family: SeededFamily, count, *, samples: int | None = None,
     a ``run_seed``, which keys only a draw.  A space past the
     EXHAUSTIVE_SEED_BITS budget raises SeedSpaceTooLarge before any block
     is built.  With ``samples`` >= 1 it is Monte-Carlo, in blocks of
-    <= 2^MC_DRAW_BITS rows: block j is the family's layout.draw_block of
+    <= 2^MC_COUNT_BITS rows of a sample drawn in chunks of <=
+    2^MC_DRAW_BITS rows: chunk j is the family's layout.draw_block of
     that many rows on philox.Philox keyed by ``run_seed`` (0 when None)
     and jumped j times, so a run of at most 2^16 samples is one draw off
-    the unjumped stream.  A key outside [0, 2^128) raises InvalidArgument
+    the unjumped stream.  Each block is one consecutive row slice of a
+    chunk, drawn on its own where it is counted, so no process holds a
+    whole chunk.  A key outside [0, 2^128) raises InvalidArgument
     before any block is drawn, in this process at any ``threads``.
-    ``count`` sees each block in consecutive row slices of <=
-    2^MC_COUNT_BITS rows, whose counts are added, and each slice is drawn
-    where it is counted, so no process holds a whole block.  Either way
-    the blocks go through scan_blocks on ``threads`` workers, so the sum
-    is the same at any ``threads``.
+    Either way ``count`` sees seed blocks, which go through scan_blocks
+    on ``threads`` workers, so the sum is the same at any ``threads``.
     """
     if samples is None:
         if run_seed is not None:
@@ -246,16 +246,14 @@ def scan(family: SeededFamily, count, *, samples: int | None = None,
             raise InvalidArgument("monte-carlo mode needs a positive sample count")
         from .philox import Philox
 
-        stream, seen, width = Philox(run_seed or 0), samples, 1 << MC_DRAW_BITS
-        step, count_rows, draw = 1 << MC_COUNT_BITS, count, family.layout.draw_block
+        stream, seen, chunk = Philox(run_seed or 0), samples, 1 << MC_DRAW_BITS
+        width, draw = 1 << MC_COUNT_BITS, family.layout.draw_block
+        per = chunk // width  # count slices in a whole chunk
 
-        def block_of(j: int):
-            return stream.jumped(j), min(width, samples - j * width)
-
-        def count(chunk: tuple):
-            source, n = chunk
-            return sum(count_rows(draw(source, n, lo, min(lo + step, n)))
-                       for lo in range(0, n, step))
+        def block_of(i: int):
+            j = i // per
+            n, lo = min(chunk, samples - j * chunk), i % per * width
+            return draw(stream.jumped(j), n, lo, min(lo + width, n))
 
     return scan_blocks(-(-seen // width), block_of, count, threads), seen
 

@@ -34,14 +34,6 @@ _BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # once.  Passes of 256 blocks added 11 ms to a Monte-Carlo measure.
 _SLICE_BLOCKS = 2048
 
-# Blocks a stream's first refill computes at least, from the block its
-# read starts in; each later one reads ahead twice as far, up to the
-# second value.  So a few short reads (a corpus, about 40 words) compute
-# 64 blocks, and many (the windows of a long choice) share a refill.
-# Refills of up to 2048 blocks (a pass, whose temporaries take 450 KiB)
-# raised extractor-test's traced peak to 1008 KiB; of up to 1024, 716.
-_READ_AHEAD, _MAX_READ_AHEAD = 64, 1024
-
 # Bounded draws tried at once; a rejection (probability below
 # bound / 2^32) ends a window early and the next one starts at it.
 _WINDOW = 2048
@@ -82,10 +74,9 @@ class Philox:
     times, read as numpy reads it: 64-bit words in block order, and
     32-bit halves of those words, low half first.  A word whose low
     half was read keeps its high half for the next 32-bit read, while
-    64-bit reads take whole words and leave that half waiting.  Reads in
-    turn compute their words in refills that read ahead (_READ_AHEAD);
-    ``integers_at`` reads at any offset, computes only the blocks its
-    values lie in and does not move the stream."""
+    64-bit reads take whole words and leave that half waiting.  Every
+    read computes only the blocks its values lie in; ``integers_at``
+    reads at any offset and does not move the stream."""
 
     def __init__(self, key: int, jump: int = 0):
         if not 0 <= key < 1 << 128:
@@ -95,8 +86,6 @@ class Philox:
         self._key, self._jump = key, jump
         self._next = 0       # index of the next unread word
         self._half = None    # the high half of a word whose low half was read
-        self._ahead = (0, np.empty(0, np.uint64))  # (first index, words) computed
-        self._reach = _READ_AHEAD  # blocks the next refill reads ahead
 
     def jumped(self, jumps: int) -> "Philox":
         """numpy's ``jumped``: the same key, ``jumps`` more jumps, reading
@@ -125,16 +114,20 @@ class Philox:
             out[lo - first:lo - first + n] = np.stack([x[0], xor[0], x[1], xor[1]], axis=1)
         return out.reshape(-1)
 
+    def _places(self, first: int, count: int, size: int) -> np.ndarray:
+        """Places [first, first + count) of the stream as uint``size``: its
+        32-bit halves when ``size`` is 32, else its words.  Only the blocks
+        they lie in are computed."""
+        per = 256 // size  # places in a block
+        words = self._blocks(first // per, -(-(first + count) // per))
+        # a word's low half is its first 32 bits in little-endian order
+        places = words.astype("<u8", copy=False).view(f"<u{size // 8}")
+        return places[first % per:first % per + count]
+
     def _read(self, count: int) -> np.ndarray:
-        """The next ``count`` words, as a view of the words computed."""
-        start, words = self._ahead
-        stop = self._next + count
-        if not start <= self._next or stop > start + len(words):
-            first = self._next // 4
-            start, words = first * 4, self._blocks(first, max(-(-stop // 4), first + self._reach))
-            self._ahead, self._reach = (start, words), min(2 * self._reach, _MAX_READ_AHEAD)
-        out = words[self._next - start:stop - start]
-        self._next = stop
+        """The next ``count`` words."""
+        out = self._places(self._next, count, 64)
+        self._next += count
         return out
 
     def _halves(self, count: int) -> np.ndarray:
@@ -166,12 +159,8 @@ class Philox:
         if not bits:
             return np.zeros(count, np.uint64)
         size = 32 if bits <= 32 else 64  # bits of a place: a half or a word
-        per = 256 // size                # places in a block
-        first += self._next * 64 // size
-        words = self._blocks(first // per, -(-(first + count) // per))
-        # a word's low half is its first 32 bits in little-endian order
-        places = words.astype("<u8", copy=False).view(f"<u{size // 8}")[first % per:]
-        return (places[:count] >> (size - bits)).astype(np.uint64, copy=False)
+        places = self._places(first + self._next * 64 // size, count, size)
+        return (places >> (size - bits)).astype(np.uint64, copy=False)
 
     def _below(self, bounds: np.ndarray) -> list[int]:
         """numpy's bounded draw on [0, b) for each b of ``bounds`` in turn

@@ -2,12 +2,12 @@
 
 Every exhaustive scan reads ``kwise.SCAN_CHUNK_BITS`` when it starts,
 and every Monte-Carlo scan ``kwise.MC_COUNT_BITS``; forked scan workers
-inherit both.  A Monte-Carlo block is one draw chunk of 2^MC_DRAW_BITS
-rows whatever the block size is, drawn and counted in slices of
-2^MC_COUNT_BITS rows, so Monte-Carlo tests that set either size check
-that it does not matter.  Hypothesis ``@given`` tests cannot use the
-function-scoped ``monkeypatch`` fixture, so block-split tests set the
-constants here.
+inherit both.  A Monte-Carlo block is one count slice of 2^MC_COUNT_BITS
+rows of a draw chunk of 2^MC_DRAW_BITS rows, drawn where it is counted,
+whatever the exhaustive block size is, so Monte-Carlo tests that set
+either size check that it does not matter.  Hypothesis ``@given`` tests
+cannot use the function-scoped ``monkeypatch`` fixture, so block-split
+tests set the constants here.
 """
 
 from __future__ import annotations
@@ -33,6 +33,6 @@ def scan_chunk_bits(bits: int):
 
 
 def mc_count_bits(bits: int):
-    """Monte-Carlo scans started inside the block count each draw chunk
-    in slices of <= 2^bits rows."""
+    """Monte-Carlo scans started inside the block draw and count each
+    draw chunk in slices of <= 2^bits rows, for bits <= MC_DRAW_BITS."""
     return _setting("MC_COUNT_BITS", bits)

@@ -37,11 +37,11 @@ MUTATIONS = [
      "    s += 1\n    return s\n", "    s += 1\n    s[:1] += 1\n    return s\n"),
     ("Monte-Carlo chunk j drawn from jumped(j + 1)", KWISE,
      "stream.jumped(j)", "stream.jumped(j + 1)"),
-    ("the last count slice of a chunk dropped", KWISE,
-     "for lo in range(0, n, step))", "for lo in range(0, n, step)[:-1])"),
+    ("the last row of a chunk dropped", KWISE,
+     "min(lo + width, n))", "min(lo + width, n - 1))"),
     # every slice of a chunk then counts the chunk's first 2^14 rows again
     ("a count slice drawn from the chunk's first rows", KWISE,
-     "draw(source, n, lo, min(lo + step, n))", "draw(source, n, 0, min(step, n - lo))"),
+     "n, lo, min(lo + width, n))", "n, 0, min(width, n - lo))"),
     # the kminwise_desk limit 0.0 on max_mult_err_uniform is met with equality
     ("the verdict compares strictly (`<` for `<=`)", CONFIG,
      "<= limit ** power.denominator", "< limit ** power.denominator"),

@@ -3,7 +3,7 @@
 The program draws its Monte-Carlo seeds at computed offsets of the stream
 (``Philox.integers_at``); this is the sequential form those offsets are
 tested against, reading the stream as numpy's ``Generator`` does, draw
-after draw, through the stream's own refills.
+after draw, each from the stream's next unread word or waiting half.
 """
 
 from __future__ import annotations

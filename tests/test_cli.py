@@ -1055,9 +1055,10 @@ def test_mc_measure_of_one_chunk_holds_at_most_3_mib():
 
 def test_benchmark_mc_corpus_draw_holds_at_most_64_kib(monkeypatch, tmp_path):
     # the benchmark's MC corpus, 8 queries of 6 of 16 points, reads about
-    # 40 words of the stream, so its one refill computes 64 blocks (21 KiB
-    # traced), where a refill of at least 2048 blocks peaked at 517 KiB.
-    # The Philox module is imported before the trace starts
+    # 40 words of the stream, and each read computes only the blocks its
+    # words lie in (7 KiB traced), where a read-ahead of 64 blocks peaked
+    # at 21 KiB and one of at least 2048 blocks at 517 KiB.  The Philox
+    # module is imported before the trace starts
     importlib.import_module("minwise_lab.philox")
     cfg = benchmark_module.load(monkeypatch).mc_workload(1, tmp_path).configs["mc.json"]
     tracemalloc.start()

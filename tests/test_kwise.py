@@ -512,12 +512,13 @@ def _chunked_draw(fam, samples: int, run_seed: int) -> np.ndarray:
         for j, lo in enumerate(range(0, samples, width))])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("chunk_bits", [10, 16, 20])
 def test_mc_scan_counts_the_chunked_draw_at_any_block_size(chunk_bits, threads):
     # three draw chunks, the last one short: every Monte-Carlo block is
-    # one whole chunk, whatever the exhaustive block size, and count sees
-    # it in slices of 2^MC_COUNT_BITS rows
+    # one count slice of 2^MC_COUNT_BITS rows of a chunk, whatever the
+    # exhaustive block size.  At 3 threads the 9 slices split 3/3/3, so
+    # two workers start inside a chunk
     fam = TWiseFamily(2, 4, 8)
     samples = (1 << 17) + 1001
     assert MC_COUNT_BITS == 14

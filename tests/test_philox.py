@@ -27,10 +27,9 @@ def test_raw_words_equal_numpys(key, jump):
     sizes = (1, 6, 63, 64, 65, 2049, 8191, 5)
     want = np.random.Philox(key=key).jumped(jump).random_raw(sum(sizes))
     stream = Philox(key).jumped(jump)
-    # 64-bit integers are the raw words.  The first refill reads 64 blocks
-    # (256 words) ahead and each later one twice as far, up to 1024 blocks,
-    # in passes of 2048: reads of these lengths, across a block, a refill
-    # and a pass, give one long read's words
+    # 64-bit integers are the raw words.  Each read computes its own
+    # blocks, in passes of 2048: reads of these lengths, within and across
+    # a block and a pass, give one long read's words
     got = np.concatenate([integers(stream, 64, n) for n in sizes])
     assert got.dtype == np.uint64 and np.array_equal(got, want)
 
@@ -95,6 +94,20 @@ def test_choice_equals_numpys_and_leaves_the_stream_where_numpy_does(pop, size):
                               rng.integers(0, 1 << 20, size=11, dtype=np.uint64))
         assert np.array_equal(integers(stream, 40, 3),
                               rng.integers(0, 1 << 40, size=3, dtype=np.uint64))
+
+
+def test_a_read_computes_only_its_own_blocks(monkeypatch):
+    # choice(16, 6) makes 11 bounded draws, none rejected for this key:
+    # 11 halves, which lie in words 0-5, blocks 0 and 1
+    computed, blocks = [], Philox._blocks
+
+    def recorded(stream, first, stop):
+        computed.append((first, stop))
+        return blocks(stream, first, stop)
+
+    monkeypatch.setattr(Philox, "_blocks", recorded)
+    assert Philox(1).choice(16, 6) == [3, 6, 11, 2, 5, 9]
+    assert sum(stop - first for first, stop in computed) == 2, computed
 
 
 @pytest.mark.parametrize("key", [-1, 1 << 128, 1 << 130])
