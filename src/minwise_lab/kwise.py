@@ -336,42 +336,22 @@ class SeedLayout:
     def draw_block(self, stream: Philox, count: int, lo: int = 0,
                    hi: int | None = None) -> np.ndarray:
         """Rows [lo, hi) (all when ``hi`` is None) of ``count`` uniform
-        seeds drawn from ``stream``, which does not move: packed uint64 up
-        to 64 bits, else word columns as seed_words makes them.  In layout
-        order, a field of at most 63 bits is one integer per row, cut into
-        its words, and each word of a wider field is drawn on its own, as
-        numpy draws ``integers`` in turn: up to 32 bits from halves, first
-        the one an odd count left waiting, else from words.  So each draw's
-        rows start at a half or word offset fixed by the counts and widths
-        of the draws before it, and a slice computes only its own blocks."""
-        hi = count if hi is None else hi
-        if not 0 <= lo <= hi <= count:
-            raise InvalidArgument(f"rows [{lo}, {hi}) of a draw of {count}")
+        seeds drawn from ``stream``, which moves past the whole draw:
+        packed uint64 up to 64 bits, else word columns as seed_words makes
+        them.  In layout order, a field of at most 63 bits is one
+        Philox.integers draw, cut into its words, and each word of a wider
+        field is drawn on its own, as numpy draws ``integers`` in turn;
+        each draw computes only the blocks of its rows [lo, hi)."""
         if self.total_bits <= 64:
-            runs, out = [self.words], None
-        else:
-            runs = [run for f in self.fields if f.words
-                    for run in ([f.words] if f.width <= 63 else [(w,) for w in f.words])]
-            out = np.empty((hi - lo, len(self.words)), order="F",
-                           dtype=np.min_scalar_type((1 << max(self.words)) - 1))
-        word, waiting, col = 0, None, 0  # the next unread word; the waiting half
+            return stream.integers(count, self.total_bits, lo, hi)
+        runs = [run for f in self.fields if f.words
+                for run in ([f.words] if f.width <= 63 else [(w,) for w in f.words])]
+        hi = count if hi is None else hi
+        out = np.empty((max(hi - lo, 0), len(self.words)), order="F",
+                       dtype=np.min_scalar_type((1 << max(self.words)) - 1))
+        col = 0
         for run in runs:
-            bits = sum(run)
-            if bits > 32:
-                values = stream.integers_at(word + lo, hi - lo, bits)
-                word += count
-            else:
-                # row r reads half start + r, but for a row 0 whose waiting
-                # half a draw of words has passed since
-                start = 2 * word - (waiting is not None)
-                values = stream.integers_at(start + lo, hi - lo, bits)
-                if waiting not in (None, start) and lo == 0 < hi:
-                    values[0] = stream.integers_at(waiting, 1, bits)[0]
-                end = start + count
-                word, waiting = -(-end // 2), end if end % 2 else None
-            if out is None:
-                return values
-            seed_words(values, run, out[:, col:col + len(run)])
+            seed_words(stream.integers(count, sum(run), lo, hi), run, out[:, col:col + len(run)])
             col += len(run)
         return out
 

@@ -2,9 +2,9 @@
 
 The stream is bit-equal to numpy's ``Philox(key).jumped(jump)``, and its
 two draws to the ``Generator`` methods the program once called on it:
-``integers(0, 2**bits, count, dtype=np.uint64)``, read at any offset of
-the stream, and ``choice(pop, size, replace=False)``, as numpy 2.4
-computes them.  numpy keeps its bit generators' streams stable across
+``integers(0, 2**bits, count, dtype=np.uint64)``, of which any slice
+of rows can be read, and ``choice(pop, size, replace=False)``, as numpy
+2.4 computes them.  numpy keeps its bit generators' streams stable across
 versions but not its ``Generator`` methods (NEP 19), and importing
 numpy's random package costs a run about 6 MB of peak memory, so the
 program computes the stream and both draws here, from numpy's core alone.
@@ -74,9 +74,9 @@ class Philox:
     times, read as numpy reads it: 64-bit words in block order, and
     32-bit halves of those words, low half first.  A word whose low
     half was read keeps its high half for the next 32-bit read, while
-    64-bit reads take whole words and leave that half waiting.  Every
-    read computes only the blocks its values lie in; ``integers_at``
-    reads at any offset and does not move the stream."""
+    64-bit reads take whole words and leave that half waiting.  The
+    stream holds positions, not values, so a read computes only the
+    blocks of the values it returns and steps past the rest."""
 
     def __init__(self, key: int, jump: int = 0):
         if not 0 <= key < 1 << 128:
@@ -85,7 +85,7 @@ class Philox:
             raise InvalidArgument(f"Philox jump {jump} outside [0, 2^128)")
         self._key, self._jump = key, jump
         self._next = 0       # index of the next unread word
-        self._half = None    # the high half of a word whose low half was read
+        self._half = None    # index of the word whose high half waits
 
     def jumped(self, jumps: int) -> "Philox":
         """numpy's ``jumped``: the same key, ``jumps`` more jumps, reading
@@ -115,52 +115,48 @@ class Philox:
         return out.reshape(-1)
 
     def _places(self, first: int, count: int, size: int) -> np.ndarray:
-        """Places [first, first + count) of the stream as uint``size``: its
-        32-bit halves when ``size`` is 32, else its words.  Only the blocks
-        they lie in are computed."""
+        """Places [first, first + count) of the stream as uint64: its
+        32-bit halves when ``size`` is 32, else its words.  Only the
+        blocks they lie in are computed, none when ``count`` is 0."""
         per = 256 // size  # places in a block
-        words = self._blocks(first // per, -(-(first + count) // per))
-        # a word's low half is its first 32 bits in little-endian order
-        places = words.astype("<u8", copy=False).view(f"<u{size // 8}")
-        return places[first % per:first % per + count]
+        stop = -(-(first + count) // per) if count else first // per
+        words = self._blocks(first // per, stop)
+        if size == 32:
+            halves = np.empty(2 * len(words), np.uint64)
+            halves[0::2] = words & _M32
+            halves[1::2] = words >> 32
+            words = halves
+        return words[first % per:first % per + count]
 
-    def _read(self, count: int) -> np.ndarray:
-        """The next ``count`` words."""
-        out = self._places(self._next, count, 64)
-        self._next += count
-        return out
-
-    def _halves(self, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit halves, as uint64: the waiting half
-        first, then each word's low and high halves."""
-        out = np.empty(count, np.uint64)
-        if count and self._half is not None:
-            out[0], self._half = self._half, None
-            rest = out[1:]
-        else:
-            rest = out
-        words = self._read(-(-len(rest) // 2))
-        rest[0::2] = words[:(len(rest) + 1) // 2] & _M32
-        rest[1::2] = words[:len(rest) // 2] >> 32
-        if len(rest) % 2:
-            self._half = words[-1] >> 32
-        return out
-
-    def integers_at(self, first: int, count: int, bits: int) -> np.ndarray:
-        """numpy's ``integers(0, 2**bits, count, dtype=np.uint64)`` read
-        from ``first`` places past the next unread word: each value is the
-        top ``bits`` of a half when ``bits`` <= 32, with ``first`` counted
-        in halves, else of a word, counted in words; 0 bits draw nothing.
-        Only the blocks the values lie in are computed, and the stream
-        does not move.  A waiting half has no offset, so a stream that
-        holds one is refused."""
-        if self._half is not None:
-            raise InvalidArgument("a read at an offset cannot place the stream's waiting half")
+    def integers(self, count: int, bits: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows [lo, hi) (all when ``hi`` is None) of numpy's
+        ``integers(0, 2**bits, count, dtype=np.uint64)`` read from here,
+        after which the stream has moved past all ``count`` rows.  A row
+        is the top ``bits`` of a word when ``bits`` > 32, else of a half:
+        the waiting half for row 0 when one waits, then the halves of the
+        next unread word on.  0 bits draw nothing."""
+        hi = count if hi is None else hi
+        if not 0 <= lo <= hi <= count:
+            raise InvalidArgument(f"rows [{lo}, {hi}) of a draw of {count}")
         if not bits:
-            return np.zeros(count, np.uint64)
-        size = 32 if bits <= 32 else 64  # bits of a place: a half or a word
-        places = self._places(first + self._next * 64 // size, count, size)
-        return (places >> (size - bits)).astype(np.uint64, copy=False)
+            return np.zeros(hi - lo, np.uint64)
+        if bits > 32:
+            values = self._places(self._next + lo, hi - lo, 64)
+            self._next += count
+        else:
+            waiting = self._half is not None
+            first = 2 * self._next - waiting  # row r reads half first + r, but
+            # row 0 reads the waiting half apart when a words draw passed it
+            apart = int(waiting and self._half < self._next - 1)
+            start = max(lo, apart)
+            values = self._places(first + start, max(hi, apart) - start, 32)
+            if apart and lo == 0 < hi:
+                values = np.concatenate([self._places(2 * self._half + 1, 1, 32), values])
+            if count:
+                end = first + count  # one past the last half read
+                self._next, self._half = -(-end // 2), end // 2 if end % 2 else None
+        values >>= 64 - bits if bits > 32 else 32 - bits
+        return values
 
     def _below(self, bounds: np.ndarray) -> list[int]:
         """numpy's bounded draw on [0, b) for each b of ``bounds`` in turn
@@ -172,7 +168,7 @@ class Philox:
         spare = np.empty(0, np.uint64)
         while len(out) < len(bounds):
             b = bounds[len(out):len(out) + _WINDOW]
-            u = np.concatenate([spare, self._halves(len(b) - len(spare))])
+            u = np.concatenate([spare, self.integers(len(b) - len(spare), 32)])
             m = u * b
             low = m & _M32
             near = np.flatnonzero(low < b)

@@ -1,8 +1,8 @@
 """Check that the output pins catch small faults in the Monte-Carlo scan
-and its count slices' draws, the direct sum, the verdict rule, the CLI's
-exit status for a bad config, the uniform allocation's B_J law, the
-aligned t-wise block values, the in-place rewrite of an output and the
-extractor distance's span slices.
+and its count slices' draws, the stream's waiting half, the direct sum,
+the verdict rule, the CLI's exit status for a bad config, the uniform
+allocation's B_J law, the aligned t-wise block values, the in-place
+rewrite of an output and the extractor distance's span slices.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -30,6 +30,7 @@ CONFIG = "src/minwise_lab/config.py"
 CLI = "src/minwise_lab/cli.py"
 VERIFY = "src/minwise_lab/verify.py"
 EXTRACTOR = "src/minwise_lab/extractor.py"
+PHILOX = "src/minwise_lab/philox.py"
 
 # (name, file, text, replacement)
 MUTATIONS = [
@@ -42,6 +43,11 @@ MUTATIONS = [
     # every slice of a chunk then counts the chunk's first 2^14 rows again
     ("a count slice drawn from the chunk's first rows", KWISE,
      "n, lo, min(lo + width, n))", "n, 0, min(width, n - lo))"),
+    # an odd count of halves then leaves no half waiting, so the next
+    # 32-bit read starts at a fresh word: the measure pins' corpus draws
+    # and the extractor-test pins' flat sources change
+    ("the waiting half dropped", PHILOX,
+     "end // 2 if end % 2 else None", "None"),
     # the kminwise_desk limit 0.0 on max_mult_err_uniform is met with equality
     ("the verdict compares strictly (`<` for `<=`)", CONFIG,
      "<= limit ** power.denominator", "< limit ** power.denominator"),

@@ -1,9 +1,10 @@
 """numpy's ``integers`` read in turn off a ``minwise_lab.philox.Philox``.
 
-The program draws its Monte-Carlo seeds at computed offsets of the stream
-(``Philox.integers_at``); this is the sequential form those offsets are
-tested against, reading the stream as numpy's ``Generator`` does, draw
-after draw, each from the stream's next unread word or waiting half.
+The program draws its Monte-Carlo seeds as slices of rows of one draw
+(``Philox.integers`` with ``lo`` and ``hi``); this is the whole-draw
+form those slices are tested against, reading the stream as numpy's
+``Generator`` does, draw after draw, each from the stream's next unread
+word or waiting half, with argument checks of its own.
 """
 
 from __future__ import annotations
@@ -23,8 +24,4 @@ def integers(stream: Philox, bits: int, count: int) -> np.ndarray:
         raise InvalidArgument(f"{bits}-bit integers: bits must lie in [0, 64]")
     if count < 0:
         raise InvalidArgument(f"cannot draw {count} integers")
-    if bits == 0:
-        return np.zeros(count, np.uint64)
-    if bits <= 32:
-        return stream._halves(count) >> (32 - bits)
-    return stream._read(count) >> (64 - bits)
+    return stream.integers(count, bits)

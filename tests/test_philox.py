@@ -34,23 +34,38 @@ def test_raw_words_equal_numpys(key, jump):
     assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
-def test_reads_at_an_offset_equal_numpys_words_there():
+def test_slices_of_a_read_equal_numpys_rows():
     raw = np.random.Philox(key=5).jumped(2).random_raw(3000)
     halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)
-    stream = Philox(5).jumped(2)
-    for first, count in ((0, 1), (3, 5), (255, 2), (1000, 1999), (2999, 0)):
-        for bits, values in ((64, raw), (40, raw), (32, halves), (9, halves), (0, halves)):
-            want = values[first:first + count] >> np.uint64(64 - bits if values is raw
-                                                              else 32 - bits)
-            got = stream.integers_at(first, count, bits)
-            assert got.dtype == np.uint64 and np.array_equal(got, want)
-    # the stream did not move, and offsets count from its next word
-    assert np.array_equal(integers(stream, 64, 4), raw[:4])
-    assert np.array_equal(stream.integers_at(1, 3, 64), raw[5:8])
-    assert np.array_equal(stream.integers_at(1, 3, 32), halves[9:12])
-    integers(stream, 5, 1)
-    with pytest.raises(InvalidArgument, match="waiting half"):
-        stream.integers_at(0, 1, 5)
+    for bits, values in ((64, raw), (40, raw), (32, halves), (9, halves), (0, halves)):
+        want = values[:3000] >> np.uint64((64 if values is raw else 32) - bits)
+        for lo, hi in ((0, 1), (3, 8), (255, 257), (1000, 2999), (2999, 3000), (1500, 1500),
+                       (0, 3000)):
+            stream, rng = Philox(5).jumped(2), _generator(5, 2)
+            got = stream.integers(3000, bits, lo, hi)
+            assert got.dtype == np.uint64 and np.array_equal(got, want[lo:hi]), (bits, lo, hi)
+            # the stream moved past the whole draw, as numpy's generator does
+            rng.integers(0, 1 << bits, size=3000, dtype=np.uint64)
+            assert np.array_equal(integers(stream, 20, 5),
+                                  rng.integers(0, 1 << 20, size=5, dtype=np.uint64))
+
+    def after_reads():
+        # an odd narrow read leaves the high half of word 1 waiting, and a
+        # words read passes it
+        stream, rng = Philox(5).jumped(2), _generator(5, 2)
+        for bits, count in ((9, 3), (40, 5)):
+            integers(stream, bits, count)
+            rng.integers(0, 1 << bits, size=count, dtype=np.uint64)
+        return stream, rng
+
+    want = after_reads()[1].integers(0, 1 << 7, size=11, dtype=np.uint64)
+    assert want[0] == halves[3] >> 25 and want[1] == halves[14] >> 25
+    for lo, hi in ((0, 1), (0, 4), (1, 4), (0, 0), (0, 11)):
+        stream, rng = after_reads()
+        assert np.array_equal(stream.integers(11, 7, lo, hi), want[lo:hi]), (lo, hi)
+        rng.integers(0, 1 << 7, size=11, dtype=np.uint64)
+        assert np.array_equal(integers(stream, 7, 3),
+                              rng.integers(0, 1 << 7, size=3, dtype=np.uint64))
 
 
 def test_jumped_reads_on_from_the_next_block_not_computed():
@@ -96,18 +111,52 @@ def test_choice_equals_numpys_and_leaves_the_stream_where_numpy_does(pop, size):
                               rng.integers(0, 1 << 40, size=3, dtype=np.uint64))
 
 
-def test_a_read_computes_only_its_own_blocks(monkeypatch):
-    # choice(16, 6) makes 11 bounded draws, none rejected for this key:
-    # 11 halves, which lie in words 0-5, blocks 0 and 1
+def _recorded_blocks(monkeypatch) -> list[int]:
+    """Every block Philox._blocks computes from here on."""
     computed, blocks = [], Philox._blocks
 
     def recorded(stream, first, stop):
-        computed.append((first, stop))
+        computed.extend(range(first, stop))
         return blocks(stream, first, stop)
 
     monkeypatch.setattr(Philox, "_blocks", recorded)
-    assert Philox(1).choice(16, 6) == [3, 6, 11, 2, 5, 9]
-    assert sum(stop - first for first, stop in computed) == 2, computed
+    return computed
+
+
+def test_a_read_computes_only_its_own_blocks(monkeypatch):
+    # choice(16, 6) makes 11 bounded draws, none rejected for this key:
+    # 11 halves, which lie in words 0-5, blocks 0 and 1
+    computed = _recorded_blocks(monkeypatch)
+    stream = Philox(1)
+    assert stream.choice(16, 6) == [3, 6, 11, 2, 5, 9]
+    assert computed == [0, 1], computed
+    # the high half of word 5 waits, and the next 5 halves lie in words
+    # 5-7: block 1 is computed once for the waiting half and the rest
+    integers(stream, 32, 5)
+    assert computed == [0, 1, 1], computed
+
+
+def test_a_read_of_no_values_computes_no_block(monkeypatch):
+    computed = _recorded_blocks(monkeypatch)
+    stream = Philox(3)
+    integers(stream, 64, 1)
+    computed.clear()
+    assert len(stream.integers(0, 64)) == 0 and computed == []
+
+    def waiting():
+        # the high half of word 0 waits, and the next unread word is 9
+        stream = Philox(3)
+        integers(stream, 5, 1)
+        integers(stream, 64, 8)
+        computed.clear()
+        return stream
+
+    stream = waiting()
+    assert len(stream.integers(0, 32)) == 0 and computed == []
+    assert len(stream.integers(7, 32, 0, 0)) == 0 and computed == []
+    # row 0 alone is the waiting half, which only its own block holds
+    waiting().integers(7, 32, 0, 1)
+    assert computed == [0]
 
 
 @pytest.mark.parametrize("key", [-1, 1 << 128, 1 << 130])
