@@ -31,6 +31,7 @@ from .kwise import (
     SeedLayout,
     TWiseFamily,
     dsum_values,
+    seed_runs,
 )
 from .rectprg import PRGHashFamily, RectanglePRG, prg_from_config
 
@@ -164,8 +165,8 @@ class _BucketedFamily(SeededFamily):
     the after-z value for each of the 2^m outputs, and Y_x, the multiplier
     for each of the 2^L low values; g, PRG1 and ``after`` are bound as
     plans of their own, and the k-min-wise ``bind`` adds the overlay's
-    values to the plan's.  On a ``range`` of consecutive seeds cut at
-    multiples of 2^L, such as an exhaustive scan block, a point with both
+    values to the plan's.  On a block that ``kwise.seed_runs`` reads as
+    whole runs of 2^L, such as an exhaustive scan block, a point with both
     tables costs one gather of Y_x through one composed row
     T_x[low_m(w * y)] per source word w; this needs
     m < n <= L <= SCAN_CHUNK_BITS.  Every other block (an array, even of
@@ -243,26 +244,25 @@ class _BucketedFamily(SeededFamily):
             y_dtype.itemsize << self.low_bits)
         if room and self.extractor.n <= self.low_bits <= SCAN_CHUNK_BITS:
             b = self.layout.field("prg1-seed").offset
-            at = prg1(np.arange(1 << (self.low_bits - b), dtype=np.uint64))
+            at = prg1(range(1 << (self.low_bits - b)))
             ys = np.stack([at(i).astype(y_dtype) for i in range(1, self.params.ell + 1)])
-            bucket_of = g(np.arange(1 << b, dtype=np.uint64))
+            bucket_of = g(range(1 << b))
             tables.update((x, (tables[x][0], ys[bucket_of(x) - 1].T.reshape(-1)))
                           for x in tabled[:room])
         return tables
 
     def _sub_block_sources(self, seeds: np.ndarray | range):
-        """w of each 2^L-seed sub-block when ``seeds`` is a step-1
-        ``range`` cut at multiples of 2^L, else None.
+        """w of each 2^L-seed sub-block when n <= L <= SCAN_CHUNK_BITS and
+        ``seed_runs`` reads ``seeds`` as whole runs of 2^L, else None.
 
         Only then is a per-w row of T_x worth composing: the row has 2^n
         entries, at most one sub-block's worth.
         """
         L, n = self.low_bits, self.extractor.n
-        if (not isinstance(seeds, range) or seeds.step != 1 or not seeds
-                or L > SCAN_CHUNK_BITS or n > L
-                or seeds.start % (1 << L) or len(seeds) % (1 << L)):
+        runs = seed_runs(seeds, L) if n <= L <= SCAN_CHUNK_BITS else None
+        if runs is None or runs[1] != 1 << L:
             return None
-        high = np.arange(seeds.start >> L, seeds.stop >> L, dtype=np.uint64)
+        high = np.arange(runs[0].start, runs[0].stop, dtype=np.uint64)
         return high & np.uint64((1 << n) - 1)
 
     def bind(self, points):
@@ -369,7 +369,11 @@ class BucketedKMinwiseFamily(_BucketedFamily):
     sum, so any <= (C_e+1)k joint marginals over the overlay seed alone
     are exactly uniform whatever the bucketed half does.
 
-    Seed layout (low bits first): g-seed | prg1-seed | w | h0-seed.
+    Seed layout (low bits first): g-seed | prg1-seed | w | h0-seed.  h0
+    is the top field, so on a block that ``kwise.seed_runs`` reads as runs
+    of 2^off, off its offset, the overlay's plan reads the range of one
+    value a run (slices of its point tables where it has them), and each
+    value is broadcast over its run's values of phi.
     """
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
@@ -402,10 +406,15 @@ class BucketedKMinwiseFamily(_BucketedFamily):
 
     def bind(self, points):
         phi, overlay = super().bind(points), self.overlay.bind(points)
+        offset = self.layout.field("h0-seed").offset
 
         def block(seeds):
-            at_phi, at_h0 = phi(seeds), overlay(self.layout.unpack_block(seeds)["h0-seed"])
-            return lambda x: dsum_values(at_h0(x), at_phi(x), self.range_size)
+            # h0's runs, or its word columns as runs of one seed
+            values, repeat = (seed_runs(seeds, offset)
+                              or (self.layout.unpack_block(seeds)["h0-seed"], 1))
+            at_phi, at_h0 = phi(seeds), overlay(values)
+            return lambda x: dsum_values(at_h0(x)[:, None], at_phi(x).reshape(-1, repeat),
+                                         self.range_size).reshape(-1)
 
         return block
 

@@ -282,6 +282,24 @@ def seed_words(seeds: np.ndarray | range, widths, out: np.ndarray | None = None)
     return words
 
 
+def seed_runs(seeds: np.ndarray | range, offset: int) -> tuple[range, int] | None:
+    """(values, repeat) of the seeds' bits from ``offset`` up, when
+    ``seeds`` is a step-1 ``range`` whose start and length are multiples
+    of 2^offset, or one that lies wholly inside a single run of 2^offset
+    seeds: a ``range`` of values, each held by ``repeat`` consecutive
+    seeds (2^offset, or len(seeds) for the one value of a single run).
+    None for any other block (an array, an unaligned or stepped range),
+    whose caller reads its word columns instead."""
+    if not isinstance(seeds, range) or seeds.step != 1 or not seeds:
+        return None
+    top = seeds.start >> offset
+    if not seeds.start % (1 << offset) and not len(seeds) % (1 << offset):
+        return range(top, seeds.stop >> offset), 1 << offset
+    if top == (seeds.stop - 1) >> offset:
+        return range(top, top + 1), len(seeds)
+    return None
+
+
 @dataclass(frozen=True)
 class SeedField:
     name: str
@@ -575,10 +593,9 @@ class TWiseFamily(SeededFamily):
 
         def block(seeds):
             size = len(seeds)
-            aligned = (isinstance(seeds, range) and seeds.step == 1
-                       and 0 < size <= self.seed_space and not size & (size - 1)
-                       and not seeds.start % size)
             varying = size.bit_length() - 1
+            # aligned: a range that seed_runs reads as one run of 2^varying seeds
+            aligned = size <= self.seed_space and seed_runs(seeds, varying) is not None
 
             @functools.cache
             def word_columns() -> np.ndarray:

@@ -2,7 +2,8 @@
 and its count slices' draws, the stream's waiting half, the direct sum,
 the verdict rule, the CLI's exit status for a bad config, the uniform
 allocation's B_J law, the aligned t-wise block values, the in-place
-rewrite of an output and the extractor distance's span slices.
+rewrite of an output, the extractor distance's span slices and the
+repeat count of the overlay's values on a block cut at h0's runs.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -74,6 +75,12 @@ MUTATIONS = [
     # uncounted too
     ("the extractor distance skips its last span slice", EXTRACTOR,
      "for lo in range(0, len(span), step):", "for lo in range(0, len(span), step)[:-1]:"),
+    # each overlay value then stands for half its run, so the k-min-wise
+    # pins' overlay values (32 a block of kminwise_desk, h0 at bit 11)
+    # no longer broadcast over phi's rows; the min-wise pins' blocks then
+    # go through the layers with equal values
+    ("the overlay's repeat count one bit short", KWISE,
+     "seeds.stop >> offset), 1 << offset", "seeds.stop >> offset), 1 << offset - 1"),
 ]
 
 

@@ -586,6 +586,91 @@ def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, cou
     assert _scalar_mismatches(fam, drawn, range(count), {x: evaluate(x) for x in points}) == 0
 
 
+KMINWISE_DESK = os.path.join(os.path.dirname(__file__), "..", "configs", "kminwise_desk.json")
+
+# configs/kminwise_desk.json's construction at 31 seed bits: h0 sits at
+# bit 16, so each aligned 2^16-seed block holds one overlay value
+WIDE_DESK = {"N": 8, "M": 8, "extractor": {"kind": "leftover_hash", "n": 4, "m": 3}}
+
+
+def _kminwise_desk(**changes) -> BucketedKMinwiseFamily:
+    """kminwise_desk.json's family (h0 at bit 11), with ``changes`` made
+    to its construction."""
+    with open(KMINWISE_DESK) as fh:
+        config = json.load(fh)["construction"]
+    return family_from_config({**config, **changes})
+
+
+def _overlay_blocks(monkeypatch, fam) -> list:
+    """Every block that ``fam``'s plans, bound from now on, hand their
+    overlay's plan."""
+    seen, bind = [], fam.overlay.bind
+
+    def spy_bind(points):
+        plan = bind(points)
+        return lambda seeds: seen.append(seeds) or plan(seeds)
+
+    monkeypatch.setattr(fam.overlay, "bind", spy_bind)
+    return seen
+
+
+@pytest.mark.parametrize("changes, seeds, values", [
+    (WIDE_DESK, range(0x5A5 << 16, 0x5A6 << 16), 1),
+    (WIDE_DESK, range((0x5A5 << 16) + 5, (0x5A5 << 16) + 900), 1),  # inside one run
+    ({}, range(1 << 16, 2 << 16), 32),
+    ({}, range(31 << 16, 32 << 16), 32),
+])
+def test_kminwise_overlay_reads_h0_as_a_range_on_a_block_cut_at_its_runs(
+        monkeypatch, changes, seeds, values):
+    fam = _kminwise_desk(**changes)
+    seen = _overlay_blocks(monkeypatch, fam)
+    points = range(1, fam.domain_size + 1)
+    plan = fam.bind(points)
+    evaluate = plan(seeds)
+    got = {x: evaluate(x) for x in points}
+    # scalar eval at both ends of every run and at 256 other seeds
+    packed = np.arange(seeds.start, seeds.stop, dtype=np.uint64)
+    run = len(seeds) // values
+    ends = [i for r in range(values) for i in (r * run, (r + 1) * run - 1)]
+    rng = np.random.Generator(np.random.Philox(key=seeds.start))
+    positions = ends + rng.integers(0, len(seeds), size=256).tolist()
+    assert _scalar_mismatches(fam, packed, positions, got) == 0
+    # every value equals the one the packed block's word columns give
+    layered = plan(packed)
+    assert all(np.array_equal(got[x], layered(x)) for x in points)
+    # the overlay's plan read one value a run, and no word of h0, then
+    # the packed block's h0 words
+    offset = fam.layout.field("h0-seed").offset
+    assert seen[0] == range(seeds.start >> offset, ((seeds.stop - 1) >> offset) + 1)
+    assert len(seen[0]) == values
+    assert seen[1].shape == (len(seeds), len(fam.overlay.seed_columns()))
+
+
+def test_kminwise_overlay_reads_h0_words_on_every_other_block(monkeypatch):
+    desk = _kminwise_desk()
+    # a 72-bit PRG1 field, so that a draw is a block of word columns
+    wide = _kminwise(4, 4, 4, TWisePRG(8, 4, 512), FullIndependencePRG(4, 4),
+                     LeftoverHash(10, 8))
+    rng = np.random.Generator(np.random.Philox(key=46))
+    blocks = [
+        (desk, range((3 << 11) + 100, (5 << 11) + 7)),  # unaligned, over three runs
+        (desk, range(1 << 16, (1 << 16) + 4000, 2)),
+        (desk, rng.integers(0, desk.seed_space, size=2000, dtype=np.uint64)),
+        (wide, wide.layout.draw_block(Philox(46), 500)),
+    ]
+    assert blocks[-1][1].ndim == 2
+    for fam, seeds in blocks:
+        with monkeypatch.context() as patch:
+            seen = _overlay_blocks(patch, fam)
+            points = range(1, fam.domain_size + 1)
+            evaluate = fam.bind(points)(seeds)
+            got = {x: evaluate(x) for x in points}
+        assert [s.shape for s in seen] == [(len(seeds), len(fam.overlay.seed_columns()))]
+        if isinstance(seeds, range):
+            seeds = np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.uint64)
+        assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0
+
+
 def test_points_past_the_table_budget_keep_equal_values(monkeypatch):
     make = TABLE_FAMILIES["minwise L<c"]
     queries = [([1, 2, 3, 4], [y]) for y in range(1, 5)] + [([2, 3], [3]), ([1, 3, 4], [1])]

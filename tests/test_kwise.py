@@ -475,6 +475,25 @@ def test_seed_words_cuts_packed_blocks_and_passes_word_blocks(widths, dtype):
         seed_words(words, widths + (1,))
 
 
+@pytest.mark.parametrize("seeds, offset, runs", [
+    (range(0, 1 << 16), 11, (range(0, 32), 1 << 11)),          # an exhaustive block
+    (range(3 << 16, 4 << 16), 16, (range(3, 4), 1 << 16)),     # one value, aligned
+    (range(0x5A5 << 16, 0x5A6 << 16), 20, (range(0x5A, 0x5B), 1 << 16)),  # inside one run
+    (range(0x5A5 << 16 | 7, 0x5A5 << 16 | 900), 16, (range(0x5A5, 0x5A6), 893)),
+    (range(6 << 4, 10 << 4), 4, (range(6, 10), 16)),           # aligned, length not 2^B
+    (range(5, 2000), 4, None),                                 # unaligned, several runs
+    (range(0, 1 << 12, 2), 4, None),                           # a step-2 range
+    (range(0), 4, None),
+    (np.arange(1 << 12, dtype=np.uint64), 4, None),           # an array, even consecutive
+    (range(0, 40), 0, (range(0, 40), 1)),
+])
+def test_seed_runs_reads_a_range_cut_at_its_runs_or_nothing(seeds, offset, runs):
+    assert kwise.seed_runs(seeds, offset) == runs
+    if runs is not None:
+        values, repeat = runs
+        assert [s >> offset for s in seeds] == [v for v in values for _ in range(repeat)]
+
+
 def test_scan_is_the_one_seed_source_of_both_modes():
     fam = TWiseFamily(2, 4, 8)  # 6 seed bits
 
