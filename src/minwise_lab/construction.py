@@ -8,8 +8,8 @@ Evaluation is lazy — h(x) touches only bucket g(x)'s path.
 
 The min-wise (k = 1) variant draws each bucket's function from the
 direct sum of a small t'-wise family and a second rectangle PRG; the
-k-min-wise variant instead uses the PRG output alone per bucket and
-overlays one global (C_e+1)k-wise family via the direct sum.
+k-min-wise variant is itself a direct sum: the skeleton with the PRG
+output alone per bucket, plus one global (C_e+1)k-wise overlay.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .kwise import (
     SeededFamily,
     SeedLayout,
     TWiseFamily,
-    dsum_values,
     seed_runs,
 )
 from .rectprg import PRGHashFamily, RectanglePRG, prg_from_config
@@ -151,21 +150,19 @@ def _allocation_family(params: ConstructionParams) -> SeededFamily:
 
 class _BucketedFamily(SeededFamily):
     """The shared skeleton: allocation g, per-bucket extractor seeds from
-    PRG1, and one source word w extracted at x's bucket.  h(x) is the
-    direct sum of a t-wise family and PRG2 at x: the subclass's
-    ``after``, a family of the extractor output z, takes both seeds from
-    z, or PRG2's alone beside the k-min-wise overlay.
+    PRG1, and one source word w extracted at x's bucket.  h(x) is
+    ``after``, a family of the extractor output z, at x: PRG2 alone here
+    (the bucketed half phi of the k-min-wise family), the direct sum of
+    a t-wise family and PRG2 in the min-wise family.
 
-    Seed layout (low bits first): g-seed | prg1-seed | w, followed by
-    the subclass's ``extra_fields``, each with the words of what reads it
-    (w is one word).  The low L = g-seed + prg1-seed bits reach
-    z = Ext(w, s_{g(x)}) only through PRG1's multiplier at g(x)'s
-    bucket, and z reaches h(x) only through the subclass's ``after``, a
-    family of z.  So ``bind`` builds per-point tables (``_tables``): T_x,
+    Seed layout (low bits first): g-seed | prg1-seed | w, each with the
+    words of what reads it (w is one word).  The low L = g-seed +
+    prg1-seed bits reach z = Ext(w, s_{g(x)}) only through PRG1's
+    multiplier at g(x)'s bucket, and z reaches h(x) only through
+    ``after``.  So ``bind`` builds per-point tables (``_tables``): T_x,
     the after-z value for each of the 2^m outputs, and Y_x, the multiplier
     for each of the 2^L low values; g, PRG1 and ``after`` are bound as
-    plans of their own, and the k-min-wise ``bind`` adds the overlay's
-    values to the plan's.  On a block that ``kwise.seed_runs`` reads as
+    plans of their own.  On a block that ``kwise.seed_runs`` reads as
     whole runs of 2^L, such as an exhaustive scan block, a point with both
     tables costs one gather of Y_x through one composed row
     T_x[low_m(w * y)] per source word w; this needs
@@ -181,8 +178,7 @@ class _BucketedFamily(SeededFamily):
     """
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
-                 prg2: RectanglePRG, extractor: LeftoverHash,
-                 extra_fields: tuple[tuple[str, tuple[int, ...]], ...] = ()) -> None:
+                 prg2: RectanglePRG, extractor: LeftoverHash) -> None:
         if prg1.dimension != params.ell:
             raise InvalidArgument(
                 f"per-bucket seed PRG dimension {prg1.dimension} != ell {params.ell}"
@@ -202,16 +198,21 @@ class _BucketedFamily(SeededFamily):
         self.prg1 = prg1
         self.prg2 = prg2
         self.extractor = extractor
+        self.after = PRGHashFamily(prg2)
         self.layout = SeedLayout.build([
             ("g-seed", self.g.seed_columns()),
             ("prg1-seed", prg1.seed_columns()),
             ("w", (extractor.n,)),
-            *extra_fields,
         ])
         self.domain_size = params.N
         self.range_size = params.M
         self.seed_bits = self.layout.total_bits
         self.low_bits = self.layout.field("w").offset
+
+    @property
+    def family_id(self) -> str:
+        return (f"bucketed(g={self.g.family_id},prg1={self.prg1.prg_id},"
+                f"ext={self.extractor.map_id},after={self.after.family_id})")
 
     def seed_columns(self) -> tuple[int, ...]:
         return self.layout.words
@@ -238,7 +239,7 @@ class _BucketedFamily(SeededFamily):
         tabled = points[:POINT_TABLE_BYTES // after_bytes]
         if not tabled:
             return {}
-        after_at = after(np.arange(1 << self.extractor.m, dtype=np.uint64))
+        after_at = after(range(1 << self.extractor.m))
         tables = {x: (after_at(x).astype(dtype), None) for x in tabled}
         room = (POINT_TABLE_BYTES - len(tabled) * after_bytes) // (
             y_dtype.itemsize << self.low_bits)
@@ -350,7 +351,7 @@ class BucketedMinwiseFamily(_BucketedFamily):
                 f"{inner.seed_bits} + PRG2 seed {prg2.seed_bits}"
             )
         self.inner = inner
-        self.after = DirectSumFamily(inner, PRGHashFamily(prg2))
+        self.after = DirectSumFamily(inner, self.after)
 
     @property
     def family_id(self) -> str:
@@ -362,61 +363,39 @@ class BucketedMinwiseFamily(_BucketedFamily):
         )
 
 
-class BucketedKMinwiseFamily(_BucketedFamily):
-    """h = overlay (+) phi where phi(x) = PRG2(Ext(w, s_{g(x)}))(x).
+class BucketedKMinwiseFamily(DirectSumFamily):
+    """h = phi (+) overlay.  The low summand phi(x) = PRG2(Ext(w, s_{g(x)}))(x)
+    is the bucketed skeleton with PRG2 alone after the extractor; the high
+    summand, the overlay, is a global (C_e+1)k-wise family, so any
+    <= (C_e+1)k joint marginals over the overlay seed alone are exactly
+    uniform whatever phi does.
 
-    The overlay is a global (C_e+1)k-wise family combined by the direct
-    sum, so any <= (C_e+1)k joint marginals over the overlay seed alone
-    are exactly uniform whatever the bucketed half does.
-
-    Seed layout (low bits first): g-seed | prg1-seed | w | h0-seed.  h0
-    is the top field, so on a block that ``kwise.seed_runs`` reads as runs
-    of 2^off, off its offset, the overlay's plan reads the range of one
-    value a run (slices of its point tables where it has them), and each
-    value is broadcast over its run's values of phi.
+    Seed layout (low bits first): g-seed | prg1-seed | w | h0-seed.  On
+    a block cut at h0's runs the direct sum's plan reads one overlay
+    value a run and phi on one run's seeds.
     """
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
                  prg2: RectanglePRG, extractor: LeftoverHash) -> None:
-        overlay = TWiseFamily(params.overlay_independence, params.N, params.M)
-        super().__init__(params, prg1, prg2, extractor,
-                         (("h0-seed", overlay.seed_columns()),))
+        phi = _BucketedFamily(params, prg1, prg2, extractor)
         if extractor.m != prg2.seed_bits:
             raise InvalidArgument(
                 f"extractor output {extractor.m} bits != PRG2 seed {prg2.seed_bits}"
             )
-        self.overlay = overlay
-        self.after = PRGHashFamily(prg2)
+        super().__init__(phi, TWiseFamily(params.overlay_independence, params.N, params.M))
+        self.params = params
+        self.layout = SeedLayout.build([*((f.name, f.words) for f in phi.layout.fields),
+                                        ("h0-seed", self.high.seed_columns())])
 
     @property
     def family_id(self) -> str:
-        p = self.params
+        p, phi = self.params, self.low
         return (
             f"bucketed_kminwise(N={p.N},M={p.M},k={p.k},ell={p.ell},"
-            f"g={self.g.family_id},prg1={self.prg1.prg_id},"
-            f"ext={self.extractor.map_id},prg2={self.prg2.prg_id},"
-            f"overlay={self.overlay.family_id})"
+            f"g={phi.g.family_id},prg1={phi.prg1.prg_id},"
+            f"ext={phi.extractor.map_id},prg2={phi.prg2.prg_id},"
+            f"overlay={self.high.family_id})"
         )
-
-    def eval(self, seed: int, x: int) -> int:
-        phi = super().eval(seed, x)
-        # the overlay seed is a layout field: its words are its coefficients
-        h0 = self.layout.unpack(seed)["h0-seed"]
-        return dsum_values(self.overlay.eval(h0, x), phi, self.range_size)
-
-    def bind(self, points):
-        phi, overlay = super().bind(points), self.overlay.bind(points)
-        offset = self.layout.field("h0-seed").offset
-
-        def block(seeds):
-            # h0's runs, or its word columns as runs of one seed
-            values, repeat = (seed_runs(seeds, offset)
-                              or (self.layout.unpack_block(seeds)["h0-seed"], 1))
-            at_phi, at_h0 = phi(seeds), overlay(values)
-            return lambda x: dsum_values(at_h0(x)[:, None], at_phi(x).reshape(-1, repeat),
-                                         self.range_size).reshape(-1)
-
-        return block
 
 
 # ---------------------------------------------------------------------------

@@ -658,49 +658,62 @@ class TWiseFamily(SeededFamily):
 class DirectSumFamily(SeededFamily):
     """Pointwise direct sum of two families on the same domain and range.
 
-    The combined seed is the concatenation with the first family's seed
-    (and words) in the low bits.  For any fixed second seed the map is a
+    The combined seed is the concatenation with the low summand's seed
+    (and words) in the low bits.  For any fixed high seed the map is a
     cyclic bijection of each output, so exact t-wise marginal uniformity
-    of either component survives in the sum.
+    of either summand survives in the sum.
     """
 
-    def __init__(self, f: SeededFamily, g: SeededFamily) -> None:
-        if f.range_size != g.range_size:
+    def __init__(self, low: SeededFamily, high: SeededFamily) -> None:
+        if low.range_size != high.range_size:
             raise InvalidArgument(
-                f"range sizes differ: {f.range_size} vs {g.range_size}"
+                f"range sizes differ: {low.range_size} vs {high.range_size}"
             )
-        if f.domain_size != g.domain_size:
+        if low.domain_size != high.domain_size:
             raise InvalidArgument(
-                f"domain sizes differ: {f.domain_size} vs {g.domain_size}"
+                f"domain sizes differ: {low.domain_size} vs {high.domain_size}"
             )
-        self.f = f
-        self.g = g
-        self.domain_size = f.domain_size
-        self.range_size = f.range_size
-        self.seed_bits = f.seed_bits + g.seed_bits
+        self.low = low
+        self.high = high
+        self.domain_size = low.domain_size
+        self.range_size = low.range_size
+        self.seed_bits = low.seed_bits + high.seed_bits
 
     @property
     def family_id(self) -> str:
-        return f"dsum({self.f.family_id},{self.g.family_id})"
+        return f"dsum({self.low.family_id},{self.high.family_id})"
 
     def seed_columns(self) -> tuple[int, ...]:
-        return self.f.seed_columns() + self.g.seed_columns()
+        return self.low.seed_columns() + self.high.seed_columns()
 
     def split_seed(self, seed: int) -> tuple[int, int]:
-        return seed & (self.f.seed_space - 1), seed >> self.f.seed_bits
+        return seed & (self.low.seed_space - 1), seed >> self.low.seed_bits
 
     def eval(self, seed: int, x: int) -> int:
         self._check_seed(seed)
-        sf, sg = self.split_seed(seed)
-        return dsum_values(self.f.eval(sf, x), self.g.eval(sg, x), self.range_size)
+        s_low, s_high = self.split_seed(seed)
+        return dsum_values(self.low.eval(s_low, x), self.high.eval(s_high, x), self.range_size)
 
     def bind(self, points) -> Callable:
-        f, g = self.f.bind(points), self.g.bind(points)
-        cut = len(self.f.seed_columns())
+        """Each summand's plan, bound once.  A step-1 ``range`` inside the
+        seed space that ``seed_runs`` reads at the low summand's bits as
+        (values, repeat) binds the high summand on ``values`` and the low
+        one on the ``repeat`` seeds from start mod 2^(low bits), and its
+        values are their outer sum, the high summand the slow axis.  Any
+        other block is cut into the summands' word columns."""
+        low, high = self.low.bind(points), self.high.bind(points)
+        bits, cut = self.low.seed_bits, len(self.low.seed_columns())
 
         def block(seeds):
-            words = seed_words(seeds, self.seed_columns())
-            at_f, at_g = f(words[:, :cut]), g(words[:, cut:])
-            return lambda x: dsum_values(at_f(x), at_g(x), self.range_size)
+            runs = seed_runs(seeds, bits)
+            if runs is None or seeds.stop > self.seed_space:
+                words = seed_words(seeds, self.seed_columns())
+                at_low, at_high = low(words[:, :cut]), high(words[:, cut:])
+                return lambda x: dsum_values(at_low(x), at_high(x), self.range_size)
+            values, repeat = runs
+            lo = seeds.start % self.low.seed_space
+            at_low, at_high = low(range(lo, lo + repeat)), high(values)
+            return lambda x: dsum_values(at_high(x)[:, None], at_low(x),
+                                         self.range_size).reshape(-1)
 
         return block

@@ -75,9 +75,9 @@ MUTATIONS = [
     # uncounted too
     ("the extractor distance skips its last span slice", EXTRACTOR,
      "for lo in range(0, len(span), step):", "for lo in range(0, len(span), step)[:-1]:"),
-    # each overlay value then stands for half its run, so the k-min-wise
-    # pins' overlay values (32 a block of kminwise_desk, h0 at bit 11)
-    # no longer broadcast over phi's rows; the min-wise pins' blocks then
+    # the direct sum then evaluates phi on half of each run of h0, so a
+    # k-min-wise pin's block (32 overlay values a block of kminwise_desk,
+    # h0 at bit 11) holds half its seeds; the min-wise pins' blocks then
     # go through the layers with equal values
     ("the overlay's repeat count one bit short", KWISE,
      "seeds.stop >> offset), 1 << offset", "seeds.stop >> offset), 1 << offset - 1"),

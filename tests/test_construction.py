@@ -53,6 +53,12 @@ def desk_kminwise(k: int = 1) -> BucketedKMinwiseFamily:
     )
 
 
+def skeleton(fam):
+    """The bucketed skeleton of a family: the min-wise family itself, or
+    the k-min-wise family's low summand phi."""
+    return fam.low if isinstance(fam, BucketedKMinwiseFamily) else fam
+
+
 MINWISE_CONFIG = {
     "family": "minwise",
     "N": 4, "M": 4, "k": 1, "ell": 4, "t": 2,
@@ -76,7 +82,7 @@ def test_seed_accounting_kminwise():
     assert fam.seed_bits == 21
     assert fam.layout.names() == ["g-seed", "prg1-seed", "w", "h0-seed"]
     assert [f.width for f in fam.layout.fields] == [4, 4, 3, 10]
-    assert fam.overlay.t == 5  # (C_e + 1) * k
+    assert fam.high.t == 5  # (C_e + 1) * k
 
 
 def test_determinism_across_instances():
@@ -378,7 +384,7 @@ def test_family_from_config_defaults_to_kminwise_when_k_above_one():
     }
     fam = family_from_config(cfg)
     assert isinstance(fam, BucketedKMinwiseFamily)
-    assert fam.overlay.t == 10
+    assert fam.high.t == 10
 
 
 def test_config_validation():
@@ -468,7 +474,7 @@ def _block_mismatches(fam, plan, seeds, rng) -> int:
     else:
         packed = np.asarray(seed_ints(seeds, fam.seed_columns()), dtype=np.uint64)
     # an array block always goes through the layers
-    assert fam._sub_block_sources(packed) is None
+    assert skeleton(fam)._sub_block_sources(packed) is None
     evaluate, reference = plan(seeds), plan(packed)
     bad = 0
     for x in range(1, fam.domain_size + 1):
@@ -499,8 +505,9 @@ def test_table_path_equals_layered_path_and_scalar_eval(monkeypatch, name):
     # Y_x serves exactly the aligned range blocks of layouts with
     # n <= L <= SCAN_CHUNK_BITS, and the plan built it for every point
     # there; every bound point has its T_x
-    aligned = fam.extractor.n <= fam.low_bits <= SCAN_CHUNK_BITS
-    assert (fam._sub_block_sources(block) is not None) == aligned
+    phi = skeleton(fam)
+    aligned = phi.extractor.n <= phi.low_bits <= SCAN_CHUNK_BITS
+    assert (phi._sub_block_sources(block) is not None) == aligned
     assert [x for kind, o, x in built if kind == "Y"] == (points if aligned else [])
     assert [x for kind, o, x in built if kind == "T"] == points
     # an array goes through the layers, even when it holds the range's own
@@ -562,7 +569,7 @@ def _scalar_mismatches(fam, seeds, positions, got) -> int:
 def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, count):
     stream = Philox(key)
     points = range(1, fam.domain_size + 1)
-    plan = fam.bind(points)
+    plan, phi = fam.bind(points), skeleton(fam)
     if fam.seed_bits <= 63:
         # the first, a middle and the last block of kwise.scan's split,
         # served from the per-point tables when n <= L <= SCAN_CHUNK_BITS
@@ -571,10 +578,10 @@ def test_random_configs_match_scalar_eval_on_scan_and_drawn_blocks(fam, key, cou
         for i in sorted({0, blocks // 2, blocks - 1}):
             block = range(i * step, (i + 1) * step)
             packed = np.arange(block.start, block.stop, dtype=np.uint64)
-            tables = fam.extractor.n <= fam.low_bits <= SCAN_CHUNK_BITS
-            assert (fam._sub_block_sources(block) is not None) == tables
+            tables = phi.extractor.n <= phi.low_bits <= SCAN_CHUNK_BITS
+            assert (phi._sub_block_sources(block) is not None) == tables
             # the range's packed array takes the layers, with equal values
-            assert fam._sub_block_sources(packed) is None
+            assert phi._sub_block_sources(packed) is None
             evaluate, layered = plan(block), plan(packed)
             got = {x: evaluate(x) for x in points}
             assert all(np.array_equal(got[x], layered(x)) for x in points)
@@ -604,13 +611,13 @@ def _kminwise_desk(**changes) -> BucketedKMinwiseFamily:
 def _overlay_blocks(monkeypatch, fam) -> list:
     """Every block that ``fam``'s plans, bound from now on, hand their
     overlay's plan."""
-    seen, bind = [], fam.overlay.bind
+    seen, bind = [], fam.high.bind
 
     def spy_bind(points):
         plan = bind(points)
         return lambda seeds: seen.append(seeds) or plan(seeds)
 
-    monkeypatch.setattr(fam.overlay, "bind", spy_bind)
+    monkeypatch.setattr(fam.high, "bind", spy_bind)
     return seen
 
 
@@ -643,7 +650,7 @@ def test_kminwise_overlay_reads_h0_as_a_range_on_a_block_cut_at_its_runs(
     offset = fam.layout.field("h0-seed").offset
     assert seen[0] == range(seeds.start >> offset, ((seeds.stop - 1) >> offset) + 1)
     assert len(seen[0]) == values
-    assert seen[1].shape == (len(seeds), len(fam.overlay.seed_columns()))
+    assert seen[1].shape == (len(seeds), len(fam.high.seed_columns()))
 
 
 def test_kminwise_overlay_reads_h0_words_on_every_other_block(monkeypatch):
@@ -665,7 +672,7 @@ def test_kminwise_overlay_reads_h0_words_on_every_other_block(monkeypatch):
             points = range(1, fam.domain_size + 1)
             evaluate = fam.bind(points)(seeds)
             got = {x: evaluate(x) for x in points}
-        assert [s.shape for s in seen] == [(len(seeds), len(fam.overlay.seed_columns()))]
+        assert [s.shape for s in seen] == [(len(seeds), len(fam.high.seed_columns()))]
         if isinstance(seeds, range):
             seeds = np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.uint64)
         assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0
@@ -713,13 +720,14 @@ def test_extractor_output_past_the_table_budget_builds_no_table(monkeypatch, kin
     # binding builds and evaluates nothing of T_x's size, and every point
     # goes through the layers with scalar eval's values
     fam = _past_the_budget(kind)
+    m = skeleton(fam).extractor.m
     itemsize = np.min_scalar_type(fam.range_size).itemsize
-    assert itemsize << fam.extractor.m > construction.POINT_TABLE_BYTES
+    assert itemsize << m > construction.POINT_TABLE_BYTES
     built = _spy_table_builds(monkeypatch)
     points = [1, 2, 7, fam.domain_size]
     plan = fam.bind(points)
     assert [table for table, _, _ in built if table != "point"] == []
-    seeds = fam.layout.draw_block(Philox(fam.extractor.m), 200)
+    seeds = fam.layout.draw_block(Philox(m), 200)
     evaluate = plan(seeds)
     got = {x: evaluate(x) for x in points}
     assert _scalar_mismatches(fam, seeds, range(len(seeds)), got) == 0
@@ -835,9 +843,10 @@ def test_benchmark_mc_scan_builds_each_point_table_once(monkeypatch, tmp_path):
                    run_seed=config["run_seed"], threads=2)
     assert len(built) == len(set(built))
     # L > SCAN_CHUNK_BITS, so no Y_x; PRG1 over GF(2^9) keeps no tables
-    assert fam.low_bits > SCAN_CHUNK_BITS and fam.prg1.family.run_words == 0
+    phi = skeleton(fam)
+    assert phi.low_bits > SCAN_CHUNK_BITS and phi.prg1.family.run_words == 0
     assert sorted(x for kind, owner, x in built if kind == "T") == points
-    for owner in (fam.g, fam.prg2.family, fam.overlay):
+    for owner in (phi.g, phi.prg2.family, fam.high):
         assert sorted(x for _, o, x in built if o == id(owner)) == points
 
 

@@ -385,6 +385,52 @@ def test_direct_sum_rejects_range_mismatch():
         DirectSumFamily(f, g)
 
 
+def _direct_sum_blocks(monkeypatch, family) -> list:
+    """(summand, block) for every block that plans of ``family``, bound
+    from now on, hand their summands' plans."""
+    seen = []
+    for name in ("low", "high"):
+        summand = getattr(family, name)
+
+        def spy_bind(points, name=name, bind=summand.bind):
+            plan = bind(points)
+            return lambda seeds: seen.append((name, seeds)) or plan(seeds)
+
+        monkeypatch.setattr(summand, "bind", spy_bind)
+    return seen
+
+
+@pytest.mark.parametrize("seeds, low, high", [
+    # whole runs of 2^9 seeds, not block 0: the low summand's whole space
+    (range(3 << 9, 7 << 9), range(0, 1 << 9), range(3, 7)),
+    # inside one run: the low summand reads from lo = start mod 2^9
+    (range((5 << 9) + 17, (5 << 9) + 300), range(17, 300), range(5, 6)),
+    # every other block is cut into word columns
+    (range((3 << 9) + 100, (5 << 9) + 7), None, None),  # unaligned
+    (range(1 << 9, 3 << 9, 2), None, None),  # stepped
+    (range((1 << 15) - (1 << 9), (1 << 15) + (1 << 9)), None, None),  # past the space
+    (np.arange(1000, 3000, 3, dtype=np.uint64), None, None),  # packed
+    (split_words(range(7 << 9, 9 << 9), (3,) * 5), None, None),  # word columns
+])
+def test_direct_sum_plan_matches_scalar_eval(monkeypatch, seeds, low, high):
+    # a 3-wise low summand over GF(2^3), 9 seed bits, and a 2-wise high one
+    d = DirectSumFamily(TWiseFamily(3, 8, 8), TWiseFamily(2, 8, 8))
+    assert d.low.seed_bits == 9 and d.seed_bits == 15
+    seen = _direct_sum_blocks(monkeypatch, d)
+    points = range(1, 9)
+    evaluate = d.bind(points)(seeds)
+    got = {x: evaluate(x) for x in points}
+    if low is None:
+        assert [(name, block.shape) for name, block in seen] == [
+            ("low", (len(seeds), 3)), ("high", (len(seeds), 2))]
+    else:
+        assert seen == [("low", low), ("high", high)]
+    # a seed past the space reads as its low 15 bits, as its words do
+    ints = [s % d.seed_space for s in seed_ints(seeds, d.seed_columns())]
+    for x in points:
+        assert got[x].tolist() == [d.eval(s, x) for s in ints]
+
+
 def test_direct_sum_preserves_pair_marginals():
     # N=4, M=4, t=2: for every fixed g-seed, sweeping the f-seed keeps
     # every pair of positions jointly uniform
