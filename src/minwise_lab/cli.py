@@ -398,12 +398,14 @@ def _cmd_component(args) -> int:
 # _cmd_component calls; its help; whether it takes --threads; the library
 # modules it imports).  main loads those modules before argparse, which,
 # imported first, leaves 0.3-0.6 MB more of the heap resident through the
-# run (the desk measure and extractor-test, 2 vCPUs, Python 3.11).
+# run (the desk measure and extractor-test, 2 vCPUs, Python 3.11).  A
+# Monte-Carlo measure peaks while its modules compile from source, so
+# measure loads verify, the largest, first.
 _SUBCOMMANDS = {
     "construct": (_cmd_construct, "build a family and inspect or evaluate it",
                   False, ("construction", "philox")),
     "measure": (_cmd_measure, "measure min-wise error over a query corpus",
-                True, ("construction", "philox", "verify")),
+                True, ("verify", "construction", "philox")),
     "extractor-test": (_component_extractor, "surjectivity and leftover-hash distance checks",
                        False, ("extractor", "philox")),
     "prg-test": (_component_prg, "threshold-rectangle error scan for a PRG",

@@ -306,6 +306,7 @@ class _BucketedFamily(SeededFamily):
             return evaluate
 
         def block(seeds):
+            self._check_block(seeds)
             sources = self._sub_block_sources(seeds)
             if sources is None:
                 return layered(seeds)

@@ -424,14 +424,17 @@ class SeededFamily(abc.ABC):
         (TWiseFamily's point tables, the T_x and Y_x of ``construction``'s
         bucketed families); nothing a plan does changes it or the family,
         so forked scan workers share it copy-on-write.  A point not bound,
-        or past the budget, gets equal values without tables.  The
-        default is the scalar loop over ``eval`` on each block's seeds.
+        or past the budget, gets equal values without tables.  A block with
+        a seed outside the seed space raises InvalidArgument, as ``eval``
+        does (``_check_block``).  The default is the scalar loop over
+        ``eval`` on each block's seeds.
         """
         self._check_points(points)
         widths = self.seed_columns()
         offsets = np.cumsum((0, *widths)).tolist()
 
         def block(seeds):
+            self._check_block(seeds)
             ints = [sum(v << o for v, o in zip(row, offsets))
                     for row in seed_words(seeds, widths).tolist()]
 
@@ -448,6 +451,20 @@ class SeededFamily(abc.ABC):
             raise InvalidArgument(
                 f"seed {seed:#x} outside [0, 2^{self.seed_bits})"
             )
+
+    def _check_block(self, seeds) -> None:
+        """Refuse a ``range`` or packed block with a seed outside the seed
+        space, as ``eval`` refuses the seed: a range's ends are checked,
+        and a packed block's largest value (and least, if signed).  Word
+        columns hold only their words' bits."""
+        if isinstance(seeds, range):
+            if seeds:
+                self._check_seed(seeds[0])
+                self._check_seed(seeds[-1])
+        elif seeds.ndim == 1 and len(seeds):
+            self._check_seed(int(seeds.max()))
+            if seeds.dtype.kind == "i":
+                self._check_seed(int(seeds.min()))
 
     def _check_x(self, x: int) -> None:
         if not 1 <= x <= self.domain_size:
@@ -563,13 +580,13 @@ class TWiseFamily(SeededFamily):
         point with tables is read in one of two block forms, in the
         narrowest dtype that holds M:
 
-        - an aligned block, a step-1 ``range`` of 2^B seeds (no more than
-          the seed space) from a multiple of 2^B, as every exhaustive
-          block of kwise.scan is: a run of words wholly above bit B gives
-          one table entry, one reaching below it the slice of its table
-          that the block's low B bits sweep, and the values are the outer
-          XOR of those slices, higher runs the slower axes, as
-          ``_run_tables`` lays out its own tables;
+        - an aligned block, a step-1 ``range`` of 2^B seeds from a
+          multiple of 2^B, as every exhaustive block of kwise.scan is: a
+          run of words wholly above bit B gives one table entry, one
+          reaching below it the slice of its table that the block's low B
+          bits sweep, and the values are the outer XOR of those slices,
+          higher runs the slower axes, as ``_run_tables`` lays out its
+          own tables;
         - any other block (a Monte-Carlo draw, a packed array, an
           unaligned range): the XOR of one gather per run of words, each
           at the run's bits, which are bound on the block's first such
@@ -592,10 +609,10 @@ class TWiseFamily(SeededFamily):
             tables = {x: self._run_tables(x) for x in points[:POINT_TABLE_BYTES // nbytes]}
 
         def block(seeds):
-            size = len(seeds)
-            varying = size.bit_length() - 1
+            self._check_block(seeds)
+            varying = len(seeds).bit_length() - 1
             # aligned: a range that seed_runs reads as one run of 2^varying seeds
-            aligned = size <= self.seed_space and seed_runs(seeds, varying) is not None
+            aligned = seed_runs(seeds, varying) is not None
 
             @functools.cache
             def word_columns() -> np.ndarray:
@@ -695,18 +712,20 @@ class DirectSumFamily(SeededFamily):
         return dsum_values(self.low.eval(s_low, x), self.high.eval(s_high, x), self.range_size)
 
     def bind(self, points) -> Callable:
-        """Each summand's plan, bound once.  A step-1 ``range`` inside the
-        seed space that ``seed_runs`` reads at the low summand's bits as
-        (values, repeat) binds the high summand on ``values`` and the low
-        one on the ``repeat`` seeds from start mod 2^(low bits), and its
-        values are their outer sum, the high summand the slow axis.  Any
-        other block is cut into the summands' word columns."""
+        """Each summand's plan, bound once.  A step-1 ``range`` that
+        ``seed_runs`` reads at the low summand's bits as (values, repeat)
+        binds the high summand on ``values`` and the low one on the
+        ``repeat`` seeds from start mod 2^(low bits), and its values are
+        their outer sum, the high summand the slow axis.  Any other block
+        is cut into the summands' word columns.  A ``range`` or packed
+        block that reaches past the seed space raises InvalidArgument."""
         low, high = self.low.bind(points), self.high.bind(points)
         bits, cut = self.low.seed_bits, len(self.low.seed_columns())
 
         def block(seeds):
+            self._check_block(seeds)
             runs = seed_runs(seeds, bits)
-            if runs is None or seeds.stop > self.seed_space:
+            if runs is None:
                 words = seed_words(seeds, self.seed_columns())
                 at_low, at_high = low(words[:, :cut]), high(words[:, cut:])
                 return lambda x: dsum_values(at_low(x), at_high(x), self.range_size)

@@ -426,8 +426,9 @@ def _largest_multiplicity(cols: list[np.ndarray], dtype) -> np.ndarray:
     return top
 
 
-# seeds per bincount of a loads block: its intp copy of the cells is
-# 128 KiB, where a whole 2^16-seed block's would be 512 KiB
+# seeds per count slice of a loads block: the plan is bound and its
+# columns, cells and intp bincount copy (128 KiB) are made for 2^14 seeds
+# at a time, where a whole 2^16-seed block's copy alone would be 512 KiB
 _COUNT_SLICE = 1 << 14
 
 
@@ -442,13 +443,13 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
     ``bj_threshold`` points of X\\Y (0 when it is None), by r * |Y|
     compares of bucket indices.
 
-    g is bound to the points once, before the scan, and to each block
-    once, and each point's bucket is evaluated once.  When
-    _loads_by_points(r, ell) holds, with r = |X\\Y| < ell, the least load
-    is 0 and the largest is the largest multiplicity among the r bucket
-    indices, so no load is stored.  Otherwise the points are added into
-    an (ell, block) matrix, which is reduced elementwise over its ell
-    contiguous rows.
+    g is bound to the points once, before the scan, and to each
+    _COUNT_SLICE sub-range of a block once, and each point's bucket is
+    evaluated once.  When _loads_by_points(r, ell) holds, with
+    r = |X\\Y| < ell, the least load is 0 and the largest is the largest
+    multiplicity among the r bucket indices, so no load is stored.
+    Otherwise the points are added into an (ell, slice) matrix, which is
+    reduced elementwise over its ell contiguous rows.
     """
     rest = [x for x in xs if x not in ys]
     r = len(rest)
@@ -458,43 +459,46 @@ def _scan_loads(g_family: SeededFamily, xs, ys, ell: int,
     pair = np.min_scalar_type(side * side - 1)  # a (least, largest) load cell
     plan = g_family.bind(rest if bj_threshold is None else [*ys, *rest])
 
-    def count(seeds):
-        n = len(seeds)
-        # every evaluation is a fresh array that the count only reads, so
-        # a column already of the bucket type is taken as it is
-        evaluate = plan(seeds)
-        if bj_threshold is not None:
-            j_buckets = [evaluate(y).astype(bucket, copy=False) for y in ys]
-            in_j = np.zeros(n, dtype=load)
-        if by_points:
-            cols = []
-        else:
-            loads = np.zeros((ell, n), dtype=load)
-            # (b - 1) * n + j is the cell of bucket b at seed j
-            cell = np.arange(-n, 0)
-        for x in rest:
-            col = evaluate(x).astype(bucket, copy=False)
+    def count(block):
+        total = np.zeros(side * side + 1, dtype=np.int64)
+        for lo in range(0, len(block), _COUNT_SLICE):
+            seeds = block[lo:lo + _COUNT_SLICE]
+            n = len(seeds)
+            # every evaluation is a fresh array that the count only reads,
+            # so a column already of the bucket type is taken as it is
+            evaluate = plan(seeds)
             if bj_threshold is not None:
-                hit = col == j_buckets[0]
-                for b in j_buckets[1:]:
-                    hit |= col == b
-                in_j += hit
+                j_buckets = [evaluate(y).astype(bucket, copy=False) for y in ys]
+                in_j = np.zeros(n, dtype=load)
             if by_points:
-                cols.append(col)
+                cols = []
             else:
-                index = col.astype(np.intp)
-                index *= n
-                index += cell
-                loads.reshape(-1)[index] += 1
-        if by_points:
-            cells = _largest_multiplicity(cols, load)
-        else:
-            cells = loads.min(axis=0).astype(pair) * side + loads.max(axis=0)
-        bj_bad = 0 if bj_threshold is None else np.count_nonzero(in_j >= bj_threshold)
-        # bincount reads intp, so the narrow cells are widened a slice at a time
-        hist = sum(np.bincount(cells[lo:lo + _COUNT_SLICE], minlength=side * side)
-                   for lo in range(0, n, _COUNT_SLICE))
-        return np.append(hist, bj_bad)
+                loads = np.zeros((ell, n), dtype=load)
+                # (b - 1) * n + j is the cell of bucket b at seed j
+                cell = np.arange(-n, 0)
+            for x in rest:
+                col = evaluate(x).astype(bucket, copy=False)
+                if bj_threshold is not None:
+                    hit = col == j_buckets[0]
+                    for b in j_buckets[1:]:
+                        hit |= col == b
+                    in_j += hit
+                if by_points:
+                    cols.append(col)
+                else:
+                    index = col.astype(np.intp)
+                    index *= n
+                    index += cell
+                    loads.reshape(-1)[index] += 1
+            if by_points:
+                cells = _largest_multiplicity(cols, load)
+            else:
+                cells = loads.min(axis=0).astype(pair) * side + loads.max(axis=0)
+            # bincount reads intp, so it widens the slice's narrow cells
+            total[:-1] += np.bincount(cells, minlength=side * side)
+            if bj_threshold is not None:
+                total[-1] += np.count_nonzero(in_j >= bj_threshold)
+        return total
 
     total = scan(g_family, count)[0]
     return total[:-1].reshape(side, side), int(total[-1])

@@ -2,8 +2,9 @@
 and its count slices' draws, the stream's waiting half, the direct sum,
 the verdict rule, the CLI's exit status for a bad config, the uniform
 allocation's B_J law, the aligned t-wise block values, the in-place
-rewrite of an output, the extractor distance's span slices and the
-repeat count of the overlay's values on a block cut at h0's runs.
+rewrite of an output, the extractor distance's span slices, the
+repeat count of the overlay's values on a block cut at h0's runs and
+the loads count's seed slices.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -81,6 +82,13 @@ MUTATIONS = [
     # go through the layers with equal values
     ("the overlay's repeat count one bit short", KWISE,
      "seeds.stop >> offset), 1 << offset", "seeds.stop >> offset), 1 << offset - 1"),
+    # every 2^16-seed loads block then counts three of its four 2^14-seed
+    # slices: the benchmark's loads-test pin (16 blocks) and twise_loads
+    # (4 blocks) count a quarter fewer seeds; loads_small's one block of
+    # 256 seeds is one slice and still counts whole
+    ("the loads count skips a block's last slice", VERIFY,
+     "for lo in range(0, len(block), _COUNT_SLICE):",
+     "for lo in range(0, max(1, len(block) - _COUNT_SLICE), _COUNT_SLICE):"),
 ]
 
 

@@ -106,6 +106,17 @@ def test_eval_block_matches_scalar_eval():
             assert block.tolist() == [fam.eval(int(s), x) for s in seeds]
 
 
+def test_plans_refuse_blocks_past_the_seed_space():
+    # as eval refuses the seed; the last seeds of the space still evaluate
+    for fam in (desk_minwise(), desk_kminwise()):
+        plan, top = fam.bind(range(1, 5)), fam.seed_space
+        assert plan(range(top - 4, top))(1).tolist() == [fam.eval(s, 1) for s in range(top - 4, top)]
+        for seeds in (range(top - 4, top + 4), range(-1, 3),
+                      np.array([0, top], dtype=np.uint64), np.array([-1, 0], dtype=np.int64)):
+            with pytest.raises(InvalidArgument, match="outside"):
+                plan(seeds)
+
+
 def test_evaluation_is_lazy_in_other_buckets():
     # with a chunked PRG1, coordinate i reads only its own bit chunk, so
     # h(x) must ignore every chunk belonging to a bucket other than g(x)

@@ -344,7 +344,6 @@ def test_other_blocks_and_points_past_the_budget_take_the_word_path(monkeypatch)
         range(3, 3 + (1 << 10)),  # unaligned start
         range(1 << 12, (1 << 12) + 3000),  # not a power of two
         range(1 << 12, 1 << 14, 2),  # a step of 2
-        range(0, 1 << 21),  # past the seed space: high bits ignored
         np.arange(1 << 12, 1 << 13, dtype=np.uint64),  # packed
         words,  # 2-D word columns
     ]
@@ -356,8 +355,13 @@ def test_other_blocks_and_points_past_the_budget_take_the_word_path(monkeypatch)
         for x in (1, 2, 3):
             got = evaluate(x)
             assert got.dtype == (np.uint8 if x == 1 else np.uint64) and len(got) == len(ints)
-            assert [int(got[i]) for i in picks] == [
-                fam.eval(ints[i] & (fam.seed_space - 1), x) for i in picks], (seeds, x)
+            assert [int(got[i]) for i in picks] == [fam.eval(ints[i], x) for i in picks], (
+                seeds, x)
+    # a block that reaches past the seed space is refused, as eval refuses its seeds
+    for seeds in (range(0, 1 << 21), range(-1, 8),
+                  np.arange((1 << 20) - 4, (1 << 20) + 4, dtype=np.uint64)):
+        with pytest.raises(InvalidArgument, match=r"outside \[0, 2\^20\)"):
+            plan(seeds)
 
 
 def test_plan_tables_are_read_only_and_values_fresh():
@@ -418,6 +422,12 @@ def test_direct_sum_plan_matches_scalar_eval(monkeypatch, seeds, low, high):
     assert d.low.seed_bits == 9 and d.seed_bits == 15
     seen = _direct_sum_blocks(monkeypatch, d)
     points = range(1, 9)
+    if isinstance(seeds, range) and seeds.stop > d.seed_space:
+        # refused before either summand sees a block, as eval refuses the seeds
+        with pytest.raises(InvalidArgument, match=r"seed 0x81ff outside \[0, 2\^15\)"):
+            d.bind(points)(seeds)
+        assert seen == []
+        return
     evaluate = d.bind(points)(seeds)
     got = {x: evaluate(x) for x in points}
     if low is None:
@@ -425,8 +435,7 @@ def test_direct_sum_plan_matches_scalar_eval(monkeypatch, seeds, low, high):
             ("low", (len(seeds), 3)), ("high", (len(seeds), 2))]
     else:
         assert seen == [("low", low), ("high", high)]
-    # a seed past the space reads as its low 15 bits, as its words do
-    ints = [s % d.seed_space for s in seed_ints(seeds, d.seed_columns())]
+    ints = seed_ints(seeds, d.seed_columns())
     for x in points:
         assert got[x].tolist() == [d.eval(s, x) for s in ints]
 
@@ -468,6 +477,16 @@ class _Width(kwise.SeededFamily):
 
     def eval(self, seed, x):
         return 1
+
+
+def test_the_default_plan_refuses_blocks_past_the_seed_space():
+    # the scalar loop rebuilds each seed from its words, which hold only
+    # their bits, so the plan checks the block itself
+    plan = _Width(3).bind([1])
+    assert plan(range(8))(1).tolist() == [1] * 8
+    for seeds in (range(4, 12), np.array([1, 8], dtype=np.uint64)):
+        with pytest.raises(InvalidArgument, match=r"seed 0x[8b] outside \[0, 2\^3\)"):
+            plan(seeds)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
