@@ -16,9 +16,10 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from .config import Config, reading, within, write_json
+from .config import Config, exact, power_bound, reading, within, write_json, written
 from .errors import EXHAUSTIVE_SEED_BITS, InvalidArgument, MinwiseLabError, SeedSpaceTooLarge
 
 SUMMARY_THRESHOLD_KEYS = ("max_mult_err_uniform", "median_mult_err_uniform",
@@ -200,8 +201,8 @@ def _measure_spec(cfg: Config) -> tuple:
     mode, samples, run_seed = _sampling(cfg)
     queries = _corpus_queries(cfg, family.domain_size, family.params.k)
     thresholds = cfg.obj("thresholds", {})
-    limits = {name: thresholds.number(name, None) for name in sorted(SUMMARY_THRESHOLD_KEYS)}
-    limits = {name: float(limit) for name, limit in limits.items() if limit is not None}
+    limits = {name: exact(limit) for name in sorted(SUMMARY_THRESHOLD_KEYS)
+              if (limit := thresholds.number(name, None)) is not None}
     return family, mode, samples, run_seed, queries, limits
 
 
@@ -220,11 +221,9 @@ def _cmd_measure(args) -> int:
         raise InvalidArgument(f"{exc}{MC_HINT}")
 
     verify.write_reports_csv(out / "measure.csv", reports)
-    exact = verify.exact_summary(reports)
-    summary = {name: value if value is None or name == "queries" else float(value)
-               for name, value in exact.items()}
+    summary = verify.exact_summary(reports)
     checks = [{"name": name, "limit": limit, "value": summary[name],
-               "ok": exact[name] is None or within(exact[name], limit)}
+               "ok": summary[name] is None or within(summary[name], limit)}
               for name, limit in limits.items()]
     verify.write_json(out / "summary.json", {
         "family_id": family.family_id,
@@ -238,7 +237,7 @@ def _cmd_measure(args) -> int:
     ok = all(c["ok"] for c in checks)
     print(
         f"measure: {summary['queries']} queries, "
-        f"max mult_err_uniform={summary['max_mult_err_uniform']}, "
+        f"max mult_err_uniform={written(summary['max_mult_err_uniform'])}, "
         f"thresholds {'pass' if ok else 'FAIL'}"
     )
     return 0 if ok else 1
@@ -275,16 +274,14 @@ def _component_extractor(params: dict, threads: int) -> tuple[dict, bool, str]:
     levels = []
     if fs is not None:
         for entropy in range(ext.m + 1, ext.n):
-            worst = 0
+            worst = Fraction(0)
             for _ in range(per):
                 support = stream.choice(1 << ext.n, 1 << entropy)
                 src = FlatSource(ext.n, tuple(support))
                 worst = max(worst, strong_extractor_distance(ext, src))
-            levels.append({
-                "entropy": entropy, "sources": per, "max_distance": float(worst),
-                "bound": leftover_bound(ext.m, entropy),
-                "ok": within(worst, 2, 2, (ext.m - entropy) / 2),
-            })
+            bound = leftover_bound(ext.m, entropy)
+            levels.append({"entropy": entropy, "sources": per, "max_distance": worst,
+                           "bound": power_bound(*bound), "ok": within(worst, *bound)})
     ok = full_rank and all(lv["ok"] for lv in levels)
     return ({"map_id": ext.map_id, "n": ext.n, "m": ext.m, "seeds": n_seeds,
              "full_rank": full_rank, "levels": levels, "ok": ok}, ok,
@@ -310,7 +307,7 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
         if isinstance(prg, FullIndependencePRG):
             if claimed is not None:
                 raise InvalidArgument("full independence has error 0 by definition")
-            claimed = 0.0
+            claimed = Fraction(0)
         mode, samples, run_seed = _sampling(cfg)
         thetas = list(cfg.ints("thresholds", range(alpha + 1), lo=0))
     try:
@@ -318,15 +315,15 @@ def _component_prg(params: dict, threads: int) -> tuple[dict, bool, str]:
                                   threads=threads)
     except SeedSpaceTooLarge as exc:
         raise InvalidArgument(f"{exc}{MC_HINT}")
-    rows = [{"theta": t, "error": float(err)} for t, err in zip(thetas, errors)]
-    max_err = max(errors, default=0)
+    rows = [{"theta": t, "error": err} for t, err in zip(thetas, errors)]
+    max_err = max(errors, default=Fraction(0))
     ok = claimed is None or within(max_err, claimed)
     return ({"prg_id": prg.prg_id, "dimension": dim, "alphabet": alpha,
              "mode": mode, "samples": samples, "run_seed": run_seed or 0,
-             "thresholds": rows, "max_error": float(max_err),
+             "thresholds": rows, "max_error": max_err,
              "claimed_error": claimed, "ok": ok}, ok,
-            f"max threshold error {float(max_err)} over {len(rows)} rectangles"
-            + (f", claimed {claimed}" if claimed is not None else ""))
+            f"max threshold error {written(max_err)} over {len(rows)} rectangles"
+            + (f", claimed {written(claimed)}" if claimed is not None else ""))
 
 
 def _component_kwise(params: dict, threads: int) -> tuple[dict, bool, str]:
@@ -365,7 +362,7 @@ def _component_loads(params: dict, threads: int) -> tuple[dict, bool, str]:
     rep = verify.check_load_lemma(g, X, Y, ell, regime, C, C_g)
     ok = rep.asserted_ok()
     return ({**rep.to_json(), "asserted_ok": ok}, ok,
-            f"{rep.regime} regime, bad frequency {rep.bad_frequency}, "
+            f"{rep.regime} regime, bad frequency {written(rep.bad_frequency)}, "
             f"chain {rep.chain.tag}, closed form {rep.closed_form.tag}")
 
 
@@ -378,8 +375,9 @@ def _component_reduction(params: dict, threads: int) -> tuple[dict, bool, str]:
     rep = verify.check_reduction(prg, X, Y, threads)
     ok = rep.asserted_ok()
     return ({**rep.to_json(), "asserted_ok": ok}, ok,
-            f"delta {rep.delta}, additive {rep.additive_error} <= {rep.additive_bound}, "
-            f"mult {rep.mult_error} <= {rep.mult_bound}")
+            f"delta {written(rep.delta)}, additive {written(rep.additive_error)} <= "
+            f"{written(rep.additive_bound)}, mult {written(rep.mult_error)} <= "
+            f"{written(rep.mult_bound)}")
 
 
 def _cmd_component(args) -> int:

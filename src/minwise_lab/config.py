@@ -149,9 +149,26 @@ def write_text(path, text: str) -> None:
             fh.truncate()
 
 
+def written(value):
+    """``value`` as every output writes it: reports hold exact values, and
+    a Fraction is rounded to its float here only."""
+    return float(value) if isinstance(value, Fraction) else value
+
+
 def write_json(path, payload) -> None:
-    """Write ``payload`` to ``path`` as indented JSON with sorted keys."""
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` to ``path`` as indented JSON with sorted keys,
+    each Fraction as written(); any other object that JSON cannot write
+    raises TypeError."""
+    def fraction(value):
+        if not isinstance(value, Fraction):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return written(value)
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=fraction) + "\n")
+
+
+def exact(x) -> Fraction:
+    """``x`` as a Fraction; a float is read as the decimal its repr writes."""
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
 
 
 def within(value, limit, base=1, power=0) -> bool:
@@ -165,11 +182,19 @@ def within(value, limit, base=1, power=0) -> bool:
     2 * 2^((m - k)/2) is compared without rounding: value^q against
     limit^q * base^p when neither is negative.
     """
-    value, limit, base, power = (Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
-                                 for x in (value, limit, base, power))
+    value, limit, base, power = map(exact, (value, limit, base, power))
     if value < 0 and limit < 0:
         # -limit * base^power <= -value, between positive sides
         return within(-limit, -value, base, -power)
     if value < 0 or limit < 0:
         return value < 0
     return value ** power.denominator <= limit ** power.denominator * base ** power.numerator
+
+
+def power_bound(limit, base=1, power=0) -> Fraction | float:
+    """limit * base^power as a report holds it: a Fraction at an integer
+    power, else the float ``float(limit) * base ** power``, as it may not
+    be rational."""
+    if Fraction(power).denominator == 1:
+        return Fraction(limit) * Fraction(base) ** int(power)
+    return float(limit) * base ** power

@@ -122,9 +122,9 @@ def spans_full_rank(span: np.ndarray) -> np.ndarray:
     return np.all(span[:, 1:] != 0, axis=1)
 
 
-def leftover_bound(m: int, k: float) -> float:
-    """The (k, eps)-strong leftover-hash error bound eps = 2 * 2^((m-k)/2)."""
-    return 2.0 * 2.0 ** ((m - k) / 2.0)
+def leftover_bound(m: int, k: int) -> tuple[int, int, Fraction]:
+    """The (k, eps)-strong leftover-hash bound 2 * 2^((m-k)/2), as (2, 2, (m-k)/2)."""
+    return 2, 2, Fraction(m - k, 2)
 
 
 def compose_extract(stages: Sequence, w: int, seeds: Sequence[int]) -> int:

@@ -16,7 +16,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -26,7 +26,7 @@ import numpy as np
 from . import kwise
 # measure writes its summary through verify.write_json, where
 # perfbench/trace_cli.py times it
-from .config import within, write_json, write_text  # noqa: F401
+from .config import power_bound, within, write_json, write_text, written  # noqa: F401
 from .errors import InvalidArgument
 from .kwise import SeededFamily, scan
 from .rectprg import RectanglePRG, TWisePRG, strict_order_margins
@@ -72,19 +72,16 @@ class ErrorReport:
     sizeX: int
     mode: str
     samples: int
-    measured_p: float
-    uniform_ref: float
-    fair_p: float
-    mult_err_uniform: float
-    mult_err_fair: float
-    tie_mass: float
-    ci_halfwidth: float
-    exact_measured: Fraction = field(repr=False)
-    exact_uniform: Fraction = field(repr=False)
-    exact_tie: Fraction = field(repr=False)
+    measured_p: Fraction
+    uniform_ref: Fraction
+    fair_p: Fraction
+    mult_err_uniform: Fraction
+    mult_err_fair: Fraction
+    tie_mass: Fraction
+    ci_halfwidth: float  # a square root, 0.0 in an exhaustive run
 
     def csv_row(self) -> list[str]:
-        values = [getattr(self, f.name) for f in fields(self)[:len(CSV_COLUMNS)]]
+        values = (written(getattr(self, f.name)) for f in fields(self))
         return [v if isinstance(v, str) else repr(v) for v in values]
 
 
@@ -235,25 +232,13 @@ def _error_report(family: SeededFamily, xs: list[int], ys: list[int],
     uniform = uniform_minwise_probability(len(xs), family.range_size, k)
     fair = Fraction(1, math.comb(len(xs), k))
     measured = Fraction(hits, total)
-    tie_mass = Fraction(ties, total)
     return ErrorReport(
-        family_id=family.family_id,
-        N=family.domain_size,
-        M=family.range_size,
-        k=k,
-        sizeX=len(xs),
-        mode="exhaustive" if samples is None else "mc",
-        samples=total,
-        measured_p=float(measured),
-        uniform_ref=float(uniform),
-        fair_p=float(fair),
-        mult_err_uniform=float(abs(measured - uniform) / uniform),
-        mult_err_fair=float(abs(measured - fair) / fair),
-        tie_mass=float(tie_mass),
+        family_id=family.family_id, N=family.domain_size, M=family.range_size, k=k,
+        sizeX=len(xs), mode="exhaustive" if samples is None else "mc", samples=total,
+        measured_p=measured, uniform_ref=uniform, fair_p=fair,
+        mult_err_uniform=abs(measured - uniform) / uniform,
+        mult_err_fair=abs(measured - fair) / fair, tie_mass=Fraction(ties, total),
         ci_halfwidth=0.0 if samples is None else _wilson_halfwidth(hits, total),
-        exact_measured=measured,
-        exact_uniform=uniform,
-        exact_tie=tie_mass,
     )
 
 
@@ -276,11 +261,11 @@ def measure_minwise(
 
 @dataclass
 class BoundCheck:
-    """One inequality: measured frequency vs a numeric bound."""
+    """One inequality: measured frequency vs a bound, as power_bound holds it."""
 
     description: str
-    frequency: float
-    bound: float
+    frequency: Fraction
+    bound: Fraction | float
     vacuous: bool
     ok: bool
 
@@ -289,7 +274,7 @@ class BoundCheck:
         """frequency <= bound * base^power by within, vacuous above 1."""
         vac = not within(bound, 1, base, -power)
         ok = vac or within(frequency, bound, base, power)
-        return cls(description, float(frequency), float(bound) * base ** power, vac, ok)
+        return cls(description, frequency, power_bound(bound, base, power), vac, ok)
 
     @property
     def tag(self) -> str:
@@ -305,35 +290,27 @@ class LoadReport:
     sizeX: int
     k: int
     r: int
-    threshold: float
-    bad_frequency: float
+    threshold: Fraction | float  # a float in the mid regime: mean + ell^0.1
+    bad_frequency: Fraction
     max_load_seen: int
     chain: BoundCheck
     closed_form: BoundCheck
     bj_threshold: int | None = None
-    bj_frequency: float | None = None
+    bj_frequency: Fraction | None = None
     bj_chain: BoundCheck | None = None
 
     def asserted_ok(self) -> bool:
         return self.chain.ok and (self.bj_chain is None or self.bj_chain.ok)
 
     def to_json(self) -> dict:
-        out = {
-            "regime": self.regime, "ell": self.ell, "sizeX": self.sizeX,
-            "k": self.k, "r": self.r, "threshold": self.threshold,
-            "bad_frequency": self.bad_frequency,
-            "max_load_seen": self.max_load_seen,
-            "chain_bound": self.chain.bound, "chain_tag": self.chain.tag,
-            "closed_form_bound": self.closed_form.bound,
-            "closed_form_tag": self.closed_form.tag,
-        }
-        if self.bj_chain is not None:
-            out.update({
-                "bj_threshold": self.bj_threshold,
-                "bj_frequency": self.bj_frequency,
-                "bj_chain_bound": self.bj_chain.bound,
-                "bj_chain_tag": self.bj_chain.tag,
-            })
+        """Every field that is set, a check as its bound and its tag."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, BoundCheck):
+                out.update({f"{f.name}_bound": value.bound, f"{f.name}_tag": value.tag})
+            elif value is not None:
+                out[f.name] = value
         return out
 
 
@@ -564,14 +541,14 @@ def check_load_lemma(
     bj_thr = None
     if regime == "small":
         if k == 1:
-            u = float(C_g)
+            u = C_g
         else:
             # the lemma's t = log2 ell, rounded and at least 1; no caller sets it
             t = max(1, round(math.log2(ell)))
             u = C_g + 10 * k * math.log2(max(2, len(xs))) / t
             bj_thr = min(max(1, (C_g - 1) * k), max(1, indep - k))
         u_eff = min(max(1, math.ceil(u)), indep)
-        threshold, lo, hi = float(u_eff), 0, u_eff - 1
+        threshold, lo, hi = Fraction(u_eff), 0, u_eff - 1
     else:
         # mid and large regimes share the even-moment machinery, which
         # needs at least pairwise independence to be a theorem
@@ -586,8 +563,7 @@ def check_load_lemma(
             # the last load L below mean + ell^0.1: 1 <= (L + 1 - mean) * ell^-0.1
             hi = next(L for L in itertools.count() if within(1, L + 1 - mean, ell, -0.1))
         else:
-            a = mean / 10
-            threshold = float(a)
+            threshold = a = mean / 10
             lo, hi = math.floor(mean - a) + 1, math.ceil(mean + a) - 1
 
     if uniform_g:
@@ -637,11 +613,11 @@ def check_load_lemma(
             "1/|X|^(3C*k)" if k > 1 else "1/|X|^(3C)",
             freq, Fraction(1, len(xs) ** (3 * C * k)))
     report = LoadReport(
-        regime, ell, len(xs), k, r, threshold, float(freq), max_seen, chain, closed,
+        regime, ell, len(xs), k, r, threshold, freq, max_seen, chain, closed,
     )
     if bj_thr is not None:
         report.bj_threshold = bj_thr
-        report.bj_frequency = float(bj_freq)
+        report.bj_frequency = bj_freq
         report.bj_chain = BoundCheck.make(
             f"Pr[|B_J| >= {bj_thr}] <= C(r,{bj_thr})*(k/ell)^{bj_thr}",
             bj_freq, min(Fraction(1), math.comb(r, bj_thr) * Fraction(k, ell) ** bj_thr),
@@ -660,11 +636,11 @@ class TailReport:
     b: int
     theta: int
     M: int
-    exact_p: float
-    reference: float
-    tolerance: float
+    exact_p: Fraction
+    reference: Fraction
+    tolerance: Fraction
     within: bool
-    implied_constant: float | None
+    implied_constant: float | None  # a (2/t)-th power
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -695,7 +671,7 @@ def check_twise_tails(t: int, b: int, thetas, M: int) -> list[TailReport]:
         if theta > 0 and exact > 0:
             implied = float(exact) ** (2.0 / t) * (b * theta / M) / t
         reports.append(TailReport(
-            t, b, theta, M, float(exact), float(reference), float(tolerance),
+            t, b, theta, M, exact, reference, tolerance,
             within(abs(exact - reference), tolerance), implied,
         ))
     return reports
@@ -712,14 +688,14 @@ class ReductionReport:
     M: int
     k: int
     sizeX: int
-    delta: float
+    delta: Fraction
     rectangles_checked: int
-    measured_p: float
-    uniform_p: float
-    additive_error: float
-    additive_bound: float
-    mult_error: float
-    mult_bound: float
+    measured_p: Fraction
+    uniform_p: Fraction
+    additive_error: Fraction
+    additive_bound: Fraction
+    mult_error: Fraction
+    mult_bound: Fraction
     precondition_ok: bool
     additive_ok: bool
     mult_ok: bool
@@ -790,15 +766,9 @@ def check_reduction(prg: RectanglePRG, X, Y, threads: int = 1) -> ReductionRepor
         mult_bound = Fraction(N ** k * 4 * M, math.factorial(k)) * delta
 
     return ReductionReport(
-        N=N, M=M, k=k, sizeX=len(xs),
-        delta=float(delta),
-        rectangles_checked=len(errors),
-        measured_p=float(measured),
-        uniform_p=float(uniform),
-        additive_error=float(additive),
-        additive_bound=float(additive_bound),
-        mult_error=float(mult),
-        mult_bound=float(mult_bound),
+        N=N, M=M, k=k, sizeX=len(xs), delta=delta, rectangles_checked=len(errors),
+        measured_p=measured, uniform_p=uniform, additive_error=additive,
+        additive_bound=additive_bound, mult_error=mult, mult_bound=mult_bound,
         precondition_ok=within(Fraction(math.factorial(k), 2 * N ** k), uniform),
         additive_ok=within(additive, additive_bound),
         mult_ok=within(mult, mult_bound),
@@ -822,19 +792,17 @@ def write_reports_csv(path, reports) -> None:
 
 def exact_summary(reports) -> dict:
     """Max/median multiplicative errors and the largest tie mass of a corpus
-    of ErrorReports, as Fractions of their exact fields (None if empty)."""
+    of ErrorReports, as Fractions (None if empty)."""
     if not reports:
         return {"queries": 0, "max_mult_err_uniform": None,
                 "median_mult_err_uniform": None,
                 "max_mult_err_fair": None, "max_tie_mass": None}
-    uni = sorted(abs(r.exact_measured - r.exact_uniform) / r.exact_uniform for r in reports)
+    uni = sorted(r.mult_err_uniform for r in reports)
     mid = len(uni) // 2
     return {
         "queries": len(reports),
         "max_mult_err_uniform": uni[-1],
         "median_mult_err_uniform": uni[mid] if len(uni) % 2 else (uni[mid - 1] + uni[mid]) / 2,
-        # |p - 1/C(|X|, k)| / (1/C(|X|, k))
-        "max_mult_err_fair": max(abs(r.exact_measured * math.comb(r.sizeX, r.k) - 1)
-                                 for r in reports),
-        "max_tie_mass": max(r.exact_tie for r in reports),
+        "max_mult_err_fair": max(r.mult_err_fair for r in reports),
+        "max_tie_mass": max(r.tie_mass for r in reports),
     }

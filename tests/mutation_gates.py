@@ -3,8 +3,8 @@ and its count slices' draws, the stream's waiting half, the direct sum,
 the verdict rule, the CLI's exit status for a bad config, the uniform
 allocation's B_J law, the aligned t-wise block values, the in-place
 rewrite of an output, the extractor distance's span slices, the
-repeat count of the overlay's values on a block cut at h0's runs and
-the loads count's seed slices.
+repeat count of the overlay's values on a block cut at h0's runs, the
+loads count's seed slices and the exact multiplicative error.
 
 The checkout is copied to a temporary directory.  Each mutation replaces
 one exact string in one file of the copy (it must match exactly once),
@@ -89,6 +89,11 @@ MUTATIONS = [
     ("the loads count skips a block's last slice", VERIFY,
      "for lo in range(0, len(block), _COUNT_SLICE):",
      "for lo in range(0, max(1, len(block) - _COUNT_SLICE), _COUNT_SLICE):"),
+    # each report then holds |p - u| / u of the rounded p and u: the four
+    # Monte-Carlo measure pins write other last digits of mult_err_uniform
+    ("mult_err_uniform formed from rounded floats", VERIFY,
+     "mult_err_uniform=abs(measured - uniform) / uniform,",
+     "mult_err_uniform=abs(float(measured) - float(uniform)) / float(uniform),"),
 ]
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from minwise_lab.cli import _corpus_queries
 from minwise_lab.cli import main as cli_main
+from minwise_lab.config import power_bound
 from minwise_lab.construction import family_from_config
 from minwise_lab.extractor import (
     FlatSource,
@@ -169,7 +170,7 @@ def test_criterion_04_leftover_bound_on_random_flat_sources(capsys):
     for n, m in ((6, 2), (8, 3), (10, 4), (12, 4)):
         ext = LeftoverHash(n, m)
         for level in range(m + 1, n):
-            bound = leftover_bound(m, level)
+            bound = power_bound(*leftover_bound(m, level))
             worst = 0.0
             for _ in range(200):
                 support = tuple(
@@ -361,9 +362,9 @@ def test_criterion_09_pinned_construction_beats_its_baseline(capsys,
         baseline = TWiseFamily(cfg["construction"]["t"],
                                cfg["construction"]["N"],
                                cfg["construction"]["M"])
-        base_max = max(
+        base_max = float(max(
             measure_minwise(baseline, X, Y).mult_err_uniform
-            for X, Y in _corpus_queries(cfg, cfg["construction"]["N"], 1))
+            for X, Y in _corpus_queries(cfg, cfg["construction"]["N"], 1)))
         with capsys.disabled():
             print(f"    construction max mult err {constr_max:.4f}, "
                   f"pure {cfg['construction']['t']}-wise baseline "

@@ -566,7 +566,7 @@ def test_measure_limit_is_decided_exactly(tmp_path):
                  "--out-dir", str(out)]) == 0
     printed = json.loads((out / "summary.json").read_text())["summary"]["max_mult_err_uniform"]
     rep = verify.measure_minwise(family_from_config(cfg["construction"]), [1, 3, 4], [4])
-    assert Fraction(repr(printed)) < abs(rep.exact_measured - rep.exact_uniform) / rep.exact_uniform
+    assert Fraction(repr(printed)) < abs(rep.measured_p - rep.uniform_ref) / rep.uniform_ref
     cfg["thresholds"] = {"max_mult_err_uniform": printed}
     assert main(["measure", "--config", _write(tmp_path, "b.json", cfg),
                  "--out-dir", str(out)]) == 1

@@ -706,8 +706,8 @@ def test_points_past_the_table_budget_keep_equal_values(monkeypatch):
             got = measure_corpus(fam, queries)
         assert [x for kind, o, x in built if kind == "T"] == tabled
         assert [x for kind, o, x in built if kind == "Y"] == with_y
-        assert [r.exact_measured for r in got] == [r.exact_measured for r in want]
-        assert [r.exact_tie for r in got] == [r.exact_tie for r in want]
+        assert [r.measured_p for r in got] == [r.measured_p for r in want]
+        assert [r.tie_mass for r in got] == [r.tie_mass for r in want]
 
 
 def _past_the_budget(kind: str):

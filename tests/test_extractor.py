@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import benchmark_module
+from minwise_lab.config import power_bound
 from minwise_lab.errors import InvalidArgument
 from minwise_lab.extractor import (
     FlatSource,
@@ -114,7 +115,7 @@ def test_leftover_bound_example_n10():
     src = FlatSource(10, support)
     assert min_entropy(src) == 8
     dist = strong_extractor_distance(ext, src)
-    assert 0.0 <= dist <= leftover_bound(4, 8) == 0.5
+    assert 0.0 <= dist <= power_bound(*leftover_bound(4, 8)) == 0.5
 
 
 def test_distance_zero_for_full_support():
@@ -295,7 +296,7 @@ def test_two_stage_flat_source_bound():
     rng = random.Random(82)
     support = tuple(rng.sample(range(256), 64))
     k = 6
-    bound = leftover_bound(2, k) + leftover_bound(2, k - first.m)
+    bound = power_bound(*leftover_bound(2, k)) + power_bound(*leftover_bound(2, k - first.m))
     n_seeds = 1 << comp.d
     counts = np.zeros((n_seeds, 1 << comp.m))
     for s in range(n_seeds):

@@ -132,7 +132,7 @@ def test_uniform_singletons_sum_to_one_minus_ties(sizeX, M):
 def test_exhaustive_matches_uniform_for_fully_independent_family():
     fam = TWiseFamily(3, 3, 4)  # 3-wise on 3 points == truly uniform
     rep = measure_minwise(fam, [1, 2, 3], [2])
-    assert rep.exact_measured == uniform_minwise_probability(3, 4, 1)
+    assert rep.measured_p == uniform_minwise_probability(3, 4, 1)
     assert rep.mult_err_uniform == 0.0
     assert rep.ci_halfwidth == 0.0
     assert rep.mode == "exhaustive" and rep.samples == fam.seed_space
@@ -142,9 +142,9 @@ def test_exhaustive_matches_uniform_for_full_independence_prg():
     # same statement through the PRG adapter route
     fam = PRGHashFamily(FullIndependencePRG(3, 4))
     rep = measure_minwise(fam, [1, 2, 3], [1])
-    assert rep.exact_measured == Fraction(7, 32)
+    assert rep.measured_p == Fraction(7, 32)
     # ties: sum over v of [(5-v)^2 - (4-v)^2] / 64 = (7+5+3+1)/64
-    assert rep.exact_tie == Fraction(1, 4)
+    assert rep.tie_mass == Fraction(1, 4)
 
 
 def test_singleton_hits_plus_tie_mass_cover_the_seed_space():
@@ -153,7 +153,7 @@ def test_singleton_hits_plus_tie_mass_cover_the_seed_space():
     total_hits = Fraction(0)
     for y in X:
         rep = measure_minwise(fam, X, [y])
-        total_hits += rep.exact_measured
+        total_hits += rep.measured_p
     # independent recount of seeds whose minimum is not unique
     seeds = np.arange(fam.seed_space, dtype=np.uint64)
     vals = np.stack([fam.eval_block(seeds, x) for x in X])
@@ -168,7 +168,7 @@ def test_exhaustive_chunking_is_invisible():
         a = measure_minwise(fam, [1, 2, 3, 4, 5], [3])
     with scan_chunk_bits(20):
         b = measure_minwise(fam, [1, 2, 3, 4, 5], [3])
-    assert a.exact_measured == b.exact_measured
+    assert a.measured_p == b.measured_p
     assert a.tie_mass == b.tie_mass
 
 
@@ -286,8 +286,8 @@ def test_exhaustive_corpus_matches_per_query_reference(fam_corpus, chunk_bits, t
     for rep, (X, Y) in zip(reports, corpus):
         hits, ties = _reference_counts(fam, seeds, X, Y)
         assert (rep.sizeX, rep.k, rep.samples) == (len(X), len(Y), fam.seed_space)
-        assert rep.exact_measured == Fraction(hits, fam.seed_space)
-        assert rep.exact_tie == Fraction(ties, fam.seed_space)
+        assert rep.measured_p == Fraction(hits, fam.seed_space)
+        assert rep.tie_mass == Fraction(ties, fam.seed_space)
 
 
 def _check_mc_against_per_query_draws(fam, corpus, run_seed, threads=1):
@@ -296,8 +296,8 @@ def _check_mc_against_per_query_draws(fam, corpus, run_seed, threads=1):
                              run_seed=run_seed, threads=threads)
     for rep, (X, Y) in zip(reports, corpus):
         hits, ties = _reference_counts(fam, fam.layout.draw_block(Philox(run_seed), samples), X, Y)
-        assert rep.measured_p == hits / samples
-        assert rep.tie_mass == ties / samples
+        assert rep.measured_p == Fraction(hits, samples)
+        assert rep.tie_mass == Fraction(ties, samples)
         assert rep.samples == samples
 
 
@@ -336,7 +336,7 @@ def test_mc_corpus_on_a_2d_layout_does_not_depend_on_the_count_slices(corpus):
     fam, samples, run_seed = _wide_kminwise(), 1001, 4
     drawn = fam.layout.draw_block(Philox(run_seed), samples)
     assert drawn.ndim == 2
-    want = [(hits / samples, ties / samples)
+    want = [(Fraction(hits, samples), Fraction(ties, samples))
             for hits, ties in (_reference_counts(fam, drawn, X, Y) for X, Y in corpus)]
     for count_bits in (0, 3, 14, 16):
         for threads in (1, 2):
@@ -585,7 +585,7 @@ def test_uniform_band_frequency_is_quick_at_many_buckets():
     with deadline(5):
         rep = check_load_lemma("uniform", range(1, 301), [1], 1024, "small")
     # a load of 2 is bad, so the good placements are the injective ones
-    assert rep.bad_frequency == float(1 - Fraction(math.perm(1024, 299), 1024 ** 299))
+    assert rep.bad_frequency == 1 - Fraction(math.perm(1024, 299), 1024 ** 299)
 
 
 def test_small_regime_uniform_and_full_independence_family_agree():
@@ -846,7 +846,7 @@ def test_regime_edges_are_exact(size, declared, actual):
 def test_large_regime_threshold_is_the_exact_tenth_of_the_mean():
     # r = 12 points over ell = 2 buckets: mean 6, band decided at |load - 6| >= 3/5
     rep = check_load_lemma("uniform", range(1, 14), [13], 2, "large")
-    assert rep.threshold == 0.6
+    assert rep.threshold == Fraction(3, 5)
 
 
 def test_load_lemma_validation():
@@ -891,13 +891,17 @@ def test_load_lemma_rejects_duplicate_points():
                 check_load_lemma(g, xs, ys, 16, "small")
 
 
-def test_load_report_json_round_trip():
+def test_load_report_json_round_trip(tmp_path):
     rep = check_load_lemma("uniform", [1, 2, 3, 4, 5, 6], [1, 2],
                            16, "small", C_g=2)
     blob = rep.to_json()
     assert blob["regime"] == "small" and blob["bj_threshold"] == 2
     assert blob["chain_tag"] in ("holds", "vacuous")
-    assert isinstance(blob["closed_form_bound"], float)
+    assert isinstance(blob["closed_form_bound"], Fraction)
+    verify.write_json(tmp_path / "loads.json", blob)
+    written = json.loads((tmp_path / "loads.json").read_text())
+    assert written["closed_form_bound"] == float(blob["closed_form_bound"])
+    assert isinstance(written["closed_form_bound"], float)
 
 
 # ---------------------------------------------------------------------------
@@ -983,9 +987,9 @@ def test_reduction_pairwise_frozen_values():
     vals = np.stack([fam.eval_block(seeds, x) for x in (1, 2, 3, 4)])
     hits = int((vals[0] < vals[1:].min(axis=0)).sum())
     assert Fraction(hits, 64) == Fraction(7, 32)
-    assert rep.measured_p == float(Fraction(7, 32))
-    assert rep.uniform_p == float(Fraction(49, 256))
-    assert rep.mult_error == float(Fraction(1, 7))
+    assert rep.measured_p == Fraction(7, 32)
+    assert rep.uniform_p == Fraction(49, 256)
+    assert rep.mult_error == Fraction(1, 7)
     assert rep.additive_error <= rep.additive_bound
     assert rep.precondition_ok and rep.mult_ok and rep.asserted_ok()
 
@@ -1112,9 +1116,9 @@ def test_summary_statistics():
     reports = [measure_minwise(fam, [1, 2, 3, 4], [y]) for y in (1, 2, 3)]
     s = exact_summary(reports)
     assert s["queries"] == 3
-    assert float(s["max_mult_err_uniform"]) == max(r.mult_err_uniform for r in reports)
+    assert s["max_mult_err_uniform"] == max(r.mult_err_uniform for r in reports)
     vals = sorted(r.mult_err_uniform for r in reports)
-    assert float(s["median_mult_err_uniform"]) == vals[1]
+    assert s["median_mult_err_uniform"] == vals[1]
     empty = exact_summary([])
     assert empty["queries"] == 0 and empty["max_mult_err_uniform"] is None
 
