@@ -27,7 +27,6 @@ _EXPORTS = {
     "SeededFamily": "kwise",
     "TWiseFamily": "kwise",
     "FullIndependencePRG": "rectprg",
-    "PRGHashFamily": "rectprg",
     "Rectangle": "rectprg",
     "RecursiveMixPRG": "rectprg",
     "TWisePRG": "rectprg",

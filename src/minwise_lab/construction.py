@@ -32,7 +32,7 @@ from .kwise import (
     TWiseFamily,
     seed_runs,
 )
-from .rectprg import PRGHashFamily, RectanglePRG, prg_from_config
+from .rectprg import RectanglePRG, prg_from_config
 
 
 def _is_pow2(v: int) -> bool:
@@ -179,18 +179,18 @@ class _BucketedFamily(SeededFamily):
 
     def __init__(self, params: ConstructionParams, prg1: RectanglePRG,
                  prg2: RectanglePRG, extractor: LeftoverHash) -> None:
-        if prg1.dimension != params.ell:
+        if prg1.domain_size != params.ell:
             raise InvalidArgument(
-                f"per-bucket seed PRG dimension {prg1.dimension} != ell {params.ell}"
+                f"per-bucket seed PRG dimension {prg1.domain_size} != ell {params.ell}"
             )
-        if prg1.alphabet != 1 << extractor.d:
+        if prg1.range_size != 1 << extractor.d:
             raise InvalidArgument(
-                f"per-bucket seed PRG alphabet {prg1.alphabet} does not cover the "
+                f"per-bucket seed PRG alphabet {prg1.range_size} does not cover the "
                 f"{extractor.d}-bit extractor seed"
             )
-        if prg2.dimension != params.N or prg2.alphabet != params.M:
+        if prg2.domain_size != params.N or prg2.range_size != params.M:
             raise InvalidArgument(
-                f"inner PRG shape ({prg2.dimension}, {prg2.alphabet}) != "
+                f"inner PRG shape ({prg2.domain_size}, {prg2.range_size}) != "
                 f"(N={params.N}, M={params.M})"
             )
         self.params = params
@@ -198,7 +198,7 @@ class _BucketedFamily(SeededFamily):
         self.prg1 = prg1
         self.prg2 = prg2
         self.extractor = extractor
-        self.after = PRGHashFamily(prg2)
+        self.after = prg2
         self.layout = SeedLayout.build([
             ("g-seed", self.g.seed_columns()),
             ("prg1-seed", prg1.seed_columns()),
@@ -223,7 +223,7 @@ class _BucketedFamily(SeededFamily):
         self._check_x(x)
         parts = self.layout.unpack(seed)
         bucket = self.g.eval(parts["g-seed"], x)
-        s = self.prg1.coord_eval(parts["prg1-seed"], bucket) - 1
+        s = self.prg1.eval(parts["prg1-seed"], bucket) - 1
         return self.after.eval(self.extractor.extract(parts["w"], s), x)
 
     def _tables(self, points: list[int], g, prg1, after) -> dict:
@@ -234,7 +234,7 @@ class _BucketedFamily(SeededFamily):
         values at every bucket by g's at x, each on its own seeds only.
         Nothing is evaluated for a table that does not fit."""
         dtype = np.min_scalar_type(self.range_size)
-        y_dtype = np.min_scalar_type(self.prg1.alphabet)
+        y_dtype = np.min_scalar_type(self.prg1.range_size)
         after_bytes = dtype.itemsize << self.extractor.m
         tabled = points[:POINT_TABLE_BYTES // after_bytes]
         if not tabled:

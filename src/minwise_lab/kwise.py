@@ -378,7 +378,8 @@ class SeededFamily(abc.ABC):
     """A finite hash family {h_seed : [1..N] -> [1..M]} indexed by seeds.
 
     Seeds are integers in [0, 2^seed_bits) made of the coefficient words
-    of seed_columns(); evaluation is pure.  Block evaluation reads a
+    of seed_columns(); evaluation is pure.  A rectangle PRG G of
+    ``rectprg`` is one too, x -> G(seed)_x.  Block evaluation reads a
     ``range`` of seeds, a packed uint64 block or a 2-D (count, words)
     block of word columns, through seed_words where it needs the words,
     and returns a fresh array of values.
@@ -575,9 +576,9 @@ class TWiseFamily(SeededFamily):
         """The plan of ``points``, with the tables (``_run_tables``) of the
         first that fit POINT_TABLE_BYTES when ``run_words`` > 0.
 
-        Its evaluators take a checked point or, for TWisePRG, an unchecked
-        uint64 array of points, one per seed, and return a fresh array.  A
-        point with tables is read in one of two block forms, in the
+        Its evaluators take a checked point or, for TWisePRG.coord_block,
+        an unchecked uint64 array of points, one per seed, and return a
+        fresh array.  A point with tables is read in one of two block forms, in the
         narrowest dtype that holds M:
 
         - an aligned block, a step-1 ``range`` of 2^B seeds from a

@@ -744,7 +744,7 @@ def check_reduction(prg: RectanglePRG, X, Y, threads: int = 1) -> ReductionRepor
     """
     xs, ys = _query_sets(X, Y)
     k = len(ys)
-    N, M = prg.dimension, prg.alphabet
+    N, M = prg.domain_size, prg.range_size
     rest = [x for x in xs if x not in ys]
     at_max, at_min, total = strict_order_margins(prg, ys, rest, threads=threads)
     measured = Fraction(int(at_max.sum()), total)

@@ -14,6 +14,9 @@ every file it wrote under ``--out-dir``.  The cases are:
 - the benchmark's configs at seed 1, generated by ``perfbench/run.py``
   itself (``tests/benchmark_module.py``), under the commands it runs;
 - a ``full_independence`` prg-test, exhaustive and Monte-Carlo;
+- a ``recursive_mix`` prg-test over every threshold, at dimension 4 and
+  alphabet 16: the one pin of that generator whose errors depend on each
+  level's offset (the benchmark's reads thresholds 0, 8 and 16 only);
 - a loads-test of the default uniform allocation with |Y| = 5 at
   ell = 64, the one pin of its B_J law;
 - a loads-test of a 3-wise allocation over GF(2^6): 18 seed bits in runs
@@ -65,6 +68,9 @@ BENCH_SEED = 1
 
 FULL_INDEPENDENCE = {"prg": {"kind": "full_independence"}, "dimension": 4, "alphabet": 8}
 
+# no thresholds: all of 0..16
+RECURSIVE_MIX = {"prg": {"kind": "recursive_mix"}, "dimension": 4, "alphabet": 16}
+
 UNIFORM_LOADS = {"ell": 64, "X": list(range(1, 13)), "Y": [1, 2, 3, 4, 5], "regime": "small"}
 
 TWISE_LOADS = {"allocation": {"kind": "twise", "t": 3}, "N": 64, "ell": 64,
@@ -112,6 +118,8 @@ def cases(tmp: Path) -> dict[str, list[str]]:
     mc = _config(tmp / "full_independence_mc.json",
                  {**FULL_INDEPENDENCE, "mode": "mc", "samples": 50000})
     out["full_independence_mc"] = ["prg-test", "--config", mc]
+    out["recursive_mix"] = ["prg-test", "--config",
+                            _config(tmp / "recursive_mix.json", RECURSIVE_MIX)]
     out["uniform_loads"] = ["loads-test", "--config",
                             _config(tmp / "uniform_loads.json", UNIFORM_LOADS)]
     out["twise_loads"] = ["loads-test", "--config",

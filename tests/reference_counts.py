@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from minwise_lab.kwise import SeededFamily, scan
-from minwise_lab.rectprg import PRGHashFamily, RectanglePRG
+from minwise_lab.rectprg import RectanglePRG
 from minwise_lab.verify import binomial_tail_at_least
 
 
@@ -85,8 +85,8 @@ def order_statistic_tails(prg: RectanglePRG, low, high) -> tuple[np.ndarray, int
     output has maximum a over the coordinates ``low`` and minimum above
     theta over ``high``.  Suffix sums of one (max, min) histogram over
     the whole seed space, each block's values stacked and reduced here."""
-    family, side = PRGHashFamily(prg), prg.alphabet + 1
-    plan = family.bind([*low, *high])
+    side = prg.range_size + 1
+    plan = prg.bind([*low, *high])
 
     def count(seeds):
         evaluate = plan(seeds)
@@ -94,7 +94,7 @@ def order_statistic_tails(prg: RectanglePRG, low, high) -> tuple[np.ndarray, int
         b = np.stack([evaluate(i) for i in high]).min(axis=0).astype(np.int64)
         return np.bincount(a * side + b, minlength=side * side)
 
-    flat, total = scan(family, count)
+    flat, total = scan(prg, count)
     hist = flat.reshape(-1, side)
     tails = np.zeros_like(hist)
     tails[:, :-1] = hist[:, :0:-1].cumsum(axis=1)[:, ::-1]

@@ -2,7 +2,7 @@
 
 ``full_rectangle``, ``threshold_rectangle`` and ``at_most_rectangle``
 build the rectangles the tests measure, ``expand`` reads a generator's
-whole output vector through its scalar ``coord_eval``, and
+whole output vector through its scalar ``eval``, and
 ``conditional_rectangle_check`` conditions a rectangle's exact
 acceptance on one coordinate's value, by two exact counts of
 ``rectprg.rectangle_hits_exact``.
@@ -43,7 +43,7 @@ def at_most_rectangle(dimension: int, alphabet: int, theta: int, coords) -> Rect
 def expand(prg: RectanglePRG, seed: int) -> tuple[int, ...]:
     """The full output vector for one seed."""
     prg._check_seed(seed)
-    return tuple(prg.coord_eval(seed, i) for i in range(1, prg.dimension + 1))
+    return tuple(prg.eval(seed, i) for i in range(1, prg.domain_size + 1))
 
 
 def restricted_to(rect: Rectangle, coord: int, values) -> Rectangle:
@@ -65,11 +65,11 @@ def conditional_rectangle_check(
     _check_shape(prg, rect)
     if rect.accept_sets[j - 1] is not None:
         raise InvalidArgument(f"rectangle must not constrain coordinate {j}")
-    if not 1 <= alpha <= prg.alphabet:
-        raise InvalidArgument(f"alpha {alpha} outside [1, {prg.alphabet}]")
+    if not 1 <= alpha <= prg.range_size:
+        raise InvalidArgument(f"alpha {alpha} outside [1, {prg.range_size}]")
     point = restricted_to(rect, j, {alpha})
     joint_hits, total = rectangle_hits_exact(prg, point)
-    cond_rect = Rectangle.build(prg.dimension, prg.alphabet, {j: {alpha}})
+    cond_rect = Rectangle.build(prg.domain_size, prg.range_size, {j: {alpha}})
     point_hits, _ = rectangle_hits_exact(prg, cond_rect)
     if point_hits == 0:
         raise ConditionNeverHolds(f"no seed gives coordinate {j} the value {alpha}")

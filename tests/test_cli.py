@@ -875,6 +875,16 @@ def test_reduction_test_is_exact_only(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("kind", ["twise", "recursive_mix", "full_independence"])
+def test_reduction_test_refuses_a_point_past_the_dimension_alike(kind, tmp_path, capsys):
+    # every generator checks its points as any seeded family does
+    prg = {"kind": kind, "t": 2} if kind == "twise" else {"kind": kind}
+    cfg = _write(tmp_path, "r.json", {"prg": prg, "dimension": 8, "alphabet": 8,
+                                      "X": [1, 2, 9], "Y": [1]})
+    assert main(["reduction-test", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "point 9 outside [1, 8]" in capsys.readouterr().err
+
+
 def test_kwise_test_table(tmp_path, capsys, monkeypatch):
     per_theta = [verify.check_twise_tails(2, 3, [theta], 8)[0].to_json() for theta in range(9)]
     scans, strict_order_margins = [], verify.strict_order_margins
@@ -1098,28 +1108,32 @@ def test_benchmark_loads_scan_holds_at_most_1_mib(monkeypatch):
 
 
 def test_benchmark_loads_test_peaks_within_460_kib_of_its_imports(monkeypatch, tmp_path):
-    # the benchmark's loads-test against a process that imports what it
-    # imports and sets the allocator as it does: medians of 5 of each.
-    # Both compile the package from a copy without bytecode, as the
-    # benchmark runs it; from cached bytecode the imports peak about
-    # 1.1 MB lower and the scan does not.  Each 2^14-seed count slice is
-    # bound and counted on its own, and the gap read 268-368 KiB in 24
-    # runs; with each 2^16-seed block evaluated whole first, 556-708 KiB.
+    # the benchmark's loads-test against the same command with --help
+    # appended: cli.main imports the subcommand's modules and sets the
+    # allocator before argparse exits, so the two processes differ in the
+    # run alone, not in their arguments, paths or environment.  Where the
+    # run's arrays fall in the heap, and so its peak, steps by about
+    # 150 KiB with the lengths of the paths it holds, so pair i runs in a
+    # directory of its own, named by 4i + 1 characters, and the medians of
+    # the 11 pairs span those layouts.  Both compile the package from a
+    # copy without bytecode, as the benchmark runs it; from cached
+    # bytecode the imports peak about 1.1 MB lower and the scan does not.
+    # Each 2^14-seed count slice is bound and counted on its own, and the
+    # gap read 196-300 KiB under pytest temporary roots of 14-30
+    # characters; with each 2^16-seed block counted whole, 992-1012 KiB.
     # The traced peak (above) sees neither: it is numpy's heap and code
     # pages, not its arrays
-    src = tmp_path / "src"
-    shutil.copytree(ROOT / "src" / "minwise_lab", src / "minwise_lab",
-                    ignore=shutil.ignore_patterns("__pycache__"))
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     cfg = benchmark_module.load(monkeypatch).oracle_configs(None)["loads.json"]
-    path = _write(tmp_path, "loads.json", cfg)
     loads, imports = [], []
-    for _ in range(5):
-        loads.append(_measure_peak_kib("-m", "minwise_lab.cli", "loads-test", "--config", path,
-                                       "--out-dir", str(tmp_path / "out"), src=src))
-        imports.append(_measure_peak_kib(
-            "-c", "import minwise_lab.cli as cli, minwise_lab.verify; cli._bound_allocator()",
-            src=src))
+    for i in range(11):
+        work = tmp_path / ("r" * (4 * i + 1))
+        shutil.copytree(ROOT / "src" / "minwise_lab", work / "src" / "minwise_lab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        run = ("-m", "minwise_lab.cli", "loads-test", "--config", _write(work, "loads.json", cfg),
+               "--out-dir", str(work / "out"))
+        loads.append(_measure_peak_kib(*run, src=work / "src"))
+        imports.append(_measure_peak_kib(*run, "--help", src=work / "src"))
     assert statistics.median(loads) - statistics.median(imports) <= 460, (loads, imports)
 
 

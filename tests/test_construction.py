@@ -166,11 +166,11 @@ def test_minwise_values_decompose_through_the_direct_sum():
         parts = fam.layout.unpack(seed)
         for x in range(1, 5):
             bucket = fam.g.eval(parts["g-seed"], x)
-            s = fam.prg1.coord_eval(parts["prg1-seed"], bucket) - 1
+            s = fam.prg1.eval(parts["prg1-seed"], bucket) - 1
             z = fam.extractor.extract(parts["w"], s)
             want = dsum_values(
                 fam.inner.eval(z & 0xF, x),
-                fam.prg2.coord_eval(z >> 4, x),
+                fam.prg2.eval(z >> 4, x),
                 4,
             )
             assert fam.eval(seed, x) == want
@@ -187,11 +187,11 @@ def test_single_bucket_collapse():
     for seed in range(0, fam.seed_space, 5):
         parts = fam.layout.unpack(seed)
         z = fam.extractor.extract(
-            parts["w"], fam.prg1.coord_eval(parts["prg1-seed"], 1) - 1
+            parts["w"], fam.prg1.eval(parts["prg1-seed"], 1) - 1
         )
         for x in range(1, 5):
             want = dsum_values(
-                fam.inner.eval(z & 0xF, x), fam.prg2.coord_eval(z >> 4, x), 4
+                fam.inner.eval(z & 0xF, x), fam.prg2.eval(z >> 4, x), 4
             )
             assert fam.eval(seed, x) == want
 
@@ -818,7 +818,7 @@ def _desk_scan_builds(patch, threads: int) -> tuple[list, list, list]:
     patch.setattr(fam.g, "bind", spy_bind_g)
     measure_corpus(fam, [([1, 2, 3, 4], [1]), ([2, 4], [4])], threads=threads)
     points = range(1, 5)
-    owners = {fam.g: points, fam.prg1.family: range(1, fam.params.ell + 1),
+    owners = {fam.g: points, fam.prg1: range(1, fam.params.ell + 1),
               fam.inner: points}
     assert sorted(built) == sorted(
         [(kind, id(fam), x) for kind in "TY" for x in points] +
@@ -855,9 +855,9 @@ def test_benchmark_mc_scan_builds_each_point_table_once(monkeypatch, tmp_path):
     assert len(built) == len(set(built))
     # L > SCAN_CHUNK_BITS, so no Y_x; PRG1 over GF(2^9) keeps no tables
     phi = skeleton(fam)
-    assert phi.low_bits > SCAN_CHUNK_BITS and phi.prg1.family.run_words == 0
+    assert phi.low_bits > SCAN_CHUNK_BITS and phi.prg1.run_words == 0
     assert sorted(x for kind, owner, x in built if kind == "T") == points
-    for owner in (phi.g, phi.prg2.family, fam.high):
+    for owner in (phi.g, phi.prg2, fam.high):
         assert sorted(x for _, o, x in built if o == id(owner)) == points
 
 

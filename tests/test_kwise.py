@@ -36,7 +36,7 @@ from minwise_lab.kwise import (
     seed_words,
 )
 from minwise_lab.philox import Philox
-from minwise_lab.rectprg import TWisePRG
+from minwise_lab.rectprg import FullIndependencePRG, RecursiveMixPRG, TWisePRG
 
 
 def test_constant_family_t1():
@@ -275,7 +275,7 @@ def test_point_outside_the_domain_raises_before_any_table(monkeypatch, x):
 @pytest.mark.parametrize("t, alphabet", [(2, 16), (3, 64), (4, 16), (2, 512)])
 def test_twise_prg_values_at_array_points_are_horner_s(monkeypatch, t, alphabet):
     # an array of points, one per seed, is evaluated by Horner whatever
-    # the field; each seed's value equals scalar coord_eval and the
+    # the field; each seed's value equals scalar eval and the
     # point-table value at its coordinate
     prg = TWisePRG(t, 8, alphabet)
     rng = np.random.Generator(np.random.Philox(key=t * alphabet))
@@ -285,7 +285,7 @@ def test_twise_prg_values_at_array_points_are_horner_s(monkeypatch, t, alphabet)
     monkeypatch.setattr(kwise, "mul_block", lambda *a: muls.append(1) or mul_block(*a))
     got = prg.coord_block(seeds, coords)
     assert got.dtype == np.uint64 and len(muls) == t - 1
-    assert got.tolist() == [prg.coord_eval(int(s), int(c)) for s, c in zip(seeds, coords)]
+    assert got.tolist() == [prg.eval(int(s), int(c)) for s, c in zip(seeds, coords)]
     read = prg.bind(range(1, 9))(seeds)
     at_points = {c: read(c) for c in range(1, 9)}
     assert got.tolist() == [int(at_points[int(c)][j]) for j, c in enumerate(coords)]
@@ -487,6 +487,15 @@ def test_the_default_plan_refuses_blocks_past_the_seed_space():
     for seeds in (range(4, 12), np.array([1, 8], dtype=np.uint64)):
         with pytest.raises(InvalidArgument, match=r"seed 0x[8b] outside \[0, 2\^3\)"):
             plan(seeds)
+    # so does every generator's plan, whose word columns would otherwise
+    # drop a seed's bits past the seed space
+    for prg in (FullIndependencePRG(2, 4), TWisePRG(2, 4, 4), RecursiveMixPRG(2, 4)):
+        top, plan = prg.seed_space, prg.bind([1])
+        assert len(plan(range(top))(1)) == top
+        for seeds in (range(top - 2, top + 2), np.array([1, top], dtype=np.uint64)):
+            with pytest.raises(InvalidArgument, match=rf"seed {max(seeds):#x} outside "
+                                                      rf"\[0, 2\^{prg.seed_bits}\)"):
+                plan(seeds)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -14,9 +14,9 @@ from seed_rows import seed_ints
 from minwise_lab.cli import main
 from minwise_lab.errors import InvalidArgument, SeedSpaceTooLarge
 from minwise_lab.gf2 import find_irreducible
+from minwise_lab.kwise import TWiseFamily
 from minwise_lab.rectprg import (
     FullIndependencePRG,
-    PRGHashFamily,
     Rectangle,
     RecursiveMixPRG,
     TWisePRG,
@@ -81,11 +81,11 @@ def test_empty_accept_set_gives_zero_error():
 
 
 def test_twise_prg_coordinates_match_family():
-    prg = TWisePRG(2, 3, 4)
+    prg, family = TWisePRG(2, 3, 4), TWiseFamily(2, 3, 4)
     for seed in range(prg.seed_space):
         vec = expand(prg, seed)
         for i in range(1, 4):
-            assert vec[i - 1] == prg.family.eval(seed, i)
+            assert vec[i - 1] == family.eval(seed, i)
 
 
 def test_twise_prg_rectangles_within_t_coords_exact():
@@ -152,7 +152,7 @@ def test_recursive_mix_block_matches_scalar():
             per_seed = prg.coord_block(seeds, np.full(len(seeds), coord, dtype=np.uint64))
             assert np.array_equal(block, per_seed)
             for s in range(0, prg.seed_space, 97):
-                assert int(block[s]) == prg.coord_eval(s, coord)
+                assert int(block[s]) == prg.eval(s, coord)
 
 
 def test_expand_checks_seed_length():
@@ -200,7 +200,7 @@ def test_order_statistic_tails_count_every_pair(kind, groups):
     outs = np.array([expand(prg, s) for s in range(prg.seed_space)])
     a = outs[:, [i - 1 for i in low]].max(axis=1) if low else np.zeros(len(outs), int)
     b = outs[:, [i - 1 for i in high]].min(axis=1)
-    want = _margins(a, b, prg.alphabet)
+    want = _margins(a, b, prg.range_size)
     for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
         with scan_chunk_bits(chunk_bits):
             got = strict_order_margins(prg, low, high, threads=threads)
@@ -225,12 +225,12 @@ def test_mc_order_statistic_tails_do_not_depend_on_the_block_split(kind):
     prg = SMALL_PRGS[kind]()
     samples, run_seed = 3001, 5
     outs = np.array([expand(prg, int(s)) for s in _drawn(prg, samples, run_seed)])
-    want = _margins(outs[:, 0], outs[:, 1:].min(axis=1), prg.alphabet)
+    want = _margins(outs[:, 0], outs[:, 1:].min(axis=1), prg.range_size)
     # the one draw chunk counted whole or in slices of 1, 8 or 2^14 rows
     for count_bits in (0, 3, 14, 16):
         for chunk_bits, threads in ((20, 1), (3, 1), (3, 2)):
             with scan_chunk_bits(chunk_bits), mc_count_bits(count_bits):
-                got = strict_order_margins(prg, [1], range(2, prg.dimension + 1),
+                got = strict_order_margins(prg, [1], range(2, prg.domain_size + 1),
                                            samples=samples, run_seed=run_seed,
                                            threads=threads)
             assert got[2] == samples
@@ -249,15 +249,15 @@ SAMPLING = {"exhaustive": {}, "mc": {"samples": 3000, "run_seed": 17}}
 @pytest.mark.parametrize("kind", sorted(THRESHOLD_PRGS))
 def test_threshold_errors_match_rectangle_error(kind, mode):
     prg = THRESHOLD_PRGS[kind]()
-    M = prg.alphabet
+    M = prg.range_size
     thetas = list(range(M + 1)) + [M + 3]
-    want = [rectangle_error(prg, threshold_rectangle(prg.dimension, M, t), **SAMPLING[mode])
+    want = [rectangle_error(prg, threshold_rectangle(prg.domain_size, M, t), **SAMPLING[mode])
             for t in thetas]
     assert threshold_errors(prg, thetas, **SAMPLING[mode]) == want
     assert any(want) == (kind != "fullind" or mode == "mc")
     # a threshold below 0 names no rectangle
     with pytest.raises(InvalidArgument):
-        threshold_rectangle(prg.dimension, M, -1)
+        threshold_rectangle(prg.domain_size, M, -1)
     with pytest.raises(InvalidArgument):
         threshold_errors(prg, [0, -1], **SAMPLING[mode])
 
@@ -301,11 +301,11 @@ def test_conditional_twise_exact_value():
     prg = TWisePRG(2, 3, 4)
     rect = threshold_rectangle(3, 4, 2, coords=[1, 3])
     alpha = 1
-    matching = [s for s in range(prg.seed_space) if prg.coord_eval(s, 2) == alpha]
+    matching = [s for s in range(prg.seed_space) if prg.eval(s, 2) == alpha]
     hits = sum(
         1
         for s in matching
-        if prg.coord_eval(s, 1) > 2 and prg.coord_eval(s, 3) > 2
+        if prg.eval(s, 1) > 2 and prg.eval(s, 3) > 2
     )
     want = abs(Fraction(hits, len(matching)) - Fraction(2, 4) ** 2)
     got = conditional_rectangle_check(prg, 2, alpha, rect)
@@ -316,9 +316,9 @@ def test_conditional_never_holds():
     # a generator whose coordinate 2 never emits the value 2 makes the
     # conditioning event empty
     class StuckPRG(FullIndependencePRG):
-        def coord_eval(self, seed, coord):
-            v = super().coord_eval(seed, coord)
-            return 1 if coord == 2 and v == 2 else v
+        def eval(self, seed, x):
+            v = super().eval(seed, x)
+            return 1 if x == 2 and v == 2 else v
 
         def coord_block(self, seeds, coords):
             vals = super().coord_block(seeds, coords)
@@ -359,12 +359,11 @@ def test_conditional_error_bounded_by_measured_algebra():
 
 def test_prg_hash_family_adapter():
     prg = TWisePRG(2, 4, 8)
-    fam = PRGHashFamily(prg)
-    assert fam.domain_size == 4 and fam.range_size == 8
-    seeds = np.arange(fam.seed_space, dtype=np.uint64)
+    assert prg.domain_size == 4 and prg.range_size == 8
+    seeds = np.arange(prg.seed_space, dtype=np.uint64)
     for x in range(1, 5):
-        assert np.array_equal(fam.eval_block(seeds, x), prg.coord_block(seeds, x))
-        assert fam.eval(5, x) == prg.coord_eval(5, x)
+        assert np.array_equal(prg.eval_block(seeds, x), prg.coord_block(seeds, x))
+        assert prg.eval(5, x) == prg.coord_block(seeds, x)[5]
 
 
 def test_mc_draws_packed_seeds_up_to_64_bits():
@@ -383,7 +382,7 @@ def test_mc_draws_packed_seeds_up_to_64_bits():
     rng = np.random.Generator(np.random.Philox(key=3))
     words = np.stack([rng.integers(0, 256, size=500, dtype=np.uint64) for _ in range(9)],
                      axis=1)
-    wide_mins = [min(wide.coord_eval(seed, i) for i in range(1, 9))
+    wide_mins = [min(wide.eval(seed, i) for i in range(1, 9))
                  for seed in seed_ints(words, (8,) * 9)]
     above = sum(m > 1 for m in wide_mins)
     uniform = Fraction(255, 256) ** 8

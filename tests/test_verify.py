@@ -35,7 +35,6 @@ from minwise_lab.kwise import DirectSumFamily, SeededFamily, TWiseFamily
 from minwise_lab.philox import Philox
 from minwise_lab.rectprg import (
     FullIndependencePRG,
-    PRGHashFamily,
     Rectangle,
     RecursiveMixPRG,
     TWisePRG,
@@ -139,8 +138,8 @@ def test_exhaustive_matches_uniform_for_fully_independent_family():
 
 
 def test_exhaustive_matches_uniform_for_full_independence_prg():
-    # same statement through the PRG adapter route
-    fam = PRGHashFamily(FullIndependencePRG(3, 4))
+    # same statement through the PRG itself
+    fam = FullIndependencePRG(3, 4)
     rep = measure_minwise(fam, [1, 2, 3], [1])
     assert rep.measured_p == Fraction(7, 32)
     # ties: sum over v of [(5-v)^2 - (4-v)^2] / 64 = (7+5+3+1)/64
@@ -349,14 +348,14 @@ def test_mc_corpus_on_a_2d_layout_does_not_depend_on_the_count_slices(corpus):
 EVALUATOR_FAMILIES = [
     *SMALL_FAMILIES,
     _wide_kminwise(),
-    PRGHashFamily(TWisePRG(3, 8, 8)),
-    PRGHashFamily(RecursiveMixPRG(8, 8)),
+    TWisePRG(3, 8, 8),
+    RecursiveMixPRG(8, 8),
     DirectSumFamily(TWiseFamily(2, 6, 8), TWiseFamily(1, 6, 8)),
     TWiseFamily(3, 300, 512),  # 9-bit coefficients: uint16 columns
     # wider than 64 bits, so drawn as word columns
-    PRGHashFamily(FullIndependencePRG(32, 8)),  # 96 bits
-    PRGHashFamily(RecursiveMixPRG(1024, 256)),  # 168 bits
-    PRGHashFamily(TWisePRG(9, 8, 256)),  # 72 bits
+    FullIndependencePRG(32, 8),  # 96 bits
+    RecursiveMixPRG(1024, 256),  # 168 bits
+    TWisePRG(9, 8, 256),  # 72 bits
     DirectSumFamily(TWiseFamily(5, 8, 256), TWiseFamily(5, 8, 256)),  # 80 bits
 ]
 
@@ -863,8 +862,8 @@ def test_load_lemma_validation():
         # constant families carry no moment bound in the mid regime
         check_load_lemma(TWiseFamily(1, 4, 4), [1, 2, 3, 4], [1], 4, "mid")
     with pytest.raises(ValueError, match="independence degree t"):
-        # adapter families declare no degree t, the only one the bounds read
-        check_load_lemma(PRGHashFamily(TWisePRG(2, 3, 4)), [1, 2, 3], [1],
+        # a recursive-mix PRG declares no degree t, the only one the bounds read
+        check_load_lemma(RecursiveMixPRG(4, 4), [1, 2, 3], [1],
                          4, "small")
     with pytest.raises(SeedSpaceTooLarge):
         check_load_lemma(TWiseFamily(7, 8, 16), [1, 2, 3], [1], 16, "small")
@@ -982,7 +981,7 @@ def test_reduction_full_independence_is_exact():
 def test_reduction_pairwise_frozen_values():
     rep = check_reduction(TWisePRG(2, 4, 8), [1, 2, 3, 4], [1])
     # independent recount of the measured probability over all 64 seeds
-    fam = PRGHashFamily(TWisePRG(2, 4, 8))
+    fam = TWisePRG(2, 4, 8)
     seeds = np.arange(64, dtype=np.uint64)
     vals = np.stack([fam.eval_block(seeds, x) for x in (1, 2, 3, 4)])
     hits = int((vals[0] < vals[1:].min(axis=0)).sum())
@@ -1039,7 +1038,7 @@ def _reference_reduction_rectangles(N, M, xs, ys):
 def test_reduction_counts_match_rectangle_hits_exact(case):
     make, X, Y = REDUCTION_CASES[case]
     prg = make()
-    N, M = prg.dimension, prg.alphabet
+    N, M = prg.domain_size, prg.range_size
     rest = [x for x in X if x not in Y]
     tails, total = reference_counts.order_statistic_tails(prg, Y, rest)
     reference = [hits for _, _, hits
@@ -1056,7 +1055,7 @@ def test_reduction_counts_match_rectangle_hits_exact(case):
     assert rep.rectangles_checked == len(rects) == (M if len(Y) == 1 else 2 * M)
     assert rep.delta == float(delta)
     assert (rep.delta > 0) == (not case.startswith("fullind"))
-    ref = measure_minwise(PRGHashFamily(prg), X, Y)
+    ref = measure_minwise(prg, X, Y)
     assert (rep.measured_p, rep.uniform_p) == (ref.measured_p, ref.uniform_ref)
 
 
